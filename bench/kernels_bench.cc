@@ -398,6 +398,72 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     perf_gate_failed = true;
   }
 
+  // ---- Touched-coordinate flush vs dense sweep ------------------------
+  // The two branches of TouchedBuffer's flush (core/vector.h), timed
+  // directly at listed/dim from 1/64 to 1 on the paper's model sizes
+  // (kddb, kdd12, WX). A list is the concatenated feature indices of
+  // synthetic rows from the dataset's preset, so it carries the real
+  // Zipf skew and duplicates. This case picks
+  // TouchedBuffer::kSparseFactor: the flush sweeps only the listed
+  // coordinates when listed × kSparseFactor ≤ dim.
+  JsonValue flush_runs = JsonValue::Array();
+  std::printf("\n%-8s %8s %10s %12s %12s %9s\n", "dataset", "dim",
+              "listed/dim", "touched ns", "dense ns", "dense/tch");
+  for (SyntheticSpec spec : {KddbSpec(), Kdd12Spec(), WxSpec()}) {
+    const size_t dim = spec.num_features;
+    spec.num_instances = 2 * dim / spec.avg_nnz + 1;
+    const CsrBlock rows =
+        CsrBlock::FromPoints(GenerateSynthetic(spec).points());
+    DenseVector dst(dim);
+    DenseVector buf(dim);
+    for (size_t i = 0; i < dim; ++i) dst[i] = rng.NextDouble(-1.0, 1.0);
+    const double alpha = -1e-3;
+    constexpr int kFlushInner = 16;
+    for (size_t denom : {64, 16, 8, 4, 2, 1}) {
+      const size_t listed = std::min(rows.indices.size(), dim / denom);
+      const FeatureIndex* list = rows.indices.data();
+      const double touched_ns = MinNs(
+          [&] {
+            for (int i = 0; i < kFlushInner; ++i) {
+              double* d = dst.data();
+              double* b = buf.data();
+              for (size_t n = 0; n < listed; ++n) {
+                d[list[n]] += alpha * b[list[n]];
+                b[list[n]] = 0.0;
+              }
+            }
+            g_sink = dst[list[0]];
+          },
+          reps);
+      const double dense_ns = MinNs(
+          [&] {
+            for (int i = 0; i < kFlushInner; ++i) {
+              dst.AddScaled(buf, alpha);
+              buf.SetZero();
+            }
+            g_sink = dst[0];
+          },
+          reps);
+      const double ratio = dense_ns / touched_ns;
+      std::printf("%-8s %8zu %10s %12.0f %12.0f %8.2fx\n", spec.name.c_str(),
+                  dim, ("1/" + std::to_string(denom)).c_str(), touched_ns,
+                  dense_ns, ratio);
+      JsonValue e = JsonValue::Object();
+      e.Set("dataset", JsonValue::Str(spec.name));
+      e.Set("dim", JsonValue::Number(static_cast<int64_t>(dim)));
+      e.Set("listed", JsonValue::Number(static_cast<int64_t>(listed)));
+      e.Set("listed_over_dim",
+            JsonValue::Number(1.0 / static_cast<double>(denom)));
+      e.Set("flushes_per_pass", JsonValue::Number(int64_t{kFlushInner}));
+      e.Set("touched_ns_per_pass", JsonValue::Number(touched_ns));
+      e.Set("dense_ns_per_pass", JsonValue::Number(dense_ns));
+      e.Set("dense_over_touched", JsonValue::Number(ratio));
+      e.Set("sparse_branch_taken",
+            JsonValue::Bool(listed * TouchedBuffer::kSparseFactor <= dim));
+      flush_runs.Append(e);
+    }
+  }
+
   // ---- Report ---------------------------------------------------------
   std::printf("\n%-22s %-7s %-5s %-10s %12s %10s\n", "kernel", "level",
               "prec", "regime", "ns/pass", "vs scalar");
@@ -435,6 +501,10 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     runs.Append(e);
   }
   doc.Set("runs", runs);
+  doc.Set("touched_sparse_factor",
+          JsonValue::Number(
+              static_cast<int64_t>(TouchedBuffer::kSparseFactor)));
+  doc.Set("flush_density", flush_runs);
   bench::WriteBenchJson(out_name, doc);
 
   if (perf_gate_failed || drift_gate_failed) {

@@ -66,28 +66,44 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
   return ErrorFeedback(num_streams, dim);
 }
 
-DenseVector CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                          size_t stream, const DenseVector& v,
-                          uint64_t* wire_bytes) {
+void CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
+                   size_t stream, DenseVector* v, uint64_t* wire_bytes) {
   EngineProfiler::Scope codec_prof(Subsystem::kCodec);
   EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
   // Lossless fast path: the wire is transparent, so skip the
-  // encode/decode copy (the roundtrip is bit-exact by contract, which
+  // encode/decode (the roundtrip is bit-exact by contract, which
   // comm_test pins down).
   if (codec.lossless()) {
-    const uint64_t encoded = codec.EncodedBytes(v.dim());
+    const uint64_t encoded = codec.EncodedBytes(v->dim());
     if (wire_bytes != nullptr) *wire_bytes += encoded;
-    RecordTransmit(codec, ef, stream, v.dim(), encoded);
+    RecordTransmit(codec, ef, stream, v->dim(), encoded);
+    return;
+  }
+  if (ef != nullptr) ef->Compensate(stream, v);
+  const EncodedChunk chunk = codec.Encode(*v);
+  if (wire_bytes != nullptr) *wire_bytes += chunk.bytes;
+  RecordTransmit(codec, ef, stream, v->dim(), chunk.bytes);
+  DenseVector decoded = codec.Decode(chunk);
+  if (ef != nullptr) ef->Absorb(stream, *v, decoded);
+  *v = std::move(decoded);
+}
+
+const DenseVector& CodecBroadcast(const GradientCodec& codec,
+                                  const DenseVector& v,
+                                  DenseVector* received) {
+  if (codec.lossless()) {
+    AccountBroadcast(codec, v.dim());
     return v;
   }
-  DenseVector compensated = v;
-  if (ef != nullptr) ef->Compensate(stream, &compensated);
-  const EncodedChunk chunk = codec.Encode(compensated);
-  if (wire_bytes != nullptr) *wire_bytes += chunk.bytes;
-  RecordTransmit(codec, ef, stream, v.dim(), chunk.bytes);
-  DenseVector decoded = codec.Decode(chunk);
-  if (ef != nullptr) ef->Absorb(stream, compensated, decoded);
-  return decoded;
+  *received = v;
+  CodecTransmit(codec, nullptr, 0, received);
+  return *received;
+}
+
+void AccountBroadcast(const GradientCodec& codec, size_t dim) {
+  EngineProfiler::Scope codec_prof(Subsystem::kCodec);
+  EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
+  RecordTransmit(codec, nullptr, 0, dim, codec.EncodedBytes(dim));
 }
 
 }  // namespace mllibstar

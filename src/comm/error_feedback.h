@@ -51,15 +51,31 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
                                 const CodecConfig& config,
                                 size_t num_streams, size_t dim);
 
-/// Ships `v` through `codec` as stream `stream`: compensates with the
-/// stream's residual, encodes, decodes, absorbs the new residual, and
-/// returns the vector the receivers actually see. Adds the encoded
-/// wire size to *wire_bytes when non-null. Pass ef == nullptr for
-/// residual-free paths (broadcasts). With a lossless codec the result
-/// is bit-identical to `v`.
-DenseVector CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                          size_t stream, const DenseVector& v,
-                          uint64_t* wire_bytes = nullptr);
+/// Ships `*v` through `codec` as stream `stream`, in place: compensates
+/// with the stream's residual, encodes, decodes, absorbs the new
+/// residual, and leaves in `*v` the vector the receivers actually see.
+/// Adds the encoded wire size to *wire_bytes when non-null. Pass
+/// ef == nullptr for residual-free paths (broadcasts). A lossless codec
+/// leaves `*v` untouched: the transmit is accounted (bytes, telemetry,
+/// one codec event) and nothing is copied.
+void CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
+                   size_t stream, DenseVector* v,
+                   uint64_t* wire_bytes = nullptr);
+
+/// Residual-free broadcast of `v`: returns `v` itself when the codec is
+/// lossless, otherwise the decoded copy, written to `*received`.
+const DenseVector& CodecBroadcast(const GradientCodec& codec,
+                                  const DenseVector& v,
+                                  DenseVector* received);
+
+/// Accounts one residual-free transmit of a `dim`-vector (bytes,
+/// telemetry, one codec event) without encoding it, for a receiver that
+/// already holds the decoded value: the vector itself under a lossless
+/// codec, or the result of an earlier transmit of the same vector.
+/// Valid for every codec: encoding is deterministic, and a broadcast
+/// carries no error-feedback state, so the same vector always decodes
+/// the same.
+void AccountBroadcast(const GradientCodec& codec, size_t dim);
 
 }  // namespace mllibstar
 

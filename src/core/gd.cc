@@ -227,12 +227,12 @@ ComputeStats MiniBatchGdImpl(const View& v, const Loss& loss,
   ComputeStats stats;
   if (v.size() == 0 || batch_size == 0) return stats;
 
-  DenseVector gradient(w->dim());
+  TouchedBuffer gradient(w->dim());
   for (size_t b = 0; b < num_batches; ++b) {
     const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
-    gradient.SetZero();
+    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
     const ComputeStats batch_stats =
-        BatchGradientImpl(v, batch, loss, *w, &gradient);
+        BatchGradientImpl(v, batch, loss, *w, gradient.mutable_vector());
     stats += batch_stats;
     const double inv_batch = 1.0 / static_cast<double>(batch.size());
     if (reg.kind() != RegularizerKind::kNone) {
@@ -241,11 +241,9 @@ ComputeStats MiniBatchGdImpl(const View& v, const Loss& loss,
       reg.ApplyGradientStep(w, lr);
       stats.nnz_processed += w->dim();
     }
-    w->AddScaled(gradient, -lr * inv_batch);
+    gradient.FlushScaled(-lr * inv_batch, w);
     // Without regularization the batch gradient has at most batch-nnz
-    // nonzeros and a real system applies it sparsely; charge that.
-    // (The host arithmetic above stays dense for simplicity -- only
-    // the cost model needs to reflect the sparse implementation.)
+    // nonzeros and the flush above applies it sparsely; charge that.
     stats.nnz_processed += reg.kind() != RegularizerKind::kNone
                                ? w->dim()
                                : batch_stats.nnz_processed / 2;
@@ -479,19 +477,20 @@ ComputeStats MiniBatchGdSoftmaxImpl(const View& v, size_t num_classes,
   ComputeStats stats;
   if (v.size() == 0 || batch_size == 0) return stats;
 
-  DenseVector gradient(w->dim());
+  TouchedBuffer gradient(w->dim(), num_classes);
   for (size_t b = 0; b < num_batches; ++b) {
     const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
-    gradient.SetZero();
-    const ComputeStats batch_stats = BatchGradientSoftmaxImpl(
-        v, batch, num_classes, num_features, *w, &gradient, nullptr);
+    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
+    const ComputeStats batch_stats =
+        BatchGradientSoftmaxImpl(v, batch, num_classes, num_features, *w,
+                                 gradient.mutable_vector(), nullptr);
     stats += batch_stats;
     const double inv_batch = 1.0 / static_cast<double>(batch.size());
     if (reg.kind() != RegularizerKind::kNone) {
       reg.ApplyGradientStep(w, lr);
       stats.nnz_processed += w->dim();
     }
-    w->AddScaled(gradient, -lr * inv_batch);
+    gradient.FlushScaled(-lr * inv_batch, w);
     stats.nnz_processed += reg.kind() != RegularizerKind::kNone
                                ? w->dim()
                                : batch_stats.nnz_processed / 2;

@@ -141,4 +141,50 @@ DenseVector Average(const std::vector<DenseVector>& vectors) {
   return result;
 }
 
+TouchedBuffer::TouchedBuffer(size_t dim, size_t blocks)
+    : buf_(dim), blocks_(blocks), block_dim_(blocks == 0 ? 0 : dim / blocks) {
+  MLLIBSTAR_CHECK_GT(blocks, 0u);
+  MLLIBSTAR_CHECK_EQ(dim % blocks, 0u);
+}
+
+void TouchedBuffer::Touch(const FeatureIndex* indices, size_t nnz) {
+  if (all_touched_) return;
+  touched_.insert(touched_.end(), indices, indices + nnz);
+  // Past the threshold the flush sweeps densely anyway; stop listing.
+  if (touched_.size() * blocks_ * kSparseFactor > buf_.dim()) TouchAll();
+}
+
+void TouchedBuffer::TouchAll() {
+  all_touched_ = true;
+  touched_.clear();
+}
+
+void TouchedBuffer::FlushScaled(double alpha, DenseVector* dst) {
+  Flush(alpha, std::signbit(alpha) && std::isfinite(alpha), dst);
+}
+
+void TouchedBuffer::FlushSum(DenseVector* sum) { Flush(1.0, true, sum); }
+
+void TouchedBuffer::Flush(double alpha, bool skip_is_exact,
+                          DenseVector* dst) {
+  MLLIBSTAR_CHECK_EQ(dst->dim(), buf_.dim());
+  if (all_touched_ || !skip_is_exact) {
+    dst->AddScaled(buf_, alpha);
+    buf_.SetZero();
+  } else {
+    // Per coordinate the same w + (alpha * x) as the dense_axpy kernel
+    // (this TU is built without FMA contraction).
+    double* d = dst->data();
+    double* b = buf_.data();
+    for (size_t base = 0; base < buf_.dim(); base += block_dim_) {
+      for (FeatureIndex j : touched_) {
+        d[base + j] += alpha * b[base + j];
+        b[base + j] = 0.0;
+      }
+    }
+  }
+  touched_.clear();
+  all_touched_ = false;
+}
+
 }  // namespace mllibstar

@@ -139,6 +139,68 @@ class DenseVector {
 /// Elementwise average of `vectors` (all same dimension, non-empty).
 DenseVector Average(const std::vector<DenseVector>& vectors);
 
+/// A gradient buffer that is all +0.0 between uses, plus the list of
+/// coordinates the current batch may have written (its rows' feature
+/// indices). A flush adds α·buffer into a destination and re-zeros the
+/// buffer. When the listed coordinates are few against the dimension it
+/// sweeps only those; otherwise it sweeps the whole vector. Either way the
+/// result is bit-identical to dst->AddScaled(vector(), α) followed by
+/// SetZero(), under the signed-zero conditions each flush states
+/// (DESIGN §16).
+class TouchedBuffer {
+ public:
+  /// Sweep only the listed coordinates when listed × kSparseFactor ≤
+  /// dim. Scattered read-modify-writes lose to one streaming pass as
+  /// the list grows: kernels_bench's flush_density case
+  /// (results/BENCH_kernels.json) puts the break-even between
+  /// listed/dim = 1/4, where the listed sweep still wins, and 1/2,
+  /// where the dense sweep does, at the kddb, kdd12 and WX model sizes.
+  static constexpr size_t kSparseFactor = 4;
+
+  /// A +0.0 buffer of `dim` coordinates laid out as `blocks` equal
+  /// class blocks (1 for a binary model, K for a flattened K-class
+  /// softmax model): a listed feature index j stands for coordinate
+  /// b·(dim/blocks) + j in every block b.
+  explicit TouchedBuffer(size_t dim, size_t blocks = 1);
+
+  const DenseVector& vector() const { return buf_; }
+
+  /// Write access for kernels that write listed coordinates only. Any
+  /// other write must be preceded by TouchAll().
+  DenseVector* mutable_vector() { return &buf_; }
+
+  /// Lists `nnz` feature indices as possibly written. Duplicates are
+  /// harmless: each visit of a flush re-zeros its coordinate.
+  void Touch(const FeatureIndex* indices, size_t nnz);
+
+  /// Marks every coordinate as possibly written; the next flush sweeps
+  /// the whole vector.
+  void TouchAll();
+
+  /// *dst += alpha · buffer, then re-zeros the buffer. Skipping an
+  /// unlisted coordinate is exact when alpha is finite with its sign
+  /// bit set (α ≤ −0): the dense sweep would add alpha · (+0.0) = −0.0
+  /// there, which leaves every value unchanged. Any other alpha takes
+  /// the dense sweep.
+  void FlushScaled(double alpha, DenseVector* dst);
+
+  /// *sum += buffer, then re-zeros the buffer. `sum` must never hold
+  /// −0.0, which is true of a sum that started at +0.0 and was only
+  /// added to (round-to-nearest addition yields −0.0 only from two
+  /// −0.0 operands); adding +0.0 to it at an unlisted coordinate then
+  /// changes nothing.
+  void FlushSum(DenseVector* sum);
+
+ private:
+  void Flush(double alpha, bool skip_is_exact, DenseVector* dst);
+
+  DenseVector buf_;
+  size_t blocks_;
+  size_t block_dim_;
+  std::vector<FeatureIndex> touched_;
+  bool all_touched_ = false;
+};
+
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_CORE_VECTOR_H_

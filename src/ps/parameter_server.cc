@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "comm/error_feedback.h"
 #include "common/logging.h"
 #include "obs/telemetry.h"
 #include "sim/network.h"
@@ -13,7 +14,6 @@ PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
                      const GradientCodec* codec)
     : sim_(sim), config_(config),
       codec_(codec != nullptr ? codec : &PassthroughCodec()), model_(dim),
-      average_accumulator_(dim),
       shard_down_until_(config.num_shards, 0.0),
       shard_left_(config.num_shards, false), ckpt_model_(dim) {
   MLLIBSTAR_CHECK_EQ(sim->num_servers(), config.num_shards);
@@ -44,6 +44,7 @@ void PsContext::HandleShardCrash(size_t s, SimTime at) {
   const size_t lo = std::min(dim, s * per);
   const size_t hi = std::min(dim, lo + per);
   for (size_t i = lo; i < hi; ++i) model_[i] = ckpt_model_[i];
+  ++version_;
 
   // The restarted shard re-reads its range from the checkpoint store.
   const uint64_t range_bytes = codec_->EncodedBytes(hi - lo);
@@ -248,25 +249,37 @@ uint64_t PsContext::SparseUpdateBytes(size_t nnz, size_t dim) {
   return PassthroughCodec().SparseEncodedBytes(nnz, dim);
 }
 
+std::shared_ptr<const DenseVector> PsContext::PullSnapshot() {
+  if (pull_snapshot_ != nullptr && pull_snapshot_version_ == version_) {
+    AccountBroadcast(*codec_, model_.dim());
+    return pull_snapshot_;
+  }
+  auto snapshot = std::make_shared<DenseVector>(model_);
+  CodecTransmit(*codec_, nullptr, 0, snapshot.get());
+  pull_snapshot_ = std::move(snapshot);
+  pull_snapshot_version_ = version_;
+  return pull_snapshot_;
+}
+
+void PsContext::ResetModel(DenseVector model) {
+  MLLIBSTAR_CHECK_EQ(model.dim(), model_.dim());
+  model_ = std::move(model);
+  ckpt_model_ = model_;
+  ++version_;
+}
+
 void PsContext::ApplyDelta(const DenseVector& delta) {
   MLLIBSTAR_CHECK_EQ(delta.dim(), model_.dim());
   model_.AddScaled(delta, config_.delta_scale);
+  ++version_;
   MaybeServerCheckpoint();
 }
 
-void PsContext::AccumulateForAverage(const DenseVector& local_model) {
-  MLLIBSTAR_CHECK_EQ(local_model.dim(), model_.dim());
-  average_accumulator_.AddScaled(local_model, 1.0);
-  ++staged_models_;
-}
-
-void PsContext::FinalizeAverage() {
-  if (staged_models_ == 0) return;
-  average_accumulator_.Scale(1.0 / static_cast<double>(staged_models_));
-  model_ = average_accumulator_;
-  average_accumulator_.SetZero();
-  staged_models_ = 0;
-  MaybeServerCheckpoint();
+void PsContext::ApplyRoundAverage(const DenseVector& mean_delta) {
+  MLLIBSTAR_CHECK_EQ(mean_delta.dim(), model_.dim());
+  model_.AddScaled(mean_delta, 1.0);
+  ++version_;
+  if (config_.server_checkpoint_every_sec <= 0.0) ckpt_model_ = model_;
 }
 
 SimTime ConsistencyStartTime(

@@ -2,6 +2,7 @@
 #define MLLIBSTAR_PS_PARAMETER_SERVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,13 @@ class PsContext {
   const GradientCodec& wire_codec() const { return *codec_; }
 
   const DenseVector& model() const { return model_; }
-  DenseVector* mutable_model() { return &model_; }
+
+  /// The model as a pulling worker receives it through the wire codec.
+  /// Pulls at the same model version share one decoded snapshot; each
+  /// pull still accounts its own transmit. Every change to the model
+  /// (the mutators below and a shard-crash rollback) bumps the
+  /// version. Call after TimePull, which may roll the model back.
+  std::shared_ptr<const DenseVector> PullSnapshot();
 
   /// Charges the time for `worker` to pull the full model (one
   /// request per shard, shard links serve in parallel, the worker's
@@ -113,28 +120,26 @@ class PsContext {
   /// codec-free callers.
   static uint64_t SparseUpdateBytes(size_t nnz, size_t dim);
 
+  /// Replaces the model (warm start, trainer resume) and re-snapshots
+  /// the crash-restore state from it, so a later shard crash rolls back
+  /// to this model and not to a stale one.
+  void ResetModel(DenseVector model);
+
   /// kSumDeltas: applies `delta` (scaled by config.delta_scale) to the
   /// global model immediately, in push order.
   void ApplyDelta(const DenseVector& delta);
 
-  /// kAverageModels: stages one worker's local model for this round.
-  void AccumulateForAverage(const DenseVector& local_model);
-
-  /// kAverageModels: replaces the global model with the average of the
-  /// staged models and clears the stage. No-op if nothing was staged.
-  void FinalizeAverage();
+  /// kAverageModels: adds a completed round's mean delta to the model.
+  /// The crash-restore snapshot follows in lossless mode
+  /// (server_checkpoint_every_sec == 0); a positive cadence keeps its
+  /// lossy window.
+  void ApplyRoundAverage(const DenseVector& mean_delta);
 
   /// Total bytes moved through the server tier so far.
   uint64_t total_bytes() const { return total_bytes_; }
 
   /// Time the last push completed (gates server-side checkpoints).
   SimTime last_push_end() const { return last_push_end_; }
-
-  /// Re-snapshots the crash-restore state from the current model (call
-  /// after externally overwriting the model, e.g. on trainer resume,
-  /// so a later shard crash rolls back to the restored state and not
-  /// to a stale one).
-  void CheckpointServerNow() { ckpt_model_ = model_; }
 
   /// Permanent departure of shard `ev.node` (a membership
   /// kServerLeave event): its model range migrates to the next alive
@@ -170,8 +175,12 @@ class PsContext {
   PsConfig config_;
   const GradientCodec* codec_;
   DenseVector model_;
-  DenseVector average_accumulator_;
-  size_t staged_models_ = 0;
+  /// Bumped by every change to model_, so equal versions mean equal
+  /// models.
+  uint64_t version_ = 0;
+  /// The last pull snapshot and the model version it was taken at.
+  std::shared_ptr<const DenseVector> pull_snapshot_;
+  uint64_t pull_snapshot_version_ = 0;
   uint64_t total_bytes_ = 0;
   /// Per-shard time until which the shard is unavailable (crash +
   /// restore in progress).

@@ -37,6 +37,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   // model-sized dense vector plus the scalar loss.
   int passes = 0;
   std::vector<DenseVector> worker_gradients(k, DenseVector(d));
+  DenseVector w_decoded;  // the broadcast's decoded copy (lossy codecs)
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
   auto oracle = [&](const DenseVector& w, DenseVector* gradient) -> double {
     spark.BeginStage("lbfgs pass " + std::to_string(passes));
@@ -44,7 +45,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     const SimTime pass_sim_start = spark.Now();
     RoundCollector round(name(), passes, pass_sim_start, Telemetry::Get());
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecBroadcast(codec(), w, &w_decoded);
 
     // Fused margin -> loss + derivative -> axpy pass over each CSR
     // partition. Each callback owns its gradient slot and returns its
@@ -66,8 +67,8 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
 
     gradient->SetZero();
     for (size_t r = 0; r < k; ++r) {
-      gradient->AddScaled(CodecTransmit(codec(), &ef, r, worker_gradients[r]),
-                          1.0);
+      CodecTransmit(codec(), &ef, r, &worker_gradients[r]);
+      gradient->AddScaled(worker_gradients[r], 1.0);
     }
     gradient->Scale(1.0 / n);
     // OWL-QN owns any ‖w‖₁ term (pure L1, or the L1 part of elastic

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "core/gd.h"
 #include "data/partition.h"
+#include "obs/engine_profiler.h"
 #include "obs/round_profile.h"
 #include "obs/telemetry.h"
 
@@ -69,7 +70,13 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   std::vector<Rng> rngs = WorkerRngs(config().seed, k);
 
   DenseVector w = InitialWeights(d);
-  std::vector<DenseVector> gradients(k, DenseVector(d));
+  // Per-worker gradient buffers, all +0.0 between steps; each lists
+  // the coordinates its batch may write so the driver's fold sweeps
+  // only those (DESIGN §16).
+  std::vector<TouchedBuffer> gradients(
+      k, TouchedBuffer(d, objective().CoordsPerFeature()));
+  DenseVector gradient_sum(d);
+  DenseVector w_decoded;  // the broadcast's decoded copy (lossy codecs)
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
 
   int t0 = 0;
@@ -109,7 +116,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     // (1) Driver broadcasts the current model (through the codec:
     // executors compute at the model they actually received).
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecBroadcast(codec(), w, &w_decoded);
 
     // (2) Executors compute batch gradients at the received model.
     // Each callback touches only its own gradient slot and Rng, so the
@@ -124,9 +131,11 @@ TrainResult MllibTrainer::Train(const Dataset& data,
           if (bsize == 0) return ws;
           const std::vector<size_t> batch =
               SampleBatch(part.rows(), bsize, &rngs[r]);
-          gradients[r].SetZero();
+          for (size_t i : batch) {
+            gradients[r].Touch(part.row_indices(i), part.row_nnz(i));
+          }
           const ComputeStats stats = objective().BatchGradient(
-              part, batch, w_recv, &gradients[r]);
+              part, batch, w_recv, gradients[r].mutable_vector());
           ws.work_units = stats.nnz_processed;
           ws.batch_size = batch.size();
           return ws;
@@ -138,16 +147,22 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     // worker's contribution crosses the codec (with error feedback).
     spark.TreeAggregate(model_bytes, num_agg, d, "grad-agg");
 
-    // (4) The driver applies the single update of this step.
-    DenseVector gradient_sum(d);
-    for (size_t r = 0; r < k; ++r) {
-      gradient_sum.AddScaled(CodecTransmit(codec(), &ef, r, gradients[r]),
-                             1.0);
-    }
-    const double lr = schedule().LrAt(t);
-    regularizer().ApplyGradientStep(&w, lr);
-    if (total_batch > 0) {
-      w.AddScaled(gradient_sum, -lr / static_cast<double>(total_batch));
+    // (4) The driver folds the received gradients in worker order and
+    // applies the single update of this step. A lossy codec rewrites a
+    // whole buffer, so its fold sweeps densely.
+    {
+      EngineProfiler::Scope fold_prof(Subsystem::kKernels);
+      gradient_sum.SetZero();
+      for (size_t r = 0; r < k; ++r) {
+        if (!codec().lossless()) gradients[r].TouchAll();
+        CodecTransmit(codec(), &ef, r, gradients[r].mutable_vector());
+        gradients[r].FlushSum(&gradient_sum);
+      }
+      const double lr = schedule().LrAt(t);
+      regularizer().ApplyGradientStep(&w, lr);
+      if (total_batch > 0) {
+        w.AddScaled(gradient_sum, -lr / static_cast<double>(total_batch));
+      }
     }
     spark.RunOnDriver("model-update", 2 * d);
     ++result.total_model_updates;
@@ -212,6 +227,7 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
 
   DenseVector w = InitialWeights(d);
   std::vector<DenseVector> locals(k, DenseVector(d));
+  DenseVector w_decoded;  // the broadcast's decoded copy (lossy codecs)
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
   std::vector<std::unique_ptr<LocalOptimizer>> optimizers;
   if (config().local_optimizer.kind != LocalOptimizerKind::kSgd) {
@@ -259,7 +275,7 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
 
     // (1) Driver broadcasts the current global model through the codec.
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector w_recv = CodecTransmit(codec(), nullptr, 0, w);
+    const DenseVector& w_recv = CodecBroadcast(codec(), w, &w_decoded);
 
     // (2) Executors run local SGD passes starting from it (SendModel).
     // Per-worker state only (own local model, own Rng, own optimizer);
@@ -290,9 +306,7 @@ TrainResult MllibMaTrainer::Train(const Dataset& data,
     // (3) Local models flow back through the same treeAggregate path,
     // each crossing the codec with per-worker error feedback.
     spark.TreeAggregate(model_bytes, num_agg, d, "model-agg");
-    for (size_t r = 0; r < k; ++r) {
-      locals[r] = CodecTransmit(codec(), &ef, r, locals[r]);
-    }
+    for (size_t r = 0; r < k; ++r) CodecTransmit(codec(), &ef, r, &locals[r]);
 
     // (4) Driver averages them into the new global model.
     w = Average(locals);
@@ -444,14 +458,14 @@ TrainResult MllibStarTrainer::Train(const Dataset& data,
       // Averaging k contributions of d/k coordinates ~ d work units.
       spark.sim().ComputeExact(&spark.sim().worker(r), d,
                                ActivityKind::kAggregate, "range-average");
-      locals[r] = CodecTransmit(codec(), &ef, r, locals[r]);
+      CodecTransmit(codec(), &ef, r, &locals[r]);
     }
     global = Average(locals);
 
     // (3) AllGather: owners broadcast their averaged range; every
     // executor reassembles the full model from what the wire delivered.
     spark.ShuffleAllToAll(partition_bytes, "all-gather");
-    global = CodecTransmit(codec(), nullptr, 0, global);
+    CodecTransmit(codec(), nullptr, 0, &global);
     for (size_t r = 0; r < k; ++r) locals[r] = global;
 
     const SimTime now = spark.Barrier();

@@ -95,10 +95,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // Warm start (the λ path): seed the server model before any worker
   // pulls, and refresh the crash-restore snapshot so a shard failure
   // rolls back to the warm point rather than zeros.
-  if (config().init_weights.dim() != 0) {
-    *server.mutable_model() = InitialWeights(d);
-    server.CheckpointServerNow();
-  }
+  if (config().init_weights.dim() != 0) server.ResetModel(InitialWeights(d));
 
   // Per-worker and per-round progress.
   // Feature-filtered pulls: each worker only needs the coordinates its
@@ -172,11 +169,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
       MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
                          static_cast<uint64_t>(config().num_classes));
       resumed_round = static_cast<int>(ck.TakeU64());
-      *server.mutable_model() = ck.TakeVector();
-      MLLIBSTAR_CHECK_EQ(server.model().dim(), d);
       // A later shard crash must roll back to the restored state, not
       // to the fresh context's zeros.
-      server.CheckpointServerNow();
+      server.ResetModel(ck.TakeVector());
       TakeWorkerRngs(&ck, &rngs);
       sim.mutable_jitter_rng()->RestoreState(ck.TakeRngState());
       sim.mutable_failure_rng()->RestoreState(ck.TakeRngState());
@@ -346,7 +341,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
     uint64_t inc = 0;       ///< worker incarnation at pull time
     double jitter = 1.0;    ///< pre-drawn from the shared stream
     SimTime pull_end = 0.0; ///< worker clock right after its pull
-    DenseVector snapshot;   ///< model the wire delivered
+    /// Model the wire delivered, shared by every pull at its version.
+    std::shared_ptr<const DenseVector> snapshot;
     DenseVector local;      ///< updated in place by the compute task
     ComputeStats stats;     ///< filled by the compute task
   };
@@ -392,7 +388,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         sim.ChargeCompute(&node, fl->stats.nnz_processed, fl->jitter,
                           "local-train");
       }
-      fl->local.AddScaled(fl->snapshot, -1.0);  // local := delta
+      fl->local.AddScaled(*fl->snapshot, -1.0);  // local := delta
       pending_delta[fl->worker] = std::move(fl->local);
       queue.emplace(node.clock, kPush, fl->worker, fl->inc);
     }
@@ -434,13 +430,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       // exactly the old 1/k).
       if (round_contribs[t] > 0) {
         round_stage[t].Scale(1.0 / static_cast<double>(round_contribs[t]));
-        server.mutable_model()->AddScaled(round_stage[t], 1.0);
-        // The average was applied outside PsContext, so refresh its
-        // crash-restore snapshot (lossless mode only; a positive
-        // cadence keeps its lossy window).
-        if (ps.server_checkpoint_every_sec <= 0.0) {
-          server.CheckpointServerNow();
-        }
+        server.ApplyRoundAverage(round_stage[t]);
       }
       round_stage[t] = DenseVector();  // release
     }
@@ -695,8 +685,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
       fl->inc = inc;
       fl->jitter = sim.NextJitter();
       fl->pull_end = node.clock;
-      fl->snapshot = CodecTransmit(codec(), nullptr, 0, server.model());
-      fl->local = fl->snapshot;
+      fl->snapshot = server.PullSnapshot();
+      fl->local = *fl->snapshot;
       InflightCompute* task = fl.get();
       inflight.push_back(std::move(fl));
       if (pool != nullptr) {
@@ -723,8 +713,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
     // the wire carries whichever of the codec's dense and sparse
     // index/value encodings is smaller.
     uint64_t dense_bytes = 0;
-    const DenseVector delta =
-        CodecTransmit(codec(), &ef, r, pending_delta[r], &dense_bytes);
+    CodecTransmit(codec(), &ef, r, &pending_delta[r], &dense_bytes);
+    const DenseVector& delta = pending_delta[r];
     const uint64_t push_bytes =
         std::min(dense_bytes, server.SparseBytes(delta.CountNonZeros()));
     server.TimePush(&node, push_bytes);

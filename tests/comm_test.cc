@@ -6,6 +6,7 @@
 
 #include "comm/error_feedback.h"
 #include "data/synthetic.h"
+#include "obs/telemetry.h"
 #include "sim/network.h"
 #include "train/trainer.h"
 
@@ -181,7 +182,8 @@ TEST(ErrorFeedbackTest, ResidualHoldsWhatTheWireDropped) {
   const auto codec = MakeCodec(ConfigFor(CodecKind::kTopK));
   ErrorFeedback ef(2, 500);
   const DenseVector v = TestVector(500);
-  const DenseVector sent = CodecTransmit(*codec, &ef, 1, v);
+  DenseVector sent = v;
+  CodecTransmit(*codec, &ef, 1, &sent);
   // residual + sent == original, coordinate by coordinate. (Copy: the
   // accumulator overwrites its residual on the next transmit.)
   const DenseVector r = ef.residual(1);
@@ -191,7 +193,8 @@ TEST(ErrorFeedbackTest, ResidualHoldsWhatTheWireDropped) {
   // A second round re-ships the dropped mass: compensation means the
   // encoded vector is v + residual, so previously dropped coordinates
   // grow until they make the top-K cut.
-  const DenseVector sent2 = CodecTransmit(*codec, &ef, 1, v);
+  DenseVector sent2 = v;
+  CodecTransmit(*codec, &ef, 1, &sent2);
   const DenseVector& r2 = ef.residual(1);
   for (size_t i = 0; i < v.dim(); ++i) {
     EXPECT_NEAR(r2[i] + sent2[i], v[i] + r[i], 1e-12) << "i=" << i;
@@ -209,9 +212,42 @@ TEST(ErrorFeedbackTest, LosslessTransmitIsIdentity) {
   const auto codec = MakeCodec(ConfigFor(CodecKind::kDenseF64));
   const DenseVector v = TestVector(301);
   uint64_t bytes = 0;
-  const DenseVector sent = CodecTransmit(*codec, nullptr, 0, v, &bytes);
+  DenseVector sent = v;
+  const double* storage = sent.data();
+  CodecTransmit(*codec, nullptr, 0, &sent, &bytes);
   EXPECT_EQ(std::memcmp(sent.data(), v.data(), 8 * v.dim()), 0);
+  EXPECT_EQ(sent.data(), storage);  // in place: nothing copied
   EXPECT_EQ(bytes, NetworkModel::DenseBytes(301));
+  // A lossless broadcast hands the receivers the sender's own vector.
+  DenseVector unused;
+  EXPECT_EQ(&CodecBroadcast(*codec, v, &unused), &v);
+  EXPECT_EQ(unused.dim(), 0u);
+}
+
+// A broadcast decodes once; later receivers of the same vector are
+// accounted without re-encoding, and the counters cannot tell the two
+// apart.
+TEST(ErrorFeedbackTest, BroadcastAccountingMatchesTransmit) {
+  Telemetry& obs = Telemetry::Get();
+  for (CodecKind kind : {CodecKind::kDenseF64, CodecKind::kInt8Linear}) {
+    const auto codec = MakeCodec(ConfigFor(kind));
+    const DenseVector v = TestVector(300);
+    obs.Clear();
+    obs.set_enabled(true);
+    DenseVector received;
+    const DenseVector& first = CodecBroadcast(*codec, v, &received);
+    AccountBroadcast(*codec, v.dim());
+    obs.set_enabled(false);
+    const MetricLabels labels = {{"codec", codec->name()},
+                                 {"stream", "broadcast"}};
+    EXPECT_EQ(obs.metrics().Counter("comm.transmits", labels).value(), 2u);
+    EXPECT_EQ(obs.metrics().Counter("comm.encoded_bytes", labels).value(),
+              2 * codec->EncodedBytes(v.dim()));
+    DenseVector again = v;
+    CodecTransmit(*codec, nullptr, 0, &again);
+    EXPECT_EQ(std::memcmp(again.data(), first.data(), 8 * v.dim()), 0);
+    obs.Clear();
+  }
 }
 
 // The convergence claim behind the whole subsystem: int8-quantized

@@ -532,6 +532,7 @@ TEST(PsFaultTest, ShardCrashWithStaleCheckpointLosesItsRange) {
   DenseVector delta(8);
   for (size_t i = 0; i < 8; ++i) delta[i] = static_cast<double>(i + 1);
   ctx.ApplyDelta(delta);
+  const auto before_crash = ctx.PullSnapshot();
 
   sim.worker(0).clock = 0.01;
   ctx.TimePull(&sim.worker(0));
@@ -542,6 +543,11 @@ TEST(PsFaultTest, ShardCrashWithStaleCheckpointLosesItsRange) {
   for (size_t i = 4; i < 8; ++i) {
     EXPECT_EQ(ctx.model()[i], delta[i]) << i;
   }
+  // The rollback moved the model version, so the pull that follows
+  // sees the rolled-back model, not the snapshot taken before it.
+  const auto after_crash = ctx.PullSnapshot();
+  EXPECT_NE(after_crash, before_crash);
+  EXPECT_EQ(after_crash->values(), ctx.model().values());
 }
 
 TEST(PsFaultTest, AspDiscardsPushesBeyondTheStalenessBound) {

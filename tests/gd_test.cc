@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "core/model.h"
+#include "data/synthetic.h"
 
 namespace mllibstar {
 namespace {
@@ -204,6 +206,143 @@ TEST(LocalMiniBatchGdTest, ConvergesOnSeparableData) {
   Rng rng(13);
   LocalMiniBatchGd(points, *loss, *reg, 0.2, 3, 200, &rng, &w);
   EXPECT_GT(Accuracy(points, w), 0.99);
+}
+
+// ------------------------------------- MiniBatchGd vs the dense reference
+// LocalMiniBatchGd flushes its batch gradient through a TouchedBuffer.
+// The reference below is the dense loop it replaced, kept verbatim
+// apart from calling the public kernels: zero the whole gradient,
+// accumulate, apply the regularizer, add the whole gradient. Both must
+// produce the same weight bits and the same work accounting.
+
+// `softmax_classes` == 0 selects the binary kernels.
+ComputeStats DenseReferenceMiniBatchGd(const CsrBlock& block,
+                                       size_t softmax_classes, bool f32,
+                                       const Loss& loss,
+                                       const Regularizer& reg, double lr,
+                                       size_t batch_size,
+                                       size_t num_batches, Rng* rng,
+                                       DenseVector* w) {
+  ComputeStats stats;
+  if (block.rows() == 0 || batch_size == 0) return stats;
+
+  DenseVector gradient(w->dim());
+  for (size_t b = 0; b < num_batches; ++b) {
+    const std::vector<size_t> batch =
+        SampleBatch(block.rows(), batch_size, rng);
+    gradient.SetZero();
+    ComputeStats batch_stats;
+    if (softmax_classes == 0) {
+      batch_stats =
+          f32 ? AccumulateBatchGradientF32(block, batch, loss, *w, &gradient)
+              : AccumulateBatchGradient(block, batch, loss, *w, &gradient);
+    } else {
+      const size_t features = w->dim() / softmax_classes;
+      batch_stats = f32 ? AccumulateBatchGradientSoftmaxF32(
+                              block, batch, softmax_classes, features, *w,
+                              &gradient)
+                        : AccumulateBatchGradientSoftmax(
+                              block, batch, softmax_classes, features, *w,
+                              &gradient);
+    }
+    stats += batch_stats;
+    const double inv_batch = 1.0 / static_cast<double>(batch.size());
+    if (reg.kind() != RegularizerKind::kNone) {
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    w->AddScaled(gradient, -lr * inv_batch);
+    stats.nnz_processed += reg.kind() != RegularizerKind::kNone
+                               ? w->dim()
+                               : batch_stats.nnz_processed / 2;
+    ++stats.model_updates;
+  }
+  return stats;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Nonzero starting weights with +0.0 and −0.0 scattered through them.
+DenseVector StartWeights(size_t dim) {
+  DenseVector w(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    switch (i % 5) {
+      case 0: w[i] = 0.0; break;
+      case 1: w[i] = -0.0; break;
+      default: w[i] = 0.01 * static_cast<double>(i % 13) - 0.05; break;
+    }
+  }
+  return w;
+}
+
+TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
+  const size_t features = 2000;
+  SyntheticSpec spec;
+  spec.name = "minibatch";
+  spec.num_instances = 400;
+  spec.num_features = features;
+  spec.avg_nnz = 8;
+  spec.seed = 3;
+  const CsrBlock binary =
+      CsrBlock::FromPoints(GenerateSynthetic(spec).points());
+  MulticlassSpec mspec;
+  mspec.base = spec;
+  mspec.num_classes = 3;
+  const CsrBlock multi =
+      CsrBlock::FromPoints(GenerateMulticlass(mspec).points());
+  auto loss = MakeLoss(LossKind::kLogistic);
+
+  // 4-row batches list ~32 coordinates per class block (the listed
+  // sweep); 100-row batches list ~800 (the dense sweep), for binary
+  // (dim 2000) and 3-class softmax (dim 6000) alike.
+  for (size_t classes : {size_t{0}, size_t{3}}) {
+    for (bool f32 : {false, true}) {
+      for (RegularizerKind kind : {RegularizerKind::kNone,
+                                   RegularizerKind::kL2,
+                                   RegularizerKind::kL1}) {
+        for (size_t batch_size : {size_t{4}, size_t{100}}) {
+          SCOPED_TRACE(testing::Message()
+                       << "classes " << classes << " f32 " << f32
+                       << " reg " << static_cast<int>(kind) << " batch "
+                       << batch_size);
+          const CsrBlock& block = classes == 0 ? binary : multi;
+          const size_t dim = classes == 0 ? features : classes * features;
+          auto reg = MakeRegularizer(kind, 0.01);
+          DenseVector w = StartWeights(dim);
+          DenseVector ref_w = w;
+          Rng rng(17);
+          Rng ref_rng(17);
+          ComputeStats stats;
+          if (classes == 0) {
+            stats = f32 ? LocalMiniBatchGdF32(block, *loss, *reg, 0.3,
+                                              batch_size, 6, &rng, &w)
+                        : LocalMiniBatchGd(block, *loss, *reg, 0.3,
+                                           batch_size, 6, &rng, &w);
+          } else {
+            stats = f32 ? LocalMiniBatchGdSoftmaxF32(block, classes,
+                                                     features, *reg, 0.3,
+                                                     batch_size, 6, &rng, &w)
+                        : LocalMiniBatchGdSoftmax(block, classes, features,
+                                                  *reg, 0.3, batch_size, 6,
+                                                  &rng, &w);
+          }
+          const ComputeStats ref = DenseReferenceMiniBatchGd(
+              block, classes, f32, *loss, *reg, 0.3, batch_size, 6,
+              &ref_rng, &ref_w);
+          EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
+          EXPECT_EQ(stats.model_updates, ref.model_updates);
+          EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
+          for (size_t i = 0; i < dim; ++i) {
+            ASSERT_EQ(Bits(w[i]), Bits(ref_w[i])) << "coordinate " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

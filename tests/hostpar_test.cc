@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
 #include "data/synthetic.h"
 #include "train/trainer.h"
 
@@ -140,6 +143,102 @@ TEST(ResolveHostThreadsTest, ZeroMeansHardware) {
   EXPECT_GE(ResolveHostThreads(0), 1u);
   EXPECT_EQ(ResolveHostThreads(1), 1u);
   EXPECT_EQ(ResolveHostThreads(6), 6u);
+}
+
+// ------------------------------------------------ host-work golden pins
+// The touched-coordinate gradient flushes, copy-free lossless
+// transmits and shared PS pull snapshots (DESIGN §16) must leave every
+// simulated result bit-identical to the dense host paths they
+// replaced. The digests below were recorded with those dense paths:
+// FNV-1a over the exact bits of the final weights and the whole curve.
+// Each system runs at a batch fraction whose batches take the listed
+// sweep (4 % of 250 rows × ~10 nnz ≪ 4000 / 4) and at one whose
+// batches take the dense sweep (50 %), over the lossless DenseF64 wire
+// and over int8 with error feedback, which keeps the dense path.
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void Fnv1a(uint64_t word, uint64_t* h) {
+  for (int b = 0; b < 8; ++b) {
+    *h ^= (word >> (8 * b)) & 0xffu;
+    *h *= 1099511628211ull;
+  }
+}
+
+std::string ResultDigest(const TrainResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < r.final_weights.dim(); ++i) {
+    Fnv1a(Bits(r.final_weights[i]), &h);
+  }
+  for (const ConvergencePoint& p : r.curve.points()) {
+    Fnv1a(static_cast<uint64_t>(p.comm_step), &h);
+    Fnv1a(Bits(p.time_sec), &h);
+    Fnv1a(Bits(p.objective), &h);
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+struct GoldenCase {
+  SystemKind system;
+  double batch_fraction;
+  CodecKind codec;
+  const char* digest;
+};
+
+TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
+  SyntheticSpec spec;
+  spec.name = "hostwork";
+  spec.num_instances = 2000;
+  spec.num_features = 4000;
+  spec.avg_nnz = 10;
+  spec.seed = 41;
+  const Dataset data = GenerateSynthetic(spec);
+  const ClusterConfig cluster = JitteryCluster();
+
+  const CodecKind kF64 = CodecKind::kDenseF64;
+  const CodecKind kInt8 = CodecKind::kInt8Linear;
+  const GoldenCase cases[] = {
+      {SystemKind::kMllib, 0.04, kF64, "4a77eb1bebe86b84"},
+      {SystemKind::kMllib, 0.5, kF64, "bb1a337646de453e"},
+      {SystemKind::kMllib, 0.04, kInt8, "f46108095e7ddccf"},
+      {SystemKind::kMllib, 0.5, kInt8, "fca47ecdf07e368f"},
+      {SystemKind::kPetuumStar, 0.04, kF64, "96afb4289fbacb85"},
+      {SystemKind::kPetuumStar, 0.5, kF64, "b6088c7d76d11563"},
+      {SystemKind::kPetuumStar, 0.04, kInt8, "d4bec3172e8d34cb"},
+      {SystemKind::kPetuumStar, 0.5, kInt8, "89b9a003acaae3f5"},
+      {SystemKind::kAngel, 0.04, kF64, "2645278c7f8017ab"},
+      {SystemKind::kAngel, 0.5, kF64, "ffb7f6e23206cfa9"},
+      {SystemKind::kAngel, 0.04, kInt8, "d0154f68997c7eab"},
+      {SystemKind::kAngel, 0.5, kInt8, "09d0e89bbe4356d9"},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << SystemName(c.system) << " fraction " << c.batch_fraction
+                 << " codec " << CodecName(c.codec));
+    TrainerConfig config = BaseConfig(1);
+    config.loss = LossKind::kHinge;
+    // L2 sends Petuum* through batch GD (its no-regularizer path is
+    // per-point SGD, which has no gradient buffer).
+    config.regularizer = RegularizerKind::kL2;
+    config.lambda = 0.01;
+    config.batch_fraction = c.batch_fraction;
+    config.max_comm_steps = 6;
+    config.codec.kind = c.codec;
+    TrainerConfig parallel = config;
+    parallel.host_threads = 8;
+    const TrainResult a = MakeTrainer(c.system, config)->Train(data, cluster);
+    const TrainResult b =
+        MakeTrainer(c.system, parallel)->Train(data, cluster);
+    EXPECT_EQ(ResultDigest(a), c.digest);
+    ExpectBitIdentical(a, b);
+  }
 }
 
 }  // namespace

@@ -86,17 +86,30 @@ TEST(PsContextTest, ApplyDeltaSums) {
   EXPECT_DOUBLE_EQ(ps.model()[2], -4.0);
 }
 
-TEST(PsContextTest, AverageModels) {
+// Pulls at one model version share a snapshot; every mutator moves the
+// version, so no pull can see a stale model.
+TEST(PsContextTest, PullSnapshotsFollowModelVersion) {
   SimCluster sim(PsClusterConfig(1, 1));
   PsContext ps(&sim, 2, DefaultPs(1));
-  ps.AccumulateForAverage(DenseVector(std::vector<double>{2.0, 4.0}));
-  ps.AccumulateForAverage(DenseVector(std::vector<double>{4.0, 0.0}));
-  ps.FinalizeAverage();
-  EXPECT_DOUBLE_EQ(ps.model()[0], 3.0);
-  EXPECT_DOUBLE_EQ(ps.model()[1], 2.0);
-  // Second finalize with nothing staged is a no-op.
-  ps.FinalizeAverage();
-  EXPECT_DOUBLE_EQ(ps.model()[0], 3.0);
+  const auto first = ps.PullSnapshot();
+  EXPECT_EQ(ps.PullSnapshot(), first);
+
+  auto previous = first;
+  auto expect_fresh = [&](std::vector<double> model) {
+    const auto snap = ps.PullSnapshot();
+    EXPECT_NE(snap, previous);
+    EXPECT_EQ(snap->values(), model);
+    EXPECT_EQ(ps.PullSnapshot(), snap);
+    previous = snap;
+  };
+  ps.ApplyDelta(DenseVector(std::vector<double>{1.0, 2.0}));
+  expect_fresh({1.0, 2.0});
+  ps.ApplyRoundAverage(DenseVector(std::vector<double>{0.5, -2.0}));
+  expect_fresh({1.5, 0.0});
+  ps.ResetModel(DenseVector(std::vector<double>{3.0, 4.0}));
+  expect_fresh({3.0, 4.0});
+  // The first snapshot outlives the model it was taken from.
+  EXPECT_EQ(first->values(), (std::vector<double>{0.0, 0.0}));
 }
 
 // ----------------------------------------------------- consistency model

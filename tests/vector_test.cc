@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/random.h"
 
@@ -137,6 +139,179 @@ TEST(DenseVectorProperty, DotLinearInAxpy) {
     sum.AddScaled(s_dense, c);
     EXPECT_NEAR(sum.Dot(s), lhs_before + c * s_dense.Dot(s), 1e-9);
   }
+}
+
+// ---------------------------------------------------------- TouchedBuffer
+// Every flush must equal the dense reference (AddScaled, then SetZero)
+// bit for bit, signed zeros included, whichever sweep it picks.
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const DenseVector& got, const DenseVector& want) {
+  ASSERT_EQ(got.dim(), want.dim());
+  for (size_t i = 0; i < got.dim(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(want[i]))
+        << "coordinate " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+void ExpectAllPositiveZero(const DenseVector& v) {
+  for (size_t i = 0; i < v.dim(); ++i) {
+    EXPECT_EQ(Bits(v[i]), 0u) << "coordinate " << i;
+  }
+}
+
+// +0.0 and −0.0 at listed and unlisted coordinates alike, between
+// ordinary values of both signs.
+DenseVector SignedZeroDestination(size_t dim) {
+  DenseVector dst(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    switch (i % 4) {
+      case 0: dst[i] = 0.0; break;
+      case 1: dst[i] = -0.0; break;
+      case 2: dst[i] = 0.25 * static_cast<double>(i); break;
+      default: dst[i] = -1.5 / static_cast<double>(i + 1); break;
+    }
+  }
+  return dst;
+}
+
+// `n` batch rows of `width` feature indices in [0, block_dim), drawn
+// with replacement so the list carries duplicates; row 1 repeats row 0
+// outright.
+std::vector<std::vector<FeatureIndex>> BatchRows(size_t n, size_t width,
+                                                 size_t block_dim,
+                                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<FeatureIndex>> rows(n);
+  for (std::vector<FeatureIndex>& row : rows) {
+    for (size_t i = 0; i < width; ++i) {
+      row.push_back(static_cast<FeatureIndex>(rng.NextUint64(block_dim)));
+    }
+  }
+  if (n >= 2) rows[1] = rows[0];
+  return rows;
+}
+
+// Writes one batch the way the kernels do: each row's values added to
+// every class block at its listed indices. Values include exact zeros
+// (a −0.0 product), and rows 0 and 1 cancel exactly, so written
+// coordinates land on +0.0 too.
+void WriteBatch(const std::vector<std::vector<FeatureIndex>>& rows,
+                size_t blocks, size_t block_dim, DenseVector* buf) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<double> values(rows[r].size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = i % 5 == 0 ? 0.0 : 0.125 * static_cast<double>(i + r / 2);
+    }
+    const double coef = r % 2 == 0 ? -0.75 : 0.75;
+    for (size_t b = 0; b < blocks; ++b) {
+      buf->AddScaled(rows[r].data(), values.data(), rows[r].size(),
+                     b == 0 ? coef : coef * static_cast<double>(b + 1),
+                     b * block_dim);
+    }
+  }
+}
+
+void FillBuffer(const std::vector<std::vector<FeatureIndex>>& rows,
+                size_t blocks, size_t block_dim, TouchedBuffer* tb) {
+  for (const std::vector<FeatureIndex>& row : rows) {
+    tb->Touch(row.data(), row.size());
+  }
+  WriteBatch(rows, blocks, block_dim, tb->mutable_vector());
+}
+
+struct FlushCase {
+  size_t blocks;
+  size_t rows;
+  bool sparse;  // listed × blocks × kSparseFactor ≤ dim
+};
+
+TEST(TouchedBufferTest, FlushScaledMatchesDenseReferenceBitForBit) {
+  const size_t dim = 240;
+  const size_t width = 4;
+  // Listed counts on both sides of the threshold, the boundary itself
+  // included (3 blocks × 5 rows × 4 indices × 4 == 240).
+  const FlushCase cases[] = {
+      {1, 2, true},   {1, 15, true}, {1, 16, false}, {1, 60, false},
+      {3, 1, true},   {3, 5, true},  {3, 6, false},  {3, 20, false},
+  };
+  const double alphas[] = {-0.37,
+                           -0.0,
+                           0.5,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const FlushCase& c : cases) {
+    for (double alpha : alphas) {
+      SCOPED_TRACE(testing::Message() << "blocks " << c.blocks << " rows "
+                                      << c.rows << " alpha " << alpha);
+      ASSERT_EQ(c.rows * width * c.blocks * TouchedBuffer::kSparseFactor <=
+                    dim,
+                c.sparse);
+      const size_t block_dim = dim / c.blocks;
+      TouchedBuffer tb(dim, c.blocks);
+      DenseVector dst = SignedZeroDestination(dim);
+      DenseVector ref_dst = dst;
+      DenseVector ref_buf(dim);
+      // Two rounds: the second reuses the re-zeroed buffer.
+      for (uint64_t round = 0; round < 2; ++round) {
+        const auto rows = BatchRows(c.rows, width, block_dim, 7 + round);
+        FillBuffer(rows, c.blocks, block_dim, &tb);
+        WriteBatch(rows, c.blocks, block_dim, &ref_buf);
+        ExpectSameBits(tb.vector(), ref_buf);
+        tb.FlushScaled(alpha, &dst);
+        ref_dst.AddScaled(ref_buf, alpha);
+        ref_buf.SetZero();
+        ExpectSameBits(dst, ref_dst);
+        ExpectAllPositiveZero(tb.vector());
+      }
+    }
+  }
+}
+
+TEST(TouchedBufferTest, FlushSumMatchesDenseFoldBitForBit) {
+  const size_t dim = 240;
+  for (size_t blocks : {size_t{1}, size_t{3}}) {
+    for (size_t rows_per_worker : {size_t{2}, size_t{40}}) {
+      SCOPED_TRACE(testing::Message() << "blocks " << blocks << " rows "
+                                      << rows_per_worker);
+      const size_t block_dim = dim / blocks;
+      std::vector<TouchedBuffer> workers(3, TouchedBuffer(dim, blocks));
+      std::vector<DenseVector> ref_workers(3, DenseVector(dim));
+      for (size_t r = 0; r < workers.size(); ++r) {
+        const auto rows = BatchRows(rows_per_worker, 4, block_dim, 20 + r);
+        FillBuffer(rows, blocks, block_dim, &workers[r]);
+        WriteBatch(rows, blocks, block_dim, &ref_workers[r]);
+      }
+      // The driver's fold: a sum that starts at +0.0, in worker order.
+      DenseVector sum(dim);
+      DenseVector ref_sum(dim);
+      for (size_t r = 0; r < workers.size(); ++r) {
+        workers[r].FlushSum(&sum);
+        ref_sum.AddScaled(ref_workers[r], 1.0);
+        ExpectAllPositiveZero(workers[r].vector());
+      }
+      ExpectSameBits(sum, ref_sum);
+    }
+  }
+}
+
+TEST(TouchedBufferTest, TouchAllSweepsWritesAnywhere) {
+  // A lossy codec rewrites the whole buffer; after TouchAll the flush
+  // must pick up coordinates no row listed.
+  TouchedBuffer tb(8);
+  const FeatureIndex listed[] = {2};
+  tb.Touch(listed, 1);
+  tb.TouchAll();
+  for (size_t i = 0; i < 8; ++i) (*tb.mutable_vector())[i] = 1.0;
+  DenseVector sum(8);
+  tb.FlushSum(&sum);
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(sum[i], 1.0) << i;
+  ExpectAllPositiveZero(tb.vector());
 }
 
 }  // namespace
