@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/json.h"
 #include "core/convergence.h"
+#include "core/vector.h"
 #include "obs/chrome_trace.h"
 #include "obs/run_report.h"
 #include "obs/telemetry.h"
@@ -16,6 +18,14 @@
 
 namespace mllibstar {
 namespace bench {
+
+/// FNV-1a over the exact bit patterns of the weights: any single-ulp
+/// difference between runs changes the digest.
+inline uint64_t WeightsChecksum(const DenseVector& w) {
+  uint64_t h = kFnv1aBasis;
+  for (size_t i = 0; i < w.dim(); ++i) Fnv1aMix(w[i], &h);
+  return h;
+}
 
 /// Directory all figure harnesses write their CSV series into.
 inline std::string ResultsDir() {

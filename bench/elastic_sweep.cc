@@ -12,7 +12,6 @@
 // Emits a machine-readable JSON report (results/BENCH_elastic.json).
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -24,22 +23,6 @@
 namespace {
 
 using namespace mllibstar;
-
-/// FNV-1a over the exact bit patterns of the weights: any single-ulp
-/// difference between runs changes the digest.
-uint64_t WeightsChecksum(const DenseVector& w) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < w.dim(); ++i) {
-    uint64_t bits = 0;
-    const double v = w[i];
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 double TimeToTarget(const TrainResult& result, double target) {
   for (const auto& point : result.curve.points()) {
@@ -184,7 +167,7 @@ int main(int argc, char** argv) {
                           ? std::nan("")
                           : result.curve.points().back().objective;
       row.membership = result.membership;
-      row.checksum = WeightsChecksum(result.final_weights);
+      row.checksum = bench::WeightsChecksum(result.final_weights);
       if (i == 0) {
         reference_checksum = row.checksum;
         // The graceful-degradation gate: every churn level must still
@@ -202,7 +185,7 @@ int main(int argc, char** argv) {
         const TrainResult repeat =
             MakeTrainer(kind, config)->Train(data, cluster);
         row.checksum_ok =
-            WeightsChecksum(repeat.final_weights) == row.checksum;
+            bench::WeightsChecksum(repeat.final_weights) == row.checksum;
       } else {
         // Spark trainers: churn costs time, never weights.
         row.checksum_ok = row.checksum == reference_checksum;

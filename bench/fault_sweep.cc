@@ -10,7 +10,6 @@
 // Emits a machine-readable JSON report (default BENCH_faults.json).
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,22 +21,6 @@
 namespace {
 
 using namespace mllibstar;
-
-/// FNV-1a over the exact bit patterns of the weights: any single-ulp
-/// difference between runs changes the digest.
-uint64_t WeightsChecksum(const DenseVector& w) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < w.dim(); ++i) {
-    uint64_t bits = 0;
-    const double v = w[i];
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 std::vector<double> ParseRates(const std::string& text) {
   std::vector<double> values;
@@ -158,7 +141,7 @@ int main(int argc, char** argv) {
       row.objective = result.curve.points().empty()
                           ? std::nan("")
                           : result.curve.points().back().objective;
-      row.checksum = WeightsChecksum(result.final_weights);
+      row.checksum = bench::WeightsChecksum(result.final_weights);
       row.worker_crashes = result.faults.worker_crashes;
       row.lineage_recomputes = result.faults.lineage_recomputes;
       if (i == 0) {
@@ -176,7 +159,7 @@ int main(int argc, char** argv) {
         const TrainResult repeat =
             MakeTrainer(kind, config)->Train(data, cluster);
         row.checksum_ok =
-            WeightsChecksum(repeat.final_weights) == row.checksum;
+            bench::WeightsChecksum(repeat.final_weights) == row.checksum;
       } else {
         // Spark trainers: crashes cost time, never weights.
         row.checksum_ok = row.checksum == reference_checksum;

@@ -10,7 +10,6 @@
 // alongside the human-readable table. The achievable speedup is bound
 // by the machine's cores; CI smoke-runs this with small settings.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,22 +23,6 @@
 namespace {
 
 using namespace mllibstar;
-
-/// FNV-1a over the exact bit patterns of the weights: any single-ulp
-/// difference between runs changes the digest.
-uint64_t WeightsChecksum(const DenseVector& w) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < w.dim(); ++i) {
-    uint64_t bits = 0;
-    const double v = w[i];
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 std::vector<size_t> ParseList(const std::string& text) {
   std::vector<size_t> values;
@@ -136,7 +119,7 @@ int main(int argc, char** argv) {
       run.host_threads = threads;
       run.wall_seconds = watch.ElapsedSeconds();
       run.sim_seconds = result.sim_seconds;
-      run.checksum = WeightsChecksum(result.final_weights);
+      run.checksum = bench::WeightsChecksum(result.final_weights);
       if (threads == thread_counts.front()) {
         sequential_wall = run.wall_seconds;
         sequential_checksum = run.checksum;

@@ -19,7 +19,6 @@
 // numbers are tracked across commits.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,22 +31,6 @@
 namespace {
 
 using namespace mllibstar;
-
-/// FNV-1a over the exact bit patterns of the weights: any single-ulp
-/// difference between runs changes the digest.
-uint64_t WeightsChecksum(const DenseVector& w) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < w.dim(); ++i) {
-    uint64_t bits = 0;
-    const double v = w[i];
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 struct ProfileRow {
   std::string system;
@@ -141,7 +124,7 @@ int main(int argc, char** argv) {
       const auto off0 = std::chrono::steady_clock::now();
       const TrainResult off = MakeTrainer(kind, config)->Train(data, cluster);
       row.wall_off_sec = WallSeconds(off0, std::chrono::steady_clock::now());
-      row.checksum = WeightsChecksum(off.final_weights);
+      row.checksum = bench::WeightsChecksum(off.final_weights);
 
       // Recording run: series, round profiles, profiler all live.
       Telemetry::Get().Clear();
@@ -154,7 +137,8 @@ int main(int argc, char** argv) {
       row.subsystems = EngineProfiler::Get().Snapshot();
       Telemetry::Get().set_enabled(false);
 
-      row.checksum_ok = WeightsChecksum(on.final_weights) == row.checksum;
+      row.checksum_ok =
+          bench::WeightsChecksum(on.final_weights) == row.checksum;
       identity_ok = identity_ok && row.checksum_ok;
       if (!have_reference) {
         thread_reference = row.checksum;

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/fnv1a.h"
 #include "common/logging.h"
+#include "engine/spark_cluster.h"
 #include "obs/engine_profiler.h"
 
 namespace mllibstar {
@@ -14,13 +16,8 @@ namespace {
 constexpr uint64_t kMagic = 0x0031545048434c4dULL;
 
 uint64_t Fnv1a(const std::vector<uint64_t>& words) {
-  uint64_t h = 1469598103934665603ULL;
-  for (uint64_t w : words) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
+  uint64_t h = kFnv1aBasis;
+  for (uint64_t w : words) Fnv1aMix(w, &h);
   return h;
 }
 
@@ -164,6 +161,18 @@ void TakeErrorFeedback(Checkpoint* ck, ErrorFeedback* ef) {
   for (uint64_t s = 0; s < streams; ++s) {
     ef->RestoreResidual(s, ck->TakeVector());
   }
+}
+
+void PutElasticWords(Checkpoint* ck, const SparkCluster& spark) {
+  const std::vector<uint64_t> words = spark.SaveElasticWords();
+  ck->PutU64(words.size());
+  for (uint64_t w : words) ck->PutU64(w);
+}
+
+void TakeElasticWords(Checkpoint* ck, SparkCluster* spark) {
+  std::vector<uint64_t> words(ck->TakeU64());
+  for (uint64_t& w : words) w = ck->TakeU64();
+  spark->RestoreElasticWords(words);
 }
 
 }  // namespace mllibstar

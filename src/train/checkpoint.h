@@ -13,6 +13,8 @@
 
 namespace mllibstar {
 
+class SparkCluster;
+
 /// When and where a trainer snapshots its state.
 struct CheckpointConfig {
   /// Snapshot file. Empty disables checkpointing entirely.
@@ -102,6 +104,12 @@ void TakeWorkerRngs(Checkpoint* ck, std::vector<Rng>* rngs);
 /// restores them into an identically-shaped accumulator.
 void PutErrorFeedback(Checkpoint* ck, const ErrorFeedback& ef);
 void TakeErrorFeedback(Checkpoint* ck, ErrorFeedback* ef);
+
+/// Serializes a Spark engine's elastic state (fired churn events,
+/// partition hosting, pending rebuilds) as a length-prefixed word block
+/// / restores it, so a resumed run continues exactly where it was.
+void PutElasticWords(Checkpoint* ck, const SparkCluster& spark);
+void TakeElasticWords(Checkpoint* ck, SparkCluster* spark);
 
 }  // namespace mllibstar
 

@@ -4,7 +4,6 @@
 
 #include "comm/error_feedback.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "core/gd.h"
 #include "core/lbfgs.h"
 #include "core/owlqn.h"
@@ -23,10 +22,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   const size_t k = spark.num_workers();
   const size_t d = ModelDim(data);
   const uint64_t model_bytes = codec().EncodedBytes(d);
-  const size_t num_agg = std::max<size_t>(
-      1, config().num_aggregators != 0
-             ? config().num_aggregators
-             : static_cast<size_t>(std::sqrt(static_cast<double>(k))));
+  const size_t num_agg = NumAggregators(k);
 
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
   const double n = static_cast<double>(data.size());
@@ -87,19 +83,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     // The recorded curve always shows the full objective.
     const double l1s = regularizer().l1_lambda();
     const double full = l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth;
-    result.curve.Add(passes, now, full);
-    {
-      Telemetry& obs = Telemetry::Get();
-      if (obs.enabled()) {
-        obs.RecordEvent("eval", "trainer", now,
-                        {{"system", name()},
-                         {"step", std::to_string(passes)},
-                         {"objective", FormatDouble(full, 9)}});
-        obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
-        obs.ObserveSeries("objective", SeriesAgg::kMean, now, full);
-        obs.SampleWindows(now);
-      }
-    }
+    RecordEval(passes, now, full, &result);
     return smooth;
   };
 
@@ -145,13 +129,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
           state.rho_history.push_back(ck.TakeDouble());
         }
         TakeErrorFeedback(&ck, &ef);
-        // Elastic state: fired churn events stay fired, partition
-        // hosting and pending rebuilds resume exactly where they were.
-        {
-          std::vector<uint64_t> ewords(ck.TakeU64());
-          for (uint64_t& ew : ewords) ew = ck.TakeU64();
-          spark.RestoreElasticWords(ewords);
-        }
+        TakeElasticWords(&ck, &spark);
         MLLIBSTAR_CHECK(ck.exhausted());
       }
     }
@@ -175,11 +153,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
           ck.PutDouble(st.rho_history[i]);
         }
         PutErrorFeedback(&ck, ef);
-        {
-          const std::vector<uint64_t> ewords = spark.SaveElasticWords();
-          ck.PutU64(ewords.size());
-          for (uint64_t ew : ewords) ck.PutU64(ew);
-        }
+        PutElasticWords(&ck, spark);
         MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
       };
     }
@@ -190,11 +164,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   result.comm_steps = passes;
   result.final_weights = std::move(solved.minimizer);
   result.diverged = !std::isfinite(solved.objective);
-  result.sim_seconds = spark.Now();
-  result.total_bytes = spark.total_bytes();
-  result.faults = spark.sim().faults().stats();
-  result.membership = spark.membership().stats();
-  result.trace = std::move(spark.trace());
+  FinishResult(&spark, &result);
   return result;
 }
 

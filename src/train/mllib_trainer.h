@@ -7,49 +7,34 @@
 
 namespace mllibstar {
 
-/// Baseline Spark MLlib mini-batch gradient descent (paper §III-A):
-/// SendGradient. Per communication step the driver broadcasts the
-/// model, every executor computes the gradient of a sampled batch of
-/// its partition, gradients flow back through treeAggregate, and the
-/// driver applies exactly one model update.
+/// The Spark trainers on one driver loop (broadcast + treeAggregate,
+/// paper §III-A). MLlib* is MLlib with two changes (§IV-B), and the
+/// modes are exactly those steps:
+///
+///  * MLlib    — SendGradient: the driver broadcasts the model, every
+///    executor computes the gradient of a sampled batch of its
+///    partition, gradients flow back through treeAggregate, and the
+///    driver applies exactly one model update per step.
+///  * MLlib+MA — the first change only (Figure 3b): SendModel via model
+///    averaging, still broadcast and treeAggregated by the driver. It
+///    separates the two techniques' contributions in Figure 4.
+///  * MLlib*   — both changes (Algorithm 3): SendModel with model
+///    averaging, the global model maintained by the executors through
+///    the two-phase shuffle (Reduce-Scatter then AllGather). No driver
+///    on the data path.
 class MllibTrainer final : public Trainer {
  public:
-  explicit MllibTrainer(TrainerConfig config) : Trainer(std::move(config)) {}
+  enum class Mode { kMllib, kMllibMa, kMllibStar };
 
-  std::string name() const override { return "mllib"; }
+  MllibTrainer(Mode mode, TrainerConfig config);
 
-  TrainResult Train(const Dataset& data,
-                    const ClusterConfig& cluster) override;
-};
-
-/// MLlib with the first fix only (paper Figure 3b): SendModel via
-/// model averaging, but still aggregated through treeAggregate and
-/// broadcast by the driver. Used to separate the contribution of the
-/// two techniques in Figure 4.
-class MllibMaTrainer final : public Trainer {
- public:
-  explicit MllibMaTrainer(TrainerConfig config)
-      : Trainer(std::move(config)) {}
-
-  std::string name() const override { return "mllib+ma"; }
+  std::string name() const override;
 
   TrainResult Train(const Dataset& data,
                     const ClusterConfig& cluster) override;
-};
 
-/// MLlib* (paper Algorithm 3): SendModel with model averaging, global
-/// model maintained by the executors themselves via the two-phase
-/// shuffle (Reduce-Scatter then AllGather). No driver on the data
-/// path.
-class MllibStarTrainer final : public Trainer {
- public:
-  explicit MllibStarTrainer(TrainerConfig config)
-      : Trainer(std::move(config)) {}
-
-  std::string name() const override { return "mllib*"; }
-
-  TrainResult Train(const Dataset& data,
-                    const ClusterConfig& cluster) override;
+ private:
+  Mode mode_;
 };
 
 }  // namespace mllibstar

@@ -10,7 +10,6 @@
 
 #include "comm/error_feedback.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/gd.h"
 #include "data/partition.h"
@@ -20,15 +19,6 @@
 #include "obs/telemetry.h"
 
 namespace mllibstar {
-namespace {
-
-size_t BatchSize(size_t partition_size, double fraction) {
-  if (partition_size == 0) return 0;
-  const double raw = fraction * static_cast<double>(partition_size);
-  return std::clamp<size_t>(static_cast<size_t>(raw), 1, partition_size);
-}
-
-}  // namespace
 
 PsTrainer::PsTrainer(Mode mode, TrainerConfig config)
     : Trainer(std::move(config)), mode_(mode) {}
@@ -87,10 +77,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   const size_t k = sim.num_workers();
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
-  Rng root(config().seed);
-  std::vector<Rng> rngs;
-  rngs.reserve(k);
-  for (size_t r = 0; r < k; ++r) rngs.push_back(root.Fork());
+  std::vector<Rng> rngs = WorkerRngs(config().seed, k);
 
   // Warm start (the λ path): seed the server model before any worker
   // pulls, and refresh the crash-restore snapshot so a shard failure
@@ -531,17 +518,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     if (completed % config().eval_every == 0 || completed >= max_rounds) {
       const double objective = Eval(data, server.model());
-      result.curve.Add(completed, round_end[t], objective);
-      {
-        Telemetry& obs = Telemetry::Get();
-        if (obs.enabled()) {
-          obs.RecordEvent("eval", "trainer", round_end[t],
-                          {{"system", name()},
-                           {"step", std::to_string(completed)},
-                           {"objective", FormatDouble(objective, 9)}});
-          obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
-        }
-      }
+      RecordEval(completed, round_end[t], objective, &result);
       if (IsDiverged(objective)) {
         result.diverged = true;
         stop_all = true;

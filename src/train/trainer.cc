@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/strings.h"
+#include "obs/telemetry.h"
 #include "train/lbfgs_trainer.h"
 #include "train/mllib_trainer.h"
 #include "train/ps_trainer.h"
@@ -78,14 +80,59 @@ bool Trainer::IsDiverged(double objective) {
   return !std::isfinite(objective) || objective > 1e9;
 }
 
+void Trainer::RecordEval(int step, SimTime now, double objective,
+                         TrainResult* result) const {
+  result->curve.Add(step, now, objective);
+  Telemetry& obs = Telemetry::Get();
+  if (!obs.enabled()) return;
+  obs.RecordEvent("eval", "trainer", now,
+                  {{"system", name()},
+                   {"step", std::to_string(step)},
+                   {"objective", FormatDouble(objective, 9)}});
+  obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
+  obs.ObserveSeries("objective", SeriesAgg::kMean, now, objective);
+  obs.SampleWindows(now);
+}
+
+size_t Trainer::NumAggregators(size_t k) const {
+  if (config_.num_aggregators > 0) return std::min(config_.num_aggregators, k);
+  return std::max<size_t>(
+      1, static_cast<size_t>(std::sqrt(static_cast<double>(k))));
+}
+
+std::vector<Rng> Trainer::WorkerRngs(uint64_t seed, size_t k) {
+  Rng root(seed);
+  std::vector<Rng> rngs;
+  rngs.reserve(k);
+  for (size_t r = 0; r < k; ++r) rngs.push_back(root.Fork());
+  return rngs;
+}
+
+size_t Trainer::BatchSize(size_t partition_size, double fraction) {
+  if (partition_size == 0) return 0;
+  const double raw = fraction * static_cast<double>(partition_size);
+  return std::clamp<size_t>(static_cast<size_t>(raw), 1, partition_size);
+}
+
+void Trainer::FinishResult(SparkCluster* spark, TrainResult* result) {
+  result->sim_seconds = spark->Now();
+  result->total_bytes = spark->total_bytes();
+  result->faults = spark->sim().faults().stats();
+  result->membership = spark->membership().stats();
+  result->trace = std::move(spark->trace());
+}
+
 std::unique_ptr<Trainer> MakeTrainer(SystemKind kind, TrainerConfig config) {
   switch (kind) {
     case SystemKind::kMllib:
-      return std::make_unique<MllibTrainer>(std::move(config));
+      return std::make_unique<MllibTrainer>(MllibTrainer::Mode::kMllib,
+                                            std::move(config));
     case SystemKind::kMllibMa:
-      return std::make_unique<MllibMaTrainer>(std::move(config));
+      return std::make_unique<MllibTrainer>(MllibTrainer::Mode::kMllibMa,
+                                            std::move(config));
     case SystemKind::kMllibStar:
-      return std::make_unique<MllibStarTrainer>(std::move(config));
+      return std::make_unique<MllibTrainer>(MllibTrainer::Mode::kMllibStar,
+                                            std::move(config));
     case SystemKind::kPetuum:
       return std::make_unique<PsTrainer>(PsTrainer::Mode::kPetuum,
                                          std::move(config));

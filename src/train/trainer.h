@@ -4,9 +4,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "comm/codec.h"
 #include "comm/error_feedback.h"
+#include "common/random.h"
 #include "core/convergence.h"
 #include "core/local_optimizer.h"
 #include "core/loss.h"
@@ -197,6 +199,29 @@ class Trainer {
 
   /// Detects a diverged run (non-finite or exploding objective).
   static bool IsDiverged(double objective);
+
+  /// Records one evaluation: the curve point and, when telemetry is on,
+  /// an eval instant, the per-system eval counter and a point of the
+  /// `objective` series. Pure reporting: the objective was already
+  /// computed.
+  void RecordEval(int step, SimTime now, double objective,
+                  TrainResult* result) const;
+
+  /// Intermediate aggregators for a treeAggregate over `k` executors:
+  /// config().num_aggregators when set (at most k), otherwise MLlib's
+  /// default depth-2 tree of about sqrt(k).
+  size_t NumAggregators(size_t k) const;
+
+  /// One Rng per worker, forked in worker order from `seed`.
+  static std::vector<Rng> WorkerRngs(uint64_t seed, size_t k);
+
+  /// Rows in a mini-batch of `fraction` of a partition: at least one,
+  /// at most the whole partition, none for an empty one.
+  static size_t BatchSize(size_t partition_size, double fraction);
+
+  /// Copies a finished Spark run's virtual time, bytes, fault and
+  /// membership stats into *result and moves its trace there.
+  static void FinishResult(SparkCluster* spark, TrainResult* result);
 
  private:
   TrainerConfig config_;

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <utility>
 
+#include "common/fnv1a.h"
 #include "data/synthetic.h"
 #include "train/trainer.h"
 
@@ -155,73 +157,83 @@ TEST(ResolveHostThreadsTest, ZeroMeansHardware) {
 // sweep (4 % of 250 rows × ~10 nnz ≪ 4000 / 4) and at one whose
 // batches take the dense sweep (50 %), over the lossless DenseF64 wire
 // and over int8 with error feedback, which keeps the dense path.
+// MLlib+MA, MLlib* and L-BFGS pass over whole partitions (the batch
+// fraction is unused); their rows pin the Spark driver loop they share
+// with MLlib, each SendModel system once more with Adam local passes.
 
-uint64_t Bits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-void Fnv1a(uint64_t word, uint64_t* h) {
-  for (int b = 0; b < 8; ++b) {
-    *h ^= (word >> (8 * b)) & 0xffu;
-    *h *= 1099511628211ull;
-  }
-}
-
-std::string ResultDigest(const TrainResult& r) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < r.final_weights.dim(); ++i) {
-    Fnv1a(Bits(r.final_weights[i]), &h);
-  }
-  for (const ConvergencePoint& p : r.curve.points()) {
-    Fnv1a(static_cast<uint64_t>(p.comm_step), &h);
-    Fnv1a(Bits(p.time_sec), &h);
-    Fnv1a(Bits(p.objective), &h);
-  }
+std::string HexDigest(uint64_t h) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
 }
 
-struct GoldenCase {
-  SystemKind system;
-  double batch_fraction;
-  CodecKind codec;
-  const char* digest;
-};
+std::string ResultDigest(const TrainResult& r) {
+  uint64_t h = kFnv1aBasis;
+  for (size_t i = 0; i < r.final_weights.dim(); ++i) {
+    Fnv1aMix(r.final_weights[i], &h);
+  }
+  for (const ConvergencePoint& p : r.curve.points()) {
+    Fnv1aMix(static_cast<uint64_t>(p.comm_step), &h);
+    Fnv1aMix(p.time_sec, &h);
+    Fnv1aMix(p.objective, &h);
+  }
+  return HexDigest(h);
+}
 
-TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
+Dataset HostWorkData() {
   SyntheticSpec spec;
   spec.name = "hostwork";
   spec.num_instances = 2000;
   spec.num_features = 4000;
   spec.avg_nnz = 10;
   spec.seed = 41;
-  const Dataset data = GenerateSynthetic(spec);
+  return GenerateSynthetic(spec);
+}
+
+struct GoldenCase {
+  SystemKind system;
+  double batch_fraction;
+  CodecKind codec;
+  LocalOptimizerKind optimizer;
+  const char* digest;
+};
+
+TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
+  const Dataset data = HostWorkData();
   const ClusterConfig cluster = JitteryCluster();
 
   const CodecKind kF64 = CodecKind::kDenseF64;
   const CodecKind kInt8 = CodecKind::kInt8Linear;
+  const LocalOptimizerKind kSgd = LocalOptimizerKind::kSgd;
+  const LocalOptimizerKind kAdam = LocalOptimizerKind::kAdam;
   const GoldenCase cases[] = {
-      {SystemKind::kMllib, 0.04, kF64, "4a77eb1bebe86b84"},
-      {SystemKind::kMllib, 0.5, kF64, "bb1a337646de453e"},
-      {SystemKind::kMllib, 0.04, kInt8, "f46108095e7ddccf"},
-      {SystemKind::kMllib, 0.5, kInt8, "fca47ecdf07e368f"},
-      {SystemKind::kPetuumStar, 0.04, kF64, "96afb4289fbacb85"},
-      {SystemKind::kPetuumStar, 0.5, kF64, "b6088c7d76d11563"},
-      {SystemKind::kPetuumStar, 0.04, kInt8, "d4bec3172e8d34cb"},
-      {SystemKind::kPetuumStar, 0.5, kInt8, "89b9a003acaae3f5"},
-      {SystemKind::kAngel, 0.04, kF64, "2645278c7f8017ab"},
-      {SystemKind::kAngel, 0.5, kF64, "ffb7f6e23206cfa9"},
-      {SystemKind::kAngel, 0.04, kInt8, "d0154f68997c7eab"},
-      {SystemKind::kAngel, 0.5, kInt8, "09d0e89bbe4356d9"},
+      {SystemKind::kMllib, 0.04, kF64, kSgd, "4a77eb1bebe86b84"},
+      {SystemKind::kMllib, 0.5, kF64, kSgd, "bb1a337646de453e"},
+      {SystemKind::kMllib, 0.04, kInt8, kSgd, "f46108095e7ddccf"},
+      {SystemKind::kMllib, 0.5, kInt8, kSgd, "fca47ecdf07e368f"},
+      {SystemKind::kPetuumStar, 0.04, kF64, kSgd, "96afb4289fbacb85"},
+      {SystemKind::kPetuumStar, 0.5, kF64, kSgd, "b6088c7d76d11563"},
+      {SystemKind::kPetuumStar, 0.04, kInt8, kSgd, "d4bec3172e8d34cb"},
+      {SystemKind::kPetuumStar, 0.5, kInt8, kSgd, "89b9a003acaae3f5"},
+      {SystemKind::kAngel, 0.04, kF64, kSgd, "2645278c7f8017ab"},
+      {SystemKind::kAngel, 0.5, kF64, kSgd, "ffb7f6e23206cfa9"},
+      {SystemKind::kAngel, 0.04, kInt8, kSgd, "d0154f68997c7eab"},
+      {SystemKind::kAngel, 0.5, kInt8, kSgd, "09d0e89bbe4356d9"},
+      {SystemKind::kMllibMa, 0.04, kF64, kSgd, "9c160d053b80820c"},
+      {SystemKind::kMllibMa, 0.04, kInt8, kSgd, "93356ad9b3e3986e"},
+      {SystemKind::kMllibMa, 0.04, kF64, kAdam, "e3c0c1c6468e1336"},
+      {SystemKind::kMllibStar, 0.04, kF64, kSgd, "1dcdb3e5e41339c0"},
+      {SystemKind::kMllibStar, 0.04, kInt8, kSgd, "87477069a18fd1c6"},
+      {SystemKind::kMllibStar, 0.04, kF64, kAdam, "e055d78f194cf5f1"},
+      {SystemKind::kMllibLbfgs, 0.04, kF64, kSgd, "b04f5f87dfb922a3"},
+      {SystemKind::kMllibLbfgs, 0.04, kInt8, kSgd, "8d4d12e38e0e5cb6"},
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(testing::Message()
                  << SystemName(c.system) << " fraction " << c.batch_fraction
-                 << " codec " << CodecName(c.codec));
+                 << " codec " << CodecName(c.codec) << " optimizer "
+                 << static_cast<int>(c.optimizer));
     TrainerConfig config = BaseConfig(1);
     config.loss = LossKind::kHinge;
     // L2 sends Petuum* through batch GD (its no-regularizer path is
@@ -231,6 +243,7 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
     config.batch_fraction = c.batch_fraction;
     config.max_comm_steps = 6;
     config.codec.kind = c.codec;
+    config.local_optimizer.kind = c.optimizer;
     TrainerConfig parallel = config;
     parallel.host_threads = 8;
     const TrainResult a = MakeTrainer(c.system, config)->Train(data, cluster);
@@ -238,6 +251,45 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
         MakeTrainer(c.system, parallel)->Train(data, cluster);
     EXPECT_EQ(ResultDigest(a), c.digest);
     ExpectBitIdentical(a, b);
+  }
+}
+
+// The checkpoint word layout of each Spark mode (tag, classes, step,
+// model, worker RNG cursors, error-feedback residuals, elastic words):
+// FNV-1a over the bytes of the file written after step 3, recorded
+// before the three modes shared one driver loop. Same-build resume
+// tests cannot see a reordered word; this pin does.
+TEST(HostWorkGoldenTest, SparkCheckpointFilesMatchPins) {
+  const Dataset data = HostWorkData();
+  const ClusterConfig cluster = JitteryCluster();
+
+  const std::pair<SystemKind, const char*> cases[] = {
+      {SystemKind::kMllib, "da4eaacc11dfb9ca"},
+      {SystemKind::kMllibMa, "c212840c1e409fa0"},
+      {SystemKind::kMllibStar, "4d0bb688eee3e3f3"},
+  };
+  for (const auto& [system, digest] : cases) {
+    SCOPED_TRACE(SystemName(system));
+    const std::string path = testing::TempDir() + "/golden_ckpt.bin";
+    std::remove(path.c_str());
+    TrainerConfig config = BaseConfig(1);
+    config.loss = LossKind::kHinge;
+    config.regularizer = RegularizerKind::kL2;
+    config.lambda = 0.01;
+    config.batch_fraction = 0.04;
+    config.max_comm_steps = 4;
+    config.codec.kind = CodecKind::kInt8Linear;
+    config.checkpoint.path = path;
+    config.checkpoint.every_steps = 3;
+    (void)MakeTrainer(system, config)->Train(data, cluster);
+
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    uint64_t h = kFnv1aBasis;
+    uint64_t word = 0;
+    while (std::fread(&word, sizeof(word), 1, file) == 1) Fnv1aMix(word, &h);
+    std::fclose(file);
+    EXPECT_EQ(HexDigest(h), digest);
   }
 }
 

@@ -735,6 +735,20 @@ std::string SeriesAndRoundsDump() {
          report.Find("rounds")->Dump(2);
 }
 
+/// Points in the exported series `name`; 0 when the run never
+/// recorded it.
+size_t SeriesPoints(const std::string& name) {
+  RunInfo info;
+  const JsonValue report = BuildRunReport(info, &Telemetry::Get());
+  const JsonValue& series = *report.Find("series");
+  for (size_t i = 0; i < series.size(); ++i) {
+    if (series.at(i).Find("name")->string_value() == name) {
+      return series.at(i).Find("points")->size();
+    }
+  }
+  return 0;
+}
+
 TEST_P(TelemetryIdentityTest, WindowedSeriesByteIdenticalAcrossHostThreads) {
   // Windows align to virtual time and close at deterministic trainer
   // sample points, so the serialized series and round profiles must be
@@ -757,6 +771,8 @@ TEST_P(TelemetryIdentityTest, WindowedSeriesByteIdenticalAcrossHostThreads) {
 
   EXPECT_EQ(single, threaded);
   EXPECT_NE(single.find("\"points\""), std::string::npos);
+  // Every system records its evaluations as the objective trajectory.
+  EXPECT_GE(SeriesPoints("objective"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

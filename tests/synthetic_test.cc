@@ -1,8 +1,8 @@
 #include "data/synthetic.h"
 
-#include <cstring>
 #include <gtest/gtest.h>
 
+#include "common/fnv1a.h"
 #include "core/gd.h"
 #include "core/model.h"
 
@@ -12,21 +12,12 @@ namespace {
 /// FNV-1a over the exact bit patterns of a point sequence; any
 /// single-ulp change in a label, index, or value changes the digest.
 uint64_t PointsChecksum(const std::vector<DataPoint>& points) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t bits) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnv1aBasis;
   for (const DataPoint& p : points) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &p.label, sizeof(bits));
-    mix(bits);
+    Fnv1aMix(p.label, &h);
     for (size_t k = 0; k < p.features.nnz(); ++k) {
-      mix(p.features.indices[k]);
-      std::memcpy(&bits, &p.features.values[k], sizeof(bits));
-      mix(bits);
+      Fnv1aMix(static_cast<uint64_t>(p.features.indices[k]), &h);
+      Fnv1aMix(p.features.values[k], &h);
     }
   }
   return h;
