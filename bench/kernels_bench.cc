@@ -10,11 +10,13 @@
 // fails the no-regression floor (the fused number is structurally
 // capped well below the dot's speedup: roughly half its time is the
 // store-bound sparse axpy plus the per-row loss derivative, neither
-// of which vectorization can accelerate much), or (c) the f32
-// storage path drifts past the documented accuracy budget. CI runs
-// it as a smoke check so kernel regressions fail the build, and the
-// committed JSON pairs with results/BENCH_kernels_scalar.json (a
-// forced-scalar run) to record the before/after speedup trajectory.
+// of which vectorization can accelerate much), (c) the f32 storage
+// path drifts past the documented accuracy budget, or (d) evaluating
+// the objective from value-free partitions disagrees with, or is
+// slower than, the walk over DataPoint rows. CI runs it as a smoke
+// check so kernel regressions fail the build, and the committed JSON
+// pairs with results/BENCH_kernels_scalar.json (a forced-scalar run)
+// to record the before/after speedup trajectory.
 //
 // Flags: --min-speedup=<x> (default 1.5), --repetitions=<n> (default
 // 7), --out=<filename> (default BENCH_kernels.json).
@@ -31,9 +33,12 @@
 #include "core/csr_block.h"
 #include "core/gd.h"
 #include "core/loss.h"
+#include "core/regularizer.h"
 #include "core/simd/dispatch.h"
 #include "core/vector.h"
+#include "data/partition.h"
 #include "data/synthetic.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -464,6 +469,91 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     }
   }
 
+  // ---- Objective evaluation by layout ---------------------------------
+  // One full-objective data term (hinge, as the figure workloads train)
+  // over the same one-hot dataset in three layouts: the scattered
+  // DataPoint rows, round-robin CSR partitions with stored 1.0 values
+  // (the layout before value-free blocks), and the value-free
+  // partitions the trainers evaluate now (DESIGN §17). Shapes: kdd12 on
+  // 8 workers (Fig. 4) and WX on 128 (Fig. 6). All three results must
+  // be bit-equal, and the value-free walk must not lose to the
+  // DataPoint walk.
+  bool eval_gate_failed = false;
+  JsonValue eval_runs = JsonValue::Array();
+  std::printf("\n%-8s %5s %12s %12s %12s %10s\n", "dataset", "k",
+              "points ns", "valued ns", "value-free", "pts/vfree");
+  {
+    auto hinge = MakeLoss(LossKind::kHinge);
+    auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+    auto objective = MakeBinaryObjective(hinge.get(), none.get(), true);
+    struct EvalShape {
+      SyntheticSpec spec;
+      size_t k;
+    };
+    for (const EvalShape& shape : {EvalShape{Kdd12Spec(), 8},
+                                   EvalShape{WxSpec(), 128}}) {
+      const Dataset data = GenerateSynthetic(shape.spec);
+      const std::vector<CsrBlock> value_free = PartitionCsr(data, shape.k);
+      // The valued layout of the same rows, as the packers built it
+      // before value-free blocks: stored 1.0s and their f32 copy.
+      std::vector<CsrBlock> valued = value_free;
+      for (CsrBlock& b : valued) {
+        b.value_free = false;
+        b.ones.clear();
+        b.ones_f32.clear();
+        b.values.assign(b.nnz(), 1.0);
+        b.Finalize();
+      }
+      DenseVector w(data.num_features());
+      for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-1.0, 1.0);
+      std::vector<double> slots;
+      double points_loss = 0.0, valued_loss = 0.0, value_free_loss = 0.0;
+      const double points_ns = MinNs(
+          [&] { points_loss = objective->MeanPointLoss(data.points(), w); },
+          reps);
+      const double valued_ns = MinNs(
+          [&] {
+            valued_loss = objective->MeanPartitionLoss(valued, w, &slots);
+          },
+          reps);
+      const double value_free_ns = MinNs(
+          [&] {
+            value_free_loss =
+                objective->MeanPartitionLoss(value_free, w, &slots);
+          },
+          reps);
+      const bool bit_equal =
+          points_loss == valued_loss && points_loss == value_free_loss;
+      const double ratio = points_ns / value_free_ns;
+      std::printf("%-8s %5zu %12.0f %12.0f %12.0f %9.2fx\n",
+                  shape.spec.name.c_str(), shape.k, points_ns, valued_ns,
+                  value_free_ns, ratio);
+      if (!bit_equal) {
+        std::printf("FAIL eval: %s layouts disagree (%.17g %.17g %.17g)\n",
+                    shape.spec.name.c_str(), points_loss, valued_loss,
+                    value_free_loss);
+        eval_gate_failed = true;
+      }
+      if (value_free_ns > points_ns) {
+        std::printf("FAIL eval: %s value-free walk slower than DataPoint "
+                    "walk\n",
+                    shape.spec.name.c_str());
+        eval_gate_failed = true;
+      }
+      JsonValue e = JsonValue::Object();
+      e.Set("dataset", JsonValue::Str(shape.spec.name));
+      e.Set("partitions", JsonValue::Number(static_cast<int64_t>(shape.k)));
+      e.Set("rows", JsonValue::Number(static_cast<int64_t>(data.size())));
+      e.Set("nnz", JsonValue::Number(static_cast<int64_t>(data.TotalNnz())));
+      e.Set("points_ns", JsonValue::Number(points_ns));
+      e.Set("valued_ns", JsonValue::Number(valued_ns));
+      e.Set("value_free_ns", JsonValue::Number(value_free_ns));
+      e.Set("points_over_value_free", JsonValue::Number(ratio));
+      e.Set("bit_equal", JsonValue::Bool(bit_equal));
+      eval_runs.Append(e);
+    }
+  }
+
   // ---- Report ---------------------------------------------------------
   std::printf("\n%-22s %-7s %-5s %-10s %12s %10s\n", "kernel", "level",
               "prec", "regime", "ns/pass", "vs scalar");
@@ -505,9 +595,11 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
           JsonValue::Number(
               static_cast<int64_t>(TouchedBuffer::kSparseFactor)));
   doc.Set("flush_density", flush_runs);
+  doc.Set("eval_gate_ok", JsonValue::Bool(!eval_gate_failed));
+  doc.Set("eval_layout", eval_runs);
   bench::WriteBenchJson(out_name, doc);
 
-  if (perf_gate_failed || drift_gate_failed) {
+  if (perf_gate_failed || drift_gate_failed || eval_gate_failed) {
     std::printf("\nkernels_bench: GATES FAILED\n");
     return 2;
   }

@@ -1,13 +1,50 @@
 #include "core/csr_block.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace mllibstar {
 
+namespace {
+
+// True when every value is exactly 1.0; NaN, 0.0 and 1.0 ± 1 ulp are not.
+bool IsOneHot(const DataPoint& point) {
+  for (double v : point.features.values) {
+    if (v != 1.0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void CsrBlock::AppendRow(const DataPoint& point) {
+  if (value_free && !IsOneHot(point)) {
+    value_free = false;
+    values.reserve(indices.capacity());
+    values.assign(indices.size(), 1.0);
+  }
+  indices.insert(indices.end(), point.features.indices.begin(),
+                 point.features.indices.end());
+  if (!value_free) {
+    values.insert(values.end(), point.features.values.begin(),
+                  point.features.values.end());
+  }
+  offsets.push_back(indices.size());
+  labels.push_back(point.label);
+}
+
 void CsrBlock::Finalize() {
-  values_f32.resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    values_f32[i] = static_cast<float>(values[i]);
+  if (value_free) {
+    size_t widest = 0;
+    for (size_t i = 0; i < rows(); ++i) widest = std::max(widest, row_nnz(i));
+    ones.assign(widest, 1.0);
+    ones_f32.assign(widest, 1.0f);
+  } else {
+    values_f32.resize(values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      values_f32[i] = static_cast<float>(values[i]);
+    }
   }
 #ifndef NDEBUG
   // The aligned allocator makes these structurally true; the asserts
@@ -17,29 +54,21 @@ void CsrBlock::Finalize() {
   MLLIBSTAR_CHECK(IsAligned(values.data()));
   MLLIBSTAR_CHECK(IsAligned(values_f32.data()));
   MLLIBSTAR_CHECK(IsAligned(labels.data()));
+  MLLIBSTAR_CHECK(IsAligned(ones.data()));
+  MLLIBSTAR_CHECK(IsAligned(ones_f32.data()));
 #endif
 }
 
 CsrBlock CsrBlock::FromPoints(const std::vector<DataPoint>& points) {
   CsrBlock block;
-  const size_t n = points.size();
   size_t total = 0;
   for (const DataPoint& p : points) total += p.nnz();
-
-  block.offsets.reserve(n + 1);
+  block.offsets.reserve(points.size() + 1);
   block.indices.reserve(total);
-  block.values.reserve(total);
-  block.labels.reserve(n);
+  block.labels.reserve(points.size());
 
   block.offsets.push_back(0);
-  for (const DataPoint& p : points) {
-    block.indices.insert(block.indices.end(), p.features.indices.begin(),
-                         p.features.indices.end());
-    block.values.insert(block.values.end(), p.features.values.begin(),
-                        p.features.values.end());
-    block.labels.push_back(p.label);
-    block.offsets.push_back(block.indices.size());
-  }
+  for (const DataPoint& p : points) block.AppendRow(p);
   block.Finalize();
   return block;
 }

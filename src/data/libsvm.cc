@@ -1,7 +1,9 @@
 #include "data/libsvm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -31,6 +33,11 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
       if (token.empty()) continue;
       if (first_token) {
         MLLIBSTAR_ASSIGN_OR_RETURN(double label, ParseDouble(token));
+        if (!std::isfinite(label)) {
+          return Status::InvalidArgument("line " +
+                                         std::to_string(line_number) +
+                                         ": non-finite label");
+        }
         // Normalize {0,1} labels to {-1,+1}.
         point.label = (label == 0.0) ? -1.0 : (label > 0.0 ? 1.0 : -1.0);
         first_token = false;
@@ -50,6 +57,16 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
         return Status::InvalidArgument("line " + std::to_string(line_number) +
                                        ": negative feature index");
       }
+      if (static_cast<uint64_t>(index) >
+          std::numeric_limits<FeatureIndex>::max()) {
+        return Status::OutOfRange("line " + std::to_string(line_number) +
+                                  ": feature index " + std::to_string(index) +
+                                  " does not fit a 32-bit FeatureIndex");
+      }
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                       ": non-finite feature value");
+      }
       if (index == 0) saw_zero_index = true;
       point.features.Push(static_cast<FeatureIndex>(index), value);
       max_index = std::max(max_index, static_cast<FeatureIndex>(index));
@@ -61,7 +78,7 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
   // LIBSVM files are conventionally 1-based; shift down unless a zero
   // index was seen (then the file is already 0-based).
   const FeatureIndex shift = saw_zero_index ? 0 : 1;
-  size_t dim = max_index + 1 - shift;
+  size_t dim = static_cast<size_t>(max_index) + 1 - shift;
   dim = std::max(dim, num_features);
   Dataset dataset(dim, path);
   for (DataPoint& p : raw_points) {

@@ -48,20 +48,12 @@ std::vector<CsrBlock> PartitionCsr(const Dataset& dataset, size_t k) {
     parts[r].offsets.reserve(rows[r] + 1);
     parts[r].offsets.push_back(0);
     parts[r].indices.reserve(nnz[r]);
-    parts[r].values.reserve(nnz[r]);
     parts[r].labels.reserve(rows[r]);
   }
-  for (size_t i = 0; i < n; ++i) {
-    CsrBlock& b = parts[i % k];
-    const DataPoint& p = dataset.point(i);
-    b.indices.insert(b.indices.end(), p.features.indices.begin(),
-                     p.features.indices.end());
-    b.values.insert(b.values.end(), p.features.values.begin(),
-                    p.features.values.end());
-    b.offsets.push_back(b.indices.size());
-    b.labels.push_back(p.label);
-  }
-  // Build each block's f32 value copy and check alignment.
+  // One pass over the points, which reads each point's indices and
+  // values together; a block of one-hot rows never gets value arrays.
+  for (size_t i = 0; i < n; ++i) parts[i % k].AppendRow(dataset.point(i));
+  // Build each block's f32 row views and check alignment.
   for (CsrBlock& b : parts) b.Finalize();
   return parts;
 }

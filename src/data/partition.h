@@ -20,10 +20,21 @@ std::vector<std::vector<DataPoint>> PartitionContiguous(
     const Dataset& dataset, size_t k);
 
 /// Round-robin split packed directly into CSR blocks: the same row
-/// assignment as PartitionRoundRobin, but each partition lands in four
+/// assignment as PartitionRoundRobin, but each partition lands in a few
 /// contiguous arrays instead of per-point heap vectors. The trainers'
-/// hot loops scan these blocks linearly.
+/// hot loops scan these blocks linearly. A block whose values are all
+/// exactly 1.0 comes out value-free (core/csr_block.h).
+///
+/// The deal, shared with PartitionRoundRobin: dataset row i becomes
+/// row i / k of partition i % k. Evaluation walks the partitions and
+/// puts every row back in dataset order through RoundRobinRow.
 std::vector<CsrBlock> PartitionCsr(const Dataset& dataset, size_t k);
+
+/// Dataset row of row `row` of partition `partition` in a k-way
+/// round-robin deal (see PartitionCsr).
+inline size_t RoundRobinRow(size_t partition, size_t row, size_t k) {
+  return row * k + partition;
+}
 
 /// A half-open range [begin, end) of model coordinates.
 struct ModelRange {

@@ -104,6 +104,16 @@ Status Checkpoint::ReadFile(const std::string& path) {
   if (!in.good() || header[0] != kMagic) {
     return Status::IoError("bad checkpoint header: " + path);
   }
+  // The word count must fit the bytes behind the header before it may
+  // size an allocation.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff body_bytes = in.tellg() - body;
+  in.seekg(body);
+  if (!in.good() || header[1] > static_cast<uint64_t>(body_bytes) /
+                                    sizeof(uint64_t)) {
+    return Status::IoError("checkpoint word count exceeds file: " + path);
+  }
   std::vector<uint64_t> words(header[1]);
   if (!words.empty()) {
     in.read(reinterpret_cast<char*>(words.data()),

@@ -128,7 +128,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   };
 
   result.curve.set_label(name());
-  result.curve.Add(t0, 0.0, Eval(data, w));
+  result.curve.Add(t0, 0.0, Eval(partitions, w));
 
   ScopedSpan run_span("train:" + name(), "trainer");
   for (int t = t0; t < config().max_comm_steps; ++t) {
@@ -254,7 +254,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     result.comm_steps = t + 1;
     if ((t + 1) % config().eval_every == 0 ||
         t + 1 == config().max_comm_steps) {
-      const double objective = Eval(data, w);
+      const double objective = Eval(partitions, w);
       RecordEval(t + 1, now, objective, &result);
       if (IsDiverged(objective)) {
         result.diverged = true;

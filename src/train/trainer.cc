@@ -53,8 +53,10 @@ DenseVector Trainer::InitialWeights(size_t dim) const {
   return config_.init_weights;
 }
 
-double Trainer::Eval(const Dataset& data, const DenseVector& w) const {
-  return objective_->MeanPointLoss(data.points(), w) + reg_->Value(w);
+double Trainer::Eval(const std::vector<CsrBlock>& partitions,
+                     const DenseVector& w) {
+  return objective_->MeanPartitionLoss(partitions, w, &eval_losses_) +
+         reg_->Value(w);
 }
 
 bool Trainer::ShouldStop(int step, SimTime now, double objective) {

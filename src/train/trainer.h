@@ -187,9 +187,12 @@ class Trainer {
   /// against `dim`), zeros otherwise.
   DenseVector InitialWeights(size_t dim) const;
 
-  /// Full objective f(w, X) on `data` (host-side; costs no sim time —
-  /// the paper also measures the objective out-of-band).
-  double Eval(const Dataset& data, const DenseVector& w) const;
+  /// Full objective f(w, X) over the run's round-robin `partitions`
+  /// (host-side; costs no sim time — the paper also measures the
+  /// objective out-of-band). Bit-identical to the mean loss over the
+  /// dataset's points plus Ω(w); its per-row loss buffer is allocated
+  /// once and reused by every later evaluation.
+  double Eval(const std::vector<CsrBlock>& partitions, const DenseVector& w);
 
   /// True when the run should stop after observing `objective` at
   /// virtual time `now` having completed `step` communication steps.
@@ -232,6 +235,8 @@ class Trainer {
   LrSchedule schedule_;
   /// Previous evaluated objective for the rel-improvement stop.
   std::optional<double> prev_eval_;
+  /// Eval's per-row loss slots, in dataset order.
+  std::vector<double> eval_losses_;
 };
 
 /// Creates the trainer for `kind`.

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "core/model.h"
+#include "data/partition.h"
 
 namespace mllibstar {
 namespace {
@@ -77,6 +78,16 @@ class BinaryObjective final : public GlmObjective {
   std::string name() const override { return "binary/" + loss_->name(); }
 
  private:
+  // MeanLoss's per-point term, over the row views.
+  void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
+                 size_t stride) const override {
+    for (size_t i = 0; i < block.rows(); ++i) {
+      const double margin =
+          w.Dot(block.row_indices(i), block.row_values(i), block.row_nnz(i));
+      out[i * stride] = loss_->Value(margin, block.label(i));
+    }
+  }
+
   const Loss* loss_;
   const Regularizer* reg_;
   bool lazy_;
@@ -166,6 +177,23 @@ class SoftmaxObjective final : public GlmObjective {
   }
 
  private:
+  // MeanSoftmaxLoss's per-point term, over the row views.
+  void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
+                 size_t stride) const override {
+    const size_t d = Features(w);
+    std::vector<double> margins(num_classes_);
+    for (size_t i = 0; i < block.rows(); ++i) {
+      for (size_t c = 0; c < num_classes_; ++c) {
+        margins[c] = w.Dot(block.row_indices(i), block.row_values(i),
+                           block.row_nnz(i), c * d);
+      }
+      const size_t label = static_cast<size_t>(block.label(i));
+      MLLIBSTAR_CHECK_LT(label, num_classes_);
+      out[i * stride] = SoftmaxCrossEntropy(margins.data(), num_classes_,
+                                            label);
+    }
+  }
+
   // The per-class feature count, recovered from the flattened model so
   // the objective stays stateless about the dataset.
   size_t Features(const DenseVector& w) const {
@@ -180,6 +208,27 @@ class SoftmaxObjective final : public GlmObjective {
 };
 
 }  // namespace
+
+double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
+                                       const DenseVector& w,
+                                       std::vector<double>* row_losses) const {
+  const size_t k = partitions.size();
+  size_t n = 0;
+  for (const CsrBlock& b : partitions) n += b.rows();
+  if (n == 0) return 0.0;
+  row_losses->resize(n);
+  // Row r of partition p is dataset row RoundRobinRow(p, r, k): each
+  // partition fills a stride-k run of slots starting at its first row's.
+  for (size_t p = 0; p < k; ++p) {
+    MLLIBSTAR_CHECK_EQ(partitions[p].rows(), (n + k - 1 - p) / k)
+        << "partitions are not a round-robin deal";
+    RowLosses(partitions[p], w, row_losses->data() + RoundRobinRow(p, 0, k),
+              k);
+  }
+  double sum = 0.0;
+  for (double loss : *row_losses) sum += loss;
+  return sum / static_cast<double>(n);
+}
 
 std::unique_ptr<GlmObjective> MakeBinaryObjective(
     const Loss* loss, const Regularizer* reg, bool lazy_regularization,

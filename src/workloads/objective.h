@@ -83,7 +83,24 @@ class GlmObjective {
   virtual double MeanPointLoss(const std::vector<DataPoint>& points,
                                const DenseVector& w) const = 0;
 
+  /// The same mean loss over a dataset dealt round-robin into
+  /// `partitions` (PartitionCsr), with exactly the bits of
+  /// MeanPointLoss over its points: each partition is walked in order,
+  /// every row's loss lands in the slot of its dataset row, and the
+  /// slots are summed in dataset order (DESIGN §17). `row_losses` is
+  /// the caller's buffer, resized to the row count; reusing it keeps
+  /// evaluation allocation-free.
+  double MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
+                           const DenseVector& w,
+                           std::vector<double>* row_losses) const;
+
   virtual std::string name() const = 0;
+
+ private:
+  /// Writes the pointwise loss of row i of `block` to out[i · stride].
+  /// Always f64, like MeanPointLoss.
+  virtual void RowLosses(const CsrBlock& block, const DenseVector& w,
+                         double* out, size_t stride) const = 0;
 };
 
 /// The binary margin objective over `loss` + `reg` (borrowed, not

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "data/synthetic.h"
 #include "ps/parameter_server.h"
@@ -155,6 +156,33 @@ TEST(CheckpointTest, CorruptFileIsRejected) {
   }
   Checkpoint in;
   EXPECT_EQ(in.ReadFile(path).code(), StatusCode::kIoError);
+}
+
+TEST(CheckpointTest, EveryHeaderBitFlipIsRejected) {
+  // Header: magic, word count, FNV-1a of the words (24 bytes). A flipped
+  // word count must fail on the file size, never size an allocation.
+  const std::string path = testing::TempDir() + "/ck_header.bin";
+  Checkpoint out;
+  out.PutU64(7);
+  out.PutDouble(2.5);
+  out.PutVector(DenseVector(std::vector<double>{1.0, -1.0}));
+  ASSERT_TRUE(out.WriteFile(path).ok());
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  ASSERT_GE(bytes.size(), 3 * sizeof(uint64_t));
+  for (size_t bit = 0; bit < 3 * sizeof(uint64_t) * 8; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    }
+    Checkpoint in;
+    EXPECT_FALSE(in.ReadFile(path).ok()) << "bit " << bit;
+  }
 }
 
 TEST(CheckpointTest, MissingFileIsNotFound) {

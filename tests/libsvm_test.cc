@@ -80,6 +80,42 @@ TEST(LibSvmReadTest, NegativeIndexRejected) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST(LibSvmReadTest, IndexPastFeatureIndexIsOutOfRange) {
+  // 2^32 would truncate to 0 and the 1-based shift would wrap it.
+  const std::string path = WriteTempFile("wide.svm", "1 4294967296:1\n");
+  auto result = ReadLibSvm(path);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(LibSvmReadTest, LargestFeatureIndexIsAccepted) {
+  const std::string path = WriteTempFile("widest.svm", "1 0:1 4294967295:1\n");
+  auto result = ReadLibSvm(path);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_features(), size_t{1} << 32);
+  EXPECT_EQ(result->point(0).features.indices[1], 4294967295u);
+}
+
+TEST(LibSvmReadTest, NonFiniteLabelIsInvalidArgument) {
+  for (const char* label : {"nan", "inf", "-inf"}) {
+    const std::string path = WriteTempFile(
+        "nanlabel.svm", std::string(label) + " 1:1\n");
+    auto result = ReadLibSvm(path);
+    EXPECT_FALSE(result.ok()) << label;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << label;
+  }
+}
+
+TEST(LibSvmReadTest, NonFiniteValueIsInvalidArgument) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    const std::string path = WriteTempFile(
+        "nanvalue.svm", "1 1:1 2:" + std::string(value) + "\n");
+    auto result = ReadLibSvm(path);
+    EXPECT_FALSE(result.ok()) << value;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << value;
+  }
+}
+
 TEST(LibSvmRoundTripTest, WriteThenReadPreservesData) {
   Dataset ds(4, "rt");
   DataPoint p1;

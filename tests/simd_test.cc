@@ -259,13 +259,26 @@ TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
   spec.num_features = 200;
   spec.avg_nnz = 12;
   spec.seed = 3;
+  spec.gaussian_values = true;  // a valued block: every array is filled
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
+  ASSERT_FALSE(block.value_free);
+  ASSERT_FALSE(block.values.empty());
+  ASSERT_FALSE(block.values_f32.empty());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.offsets.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.indices.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.values.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.values_f32.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.labels.data()) % 64, 0u);
+
+  // A value-free block's runs of ones are aligned the same way.
+  spec.gaussian_values = false;
+  const CsrBlock ones =
+      CsrBlock::FromPoints(GenerateSynthetic(spec).points());
+  ASSERT_TRUE(ones.value_free);
+  ASSERT_FALSE(ones.ones.empty());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(ones.ones.data()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(ones.ones_f32.data()) % 64, 0u);
 }
 
 TEST(CsrAlignmentTest, FinalizeBuildsF32Copy) {
@@ -275,9 +288,12 @@ TEST(CsrAlignmentTest, FinalizeBuildsF32Copy) {
   spec.num_features = 100;
   spec.avg_nnz = 10;
   spec.seed = 4;
+  spec.gaussian_values = true;  // values that f32 actually rounds
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
+  ASSERT_FALSE(block.value_free);
   ASSERT_TRUE(block.has_f32());
+  ASSERT_EQ(block.values.size(), block.nnz());
   ASSERT_EQ(block.values_f32.size(), block.values.size());
   for (size_t i = 0; i < block.values.size(); ++i) {
     EXPECT_EQ(block.values_f32[i], static_cast<float>(block.values[i]));
@@ -294,6 +310,7 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   spec.num_features = 300;
   spec.avg_nnz = 24;
   spec.seed = 9;
+  spec.gaussian_values = true;  // valued rows, as stored
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
   auto loss = MakeLoss(LossKind::kLogistic);
@@ -327,6 +344,7 @@ TEST(FusedKernelTest, F32FusedPassWithinBudget) {
   spec.num_features = 300;
   spec.avg_nnz = 24;
   spec.seed = 10;
+  spec.gaussian_values = true;  // valued rows: f32 rounds them
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
   auto loss = MakeLoss(LossKind::kLogistic);
@@ -365,6 +383,7 @@ TEST(FusedKernelTest, SoftmaxF32FusedPassWithinBudget) {
   spec.base.num_features = 120;
   spec.base.avg_nnz = 16;
   spec.base.seed = 11;
+  spec.base.gaussian_values = true;  // valued rows: f32 rounds them
   spec.num_classes = num_classes;
   const Dataset data = GenerateMulticlass(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
