@@ -37,8 +37,7 @@ class GlmModel {
     return Margin(point.features);
   }
 
-  /// Margin w·x for a bare feature vector (serving requests carry no
-  /// label). Indices must be < dim().
+  /// Margin w·x for a bare feature vector. Indices must be < dim().
   double Margin(const SparseVector& features) const {
     return weights_.Dot(features);
   }

@@ -209,92 +209,4 @@ SyntheticSpec SpecByName(const std::string& name, double scale) {
   return AvazuSpec(scale);
 }
 
-DriftSchedule::DriftSchedule(DriftSpec spec)
-    : spec_(std::move(spec)),
-      rng_(spec_.seed),
-      truth_(spec_.base.num_features),
-      label_noise_(spec_.base.label_noise) {
-  MLLIBSTAR_CHECK_GT(spec_.base.num_features, 0u);
-  MLLIBSTAR_CHECK_GT(spec_.segment_batches, 0u);
-  // Same ground-truth recipe as GenerateSynthetic (signal concentrated
-  // on the popular low indices), but on the drift stream's own RNG.
-  for (size_t i = 0; i < spec_.base.num_features; ++i) {
-    truth_[i] = rng_.NextGaussian() /
-                std::pow(1.0 + static_cast<double>(i),
-                         spec_.base.truth_decay);
-  }
-}
-
-DataPoint DriftSchedule::DrawPoint(Rng* rng, double noise) const {
-  const SyntheticSpec& base = spec_.base;
-  // Row sparsity jitters around avg_nnz exactly as in GenerateSynthetic.
-  const size_t target_nnz = std::max<size_t>(
-      1, base.avg_nnz + static_cast<size_t>(rng->NextUint64(
-             std::max<size_t>(1, base.avg_nnz / 2 + 1))) -
-             base.avg_nnz / 4);
-  std::vector<FeatureIndex> row;
-  while (row.size() < target_nnz && row.size() < base.num_features) {
-    const FeatureIndex idx = static_cast<FeatureIndex>(
-        rng->NextZipf(base.num_features, base.feature_skew));
-    if (std::find(row.begin(), row.end(), idx) == row.end()) {
-      row.push_back(idx);
-    }
-  }
-  std::sort(row.begin(), row.end());
-
-  DataPoint point;
-  for (FeatureIndex idx : row) {
-    point.features.Push(idx,
-                        base.gaussian_values ? rng->NextGaussian() : 1.0);
-  }
-  // Streaming labels threshold at zero (no median centering): the
-  // truth is a symmetric gaussian draw, so classes stay near balance.
-  const double margin = truth_.Dot(point.features);
-  point.label = margin + 0.1 * rng->NextGaussian() >= 0.0 ? 1.0 : -1.0;
-  if (rng->NextBool(noise)) point.label = -point.label;
-  return point;
-}
-
-std::vector<DataPoint> DriftSchedule::NextBatch(size_t n) {
-  std::vector<DataPoint> batch;
-  batch.reserve(n);
-  for (size_t i = 0; i < n; ++i) batch.push_back(DrawPoint(&rng_, label_noise_));
-  ++batches_;
-  if (batches_ % spec_.segment_batches == 0) AdvanceSegment();
-  return batch;
-}
-
-std::vector<DataPoint> DriftSchedule::SampleHoldout(size_t n,
-                                                    Rng* rng) const {
-  std::vector<DataPoint> batch;
-  batch.reserve(n);
-  for (size_t i = 0; i < n; ++i) batch.push_back(DrawPoint(rng, label_noise_));
-  return batch;
-}
-
-void DriftSchedule::AdvanceSegment() {
-  // Rotate the truth toward a fresh random direction: draw a gaussian
-  // vector, remove its projection on the truth, and blend
-  //   w' = cos(θ)·w + sin(θ)·‖w‖·û.
-  // ‖w'‖ = ‖w‖, so the signal strength survives arbitrarily many
-  // segments while the decision boundary keeps moving.
-  const size_t d = truth_.dim();
-  DenseVector direction(d);
-  for (size_t i = 0; i < d; ++i) direction[i] = rng_.NextGaussian();
-  const double w_norm = truth_.Norm2();
-  if (w_norm > 0.0) {
-    const double projection = truth_.Dot(direction) / (w_norm * w_norm);
-    direction.AddScaled(truth_, -projection);
-  }
-  const double u_norm = direction.Norm2();
-  if (u_norm > 0.0) {
-    const double theta = spec_.rotation_angle;
-    direction.Scale(w_norm / u_norm);
-    truth_.Scale(std::cos(theta));
-    truth_.AddScaled(direction, std::sin(theta));
-  }
-  label_noise_ = std::min(spec_.max_label_noise,
-                          label_noise_ + spec_.noise_ramp_per_segment);
-}
-
 }  // namespace mllibstar

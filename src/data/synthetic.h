@@ -69,71 +69,6 @@ SyntheticSpec WxSpec(double scale = 1e-3);
 /// Unknown names fall back to avazu.
 SyntheticSpec SpecByName(const std::string& name, double scale = 1e-3);
 
-/// Time variation for a streaming synthetic source (see DriftSchedule).
-///
-/// The stream is piecewise stationary: the hidden true weight vector
-/// is constant within a segment of `segment_batches` mini-batches and
-/// rotates by `rotation_angle` radians at every segment boundary
-/// (toward a fresh random direction, preserving its norm — concept
-/// drift without signal collapse). Label noise ramps by
-/// `noise_ramp_per_segment` at each boundary up to `max_label_noise`,
-/// so late traffic is intrinsically harder to score.
-///
-/// The schedule draws from its OWN RNG stream (`seed` here, not
-/// `base.seed`), so adding a drift stream to a program leaves every
-/// GenerateSynthetic dataset bit-unchanged.
-struct DriftSpec {
-  /// Shape knobs (num_features, avg_nnz, feature_skew, gaussian_values,
-  /// truth_decay, label_noise as the *initial* noise). num_instances is
-  /// ignored — the stream is unbounded.
-  SyntheticSpec base;
-  size_t segment_batches = 32;
-  double rotation_angle = 0.15;
-  double noise_ramp_per_segment = 0.0;
-  double max_label_noise = 0.4;
-  uint64_t seed = 20260808;
-};
-
-/// An unbounded stream of labeled mini-batches whose ground truth
-/// drifts over time. Rows are drawn exactly like GenerateSynthetic's
-/// (Zipf-skewed indices, jittered nnz); labels are sign(w*·x + ε) with
-/// the current noise fraction flipped — no per-batch median centering,
-/// since a streaming consumer never sees the whole distribution.
-/// Deterministic: one DriftSpec yields one bit-exact batch sequence.
-class DriftSchedule {
- public:
-  explicit DriftSchedule(DriftSpec spec);
-
-  /// The next `n` stream points, advancing the drift clock by one
-  /// batch (segment rotations fire on the boundaries this crosses).
-  std::vector<DataPoint> NextBatch(size_t n);
-
-  /// Draws `n` points against the CURRENT truth/noise using the
-  /// caller's RNG instead of the stream's, so evaluation or request
-  /// traffic can sample the live distribution without perturbing the
-  /// training stream. Const: the drift clock does not advance.
-  std::vector<DataPoint> SampleHoldout(size_t n, Rng* rng) const;
-
-  const DenseVector& truth() const { return truth_; }
-  size_t batches_emitted() const { return batches_; }
-  /// 0-based index of the segment the next batch belongs to.
-  size_t segment() const { return batches_ / spec_.segment_batches; }
-  /// Label-noise fraction currently in force (ramped per segment).
-  double label_noise() const { return label_noise_; }
-
- private:
-  /// Rotates truth_ toward a fresh random direction by rotation_angle
-  /// and applies one noise-ramp step.
-  void AdvanceSegment();
-  DataPoint DrawPoint(Rng* rng, double noise) const;
-
-  DriftSpec spec_;
-  Rng rng_;  ///< dedicated drift stream; never shared
-  DenseVector truth_;
-  double label_noise_ = 0.0;
-  size_t batches_ = 0;
-};
-
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_DATA_SYNTHETIC_H_

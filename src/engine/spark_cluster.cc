@@ -489,15 +489,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
   return stats;
 }
 
-void SparkCluster::RunOnWorkers(const std::string& detail,
-                                const std::function<uint64_t(size_t)>& fn) {
-  RunOnWorkers(detail, [&fn](size_t r) {
-    WorkerStats stats;
-    stats.work_units = fn(r);
-    return stats;
-  });
-}
-
 void SparkCluster::RunOnDriver(const std::string& detail,
                                uint64_t work_units) {
   sim_.ComputeExact(&sim_.driver(), work_units, ActivityKind::kUpdate,

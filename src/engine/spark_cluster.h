@@ -84,10 +84,6 @@ class SparkCluster {
       const std::string& detail,
       const std::function<WorkerStats(size_t)>& fn);
 
-  /// Back-compat convenience: callback returns only the work units.
-  void RunOnWorkers(const std::string& detail,
-                    const std::function<uint64_t(size_t)>& fn);
-
   /// Charges `work_units` to the driver (model update bookkeeping).
   void RunOnDriver(const std::string& detail, uint64_t work_units);
 

@@ -30,7 +30,7 @@ struct SubsystemStats {
 
 /// Attributes host µs of simulator work to subsystems so "how much
 /// wall time does one simulated second cost, and where" is a tracked
-/// number (bench/sim_profile gates it).
+/// number (the RunReport's `profiler` section).
 ///
 /// Attribution is *exclusive*: a Scope charges its parent scope up to
 /// the moment it opens, so nested regions (a codec transmit inside a

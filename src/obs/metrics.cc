@@ -1,79 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "common/logging.h"
 
 namespace mllibstar {
-
-ObsHistogram::ObsHistogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    MLLIBSTAR_CHECK(bounds_[i - 1] < bounds_[i])
-        << "histogram bounds must be strictly ascending";
-  }
-}
-
-void ObsHistogram::Record(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const size_t idx = static_cast<size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t ObsHistogram::count() const {
-  uint64_t total = 0;
-  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
-  return total;
-}
-
-double HistogramQuantile(const std::vector<double>& bounds,
-                         const std::vector<uint64_t>& buckets, double q) {
-  uint64_t total = 0;
-  for (uint64_t c : buckets) total += c;
-  if (total == 0) return -1.0;
-  const double clamped = std::min(std::max(q, 0.0), 1.0);
-  uint64_t rank = static_cast<uint64_t>(std::ceil(clamped * total));
-  if (rank == 0) rank = 1;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if (cumulative >= rank) {
-      if (i < bounds.size()) return bounds[i];
-      return -1.0;  // overflow bucket: unbounded above
-    }
-  }
-  return -1.0;
-}
-
-double ObsHistogram::Quantile(double q) const {
-  const std::vector<uint64_t> counts = BucketCounts();
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  const double v = HistogramQuantile(bounds_, counts, q);
-  return v < 0.0 ? std::numeric_limits<double>::infinity() : v;
-}
-
-std::vector<uint64_t> ObsHistogram::BucketCounts() const {
-  std::vector<uint64_t> out(buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void ObsHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-std::vector<double> ObsHistogram::LatencyBoundsUs() {
-  return {1.0,     2.0,     5.0,     10.0,    20.0,    50.0,      100.0,
-          200.0,   500.0,   1e3,     2e3,     5e3,     1e4,       2e4,
-          5e4,     1e5,     2e5,     5e5,     1e6,     2e6,       5e6,
-          1e7};
-}
 
 std::string MetricsRegistry::CanonicalKey(const std::string& name,
                                           const MetricLabels& labels) {
@@ -92,9 +21,8 @@ std::string MetricsRegistry::CanonicalKey(const std::string& name,
   return key;
 }
 
-MetricsRegistry::Series& MetricsRegistry::FindOrCreate(
-    const std::string& name, const MetricLabels& labels,
-    MetricSample::Kind kind, std::vector<double> bounds) {
+ObsCounter& MetricsRegistry::Counter(const std::string& name,
+                                     const MetricLabels& labels) {
   const std::string key = CanonicalKey(name, labels);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = series_.find(key);
@@ -103,41 +31,10 @@ MetricsRegistry::Series& MetricsRegistry::FindOrCreate(
     s.name = name;
     s.labels = labels;
     std::sort(s.labels.begin(), s.labels.end());
-    s.kind = kind;
-    switch (kind) {
-      case MetricSample::Kind::kCounter:
-        s.counter = std::make_unique<ObsCounter>();
-        break;
-      case MetricSample::Kind::kGauge:
-        s.gauge = std::make_unique<ObsGauge>();
-        break;
-      case MetricSample::Kind::kHistogram:
-        s.histogram = std::make_unique<ObsHistogram>(std::move(bounds));
-        break;
-    }
+    s.counter = std::make_unique<ObsCounter>();
     it = series_.emplace(key, std::move(s)).first;
   }
-  MLLIBSTAR_CHECK(it->second.kind == kind)
-      << "metric registered twice with a different kind: " << key;
-  return it->second;
-}
-
-ObsCounter& MetricsRegistry::Counter(const std::string& name,
-                                     const MetricLabels& labels) {
-  return *FindOrCreate(name, labels, MetricSample::Kind::kCounter, {}).counter;
-}
-
-ObsGauge& MetricsRegistry::Gauge(const std::string& name,
-                                 const MetricLabels& labels) {
-  return *FindOrCreate(name, labels, MetricSample::Kind::kGauge, {}).gauge;
-}
-
-ObsHistogram& MetricsRegistry::Histogram(const std::string& name,
-                                         std::vector<double> bounds,
-                                         const MetricLabels& labels) {
-  return *FindOrCreate(name, labels, MetricSample::Kind::kHistogram,
-                       std::move(bounds))
-              .histogram;
+  return *it->second.counter;
 }
 
 uint64_t MetricsRegistry::CounterValue(const std::string& name,
@@ -145,7 +42,7 @@ uint64_t MetricsRegistry::CounterValue(const std::string& name,
   const std::string key = CanonicalKey(name, labels);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = series_.find(key);
-  if (it == series_.end() || !it->second.counter) return 0;
+  if (it == series_.end()) return 0;
   return it->second.counter->value();
 }
 
@@ -153,7 +50,7 @@ uint64_t MetricsRegistry::CounterTotal(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t total = 0;
   for (const auto& [key, s] : series_) {
-    if (s.name == name && s.counter) total += s.counter->value();
+    if (s.name == name) total += s.counter->value();
   }
   return total;
 }
@@ -166,24 +63,7 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
     MetricSample sample;
     sample.name = s.name;
     sample.labels = s.labels;
-    sample.kind = s.kind;
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        sample.value = static_cast<double>(s.counter->value());
-        break;
-      case MetricSample::Kind::kGauge:
-        sample.value = s.gauge->value();
-        break;
-      case MetricSample::Kind::kHistogram:
-        sample.bounds = s.histogram->bounds();
-        sample.buckets = s.histogram->BucketCounts();
-        sample.count = 0;
-        for (uint64_t c : sample.buckets) sample.count += c;
-        sample.p50 = HistogramQuantile(sample.bounds, sample.buckets, 0.5);
-        sample.p95 = HistogramQuantile(sample.bounds, sample.buckets, 0.95);
-        sample.p99 = HistogramQuantile(sample.bounds, sample.buckets, 0.99);
-        break;
-    }
+    sample.value = static_cast<double>(s.counter->value());
     out.push_back(std::move(sample));
   }
   return out;
@@ -191,11 +71,7 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, s] : series_) {
-    if (s.counter) s.counter->Reset();
-    if (s.gauge) s.gauge->Reset();
-    if (s.histogram) s.histogram->Reset();
-  }
+  for (auto& [key, s] : series_) s.counter->Reset();
 }
 
 }  // namespace mllibstar

@@ -18,7 +18,7 @@ namespace mllibstar {
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonic counter. Add() is wait-free (one relaxed atomic add), so
-/// it is safe from worker-pool threads and serving threads alike.
+/// it is safe from worker-pool threads.
 class ObsCounter {
  public:
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
@@ -29,91 +29,18 @@ class ObsCounter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-value gauge (set-only semantics; no increments).
-class ObsGauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Fixed-bucket histogram over runtime-chosen ascending upper bounds,
-/// plus one overflow bucket. Record() is wait-free (one relaxed atomic
-/// increment); quantiles read a snapshot of the counters. This is the
-/// one histogram codepath in the repo: serve/LatencyHistogram wraps it
-/// and the metrics registry hands them out for arbitrary bounds.
-class ObsHistogram {
- public:
-  /// `bounds` are inclusive per-bucket upper bounds, strictly
-  /// ascending. A value v lands in the first bucket with v <= bound;
-  /// anything above the last bound lands in the overflow bucket.
-  explicit ObsHistogram(std::vector<double> bounds);
-
-  ObsHistogram(const ObsHistogram&) = delete;
-  ObsHistogram& operator=(const ObsHistogram&) = delete;
-
-  void Record(double value);
-
-  uint64_t count() const;
-
-  /// Quantile q in (0, 1]: the inclusive upper bound of the bucket
-  /// containing the ceil(q·count)-th smallest recorded value
-  /// (infinity for the overflow bucket; 0 when empty). Resolution is
-  /// the bucket width.
-  double Quantile(double q) const;
-
-  /// Per-bucket counts, index-aligned with bounds() plus one final
-  /// overflow entry.
-  std::vector<uint64_t> BucketCounts() const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  size_t num_buckets() const { return bounds_.size() + 1; }
-
-  void Reset();
-
-  /// The 1-2-5 microsecond ladder from 1 µs to 10 s that the serving
-  /// layer's latency histograms use.
-  static std::vector<double> LatencyBoundsUs();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;
-};
-
-/// One exported time series (see MetricsRegistry::Snapshot).
+/// One exported counter series (see MetricsRegistry::Snapshot).
 struct MetricSample {
-  enum class Kind { kCounter, kGauge, kHistogram };
   std::string name;
   MetricLabels labels;
-  Kind kind = Kind::kCounter;
-  double value = 0.0;  ///< counter / gauge reading
-  // Histogram payload (empty for counters and gauges).
-  std::vector<double> bounds;
-  std::vector<uint64_t> buckets;
-  uint64_t count = 0;
-  // Quantile summaries over the fixed buckets; -1 when the quantile
-  // falls in the overflow bucket (unbounded above) or the histogram is
-  // empty, so the values stay JSON-serializable.
-  double p50 = -1.0;
-  double p95 = -1.0;
-  double p99 = -1.0;
+  double value = 0.0;
 };
 
-/// Quantile over fixed-bucket counts (`buckets` has one extra final
-/// overflow entry): the inclusive upper bound of the bucket containing
-/// the ceil(q·count)-th smallest value, or -1 for the overflow bucket
-/// / an empty histogram.
-double HistogramQuantile(const std::vector<double>& bounds,
-                         const std::vector<uint64_t>& buckets, double q);
-
-/// A process-level registry of labeled counters, gauges, and
-/// histograms. Registration (the name -> series lookup) takes a mutex;
-/// recording through the returned reference is lock-free, so hot paths
-/// should capture the reference once. Series live for the registry's
-/// lifetime — returned references are stable.
+/// A process-level registry of labeled counters. Registration (the
+/// name -> series lookup) takes a mutex; recording through the returned
+/// reference is lock-free, so hot paths should capture the reference
+/// once. Series live for the registry's lifetime — returned references
+/// are stable.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -122,11 +49,6 @@ class MetricsRegistry {
 
   ObsCounter& Counter(const std::string& name,
                       const MetricLabels& labels = {});
-  ObsGauge& Gauge(const std::string& name, const MetricLabels& labels = {});
-  /// `bounds` is consulted only when the series does not exist yet;
-  /// later calls with the same key return the existing histogram.
-  ObsHistogram& Histogram(const std::string& name, std::vector<double> bounds,
-                          const MetricLabels& labels = {});
 
   /// Current value of a counter if it exists; 0 otherwise (does not
   /// create the series).
@@ -152,14 +74,8 @@ class MetricsRegistry {
   struct Series {
     std::string name;
     MetricLabels labels;
-    MetricSample::Kind kind = MetricSample::Kind::kCounter;
     std::unique_ptr<ObsCounter> counter;
-    std::unique_ptr<ObsGauge> gauge;
-    std::unique_ptr<ObsHistogram> histogram;
   };
-
-  Series& FindOrCreate(const std::string& name, const MetricLabels& labels,
-                       MetricSample::Kind kind, std::vector<double> bounds);
 
   mutable std::mutex mutex_;
   std::map<std::string, Series> series_;

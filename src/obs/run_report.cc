@@ -33,32 +33,8 @@ JsonValue MetricSampleJson(const MetricSample& s) {
     for (const auto& [k, v] : s.labels) labels.Set(k, JsonValue::Str(v));
     out.Set("labels", std::move(labels));
   }
-  switch (s.kind) {
-    case MetricSample::Kind::kCounter:
-      out.Set("kind", JsonValue::Str("counter"));
-      out.Set("value", JsonValue::Number(s.value));
-      break;
-    case MetricSample::Kind::kGauge:
-      out.Set("kind", JsonValue::Str("gauge"));
-      out.Set("value", JsonValue::Number(s.value));
-      break;
-    case MetricSample::Kind::kHistogram: {
-      out.Set("kind", JsonValue::Str("histogram"));
-      out.Set("count", JsonValue::Number(s.count));
-      // -1 quantiles mean "overflow bucket / empty" (never infinity,
-      // which JSON cannot carry).
-      out.Set("p50", JsonValue::Number(s.p50));
-      out.Set("p95", JsonValue::Number(s.p95));
-      out.Set("p99", JsonValue::Number(s.p99));
-      JsonValue bounds = JsonValue::Array();
-      for (double b : s.bounds) bounds.Append(JsonValue::Number(b));
-      out.Set("bounds", std::move(bounds));
-      JsonValue buckets = JsonValue::Array();
-      for (uint64_t c : s.buckets) buckets.Append(JsonValue::Number(c));
-      out.Set("buckets", std::move(buckets));
-      break;
-    }
-  }
+  out.Set("kind", JsonValue::Str("counter"));
+  out.Set("value", JsonValue::Number(s.value));
   return out;
 }
 

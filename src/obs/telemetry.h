@@ -86,8 +86,8 @@ class Telemetry {
 
   /// Span/event buffers are bounded: once a buffer holds `capacity`
   /// records, further records are dropped (newest-dropped) and counted
-  /// instead, so unbounded online/path runs can't grow memory without
-  /// limit. Setting a capacity does not discard already-held records.
+  /// instead, so long path runs can't grow memory without limit.
+  /// Setting a capacity does not discard already-held records.
   void set_span_capacity(size_t capacity);
   void set_event_capacity(size_t capacity);
   size_t span_capacity() const;

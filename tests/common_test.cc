@@ -290,7 +290,7 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-// Serving keeps one long-lived pool across many scoring waves, so the
+// SparkCluster keeps one long-lived pool across many rounds, so the
 // pool must accept work after a WaitAll round-trip (regression test:
 // WaitAll is a fence, not a shutdown).
 TEST(ThreadPoolTest, SubmitAfterWaitAllStillExecutes) {
@@ -306,8 +306,7 @@ TEST(ThreadPoolTest, SubmitAfterWaitAllStillExecutes) {
 }
 
 // Stress: many tiny tasks submitted concurrently from several
-// producer threads (the serving pattern: request threads enqueueing
-// into one shared pool). Run under ASan/UBSan in CI.
+// producer threads into one shared pool. Run under ASan/UBSan in CI.
 TEST(ThreadPoolTest, ManyProducersManySmallTasksStress) {
   constexpr int kProducers = 8;
   constexpr int kTasksPerProducer = 500;

@@ -13,11 +13,18 @@ ClusterConfig TestConfig(size_t workers) {
   return config;
 }
 
+/// A task result that charges only `units` of work.
+WorkerStats Work(uint64_t units) {
+  WorkerStats stats;
+  stats.work_units = units;
+  return stats;
+}
+
 TEST(SparkClusterTest, RunOnWorkersChargesReturnedWork) {
   SparkCluster spark(TestConfig(3));
   const double speed = spark.sim().config().compute_speed;
-  spark.RunOnWorkers("w", [&](size_t r) -> uint64_t {
-    return static_cast<uint64_t>(speed) * (r + 1);
+  spark.RunOnWorkers("w", [&](size_t r) {
+    return Work(static_cast<uint64_t>(speed) * (r + 1));
   });
   EXPECT_NEAR(spark.sim().worker(0).clock, 1.0, 1e-9);
   EXPECT_NEAR(spark.sim().worker(1).clock, 2.0, 1e-9);
@@ -27,9 +34,9 @@ TEST(SparkClusterTest, RunOnWorkersChargesReturnedWork) {
 TEST(SparkClusterTest, RunOnWorkersExecutesHostSide) {
   SparkCluster spark(TestConfig(4));
   std::vector<bool> ran(4, false);
-  spark.RunOnWorkers("mark", [&](size_t r) -> uint64_t {
+  spark.RunOnWorkers("mark", [&](size_t r) {
     ran[r] = true;
-    return 0;
+    return Work(0);
   });
   for (bool r : ran) EXPECT_TRUE(r);
 }
@@ -136,9 +143,9 @@ TEST(SparkClusterTest, TaskFailuresExtendTheStage) {
   SparkCluster with(failing);
   SparkCluster without(TestConfig(2));
   int host_executions_with = 0;
-  const auto task = [&](size_t) -> uint64_t { return 100000; };
+  const auto task = [&](size_t) { return Work(100000); };
   for (int step = 0; step < 20; ++step) {
-    with.RunOnWorkers("w", [&](size_t r) -> uint64_t {
+    with.RunOnWorkers("w", [&](size_t r) {
       ++host_executions_with;
       return task(r);
     });
@@ -161,7 +168,7 @@ TEST(SparkClusterTest, TaskFailuresExtendTheStage) {
 TEST(SparkClusterTest, StagesAreMarked) {
   SparkCluster spark(TestConfig(2));
   spark.BeginStage("s0");
-  spark.RunOnWorkers("w", [](size_t) -> uint64_t { return 1000; });
+  spark.RunOnWorkers("w", [](size_t) { return Work(1000); });
   spark.BeginStage("s1");
   ASSERT_EQ(spark.trace().stages().size(), 2u);
   EXPECT_LT(spark.trace().stages()[0].first,

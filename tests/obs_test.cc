@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -47,32 +45,20 @@ struct TelemetryGuard {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
-TEST(MetricsRegistryTest, CounterGaugeHistogramBasics) {
+TEST(MetricsRegistryTest, CounterBasics) {
   MetricsRegistry registry;
   registry.Counter("requests").Add();
   registry.Counter("requests").Add(4);
   EXPECT_EQ(registry.CounterValue("requests"), 5u);
-
-  registry.Gauge("queue_depth").Set(7.5);
-  ObsHistogram& h = registry.Histogram("latency", {1.0, 10.0, 100.0});
-  h.Record(0.5);
-  h.Record(50.0);
-  h.Record(1e6);  // overflow bucket
+  registry.Counter("errors").Add(2);
 
   const std::vector<MetricSample> snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
+  ASSERT_EQ(snapshot.size(), 2u);
   // Snapshot is ordered by canonical key.
-  EXPECT_EQ(snapshot[0].name, "latency");
-  EXPECT_EQ(snapshot[0].kind, MetricSample::Kind::kHistogram);
-  EXPECT_EQ(snapshot[0].count, 3u);
-  ASSERT_EQ(snapshot[0].buckets.size(), 4u);
-  EXPECT_EQ(snapshot[0].buckets[0], 1u);
-  EXPECT_EQ(snapshot[0].buckets[2], 1u);
-  EXPECT_EQ(snapshot[0].buckets[3], 1u);
-  EXPECT_EQ(snapshot[1].name, "queue_depth");
-  EXPECT_EQ(snapshot[1].value, 7.5);
-  EXPECT_EQ(snapshot[2].name, "requests");
-  EXPECT_EQ(snapshot[2].value, 5.0);
+  EXPECT_EQ(snapshot[0].name, "errors");
+  EXPECT_EQ(snapshot[0].value, 2.0);
+  EXPECT_EQ(snapshot[1].name, "requests");
+  EXPECT_EQ(snapshot[1].value, 5.0);
 }
 
 TEST(MetricsRegistryTest, LabelOrderDoesNotSplitSeries) {
@@ -104,28 +90,21 @@ TEST(MetricsRegistryTest, CounterTotalSumsAcrossLabelSets) {
 
 TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
   MetricsRegistry registry;
-  ObsHistogram& h = registry.Histogram("h", {10.0, 100.0});
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, &h, t] {
-      // Half the threads create the series through the registry path
-      // concurrently, the other half hammer a captured reference.
+    threads.emplace_back([&registry] {
+      // Every thread creates and records the series through the
+      // registry path concurrently.
       for (int i = 0; i < kPerThread; ++i) {
-        if (t % 2 == 0) {
-          registry.Counter("c", {{"t", "shared"}}).Add();
-        } else {
-          registry.Counter("c", {{"t", "shared"}}).Add();
-        }
-        h.Record(static_cast<double>(i % 200));
+        registry.Counter("c", {{"t", "shared"}}).Add();
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(registry.CounterValue("c", {{"t", "shared"}}),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsReferencesValid) {
@@ -136,45 +115,6 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsReferencesValid) {
   EXPECT_EQ(c.value(), 0u);
   c.Add(2);  // the reference must still point at the live series
   EXPECT_EQ(registry.CounterValue("c"), 2u);
-}
-
-TEST(MetricsRegistryTest, HistogramSnapshotCarriesQuantiles) {
-  MetricsRegistry registry;
-  ObsHistogram& h = registry.Histogram("lat", {1.0, 2.0, 5.0, 10.0});
-  for (int i = 0; i < 50; ++i) h.Record(0.5);
-  for (int i = 0; i < 45; ++i) h.Record(1.5);
-  for (int i = 0; i < 5; ++i) h.Record(7.0);
-  const std::vector<MetricSample> snap = registry.Snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].count, 100u);
-  EXPECT_EQ(snap[0].p50, 1.0);
-  EXPECT_EQ(snap[0].p95, 2.0);
-  EXPECT_EQ(snap[0].p99, 10.0);
-}
-
-TEST(MetricsRegistryTest, HistogramOverflowQuantileIsMinusOneNotInf) {
-  // Samples past the last bound have no finite bound; the snapshot
-  // encodes that as -1 (JSON cannot carry infinity), while the serve
-  // layer's ObsHistogram::Quantile keeps returning +inf.
-  MetricsRegistry registry;
-  ObsHistogram& h = registry.Histogram("lat", {1.0});
-  h.Record(50.0);
-  const std::vector<MetricSample> snap = registry.Snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].p50, -1.0);
-  EXPECT_TRUE(std::isinf(h.Quantile(0.5)));
-}
-
-TEST(ObsHistogramTest, QuantileSemanticsMatchServe) {
-  ObsHistogram h({1.0, 2.0, 5.0});
-  EXPECT_EQ(h.Quantile(0.5), 0.0);  // empty
-  h.Record(0.5);
-  h.Record(1.5);
-  h.Record(3.0);
-  EXPECT_EQ(h.Quantile(0.01), 1.0);  // rank clamps to the first sample
-  EXPECT_EQ(h.Quantile(1.0), 5.0);
-  h.Record(100.0);  // overflow
-  EXPECT_TRUE(std::isinf(h.Quantile(1.0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -606,34 +546,6 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   EXPECT_GT(buffers->Find("spans")->number_value(), 0.0);
   EXPECT_EQ(buffers->Find("spans_dropped")->number_value(), 0.0);
   EXPECT_EQ(buffers->Find("events_dropped")->number_value(), 0.0);
-}
-
-TEST(RunReportTest, HistogramQuantilesParseBack) {
-  TelemetryGuard guard;
-  Telemetry& obs = Telemetry::Get();
-  obs.set_enabled(true);
-  ObsHistogram& h = obs.metrics().Histogram("t.lat", {1.0, 10.0});
-  for (int i = 0; i < 9; ++i) h.Record(0.5);
-  h.Record(5.0);
-  RunInfo info;
-  info.system = "hist-test";
-  const Result<JsonValue> parsed =
-      JsonValue::Parse(BuildRunReport(info, &obs).Dump(2));
-  ASSERT_TRUE(parsed.ok());
-  const JsonValue* metrics = parsed->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const JsonValue* hist = nullptr;
-  for (size_t i = 0; i < metrics->size(); ++i) {
-    if (metrics->at(i).Find("name")->string_value() == "t.lat") {
-      hist = &metrics->at(i);
-    }
-  }
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->Find("kind")->string_value(), "histogram");
-  EXPECT_EQ(hist->Find("count")->number_value(), 10.0);
-  EXPECT_EQ(hist->Find("p50")->number_value(), 1.0);
-  EXPECT_EQ(hist->Find("p95")->number_value(), 10.0);
-  EXPECT_EQ(hist->Find("p99")->number_value(), 10.0);
 }
 
 TEST(RunReportTest, SectionsOmittedForNullPointers) {

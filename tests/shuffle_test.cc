@@ -62,8 +62,10 @@ TEST(ShuffleExchangeTest, SkewedLoadGatesTheSkewedLink) {
 
 TEST(ShuffleExchangeTest, StartsAfterSlowestMapOutput) {
   SparkCluster cluster(TestConfig(2));
-  cluster.RunOnWorkers("compute", [](size_t r) -> uint64_t {
-    return r == 0 ? 1000000 : 0;
+  cluster.RunOnWorkers("compute", [](size_t r) {
+    WorkerStats stats;
+    stats.work_units = r == 0 ? 1000000 : 0;
+    return stats;
   });
   const SimTime slowest = cluster.sim().worker(0).clock;
   std::vector<std::vector<ShuffleMessage<int>>> outgoing(2);

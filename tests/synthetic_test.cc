@@ -23,19 +23,6 @@ uint64_t PointsChecksum(const std::vector<DataPoint>& points) {
   return h;
 }
 
-DriftSpec TinyDrift() {
-  DriftSpec spec;
-  spec.base.num_features = 64;
-  spec.base.avg_nnz = 6;
-  spec.base.label_noise = 0.05;
-  spec.segment_batches = 3;
-  spec.rotation_angle = 0.4;
-  spec.noise_ramp_per_segment = 0.1;
-  spec.max_label_noise = 0.25;
-  spec.seed = 99;
-  return spec;
-}
-
 TEST(SyntheticTest, GeneratesRequestedShape) {
   SyntheticSpec spec;
   spec.name = "tiny";
@@ -65,6 +52,19 @@ TEST(SyntheticTest, DeterministicGivenSeed) {
     EXPECT_EQ(a.point(i).label, b.point(i).label);
     ASSERT_EQ(a.point(i).features.indices, b.point(i).features.indices);
   }
+}
+
+TEST(SyntheticTest, GeneratorOutputMatchesGoldenDigest) {
+  // Golden digest: pins GenerateSynthetic's exact output, so any change
+  // to the drawing recipe is caught. Update ONLY for an intentional
+  // format change.
+  SyntheticSpec spec;
+  spec.name = "regression";
+  spec.num_instances = 120;
+  spec.num_features = 80;
+  spec.seed = 42;
+  EXPECT_EQ(PointsChecksum(GenerateSynthetic(spec).points()),
+            0x4022d081e10ed254ull);
 }
 
 TEST(SyntheticTest, RowsAreSortedAndInRange) {
@@ -139,96 +139,6 @@ TEST(SyntheticPresetTest, WxIsTheLargest) {
     EXPECT_GE(wx.num_instances * wx.avg_nnz,
               other.num_instances * other.avg_nnz / 2)
         << other.name;
-  }
-}
-
-TEST(DriftScheduleTest, DeterministicGivenSpec) {
-  DriftSchedule a(TinyDrift());
-  DriftSchedule b(TinyDrift());
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(PointsChecksum(a.NextBatch(20)), PointsChecksum(b.NextBatch(20)))
-        << "batch " << i;
-  }
-  EXPECT_EQ(a.truth().values(), b.truth().values());
-}
-
-TEST(DriftScheduleTest, LeavesExistingSyntheticDatasetsBitUnchanged) {
-  // The drift stream draws from its own RNG (DriftSpec::seed), so
-  // interleaving it with GenerateSynthetic must not perturb datasets.
-  SyntheticSpec spec;
-  spec.name = "regression";
-  spec.num_instances = 120;
-  spec.num_features = 80;
-  spec.seed = 42;
-  const uint64_t before = PointsChecksum(GenerateSynthetic(spec).points());
-
-  DriftSchedule drift(TinyDrift());
-  for (int i = 0; i < 7; ++i) drift.NextBatch(15);
-
-  const uint64_t after = PointsChecksum(GenerateSynthetic(spec).points());
-  EXPECT_EQ(before, after);
-  // Golden digest: pins GenerateSynthetic's exact output so any future
-  // change to the shared drawing recipe is caught, not just coupling
-  // through the drift stream. Update ONLY for an intentional format
-  // change.
-  EXPECT_EQ(before, 0x4022d081e10ed254ull);
-}
-
-TEST(DriftScheduleTest, RotationPreservesTruthNormAndMovesDirection) {
-  DriftSpec spec = TinyDrift();
-  DriftSchedule drift(spec);
-  const DenseVector initial = drift.truth();
-  const double norm0 = initial.Norm2();
-  ASSERT_GT(norm0, 0.0);
-
-  // Cross several segment boundaries.
-  for (size_t i = 0; i < 4 * spec.segment_batches; ++i) drift.NextBatch(4);
-  EXPECT_EQ(drift.segment(), 4u);
-
-  const DenseVector& rotated = drift.truth();
-  EXPECT_NEAR(rotated.Norm2(), norm0, 1e-9 * norm0);
-  // cos(angle between old and new) < 1: the boundary actually moved.
-  const double cosine = initial.Dot(rotated) / (norm0 * rotated.Norm2());
-  EXPECT_LT(cosine, 0.99);
-}
-
-TEST(DriftScheduleTest, NoiseRampIsCappedAtMax) {
-  DriftSpec spec = TinyDrift();  // 0.05 start, +0.1/segment, cap 0.25
-  DriftSchedule drift(spec);
-  EXPECT_DOUBLE_EQ(drift.label_noise(), 0.05);
-  for (size_t i = 0; i < spec.segment_batches; ++i) drift.NextBatch(2);
-  EXPECT_DOUBLE_EQ(drift.label_noise(), 0.15);
-  for (size_t i = 0; i < 10 * spec.segment_batches; ++i) drift.NextBatch(2);
-  EXPECT_DOUBLE_EQ(drift.label_noise(), 0.25);
-}
-
-TEST(DriftScheduleTest, SampleHoldoutDoesNotAdvanceTheStream) {
-  DriftSchedule a(TinyDrift());
-  DriftSchedule b(TinyDrift());
-  a.NextBatch(10);
-  b.NextBatch(10);
-
-  // Holdout draws on a caller-owned RNG between stream batches...
-  Rng eval_rng(7);
-  const auto holdout = a.SampleHoldout(50, &eval_rng);
-  EXPECT_EQ(holdout.size(), 50u);
-  EXPECT_EQ(a.batches_emitted(), b.batches_emitted());
-
-  // ...and the next stream batch is bit-identical to the undisturbed
-  // schedule's.
-  EXPECT_EQ(PointsChecksum(a.NextBatch(10)), PointsChecksum(b.NextBatch(10)));
-}
-
-TEST(DriftScheduleTest, StreamRowsAreWellFormed) {
-  DriftSpec spec = TinyDrift();
-  DriftSchedule drift(spec);
-  for (int i = 0; i < 5; ++i) {
-    for (const DataPoint& p : drift.NextBatch(30)) {
-      EXPECT_TRUE(p.features.IsSorted());
-      EXPECT_GE(p.nnz(), 1u);
-      EXPECT_LT(p.features.indices.back(), spec.base.num_features);
-      EXPECT_TRUE(p.label == 1.0 || p.label == -1.0);
-    }
   }
 }
 
