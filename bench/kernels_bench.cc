@@ -31,7 +31,6 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/csr_block.h"
-#include "core/gd.h"
 #include "core/loss.h"
 #include "core/regularizer.h"
 #include "core/simd/dispatch.h"
@@ -280,10 +279,15 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   }
 
   // ---- Fused CSR passes through the dispatched vector layer ----------
-  // AccumulateLossGradient (the L-BFGS oracle's worker task) and its
-  // softmax twin, timed end-to-end under SetSimdLevel so the numbers
-  // reflect what the trainers actually run.
+  // The objective's fused LossGradient (the L-BFGS oracle's worker
+  // task) at both compute precisions, timed end-to-end under
+  // SetSimdLevel so the numbers reflect what the trainers actually run.
   auto loss = MakeLoss(LossKind::kLogistic);
+  auto no_reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto objective_f64 = MakeBinaryObjective(loss.get(), no_reg.get(),
+                                                 true, ComputePrecision::kF64);
+  const auto objective_f32 = MakeBinaryObjective(loss.get(), no_reg.get(),
+                                                 true, ComputePrecision::kF32);
   for (const Regime& regime : kRegimes) {
     SyntheticSpec spec;
     spec.name = "kernels_bench";
@@ -301,25 +305,22 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     double ref_loss = 0.0;
     DenseVector ref_grad(regime.dim);
     simd::SetSimdLevel(simd::SimdLevel::kScalar);
-    AccumulateLossGradient(block, *loss, w, &ref_grad, &ref_loss);
+    objective_f64->LossGradient(block, w, &ref_grad, &ref_loss);
 
     for (simd::SimdLevel level : levels) {
       for (const char* precision : {"f64", "f32"}) {
         const bool f32 = std::strcmp(precision, "f32") == 0;
+        const GlmObjective& objective = f32 ? *objective_f32 : *objective_f64;
         auto config_pass = [&] {
           grad.SetZero();
           double loss_sum = 0.0;
-          if (f32) {
-            AccumulateLossGradientF32(block, *loss, w, &grad, &loss_sum);
-          } else {
-            AccumulateLossGradient(block, *loss, w, &grad, &loss_sum);
-          }
+          objective.LossGradient(block, w, &grad, &loss_sum);
           g_sink = loss_sum;
         };
         auto scalar_pass = [&] {
           grad.SetZero();
           double loss_sum = 0.0;
-          AccumulateLossGradient(block, *loss, w, &grad, &loss_sum);
+          objective_f64->LossGradient(block, w, &grad, &loss_sum);
           g_sink = loss_sum;
         };
         // Paired interleaved sampling: alternate the scalar-f64
@@ -365,11 +366,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
         // the f64 scalar reference.
         grad.SetZero();
         double loss_sum = 0.0;
-        if (f32) {
-          AccumulateLossGradientF32(block, *loss, w, &grad, &loss_sum);
-        } else {
-          AccumulateLossGradient(block, *loss, w, &grad, &loss_sum);
-        }
+        objective.LossGradient(block, w, &grad, &loss_sum);
         const double loss_rel =
             std::fabs(loss_sum - ref_loss) / std::max(1.0, std::fabs(ref_loss));
         const double grad_rel =

@@ -19,9 +19,10 @@ namespace mllibstar {
 /// vectors), so a pass over a partition chases ~2n pointers. Packing
 /// once into offsets/indices/values/labels makes every training pass a
 /// linear scan — the single biggest cache win in the host hot path.
-/// Rows keep their order, indices within a row keep their order, so
-/// every kernel that walks a CsrBlock performs bit-for-bit the same
-/// floating-point operations as its per-DataPoint twin.
+/// Rows keep their order and indices within a row keep theirs, so a
+/// kernel walking a CsrBlock performs the same floating-point
+/// operations, in the same order, as a walk over the points it was
+/// packed from (the partition objective relies on this, DESIGN §17).
 ///
 /// All arrays are 64-byte aligned (`AlignedVector`) so the SIMD
 /// kernels' vector loads never straddle a cache line, and the packers

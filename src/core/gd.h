@@ -5,11 +5,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/csr_block.h"
-#include "core/datapoint.h"
-#include "core/local_optimizer.h"
-#include "core/loss.h"
-#include "core/regularizer.h"
 #include "core/vector.h"
 
 namespace mllibstar {
@@ -26,50 +21,6 @@ struct ComputeStats {
     return *this;
   }
 };
-
-/// Adds Σ_{i in batch} ∇l(w·xᵢ, yᵢ) to `*gradient` (the SendGradient
-/// worker task in Algorithm 2). `batch` holds indices into `points`.
-///
-/// Every kernel below has a CsrBlock twin that performs bit-for-bit
-/// the same floating-point operations over the packed layout; the
-/// trainers use the CSR versions, the DataPoint versions remain for
-/// ad-hoc callers and as the reference the tests compare against.
-/// Kernels suffixed `F32` are the mixed-precision twins: they read the
-/// CsrBlock's float32 value copy (`values_f32`, built by Finalize())
-/// while labels, model reads, margins, and every accumulation stay
-/// f64. They are instantiated from the same layout-view templates, so
-/// control flow and RNG consumption are identical to the f64 path —
-/// only the value precision differs, bounded by the documented
-/// accuracy budget (DESIGN §13).
-ComputeStats AccumulateBatchGradient(const std::vector<DataPoint>& points,
-                                     const std::vector<size_t>& batch,
-                                     const Loss& loss, const DenseVector& w,
-                                     DenseVector* gradient);
-ComputeStats AccumulateBatchGradient(const CsrBlock& block,
-                                     const std::vector<size_t>& batch,
-                                     const Loss& loss, const DenseVector& w,
-                                     DenseVector* gradient);
-ComputeStats AccumulateBatchGradientF32(const CsrBlock& block,
-                                        const std::vector<size_t>& batch,
-                                        const Loss& loss,
-                                        const DenseVector& w,
-                                        DenseVector* gradient);
-
-/// Fused full-partition pass: margin → loss value + derivative → axpy
-/// per row, adding Σ_i ∇l(w·xᵢ, yᵢ) to `*gradient` and Σ_i l(w·xᵢ, yᵢ)
-/// to `*loss_sum`. This is the L-BFGS oracle's worker task — fusing
-/// the two reads of each row halves the memory traffic of computing
-/// loss and gradient in separate passes.
-ComputeStats AccumulateLossGradient(const std::vector<DataPoint>& points,
-                                    const Loss& loss, const DenseVector& w,
-                                    DenseVector* gradient, double* loss_sum);
-ComputeStats AccumulateLossGradient(const CsrBlock& block, const Loss& loss,
-                                    const DenseVector& w,
-                                    DenseVector* gradient, double* loss_sum);
-ComputeStats AccumulateLossGradientF32(const CsrBlock& block,
-                                       const Loss& loss, const DenseVector& w,
-                                       DenseVector* gradient,
-                                       double* loss_sum);
 
 /// Samples `batch_size` indices from [0, n) without replacement when
 /// batch_size < n (otherwise returns all indices, i.e. full GD).
@@ -91,7 +42,6 @@ class ScaledVector {
   double scale() const { return scale_; }
 
   /// (scale · v) · x.
-  double Dot(const SparseVector& x) const { return scale_ * v_.Dot(x); }
   double Dot(const FeatureIndex* indices, const double* values,
              size_t nnz) const {
     return scale_ * v_.Dot(indices, values, nnz);
@@ -105,7 +55,6 @@ class ScaledVector {
   void Shrink(double factor);
 
   /// w ← w + alpha · x (sparse, O(nnz(x))).
-  void AddScaled(const SparseVector& x, double alpha);
   void AddScaled(const FeatureIndex* indices, const double* values,
                  size_t nnz, double alpha);
   void AddScaled(const FeatureIndex* indices, const float* values,
@@ -120,177 +69,6 @@ class ScaledVector {
   DenseVector v_;
   double scale_;
 };
-
-/// One pass of sequential SGD (batch size 1) over `points` in a
-/// freshly shuffled order, updating `*w` in place. This is the local
-/// computation MLlib* and Petuum* run when the workload allows
-/// parallel SGD (paper §III-B1, §IV-B).
-///
-/// When `reg` is L2 and `lazy_regularization` is true, the shrinkage
-/// is applied via ScaledVector in O(nnz) per update; otherwise the
-/// regularizer's dense gradient step runs per update and its O(d) cost
-/// is charged to the returned ComputeStats (the ablation baseline).
-ComputeStats LocalSgdEpoch(const std::vector<DataPoint>& points,
-                           const Loss& loss, const Regularizer& reg,
-                           double lr, bool lazy_regularization, Rng* rng,
-                           DenseVector* w);
-ComputeStats LocalSgdEpoch(const CsrBlock& block, const Loss& loss,
-                           const Regularizer& reg, double lr,
-                           bool lazy_regularization, Rng* rng,
-                           DenseVector* w);
-/// Subset variant: one shuffled SGD pass over `rows` of `block` only
-/// (a sampled mini-batch). Matches LocalSgdEpoch over a vector holding
-/// copies of those rows, without materializing the copies.
-ComputeStats LocalSgdEpoch(const CsrBlock& block,
-                           const std::vector<size_t>& rows, const Loss& loss,
-                           const Regularizer& reg, double lr,
-                           bool lazy_regularization, Rng* rng,
-                           DenseVector* w);
-ComputeStats LocalSgdEpochF32(const CsrBlock& block, const Loss& loss,
-                              const Regularizer& reg, double lr,
-                              bool lazy_regularization, Rng* rng,
-                              DenseVector* w);
-ComputeStats LocalSgdEpochF32(const CsrBlock& block,
-                              const std::vector<size_t>& rows,
-                              const Loss& loss, const Regularizer& reg,
-                              double lr, bool lazy_regularization, Rng* rng,
-                              DenseVector* w);
-
-/// One shuffled pass of per-point updates applied through a stateful
-/// LocalOptimizer (momentum/Adagrad/Adam variants of the SendModel
-/// local computation). L2 regularization is applied as lazy decoupled
-/// weight decay on touched coordinates (flushed at epoch end); L1
-/// falls back to the eager dense step.
-ComputeStats LocalOptimizerEpoch(const std::vector<DataPoint>& points,
-                                 const Loss& loss, const Regularizer& reg,
-                                 double lr, LocalOptimizer* optimizer,
-                                 Rng* rng, DenseVector* w);
-ComputeStats LocalOptimizerEpoch(const CsrBlock& block, const Loss& loss,
-                                 const Regularizer& reg, double lr,
-                                 LocalOptimizer* optimizer, Rng* rng,
-                                 DenseVector* w);
-
-/// `num_batches` steps of local mini-batch GD: each step samples
-/// `batch_size` points, computes the averaged batch gradient at the
-/// current local model and applies one update (the Angel-style local
-/// computation, and Petuum's when the regularizer is nonzero).
-ComputeStats LocalMiniBatchGd(const std::vector<DataPoint>& points,
-                              const Loss& loss, const Regularizer& reg,
-                              double lr, size_t batch_size,
-                              size_t num_batches, Rng* rng, DenseVector* w);
-ComputeStats LocalMiniBatchGd(const CsrBlock& block, const Loss& loss,
-                              const Regularizer& reg, double lr,
-                              size_t batch_size, size_t num_batches,
-                              Rng* rng, DenseVector* w);
-ComputeStats LocalMiniBatchGdF32(const CsrBlock& block, const Loss& loss,
-                                 const Regularizer& reg, double lr,
-                                 size_t batch_size, size_t num_batches,
-                                 Rng* rng, DenseVector* w);
-
-/// Softmax (multiclass maximum-entropy) kernel family. The model is a
-/// flattened K×d vector (class k's weights at [k·d, (k+1)·d)), labels
-/// are class ids 0..K−1 stored as doubles, and the per-example
-/// gradient for class k is (p_k − 1{y=k})·x with p = softmax(margins).
-/// Like the binary kernels, each has DataPoint and CsrBlock variants
-/// instantiated from one template, so both layouts are bit-identical.
-ComputeStats AccumulateBatchGradientSoftmax(
-    const std::vector<DataPoint>& points, const std::vector<size_t>& batch,
-    size_t num_classes, size_t num_features, const DenseVector& w,
-    DenseVector* gradient);
-ComputeStats AccumulateBatchGradientSoftmax(
-    const CsrBlock& block, const std::vector<size_t>& batch,
-    size_t num_classes, size_t num_features, const DenseVector& w,
-    DenseVector* gradient);
-ComputeStats AccumulateBatchGradientSoftmaxF32(
-    const CsrBlock& block, const std::vector<size_t>& batch,
-    size_t num_classes, size_t num_features, const DenseVector& w,
-    DenseVector* gradient);
-
-/// Fused full-partition softmax pass (the L-BFGS oracle's multiclass
-/// worker task): adds Σᵢ ∇CE(w, xᵢ, yᵢ) to `*gradient` and
-/// Σᵢ CE(w, xᵢ, yᵢ) to `*loss_sum`.
-ComputeStats AccumulateLossGradientSoftmax(
-    const std::vector<DataPoint>& points, size_t num_classes,
-    size_t num_features, const DenseVector& w, DenseVector* gradient,
-    double* loss_sum);
-ComputeStats AccumulateLossGradientSoftmax(const CsrBlock& block,
-                                           size_t num_classes,
-                                           size_t num_features,
-                                           const DenseVector& w,
-                                           DenseVector* gradient,
-                                           double* loss_sum);
-ComputeStats AccumulateLossGradientSoftmaxF32(const CsrBlock& block,
-                                              size_t num_classes,
-                                              size_t num_features,
-                                              const DenseVector& w,
-                                              DenseVector* gradient,
-                                              double* loss_sum);
-
-/// One shuffled softmax SGD pass. Lazy L2 uses a local scalar scale
-/// over the whole flattened model — the ScaledVector trick inlined, so
-/// each update costs O(K·nnz) instead of O(K·d).
-ComputeStats LocalSgdEpochSoftmax(const std::vector<DataPoint>& points,
-                                  size_t num_classes, size_t num_features,
-                                  const Regularizer& reg, double lr,
-                                  bool lazy_regularization, Rng* rng,
-                                  DenseVector* w);
-ComputeStats LocalSgdEpochSoftmax(const CsrBlock& block, size_t num_classes,
-                                  size_t num_features, const Regularizer& reg,
-                                  double lr, bool lazy_regularization,
-                                  Rng* rng, DenseVector* w);
-ComputeStats LocalSgdEpochSoftmax(const CsrBlock& block,
-                                  const std::vector<size_t>& rows,
-                                  size_t num_classes, size_t num_features,
-                                  const Regularizer& reg, double lr,
-                                  bool lazy_regularization, Rng* rng,
-                                  DenseVector* w);
-ComputeStats LocalSgdEpochSoftmaxF32(const CsrBlock& block,
-                                     size_t num_classes, size_t num_features,
-                                     const Regularizer& reg, double lr,
-                                     bool lazy_regularization, Rng* rng,
-                                     DenseVector* w);
-ComputeStats LocalSgdEpochSoftmaxF32(const CsrBlock& block,
-                                     const std::vector<size_t>& rows,
-                                     size_t num_classes, size_t num_features,
-                                     const Regularizer& reg, double lr,
-                                     bool lazy_regularization, Rng* rng,
-                                     DenseVector* w);
-
-/// One shuffled pass of stateful-optimizer softmax updates. The
-/// optimizer must be sized for the flattened K·d model; each example
-/// applies K per-class updates through shifted index spans.
-ComputeStats LocalOptimizerEpochSoftmax(const std::vector<DataPoint>& points,
-                                        size_t num_classes,
-                                        size_t num_features,
-                                        const Regularizer& reg, double lr,
-                                        LocalOptimizer* optimizer, Rng* rng,
-                                        DenseVector* w);
-ComputeStats LocalOptimizerEpochSoftmax(const CsrBlock& block,
-                                        size_t num_classes,
-                                        size_t num_features,
-                                        const Regularizer& reg, double lr,
-                                        LocalOptimizer* optimizer, Rng* rng,
-                                        DenseVector* w);
-
-/// `num_batches` steps of local mini-batch softmax GD (the Angel-style
-/// local computation on the multiclass objective).
-ComputeStats LocalMiniBatchGdSoftmax(const std::vector<DataPoint>& points,
-                                     size_t num_classes, size_t num_features,
-                                     const Regularizer& reg, double lr,
-                                     size_t batch_size, size_t num_batches,
-                                     Rng* rng, DenseVector* w);
-ComputeStats LocalMiniBatchGdSoftmax(const CsrBlock& block,
-                                     size_t num_classes, size_t num_features,
-                                     const Regularizer& reg, double lr,
-                                     size_t batch_size, size_t num_batches,
-                                     Rng* rng, DenseVector* w);
-ComputeStats LocalMiniBatchGdSoftmaxF32(const CsrBlock& block,
-                                        size_t num_classes,
-                                        size_t num_features,
-                                        const Regularizer& reg, double lr,
-                                        size_t batch_size,
-                                        size_t num_batches, Rng* rng,
-                                        DenseVector* w);
 
 }  // namespace mllibstar
 

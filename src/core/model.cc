@@ -1,6 +1,7 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 

@@ -1,7 +1,6 @@
 #ifndef MLLIBSTAR_CORE_MODEL_H_
 #define MLLIBSTAR_CORE_MODEL_H_
 
-#include <cmath>
 #include <vector>
 
 #include "core/datapoint.h"
@@ -10,14 +9,6 @@
 #include "core/vector.h"
 
 namespace mllibstar {
-
-/// Numerically stable logistic sigmoid 1/(1 + e^{-x}). Never
-/// overflows: large |x| saturates to exactly 1.0 or 0.0.
-inline double Sigmoid(double x) {
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
 
 /// A trained (or in-training) generalized linear model: a weight
 /// vector w scoring examples by the margin w·x.
@@ -31,43 +22,6 @@ class GlmModel {
   size_t dim() const { return weights_.dim(); }
   const DenseVector& weights() const { return weights_; }
   DenseVector* mutable_weights() { return &weights_; }
-
-  /// Margin w·x for one example.
-  double Margin(const DataPoint& point) const {
-    return Margin(point.features);
-  }
-
-  /// Margin w·x for a bare feature vector. Indices must be < dim().
-  double Margin(const SparseVector& features) const {
-    return weights_.Dot(features);
-  }
-
-  /// Predicted class in {-1, +1}: sign of the margin. Tie rule: a
-  /// margin of exactly 0.0 (e.g. a zero model, or a point sharing no
-  /// features with the model) predicts +1, so the decision function
-  /// is total and PredictLabel(x) == +1 ⇔ PredictProbability(x) ≥ 0.5.
-  double PredictLabel(const DataPoint& point) const {
-    return PredictLabel(point.features);
-  }
-
-  /// PredictLabel for a bare feature vector.
-  double PredictLabel(const SparseVector& features) const {
-    return Margin(features) >= 0.0 ? 1.0 : -1.0;
-  }
-
-  /// Calibrated score P(label = +1 | x) = sigmoid(w·x) under the
-  /// logistic model. Consistent with LogisticLoss:
-  /// dl/dm(m, y) = PredictProbability - 1 for y = +1, and
-  /// PredictProbability for y = -1. Stable for any margin (saturates
-  /// to 0/1, never NaN or inf).
-  double PredictProbability(const DataPoint& point) const {
-    return PredictProbability(point.features);
-  }
-
-  /// PredictProbability for a bare feature vector.
-  double PredictProbability(const SparseVector& features) const {
-    return Sigmoid(Margin(features));
-  }
 
  private:
   DenseVector weights_;

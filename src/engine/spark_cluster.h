@@ -113,9 +113,6 @@ class SparkCluster {
   /// per communication step" accounting).
   uint64_t total_bytes() const { return total_bytes_; }
 
-  /// Byte accounting hook for the typed ShuffleExchange (engine/shuffle.h).
-  void AddShuffledBytes(uint64_t bytes) { total_bytes_ += bytes; }
-
   /// Which executor currently hosts partition r. Identity when the
   /// fleet is full and no churn has happened.
   size_t PartitionHost(size_t r) const { return assign_[r]; }

@@ -1,5 +1,9 @@
 #include "workloads/objective.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
 #include "common/logging.h"
 #include "core/model.h"
 #include "data/partition.h"
@@ -7,14 +11,494 @@
 namespace mllibstar {
 namespace {
 
+// ---- GD kernels --------------------------------------------------------
+// Every worker task the seven trainers run is one of the templates
+// below, reached only through the GlmObjective methods further down.
+// They are written once against a row view over a CsrBlock:
+// CsrView reads the f64 values, CsrF32View the block's float32 copy.
+// Instantiated with CsrF32View, overload resolution picks the f32 Dot /
+// AddScaled entry points on DenseVector/ScaledVector while every
+// margin, derivative and accumulator stays f64; control flow and RNG
+// consumption are identical, which keeps the f32 path deterministic
+// and host_threads-invariant like the f64 one (DESIGN §13). This file
+// is built with -ffp-contract=off, so no compiler fuses a multiply-add
+// in these loops.
+
+struct CsrView {
+  explicit CsrView(const CsrBlock& b) : block(b) {}
+  const CsrBlock& block;
+  size_t size() const { return block.rows(); }
+  const FeatureIndex* indices(size_t i) const {
+    return block.row_indices(i);
+  }
+  const double* values(size_t i) const { return block.row_values(i); }
+  size_t nnz(size_t i) const { return block.row_nnz(i); }
+  double label(size_t i) const { return block.label(i); }
+};
+
+struct CsrF32View {
+  explicit CsrF32View(const CsrBlock& b) : block(b) {
+    MLLIBSTAR_CHECK(block.has_f32())
+        << "CsrBlock::Finalize() must run before the f32 kernels";
+  }
+  const CsrBlock& block;
+  size_t size() const { return block.rows(); }
+  const FeatureIndex* indices(size_t i) const {
+    return block.row_indices(i);
+  }
+  const float* values(size_t i) const { return block.row_values_f32(i); }
+  size_t nnz(size_t i) const { return block.row_nnz(i); }
+  double label(size_t i) const { return block.label(i); }
+};
+
+template <typename View>
+ComputeStats BatchGradientImpl(const View& v,
+                               const std::vector<size_t>& batch,
+                               const Loss& loss, const DenseVector& w,
+                               DenseVector* gradient) {
+  ComputeStats stats;
+  for (size_t idx : batch) {
+    const size_t n = v.nnz(idx);
+    const double margin = w.Dot(v.indices(idx), v.values(idx), n);
+    const double d = loss.Derivative(margin, v.label(idx));
+    stats.nnz_processed += n;
+    if (d != 0.0) {
+      gradient->AddScaled(v.indices(idx), v.values(idx), n, d);
+      stats.nnz_processed += n;
+    }
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats LossGradientImpl(const View& v, const Loss& loss,
+                              const DenseVector& w, DenseVector* gradient,
+                              double* loss_sum) {
+  ComputeStats stats;
+  const size_t rows = v.size();
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t n = v.nnz(i);
+    const double margin = w.Dot(v.indices(i), v.values(i), n);
+    const double y = v.label(i);
+    const double d = loss.Derivative(margin, y);
+    *loss_sum += loss.Value(margin, y);
+    stats.nnz_processed += n;
+    if (d != 0.0) {
+      gradient->AddScaled(v.indices(i), v.values(i), n, d);
+      stats.nnz_processed += n;
+    }
+  }
+  return stats;
+}
+
+// One shuffled SGD pass visiting `rows` (shuffled in place).
+template <typename View>
+ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
+                          const Loss& loss, const Regularizer& reg,
+                          double lr, bool lazy_regularization, Rng* rng,
+                          DenseVector* w) {
+  ComputeStats stats;
+  if (rows.empty()) return stats;
+  rng->Shuffle(&rows);
+
+  const bool lazy_l2 =
+      lazy_regularization && reg.kind() == RegularizerKind::kL2;
+
+  if (lazy_l2) {
+    ScaledVector scaled(std::move(*w));
+    const double shrink = 1.0 - lr * reg.lambda();
+    MLLIBSTAR_CHECK_GT(shrink, 0.0);
+    for (size_t idx : rows) {
+      const size_t n = v.nnz(idx);
+      const double margin = scaled.Dot(v.indices(idx), v.values(idx), n);
+      const double d = loss.Derivative(margin, v.label(idx));
+      stats.nnz_processed += n;
+      scaled.Shrink(shrink);
+      if (d != 0.0) {
+        scaled.AddScaled(v.indices(idx), v.values(idx), n, -lr * d);
+        stats.nnz_processed += n;
+      }
+      ++stats.model_updates;
+    }
+    *w = scaled.ToDense();
+    return stats;
+  }
+
+  for (size_t idx : rows) {
+    const size_t n = v.nnz(idx);
+    const double margin = w->Dot(v.indices(idx), v.values(idx), n);
+    const double d = loss.Derivative(margin, v.label(idx));
+    stats.nnz_processed += n;
+    if (reg.kind() != RegularizerKind::kNone) {
+      reg.ApplyGradientStep(w, lr);
+      // The eager regularizer step touches every coordinate.
+      stats.nnz_processed += w->dim();
+    }
+    if (d != 0.0) {
+      w->AddScaled(v.indices(idx), v.values(idx), n, -lr * d);
+      stats.nnz_processed += n;
+    }
+    ++stats.model_updates;
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
+                                const Regularizer& reg, double lr,
+                                LocalOptimizer* optimizer, Rng* rng,
+                                DenseVector* w) {
+  ComputeStats stats;
+  if (v.size() == 0) return stats;
+
+  std::vector<size_t> order(v.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  rng->Shuffle(&order);
+
+  const bool lazy_l2 = reg.kind() == RegularizerKind::kL2;
+  const double shrink = 1.0 - lr * reg.lambda();
+  std::vector<uint64_t> last_touched;
+  if (lazy_l2) {
+    MLLIBSTAR_CHECK_GT(shrink, 0.0);
+    last_touched.assign(w->dim(), 0);
+  }
+
+  uint64_t step = 0;
+  for (size_t idx : order) {
+    const size_t n = v.nnz(idx);
+    const FeatureIndex* idxs = v.indices(idx);
+    const double* vals = v.values(idx);
+    ++step;
+    if (lazy_l2) {
+      // Decoupled weight decay, applied lazily to the coordinates this
+      // example reads (pending decay from skipped steps first).
+      for (size_t i = 0; i < n; ++i) {
+        const FeatureIndex j = idxs[i];
+        const uint64_t gap = step - last_touched[j];
+        if (gap > 0) {
+          (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
+          last_touched[j] = step;
+        }
+      }
+      stats.nnz_processed += n;
+    } else if (reg.kind() != RegularizerKind::kNone) {
+      // L1 (and the L1 part of elastic net) has no lazy form here;
+      // fall back to the eager dense step.
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    const double margin = w->Dot(idxs, vals, n);
+    const double d = loss.Derivative(margin, v.label(idx));
+    stats.nnz_processed += n;
+    stats.nnz_processed += optimizer->ApplyUpdate(idxs, vals, n, d, lr, w);
+    ++stats.model_updates;
+  }
+
+  if (lazy_l2) {
+    // Flush the pending decay so the returned model is exact.
+    for (size_t j = 0; j < w->dim(); ++j) {
+      const uint64_t gap = step - last_touched[j];
+      if (gap > 0) {
+        (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
+      }
+    }
+    stats.nnz_processed += w->dim();
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats MiniBatchGdImpl(const View& v, const Loss& loss,
+                             const Regularizer& reg, double lr,
+                             size_t batch_size, size_t num_batches,
+                             Rng* rng, DenseVector* w) {
+  ComputeStats stats;
+  if (v.size() == 0 || batch_size == 0) return stats;
+
+  TouchedBuffer gradient(w->dim());
+  for (size_t b = 0; b < num_batches; ++b) {
+    const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
+    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
+    const ComputeStats batch_stats =
+        BatchGradientImpl(v, batch, loss, *w, gradient.mutable_vector());
+    stats += batch_stats;
+    const double inv_batch = 1.0 / static_cast<double>(batch.size());
+    if (reg.kind() != RegularizerKind::kNone) {
+      // A nonzero regularizer makes the update dense -- the expense the
+      // paper calls out for Petuum-style batch GD (SIII-B1).
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    gradient.FlushScaled(-lr * inv_batch, w);
+    // Without regularization the batch gradient has at most batch-nnz
+    // nonzeros and the flush above applies it sparsely; charge that.
+    stats.nnz_processed += reg.kind() != RegularizerKind::kNone
+                               ? w->dim()
+                               : batch_stats.nnz_processed / 2;
+    ++stats.model_updates;
+  }
+  return stats;
+}
+
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
+}
+
+// Turns per-class margins into softmax probabilities in place and
+// returns the cross-entropy −log p_label, all via the max-subtraction
+// trick so no margin magnitude can overflow.
+double SoftmaxInPlace(std::vector<double>* m, size_t label) {
+  const double mx = *std::max_element(m->begin(), m->end());
+  const double margin_label = (*m)[label];
+  double sum = 0.0;
+  for (double& v : *m) {
+    v = std::exp(v - mx);
+    sum += v;
+  }
+  const double loss = std::log(sum) + mx - margin_label;
+  for (double& v : *m) v /= sum;
+  return loss;
+}
+
+// Reads the K per-class margins of row `idx` under an optional scalar
+// scale (the lazy-L2 representation) into `*m`.
+template <typename View>
+void SoftmaxMargins(const View& v, size_t idx, size_t num_classes,
+                    size_t num_features, double scale, const DenseVector& w,
+                    std::vector<double>* m) {
+  const size_t n = v.nnz(idx);
+  const FeatureIndex* idxs = v.indices(idx);
+  const auto* vals = v.values(idx);  // const double* or const float*
+  for (size_t k = 0; k < num_classes; ++k) {
+    (*m)[k] = scale * w.Dot(idxs, vals, n, k * num_features);
+  }
+}
+
+template <typename View>
+ComputeStats BatchGradientSoftmaxImpl(const View& v,
+                                      const std::vector<size_t>& batch,
+                                      size_t num_classes,
+                                      size_t num_features,
+                                      const DenseVector& w,
+                                      DenseVector* gradient,
+                                      double* loss_sum) {
+  ComputeStats stats;
+  std::vector<double> m(num_classes);
+  for (size_t idx : batch) {
+    const size_t n = v.nnz(idx);
+    const FeatureIndex* idxs = v.indices(idx);
+    const auto* vals = v.values(idx);
+    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, w, &m);
+    stats.nnz_processed += num_classes * n;
+    const size_t label = static_cast<size_t>(v.label(idx));
+    MLLIBSTAR_CHECK_LT(label, num_classes);
+    const double loss = SoftmaxInPlace(&m, label);
+    if (loss_sum != nullptr) *loss_sum += loss;
+    for (size_t k = 0; k < num_classes; ++k) {
+      const double coef = m[k] - (k == label ? 1.0 : 0.0);
+      if (coef != 0.0) {
+        gradient->AddScaled(idxs, vals, n, coef, k * num_features);
+        stats.nnz_processed += n;
+      }
+    }
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats SgdEpochSoftmaxImpl(const View& v, std::vector<size_t> rows,
+                                 size_t num_classes, size_t num_features,
+                                 const Regularizer& reg, double lr,
+                                 bool lazy_regularization, Rng* rng,
+                                 DenseVector* w) {
+  ComputeStats stats;
+  if (rows.empty()) return stats;
+  rng->Shuffle(&rows);
+
+  std::vector<double> m(num_classes);
+  const bool lazy_l2 =
+      lazy_regularization && reg.kind() == RegularizerKind::kL2;
+
+  if (lazy_l2) {
+    // The ScaledVector trick inlined: one scalar scale over the whole
+    // flattened model, sparse updates divided by it, re-materialized
+    // at the same 1e-9 threshold ScaledVector uses.
+    double scale = 1.0;
+    const double shrink = 1.0 - lr * reg.lambda();
+    MLLIBSTAR_CHECK_GT(shrink, 0.0);
+    for (size_t idx : rows) {
+      const size_t n = v.nnz(idx);
+      const FeatureIndex* idxs = v.indices(idx);
+      const auto* vals = v.values(idx);
+      SoftmaxMargins(v, idx, num_classes, num_features, scale, *w, &m);
+      stats.nnz_processed += num_classes * n;
+      scale *= shrink;
+      if (scale < 1e-9) {
+        w->Scale(scale);
+        scale = 1.0;
+      }
+      const size_t label = static_cast<size_t>(v.label(idx));
+      MLLIBSTAR_CHECK_LT(label, num_classes);
+      SoftmaxInPlace(&m, label);
+      for (size_t k = 0; k < num_classes; ++k) {
+        const double coef = m[k] - (k == label ? 1.0 : 0.0);
+        if (coef != 0.0) {
+          w->AddScaled(idxs, vals, n, -lr * coef / scale,
+                       k * num_features);
+          stats.nnz_processed += n;
+        }
+      }
+      ++stats.model_updates;
+    }
+    w->Scale(scale);
+    return stats;
+  }
+
+  for (size_t idx : rows) {
+    const size_t n = v.nnz(idx);
+    const FeatureIndex* idxs = v.indices(idx);
+    const auto* vals = v.values(idx);
+    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, *w, &m);
+    stats.nnz_processed += num_classes * n;
+    if (reg.kind() != RegularizerKind::kNone) {
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    const size_t label = static_cast<size_t>(v.label(idx));
+    MLLIBSTAR_CHECK_LT(label, num_classes);
+    SoftmaxInPlace(&m, label);
+    for (size_t k = 0; k < num_classes; ++k) {
+      const double coef = m[k] - (k == label ? 1.0 : 0.0);
+      if (coef != 0.0) {
+        w->AddScaled(idxs, vals, n, -lr * coef, k * num_features);
+        stats.nnz_processed += n;
+      }
+    }
+    ++stats.model_updates;
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats OptimizerEpochSoftmaxImpl(const View& v, size_t num_classes,
+                                       size_t num_features,
+                                       const Regularizer& reg, double lr,
+                                       LocalOptimizer* optimizer, Rng* rng,
+                                       DenseVector* w) {
+  ComputeStats stats;
+  if (v.size() == 0) return stats;
+
+  std::vector<size_t> order(v.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  rng->Shuffle(&order);
+
+  const bool lazy_l2 = reg.kind() == RegularizerKind::kL2;
+  const double shrink = 1.0 - lr * reg.lambda();
+  std::vector<uint64_t> last_touched;
+  if (lazy_l2) {
+    MLLIBSTAR_CHECK_GT(shrink, 0.0);
+    last_touched.assign(w->dim(), 0);
+  }
+
+  std::vector<double> m(num_classes);
+  std::vector<FeatureIndex> shifted;
+  uint64_t step = 0;
+  for (size_t idx : order) {
+    const size_t n = v.nnz(idx);
+    const FeatureIndex* idxs = v.indices(idx);
+    const double* vals = v.values(idx);
+    ++step;
+    if (lazy_l2) {
+      for (size_t k = 0; k < num_classes; ++k) {
+        const size_t base = k * num_features;
+        for (size_t i = 0; i < n; ++i) {
+          const size_t j = base + idxs[i];
+          const uint64_t gap = step - last_touched[j];
+          if (gap > 0) {
+            (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
+            last_touched[j] = step;
+          }
+        }
+      }
+      stats.nnz_processed += num_classes * n;
+    } else if (reg.kind() != RegularizerKind::kNone) {
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, *w, &m);
+    stats.nnz_processed += num_classes * n;
+    const size_t label = static_cast<size_t>(v.label(idx));
+    MLLIBSTAR_CHECK_LT(label, num_classes);
+    SoftmaxInPlace(&m, label);
+    shifted.resize(n);
+    for (size_t k = 0; k < num_classes; ++k) {
+      const double coef = m[k] - (k == label ? 1.0 : 0.0);
+      const FeatureIndex base =
+          static_cast<FeatureIndex>(k * num_features);
+      for (size_t i = 0; i < n; ++i) shifted[i] = base + idxs[i];
+      stats.nnz_processed +=
+          optimizer->ApplyUpdate(shifted.data(), vals, n, coef, lr, w);
+    }
+    ++stats.model_updates;
+  }
+
+  if (lazy_l2) {
+    for (size_t j = 0; j < w->dim(); ++j) {
+      const uint64_t gap = step - last_touched[j];
+      if (gap > 0) {
+        (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
+      }
+    }
+    stats.nnz_processed += w->dim();
+  }
+  return stats;
+}
+
+template <typename View>
+ComputeStats MiniBatchGdSoftmaxImpl(const View& v, size_t num_classes,
+                                    size_t num_features,
+                                    const Regularizer& reg, double lr,
+                                    size_t batch_size, size_t num_batches,
+                                    Rng* rng, DenseVector* w) {
+  ComputeStats stats;
+  if (v.size() == 0 || batch_size == 0) return stats;
+
+  TouchedBuffer gradient(w->dim(), num_classes);
+  for (size_t b = 0; b < num_batches; ++b) {
+    const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
+    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
+    const ComputeStats batch_stats =
+        BatchGradientSoftmaxImpl(v, batch, num_classes, num_features, *w,
+                                 gradient.mutable_vector(), nullptr);
+    stats += batch_stats;
+    const double inv_batch = 1.0 / static_cast<double>(batch.size());
+    if (reg.kind() != RegularizerKind::kNone) {
+      reg.ApplyGradientStep(w, lr);
+      stats.nnz_processed += w->dim();
+    }
+    gradient.FlushScaled(-lr * inv_batch, w);
+    stats.nnz_processed += reg.kind() != RegularizerKind::kNone
+                               ? w->dim()
+                               : batch_stats.nnz_processed / 2;
+    ++stats.model_updates;
+  }
+  return stats;
+}
+
+// ---- The objectives ----------------------------------------------------
+// `View` is the row view every kernel but OptimizerEpoch reads through,
+// chosen once by the factory from the ComputePrecision. OptimizerEpoch
+// always reads f64: LocalOptimizer::ApplyUpdate consumes f64 value
+// spans.
+
+template <typename View>
 class BinaryObjective final : public GlmObjective {
  public:
   BinaryObjective(const Loss* loss, const Regularizer* reg,
-                  bool lazy_regularization, ComputePrecision precision)
-      : loss_(loss),
-        reg_(reg),
-        lazy_(lazy_regularization),
-        f32_(precision == ComputePrecision::kF32) {}
+                  bool lazy_regularization)
+      : loss_(loss), reg_(reg), lazy_(lazy_regularization) {}
 
   size_t num_classes() const override { return 0; }
 
@@ -22,50 +506,39 @@ class BinaryObjective final : public GlmObjective {
                              const std::vector<size_t>& batch,
                              const DenseVector& w,
                              DenseVector* gradient) const override {
-    return f32_ ? AccumulateBatchGradientF32(block, batch, *loss_, w,
-                                             gradient)
-                : AccumulateBatchGradient(block, batch, *loss_, w, gradient);
+    return BatchGradientImpl(View(block), batch, *loss_, w, gradient);
   }
 
   ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
                             DenseVector* gradient,
                             double* loss_sum) const override {
-    return f32_ ? AccumulateLossGradientF32(block, *loss_, w, gradient,
-                                            loss_sum)
-                : AccumulateLossGradient(block, *loss_, w, gradient,
-                                         loss_sum);
+    return LossGradientImpl(View(block), *loss_, w, gradient, loss_sum);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
                         DenseVector* w) const override {
-    return f32_ ? LocalSgdEpochF32(block, *loss_, *reg_, lr, lazy_, rng, w)
-                : LocalSgdEpoch(block, *loss_, *reg_, lr, lazy_, rng, w);
+    return SgdEpochImpl(View(block), Iota(block.rows()), *loss_, *reg_, lr,
+                        lazy_, rng, w);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block,
                         const std::vector<size_t>& rows, double lr,
                         Rng* rng, DenseVector* w) const override {
-    return f32_
-               ? LocalSgdEpochF32(block, rows, *loss_, *reg_, lr, lazy_,
-                                  rng, w)
-               : LocalSgdEpoch(block, rows, *loss_, *reg_, lr, lazy_, rng,
-                               w);
+    return SgdEpochImpl(View(block), rows, *loss_, *reg_, lr, lazy_, rng, w);
   }
 
   ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
                               LocalOptimizer* optimizer, Rng* rng,
                               DenseVector* w) const override {
-    // Always f64: LocalOptimizer::ApplyUpdate consumes f64 value spans.
-    return LocalOptimizerEpoch(block, *loss_, *reg_, lr, optimizer, rng, w);
+    return OptimizerEpochImpl(CsrView(block), *loss_, *reg_, lr, optimizer,
+                              rng, w);
   }
 
   ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
                            size_t batch_size, size_t num_batches, Rng* rng,
                            DenseVector* w) const override {
-    return f32_ ? LocalMiniBatchGdF32(block, *loss_, *reg_, lr, batch_size,
-                                      num_batches, rng, w)
-                : LocalMiniBatchGd(block, *loss_, *reg_, lr, batch_size,
-                                   num_batches, rng, w);
+    return MiniBatchGdImpl(View(block), *loss_, *reg_, lr, batch_size,
+                           num_batches, rng, w);
   }
 
   double MeanPointLoss(const std::vector<DataPoint>& points,
@@ -91,17 +564,14 @@ class BinaryObjective final : public GlmObjective {
   const Loss* loss_;
   const Regularizer* reg_;
   bool lazy_;
-  bool f32_;
 };
 
+template <typename View>
 class SoftmaxObjective final : public GlmObjective {
  public:
   SoftmaxObjective(size_t num_classes, const Regularizer* reg,
-                   bool lazy_regularization, ComputePrecision precision)
-      : num_classes_(num_classes),
-        reg_(reg),
-        lazy_(lazy_regularization),
-        f32_(precision == ComputePrecision::kF32) {
+                   bool lazy_regularization)
+      : num_classes_(num_classes), reg_(reg), lazy_(lazy_regularization) {
     MLLIBSTAR_CHECK_GE(num_classes_, 2u);
   }
 
@@ -111,60 +581,44 @@ class SoftmaxObjective final : public GlmObjective {
                              const std::vector<size_t>& batch,
                              const DenseVector& w,
                              DenseVector* gradient) const override {
-    return f32_ ? AccumulateBatchGradientSoftmaxF32(
-                      block, batch, num_classes_, Features(w), w, gradient)
-                : AccumulateBatchGradientSoftmax(
-                      block, batch, num_classes_, Features(w), w, gradient);
+    return BatchGradientSoftmaxImpl(View(block), batch, num_classes_,
+                                    Features(w), w, gradient, nullptr);
   }
 
   ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
                             DenseVector* gradient,
                             double* loss_sum) const override {
-    return f32_ ? AccumulateLossGradientSoftmaxF32(block, num_classes_,
-                                                   Features(w), w, gradient,
-                                                   loss_sum)
-                : AccumulateLossGradientSoftmax(block, num_classes_,
-                                                Features(w), w, gradient,
-                                                loss_sum);
+    return BatchGradientSoftmaxImpl(View(block), Iota(block.rows()),
+                                    num_classes_, Features(w), w, gradient,
+                                    loss_sum);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
                         DenseVector* w) const override {
-    return f32_ ? LocalSgdEpochSoftmaxF32(block, num_classes_, Features(*w),
-                                          *reg_, lr, lazy_, rng, w)
-                : LocalSgdEpochSoftmax(block, num_classes_, Features(*w),
-                                       *reg_, lr, lazy_, rng, w);
+    return SgdEpochSoftmaxImpl(View(block), Iota(block.rows()), num_classes_,
+                               Features(*w), *reg_, lr, lazy_, rng, w);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block,
                         const std::vector<size_t>& rows, double lr,
                         Rng* rng, DenseVector* w) const override {
-    return f32_ ? LocalSgdEpochSoftmaxF32(block, rows, num_classes_,
-                                          Features(*w), *reg_, lr, lazy_,
-                                          rng, w)
-                : LocalSgdEpochSoftmax(block, rows, num_classes_,
-                                       Features(*w), *reg_, lr, lazy_, rng,
-                                       w);
+    return SgdEpochSoftmaxImpl(View(block), rows, num_classes_, Features(*w),
+                               *reg_, lr, lazy_, rng, w);
   }
 
   ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
                               LocalOptimizer* optimizer, Rng* rng,
                               DenseVector* w) const override {
-    // Always f64: LocalOptimizer::ApplyUpdate consumes f64 value spans.
-    return LocalOptimizerEpochSoftmax(block, num_classes_, Features(*w),
-                                      *reg_, lr, optimizer, rng, w);
+    return OptimizerEpochSoftmaxImpl(CsrView(block), num_classes_,
+                                     Features(*w), *reg_, lr, optimizer, rng,
+                                     w);
   }
 
   ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
                            size_t batch_size, size_t num_batches, Rng* rng,
                            DenseVector* w) const override {
-    return f32_ ? LocalMiniBatchGdSoftmaxF32(block, num_classes_,
-                                             Features(*w), *reg_, lr,
-                                             batch_size, num_batches, rng,
-                                             w)
-                : LocalMiniBatchGdSoftmax(block, num_classes_, Features(*w),
-                                          *reg_, lr, batch_size,
-                                          num_batches, rng, w);
+    return MiniBatchGdSoftmaxImpl(View(block), num_classes_, Features(*w),
+                                  *reg_, lr, batch_size, num_batches, rng, w);
   }
 
   double MeanPointLoss(const std::vector<DataPoint>& points,
@@ -204,7 +658,6 @@ class SoftmaxObjective final : public GlmObjective {
   size_t num_classes_;
   const Regularizer* reg_;
   bool lazy_;
-  bool f32_;
 };
 
 }  // namespace
@@ -233,15 +686,23 @@ double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
 std::unique_ptr<GlmObjective> MakeBinaryObjective(
     const Loss* loss, const Regularizer* reg, bool lazy_regularization,
     ComputePrecision precision) {
-  return std::make_unique<BinaryObjective>(loss, reg, lazy_regularization,
-                                           precision);
+  if (precision == ComputePrecision::kF32) {
+    return std::make_unique<BinaryObjective<CsrF32View>>(loss, reg,
+                                                         lazy_regularization);
+  }
+  return std::make_unique<BinaryObjective<CsrView>>(loss, reg,
+                                                    lazy_regularization);
 }
 
 std::unique_ptr<GlmObjective> MakeSoftmaxObjective(
     size_t num_classes, const Regularizer* reg, bool lazy_regularization,
     ComputePrecision precision) {
-  return std::make_unique<SoftmaxObjective>(num_classes, reg,
-                                            lazy_regularization, precision);
+  if (precision == ComputePrecision::kF32) {
+    return std::make_unique<SoftmaxObjective<CsrF32View>>(
+        num_classes, reg, lazy_regularization);
+  }
+  return std::make_unique<SoftmaxObjective<CsrView>>(num_classes, reg,
+                                                     lazy_regularization);
 }
 
 }  // namespace mllibstar

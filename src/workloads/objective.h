@@ -18,13 +18,13 @@
 namespace mllibstar {
 
 /// One training objective viewed through the kernel calls the seven
-/// distributed trainers make. The binary implementation delegates
-/// verbatim to the scalar-margin kernels in core/gd (same arguments,
-/// same FP operations — existing runs stay bit-identical); the softmax
-/// implementation routes the identical call sites to the multiclass
-/// kernels over a flattened K×d model. Trainers hold exactly one of
-/// these, so a workload change never touches trainer control flow,
-/// communication, scheduling, or fault handling.
+/// distributed trainers make, and the only way into the GD kernels:
+/// each method is one call into a kernel template (objective.cc) over
+/// the block's packed rows. The binary implementation runs the
+/// scalar-margin kernels; the softmax implementation runs the
+/// multiclass ones over a flattened K×d model. Trainers hold exactly
+/// one of these, so a workload change never touches trainer control
+/// flow, communication, scheduling, or fault handling.
 class GlmObjective {
  public:
   virtual ~GlmObjective() = default;
@@ -58,7 +58,12 @@ class GlmObjective {
                                     DenseVector* gradient,
                                     double* loss_sum) const = 0;
 
-  /// One shuffled local SGD pass (the SendModel local computation).
+  /// One shuffled local SGD pass (the SendModel local computation,
+  /// paper §III-B1, §IV-B). With lazy regularization and L2 the
+  /// shrinkage costs O(nnz) per update (ScaledVector for binary, an
+  /// inlined scalar scale for softmax); otherwise the regularizer's
+  /// dense step runs per update and its O(d) cost is charged to the
+  /// returned ComputeStats (the ablation baseline).
   virtual ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
                                 DenseVector* w) const = 0;
 
@@ -68,12 +73,16 @@ class GlmObjective {
                                 Rng* rng, DenseVector* w) const = 0;
 
   /// One shuffled pass through a stateful local optimizer (sized for
-  /// ModelDim coordinates).
+  /// ModelDim coordinates). L2 is applied as lazy decoupled weight
+  /// decay on the touched coordinates, flushed at the end of the pass;
+  /// L1 falls back to the eager dense step.
   virtual ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
                                       LocalOptimizer* optimizer, Rng* rng,
                                       DenseVector* w) const = 0;
 
-  /// `num_batches` local mini-batch GD steps (Petuum/Angel style).
+  /// `num_batches` local mini-batch GD steps (Petuum/Angel style): each
+  /// samples `batch_size` rows, and applies their averaged gradient at
+  /// the current local model as one update.
   virtual ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
                                    size_t batch_size, size_t num_batches,
                                    Rng* rng, DenseVector* w) const = 0;
@@ -104,13 +113,11 @@ class GlmObjective {
 };
 
 /// The binary margin objective over `loss` + `reg` (borrowed, not
-/// owned; must outlive the objective). With the default
-/// ComputePrecision::kF64 this is pure delegation to the existing
-/// core/gd kernels — bit-identical to calling them directly. With
-/// kF32 the kernel calls route to the mixed-precision `*F32` twins
-/// (f32 feature-value reads, f64 accumulation; DESIGN §13), except
-/// OptimizerEpoch which stays f64 because the stateful LocalOptimizer
-/// interface takes f64 value spans.
+/// owned; must outlive the objective). `precision` picks the row view
+/// the kernels read, once: kF64 reads the f64 values; kF32 reads the
+/// block's float32 copy, with every accumulation still f64 (DESIGN
+/// §13). OptimizerEpoch stays f64 either way, because the stateful
+/// LocalOptimizer interface takes f64 value spans.
 std::unique_ptr<GlmObjective> MakeBinaryObjective(
     const Loss* loss, const Regularizer* reg, bool lazy_regularization,
     ComputePrecision precision = ComputePrecision::kF64);

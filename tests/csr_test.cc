@@ -1,11 +1,9 @@
-// CsrBlock is a pure layout change: packing a partition and running
-// the CSR kernels must produce bit-for-bit the results of the
-// per-DataPoint kernels — same floating-point ops in the same order,
-// same RNG consumption, same work accounting. That holds for both
-// block kinds: valued blocks (arbitrary values, stored) and value-free
-// ones (all values 1.0, read from the block's run of ones), so every
-// kernel test runs over both. EXPECT_EQ on doubles is intentional
-// throughout.
+// CsrBlock is a pure layout change: packing rows must keep every bit
+// of them, and the kernels must train a value-free block (all values
+// 1.0, read from the block's run of ones) exactly as they train the
+// same rows with stored 1.0 values — same floating-point ops in the
+// same order, same RNG consumption, same work accounting. EXPECT_EQ on
+// doubles is intentional throughout.
 
 #include "core/csr_block.h"
 
@@ -44,13 +42,6 @@ std::string KindName(bool gaussian_values) {
   return gaussian_values ? "valued" : "value-free";
 }
 
-std::vector<DataPoint> Points(const Dataset& data) {
-  std::vector<DataPoint> points;
-  points.reserve(data.size());
-  for (size_t i = 0; i < data.size(); ++i) points.push_back(data.point(i));
-  return points;
-}
-
 void ExpectSameVector(const DenseVector& a, const DenseVector& b) {
   ASSERT_EQ(a.dim(), b.dim());
   for (size_t i = 0; i < a.dim(); ++i) {
@@ -62,7 +53,7 @@ TEST(CsrBlockTest, RoundTripsEveryPoint) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
+    const std::vector<DataPoint>& points = data.points();
     const CsrBlock block = CsrBlock::FromPoints(points);
 
     EXPECT_EQ(block.value_free, !gaussian);
@@ -113,29 +104,68 @@ TEST(PartitionCsrTest, MatchesRoundRobinPartitioning) {
   }
 }
 
-TEST(CsrKernelTest, BatchGradientMatchesDataPointKernel) {
-  for (const bool gaussian : kValueKinds) {
-    SCOPED_TRACE(KindName(gaussian));
-    const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
-    auto loss = MakeLoss(LossKind::kLogistic);
+// ---- The kernels over both block kinds ------------------------------
+// On one-hot data a value-free block must train exactly like the same
+// rows stored with explicit 1.0 values: the kernels multiply by the
+// block's run of 1.0s where they would have read the stored ones.
 
-    Rng rng(3);
-    const std::vector<size_t> batch = SampleBatch(points.size(), 40, &rng);
-    DenseVector w(data.num_features());
-    for (size_t i = 0; i < w.dim(); ++i) {
-      w[i] = 0.01 * static_cast<double>(i % 13) - 0.05;
-    }
+constexpr ComputePrecision kPrecisions[] = {ComputePrecision::kF64,
+                                            ComputePrecision::kF32};
 
-    DenseVector g_points(w.dim());
-    DenseVector g_block(w.dim());
-    const ComputeStats a =
-        AccumulateBatchGradient(points, batch, *loss, w, &g_points);
-    const ComputeStats b =
-        AccumulateBatchGradient(block, batch, *loss, w, &g_block);
-    EXPECT_EQ(a.nnz_processed, b.nnz_processed);
-    ExpectSameVector(g_points, g_block);
+std::string PrecisionName(ComputePrecision precision) {
+  return precision == ComputePrecision::kF32 ? "f32" : "f64";
+}
+
+// The rows of a value-free block in the valued layout the packers built
+// before value-free blocks: stored 1.0s and their f32 copy.
+CsrBlock WithStoredOnes(CsrBlock block) {
+  block.value_free = false;
+  block.ones.clear();
+  block.ones_f32.clear();
+  block.values.assign(block.nnz(), 1.0);
+  block.Finalize();
+  return block;
+}
+
+void ExpectSameStats(const ComputeStats& a, const ComputeStats& b) {
+  EXPECT_EQ(a.nnz_processed, b.nnz_processed);
+  EXPECT_EQ(a.model_updates, b.model_updates);
+}
+
+DenseVector StartWeights(size_t dim) {
+  DenseVector w(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    w[i] = 0.01 * static_cast<double>(i % 13) - 0.05;
+  }
+  return w;
+}
+
+TEST(CsrKernelTest, BatchGradientValueFreeMatchesStoredOnes) {
+  const Dataset data = TestData(false);
+  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  ASSERT_TRUE(value_free.value_free);
+  const CsrBlock stored = WithStoredOnes(value_free);
+  auto loss = MakeLoss(LossKind::kLogistic);
+  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  Rng rng(3);
+  const std::vector<size_t> batch = SampleBatch(data.size(), 40, &rng);
+  const DenseVector w = StartWeights(data.num_features());
+
+  for (const ComputePrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    auto objective = MakeBinaryObjective(loss.get(), none.get(), true,
+                                         precision);
+    DenseVector g_a(w.dim()), g_b(w.dim());
+    ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
+                    objective->BatchGradient(stored, batch, w, &g_b));
+    ExpectSameVector(g_a, g_b);
+
+    // The fused full-partition pass, with its loss sum.
+    double loss_a = 0.0, loss_b = 0.0;
+    ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
+                    objective->LossGradient(stored, w, &g_b, &loss_b));
+    EXPECT_EQ(loss_a, loss_b);
+    ExpectSameVector(g_a, g_b);
   }
 }
 
@@ -143,9 +173,9 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
+    const CsrBlock block = CsrBlock::FromPoints(data.points());
     auto loss = MakeLoss(LossKind::kHinge);
+    auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
 
     DenseVector w(data.num_features());
     for (size_t i = 0; i < w.dim(); ++i) {
@@ -156,7 +186,7 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
     DenseVector g_ref(w.dim());
     double loss_ref = 0.0;
     uint64_t work_ref = 0;
-    for (const DataPoint& p : points) {
+    for (const DataPoint& p : data.points()) {
       const double margin = w.Dot(p.features);
       const double dl = loss->Derivative(margin, p.label);
       loss_ref += loss->Value(margin, p.label);
@@ -167,42 +197,40 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
       }
     }
 
-    for (const auto& run : {0, 1}) {
-      DenseVector g(w.dim());
-      double loss_sum = 0.0;
-      const ComputeStats stats =
-          run == 0 ? AccumulateLossGradient(points, *loss, w, &g, &loss_sum)
-                   : AccumulateLossGradient(block, *loss, w, &g, &loss_sum);
-      EXPECT_EQ(stats.nnz_processed, work_ref);
-      EXPECT_EQ(loss_sum, loss_ref);
-      ExpectSameVector(g, g_ref);
-    }
+    DenseVector g(w.dim());
+    double loss_sum = 0.0;
+    const ComputeStats stats =
+        MakeBinaryObjective(loss.get(), none.get(), true)
+            ->LossGradient(block, w, &g, &loss_sum);
+    EXPECT_EQ(stats.nnz_processed, work_ref);
+    EXPECT_EQ(loss_sum, loss_ref);
+    ExpectSameVector(g, g_ref);
   }
 }
 
-TEST(CsrKernelTest, SgdEpochMatchesDataPointKernel) {
-  for (const bool gaussian : kValueKinds) {
-    SCOPED_TRACE(KindName(gaussian));
-    const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
-    auto loss = MakeLoss(LossKind::kLogistic);
+TEST(CsrKernelTest, SgdEpochValueFreeMatchesStoredOnes) {
+  const Dataset data = TestData(false);
+  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock stored = WithStoredOnes(value_free);
+  auto loss = MakeLoss(LossKind::kLogistic);
+  const size_t dim = data.num_features();
 
+  for (const ComputePrecision precision : kPrecisions) {
     for (const RegularizerKind kind :
          {RegularizerKind::kNone, RegularizerKind::kL2}) {
       for (const bool lazy : {false, true}) {
+        SCOPED_TRACE(PrecisionName(precision) + " reg " +
+                     std::to_string(static_cast<int>(kind)) + " lazy " +
+                     std::to_string(lazy));
         auto reg = MakeRegularizer(kind, 0.01);
+        auto objective =
+            MakeBinaryObjective(loss.get(), reg.get(), lazy, precision);
         Rng rng_a(11), rng_b(11);
-        DenseVector w_a(data.num_features());
-        DenseVector w_b(data.num_features());
-        const ComputeStats a =
-            LocalSgdEpoch(points, *loss, *reg, 0.2, lazy, &rng_a, &w_a);
-        const ComputeStats b =
-            LocalSgdEpoch(block, *loss, *reg, 0.2, lazy, &rng_b, &w_b);
-        EXPECT_EQ(a.nnz_processed, b.nnz_processed);
-        EXPECT_EQ(a.model_updates, b.model_updates);
+        DenseVector w_a(dim), w_b(dim);
+        ExpectSameStats(objective->SgdEpoch(value_free, 0.2, &rng_a, &w_a),
+                        objective->SgdEpoch(stored, 0.2, &rng_b, &w_b));
         ExpectSameVector(w_a, w_b);
-        EXPECT_EQ(rng_a.NextUint64(1u << 30), rng_b.NextUint64(1u << 30))
+        EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
             << "RNG consumption diverged";
       }
     }
@@ -211,80 +239,138 @@ TEST(CsrKernelTest, SgdEpochMatchesDataPointKernel) {
 
 TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
   for (const bool gaussian : kValueKinds) {
-    SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
+    const CsrBlock block = CsrBlock::FromPoints(data.points());
     auto loss = MakeLoss(LossKind::kLogistic);
     auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
 
-    Rng rng_a(23), rng_b(23);
-    const std::vector<size_t> batch_a = SampleBatch(points.size(), 50, &rng_a);
-    const std::vector<size_t> batch_b = SampleBatch(points.size(), 50, &rng_b);
-    ASSERT_EQ(batch_a, batch_b);
+    for (const ComputePrecision precision : kPrecisions) {
+      SCOPED_TRACE(KindName(gaussian) + " " + PrecisionName(precision));
+      auto objective =
+          MakeBinaryObjective(loss.get(), reg.get(), true, precision);
+      Rng rng_a(23), rng_b(23);
+      const std::vector<size_t> rows = SampleBatch(block.rows(), 50, &rng_a);
+      ASSERT_EQ(SampleBatch(block.rows(), 50, &rng_b), rows);
 
-    std::vector<DataPoint> copied;
-    copied.reserve(batch_a.size());
-    for (size_t idx : batch_a) copied.push_back(points[idx]);
+      std::vector<DataPoint> copied;
+      copied.reserve(rows.size());
+      for (size_t idx : rows) copied.push_back(data.point(idx));
+      const CsrBlock copied_block = CsrBlock::FromPoints(copied);
 
-    DenseVector w_a(data.num_features());
-    DenseVector w_b(data.num_features());
-    const ComputeStats a =
-        LocalSgdEpoch(copied, *loss, *reg, 0.3, true, &rng_a, &w_a);
-    const ComputeStats b =
-        LocalSgdEpoch(block, batch_b, *loss, *reg, 0.3, true, &rng_b, &w_b);
-    EXPECT_EQ(a.nnz_processed, b.nnz_processed);
-    EXPECT_EQ(a.model_updates, b.model_updates);
-    ExpectSameVector(w_a, w_b);
+      DenseVector w_a(data.num_features());
+      DenseVector w_b(data.num_features());
+      ExpectSameStats(objective->SgdEpoch(block, rows, 0.3, &rng_a, &w_a),
+                      objective->SgdEpoch(copied_block, 0.3, &rng_b, &w_b));
+      ExpectSameVector(w_a, w_b);
+      EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+          << "RNG consumption diverged";
+    }
   }
 }
 
-TEST(CsrKernelTest, OptimizerEpochMatchesDataPointKernel) {
-  for (const bool gaussian : kValueKinds) {
-    SCOPED_TRACE(KindName(gaussian));
-    const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
-    auto loss = MakeLoss(LossKind::kLogistic);
-    auto reg = MakeRegularizer(RegularizerKind::kL2, 0.01);
+TEST(CsrKernelTest, OptimizerEpochValueFreeMatchesStoredOnes) {
+  const Dataset data = TestData(false);
+  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock stored = WithStoredOnes(value_free);
+  const size_t dim = data.num_features();
+  auto loss = MakeLoss(LossKind::kLogistic);
+  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.01);
+  LocalOptimizerConfig opt_config;
+  opt_config.kind = LocalOptimizerKind::kAdam;
 
-    LocalOptimizerConfig opt_config;
-    opt_config.kind = LocalOptimizerKind::kAdam;
-    auto opt_a = MakeLocalOptimizer(opt_config, data.num_features());
-    auto opt_b = MakeLocalOptimizer(opt_config, data.num_features());
-
+  for (const ComputePrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    auto objective =
+        MakeBinaryObjective(loss.get(), reg.get(), true, precision);
+    auto opt_a = MakeLocalOptimizer(opt_config, dim);
+    auto opt_b = MakeLocalOptimizer(opt_config, dim);
     Rng rng_a(7), rng_b(7);
-    DenseVector w_a(data.num_features());
-    DenseVector w_b(data.num_features());
-    const ComputeStats a = LocalOptimizerEpoch(points, *loss, *reg, 0.1,
-                                               opt_a.get(), &rng_a, &w_a);
-    const ComputeStats b = LocalOptimizerEpoch(block, *loss, *reg, 0.1,
-                                               opt_b.get(), &rng_b, &w_b);
-    EXPECT_EQ(a.nnz_processed, b.nnz_processed);
-    EXPECT_EQ(a.model_updates, b.model_updates);
+    DenseVector w_a(dim), w_b(dim);
+    ExpectSameStats(
+        objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
+        objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
     ExpectSameVector(w_a, w_b);
+    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+        << "RNG consumption diverged";
   }
 }
 
-TEST(CsrKernelTest, MiniBatchGdMatchesDataPointKernel) {
-  for (const bool gaussian : kValueKinds) {
-    SCOPED_TRACE(KindName(gaussian));
-    const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint> points = Points(data);
-    const CsrBlock block = CsrBlock::FromPoints(points);
-    auto loss = MakeLoss(LossKind::kLogistic);
-    auto reg = MakeRegularizer(RegularizerKind::kL2, 0.05);
+TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
+  const Dataset data = TestData(false);
+  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock stored = WithStoredOnes(value_free);
+  const size_t dim = data.num_features();
+  auto loss = MakeLoss(LossKind::kLogistic);
+  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.05);
 
+  for (const ComputePrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    auto objective =
+        MakeBinaryObjective(loss.get(), reg.get(), true, precision);
     Rng rng_a(29), rng_b(29);
-    DenseVector w_a(data.num_features());
-    DenseVector w_b(data.num_features());
-    const ComputeStats a = LocalMiniBatchGd(points, *loss, *reg, 0.1, 30, 5,
-                                            &rng_a, &w_a);
-    const ComputeStats b =
-        LocalMiniBatchGd(block, *loss, *reg, 0.1, 30, 5, &rng_b, &w_b);
-    EXPECT_EQ(a.nnz_processed, b.nnz_processed);
-    EXPECT_EQ(a.model_updates, b.model_updates);
+    DenseVector w_a(dim), w_b(dim);
+    ExpectSameStats(
+        objective->MiniBatchGd(value_free, 0.1, 30, 5, &rng_a, &w_a),
+        objective->MiniBatchGd(stored, 0.1, 30, 5, &rng_b, &w_b));
     ExpectSameVector(w_a, w_b);
+    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+        << "RNG consumption diverged";
+  }
+}
+
+TEST(CsrKernelTest, SoftmaxValueFreeMatchesStoredOnes) {
+  const size_t num_classes = 3;
+  MulticlassSpec spec;
+  spec.base.name = "csr_softmax";
+  spec.base.num_instances = 60;
+  spec.base.num_features = 15;
+  spec.base.avg_nnz = 6;
+  spec.base.seed = 77;
+  spec.num_classes = num_classes;
+  const CsrBlock value_free =
+      CsrBlock::FromPoints(GenerateMulticlass(spec).points());
+  ASSERT_TRUE(value_free.value_free);
+  const CsrBlock stored = WithStoredOnes(value_free);
+  const size_t dim = num_classes * spec.base.num_features;
+  Rng rng(11);
+  DenseVector w(dim);
+  for (size_t i = 0; i < dim; ++i) w[i] = 0.2 * rng.NextGaussian();
+  std::vector<size_t> batch;
+  for (size_t i = 0; i < value_free.rows(); i += 2) batch.push_back(i);
+  auto reg = MakeRegularizer(RegularizerKind::kL2, 1e-3);
+  LocalOptimizerConfig opt_config;
+  opt_config.kind = LocalOptimizerKind::kAdagrad;
+
+  for (const ComputePrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    auto objective =
+        MakeSoftmaxObjective(num_classes, reg.get(), true, precision);
+    DenseVector g_a(dim), g_b(dim);
+    ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
+                    objective->BatchGradient(stored, batch, w, &g_b));
+    ExpectSameVector(g_a, g_b);
+
+    double loss_a = 0.0, loss_b = 0.0;
+    ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
+                    objective->LossGradient(stored, w, &g_b, &loss_b));
+    EXPECT_EQ(loss_a, loss_b);
+    ExpectSameVector(g_a, g_b);
+
+    Rng rng_a(9), rng_b(9);
+    DenseVector w_a = w, w_b = w;
+    ExpectSameStats(objective->SgdEpoch(value_free, 0.1, &rng_a, &w_a),
+                    objective->SgdEpoch(stored, 0.1, &rng_b, &w_b));
+    auto opt_a = MakeLocalOptimizer(opt_config, dim);
+    auto opt_b = MakeLocalOptimizer(opt_config, dim);
+    ExpectSameStats(
+        objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
+        objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
+    ExpectSameStats(
+        objective->MiniBatchGd(value_free, 0.1, 8, 3, &rng_a, &w_a),
+        objective->MiniBatchGd(stored, 0.1, 8, 3, &rng_b, &w_b));
+    ExpectSameVector(w_a, w_b);
+    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+        << "RNG consumption diverged";
   }
 }
 
@@ -298,7 +384,8 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 TEST(CsrBlockTest, ValueFreeBlockStoresNoValues) {
-  const std::vector<DataPoint> points = Points(TestData(false));
+  const Dataset data = TestData(false);
+  const std::vector<DataPoint>& points = data.points();
   const CsrBlock block = CsrBlock::FromPoints(points);
   ASSERT_TRUE(block.value_free);
   EXPECT_TRUE(block.values.empty());
@@ -322,7 +409,7 @@ TEST(CsrBlockTest, OneValueOtherThanOneKeepsTheArrays) {
                             std::numeric_limits<double>::quiet_NaN()};
   for (const double bad : kNotOne) {
     SCOPED_TRACE(bad);
-    std::vector<DataPoint> points = Points(data);
+    std::vector<DataPoint> points = data.points();
     DataPoint& target = points[points.size() / 2];
     ASSERT_GT(target.nnz(), 0u);
     target.features.values.back() = bad;

@@ -6,8 +6,10 @@
 #include <cstring>
 #include <set>
 
+#include "core/csr_block.h"
 #include "core/model.h"
 #include "data/synthetic.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -28,6 +30,15 @@ std::vector<DataPoint> SeparableProblem() {
       MakePoint(-1.0, {1}, {1.0}),         MakePoint(-1.0, {0, 1}, {0.5, 2.0}),
       MakePoint(1.0, {0, 1}, {1.5, 0.2}),  MakePoint(-1.0, {0, 1}, {0.2, 1.5}),
   };
+}
+
+// The binary objective over `loss` and `reg`: the one entry into the
+// GD kernels.
+std::unique_ptr<GlmObjective> Binary(const Loss& loss, const Regularizer& reg,
+                                     bool lazy_regularization = true,
+                                     ComputePrecision precision =
+                                         ComputePrecision::kF64) {
+  return MakeBinaryObjective(&loss, &reg, lazy_regularization, precision);
 }
 
 TEST(SampleBatchTest, FullBatchWhenOversized) {
@@ -58,12 +69,13 @@ TEST(SampleBatchTest, NoDuplicatesLargeBatch) {
 
 TEST(BatchGradientTest, MatchesHandComputedLogistic) {
   auto loss = MakeLoss(LossKind::kLogistic);
-  const auto points = SeparableProblem();
+  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(2);
   DenseVector grad(2);
   std::vector<size_t> batch = {0, 2};
   const ComputeStats stats =
-      AccumulateBatchGradient(points, batch, *loss, w, &grad);
+      Binary(*loss, *reg)->BatchGradient(block, batch, w, &grad);
   // At w=0, derivative = -y * 0.5; gradient = sum of d * x.
   EXPECT_NEAR(grad[0], -0.5 * 1.0, 1e-12);
   EXPECT_NEAR(grad[1], 0.5 * 1.0, 1e-12);
@@ -72,11 +84,12 @@ TEST(BatchGradientTest, MatchesHandComputedLogistic) {
 
 TEST(BatchGradientTest, HingeSkipsCorrectWideMargins) {
   auto loss = MakeLoss(LossKind::kHinge);
-  const auto points = SeparableProblem();
+  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(std::vector<double>{10.0, -10.0});  // classifies everything
   DenseVector grad(2);
   std::vector<size_t> batch = {0, 1, 2, 3, 4, 5};
-  AccumulateBatchGradient(points, batch, *loss, w, &grad);
+  Binary(*loss, *reg)->BatchGradient(block, batch, w, &grad);
   EXPECT_DOUBLE_EQ(grad[0], 0.0);
   EXPECT_DOUBLE_EQ(grad[1], 0.0);
 }
@@ -92,9 +105,9 @@ TEST(ScaledVectorTest, ShrinkIsMultiplicative) {
 TEST(ScaledVectorTest, AddAfterShrinkIsExact) {
   ScaledVector v(DenseVector(std::vector<double>{1.0, 1.0}));
   v.Shrink(0.25);
-  SparseVector x;
-  x.Push(0, 2.0);
-  v.AddScaled(x, 1.0);
+  const FeatureIndex index = 0;
+  const double value = 2.0;
+  v.AddScaled(&index, &value, 1, 1.0);
   const DenseVector dense = v.ToDense();
   EXPECT_DOUBLE_EQ(dense[0], 0.25 + 2.0);
   EXPECT_DOUBLE_EQ(dense[1], 0.25);
@@ -103,9 +116,9 @@ TEST(ScaledVectorTest, AddAfterShrinkIsExact) {
 TEST(ScaledVectorTest, SurvivesScaleUnderflowByMaterializing) {
   ScaledVector v(DenseVector(std::vector<double>{1.0}));
   for (int i = 0; i < 5000; ++i) v.Shrink(0.99);
-  SparseVector x;
-  x.Push(0, 1.0);
-  v.AddScaled(x, 1.0);
+  const FeatureIndex index = 0;
+  const float value = 1.0f;  // the f32 overload the mixed-precision SGD uses
+  v.AddScaled(&index, &value, 1, 1.0);
   const DenseVector dense = v.ToDense();
   EXPECT_TRUE(std::isfinite(dense[0]));
   EXPECT_NEAR(dense[0], 1.0, 1e-6);  // the shrunk part is ~1e-22
@@ -114,22 +127,25 @@ TEST(ScaledVectorTest, SurvivesScaleUnderflowByMaterializing) {
 TEST(ScaledVectorTest, DotMatchesDense) {
   ScaledVector v(DenseVector(std::vector<double>{3.0, -2.0}));
   v.Shrink(0.5);
-  SparseVector x;
-  x.Push(0, 1.0);
-  x.Push(1, 1.0);
-  EXPECT_DOUBLE_EQ(v.Dot(x), 0.5);
+  const FeatureIndex indices[] = {0, 1};
+  const double values[] = {1.0, 1.0};
+  const float values_f32[] = {1.0f, 1.0f};
+  EXPECT_DOUBLE_EQ(v.Dot(indices, values, 2), 0.5);
+  EXPECT_DOUBLE_EQ(v.Dot(indices, values_f32, 2), 0.5);
 }
 
 TEST(LocalSgdEpochTest, ReducesLossOnSeparableData) {
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const auto points = SeparableProblem();
+  const CsrBlock block = CsrBlock::FromPoints(points);
+  const auto objective = Binary(*loss, *reg);
   DenseVector w(2);
   Rng rng(5);
   const double before = MeanLoss(points, *loss, w);
   ComputeStats stats;
   for (int epoch = 0; epoch < 20; ++epoch) {
-    stats += LocalSgdEpoch(points, *loss, *reg, 0.5, true, &rng, &w);
+    stats += objective->SgdEpoch(block, 0.5, &rng, &w);
   }
   const double after = MeanLoss(points, *loss, w);
   EXPECT_LT(after, before * 0.5);
@@ -140,15 +156,17 @@ TEST(LocalSgdEpochTest, ReducesLossOnSeparableData) {
 TEST(LocalSgdEpochTest, LazyAndEagerL2AgreeNumerically) {
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kL2, 0.1);
-  const auto points = SeparableProblem();
+  const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
+  const auto lazy = Binary(*loss, *reg, true);
+  const auto eager = Binary(*loss, *reg, false);
 
   DenseVector w_lazy(2);
   DenseVector w_eager(2);
   Rng rng_lazy(7);
   Rng rng_eager(7);  // same shuffle order
   for (int epoch = 0; epoch < 5; ++epoch) {
-    LocalSgdEpoch(points, *loss, *reg, 0.1, true, &rng_lazy, &w_lazy);
-    LocalSgdEpoch(points, *loss, *reg, 0.1, false, &rng_eager, &w_eager);
+    lazy->SgdEpoch(block, 0.1, &rng_lazy, &w_lazy);
+    eager->SgdEpoch(block, 0.1, &rng_eager, &w_eager);
   }
   EXPECT_NEAR(w_lazy[0], w_eager[0], 1e-9);
   EXPECT_NEAR(w_lazy[1], w_eager[1], 1e-9);
@@ -163,26 +181,27 @@ TEST(LocalSgdEpochTest, LazyL2ChargesLessWorkThanEager) {
     points.push_back(MakePoint(i % 2 == 0 ? 1.0 : -1.0,
                                {static_cast<FeatureIndex>(i)}, {1.0}));
   }
+  const CsrBlock block = CsrBlock::FromPoints(points);
   const size_t dim = 10000;
   DenseVector w1(dim);
   DenseVector w2(dim);
   Rng r1(9);
   Rng r2(9);
-  const ComputeStats lazy = LocalSgdEpoch(points, *loss, *reg, 0.1, true,
-                                          &r1, &w1);
-  const ComputeStats eager = LocalSgdEpoch(points, *loss, *reg, 0.1, false,
-                                           &r2, &w2);
+  const ComputeStats lazy =
+      Binary(*loss, *reg, true)->SgdEpoch(block, 0.1, &r1, &w1);
+  const ComputeStats eager =
+      Binary(*loss, *reg, false)->SgdEpoch(block, 0.1, &r2, &w2);
   EXPECT_LT(lazy.nnz_processed * 100, eager.nnz_processed);
 }
 
 TEST(LocalSgdEpochTest, EmptyDataIsNoOp) {
   auto loss = MakeLoss(LossKind::kHinge);
   auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  std::vector<DataPoint> points;
+  const CsrBlock block = CsrBlock::FromPoints({});
   DenseVector w(3);
   Rng rng(1);
   const ComputeStats stats =
-      LocalSgdEpoch(points, *loss, *reg, 0.1, true, &rng, &w);
+      Binary(*loss, *reg)->SgdEpoch(block, 0.1, &rng, &w);
   EXPECT_EQ(stats.model_updates, 0u);
   EXPECT_EQ(stats.nnz_processed, 0u);
 }
@@ -190,11 +209,11 @@ TEST(LocalSgdEpochTest, EmptyDataIsNoOp) {
 TEST(LocalMiniBatchGdTest, OneBatchOneUpdate) {
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto points = SeparableProblem();
+  const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(2);
   Rng rng(11);
-  const ComputeStats stats = LocalMiniBatchGd(points, *loss, *reg, 0.1,
-                                              points.size(), 1, &rng, &w);
+  const ComputeStats stats = Binary(*loss, *reg)->MiniBatchGd(
+      block, 0.1, block.rows(), 1, &rng, &w);
   EXPECT_EQ(stats.model_updates, 1u);
 }
 
@@ -202,23 +221,21 @@ TEST(LocalMiniBatchGdTest, ConvergesOnSeparableData) {
   auto loss = MakeLoss(LossKind::kHinge);
   auto reg = MakeRegularizer(RegularizerKind::kL2, 0.01);
   const auto points = SeparableProblem();
+  const CsrBlock block = CsrBlock::FromPoints(points);
   DenseVector w(2);
   Rng rng(13);
-  LocalMiniBatchGd(points, *loss, *reg, 0.2, 3, 200, &rng, &w);
+  Binary(*loss, *reg)->MiniBatchGd(block, 0.2, 3, 200, &rng, &w);
   EXPECT_GT(Accuracy(points, w), 0.99);
 }
 
 // ------------------------------------- MiniBatchGd vs the dense reference
-// LocalMiniBatchGd flushes its batch gradient through a TouchedBuffer.
-// The reference below is the dense loop it replaced, kept verbatim
-// apart from calling the public kernels: zero the whole gradient,
+// MiniBatchGd flushes its batch gradient through a TouchedBuffer. The
+// reference below is the dense loop it replaced, kept verbatim apart
+// from calling the objective's batch gradient: zero the whole gradient,
 // accumulate, apply the regularizer, add the whole gradient. Both must
 // produce the same weight bits and the same work accounting.
-
-// `softmax_classes` == 0 selects the binary kernels.
 ComputeStats DenseReferenceMiniBatchGd(const CsrBlock& block,
-                                       size_t softmax_classes, bool f32,
-                                       const Loss& loss,
+                                       const GlmObjective& objective,
                                        const Regularizer& reg, double lr,
                                        size_t batch_size,
                                        size_t num_batches, Rng* rng,
@@ -231,20 +248,8 @@ ComputeStats DenseReferenceMiniBatchGd(const CsrBlock& block,
     const std::vector<size_t> batch =
         SampleBatch(block.rows(), batch_size, rng);
     gradient.SetZero();
-    ComputeStats batch_stats;
-    if (softmax_classes == 0) {
-      batch_stats =
-          f32 ? AccumulateBatchGradientF32(block, batch, loss, *w, &gradient)
-              : AccumulateBatchGradient(block, batch, loss, *w, &gradient);
-    } else {
-      const size_t features = w->dim() / softmax_classes;
-      batch_stats = f32 ? AccumulateBatchGradientSoftmaxF32(
-                              block, batch, softmax_classes, features, *w,
-                              &gradient)
-                        : AccumulateBatchGradientSoftmax(
-                              block, batch, softmax_classes, features, *w,
-                              &gradient);
-    }
+    const ComputeStats batch_stats =
+        objective.BatchGradient(block, batch, *w, &gradient);
     stats += batch_stats;
     const double inv_batch = 1.0 / static_cast<double>(batch.size());
     if (reg.kind() != RegularizerKind::kNone) {
@@ -312,27 +317,20 @@ TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
           const CsrBlock& block = classes == 0 ? binary : multi;
           const size_t dim = classes == 0 ? features : classes * features;
           auto reg = MakeRegularizer(kind, 0.01);
+          const ComputePrecision precision =
+              f32 ? ComputePrecision::kF32 : ComputePrecision::kF64;
+          const auto objective =
+              classes == 0
+                  ? Binary(*loss, *reg, true, precision)
+                  : MakeSoftmaxObjective(classes, reg.get(), true, precision);
           DenseVector w = StartWeights(dim);
           DenseVector ref_w = w;
           Rng rng(17);
           Rng ref_rng(17);
-          ComputeStats stats;
-          if (classes == 0) {
-            stats = f32 ? LocalMiniBatchGdF32(block, *loss, *reg, 0.3,
-                                              batch_size, 6, &rng, &w)
-                        : LocalMiniBatchGd(block, *loss, *reg, 0.3,
-                                           batch_size, 6, &rng, &w);
-          } else {
-            stats = f32 ? LocalMiniBatchGdSoftmaxF32(block, classes,
-                                                     features, *reg, 0.3,
-                                                     batch_size, 6, &rng, &w)
-                        : LocalMiniBatchGdSoftmax(block, classes, features,
-                                                  *reg, 0.3, batch_size, 6,
-                                                  &rng, &w);
-          }
+          const ComputeStats stats =
+              objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
           const ComputeStats ref = DenseReferenceMiniBatchGd(
-              block, classes, f32, *loss, *reg, 0.3, batch_size, 6,
-              &ref_rng, &ref_w);
+              block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
           EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
           EXPECT_EQ(stats.model_updates, ref.model_updates);
           EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/gd.h"
+#include "core/csr_block.h"
 #include "core/model.h"
 #include "data/synthetic.h"
 #include "train/trainer.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -145,11 +146,12 @@ TEST_P(OptimizerEpochTest, ConvergesOnSeparableData) {
   LocalOptimizerConfig config;
   config.kind = GetParam();
   auto opt = MakeLocalOptimizer(config, data.num_features());
+  const CsrBlock block = CsrBlock::FromPoints(data.points());
+  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
   DenseVector w(data.num_features());
   Rng rng(5);
   for (int epoch = 0; epoch < 15; ++epoch) {
-    LocalOptimizerEpoch(data.points(), *loss, *reg, 0.1, opt.get(), &rng,
-                        &w);
+    objective->OptimizerEpoch(block, 0.1, opt.get(), &rng, &w);
   }
   EXPECT_GT(Accuracy(data.points(), w), 0.85)
       << MakeLocalOptimizer(config, 1)->name();
@@ -182,8 +184,10 @@ TEST(OptimizerEpochTest, SgdRuleMatchesPlainSgdEpochWithoutReg) {
   Rng r1(9);
   Rng r2(9);
   auto opt = MakeLocalOptimizer({}, data.num_features());
-  LocalSgdEpoch(data.points(), *loss, *reg, 0.2, true, &r1, &w1);
-  LocalOptimizerEpoch(data.points(), *loss, *reg, 0.2, opt.get(), &r2, &w2);
+  const CsrBlock block = CsrBlock::FromPoints(data.points());
+  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  objective->SgdEpoch(block, 0.2, &r1, &w1);
+  objective->OptimizerEpoch(block, 0.2, opt.get(), &r2, &w2);
   for (size_t i = 0; i < w1.dim(); ++i) {
     EXPECT_DOUBLE_EQ(w1[i], w2[i]);
   }

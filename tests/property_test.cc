@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/convergence.h"
+#include "core/csr_block.h"
 #include "core/gd.h"
 #include "core/lr_schedule.h"
 #include "core/metrics.h"
@@ -13,6 +14,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "train/trainer.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -91,12 +93,14 @@ TEST(PropertyTest, SgdEpochNeverTouchesUnseenCoordinates) {
   Rng rng(107);
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
   for (int trial = 0; trial < 10; ++trial) {
     const size_t dim = 50;
-    auto points = RandomPoints(30, 25, &rng);  // support only [0, 25)
+    // Support only [0, 25).
+    const CsrBlock block = CsrBlock::FromPoints(RandomPoints(30, 25, &rng));
     DenseVector w(dim);
     Rng epoch_rng(trial);
-    LocalSgdEpoch(points, *loss, *reg, 0.3, true, &epoch_rng, &w);
+    objective->SgdEpoch(block, 0.3, &epoch_rng, &w);
     for (size_t j = 25; j < dim; ++j) {
       EXPECT_EQ(w[j], 0.0) << "j=" << j;
     }

@@ -18,12 +18,12 @@
 
 #include "common/random.h"
 #include "core/csr_block.h"
-#include "core/gd.h"
 #include "core/loss.h"
 #include "core/simd/kernels.h"
 #include "core/vector.h"
 #include "data/synthetic.h"
 #include "train/trainer.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -314,6 +314,8 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
   auto loss = MakeLoss(LossKind::kLogistic);
+  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
   DenseVector w(spec.num_features);
   Rng rng(7);
   for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.5, 0.5);
@@ -321,13 +323,13 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   simd::SetSimdLevel(simd::SimdLevel::kScalar);
   DenseVector ref_grad(w.dim());
   double ref_loss = 0.0;
-  AccumulateLossGradient(block, *loss, w, &ref_grad, &ref_loss);
+  objective->LossGradient(block, w, &ref_grad, &ref_loss);
 
   for (simd::SimdLevel level : AvailableLevels()) {
     simd::SetSimdLevel(level);
     DenseVector grad(w.dim());
     double loss_sum = 0.0;
-    AccumulateLossGradient(block, *loss, w, &grad, &loss_sum);
+    objective->LossGradient(block, w, &grad, &loss_sum);
     EXPECT_EQ(loss_sum, ref_loss) << simd::SimdLevelName(level);
     for (size_t i = 0; i < w.dim(); ++i) {
       ASSERT_EQ(grad[i], ref_grad[i])
@@ -348,6 +350,10 @@ TEST(FusedKernelTest, F32FusedPassWithinBudget) {
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
   auto loss = MakeLoss(LossKind::kLogistic);
+  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto f64 = MakeBinaryObjective(loss.get(), none.get(), true);
+  const auto f32 = MakeBinaryObjective(loss.get(), none.get(), true,
+                                       ComputePrecision::kF32);
   DenseVector w(spec.num_features);
   Rng rng(8);
   for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.5, 0.5);
@@ -355,7 +361,7 @@ TEST(FusedKernelTest, F32FusedPassWithinBudget) {
   simd::SetSimdLevel(simd::SimdLevel::kScalar);
   DenseVector ref_grad(w.dim());
   double ref_loss = 0.0;
-  AccumulateLossGradient(block, *loss, w, &ref_grad, &ref_loss);
+  f64->LossGradient(block, w, &ref_grad, &ref_loss);
 
   // DESIGN §13 budget: 1e-4 relative on the fused loss and gradient
   // norm; with f64 accumulation the observed drift is far smaller.
@@ -364,7 +370,7 @@ TEST(FusedKernelTest, F32FusedPassWithinBudget) {
     simd::SetSimdLevel(level);
     DenseVector grad(w.dim());
     double loss_sum = 0.0;
-    AccumulateLossGradientF32(block, *loss, w, &grad, &loss_sum);
+    f32->LossGradient(block, w, &grad, &loss_sum);
     EXPECT_NEAR(loss_sum, ref_loss,
                 kBudget * std::max(1.0, std::fabs(ref_loss)))
         << simd::SimdLevelName(level);
@@ -387,6 +393,10 @@ TEST(FusedKernelTest, SoftmaxF32FusedPassWithinBudget) {
   spec.num_classes = num_classes;
   const Dataset data = GenerateMulticlass(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
+  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto f64 = MakeSoftmaxObjective(num_classes, none.get(), true);
+  const auto f32 = MakeSoftmaxObjective(num_classes, none.get(), true,
+                                        ComputePrecision::kF32);
   DenseVector w(num_classes * spec.base.num_features);
   Rng rng(12);
   for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.3, 0.3);
@@ -394,16 +404,14 @@ TEST(FusedKernelTest, SoftmaxF32FusedPassWithinBudget) {
   simd::SetSimdLevel(simd::SimdLevel::kScalar);
   DenseVector ref_grad(w.dim());
   double ref_loss = 0.0;
-  AccumulateLossGradientSoftmax(block, num_classes, spec.base.num_features, w,
-                                &ref_grad, &ref_loss);
+  f64->LossGradient(block, w, &ref_grad, &ref_loss);
 
   constexpr double kBudget = 1e-4;
   for (simd::SimdLevel level : AvailableLevels()) {
     simd::SetSimdLevel(level);
     DenseVector grad(w.dim());
     double loss_sum = 0.0;
-    AccumulateLossGradientSoftmaxF32(block, num_classes, spec.base.num_features,
-                                     w, &grad, &loss_sum);
+    f32->LossGradient(block, w, &grad, &loss_sum);
     EXPECT_NEAR(loss_sum, ref_loss,
                 kBudget * std::max(1.0, std::fabs(ref_loss)))
         << simd::SimdLevelName(level);

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/fnv1a.h"
-#include "core/gd.h"
+#include "core/csr_block.h"
 #include "core/model.h"
+#include "workloads/objective.h"
 
 namespace mllibstar {
 namespace {
@@ -99,10 +100,12 @@ TEST(SyntheticTest, IsLearnable) {
   const Dataset ds = GenerateSynthetic(spec);
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  const CsrBlock block = CsrBlock::FromPoints(ds.points());
   DenseVector w(ds.num_features());
   Rng rng(3);
   for (int epoch = 0; epoch < 5; ++epoch) {
-    LocalSgdEpoch(ds.points(), *loss, *reg, 0.5, true, &rng, &w);
+    objective->SgdEpoch(block, 0.5, &rng, &w);
   }
   EXPECT_GT(Accuracy(ds.points(), w), 0.8);
 }

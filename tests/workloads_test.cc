@@ -1,9 +1,9 @@
 // The multiclass/maxent workload and the warm-started elastic-net
-// regularization path. The invariants mirror the binary suite's:
-// kernels agree across layouts bit-for-bit, every simulated result is
-// independent of host_threads (EXPECT_EQ on doubles, with lossy codecs
-// and fault injection on), and a checkpoint-resumed path reproduces
-// the uninterrupted one's solutions exactly.
+// regularization path. The invariants mirror the binary suite's: every
+// simulated result is independent of host_threads (EXPECT_EQ on
+// doubles, with lossy codecs and fault injection on), and a
+// checkpoint-resumed path reproduces the uninterrupted one's solutions
+// exactly.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gd.h"
 #include "core/metrics.h"
 #include "core/model.h"
 #include "data/split.h"
@@ -114,10 +113,12 @@ TEST(SoftmaxKernelTest, GradientMatchesFiniteDifference) {
   DenseVector w(dim);
   for (size_t i = 0; i < dim; ++i) w[i] = 0.3 * rng.NextGaussian();
 
+  const auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
   DenseVector gradient(dim);
   double loss_sum = 0.0;
-  AccumulateLossGradientSoftmax(data.points(), kClasses, d, w, &gradient,
-                                &loss_sum);
+  MakeSoftmaxObjective(kClasses, none.get(), true)
+      ->LossGradient(CsrBlock::FromPoints(data.points()), w, &gradient,
+                     &loss_sum);
   const double n = static_cast<double>(data.size());
   EXPECT_NEAR(loss_sum / n, MeanSoftmaxLoss(data.points(), kClasses, d, w),
               1e-12);
@@ -135,31 +136,6 @@ TEST(SoftmaxKernelTest, GradientMatchesFiniteDifference) {
   }
 }
 
-TEST(SoftmaxKernelTest, CsrMatchesPointsBitForBit) {
-  const Dataset data = MulticlassData(60, 15);
-  const size_t d = data.num_features();
-  const size_t dim = kClasses * d;
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
-  Rng rng(11);
-  DenseVector w(dim);
-  for (size_t i = 0; i < dim; ++i) w[i] = 0.2 * rng.NextGaussian();
-
-  std::vector<size_t> batch;
-  for (size_t i = 0; i < data.size(); i += 2) batch.push_back(i);
-
-  DenseVector ga(dim), gb(dim);
-  AccumulateBatchGradientSoftmax(data.points(), batch, kClasses, d, w, &ga);
-  AccumulateBatchGradientSoftmax(block, batch, kClasses, d, w, &gb);
-  ExpectSameWeights(ga, gb);
-
-  const auto reg = MakeRegularizer(RegularizerKind::kL2, 1e-3);
-  DenseVector wa = w, wb = w;
-  Rng ra(9), rb(9);
-  LocalSgdEpochSoftmax(data.points(), kClasses, d, *reg, 0.1, true, &ra, &wa);
-  LocalSgdEpochSoftmax(block, kClasses, d, *reg, 0.1, true, &rb, &wb);
-  ExpectSameWeights(wa, wb);
-}
-
 TEST(SoftmaxKernelTest, LazyL2MatchesEagerWithinTolerance) {
   // Same math, different FP schedule: the lazy scalar-scale pass must
   // land within rounding error of the eager dense pass.
@@ -169,8 +145,10 @@ TEST(SoftmaxKernelTest, LazyL2MatchesEagerWithinTolerance) {
   const auto reg = MakeRegularizer(RegularizerKind::kL2, 1e-2);
   DenseVector lazy(kClasses * d), eager(kClasses * d);
   Rng ra(4), rb(4);
-  LocalSgdEpochSoftmax(block, kClasses, d, *reg, 0.2, true, &ra, &lazy);
-  LocalSgdEpochSoftmax(block, kClasses, d, *reg, 0.2, false, &rb, &eager);
+  MakeSoftmaxObjective(kClasses, reg.get(), true)
+      ->SgdEpoch(block, 0.2, &ra, &lazy);
+  MakeSoftmaxObjective(kClasses, reg.get(), false)
+      ->SgdEpoch(block, 0.2, &rb, &eager);
   for (size_t i = 0; i < lazy.dim(); ++i) {
     EXPECT_NEAR(lazy[i], eager[i], 1e-9) << "coordinate " << i;
   }
