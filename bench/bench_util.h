@@ -108,47 +108,6 @@ inline void ExportRunArtifacts(const TrainResult& result,
   }
 }
 
-/// Telemetry-only variant of ExportRunArtifacts for harnesses whose
-/// results carry no TrainResult (online_bench's OnlineResult,
-/// path_bench's PathResult): the chrome trace holds the telemetry
-/// spans only (no virtual-time activity rows) and the run report holds
-/// the metrics/series/rounds/profiler sections plus the headline
-/// numbers passed in.
-inline void ExportTelemetryArtifacts(const std::string& system,
-                                     double sim_seconds, uint64_t total_bytes,
-                                     const std::string& stem,
-                                     bool chrome_trace, bool run_report) {
-  const std::string safe = SanitizeStem(stem);
-  Telemetry& obs = Telemetry::Get();
-  if (chrome_trace) {
-    const std::string path = ResultsDir() + "/" + safe + ".trace.json";
-    const TraceLog empty;
-    const Status st =
-        WriteChromeTrace(path, empty, obs.enabled() ? &obs : nullptr);
-    if (st.ok()) {
-      std::printf("  [chrome trace written to %s]\n", path.c_str());
-    } else {
-      std::printf("  [could not write %s: %s]\n", path.c_str(),
-                  st.ToString().c_str());
-    }
-  }
-  if (run_report) {
-    const std::string path = ResultsDir() + "/" + safe + ".report.json";
-    RunInfo info;
-    info.system = system;
-    info.sim_seconds = sim_seconds;
-    info.total_bytes = total_bytes;
-    const Status st =
-        WriteRunReportJson(path, info, obs.enabled() ? &obs : nullptr);
-    if (st.ok()) {
-      std::printf("  [run report written to %s]\n", path.c_str());
-    } else {
-      std::printf("  [could not write %s: %s]\n", path.c_str(),
-                  st.ToString().c_str());
-    }
-  }
-}
-
 /// Prints "label: 12.3x" or "label: n/a (baseline stuck)" speedup rows.
 inline void PrintSpeedup(const char* label, std::optional<double> speedup) {
   if (speedup.has_value()) {

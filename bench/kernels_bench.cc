@@ -1,7 +1,8 @@
 // Kernel-perf trajectory harness for the SIMD-dispatched CSR kernels
 // (DESIGN §13): sweeps kernel × dispatch level × precision × nnz
-// regime with a min-of-repetitions timer and writes the
-// machine-readable results/BENCH_kernels.json.
+// regime with a min-of-repetitions timer, pairing every gated ratio's
+// two sides in one interleaved loop, and writes the machine-readable
+// results/BENCH_kernels.json.
 //
 // Unlike the figure harnesses this one also *gates*: it exits 2 when
 // (a) the best vectorized sparse dot — the margin kernel, where
@@ -32,6 +33,7 @@
 #include "common/random.h"
 #include "core/csr_block.h"
 #include "core/loss.h"
+#include "core/model.h"
 #include "core/regularizer.h"
 #include "core/simd/dispatch.h"
 #include "core/vector.h"
@@ -96,6 +98,43 @@ double MinNs(F&& fn, int reps) {
     fn();
     const double ns = NowNs() - t0;
     if (r == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+// Fastest nanoseconds of each side of a paired timing.
+struct PairedNs {
+  double ref = 0.0;
+  double fn = 0.0;
+};
+
+// Paired min-of-`reps` timer for every ratio a gate reads: after one
+// warm-up of each, times `ref()` and `fn()` back to back inside one
+// loop, alternating which runs first, and keeps each side's fastest
+// pass. Host-speed drift then cancels out of ref / fn, and neither
+// side always runs on the cache state the other leaves.
+template <typename R, typename F>
+PairedNs PairedMinNs(R&& ref, F&& fn, int reps) {
+  auto time = [](auto& pass) {
+    const double t0 = NowNs();
+    pass();
+    return NowNs() - t0;
+  };
+  PairedNs best;
+  ref();  // warm-up
+  fn();
+  for (int r = 0; r < reps; ++r) {
+    double ref_ns = 0.0;
+    double fn_ns = 0.0;
+    if (r % 2 == 0) {
+      ref_ns = time(ref);
+      fn_ns = time(fn);
+    } else {
+      fn_ns = time(fn);
+      ref_ns = time(ref);
+    }
+    if (r == 0 || ref_ns < best.ref) best.ref = ref_ns;
+    if (r == 0 || fn_ns < best.fn) best.fn = fn_ns;
   }
   return best;
 }
@@ -183,66 +222,51 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
          {RawCase{"sparse_dot", "f64"}, RawCase{"sparse_dot", "f32"},
           RawCase{"sparse_axpy", "f64"}, RawCase{"sparse_axpy", "f32"},
           RawCase{"dense_dot", "f64"}, RawCase{"dense_axpy", "f64"}}) {
-      double scalar_ns = 0.0;
+      const bool f32 = std::strcmp(rc.precision, "f32") == 0;
+      // One timed pass of this kernel through dispatch table `k`.
+      auto pass = [&](const simd::KernelDispatch& k) {
+        if (std::strcmp(rc.kernel, "sparse_dot") == 0) {
+          double acc = 0.0;
+          for (int i = 0; i < inner; ++i) {
+            acc += f32 ? k.sparse_dot_f32(w.data(), row.indices.data(),
+                                          row.values_f32.data(), regime.nnz)
+                       : k.sparse_dot_f64(w.data(), row.indices.data(),
+                                          row.values.data(), regime.nnz);
+          }
+          g_sink = acc;
+        } else if (std::strcmp(rc.kernel, "sparse_axpy") == 0) {
+          for (int i = 0; i < inner; ++i) {
+            if (f32) {
+              k.sparse_axpy_f32(w.data(), row.indices.data(),
+                                row.values_f32.data(), regime.nnz, 1e-9);
+            } else {
+              k.sparse_axpy_f64(w.data(), row.indices.data(),
+                                row.values.data(), regime.nnz, 1e-9);
+            }
+          }
+          g_sink = w[0];
+        } else if (std::strcmp(rc.kernel, "dense_dot") == 0) {
+          double acc = 0.0;
+          for (int i = 0; i < 32; ++i) {
+            acc += k.dense_dot(w.data(), w.data(), regime.dim);
+          }
+          g_sink = acc;
+        } else {  // dense_axpy
+          for (int i = 0; i < 32; ++i) {
+            k.dense_axpy(w.data(), w.data(), regime.dim, 1e-9);
+          }
+          g_sink = w[0];
+        }
+      };
+      const simd::KernelDispatch& scalar =
+          simd::KernelsFor(simd::SimdLevel::kScalar);
+      // Every tier, scalar included, is timed paired with the scalar
+      // tier; scalar against itself reads the ratio's noise floor.
       for (simd::SimdLevel level : levels) {
         const simd::KernelDispatch& k = simd::KernelsFor(level);
-        double ns = 0.0;
-        if (std::strcmp(rc.kernel, "sparse_dot") == 0) {
-          const bool f32 = std::strcmp(rc.precision, "f32") == 0;
-          ns = MinNs(
-              [&] {
-                double acc = 0.0;
-                for (int i = 0; i < inner; ++i) {
-                  acc += f32 ? k.sparse_dot_f32(w.data(),
-                                                row.indices.data(),
-                                                row.values_f32.data(),
-                                                regime.nnz)
-                             : k.sparse_dot_f64(w.data(),
-                                                row.indices.data(),
-                                                row.values.data(),
-                                                regime.nnz);
-                }
-                g_sink = acc;
-              },
-              reps);
-        } else if (std::strcmp(rc.kernel, "sparse_axpy") == 0) {
-          const bool f32 = std::strcmp(rc.precision, "f32") == 0;
-          ns = MinNs(
-              [&] {
-                for (int i = 0; i < inner; ++i) {
-                  if (f32) {
-                    k.sparse_axpy_f32(w.data(), row.indices.data(),
-                                      row.values_f32.data(), regime.nnz,
-                                      1e-9);
-                  } else {
-                    k.sparse_axpy_f64(w.data(), row.indices.data(),
-                                      row.values.data(), regime.nnz, 1e-9);
-                  }
-                }
-                g_sink = w[0];
-              },
-              reps);
-        } else if (std::strcmp(rc.kernel, "dense_dot") == 0) {
-          ns = MinNs(
-              [&] {
-                double acc = 0.0;
-                for (int i = 0; i < 32; ++i) {
-                  acc += k.dense_dot(w.data(), w.data(), regime.dim);
-                }
-                g_sink = acc;
-              },
-              reps);
-        } else {  // dense_axpy
-          ns = MinNs(
-              [&] {
-                for (int i = 0; i < 32; ++i) {
-                  k.dense_axpy(w.data(), w.data(), regime.dim, 1e-9);
-                }
-                g_sink = w[0];
-              },
-              reps);
-        }
-        if (level == simd::SimdLevel::kScalar) scalar_ns = ns;
+        const PairedNs t =
+            PairedMinNs([&] { pass(scalar); }, [&] { pass(k); }, reps);
+        const double ns = t.fn;
         Result res;
         res.kernel = rc.kernel;
         res.level = simd::SimdLevelName(level);
@@ -255,7 +279,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
                                  : static_cast<double>(inner) *
                                        static_cast<double>(regime.nnz);
         res.items_per_sec = items / (ns * 1e-9);
-        res.speedup_vs_scalar = scalar_ns / ns;
+        res.speedup_vs_scalar = t.ref / ns;
         if (level != simd::SimdLevel::kScalar &&
             std::strcmp(rc.kernel, "sparse_dot") == 0 &&
             std::strcmp(regime.name, "large_nnz") == 0) {
@@ -311,41 +335,26 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       for (const char* precision : {"f64", "f32"}) {
         const bool f32 = std::strcmp(precision, "f32") == 0;
         const GlmObjective& objective = f32 ? *objective_f32 : *objective_f64;
-        auto config_pass = [&] {
-          grad.SetZero();
-          double loss_sum = 0.0;
-          objective.LossGradient(block, w, &grad, &loss_sum);
-          g_sink = loss_sum;
-        };
-        auto scalar_pass = [&] {
-          grad.SetZero();
-          double loss_sum = 0.0;
-          objective_f64->LossGradient(block, w, &grad, &loss_sum);
-          g_sink = loss_sum;
-        };
-        // Paired interleaved sampling: alternate the scalar-f64
-        // reference with this configuration inside one reps loop, so
-        // machine-speed drift between configs cancels out of the
-        // speedup ratio (a one-shot scalar baseline timed minutes
-        // earlier made the ratios swing ±30% on a busy box).
-        double ns = 0.0;
-        double scalar_ns = 0.0;
-        simd::SetSimdLevel(simd::SimdLevel::kScalar);
-        scalar_pass();  // warm-up
-        simd::SetSimdLevel(level);
-        config_pass();  // warm-up
-        for (int r = 0; r < reps; ++r) {
-          simd::SetSimdLevel(simd::SimdLevel::kScalar);
-          double t0 = NowNs();
-          scalar_pass();
-          const double s = NowNs() - t0;
-          if (r == 0 || s < scalar_ns) scalar_ns = s;
-          simd::SetSimdLevel(level);
-          t0 = NowNs();
-          config_pass();
-          const double c = NowNs() - t0;
-          if (r == 0 || c < ns) ns = c;
-        }
+        // Paired with the scalar-f64 reference, so machine-speed drift
+        // between configurations cancels out of the speedup ratio.
+        // Each pass selects its tier first (one atomic store).
+        const PairedNs t = PairedMinNs(
+            [&] {
+              simd::SetSimdLevel(simd::SimdLevel::kScalar);
+              grad.SetZero();
+              double loss_sum = 0.0;
+              objective_f64->LossGradient(block, w, &grad, &loss_sum);
+              g_sink = loss_sum;
+            },
+            [&] {
+              simd::SetSimdLevel(level);
+              grad.SetZero();
+              double loss_sum = 0.0;
+              objective.LossGradient(block, w, &grad, &loss_sum);
+              g_sink = loss_sum;
+            },
+            reps);
+        const double ns = t.fn;
         Result res;
         res.kernel = "loss_gradient_fused";
         res.level = simd::SimdLevelName(level);
@@ -354,7 +363,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
         res.ns_per_pass = ns;
         res.items_per_sec =
             static_cast<double>(block.nnz()) / (ns * 1e-9);
-        res.speedup_vs_scalar = scalar_ns / ns;
+        res.speedup_vs_scalar = t.ref / ns;
         results.push_back(res);
         if (level != simd::SimdLevel::kScalar &&
             std::strcmp(regime.name, "large_nnz") == 0) {
@@ -363,7 +372,9 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
         }
 
         // Drift gate: compare this configuration's outputs against
-        // the f64 scalar reference.
+        // the f64 scalar reference. The timer's last pass may have
+        // been the scalar one, so select this tier again.
+        simd::SetSimdLevel(level);
         grad.SetZero();
         double loss_sum = 0.0;
         objective.LossGradient(block, w, &grad, &loss_sum);
@@ -505,20 +516,21 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-1.0, 1.0);
       std::vector<double> slots;
       double points_loss = 0.0, valued_loss = 0.0, value_free_loss = 0.0;
-      const double points_ns = MinNs(
-          [&] { points_loss = objective->MeanPointLoss(data.points(), w); },
-          reps);
       const double valued_ns = MinNs(
           [&] {
             valued_loss = objective->MeanPartitionLoss(valued, w, &slots);
           },
           reps);
-      const double value_free_ns = MinNs(
+      // The gated pair: the DataPoint walk against the value-free one.
+      const PairedNs walks = PairedMinNs(
+          [&] { points_loss = MeanLoss(data.points(), *hinge, w); },
           [&] {
             value_free_loss =
                 objective->MeanPartitionLoss(value_free, w, &slots);
           },
           reps);
+      const double points_ns = walks.ref;
+      const double value_free_ns = walks.fn;
       const bool bit_equal =
           points_loss == valued_loss && points_loss == value_free_loss;
       const double ratio = points_ns / value_free_ns;

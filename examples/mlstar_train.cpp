@@ -1,7 +1,8 @@
 // mlstar_train: command-line training tool over the full public API.
+// Example (one command line):
 //
-//   mlstar_train --dataset=kdd12 --system=mllib* --loss=hinge \
-//                --l2=0.1 --lr=0.1 --steps=30 --workers=8 \
+//   mlstar_train --dataset=kdd12 --system=mllib* --loss=hinge
+//                --l2=0.1 --lr=0.1 --steps=30 --workers=8
 //                --model-out=/tmp/model.txt
 //
 // Trains on a synthetic preset (or a LIBSVM file via --libsvm=path),

@@ -116,65 +116,4 @@ std::string MetricsToString(const ClassificationMetrics& metrics) {
   return os.str();
 }
 
-MulticlassMetrics EvaluateMulticlass(const std::vector<DataPoint>& points,
-                                     const MulticlassGlmModel& model) {
-  MulticlassMetrics metrics;
-  const size_t k = model.num_classes();
-  metrics.num_classes = k;
-  metrics.confusion.assign(k * k, 0);
-  metrics.per_class_precision.assign(k, 0.0);
-  metrics.per_class_recall.assign(k, 0.0);
-  metrics.per_class_f1.assign(k, 0.0);
-  if (points.empty()) return metrics;
-
-  uint64_t correct = 0;
-  for (const DataPoint& p : points) {
-    const size_t true_class = static_cast<size_t>(p.label);
-    const size_t predicted = model.PredictClass(p);
-    ++metrics.confusion[true_class * k + predicted];
-    if (predicted == true_class) ++correct;
-  }
-  metrics.accuracy =
-      static_cast<double>(correct) / static_cast<double>(points.size());
-
-  // Per-class one-vs-rest precision/recall from the confusion rows and
-  // columns; macro-F1 averages over all K classes, so rare classes
-  // weigh as much as common ones.
-  double f1_sum = 0.0;
-  for (size_t c = 0; c < k; ++c) {
-    uint64_t tp = metrics.confusion[c * k + c];
-    uint64_t predicted_c = 0;
-    uint64_t actual_c = 0;
-    for (size_t other = 0; other < k; ++other) {
-      predicted_c += metrics.confusion[other * k + c];
-      actual_c += metrics.confusion[c * k + other];
-    }
-    const double precision =
-        predicted_c > 0
-            ? static_cast<double>(tp) / static_cast<double>(predicted_c)
-            : 0.0;
-    const double recall =
-        actual_c > 0
-            ? static_cast<double>(tp) / static_cast<double>(actual_c)
-            : 0.0;
-    const double f1 = precision + recall > 0
-                          ? 2.0 * precision * recall / (precision + recall)
-                          : 0.0;
-    metrics.per_class_precision[c] = precision;
-    metrics.per_class_recall[c] = recall;
-    metrics.per_class_f1[c] = f1;
-    f1_sum += f1;
-  }
-  metrics.macro_f1 = k > 0 ? f1_sum / static_cast<double>(k) : 0.0;
-  return metrics;
-}
-
-std::string MetricsToString(const MulticlassMetrics& metrics) {
-  std::ostringstream os;
-  os.precision(4);
-  os << "acc=" << metrics.accuracy << " macro_f1=" << metrics.macro_f1
-     << " k=" << metrics.num_classes;
-  return os.str();
-}
-
 }  // namespace mllibstar

@@ -53,32 +53,6 @@ double RocAuc(const std::vector<double>& scores,
 double MeanSquaredError(const std::vector<DataPoint>& points,
                         const DenseVector& w);
 
-/// Quality summary of a K-class classifier: accuracy, macro-averaged
-/// F1, and the full K×K confusion table.
-struct MulticlassMetrics {
-  size_t num_classes = 0;
-  double accuracy = 0.0;
-  double macro_f1 = 0.0;  ///< unweighted mean of per-class F1 scores
-  /// Row-major counts: confusion[true_class * K + predicted_class].
-  std::vector<uint64_t> confusion;
-  /// Per-class one-vs-rest scores (0 when the denominator is empty).
-  std::vector<double> per_class_precision;
-  std::vector<double> per_class_recall;
-  std::vector<double> per_class_f1;
-
-  uint64_t count(size_t true_class, size_t predicted_class) const {
-    return confusion[true_class * num_classes + predicted_class];
-  }
-};
-
-/// Scores `model` on `points` (labels are class ids 0..K−1 stored as
-/// doubles). Returns zeroed metrics on empty data.
-MulticlassMetrics EvaluateMulticlass(const std::vector<DataPoint>& points,
-                                     const MulticlassGlmModel& model);
-
-/// One-line rendering ("acc=0.93 macro_f1=0.91 k=4").
-std::string MetricsToString(const MulticlassMetrics& metrics);
-
 /// Human-readable one-line rendering ("acc=0.93 p=0.91 r=0.95 ...").
 std::string MetricsToString(const ClassificationMetrics& metrics);
 

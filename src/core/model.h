@@ -27,12 +27,9 @@ class GlmModel {
   DenseVector weights_;
 };
 
-/// A K-class maximum-entropy (multinomial logistic) model. The K
-/// weight vectors are stored flattened into one DenseVector of
-/// dimension K·d — class k occupies [k·d, (k+1)·d) — so the model
-/// travels through every existing communication path (broadcast,
-/// treeAggregate, codecs, PS push/pull) unchanged: those layers see an
-/// ordinary dense vector.
+/// The K-class weight storage of the model_io v2 format: K weight
+/// vectors flattened into one DenseVector of dimension K·d, class k
+/// occupying [k·d, (k+1)·d). A v1 (binary) file loads as K = 1.
 class MulticlassGlmModel {
  public:
   MulticlassGlmModel() = default;
@@ -57,46 +54,11 @@ class MulticlassGlmModel {
     return flat_[k * num_features_ + j];
   }
 
-  /// Per-class margins m_k = w_k·x for one example.
-  std::vector<double> Margins(const SparseVector& features) const;
-
-  /// argmax_k w_k·x. Tie rule: the smallest class index among the
-  /// maxima wins, so a zero model predicts class 0 and the decision
-  /// function is total.
-  size_t PredictClass(const SparseVector& features) const;
-  size_t PredictClass(const DataPoint& point) const {
-    return PredictClass(point.features);
-  }
-
-  /// Softmax class probabilities P(y = k | x), computed with the
-  /// max-subtraction trick so large margins never overflow.
-  std::vector<double> ClassProbabilities(const SparseVector& features) const;
-
  private:
   size_t num_classes_ = 0;
   size_t num_features_ = 0;
   DenseVector flat_;
 };
-
-/// log Σ_k exp(m_k) computed stably (subtracts max(m) first). Returns
-/// -inf only for an empty span, which callers must not pass.
-double LogSumExp(const double* margins, size_t count);
-
-/// Softmax cross-entropy −log P(y | m) for per-class margins `margins`
-/// and true class `label` (< count). Stable for any margin magnitudes.
-double SoftmaxCrossEntropy(const double* margins, size_t count,
-                           size_t label);
-
-/// Mean softmax cross-entropy of a flattened K-class model over
-/// `points` (labels are class ids 0..K−1 stored as doubles). Returns 0
-/// for an empty range.
-double MeanSoftmaxLoss(const std::vector<DataPoint>& points,
-                       size_t num_classes, size_t num_features,
-                       const DenseVector& flat);
-
-/// Fraction of points whose argmax class matches the label.
-double MulticlassAccuracy(const std::vector<DataPoint>& points,
-                          const MulticlassGlmModel& model);
 
 /// Mean point loss (1/n) Σ l(w·xᵢ, yᵢ) over `points`. Returns 0 for an
 /// empty range.

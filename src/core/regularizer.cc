@@ -33,7 +33,6 @@ class L2Regularizer final : public Regularizer {
   }
 
   double lambda() const override { return lambda_; }
-  double l2_lambda() const override { return lambda_; }
   RegularizerKind kind() const override { return RegularizerKind::kL2; }
   std::string name() const override { return "l2"; }
 
@@ -88,73 +87,10 @@ class L1Regularizer final : public Regularizer {
   double lambda_;
 };
 
-// λ(α‖w‖₁ + (1−α)/2‖w‖²), glmnet's parameterization. The gradient
-// step shrinks (L2) first and then soft-thresholds (L1), matching the
-// composition of the two pure steps.
-class ElasticNetRegularizer final : public Regularizer {
- public:
-  ElasticNetRegularizer(double lambda, double l1_ratio)
-      : lambda_(lambda),
-        l1_(lambda * l1_ratio),
-        l2_(lambda * (1.0 - l1_ratio)) {}
-
-  double Value(const DenseVector& w) const override {
-    return l1_ * w.Norm1() + 0.5 * l2_ * w.SquaredNorm();
-  }
-
-  void ApplyGradientStep(DenseVector* w, double lr) const override {
-    w->Scale(1.0 - lr * l2_);
-    const double shift = lr * l1_;
-    const size_t n = w->dim();
-    for (size_t i = 0; i < n; ++i) {
-      double& v = (*w)[i];
-      if (v > shift) {
-        v -= shift;
-      } else if (v < -shift) {
-        v += shift;
-      } else {
-        v = 0.0;
-      }
-    }
-  }
-
-  void AddGradient(const DenseVector& w, DenseVector* grad) const override {
-    grad->AddScaled(w, l2_);
-    for (size_t i = 0; i < w.dim(); ++i) {
-      if (w[i] > 0) {
-        (*grad)[i] += l1_;
-      } else if (w[i] < 0) {
-        (*grad)[i] -= l1_;
-      }
-    }
-  }
-
-  double lambda() const override { return lambda_; }
-  double l1_lambda() const override { return l1_; }
-  double l2_lambda() const override { return l2_; }
-  double SmoothValue(const DenseVector& w) const override {
-    return 0.5 * l2_ * w.SquaredNorm();
-  }
-  void AddSmoothGradient(const DenseVector& w,
-                         DenseVector* grad) const override {
-    grad->AddScaled(w, l2_);
-  }
-  RegularizerKind kind() const override {
-    return RegularizerKind::kElasticNet;
-  }
-  std::string name() const override { return "elasticnet"; }
-
- private:
-  double lambda_;
-  double l1_;
-  double l2_;
-};
-
 }  // namespace
 
 std::unique_ptr<Regularizer> MakeRegularizer(RegularizerKind kind,
-                                             double lambda,
-                                             double l1_ratio) {
+                                             double lambda) {
   switch (kind) {
     case RegularizerKind::kNone:
       return std::make_unique<NoRegularizer>();
@@ -162,8 +98,6 @@ std::unique_ptr<Regularizer> MakeRegularizer(RegularizerKind kind,
       return std::make_unique<L2Regularizer>(lambda);
     case RegularizerKind::kL1:
       return std::make_unique<L1Regularizer>(lambda);
-    case RegularizerKind::kElasticNet:
-      return std::make_unique<ElasticNetRegularizer>(lambda, l1_ratio);
   }
   return std::make_unique<NoRegularizer>();
 }

@@ -11,10 +11,9 @@ namespace mllibstar {
 /// Kinds of regularization penalties Ω(w) in the GLM objective
 /// f(w, X) = l(w, X) + Ω(w) (paper Equation 1).
 enum class RegularizerKind {
-  kNone,        ///< Ω(w) = 0
-  kL2,          ///< Ω(w) = (λ/2) ||w||²
-  kL1,          ///< Ω(w) = λ ||w||₁
-  kElasticNet,  ///< Ω(w) = λ (α ||w||₁ + (1−α)/2 ||w||²)
+  kNone,  ///< Ω(w) = 0
+  kL2,    ///< Ω(w) = (λ/2) ||w||²
+  kL1,    ///< Ω(w) = λ ||w||₁
 };
 
 /// Regularization penalty with the operations GD needs: the value and
@@ -37,14 +36,10 @@ class Regularizer {
   /// Regularization strength λ (0 for kNone).
   virtual double lambda() const = 0;
 
-  /// Strength of the non-smooth ‖w‖₁ term: λ for kL1, αλ for elastic
-  /// net, 0 otherwise. When positive, batch solvers must hand this
-  /// term to OWL-QN instead of differentiating through it.
+  /// Strength of the non-smooth ‖w‖₁ term: λ for kL1, 0 otherwise.
+  /// When positive, batch solvers must hand this term to OWL-QN
+  /// instead of differentiating through it.
   virtual double l1_lambda() const { return 0.0; }
-
-  /// Strength of the smooth ‖w‖² term: λ for kL2, (1−α)λ for elastic
-  /// net, 0 otherwise.
-  virtual double l2_lambda() const { return 0.0; }
 
   /// Value of the smooth (differentiable) part of Ω only — excludes
   /// the ‖w‖₁ term that OWL-QN owns. Equals Value() when l1_lambda()
@@ -62,12 +57,9 @@ class Regularizer {
 };
 
 /// Creates the regularizer for `kind` with strength `lambda`.
-/// For kNone, `lambda` is ignored. `l1_ratio` is the elastic-net
-/// mixing parameter α (only read for kElasticNet): 1 is pure L1, 0 is
-/// pure L2.
+/// For kNone, `lambda` is ignored.
 std::unique_ptr<Regularizer> MakeRegularizer(RegularizerKind kind,
-                                             double lambda,
-                                             double l1_ratio = 0.5);
+                                             double lambda);
 
 }  // namespace mllibstar
 

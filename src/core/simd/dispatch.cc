@@ -145,8 +145,4 @@ const KernelDispatch& KernelsFor(SimdLevel level) {
 
 }  // namespace simd
 
-const char* ComputePrecisionName(ComputePrecision precision) {
-  return precision == ComputePrecision::kF32 ? "f32" : "f64";
-}
-
 }  // namespace mllibstar

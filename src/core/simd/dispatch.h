@@ -103,9 +103,6 @@ enum class ComputePrecision {
   kF32 = 1,  ///< f32 feature values, f64 model reads + accumulators
 };
 
-/// "f64" / "f32" for bench and report output.
-const char* ComputePrecisionName(ComputePrecision precision);
-
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_CORE_SIMD_DISPATCH_H_

@@ -46,22 +46,6 @@ void DenseVector::AddScaled(const FeatureIndex* indices,
                                   alpha);
 }
 
-void DenseVector::AddScaled(const FeatureIndex* indices,
-                            const double* values, size_t nnz, double alpha,
-                            size_t offset) {
-  // Same kernel as the offset-0 overload with the destination shifted
-  // into a class block (offset + indices[i] must be < dim()).
-  simd::Kernels().sparse_axpy_f64(values_.data() + offset, indices, values,
-                                  nnz, alpha);
-}
-
-void DenseVector::AddScaled(const FeatureIndex* indices,
-                            const float* values, size_t nnz, double alpha,
-                            size_t offset) {
-  simd::Kernels().sparse_axpy_f32(values_.data() + offset, indices, values,
-                                  nnz, alpha);
-}
-
 void DenseVector::AddScaled(const DenseVector& x, double alpha) {
   MLLIBSTAR_CHECK_EQ(dim(), x.dim());
   simd::Kernels().dense_axpy(values_.data(), x.data(), values_.size(),
@@ -86,20 +70,6 @@ double DenseVector::Dot(const FeatureIndex* indices, const float* values,
                         size_t nnz) const {
   return simd::Kernels().sparse_dot_f32(values_.data(), indices, values,
                                         nnz);
-}
-
-double DenseVector::Dot(const FeatureIndex* indices, const double* values,
-                        size_t nnz, size_t offset) const {
-  // Same accumulator structure as the offset-0 overload, so margins
-  // are bit-identical whichever class block they read.
-  return simd::Kernels().sparse_dot_f64(values_.data() + offset, indices,
-                                        values, nnz);
-}
-
-double DenseVector::Dot(const FeatureIndex* indices, const float* values,
-                        size_t nnz, size_t offset) const {
-  return simd::Kernels().sparse_dot_f32(values_.data() + offset, indices,
-                                        values, nnz);
 }
 
 double DenseVector::Dot(const DenseVector& x) const {
@@ -141,17 +111,13 @@ DenseVector Average(const std::vector<DenseVector>& vectors) {
   return result;
 }
 
-TouchedBuffer::TouchedBuffer(size_t dim, size_t blocks)
-    : buf_(dim), blocks_(blocks), block_dim_(blocks == 0 ? 0 : dim / blocks) {
-  MLLIBSTAR_CHECK_GT(blocks, 0u);
-  MLLIBSTAR_CHECK_EQ(dim % blocks, 0u);
-}
+TouchedBuffer::TouchedBuffer(size_t dim) : buf_(dim) {}
 
 void TouchedBuffer::Touch(const FeatureIndex* indices, size_t nnz) {
   if (all_touched_) return;
   touched_.insert(touched_.end(), indices, indices + nnz);
   // Past the threshold the flush sweeps densely anyway; stop listing.
-  if (touched_.size() * blocks_ * kSparseFactor > buf_.dim()) TouchAll();
+  if (touched_.size() * kSparseFactor > buf_.dim()) TouchAll();
 }
 
 void TouchedBuffer::TouchAll() {
@@ -176,11 +142,9 @@ void TouchedBuffer::Flush(double alpha, bool skip_is_exact,
     // (this TU is built without FMA contraction).
     double* d = dst->data();
     double* b = buf_.data();
-    for (size_t base = 0; base < buf_.dim(); base += block_dim_) {
-      for (FeatureIndex j : touched_) {
-        d[base + j] += alpha * b[base + j];
-        b[base + j] = 0.0;
-      }
+    for (FeatureIndex j : touched_) {
+      d[j] += alpha * b[j];
+      b[j] = 0.0;
     }
   }
   touched_.clear();

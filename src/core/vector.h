@@ -74,18 +74,6 @@ class DenseVector {
   void AddScaled(const FeatureIndex* indices, const float* values,
                  size_t nnz, double alpha);
 
-  /// Sparse axpy into the block starting at `offset`: this[offset + j]
-  /// += alpha * x[j]. A flattened K-class model stores class k's
-  /// weights at offset k·d; this lets the softmax kernels update one
-  /// class block with the same arithmetic as the offset-0 overload
-  /// (offset + indices[i] must be < dim()).
-  void AddScaled(const FeatureIndex* indices, const double* values,
-                 size_t nnz, double alpha, size_t offset);
-
-  /// Mixed-precision class-block sparse axpy.
-  void AddScaled(const FeatureIndex* indices, const float* values,
-                 size_t nnz, double alpha, size_t offset);
-
   /// this += alpha * x. Dimensions must match.
   void AddScaled(const DenseVector& x, double alpha);
 
@@ -105,17 +93,6 @@ class DenseVector {
   /// accumulators.
   double Dot(const FeatureIndex* indices, const float* values,
              size_t nnz) const;
-
-  /// Sparse dot against the block starting at `offset`:
-  /// Σ this[offset + indices[i]] * values[i]. Same accumulator
-  /// structure as the offset-0 overload, so margins are bit-identical
-  /// whichever class block they read.
-  double Dot(const FeatureIndex* indices, const double* values, size_t nnz,
-             size_t offset) const;
-
-  /// Mixed-precision class-block sparse dot.
-  double Dot(const FeatureIndex* indices, const float* values, size_t nnz,
-             size_t offset) const;
 
   /// Dot product with a dense vector of the same dimension.
   double Dot(const DenseVector& x) const;
@@ -157,11 +134,8 @@ class TouchedBuffer {
   /// where the dense sweep does, at the kddb, kdd12 and WX model sizes.
   static constexpr size_t kSparseFactor = 4;
 
-  /// A +0.0 buffer of `dim` coordinates laid out as `blocks` equal
-  /// class blocks (1 for a binary model, K for a flattened K-class
-  /// softmax model): a listed feature index j stands for coordinate
-  /// b·(dim/blocks) + j in every block b.
-  explicit TouchedBuffer(size_t dim, size_t blocks = 1);
+  /// A +0.0 buffer of `dim` coordinates with nothing listed.
+  explicit TouchedBuffer(size_t dim);
 
   const DenseVector& vector() const { return buf_; }
 
@@ -195,8 +169,6 @@ class TouchedBuffer {
   void Flush(double alpha, bool skip_is_exact, DenseVector* dst);
 
   DenseVector buf_;
-  size_t blocks_;
-  size_t block_dim_;
   std::vector<FeatureIndex> touched_;
   bool all_touched_ = false;
 };

@@ -1,9 +1,6 @@
 #include "data/split.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/logging.h"
 
 namespace mllibstar {
 
@@ -17,41 +14,6 @@ TrainTestSplit RandomSplit(const Dataset& data, double train_fraction,
       split.train.Add(p);
     } else {
       split.test.Add(p);
-    }
-  }
-  return split;
-}
-
-TrainTestSplit KFold(const Dataset& data, size_t num_folds, size_t fold) {
-  MLLIBSTAR_CHECK_GT(num_folds, 1u);
-  MLLIBSTAR_CHECK_LT(fold, num_folds);
-  TrainTestSplit split{Dataset(data.num_features(), data.name() + "/train"),
-                       Dataset(data.num_features(), data.name() + "/test")};
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (i % num_folds == fold) {
-      split.test.Add(data.point(i));
-    } else {
-      split.train.Add(data.point(i));
-    }
-  }
-  return split;
-}
-
-TrainTestSplit StratifiedKFold(const Dataset& data, size_t num_folds,
-                               size_t fold) {
-  MLLIBSTAR_CHECK_GT(num_folds, 1u);
-  MLLIBSTAR_CHECK_LT(fold, num_folds);
-  TrainTestSplit split{Dataset(data.num_features(), data.name() + "/train"),
-                       Dataset(data.num_features(), data.name() + "/test")};
-  // Per-label round-robin counters; labels are exact doubles (class ids
-  // or ±1), so an ordered map keys them safely.
-  std::map<double, size_t> seen;
-  for (size_t i = 0; i < data.size(); ++i) {
-    const size_t within = seen[data.point(i).label]++;
-    if (within % num_folds == fold) {
-      split.test.Add(data.point(i));
-    } else {
-      split.train.Add(data.point(i));
     }
   }
   return split;

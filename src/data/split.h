@@ -20,19 +20,6 @@ struct TrainTestSplit {
 TrainTestSplit RandomSplit(const Dataset& data, double train_fraction,
                            Rng* rng);
 
-/// Deterministic k-fold assignment: returns the (train, test) pair for
-/// `fold` (0-based) of `num_folds`, assigning point i to fold
-/// i % num_folds.
-TrainTestSplit KFold(const Dataset& data, size_t num_folds, size_t fold);
-
-/// Deterministic stratified k-fold: points are assigned to folds
-/// round-robin *within each label value* (in dataset order), so every
-/// fold sees each class in near-identical proportion — the CV splitter
-/// the regularization path uses for multiclass data, where a rare
-/// class could otherwise miss a fold entirely.
-TrainTestSplit StratifiedKFold(const Dataset& data, size_t num_folds,
-                               size_t fold);
-
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_DATA_SPLIT_H_

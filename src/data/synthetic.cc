@@ -78,69 +78,6 @@ Dataset GenerateSynthetic(const SyntheticSpec& spec) {
   return dataset;
 }
 
-Dataset GenerateMulticlass(const MulticlassSpec& spec) {
-  const SyntheticSpec& base = spec.base;
-  MLLIBSTAR_CHECK_GT(base.num_instances, 0u);
-  MLLIBSTAR_CHECK_GT(base.num_features, 0u);
-  MLLIBSTAR_CHECK_GE(spec.num_classes, 2u);
-  Rng rng(base.seed);
-
-  // K hidden teachers, each shaped like GenerateSynthetic's truth
-  // (signal concentrated on the popular low indices).
-  std::vector<DenseVector> teachers;
-  teachers.reserve(spec.num_classes);
-  for (size_t k = 0; k < spec.num_classes; ++k) {
-    DenseVector teacher(base.num_features);
-    for (size_t i = 0; i < base.num_features; ++i) {
-      teacher[i] = rng.NextGaussian() /
-                   std::pow(1.0 + static_cast<double>(i), base.truth_decay);
-    }
-    teachers.push_back(std::move(teacher));
-  }
-
-  Dataset dataset(base.num_features, base.name);
-  std::vector<FeatureIndex> row;
-  for (size_t i = 0; i < base.num_instances; ++i) {
-    const size_t target_nnz = std::max<size_t>(
-        1, base.avg_nnz + static_cast<size_t>(rng.NextUint64(
-               std::max<size_t>(1, base.avg_nnz / 2 + 1))) -
-               base.avg_nnz / 4);
-    row.clear();
-    while (row.size() < target_nnz && row.size() < base.num_features) {
-      const FeatureIndex idx = static_cast<FeatureIndex>(
-          rng.NextZipf(base.num_features, base.feature_skew));
-      if (std::find(row.begin(), row.end(), idx) == row.end()) {
-        row.push_back(idx);
-      }
-    }
-    std::sort(row.begin(), row.end());
-
-    DataPoint point;
-    for (FeatureIndex idx : row) {
-      point.features.Push(idx, base.gaussian_values ? rng.NextGaussian()
-                                                    : 1.0);
-    }
-    // Noisy argmax over the teachers; ties break toward the smaller
-    // class id, matching MulticlassGlmModel::PredictClass.
-    size_t label = 0;
-    double best = -1e300;
-    for (size_t k = 0; k < spec.num_classes; ++k) {
-      const double margin =
-          teachers[k].Dot(point.features) + 0.1 * rng.NextGaussian();
-      if (margin > best) {
-        best = margin;
-        label = k;
-      }
-    }
-    if (rng.NextBool(base.label_noise)) {
-      label = static_cast<size_t>(rng.NextUint64(spec.num_classes));
-    }
-    point.label = static_cast<double>(label);
-    dataset.Add(std::move(point));
-  }
-  return dataset;
-}
-
 SyntheticSpec AvazuSpec(double scale) {
   SyntheticSpec spec;
   spec.name = "avazu";

@@ -37,22 +37,6 @@ struct SyntheticSpec {
 /// Generates the dataset described by `spec`.
 Dataset GenerateSynthetic(const SyntheticSpec& spec);
 
-/// Recipe for a synthetic K-class dataset. Rows are drawn exactly like
-/// GenerateSynthetic's (Zipf-skewed sparse indices, jittered nnz); the
-/// label is argmax_k(w*_k·x + 0.1·ε_k) over `num_classes` hidden
-/// gaussian teacher vectors, stored as a class id 0..K−1 in
-/// DataPoint::label. base.label_noise resamples that fraction of labels
-/// uniformly over the classes. Draws from its own RNG stream — adding a
-/// multiclass dataset to a program leaves every GenerateSynthetic
-/// output bit-unchanged.
-struct MulticlassSpec {
-  SyntheticSpec base;
-  size_t num_classes = 3;
-};
-
-/// Generates the K-class dataset described by `spec`.
-Dataset GenerateMulticlass(const MulticlassSpec& spec);
-
 /// Presets shaped like the paper's Table I datasets, scaled down by
 /// `scale` (default 1/1000) while preserving the #instances:#features
 /// ratio (determined vs underdetermined) and row sparsity.

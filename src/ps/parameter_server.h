@@ -120,9 +120,9 @@ class PsContext {
   /// codec-free callers.
   static uint64_t SparseUpdateBytes(size_t nnz, size_t dim);
 
-  /// Replaces the model (warm start, trainer resume) and re-snapshots
-  /// the crash-restore state from it, so a later shard crash rolls back
-  /// to this model and not to a stale one.
+  /// Replaces the model (trainer resume) and re-snapshots the
+  /// crash-restore state from it, so a later shard crash rolls back to
+  /// this model and not to a stale one.
   void ResetModel(DenseVector model);
 
   /// kSumDeltas: applies `delta` (scaled by config.delta_scale) to the

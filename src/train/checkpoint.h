@@ -78,14 +78,15 @@ class Checkpoint {
 
 /// First word of every trainer snapshot: which trainer family wrote it
 /// (resuming a Petuum run from an MLlib checkpoint is a bug, not a
-/// format guess).
+/// format guess). The second word is reserved and always 0; it held
+/// the class count while the trainers also ran a softmax objective,
+/// and stays so the snapshot layout does not change.
 enum class CheckpointTag : uint64_t {
   kMllib = 1,
   kMllibMa = 2,
   kMllibStar = 3,
   kPs = 4,
   kLbfgs = 5,
-  kPath = 6,  ///< regularization-path driver state (workloads/path_search)
 };
 
 /// True when the trainer should snapshot after completing `step`.

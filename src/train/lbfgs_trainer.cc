@@ -20,7 +20,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
 
   SparkCluster spark(cluster, config().host_threads);
   const size_t k = spark.num_workers();
-  const size_t d = ModelDim(data);
+  const size_t d = data.num_features();
   const uint64_t model_bytes = codec().EncodedBytes(d);
   const size_t num_agg = NumAggregators(k);
 
@@ -67,10 +67,9 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
       gradient->AddScaled(worker_gradients[r], 1.0);
     }
     gradient->Scale(1.0 / n);
-    // OWL-QN owns any ‖w‖₁ term (pure L1, or the L1 part of elastic
-    // net): the oracle returns the smooth part only — mean loss plus
-    // the regularizer's smooth (L2) component (spark.ml's LBFGS/OWLQN
-    // selection).
+    // OWL-QN owns the ‖w‖₁ term of L1: the oracle returns the smooth
+    // part only — mean loss plus the regularizer's smooth component
+    // (spark.ml's LBFGS/OWLQN selection).
     regularizer().AddSmoothGradient(w, gradient);
     spark.RunOnDriver("lbfgs-direction", 2 * d);
     ++passes;
@@ -91,12 +90,6 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   LbfgsOptions options;
   // Each "communication step" budget unit buys one distributed pass.
   options.max_iterations = config().max_comm_steps;
-  // The path driver's per-solve stopping rule maps onto the solver's
-  // relative-improvement tolerance — this is what makes warm-started
-  // solves finish in fewer passes.
-  if (config().stop_rel_improvement.has_value()) {
-    options.objective_tolerance = *config().stop_rel_improvement;
-  }
   LbfgsResult solved;
   const double l1_strength = regularizer().l1_lambda();
   if (l1_strength > 0.0) {
@@ -104,18 +97,17 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     // serialized; checkpointing covers the smooth L-BFGS path only.
     MLLIBSTAR_CHECK(!config().checkpoint.enabled());
     OwlqnSolver solver(options, l1_strength);
-    solved = solver.Minimize(oracle, InitialWeights(d));
+    solved = solver.Minimize(oracle, DenseVector(d));
   } else {
     LbfgsSolver solver(options);
     LbfgsState state;
-    state.x = InitialWeights(d);
+    state.x = DenseVector(d);
     {
       Checkpoint ck;
       if (TryResume(config().checkpoint, &ck)) {
         MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
                            static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                           static_cast<uint64_t>(config().num_classes));
+        MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
         state.iteration = static_cast<int>(ck.TakeU64());
         state.evaluated = ck.TakeU64() != 0;
         state.objective = ck.TakeDouble();
@@ -140,7 +132,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
         if (!ShouldCheckpoint(config().checkpoint, st.iteration)) return;
         Checkpoint ck;
         ck.PutU64(static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        ck.PutU64(static_cast<uint64_t>(config().num_classes));
+        ck.PutU64(0);  // reserved class-count word
         ck.PutU64(static_cast<uint64_t>(st.iteration));
         ck.PutU64(st.evaluated ? 1 : 0);
         ck.PutDouble(st.objective);

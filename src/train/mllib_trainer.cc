@@ -34,7 +34,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
 
   SparkCluster spark(cluster, config().host_threads);
   const size_t k = spark.num_workers();
-  const size_t d = ModelDim(data);
+  const size_t d = data.num_features();
   const uint64_t model_bytes = codec().EncodedBytes(d);
   // Each MLlib* shuffle moves one codec-encoded model partition (~d/k
   // coordinates) per peer pair.
@@ -52,14 +52,14 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   // Averaging range p over all workers and concatenating equals the
   // full average, so the host-side math uses Average() directly while
   // the engine charges the two shuffles.
-  DenseVector w = InitialWeights(d);
+  DenseVector w(d);
   // SendGradient (MLlib): per-worker gradient buffers, all +0.0
   // between steps; each lists the coordinates its batch may write so
   // the driver's fold sweeps only those (DESIGN §16).
   std::vector<TouchedBuffer> gradients;
   DenseVector gradient_sum;
   if (mode_ == Mode::kMllib) {
-    gradients.assign(k, TouchedBuffer(d, objective().CoordsPerFeature()));
+    gradients.assign(k, TouchedBuffer(d));
     gradient_sum = DenseVector(d);
   }
   // SendModel (MLlib+MA, MLlib*): per-worker local models, each
@@ -86,8 +86,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     Checkpoint ck;
     if (TryResume(config().checkpoint, &ck)) {
       MLLIBSTAR_CHECK_EQ(ck.TakeU64(), static_cast<uint64_t>(tag));
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                         static_cast<uint64_t>(config().num_classes));
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
       t0 = static_cast<int>(ck.TakeU64());
       w = ck.TakeVector();
       MLLIBSTAR_CHECK_EQ(w.dim(), d);
@@ -243,7 +242,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
       // no per-worker local models on disk.
       Checkpoint ck;
       ck.PutU64(static_cast<uint64_t>(tag));
-      ck.PutU64(static_cast<uint64_t>(config().num_classes));
+      ck.PutU64(0);  // reserved class-count word
       ck.PutU64(static_cast<uint64_t>(t + 1));
       ck.PutVector(w);
       PutWorkerRngs(&ck, rngs);

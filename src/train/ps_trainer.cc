@@ -48,7 +48,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
   TrainResult result;
   result.system = name();
 
-  const size_t d = ModelDim(data);
+  const size_t d = data.num_features();
 
   // The aggregation scheme is what distinguishes the systems; the
   // shard count and consistency come from the config.
@@ -79,16 +79,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
   std::vector<Rng> rngs = WorkerRngs(config().seed, k);
 
-  // Warm start (the λ path): seed the server model before any worker
-  // pulls, and refresh the crash-restore snapshot so a shard failure
-  // rolls back to the warm point rather than zeros.
-  if (config().init_weights.dim() != 0) server.ResetModel(InitialWeights(d));
-
   // Per-worker and per-round progress.
   // Feature-filtered pulls: each worker only needs the coordinates its
   // partition actually references (Angel's optimization). Computed
-  // once from the static partitioning. A softmax model carries
-  // CoordsPerFeature() (= K) model coordinates per touched feature.
+  // once from the static partitioning.
   std::vector<uint64_t> pull_bytes(k, codec().EncodedBytes(d));
   if (ps.sparse_pull) {
     std::vector<bool> touched(data.num_features());
@@ -101,8 +95,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
           ++features;
         }
       }
-      pull_bytes[r] =
-          server.SparseBytes(features * objective().CoordsPerFeature());
+      pull_bytes[r] = server.SparseBytes(features);
     }
   }
 
@@ -153,8 +146,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
     if (TryResume(config().checkpoint, &ck)) {
       MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
                          static_cast<uint64_t>(CheckpointTag::kPs));
-      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                         static_cast<uint64_t>(config().num_classes));
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
       resumed_round = static_cast<int>(ck.TakeU64());
       // A later shard crash must roll back to the restored state, not
       // to the fresh context's zeros.
@@ -489,7 +481,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         ShouldCheckpoint(config().checkpoint, completed)) {
       Checkpoint ck;
       ck.PutU64(static_cast<uint64_t>(CheckpointTag::kPs));
-      ck.PutU64(static_cast<uint64_t>(config().num_classes));
+      ck.PutU64(0);  // reserved class-count word
       ck.PutU64(static_cast<uint64_t>(completed));
       ck.PutVector(server.model());
       PutWorkerRngs(&ck, rngs);

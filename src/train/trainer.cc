@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "obs/telemetry.h"
 #include "train/lbfgs_trainer.h"
@@ -36,22 +35,11 @@ Trainer::Trainer(TrainerConfig config)
     : config_(std::move(config)),
       codec_(MakeCodec(config_.codec)),
       loss_(MakeLoss(config_.loss)),
-      reg_(MakeRegularizer(config_.regularizer, config_.lambda,
-                           config_.l1_ratio)),
-      objective_(config_.num_classes >= 2
-                     ? MakeSoftmaxObjective(config_.num_classes, reg_.get(),
-                                            config_.lazy_regularization,
-                                            config_.compute_precision)
-                     : MakeBinaryObjective(loss_.get(), reg_.get(),
-                                           config_.lazy_regularization,
-                                           config_.compute_precision)),
+      reg_(MakeRegularizer(config_.regularizer, config_.lambda)),
+      objective_(MakeBinaryObjective(loss_.get(), reg_.get(),
+                                     config_.lazy_regularization,
+                                     config_.compute_precision)),
       schedule_(config_.lr_schedule, config_.base_lr) {}
-
-DenseVector Trainer::InitialWeights(size_t dim) const {
-  if (config_.init_weights.dim() == 0) return DenseVector(dim);
-  MLLIBSTAR_CHECK_EQ(config_.init_weights.dim(), dim);
-  return config_.init_weights;
-}
 
 double Trainer::Eval(const std::vector<CsrBlock>& partitions,
                      const DenseVector& w) {
@@ -59,23 +47,14 @@ double Trainer::Eval(const std::vector<CsrBlock>& partitions,
          reg_->Value(w);
 }
 
-bool Trainer::ShouldStop(int step, SimTime now, double objective) {
+bool Trainer::ShouldStop(int step, SimTime now, double objective) const {
   if (step >= config_.max_comm_steps) return true;
   if (now >= config_.max_sim_seconds) return true;
   if (config_.target_objective.has_value() &&
       objective <= *config_.target_objective) {
     return true;
   }
-  if (IsDiverged(objective)) return true;
-  if (config_.stop_rel_improvement.has_value()) {
-    if (prev_eval_.has_value()) {
-      const double rel = (*prev_eval_ - objective) /
-                         std::max(1.0, std::fabs(*prev_eval_));
-      if (rel < *config_.stop_rel_improvement) return true;
-    }
-    prev_eval_ = objective;
-  }
-  return false;
+  return IsDiverged(objective);
 }
 
 bool Trainer::IsDiverged(double objective) {

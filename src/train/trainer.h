@@ -48,13 +48,6 @@ struct TrainerConfig {
   LossKind loss = LossKind::kHinge;
   RegularizerKind regularizer = RegularizerKind::kNone;
   double lambda = 0.0;
-  /// Elastic-net mixing α for kElasticNet: 1 = pure L1, 0 = pure L2.
-  double l1_ratio = 0.5;
-  /// 0 trains the binary margin objective on `loss`; K ≥ 2 trains
-  /// K-class softmax cross-entropy (labels are class ids 0..K−1, the
-  /// model is the flattened K×d vector, and `loss` is ignored). Every
-  /// trainer supports both through the same code path.
-  size_t num_classes = 0;
 
   // Optimization.
   double base_lr = 0.1;
@@ -83,20 +76,8 @@ struct TrainerConfig {
   double max_sim_seconds = 1e18;
   /// Stop once the evaluated objective reaches this value.
   std::optional<double> target_objective;
-  /// Stop once the relative improvement between consecutive
-  /// evaluations, (prev − cur) / max(1, |prev|), falls below this
-  /// (h2o4gpu-style early stopping; the warm-started λ path relies on
-  /// it to make warm solves cheap). The L-BFGS trainer maps it onto
-  /// the solver's objective tolerance.
-  std::optional<double> stop_rel_improvement;
   int eval_every = 1;
   uint64_t seed = 123;
-
-  /// Starting model. Empty trains from zeros; otherwise must match
-  /// the model dimension (d, or K·d for softmax) and the run warm
-  /// starts from these weights — how the regularization path reuses
-  /// the previous λ's solution.
-  DenseVector init_weights;
 
   // Host execution. Number of *host* threads used to run the
   // embarrassingly parallel per-worker computations (1 = sequential,
@@ -172,20 +153,10 @@ class Trainer {
   const Regularizer& regularizer() const { return *reg_; }
   const LrSchedule& schedule() const { return schedule_; }
 
-  /// The workload being trained: binary margin (delegating to the
-  /// classic kernels bit-identically) or K-class softmax. Trainers
-  /// route every local computation through this.
+  /// The objective being trained (loss + regularizer at the
+  /// configured precision). Trainers route every local computation
+  /// through this.
   const GlmObjective& objective() const { return *objective_; }
-
-  /// Flattened model dimension for `data` (num_features, or
-  /// K·num_features for softmax).
-  size_t ModelDim(const Dataset& data) const {
-    return objective_->ModelDim(data.num_features());
-  }
-
-  /// The starting model: config().init_weights when set (checked
-  /// against `dim`), zeros otherwise.
-  DenseVector InitialWeights(size_t dim) const;
 
   /// Full objective f(w, X) over the run's round-robin `partitions`
   /// (host-side; costs no sim time — the paper also measures the
@@ -196,9 +167,7 @@ class Trainer {
 
   /// True when the run should stop after observing `objective` at
   /// virtual time `now` having completed `step` communication steps.
-  /// Stateful when stop_rel_improvement is set (tracks the previous
-  /// evaluation), so call it once per evaluation.
-  bool ShouldStop(int step, SimTime now, double objective);
+  bool ShouldStop(int step, SimTime now, double objective) const;
 
   /// Detects a diverged run (non-finite or exploding objective).
   static bool IsDiverged(double objective);
@@ -233,8 +202,6 @@ class Trainer {
   std::unique_ptr<Regularizer> reg_;
   std::unique_ptr<GlmObjective> objective_;
   LrSchedule schedule_;
-  /// Previous evaluated objective for the rel-improvement stop.
-  std::optional<double> prev_eval_;
   /// Eval's per-row loss slots, in dataset order.
   std::vector<double> eval_losses_;
 };

@@ -1,11 +1,9 @@
 #include "workloads/objective.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
-#include "core/model.h"
 #include "data/partition.h"
 
 namespace mllibstar {
@@ -182,8 +180,7 @@ ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
       }
       stats.nnz_processed += n;
     } else if (reg.kind() != RegularizerKind::kNone) {
-      // L1 (and the L1 part of elastic net) has no lazy form here;
-      // fall back to the eager dense step.
+      // L1 has no lazy form here; fall back to the eager dense step.
       reg.ApplyGradientStep(w, lr);
       stats.nnz_processed += w->dim();
     }
@@ -246,248 +243,7 @@ std::vector<size_t> Iota(size_t n) {
   return all;
 }
 
-// Turns per-class margins into softmax probabilities in place and
-// returns the cross-entropy −log p_label, all via the max-subtraction
-// trick so no margin magnitude can overflow.
-double SoftmaxInPlace(std::vector<double>* m, size_t label) {
-  const double mx = *std::max_element(m->begin(), m->end());
-  const double margin_label = (*m)[label];
-  double sum = 0.0;
-  for (double& v : *m) {
-    v = std::exp(v - mx);
-    sum += v;
-  }
-  const double loss = std::log(sum) + mx - margin_label;
-  for (double& v : *m) v /= sum;
-  return loss;
-}
-
-// Reads the K per-class margins of row `idx` under an optional scalar
-// scale (the lazy-L2 representation) into `*m`.
-template <typename View>
-void SoftmaxMargins(const View& v, size_t idx, size_t num_classes,
-                    size_t num_features, double scale, const DenseVector& w,
-                    std::vector<double>* m) {
-  const size_t n = v.nnz(idx);
-  const FeatureIndex* idxs = v.indices(idx);
-  const auto* vals = v.values(idx);  // const double* or const float*
-  for (size_t k = 0; k < num_classes; ++k) {
-    (*m)[k] = scale * w.Dot(idxs, vals, n, k * num_features);
-  }
-}
-
-template <typename View>
-ComputeStats BatchGradientSoftmaxImpl(const View& v,
-                                      const std::vector<size_t>& batch,
-                                      size_t num_classes,
-                                      size_t num_features,
-                                      const DenseVector& w,
-                                      DenseVector* gradient,
-                                      double* loss_sum) {
-  ComputeStats stats;
-  std::vector<double> m(num_classes);
-  for (size_t idx : batch) {
-    const size_t n = v.nnz(idx);
-    const FeatureIndex* idxs = v.indices(idx);
-    const auto* vals = v.values(idx);
-    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, w, &m);
-    stats.nnz_processed += num_classes * n;
-    const size_t label = static_cast<size_t>(v.label(idx));
-    MLLIBSTAR_CHECK_LT(label, num_classes);
-    const double loss = SoftmaxInPlace(&m, label);
-    if (loss_sum != nullptr) *loss_sum += loss;
-    for (size_t k = 0; k < num_classes; ++k) {
-      const double coef = m[k] - (k == label ? 1.0 : 0.0);
-      if (coef != 0.0) {
-        gradient->AddScaled(idxs, vals, n, coef, k * num_features);
-        stats.nnz_processed += n;
-      }
-    }
-  }
-  return stats;
-}
-
-template <typename View>
-ComputeStats SgdEpochSoftmaxImpl(const View& v, std::vector<size_t> rows,
-                                 size_t num_classes, size_t num_features,
-                                 const Regularizer& reg, double lr,
-                                 bool lazy_regularization, Rng* rng,
-                                 DenseVector* w) {
-  ComputeStats stats;
-  if (rows.empty()) return stats;
-  rng->Shuffle(&rows);
-
-  std::vector<double> m(num_classes);
-  const bool lazy_l2 =
-      lazy_regularization && reg.kind() == RegularizerKind::kL2;
-
-  if (lazy_l2) {
-    // The ScaledVector trick inlined: one scalar scale over the whole
-    // flattened model, sparse updates divided by it, re-materialized
-    // at the same 1e-9 threshold ScaledVector uses.
-    double scale = 1.0;
-    const double shrink = 1.0 - lr * reg.lambda();
-    MLLIBSTAR_CHECK_GT(shrink, 0.0);
-    for (size_t idx : rows) {
-      const size_t n = v.nnz(idx);
-      const FeatureIndex* idxs = v.indices(idx);
-      const auto* vals = v.values(idx);
-      SoftmaxMargins(v, idx, num_classes, num_features, scale, *w, &m);
-      stats.nnz_processed += num_classes * n;
-      scale *= shrink;
-      if (scale < 1e-9) {
-        w->Scale(scale);
-        scale = 1.0;
-      }
-      const size_t label = static_cast<size_t>(v.label(idx));
-      MLLIBSTAR_CHECK_LT(label, num_classes);
-      SoftmaxInPlace(&m, label);
-      for (size_t k = 0; k < num_classes; ++k) {
-        const double coef = m[k] - (k == label ? 1.0 : 0.0);
-        if (coef != 0.0) {
-          w->AddScaled(idxs, vals, n, -lr * coef / scale,
-                       k * num_features);
-          stats.nnz_processed += n;
-        }
-      }
-      ++stats.model_updates;
-    }
-    w->Scale(scale);
-    return stats;
-  }
-
-  for (size_t idx : rows) {
-    const size_t n = v.nnz(idx);
-    const FeatureIndex* idxs = v.indices(idx);
-    const auto* vals = v.values(idx);
-    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, *w, &m);
-    stats.nnz_processed += num_classes * n;
-    if (reg.kind() != RegularizerKind::kNone) {
-      reg.ApplyGradientStep(w, lr);
-      stats.nnz_processed += w->dim();
-    }
-    const size_t label = static_cast<size_t>(v.label(idx));
-    MLLIBSTAR_CHECK_LT(label, num_classes);
-    SoftmaxInPlace(&m, label);
-    for (size_t k = 0; k < num_classes; ++k) {
-      const double coef = m[k] - (k == label ? 1.0 : 0.0);
-      if (coef != 0.0) {
-        w->AddScaled(idxs, vals, n, -lr * coef, k * num_features);
-        stats.nnz_processed += n;
-      }
-    }
-    ++stats.model_updates;
-  }
-  return stats;
-}
-
-template <typename View>
-ComputeStats OptimizerEpochSoftmaxImpl(const View& v, size_t num_classes,
-                                       size_t num_features,
-                                       const Regularizer& reg, double lr,
-                                       LocalOptimizer* optimizer, Rng* rng,
-                                       DenseVector* w) {
-  ComputeStats stats;
-  if (v.size() == 0) return stats;
-
-  std::vector<size_t> order(v.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  rng->Shuffle(&order);
-
-  const bool lazy_l2 = reg.kind() == RegularizerKind::kL2;
-  const double shrink = 1.0 - lr * reg.lambda();
-  std::vector<uint64_t> last_touched;
-  if (lazy_l2) {
-    MLLIBSTAR_CHECK_GT(shrink, 0.0);
-    last_touched.assign(w->dim(), 0);
-  }
-
-  std::vector<double> m(num_classes);
-  std::vector<FeatureIndex> shifted;
-  uint64_t step = 0;
-  for (size_t idx : order) {
-    const size_t n = v.nnz(idx);
-    const FeatureIndex* idxs = v.indices(idx);
-    const double* vals = v.values(idx);
-    ++step;
-    if (lazy_l2) {
-      for (size_t k = 0; k < num_classes; ++k) {
-        const size_t base = k * num_features;
-        for (size_t i = 0; i < n; ++i) {
-          const size_t j = base + idxs[i];
-          const uint64_t gap = step - last_touched[j];
-          if (gap > 0) {
-            (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
-            last_touched[j] = step;
-          }
-        }
-      }
-      stats.nnz_processed += num_classes * n;
-    } else if (reg.kind() != RegularizerKind::kNone) {
-      reg.ApplyGradientStep(w, lr);
-      stats.nnz_processed += w->dim();
-    }
-    SoftmaxMargins(v, idx, num_classes, num_features, 1.0, *w, &m);
-    stats.nnz_processed += num_classes * n;
-    const size_t label = static_cast<size_t>(v.label(idx));
-    MLLIBSTAR_CHECK_LT(label, num_classes);
-    SoftmaxInPlace(&m, label);
-    shifted.resize(n);
-    for (size_t k = 0; k < num_classes; ++k) {
-      const double coef = m[k] - (k == label ? 1.0 : 0.0);
-      const FeatureIndex base =
-          static_cast<FeatureIndex>(k * num_features);
-      for (size_t i = 0; i < n; ++i) shifted[i] = base + idxs[i];
-      stats.nnz_processed +=
-          optimizer->ApplyUpdate(shifted.data(), vals, n, coef, lr, w);
-    }
-    ++stats.model_updates;
-  }
-
-  if (lazy_l2) {
-    for (size_t j = 0; j < w->dim(); ++j) {
-      const uint64_t gap = step - last_touched[j];
-      if (gap > 0) {
-        (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
-      }
-    }
-    stats.nnz_processed += w->dim();
-  }
-  return stats;
-}
-
-template <typename View>
-ComputeStats MiniBatchGdSoftmaxImpl(const View& v, size_t num_classes,
-                                    size_t num_features,
-                                    const Regularizer& reg, double lr,
-                                    size_t batch_size, size_t num_batches,
-                                    Rng* rng, DenseVector* w) {
-  ComputeStats stats;
-  if (v.size() == 0 || batch_size == 0) return stats;
-
-  TouchedBuffer gradient(w->dim(), num_classes);
-  for (size_t b = 0; b < num_batches; ++b) {
-    const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
-    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
-    const ComputeStats batch_stats =
-        BatchGradientSoftmaxImpl(v, batch, num_classes, num_features, *w,
-                                 gradient.mutable_vector(), nullptr);
-    stats += batch_stats;
-    const double inv_batch = 1.0 / static_cast<double>(batch.size());
-    if (reg.kind() != RegularizerKind::kNone) {
-      reg.ApplyGradientStep(w, lr);
-      stats.nnz_processed += w->dim();
-    }
-    gradient.FlushScaled(-lr * inv_batch, w);
-    stats.nnz_processed += reg.kind() != RegularizerKind::kNone
-                               ? w->dim()
-                               : batch_stats.nnz_processed / 2;
-    ++stats.model_updates;
-  }
-  return stats;
-}
-
-// ---- The objectives ----------------------------------------------------
+// ---- The objective -----------------------------------------------------
 // `View` is the row view every kernel but OptimizerEpoch reads through,
 // chosen once by the factory from the ComputePrecision. OptimizerEpoch
 // always reads f64: LocalOptimizer::ApplyUpdate consumes f64 value
@@ -499,8 +255,6 @@ class BinaryObjective final : public GlmObjective {
   BinaryObjective(const Loss* loss, const Regularizer* reg,
                   bool lazy_regularization)
       : loss_(loss), reg_(reg), lazy_(lazy_regularization) {}
-
-  size_t num_classes() const override { return 0; }
 
   ComputeStats BatchGradient(const CsrBlock& block,
                              const std::vector<size_t>& batch,
@@ -541,17 +295,10 @@ class BinaryObjective final : public GlmObjective {
                            num_batches, rng, w);
   }
 
-  double MeanPointLoss(const std::vector<DataPoint>& points,
-                       const DenseVector& w) const override {
-    // Evaluation stays f64 regardless of compute precision so the
-    // recorded loss curves expose any f32 training drift.
-    return MeanLoss(points, *loss_, w);
-  }
-
-  std::string name() const override { return "binary/" + loss_->name(); }
-
  private:
-  // MeanLoss's per-point term, over the row views.
+  // MeanLoss's per-point term (core/model), over the f64 row values:
+  // evaluation stays f64 regardless of compute precision so the
+  // recorded loss curves expose any f32 training drift.
   void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
                  size_t stride) const override {
     for (size_t i = 0; i < block.rows(); ++i) {
@@ -562,100 +309,6 @@ class BinaryObjective final : public GlmObjective {
   }
 
   const Loss* loss_;
-  const Regularizer* reg_;
-  bool lazy_;
-};
-
-template <typename View>
-class SoftmaxObjective final : public GlmObjective {
- public:
-  SoftmaxObjective(size_t num_classes, const Regularizer* reg,
-                   bool lazy_regularization)
-      : num_classes_(num_classes), reg_(reg), lazy_(lazy_regularization) {
-    MLLIBSTAR_CHECK_GE(num_classes_, 2u);
-  }
-
-  size_t num_classes() const override { return num_classes_; }
-
-  ComputeStats BatchGradient(const CsrBlock& block,
-                             const std::vector<size_t>& batch,
-                             const DenseVector& w,
-                             DenseVector* gradient) const override {
-    return BatchGradientSoftmaxImpl(View(block), batch, num_classes_,
-                                    Features(w), w, gradient, nullptr);
-  }
-
-  ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
-                            DenseVector* gradient,
-                            double* loss_sum) const override {
-    return BatchGradientSoftmaxImpl(View(block), Iota(block.rows()),
-                                    num_classes_, Features(w), w, gradient,
-                                    loss_sum);
-  }
-
-  ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
-                        DenseVector* w) const override {
-    return SgdEpochSoftmaxImpl(View(block), Iota(block.rows()), num_classes_,
-                               Features(*w), *reg_, lr, lazy_, rng, w);
-  }
-
-  ComputeStats SgdEpoch(const CsrBlock& block,
-                        const std::vector<size_t>& rows, double lr,
-                        Rng* rng, DenseVector* w) const override {
-    return SgdEpochSoftmaxImpl(View(block), rows, num_classes_, Features(*w),
-                               *reg_, lr, lazy_, rng, w);
-  }
-
-  ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
-                              LocalOptimizer* optimizer, Rng* rng,
-                              DenseVector* w) const override {
-    return OptimizerEpochSoftmaxImpl(CsrView(block), num_classes_,
-                                     Features(*w), *reg_, lr, optimizer, rng,
-                                     w);
-  }
-
-  ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
-                           size_t batch_size, size_t num_batches, Rng* rng,
-                           DenseVector* w) const override {
-    return MiniBatchGdSoftmaxImpl(View(block), num_classes_, Features(*w),
-                                  *reg_, lr, batch_size, num_batches, rng, w);
-  }
-
-  double MeanPointLoss(const std::vector<DataPoint>& points,
-                       const DenseVector& w) const override {
-    return MeanSoftmaxLoss(points, num_classes_, Features(w), w);
-  }
-
-  std::string name() const override {
-    return "softmax" + std::to_string(num_classes_);
-  }
-
- private:
-  // MeanSoftmaxLoss's per-point term, over the row views.
-  void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
-                 size_t stride) const override {
-    const size_t d = Features(w);
-    std::vector<double> margins(num_classes_);
-    for (size_t i = 0; i < block.rows(); ++i) {
-      for (size_t c = 0; c < num_classes_; ++c) {
-        margins[c] = w.Dot(block.row_indices(i), block.row_values(i),
-                           block.row_nnz(i), c * d);
-      }
-      const size_t label = static_cast<size_t>(block.label(i));
-      MLLIBSTAR_CHECK_LT(label, num_classes_);
-      out[i * stride] = SoftmaxCrossEntropy(margins.data(), num_classes_,
-                                            label);
-    }
-  }
-
-  // The per-class feature count, recovered from the flattened model so
-  // the objective stays stateless about the dataset.
-  size_t Features(const DenseVector& w) const {
-    MLLIBSTAR_CHECK_EQ(w.dim() % num_classes_, 0u);
-    return w.dim() / num_classes_;
-  }
-
-  size_t num_classes_;
   const Regularizer* reg_;
   bool lazy_;
 };
@@ -692,17 +345,6 @@ std::unique_ptr<GlmObjective> MakeBinaryObjective(
   }
   return std::make_unique<BinaryObjective<CsrView>>(loss, reg,
                                                     lazy_regularization);
-}
-
-std::unique_ptr<GlmObjective> MakeSoftmaxObjective(
-    size_t num_classes, const Regularizer* reg, bool lazy_regularization,
-    ComputePrecision precision) {
-  if (precision == ComputePrecision::kF32) {
-    return std::make_unique<SoftmaxObjective<CsrF32View>>(
-        num_classes, reg, lazy_regularization);
-  }
-  return std::make_unique<SoftmaxObjective<CsrView>>(num_classes, reg,
-                                                     lazy_regularization);
 }
 
 }  // namespace mllibstar

@@ -2,12 +2,10 @@
 #define MLLIBSTAR_WORKLOADS_OBJECTIVE_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/csr_block.h"
-#include "core/datapoint.h"
 #include "core/gd.h"
 #include "core/local_optimizer.h"
 #include "core/loss.h"
@@ -17,32 +15,14 @@
 
 namespace mllibstar {
 
-/// One training objective viewed through the kernel calls the seven
-/// distributed trainers make, and the only way into the GD kernels:
-/// each method is one call into a kernel template (objective.cc) over
-/// the block's packed rows. The binary implementation runs the
-/// scalar-margin kernels; the softmax implementation runs the
-/// multiclass ones over a flattened K×d model. Trainers hold exactly
-/// one of these, so a workload change never touches trainer control
-/// flow, communication, scheduling, or fault handling.
+/// The binary GLM objective (paper Equation 1: a margin loss plus
+/// Ω(w)) viewed through the kernel calls the seven distributed trainers
+/// make, and the only way into the GD kernels: each method is one call
+/// into a kernel template (objective.cc) over the block's packed rows.
+/// Trainers hold exactly one of these, built by MakeBinaryObjective.
 class GlmObjective {
  public:
   virtual ~GlmObjective() = default;
-
-  /// 0 for the binary margin objective, K ≥ 2 for softmax.
-  virtual size_t num_classes() const = 0;
-
-  /// Model coordinates per data feature: 1 for binary, K for softmax.
-  /// The PS sparse-pull byte accounting scales by this.
-  size_t CoordsPerFeature() const {
-    const size_t k = num_classes();
-    return k == 0 ? 1 : k;
-  }
-
-  /// Flattened model dimension for a d-feature dataset (d or K·d).
-  size_t ModelDim(size_t num_features) const {
-    return CoordsPerFeature() * num_features;
-  }
 
   /// grad += Σ_{i ∈ batch} ∇l(w, xᵢ, yᵢ) — the SendGradient worker
   /// task (Algorithm 2).
@@ -60,10 +40,9 @@ class GlmObjective {
 
   /// One shuffled local SGD pass (the SendModel local computation,
   /// paper §III-B1, §IV-B). With lazy regularization and L2 the
-  /// shrinkage costs O(nnz) per update (ScaledVector for binary, an
-  /// inlined scalar scale for softmax); otherwise the regularizer's
-  /// dense step runs per update and its O(d) cost is charged to the
-  /// returned ComputeStats (the ablation baseline).
+  /// shrinkage costs O(nnz) per update (ScaledVector); otherwise the
+  /// regularizer's dense step runs per update and its O(d) cost is
+  /// charged to the returned ComputeStats (the ablation baseline).
   virtual ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
                                 DenseVector* w) const = 0;
 
@@ -73,7 +52,7 @@ class GlmObjective {
                                 Rng* rng, DenseVector* w) const = 0;
 
   /// One shuffled pass through a stateful local optimizer (sized for
-  /// ModelDim coordinates). L2 is applied as lazy decoupled weight
+  /// the model's coordinates). L2 is applied as lazy decoupled weight
   /// decay on the touched coordinates, flushed at the end of the pass;
   /// L1 falls back to the eager dense step.
   virtual ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
@@ -88,26 +67,21 @@ class GlmObjective {
                                    Rng* rng, DenseVector* w) const = 0;
 
   /// Mean pointwise loss (1/n) Σ l(w, xᵢ, yᵢ), without the
-  /// regularizer — the data term of the evaluated objective.
-  virtual double MeanPointLoss(const std::vector<DataPoint>& points,
-                               const DenseVector& w) const = 0;
-
-  /// The same mean loss over a dataset dealt round-robin into
-  /// `partitions` (PartitionCsr), with exactly the bits of
-  /// MeanPointLoss over its points: each partition is walked in order,
-  /// every row's loss lands in the slot of its dataset row, and the
-  /// slots are summed in dataset order (DESIGN §17). `row_losses` is
-  /// the caller's buffer, resized to the row count; reusing it keeps
-  /// evaluation allocation-free.
+  /// regularizer — the data term of the evaluated objective — over a
+  /// dataset dealt round-robin into `partitions` (PartitionCsr), with
+  /// exactly the bits of MeanLoss (core/model) over the dataset's
+  /// points: each partition is walked in order, every row's loss lands
+  /// in the slot of its dataset row, and the slots are summed in
+  /// dataset order (DESIGN §17). `row_losses` is the caller's buffer,
+  /// resized to the row count; reusing it keeps evaluation
+  /// allocation-free.
   double MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
                            const DenseVector& w,
                            std::vector<double>* row_losses) const;
 
-  virtual std::string name() const = 0;
-
  private:
   /// Writes the pointwise loss of row i of `block` to out[i · stride].
-  /// Always f64, like MeanPointLoss.
+  /// Always f64, like MeanLoss.
   virtual void RowLosses(const CsrBlock& block, const DenseVector& w,
                          double* out, size_t stride) const = 0;
 };
@@ -120,13 +94,6 @@ class GlmObjective {
 /// LocalOptimizer interface takes f64 value spans.
 std::unique_ptr<GlmObjective> MakeBinaryObjective(
     const Loss* loss, const Regularizer* reg, bool lazy_regularization,
-    ComputePrecision precision = ComputePrecision::kF64);
-
-/// Softmax cross-entropy over `num_classes` classes (labels are class
-/// ids 0..K−1) with `reg` applied to the flattened K×d model. The
-/// `precision` knob behaves as for MakeBinaryObjective.
-std::unique_ptr<GlmObjective> MakeSoftmaxObjective(
-    size_t num_classes, const Regularizer* reg, bool lazy_regularization,
     ComputePrecision precision = ComputePrecision::kF64);
 
 }  // namespace mllibstar

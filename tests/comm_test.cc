@@ -288,25 +288,5 @@ TEST(ErrorFeedbackTest, QuantizedMgdMatchesDenseObjective) {
             biased.curve.BestObjective() + 1e-6);
 }
 
-TEST(CodecTest, FlattenedMulticlassModelRoundTripsThroughEveryCodec) {
-  // The K-class model ships through the comm layer as one flattened
-  // K·d dense vector; every codec must treat it exactly like any other
-  // model-sized payload (byte accounting included), with the lossless
-  // baseline bit-exact.
-  const size_t num_classes = 4, d = 83;
-  const DenseVector flat = TestVector(num_classes * d, 23);
-  for (CodecKind kind : kAllKinds) {
-    const auto codec = MakeCodec(ConfigFor(kind));
-    const EncodedChunk chunk = codec->Encode(flat);
-    EXPECT_EQ(chunk.bytes, codec->EncodedBytes(num_classes * d))
-        << CodecName(kind);
-    const DenseVector back = codec->Decode(chunk);
-    ASSERT_EQ(back.dim(), flat.dim()) << CodecName(kind);
-    if (kind == CodecKind::kDenseF64) {
-      EXPECT_EQ(std::memcmp(back.data(), flat.data(), 8 * flat.dim()), 0);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mllibstar

@@ -318,62 +318,6 @@ TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
   }
 }
 
-TEST(CsrKernelTest, SoftmaxValueFreeMatchesStoredOnes) {
-  const size_t num_classes = 3;
-  MulticlassSpec spec;
-  spec.base.name = "csr_softmax";
-  spec.base.num_instances = 60;
-  spec.base.num_features = 15;
-  spec.base.avg_nnz = 6;
-  spec.base.seed = 77;
-  spec.num_classes = num_classes;
-  const CsrBlock value_free =
-      CsrBlock::FromPoints(GenerateMulticlass(spec).points());
-  ASSERT_TRUE(value_free.value_free);
-  const CsrBlock stored = WithStoredOnes(value_free);
-  const size_t dim = num_classes * spec.base.num_features;
-  Rng rng(11);
-  DenseVector w(dim);
-  for (size_t i = 0; i < dim; ++i) w[i] = 0.2 * rng.NextGaussian();
-  std::vector<size_t> batch;
-  for (size_t i = 0; i < value_free.rows(); i += 2) batch.push_back(i);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 1e-3);
-  LocalOptimizerConfig opt_config;
-  opt_config.kind = LocalOptimizerKind::kAdagrad;
-
-  for (const ComputePrecision precision : kPrecisions) {
-    SCOPED_TRACE(PrecisionName(precision));
-    auto objective =
-        MakeSoftmaxObjective(num_classes, reg.get(), true, precision);
-    DenseVector g_a(dim), g_b(dim);
-    ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
-                    objective->BatchGradient(stored, batch, w, &g_b));
-    ExpectSameVector(g_a, g_b);
-
-    double loss_a = 0.0, loss_b = 0.0;
-    ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
-                    objective->LossGradient(stored, w, &g_b, &loss_b));
-    EXPECT_EQ(loss_a, loss_b);
-    ExpectSameVector(g_a, g_b);
-
-    Rng rng_a(9), rng_b(9);
-    DenseVector w_a = w, w_b = w;
-    ExpectSameStats(objective->SgdEpoch(value_free, 0.1, &rng_a, &w_a),
-                    objective->SgdEpoch(stored, 0.1, &rng_b, &w_b));
-    auto opt_a = MakeLocalOptimizer(opt_config, dim);
-    auto opt_b = MakeLocalOptimizer(opt_config, dim);
-    ExpectSameStats(
-        objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
-        objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
-    ExpectSameStats(
-        objective->MiniBatchGd(value_free, 0.1, 8, 3, &rng_a, &w_a),
-        objective->MiniBatchGd(stored, 0.1, 8, 3, &rng_b, &w_b));
-    ExpectSameVector(w_a, w_b);
-    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-        << "RNG consumption diverged";
-  }
-}
-
 // ---- Value-free packing --------------------------------------------
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -502,41 +446,6 @@ TEST(PartitionEvalTest, BinaryMatchesMeanLossBitForBit) {
             << "k=" << k;
         EXPECT_EQ(slots.size(), data->size());
       }
-    }
-  }
-}
-
-TEST(PartitionEvalTest, SoftmaxMatchesMeanSoftmaxLossBitForBit) {
-  const size_t num_classes = 4;
-  auto make = [&](bool gaussian) {
-    MulticlassSpec spec;
-    spec.base.name = "csr_softmax";
-    spec.base.num_instances = 200;
-    spec.base.num_features = 50;
-    spec.base.avg_nnz = 6;
-    spec.base.seed = 31;
-    spec.base.gaussian_values = gaussian;
-    spec.num_classes = num_classes;
-    return GenerateMulticlass(spec);
-  };
-  Dataset ones = make(false);
-  Dataset valued = make(true);
-  ones.set_name("value-free");
-  valued.set_name("valued");
-  Dataset mixed = MixedData(ones, valued);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  auto objective = MakeSoftmaxObjective(num_classes, none.get(), true);
-  const size_t d = ones.num_features();
-  const DenseVector w = TestWeights(num_classes * d, 6);
-  for (const Dataset* data : {&ones, &valued, &mixed}) {
-    SCOPED_TRACE(data->name());
-    const double expected =
-        MeanSoftmaxLoss(data->points(), num_classes, d, w);
-    std::vector<double> slots;
-    for (const size_t k : EvalPartitionCounts(data->size())) {
-      const std::vector<CsrBlock> parts = PartitionCsr(*data, k);
-      EXPECT_EQ(objective->MeanPartitionLoss(parts, w, &slots), expected)
-          << "k=" << k;
     }
   }
 }

@@ -292,51 +292,37 @@ TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
   spec.num_features = features;
   spec.avg_nnz = 8;
   spec.seed = 3;
-  const CsrBlock binary =
+  const CsrBlock block =
       CsrBlock::FromPoints(GenerateSynthetic(spec).points());
-  MulticlassSpec mspec;
-  mspec.base = spec;
-  mspec.num_classes = 3;
-  const CsrBlock multi =
-      CsrBlock::FromPoints(GenerateMulticlass(mspec).points());
   auto loss = MakeLoss(LossKind::kLogistic);
 
-  // 4-row batches list ~32 coordinates per class block (the listed
-  // sweep); 100-row batches list ~800 (the dense sweep), for binary
-  // (dim 2000) and 3-class softmax (dim 6000) alike.
-  for (size_t classes : {size_t{0}, size_t{3}}) {
-    for (bool f32 : {false, true}) {
-      for (RegularizerKind kind : {RegularizerKind::kNone,
-                                   RegularizerKind::kL2,
-                                   RegularizerKind::kL1}) {
-        for (size_t batch_size : {size_t{4}, size_t{100}}) {
-          SCOPED_TRACE(testing::Message()
-                       << "classes " << classes << " f32 " << f32
-                       << " reg " << static_cast<int>(kind) << " batch "
-                       << batch_size);
-          const CsrBlock& block = classes == 0 ? binary : multi;
-          const size_t dim = classes == 0 ? features : classes * features;
-          auto reg = MakeRegularizer(kind, 0.01);
-          const ComputePrecision precision =
-              f32 ? ComputePrecision::kF32 : ComputePrecision::kF64;
-          const auto objective =
-              classes == 0
-                  ? Binary(*loss, *reg, true, precision)
-                  : MakeSoftmaxObjective(classes, reg.get(), true, precision);
-          DenseVector w = StartWeights(dim);
-          DenseVector ref_w = w;
-          Rng rng(17);
-          Rng ref_rng(17);
-          const ComputeStats stats =
-              objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
-          const ComputeStats ref = DenseReferenceMiniBatchGd(
-              block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
-          EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
-          EXPECT_EQ(stats.model_updates, ref.model_updates);
-          EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
-          for (size_t i = 0; i < dim; ++i) {
-            ASSERT_EQ(Bits(w[i]), Bits(ref_w[i])) << "coordinate " << i;
-          }
+  // 4-row batches list ~32 coordinates (the listed sweep); 100-row
+  // batches list ~800 of the 2000 (the dense sweep).
+  for (bool f32 : {false, true}) {
+    for (RegularizerKind kind : {RegularizerKind::kNone,
+                                 RegularizerKind::kL2,
+                                 RegularizerKind::kL1}) {
+      for (size_t batch_size : {size_t{4}, size_t{100}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "f32 " << f32 << " reg " << static_cast<int>(kind)
+                     << " batch " << batch_size);
+        auto reg = MakeRegularizer(kind, 0.01);
+        const ComputePrecision precision =
+            f32 ? ComputePrecision::kF32 : ComputePrecision::kF64;
+        const auto objective = Binary(*loss, *reg, true, precision);
+        DenseVector w = StartWeights(features);
+        DenseVector ref_w = w;
+        Rng rng(17);
+        Rng ref_rng(17);
+        const ComputeStats stats =
+            objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
+        const ComputeStats ref = DenseReferenceMiniBatchGd(
+            block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
+        EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
+        EXPECT_EQ(stats.model_updates, ref.model_updates);
+        EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
+        for (size_t i = 0; i < features; ++i) {
+          ASSERT_EQ(Bits(w[i]), Bits(ref_w[i])) << "coordinate " << i;
         }
       }
     }

@@ -74,25 +74,39 @@ class HostParallelismTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(HostParallelismTest, EightThreadsMatchesSequentialBitForBit) {
   const Dataset data = HostparData();
-  const ClusterConfig cluster = JitteryCluster();
+  // Two inputs: the jittery cluster alone, and the fault gauntlet, which
+  // adds probabilistic worker crashes, a lossy int8 codec (error
+  // feedback state per worker) and L2 on top of its stragglers and
+  // task failures.
+  for (const bool gauntlet : {false, true}) {
+    SCOPED_TRACE(gauntlet ? "fault gauntlet" : "jittery cluster");
+    ClusterConfig cluster = JitteryCluster();
+    TrainerConfig sequential = BaseConfig(1);
+    if (gauntlet) {
+      cluster.faults.worker_crash_prob = 0.02;
+      sequential.codec.kind = CodecKind::kInt8Linear;
+      sequential.regularizer = RegularizerKind::kL2;
+      sequential.lambda = 1e-3;
+    }
+    if (GetParam() == SystemKind::kPetuum) {
+      // SSP exercises the parked-worker gate in the PS event loop.
+      sequential.ps.consistency = ConsistencyKind::kSsp;
+      sequential.ps.staleness = 1;
+    }
+    if (GetParam() == SystemKind::kAngel) sequential.ps.sparse_pull = true;
+    TrainerConfig parallel = sequential;
+    parallel.host_threads = 8;
 
-  TrainerConfig sequential = BaseConfig(1);
-  TrainerConfig parallel = BaseConfig(8);
-  if (GetParam() == SystemKind::kPetuum) {
-    // SSP exercises the parked-worker gate in the PS event loop.
-    sequential.ps.consistency = ConsistencyKind::kSsp;
-    sequential.ps.staleness = 1;
-    parallel.ps = sequential.ps;
+    const TrainResult a =
+        MakeTrainer(GetParam(), sequential)->Train(data, cluster);
+    const TrainResult b =
+        MakeTrainer(GetParam(), parallel)->Train(data, cluster);
+    ExpectBitIdentical(a, b);
+    EXPECT_EQ(a.faults.worker_crashes, b.faults.worker_crashes);
+    if (gauntlet) {
+      EXPECT_GE(a.faults.worker_crashes, 1u);
+    }
   }
-  if (GetParam() == SystemKind::kAngel) {
-    sequential.ps.sparse_pull = true;
-    parallel.ps = sequential.ps;
-  }
-
-  const TrainResult a =
-      MakeTrainer(GetParam(), sequential)->Train(data, cluster);
-  const TrainResult b = MakeTrainer(GetParam(), parallel)->Train(data, cluster);
-  ExpectBitIdentical(a, b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -107,72 +107,5 @@ TEST(MetricsToStringTest, ContainsAllFields) {
   EXPECT_NE(text.find("auc=0.8"), std::string::npos);
 }
 
-// One-hot features against an identity weight block: a point carrying
-// feature j is predicted as class j, so the confusion table is fully
-// scripted by hand.
-MulticlassGlmModel IdentityModel() {
-  MulticlassGlmModel model(3, 3);
-  for (size_t k = 0; k < 3; ++k) (*model.mutable_flat_weights())[k * 3 + k] = 1.0;
-  return model;
-}
-
-TEST(MulticlassMetricsTest, HandComputedConfusionAccuracyAndMacroF1) {
-  const std::vector<DataPoint> points = {
-      MakePoint(0.0, 0, 1.0),  // true 0, pred 0
-      MakePoint(0.0, 1, 1.0),  // true 0, pred 1
-      MakePoint(1.0, 1, 1.0),  // true 1, pred 1
-      MakePoint(1.0, 1, 1.0),  // true 1, pred 1
-      MakePoint(2.0, 2, 1.0),  // true 2, pred 2
-      MakePoint(2.0, 0, 1.0),  // true 2, pred 0
-  };
-  const MulticlassMetrics m = EvaluateMulticlass(points, IdentityModel());
-  ASSERT_EQ(m.num_classes, 3u);
-  EXPECT_EQ(m.count(0, 0), 1u);
-  EXPECT_EQ(m.count(0, 1), 1u);
-  EXPECT_EQ(m.count(1, 1), 2u);
-  EXPECT_EQ(m.count(2, 2), 1u);
-  EXPECT_EQ(m.count(2, 0), 1u);
-  EXPECT_EQ(m.count(1, 0), 0u);
-  EXPECT_DOUBLE_EQ(m.accuracy, 4.0 / 6.0);
-  // Class 0: P = R = 1/2, F1 = 1/2.  Class 1: P = 2/3, R = 1,
-  // F1 = 4/5.  Class 2: P = 1, R = 1/2, F1 = 2/3.
-  EXPECT_DOUBLE_EQ(m.per_class_precision[0], 0.5);
-  EXPECT_DOUBLE_EQ(m.per_class_recall[1], 1.0);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[0], 0.5);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[1], 0.8);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[2], 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(m.macro_f1, (0.5 + 0.8 + 2.0 / 3.0) / 3.0);
-}
-
-TEST(MulticlassMetricsTest, AbsentClassScoresZeroNotNan) {
-  // Only class 0 ever occurs or gets predicted: classes 1 and 2 have
-  // empty precision/recall denominators and must contribute 0, not NaN.
-  const std::vector<DataPoint> points = {MakePoint(0.0, 0, 1.0),
-                                         MakePoint(0.0, 0, 1.0)};
-  const MulticlassMetrics m = EvaluateMulticlass(points, IdentityModel());
-  EXPECT_DOUBLE_EQ(m.accuracy, 1.0);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[0], 1.0);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[1], 0.0);
-  EXPECT_DOUBLE_EQ(m.per_class_f1[2], 0.0);
-  EXPECT_DOUBLE_EQ(m.macro_f1, 1.0 / 3.0);
-}
-
-TEST(MulticlassMetricsTest, EmptyDataYieldsZeroedMetrics) {
-  const MulticlassMetrics m = EvaluateMulticlass({}, IdentityModel());
-  EXPECT_DOUBLE_EQ(m.accuracy, 0.0);
-  EXPECT_DOUBLE_EQ(m.macro_f1, 0.0);
-}
-
-TEST(MulticlassMetricsTest, ToStringContainsAllFields) {
-  MulticlassMetrics m;
-  m.num_classes = 4;
-  m.accuracy = 0.93;
-  m.macro_f1 = 0.91;
-  const std::string text = MetricsToString(m);
-  EXPECT_NE(text.find("acc=0.93"), std::string::npos);
-  EXPECT_NE(text.find("macro_f1=0.91"), std::string::npos);
-  EXPECT_NE(text.find("k=4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mllibstar

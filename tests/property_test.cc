@@ -205,12 +205,6 @@ TEST(PropertyTest, SplitsPartitionExactlyForRandomSizes) {
     }
     const TrainTestSplit random = RandomSplit(data, rng.NextDouble(), &rng);
     EXPECT_EQ(random.train.size() + random.test.size(), n);
-    const size_t folds = 2 + rng.NextUint64(5);
-    size_t covered = 0;
-    for (size_t f = 0; f < folds; ++f) {
-      covered += KFold(data, folds, f).test.size();
-    }
-    EXPECT_EQ(covered, n);
   }
 }
 

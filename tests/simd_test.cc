@@ -380,47 +380,6 @@ TEST(FusedKernelTest, F32FusedPassWithinBudget) {
   }
 }
 
-TEST(FusedKernelTest, SoftmaxF32FusedPassWithinBudget) {
-  SimdLevelGuard guard;
-  const size_t num_classes = 4;
-  MulticlassSpec spec;
-  spec.base.name = "simd_softmax32";
-  spec.base.num_instances = 150;
-  spec.base.num_features = 120;
-  spec.base.avg_nnz = 16;
-  spec.base.seed = 11;
-  spec.base.gaussian_values = true;  // valued rows: f32 rounds them
-  spec.num_classes = num_classes;
-  const Dataset data = GenerateMulticlass(spec);
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto f64 = MakeSoftmaxObjective(num_classes, none.get(), true);
-  const auto f32 = MakeSoftmaxObjective(num_classes, none.get(), true,
-                                        ComputePrecision::kF32);
-  DenseVector w(num_classes * spec.base.num_features);
-  Rng rng(12);
-  for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.3, 0.3);
-
-  simd::SetSimdLevel(simd::SimdLevel::kScalar);
-  DenseVector ref_grad(w.dim());
-  double ref_loss = 0.0;
-  f64->LossGradient(block, w, &ref_grad, &ref_loss);
-
-  constexpr double kBudget = 1e-4;
-  for (simd::SimdLevel level : AvailableLevels()) {
-    simd::SetSimdLevel(level);
-    DenseVector grad(w.dim());
-    double loss_sum = 0.0;
-    f32->LossGradient(block, w, &grad, &loss_sum);
-    EXPECT_NEAR(loss_sum, ref_loss,
-                kBudget * std::max(1.0, std::fabs(ref_loss)))
-        << simd::SimdLevelName(level);
-    EXPECT_NEAR(grad.Norm2(), ref_grad.Norm2(),
-                kBudget * std::max(1.0, ref_grad.Norm2()))
-        << simd::SimdLevelName(level);
-  }
-}
-
 // ---- End-to-end mixed-precision training ---------------------------
 
 Dataset TrainData() {

@@ -49,23 +49,5 @@ TEST(RandomSplitTest, ExtremeFractionsClamp) {
   EXPECT_EQ(RandomSplit(data, -0.5, &rng).test.size(), 50u);
 }
 
-TEST(KFoldTest, FoldsPartitionExactly) {
-  const Dataset data = MakeData(10);
-  size_t total_test = 0;
-  for (size_t fold = 0; fold < 3; ++fold) {
-    const TrainTestSplit split = KFold(data, 3, fold);
-    EXPECT_EQ(split.train.size() + split.test.size(), 10u);
-    total_test += split.test.size();
-  }
-  EXPECT_EQ(total_test, 10u);  // every point tests exactly once
-}
-
-TEST(KFoldTest, FoldSizesBalanced) {
-  const Dataset data = MakeData(10);
-  EXPECT_EQ(KFold(data, 3, 0).test.size(), 4u);  // indices 0,3,6,9
-  EXPECT_EQ(KFold(data, 3, 1).test.size(), 3u);
-  EXPECT_EQ(KFold(data, 3, 2).test.size(), 3u);
-}
-
 }  // namespace
 }  // namespace mllibstar

@@ -180,88 +180,74 @@ DenseVector SignedZeroDestination(size_t dim) {
   return dst;
 }
 
-// `n` batch rows of `width` feature indices in [0, block_dim), drawn
-// with replacement so the list carries duplicates; row 1 repeats row 0
+// `n` batch rows of `width` feature indices in [0, dim), drawn with
+// replacement so the list carries duplicates; row 1 repeats row 0
 // outright.
 std::vector<std::vector<FeatureIndex>> BatchRows(size_t n, size_t width,
-                                                 size_t block_dim,
-                                                 uint64_t seed) {
+                                                 size_t dim, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<FeatureIndex>> rows(n);
   for (std::vector<FeatureIndex>& row : rows) {
     for (size_t i = 0; i < width; ++i) {
-      row.push_back(static_cast<FeatureIndex>(rng.NextUint64(block_dim)));
+      row.push_back(static_cast<FeatureIndex>(rng.NextUint64(dim)));
     }
   }
   if (n >= 2) rows[1] = rows[0];
   return rows;
 }
 
-// Writes one batch the way the kernels do: each row's values added to
-// every class block at its listed indices. Values include exact zeros
-// (a −0.0 product), and rows 0 and 1 cancel exactly, so written
-// coordinates land on +0.0 too.
+// Writes one batch the way the kernels do: each row's values added at
+// its listed indices. Values include exact zeros (a −0.0 product), and
+// rows 0 and 1 cancel exactly, so written coordinates land on +0.0 too.
 void WriteBatch(const std::vector<std::vector<FeatureIndex>>& rows,
-                size_t blocks, size_t block_dim, DenseVector* buf) {
+                DenseVector* buf) {
   for (size_t r = 0; r < rows.size(); ++r) {
     std::vector<double> values(rows[r].size());
     for (size_t i = 0; i < values.size(); ++i) {
       values[i] = i % 5 == 0 ? 0.0 : 0.125 * static_cast<double>(i + r / 2);
     }
-    const double coef = r % 2 == 0 ? -0.75 : 0.75;
-    for (size_t b = 0; b < blocks; ++b) {
-      buf->AddScaled(rows[r].data(), values.data(), rows[r].size(),
-                     b == 0 ? coef : coef * static_cast<double>(b + 1),
-                     b * block_dim);
-    }
+    buf->AddScaled(rows[r].data(), values.data(), rows[r].size(),
+                   r % 2 == 0 ? -0.75 : 0.75);
   }
 }
 
 void FillBuffer(const std::vector<std::vector<FeatureIndex>>& rows,
-                size_t blocks, size_t block_dim, TouchedBuffer* tb) {
+                TouchedBuffer* tb) {
   for (const std::vector<FeatureIndex>& row : rows) {
     tb->Touch(row.data(), row.size());
   }
-  WriteBatch(rows, blocks, block_dim, tb->mutable_vector());
+  WriteBatch(rows, tb->mutable_vector());
 }
-
-struct FlushCase {
-  size_t blocks;
-  size_t rows;
-  bool sparse;  // listed × blocks × kSparseFactor ≤ dim
-};
 
 TEST(TouchedBufferTest, FlushScaledMatchesDenseReferenceBitForBit) {
   const size_t dim = 240;
   const size_t width = 4;
   // Listed counts on both sides of the threshold, the boundary itself
-  // included (3 blocks × 5 rows × 4 indices × 4 == 240).
-  const FlushCase cases[] = {
-      {1, 2, true},   {1, 15, true}, {1, 16, false}, {1, 60, false},
-      {3, 1, true},   {3, 5, true},  {3, 6, false},  {3, 20, false},
-  };
+  // included (15 rows × 4 indices × 4 == 240).
+  const struct {
+    size_t rows;
+    bool sparse;  // listed × kSparseFactor ≤ dim
+  } cases[] = {{2, true}, {15, true}, {16, false}, {60, false}};
   const double alphas[] = {-0.37,
                            -0.0,
                            0.5,
                            std::numeric_limits<double>::quiet_NaN(),
                            -std::numeric_limits<double>::infinity()};
-  for (const FlushCase& c : cases) {
+  for (const auto& c : cases) {
     for (double alpha : alphas) {
-      SCOPED_TRACE(testing::Message() << "blocks " << c.blocks << " rows "
-                                      << c.rows << " alpha " << alpha);
-      ASSERT_EQ(c.rows * width * c.blocks * TouchedBuffer::kSparseFactor <=
-                    dim,
+      SCOPED_TRACE(testing::Message() << "rows " << c.rows << " alpha "
+                                      << alpha);
+      ASSERT_EQ(c.rows * width * TouchedBuffer::kSparseFactor <= dim,
                 c.sparse);
-      const size_t block_dim = dim / c.blocks;
-      TouchedBuffer tb(dim, c.blocks);
+      TouchedBuffer tb(dim);
       DenseVector dst = SignedZeroDestination(dim);
       DenseVector ref_dst = dst;
       DenseVector ref_buf(dim);
       // Two rounds: the second reuses the re-zeroed buffer.
       for (uint64_t round = 0; round < 2; ++round) {
-        const auto rows = BatchRows(c.rows, width, block_dim, 7 + round);
-        FillBuffer(rows, c.blocks, block_dim, &tb);
-        WriteBatch(rows, c.blocks, block_dim, &ref_buf);
+        const auto rows = BatchRows(c.rows, width, dim, 7 + round);
+        FillBuffer(rows, &tb);
+        WriteBatch(rows, &ref_buf);
         ExpectSameBits(tb.vector(), ref_buf);
         tb.FlushScaled(alpha, &dst);
         ref_dst.AddScaled(ref_buf, alpha);
@@ -275,28 +261,24 @@ TEST(TouchedBufferTest, FlushScaledMatchesDenseReferenceBitForBit) {
 
 TEST(TouchedBufferTest, FlushSumMatchesDenseFoldBitForBit) {
   const size_t dim = 240;
-  for (size_t blocks : {size_t{1}, size_t{3}}) {
-    for (size_t rows_per_worker : {size_t{2}, size_t{40}}) {
-      SCOPED_TRACE(testing::Message() << "blocks " << blocks << " rows "
-                                      << rows_per_worker);
-      const size_t block_dim = dim / blocks;
-      std::vector<TouchedBuffer> workers(3, TouchedBuffer(dim, blocks));
-      std::vector<DenseVector> ref_workers(3, DenseVector(dim));
-      for (size_t r = 0; r < workers.size(); ++r) {
-        const auto rows = BatchRows(rows_per_worker, 4, block_dim, 20 + r);
-        FillBuffer(rows, blocks, block_dim, &workers[r]);
-        WriteBatch(rows, blocks, block_dim, &ref_workers[r]);
-      }
-      // The driver's fold: a sum that starts at +0.0, in worker order.
-      DenseVector sum(dim);
-      DenseVector ref_sum(dim);
-      for (size_t r = 0; r < workers.size(); ++r) {
-        workers[r].FlushSum(&sum);
-        ref_sum.AddScaled(ref_workers[r], 1.0);
-        ExpectAllPositiveZero(workers[r].vector());
-      }
-      ExpectSameBits(sum, ref_sum);
+  for (size_t rows_per_worker : {size_t{2}, size_t{40}}) {
+    SCOPED_TRACE(testing::Message() << "rows " << rows_per_worker);
+    std::vector<TouchedBuffer> workers(3, TouchedBuffer(dim));
+    std::vector<DenseVector> ref_workers(3, DenseVector(dim));
+    for (size_t r = 0; r < workers.size(); ++r) {
+      const auto rows = BatchRows(rows_per_worker, 4, dim, 20 + r);
+      FillBuffer(rows, &workers[r]);
+      WriteBatch(rows, &ref_workers[r]);
     }
+    // The driver's fold: a sum that starts at +0.0, in worker order.
+    DenseVector sum(dim);
+    DenseVector ref_sum(dim);
+    for (size_t r = 0; r < workers.size(); ++r) {
+      workers[r].FlushSum(&sum);
+      ref_sum.AddScaled(ref_workers[r], 1.0);
+      ExpectAllPositiveZero(workers[r].vector());
+    }
+    ExpectSameBits(sum, ref_sum);
   }
 }
 
