@@ -1,7 +1,7 @@
 // Kernel-perf trajectory harness for the SIMD-dispatched CSR kernels
-// (DESIGN §13): sweeps kernel × dispatch level × precision × nnz
-// regime with a min-of-repetitions timer, pairing every gated ratio's
-// two sides in one interleaved loop, and writes the machine-readable
+// (DESIGN §13): sweeps kernel × dispatch level × nnz regime with a
+// min-of-repetitions timer, pairing every gated ratio's two sides in
+// one interleaved loop, and writes the machine-readable
 // results/BENCH_kernels.json.
 //
 // Unlike the figure harnesses this one also *gates*: it exits 2 when
@@ -11,19 +11,18 @@
 // fails the no-regression floor (the fused number is structurally
 // capped well below the dot's speedup: roughly half its time is the
 // store-bound sparse axpy plus the per-row loss derivative, neither
-// of which vectorization can accelerate much), (c) the f32 storage
-// path drifts past the documented accuracy budget, or (d) evaluating
-// the objective from value-free partitions disagrees with, or is
-// slower than, the walk over DataPoint rows. CI runs it as a smoke
-// check so kernel regressions fail the build, and the committed JSON
-// pairs with results/BENCH_kernels_scalar.json (a forced-scalar run)
-// to record the before/after speedup trajectory.
+// of which vectorization can accelerate much), (c) a vectorized fused
+// pass is not bit-identical to the scalar one, or (d) evaluating the
+// objective from value-free partitions disagrees with, or is slower
+// than, the walk over DataPoint rows. CI runs it as a smoke check so
+// kernel regressions fail the build, and the committed JSON pairs with
+// results/BENCH_kernels_scalar.json (a forced-scalar run) to record
+// the before/after speedup trajectory.
 //
-// Flags: --min-speedup=<x> (default 1.5), --repetitions=<n> (default
+// Flags: --min-speedup=<x> (default 1.15), --repetitions=<n> (default
 // 7), --out=<filename> (default BENCH_kernels.json).
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -44,19 +43,12 @@
 namespace mllibstar {
 namespace {
 
-// Documented f32 accuracy budget (DESIGN §13): relative drift of the
-// fused loss and of the gradient L2 norm between the f32 storage path
-// and the f64 reference. f32 value rounding is 2^-24 per element;
-// with f64 accumulation the fused pass stays orders of magnitude
-// under this.
-constexpr double kF32RelBudget = 1e-4;
-
 // No-regression floor for the fused loss-gradient pass: the best
 // vectorized configuration must beat scalar by at least this much on
 // the large-nnz regime. Kept deliberately modest — the fused pass
 // spends ~half its time in the sparse axpy (store-bound, caps near
-// 1.15×) and the per-row loss derivative, so even a 1.9× dot only
-// moves the fused number to ~1.3-1.4× (Amdahl). Clamped down to
+// 1.15×) and the per-row loss derivative, so a 1.3× dot moves the
+// fused number to ~1.2× (Amdahl). Clamped down to
 // --min-speedup so a CI run with a relaxed gate (unknown machine)
 // relaxes this floor too.
 constexpr double kFusedFloor = 1.1;
@@ -69,7 +61,7 @@ struct Regime {
 };
 
 // small = cache-missing gathers dominate; large = cache-resident
-// model where vector arithmetic dominates (the regime the 1.5× gate
+// model where vector arithmetic dominates (the regime the perf gate
 // applies to).
 constexpr Regime kRegimes[] = {
     {"small_nnz", 1u << 18, 20, 4096},
@@ -143,7 +135,6 @@ PairedNs PairedMinNs(R&& ref, F&& fn, int reps) {
 struct SparseRow {
   std::vector<FeatureIndex> indices;
   std::vector<double> values;
-  std::vector<float> values_f32;
 };
 
 SparseRow MakeRow(size_t dim, size_t nnz, Rng* rng) {
@@ -158,9 +149,7 @@ SparseRow MakeRow(size_t dim, size_t nnz, Rng* rng) {
   }
   std::sort(row.indices.begin(), row.indices.end());
   for (size_t i = 0; i < nnz; ++i) {
-    const double v = rng->NextDouble(-1.0, 1.0);
-    row.values.push_back(v);
-    row.values_f32.push_back(static_cast<float>(v));
+    row.values.push_back(rng->NextDouble(-1.0, 1.0));
   }
   return row;
 }
@@ -168,7 +157,6 @@ SparseRow MakeRow(size_t dim, size_t nnz, Rng* rng) {
 struct Result {
   std::string kernel;
   std::string level;
-  std::string precision;
   std::string regime;
   double ns_per_pass = 0.0;
   double items_per_sec = 0.0;
@@ -195,8 +183,6 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     levels.push_back(simd::SimdLevel::kSse2);
   if (top >= simd::SimdLevel::kAvx2)
     levels.push_back(simd::SimdLevel::kAvx2);
-  if (top >= simd::SimdLevel::kAvx512)
-    levels.push_back(simd::SimdLevel::kAvx512);
 
   std::vector<Result> results;
   Rng rng(42);
@@ -214,38 +200,24 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     const int inner = static_cast<int>(
         std::max<size_t>(1, (1u << 21) / std::max<size_t>(regime.nnz, 1)));
 
-    struct RawCase {
-      const char* kernel;
-      const char* precision;
-    };
-    for (const RawCase& rc :
-         {RawCase{"sparse_dot", "f64"}, RawCase{"sparse_dot", "f32"},
-          RawCase{"sparse_axpy", "f64"}, RawCase{"sparse_axpy", "f32"},
-          RawCase{"dense_dot", "f64"}, RawCase{"dense_axpy", "f64"}}) {
-      const bool f32 = std::strcmp(rc.precision, "f32") == 0;
+    for (const char* kernel :
+         {"sparse_dot", "sparse_axpy", "dense_dot", "dense_axpy"}) {
       // One timed pass of this kernel through dispatch table `k`.
       auto pass = [&](const simd::KernelDispatch& k) {
-        if (std::strcmp(rc.kernel, "sparse_dot") == 0) {
+        if (std::strcmp(kernel, "sparse_dot") == 0) {
           double acc = 0.0;
           for (int i = 0; i < inner; ++i) {
-            acc += f32 ? k.sparse_dot_f32(w.data(), row.indices.data(),
-                                          row.values_f32.data(), regime.nnz)
-                       : k.sparse_dot_f64(w.data(), row.indices.data(),
-                                          row.values.data(), regime.nnz);
+            acc += k.sparse_dot_f64(w.data(), row.indices.data(),
+                                    row.values.data(), regime.nnz);
           }
           g_sink = acc;
-        } else if (std::strcmp(rc.kernel, "sparse_axpy") == 0) {
+        } else if (std::strcmp(kernel, "sparse_axpy") == 0) {
           for (int i = 0; i < inner; ++i) {
-            if (f32) {
-              k.sparse_axpy_f32(w.data(), row.indices.data(),
-                                row.values_f32.data(), regime.nnz, 1e-9);
-            } else {
-              k.sparse_axpy_f64(w.data(), row.indices.data(),
-                                row.values.data(), regime.nnz, 1e-9);
-            }
+            k.sparse_axpy_f64(w.data(), row.indices.data(),
+                              row.values.data(), regime.nnz, 1e-9);
           }
           g_sink = w[0];
-        } else if (std::strcmp(rc.kernel, "dense_dot") == 0) {
+        } else if (std::strcmp(kernel, "dense_dot") == 0) {
           double acc = 0.0;
           for (int i = 0; i < 32; ++i) {
             acc += k.dense_dot(w.data(), w.data(), regime.dim);
@@ -268,12 +240,11 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
             PairedMinNs([&] { pass(scalar); }, [&] { pass(k); }, reps);
         const double ns = t.fn;
         Result res;
-        res.kernel = rc.kernel;
+        res.kernel = kernel;
         res.level = simd::SimdLevelName(level);
-        res.precision = rc.precision;
         res.regime = regime.name;
         res.ns_per_pass = ns;
-        const bool dense = std::strncmp(rc.kernel, "dense", 5) == 0;
+        const bool dense = std::strncmp(kernel, "dense", 5) == 0;
         const double items = dense
                                  ? 32.0 * static_cast<double>(regime.dim)
                                  : static_cast<double>(inner) *
@@ -281,7 +252,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
         res.items_per_sec = items / (ns * 1e-9);
         res.speedup_vs_scalar = t.ref / ns;
         if (level != simd::SimdLevel::kScalar &&
-            std::strcmp(rc.kernel, "sparse_dot") == 0 &&
+            std::strcmp(kernel, "sparse_dot") == 0 &&
             std::strcmp(regime.name, "large_nnz") == 0) {
           best_dot_speedup =
               std::max(best_dot_speedup, res.speedup_vs_scalar);
@@ -304,14 +275,11 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
 
   // ---- Fused CSR passes through the dispatched vector layer ----------
   // The objective's fused LossGradient (the L-BFGS oracle's worker
-  // task) at both compute precisions, timed end-to-end under
-  // SetSimdLevel so the numbers reflect what the trainers actually run.
+  // task), timed end-to-end under SetSimdLevel so the numbers reflect
+  // what the trainers actually run.
   auto loss = MakeLoss(LossKind::kLogistic);
   auto no_reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto objective_f64 = MakeBinaryObjective(loss.get(), no_reg.get(),
-                                                 true, ComputePrecision::kF64);
-  const auto objective_f32 = MakeBinaryObjective(loss.get(), no_reg.get(),
-                                                 true, ComputePrecision::kF32);
+  const auto objective = MakeBinaryObjective(loss.get(), no_reg.get(), true);
   for (const Regime& regime : kRegimes) {
     SyntheticSpec spec;
     spec.name = "kernels_bench";
@@ -325,77 +293,51 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     for (size_t i = 0; i < regime.dim; ++i) w[i] = 0.01 * rng.NextDouble();
     DenseVector grad(regime.dim);
 
-    // f64 scalar reference outputs for the drift gate.
+    // Scalar reference loss for the drift gate.
     double ref_loss = 0.0;
-    DenseVector ref_grad(regime.dim);
     simd::SetSimdLevel(simd::SimdLevel::kScalar);
-    objective_f64->LossGradient(block, w, &ref_grad, &ref_loss);
+    objective->LossGradient(block, w, &grad, &ref_loss);
 
     for (simd::SimdLevel level : levels) {
-      for (const char* precision : {"f64", "f32"}) {
-        const bool f32 = std::strcmp(precision, "f32") == 0;
-        const GlmObjective& objective = f32 ? *objective_f32 : *objective_f64;
-        // Paired with the scalar-f64 reference, so machine-speed drift
-        // between configurations cancels out of the speedup ratio.
-        // Each pass selects its tier first (one atomic store).
-        const PairedNs t = PairedMinNs(
-            [&] {
-              simd::SetSimdLevel(simd::SimdLevel::kScalar);
-              grad.SetZero();
-              double loss_sum = 0.0;
-              objective_f64->LossGradient(block, w, &grad, &loss_sum);
-              g_sink = loss_sum;
-            },
-            [&] {
-              simd::SetSimdLevel(level);
-              grad.SetZero();
-              double loss_sum = 0.0;
-              objective.LossGradient(block, w, &grad, &loss_sum);
-              g_sink = loss_sum;
-            },
-            reps);
-        const double ns = t.fn;
-        Result res;
-        res.kernel = "loss_gradient_fused";
-        res.level = simd::SimdLevelName(level);
-        res.precision = precision;
-        res.regime = regime.name;
-        res.ns_per_pass = ns;
-        res.items_per_sec =
-            static_cast<double>(block.nnz()) / (ns * 1e-9);
-        res.speedup_vs_scalar = t.ref / ns;
-        results.push_back(res);
-        if (level != simd::SimdLevel::kScalar &&
-            std::strcmp(regime.name, "large_nnz") == 0) {
-          best_fused_speedup =
-              std::max(best_fused_speedup, res.speedup_vs_scalar);
-        }
-
-        // Drift gate: compare this configuration's outputs against
-        // the f64 scalar reference. The timer's last pass may have
-        // been the scalar one, so select this tier again.
-        simd::SetSimdLevel(level);
+      // Paired with the scalar reference, so machine-speed drift
+      // between configurations cancels out of the speedup ratio. Each
+      // pass selects its tier first (one atomic store).
+      auto fused_pass = [&](simd::SimdLevel pass_level) {
+        simd::SetSimdLevel(pass_level);
         grad.SetZero();
         double loss_sum = 0.0;
-        objective.LossGradient(block, w, &grad, &loss_sum);
-        const double loss_rel =
-            std::fabs(loss_sum - ref_loss) / std::max(1.0, std::fabs(ref_loss));
-        const double grad_rel =
-            std::fabs(grad.Norm2() - ref_grad.Norm2()) /
-            std::max(1.0, ref_grad.Norm2());
-        if (!f32 && (loss_sum != ref_loss)) {
-          std::printf("FAIL drift: f64 %s not bit-identical to scalar on "
-                      "%s\n",
-                      simd::SimdLevelName(level), regime.name);
-          drift_gate_failed = true;
-        }
-        if (f32 && (loss_rel > kF32RelBudget || grad_rel > kF32RelBudget)) {
-          std::printf("FAIL drift: f32 %s on %s loss_rel=%.3g "
-                      "grad_rel=%.3g > budget %.1g\n",
-                      simd::SimdLevelName(level), regime.name, loss_rel,
-                      grad_rel, kF32RelBudget);
-          drift_gate_failed = true;
-        }
+        objective->LossGradient(block, w, &grad, &loss_sum);
+        g_sink = loss_sum;
+      };
+      const PairedNs t =
+          PairedMinNs([&] { fused_pass(simd::SimdLevel::kScalar); },
+                      [&] { fused_pass(level); }, reps);
+      const double ns = t.fn;
+      Result res;
+      res.kernel = "loss_gradient_fused";
+      res.level = simd::SimdLevelName(level);
+      res.regime = regime.name;
+      res.ns_per_pass = ns;
+      res.items_per_sec = static_cast<double>(block.nnz()) / (ns * 1e-9);
+      res.speedup_vs_scalar = t.ref / ns;
+      results.push_back(res);
+      if (level != simd::SimdLevel::kScalar &&
+          std::strcmp(regime.name, "large_nnz") == 0) {
+        best_fused_speedup =
+            std::max(best_fused_speedup, res.speedup_vs_scalar);
+      }
+
+      // Drift gate: this tier's fused pass must be bit-identical to the
+      // scalar reference. The timer's last pass may have been the
+      // scalar one, so select this tier again.
+      simd::SetSimdLevel(level);
+      grad.SetZero();
+      double loss_sum = 0.0;
+      objective->LossGradient(block, w, &grad, &loss_sum);
+      if (loss_sum != ref_loss) {
+        std::printf("FAIL drift: %s not bit-identical to scalar on %s\n",
+                    simd::SimdLevelName(level), regime.name);
+        drift_gate_failed = true;
       }
     }
   }
@@ -493,7 +435,8 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   {
     auto hinge = MakeLoss(LossKind::kHinge);
     auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-    auto objective = MakeBinaryObjective(hinge.get(), none.get(), true);
+    auto hinge_objective =
+        MakeBinaryObjective(hinge.get(), none.get(), true);
     struct EvalShape {
       SyntheticSpec spec;
       size_t k;
@@ -503,12 +446,11 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       const Dataset data = GenerateSynthetic(shape.spec);
       const std::vector<CsrBlock> value_free = PartitionCsr(data, shape.k);
       // The valued layout of the same rows, as the packers built it
-      // before value-free blocks: stored 1.0s and their f32 copy.
+      // before value-free blocks: stored 1.0s.
       std::vector<CsrBlock> valued = value_free;
       for (CsrBlock& b : valued) {
         b.value_free = false;
         b.ones.clear();
-        b.ones_f32.clear();
         b.values.assign(b.nnz(), 1.0);
         b.Finalize();
       }
@@ -518,7 +460,8 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       double points_loss = 0.0, valued_loss = 0.0, value_free_loss = 0.0;
       const double valued_ns = MinNs(
           [&] {
-            valued_loss = objective->MeanPartitionLoss(valued, w, &slots);
+            valued_loss =
+                hinge_objective->MeanPartitionLoss(valued, w, &slots);
           },
           reps);
       // The gated pair: the DataPoint walk against the value-free one.
@@ -526,7 +469,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
           [&] { points_loss = MeanLoss(data.points(), *hinge, w); },
           [&] {
             value_free_loss =
-                objective->MeanPartitionLoss(value_free, w, &slots);
+                hinge_objective->MeanPartitionLoss(value_free, w, &slots);
           },
           reps);
       const double points_ns = walks.ref;
@@ -564,12 +507,12 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   }
 
   // ---- Report ---------------------------------------------------------
-  std::printf("\n%-22s %-7s %-5s %-10s %12s %10s\n", "kernel", "level",
-              "prec", "regime", "ns/pass", "vs scalar");
+  std::printf("\n%-22s %-7s %-10s %12s %10s\n", "kernel", "level",
+              "regime", "ns/pass", "vs scalar");
   for (const Result& r : results) {
-    std::printf("%-22s %-7s %-5s %-10s %12.0f %9.2fx\n", r.kernel.c_str(),
-                r.level.c_str(), r.precision.c_str(), r.regime.c_str(),
-                r.ns_per_pass, r.speedup_vs_scalar);
+    std::printf("%-22s %-7s %-10s %12.0f %9.2fx\n", r.kernel.c_str(),
+                r.level.c_str(), r.regime.c_str(), r.ns_per_pass,
+                r.speedup_vs_scalar);
   }
 
   JsonValue doc = JsonValue::Object();
@@ -581,7 +524,6 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   doc.Set("repetitions", JsonValue::Number(static_cast<int64_t>(reps)));
   doc.Set("min_speedup_gate", JsonValue::Number(min_speedup));
   doc.Set("fused_floor_gate", JsonValue::Number(fused_floor));
-  doc.Set("f32_rel_budget", JsonValue::Number(kF32RelBudget));
   doc.Set("best_dot_speedup_large_nnz", JsonValue::Number(best_dot_speedup));
   doc.Set("best_fused_speedup_large_nnz",
           JsonValue::Number(best_fused_speedup));
@@ -592,7 +534,6 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     JsonValue e = JsonValue::Object();
     e.Set("kernel", JsonValue::Str(r.kernel));
     e.Set("level", JsonValue::Str(r.level));
-    e.Set("precision", JsonValue::Str(r.precision));
     e.Set("regime", JsonValue::Str(r.regime));
     e.Set("ns_per_pass", JsonValue::Number(r.ns_per_pass));
     e.Set("items_per_sec", JsonValue::Number(r.items_per_sec));
@@ -620,7 +561,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
 }  // namespace mllibstar
 
 int main(int argc, char** argv) {
-  double min_speedup = 1.5;
+  double min_speedup = 1.15;
   int reps = 7;
   std::string out_name = "BENCH_kernels.json";
   for (int i = 1; i < argc; ++i) {

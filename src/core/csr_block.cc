@@ -39,12 +39,6 @@ void CsrBlock::Finalize() {
     size_t widest = 0;
     for (size_t i = 0; i < rows(); ++i) widest = std::max(widest, row_nnz(i));
     ones.assign(widest, 1.0);
-    ones_f32.assign(widest, 1.0f);
-  } else {
-    values_f32.resize(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      values_f32[i] = static_cast<float>(values[i]);
-    }
   }
 #ifndef NDEBUG
   // The aligned allocator makes these structurally true; the asserts
@@ -52,10 +46,8 @@ void CsrBlock::Finalize() {
   MLLIBSTAR_CHECK(IsAligned(offsets.data()));
   MLLIBSTAR_CHECK(IsAligned(indices.data()));
   MLLIBSTAR_CHECK(IsAligned(values.data()));
-  MLLIBSTAR_CHECK(IsAligned(values_f32.data()));
   MLLIBSTAR_CHECK(IsAligned(labels.data()));
   MLLIBSTAR_CHECK(IsAligned(ones.data()));
-  MLLIBSTAR_CHECK(IsAligned(ones_f32.data()));
 #endif
 }
 

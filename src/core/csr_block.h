@@ -25,32 +25,26 @@ namespace mllibstar {
 /// packed from (the partition objective relies on this, DESIGN §17).
 ///
 /// All arrays are 64-byte aligned (`AlignedVector`) so the SIMD
-/// kernels' vector loads never straddle a cache line, and the packers
-/// additionally fill `values_f32` — a float32 copy of `values` that
-/// the mixed-precision compute path (`ComputePrecision::kF32`) reads
-/// instead of the f64 array. The f64 arrays are untouched by that
-/// mode, so the default path stays bit-exact.
+/// kernels' vector loads never straddle a cache line.
 ///
 /// One-hot rows (DESIGN §17): a block whose every value is exactly 1.0
-/// is *value-free*. It stores no `values`/`values_f32` at all; every
-/// row view returns the same per-block run of 1.0s (`ones`), as long
-/// as the widest row. The kernels multiply by the same 1.0s they would
-/// have read from the arrays, now from L1, so results are unchanged
-/// bit for bit while a pass streams 4 bytes per nonzero instead of 12.
-/// The packers decide this per block from the input alone, as they
-/// append its rows (AppendRow). Only this struct's own code touches the
-/// value arrays; all other code reads values through the row views.
+/// is *value-free*. It stores no `values` at all; every row view
+/// returns the same per-block run of 1.0s (`ones`), as long as the
+/// widest row. The kernels multiply by the same 1.0s they would have
+/// read from the array, now from L1, so results are unchanged bit for
+/// bit while a pass streams 4 bytes per nonzero instead of 12. The
+/// packers decide this per block from the input alone, as they append
+/// its rows (AppendRow). Only this struct's own code touches the value
+/// array; all other code reads values through the row views.
 struct CsrBlock {
   AlignedVector<uint64_t> offsets;      ///< rows()+1 entries; offsets[0] == 0
   AlignedVector<FeatureIndex> indices;  ///< column ids, row-major
   AlignedVector<double> values;  ///< parallel to `indices`; empty if value_free
-  AlignedVector<float> values_f32;  ///< f32 copy of `values` (see above)
-  AlignedVector<double> labels;     ///< one per row
-  /// Every value is exactly 1.0 (so far, while packing): `values` and
-  /// `values_f32` stay empty and the row views read `ones`/`ones_f32`.
+  AlignedVector<double> labels;  ///< one per row
+  /// Every value is exactly 1.0 (so far, while packing): `values` stays
+  /// empty and the row views read `ones`.
   bool value_free = true;
-  AlignedVector<double> ones;     ///< widest row's 1.0s, built by Finalize()
-  AlignedVector<float> ones_f32;  ///< f32 twin of `ones`
+  AlignedVector<double> ones;  ///< widest row's 1.0s, built by Finalize()
 
   size_t rows() const { return labels.size(); }
   size_t nnz() const { return indices.size(); }
@@ -59,31 +53,23 @@ struct CsrBlock {
   const FeatureIndex* row_indices(size_t i) const {
     return indices.data() + offsets[i];
   }
+  /// Row view over the values; for a value-free block, Finalize()
+  /// must have run.
   const double* row_values(size_t i) const {
     return value_free ? ones.data() : values.data() + offsets[i];
-  }
-  /// Row view over the f32 value copy; Finalize() must have run.
-  const float* row_values_f32(size_t i) const {
-    return value_free ? ones_f32.data() : values_f32.data() + offsets[i];
-  }
-
-  /// True once Finalize() has built the f32 copy (always the case for
-  /// blocks produced by FromPoints / PartitionCsr).
-  bool has_f32() const {
-    return value_free ? ones_f32.size() == ones.size()
-                      : values_f32.size() == values.size();
   }
 
   /// Appends `point` as the next row (offsets must already hold its
   /// leading 0). The block stays value-free while every value is
-  /// exactly 1.0; the first other value gives it value arrays, filled
-  /// with the 1.0s of the rows before it. Packers reserve `indices` to
-  /// the block's nnz first, which also sizes `values` if it is needed.
+  /// exactly 1.0; the first other value gives it a `values` array,
+  /// filled with the 1.0s of the rows before it. Packers reserve
+  /// `indices` to the block's nnz first, which also sizes `values` if it
+  /// is needed.
   void AppendRow(const DataPoint& point);
 
-  /// Builds the f32 row views — the `values_f32` copy, or for a
-  /// value-free block the `ones` runs — and (debug builds) asserts the
-  /// 64-byte alignment invariant. Every packer must call this last.
+  /// Builds a value-free block's run of `ones` and (debug builds)
+  /// asserts the 64-byte alignment invariant. Every packer must call
+  /// this last.
   void Finalize();
 
   /// Packs `points` (row order preserved). One pass to size, one to

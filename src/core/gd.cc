@@ -59,12 +59,6 @@ void ScaledVector::AddScaled(const FeatureIndex* indices,
   v_.AddScaled(indices, values, nnz, alpha / scale_);
 }
 
-void ScaledVector::AddScaled(const FeatureIndex* indices,
-                             const float* values, size_t nnz,
-                             double alpha) {
-  v_.AddScaled(indices, values, nnz, alpha / scale_);
-}
-
 DenseVector ScaledVector::ToDense() const {
   DenseVector result = v_;
   result.Scale(scale_);

@@ -46,18 +46,12 @@ class ScaledVector {
              size_t nnz) const {
     return scale_ * v_.Dot(indices, values, nnz);
   }
-  double Dot(const FeatureIndex* indices, const float* values,
-             size_t nnz) const {
-    return scale_ * v_.Dot(indices, values, nnz);
-  }
 
   /// w ← factor · w in O(1).
   void Shrink(double factor);
 
   /// w ← w + alpha · x (sparse, O(nnz(x))).
   void AddScaled(const FeatureIndex* indices, const double* values,
-                 size_t nnz, double alpha);
-  void AddScaled(const FeatureIndex* indices, const float* values,
                  size_t nnz, double alpha);
 
   /// Materializes the plain dense weights (O(d)).

@@ -11,39 +11,25 @@ namespace simd {
 namespace {
 
 constexpr KernelDispatch kScalarTable = {
-    SimdLevel::kScalar, &SparseDotF64Scalar, &SparseDotF32Scalar,
-    &SparseAxpyF64Scalar, &SparseAxpyF32Scalar, &DenseDotScalar,
-    &DenseAxpyScalar,
+    SimdLevel::kScalar, &SparseDotF64Scalar, &SparseAxpyF64Scalar,
+    &DenseDotScalar, &DenseAxpyScalar,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelDispatch kSse2Table = {
-    SimdLevel::kSse2, &SparseDotF64Sse2, &SparseDotF32Sse2,
-    &SparseAxpyF64Sse2, &SparseAxpyF32Sse2, &DenseDotSse2,
-    &DenseAxpySse2,
+    SimdLevel::kSse2, &SparseDotF64Sse2, &SparseAxpyF64Sse2,
+    &DenseDotSse2, &DenseAxpySse2,
 };
 
 constexpr KernelDispatch kAvx2Table = {
-    SimdLevel::kAvx2, &SparseDotF64Avx2, &SparseDotF32Avx2,
-    &SparseAxpyF64Avx2, &SparseAxpyF32Avx2, &DenseDotAvx2,
-    &DenseAxpyAvx2,
-};
-
-// AVX-512 upgrades only the tolerance-checked f32 sparse kernels;
-// everything under the f64 bit-exactness contract stays at the AVX2
-// forms (see kernels_avx512.cc).
-constexpr KernelDispatch kAvx512Table = {
-    SimdLevel::kAvx512, &SparseDotF64Avx2, &SparseDotF32Avx512,
-    &SparseAxpyF64Avx2, &SparseAxpyF32Avx512, &DenseDotAvx2,
-    &DenseAxpyAvx2,
+    SimdLevel::kAvx2, &SparseDotF64Avx2, &SparseAxpyF64Avx2,
+    &DenseDotAvx2, &DenseAxpyAvx2,
 };
 #endif
 
 const KernelDispatch& TableFor(SimdLevel level) {
   switch (level) {
 #if defined(__x86_64__) || defined(_M_X64)
-    case SimdLevel::kAvx512:
-      return kAvx512Table;
     case SimdLevel::kAvx2:
       return kAvx2Table;
     case SimdLevel::kSse2:
@@ -56,13 +42,7 @@ const KernelDispatch& TableFor(SimdLevel level) {
 
 SimdLevel ProbeCpu() {
 #if defined(__x86_64__) || defined(_M_X64)
-  // The AVX2 tier's f32 kernels use FMA, so it requires both bits;
-  // the AVX-512 tier additionally requires AVX-512F (its f64 kernels
-  // are the AVX2 ones, so no further feature bits are involved).
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
-    return SimdLevel::kAvx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
   return SimdLevel::kSse2;  // baseline on x86-64
 #else
   return SimdLevel::kScalar;
@@ -75,9 +55,8 @@ SimdLevel Clamp(SimdLevel requested, SimdLevel detected) {
              : detected;
 }
 
-// Initial level: MLLIBSTAR_SIMD env override ("scalar"/"sse2"/"avx2"/
-// "avx512", anything else or "auto" = detect), clamped to what the
-// CPU can run.
+// Initial level: MLLIBSTAR_SIMD env override ("scalar"/"sse2"/"avx2",
+// anything else or "auto" = detect), clamped to what the CPU can run.
 SimdLevel InitialLevel(SimdLevel detected) {
   const char* env = std::getenv("MLLIBSTAR_SIMD");
   if (env != nullptr) {
@@ -85,8 +64,8 @@ SimdLevel InitialLevel(SimdLevel detected) {
     if (parsed.has_value()) return Clamp(*parsed, detected);
     if (std::string_view(env) != "auto" && std::string_view(env) != "") {
       LOG_WARNING() << "MLLIBSTAR_SIMD=" << env
-                    << " is not scalar/sse2/avx2/avx512/auto; using "
-                       "runtime detection";
+                    << " is not scalar/sse2/avx2/auto; using runtime "
+                       "detection";
     }
   }
   return detected;
@@ -108,8 +87,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -118,7 +95,6 @@ std::optional<SimdLevel> ParseSimdLevel(std::string_view name) {
   if (name == "scalar") return SimdLevel::kScalar;
   if (name == "sse2") return SimdLevel::kSse2;
   if (name == "avx2") return SimdLevel::kAvx2;
-  if (name == "avx512") return SimdLevel::kAvx512;
   return std::nullopt;
 }
 

@@ -4,9 +4,9 @@
 // Internal declarations of the per-level kernel implementations the
 // dispatch table points at. Each tier lives in its own translation
 // unit so it can carry its own -m flags (kernels_avx2.cc is built
-// with -mavx2 -mfma); all three are built with -ffp-contract=off so
-// no compiler-fused multiply-add can break the f64 bit-equality
-// contract between tiers. Not part of the public API — callers go
+// with -mavx2); all three are built with -ffp-contract=off so no
+// compiler-fused multiply-add can break the bit-equality contract
+// between tiers. Not part of the public API — callers go
 // through simd::Kernels() (or DenseVector, which routes there).
 
 #include <cstddef>
@@ -19,12 +19,8 @@ namespace simd {
 #define MLLIBSTAR_DECLARE_KERNELS(SUFFIX)                                  \
   double SparseDotF64##SUFFIX(const double* w, const FeatureIndex* idx,    \
                               const double* val, size_t nnz);              \
-  double SparseDotF32##SUFFIX(const double* w, const FeatureIndex* idx,    \
-                              const float* val, size_t nnz);               \
   void SparseAxpyF64##SUFFIX(double* w, const FeatureIndex* idx,           \
                              const double* val, size_t nnz, double alpha); \
-  void SparseAxpyF32##SUFFIX(double* w, const FeatureIndex* idx,           \
-                             const float* val, size_t nnz, double alpha);  \
   double DenseDot##SUFFIX(const double* a, const double* b, size_t n);     \
   void DenseAxpy##SUFFIX(double* w, const double* x, size_t n, double alpha)
 
@@ -33,14 +29,6 @@ MLLIBSTAR_DECLARE_KERNELS(Scalar);
 #if defined(__x86_64__) || defined(_M_X64)
 MLLIBSTAR_DECLARE_KERNELS(Sse2);
 MLLIBSTAR_DECLARE_KERNELS(Avx2);
-
-// The AVX-512 tier only reimplements the tolerance-checked f32 sparse
-// kernels; its table reuses the Avx2 functions for everything bound
-// by the f64 bit-exactness contract (see kernels_avx512.cc).
-double SparseDotF32Avx512(const double* w, const FeatureIndex* idx,
-                          const float* val, size_t nnz);
-void SparseAxpyF32Avx512(double* w, const FeatureIndex* idx,
-                         const float* val, size_t nnz, double alpha);
 #endif
 
 #undef MLLIBSTAR_DECLARE_KERNELS

@@ -1,16 +1,14 @@
-// AVX2 (+FMA) kernels. 256-bit lanes carry all four of the scalar
-// reference's accumulators in one register; the sparse dots pack the
+// AVX2 kernels. 256-bit lanes carry all four of the scalar
+// reference's accumulators in one register; the sparse dot packs the
 // four weight loads with _mm256_set_pd (measured faster than
 // vgatherdpd on every CPU we benched — the gather's index-vector
 // round-trip costs more than four scalar loads that all hit cache).
-// The f64 kernels use separate multiply and add (never FMA) and the
-// exact (s0+s1)+(s2+s3) reduction, so they are bit-identical to the
-// scalar tier; the f32 kernels widen float values with vcvtps2pd and
-// are the one place FMA is used — their rounding is
-// tolerance-checked, not bit-pinned.
+// Every kernel uses separate multiply and add (never FMA) and the
+// exact (s0+s1)+(s2+s3) reduction, so it is bit-identical to the
+// scalar tier.
 //
-// This TU is the only one built with -mavx2 -mfma; it must never be
-// entered on a CPU without AVX2 (the dispatch probe guarantees that).
+// This TU is the only one built with -mavx2; it must never be entered
+// on a CPU without AVX2 (the dispatch probe guarantees that).
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
@@ -54,29 +52,12 @@ double SparseDotF64Avx2(const double* __restrict w,
   return sum;
 }
 
-double SparseDotF32Avx2(const double* __restrict w,
-                        const FeatureIndex* __restrict idx,
-                        const float* __restrict val, size_t nnz) {
-  // Half the value bytes per element, and FMA halves the arithmetic
-  // ops; the accumulator stays f64.
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    const __m256d v =
-        _mm256_cvtps_pd(_mm_loadu_ps(val + i));
-    acc = _mm256_fmadd_pd(Pack4(w, idx + i), v, acc);
-  }
-  double sum = Reduce4(acc);
-  for (; i < nnz; ++i) sum += w[idx[i]] * static_cast<double>(val[i]);
-  return sum;
-}
-
 void SparseAxpyF64Avx2(double* __restrict w,
                        const FeatureIndex* __restrict idx,
                        const double* __restrict val, size_t nnz,
                        double alpha) {
-  // Vector products, scalar scatter stores (no scatter below
-  // AVX-512). Per-coordinate independence keeps this bit-identical.
+  // Vector products, scalar scatter stores (AVX2 has no scatter).
+  // Per-coordinate independence keeps this bit-identical.
   const __m256d a = _mm256_set1_pd(alpha);
   alignas(32) double p[4];
   size_t i = 0;
@@ -88,24 +69,6 @@ void SparseAxpyF64Avx2(double* __restrict w,
     w[idx[i + 3]] += p[3];
   }
   for (; i < nnz; ++i) w[idx[i]] += alpha * val[i];
-}
-
-void SparseAxpyF32Avx2(double* __restrict w,
-                       const FeatureIndex* __restrict idx,
-                       const float* __restrict val, size_t nnz,
-                       double alpha) {
-  const __m256d a = _mm256_set1_pd(alpha);
-  alignas(32) double p[4];
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(val + i));
-    _mm256_store_pd(p, _mm256_mul_pd(a, v));
-    w[idx[i]] += p[0];
-    w[idx[i + 1]] += p[1];
-    w[idx[i + 2]] += p[2];
-    w[idx[i + 3]] += p[3];
-  }
-  for (; i < nnz; ++i) w[idx[i]] += alpha * static_cast<double>(val[i]);
 }
 
 double DenseDotAvx2(const double* __restrict a, const double* __restrict b,

@@ -1,7 +1,7 @@
 // Scalar reference kernels. This is the arithmetic the pre-SIMD
 // DenseVector loops performed (four independent accumulators, pairwise
 // (s0+s1)+(s2+s3) reduction, sequential remainder), moved verbatim
-// into the dispatch layer: the vector tiers reproduce the f64 results
+// into the dispatch layer: the vector tiers reproduce its results
 // bit-for-bit, and tests/simd_test pins them against this file.
 //
 // Built with -ffp-contract=off (see src/core/CMakeLists.txt) so the
@@ -29,24 +29,6 @@ double SparseDotF64Scalar(const double* __restrict w,
   return sum;
 }
 
-double SparseDotF32Scalar(const double* __restrict w,
-                          const FeatureIndex* __restrict idx,
-                          const float* __restrict val, size_t nnz) {
-  // f32 values widened per element; model reads and all four
-  // accumulators stay f64. Same lane structure as the f64 kernel.
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    s0 += w[idx[i]] * static_cast<double>(val[i]);
-    s1 += w[idx[i + 1]] * static_cast<double>(val[i + 1]);
-    s2 += w[idx[i + 2]] * static_cast<double>(val[i + 2]);
-    s3 += w[idx[i + 3]] * static_cast<double>(val[i + 3]);
-  }
-  double sum = (s0 + s1) + (s2 + s3);
-  for (; i < nnz; ++i) sum += w[idx[i]] * static_cast<double>(val[i]);
-  return sum;
-}
-
 void SparseAxpyF64Scalar(double* __restrict w,
                          const FeatureIndex* __restrict idx,
                          const double* __restrict val, size_t nnz,
@@ -62,20 +44,6 @@ void SparseAxpyF64Scalar(double* __restrict w,
     w[idx[i + 3]] += alpha * val[i + 3];
   }
   for (; i < nnz; ++i) w[idx[i]] += alpha * val[i];
-}
-
-void SparseAxpyF32Scalar(double* __restrict w,
-                         const FeatureIndex* __restrict idx,
-                         const float* __restrict val, size_t nnz,
-                         double alpha) {
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    w[idx[i]] += alpha * static_cast<double>(val[i]);
-    w[idx[i + 1]] += alpha * static_cast<double>(val[i + 1]);
-    w[idx[i + 2]] += alpha * static_cast<double>(val[i + 2]);
-    w[idx[i + 3]] += alpha * static_cast<double>(val[i + 3]);
-  }
-  for (; i < nnz; ++i) w[idx[i]] += alpha * static_cast<double>(val[i]);
 }
 
 double DenseDotScalar(const double* __restrict a,

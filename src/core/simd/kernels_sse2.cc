@@ -2,7 +2,7 @@
 // 128-bit lanes hold the scalar reference's accumulators two at a
 // time: one xmm carries (s0, s1), a second carries (s2, s3), and the
 // reduction is the same (s0+s1)+(s2+s3) — per-lane rounding is one
-// multiply plus one add, so the f64 results are bit-identical to the
+// multiply plus one add, so the results are bit-identical to the
 // scalar tier. SSE2 has no gather; weight loads stay scalar and get
 // packed into lanes.
 #if defined(__x86_64__) || defined(_M_X64)
@@ -44,32 +44,12 @@ double SparseDotF64Sse2(const double* __restrict w,
   return sum;
 }
 
-double SparseDotF32Sse2(const double* __restrict w,
-                        const FeatureIndex* __restrict idx,
-                        const float* __restrict val, size_t nnz) {
-  __m128d s01 = _mm_setzero_pd();
-  __m128d s23 = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    const __m128 v4 = _mm_loadu_ps(val + i);
-    const __m128d v01 = _mm_cvtps_pd(v4);
-    const __m128d v23 = _mm_cvtps_pd(_mm_movehl_ps(v4, v4));
-    const __m128d w01 = _mm_set_pd(w[idx[i + 1]], w[idx[i]]);
-    const __m128d w23 = _mm_set_pd(w[idx[i + 3]], w[idx[i + 2]]);
-    s01 = _mm_add_pd(s01, _mm_mul_pd(w01, v01));
-    s23 = _mm_add_pd(s23, _mm_mul_pd(w23, v23));
-  }
-  double sum = Reduce4(s01, s23);
-  for (; i < nnz; ++i) sum += w[idx[i]] * static_cast<double>(val[i]);
-  return sum;
-}
-
 void SparseAxpyF64Sse2(double* __restrict w,
                        const FeatureIndex* __restrict idx,
                        const double* __restrict val, size_t nnz,
                        double alpha) {
-  // The products vectorize; the scatter stores stay scalar (no
-  // scatter below AVX-512). Updates are per-coordinate independent,
+  // The products vectorize; the scatter stores stay scalar (SSE2 has
+  // no scatter). Updates are per-coordinate independent,
   // so this is bit-identical to the scalar tier by construction.
   const __m128d a = _mm_set1_pd(alpha);
   size_t i = 0;
@@ -82,24 +62,6 @@ void SparseAxpyF64Sse2(double* __restrict w,
     w[idx[i + 3]] += Lane1(p23);
   }
   for (; i < nnz; ++i) w[idx[i]] += alpha * val[i];
-}
-
-void SparseAxpyF32Sse2(double* __restrict w,
-                       const FeatureIndex* __restrict idx,
-                       const float* __restrict val, size_t nnz,
-                       double alpha) {
-  const __m128d a = _mm_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= nnz; i += 4) {
-    const __m128 v4 = _mm_loadu_ps(val + i);
-    const __m128d p01 = _mm_mul_pd(a, _mm_cvtps_pd(v4));
-    const __m128d p23 = _mm_mul_pd(a, _mm_cvtps_pd(_mm_movehl_ps(v4, v4)));
-    w[idx[i]] += Lane0(p01);
-    w[idx[i + 1]] += Lane1(p01);
-    w[idx[i + 2]] += Lane0(p23);
-    w[idx[i + 3]] += Lane1(p23);
-  }
-  for (; i < nnz; ++i) w[idx[i]] += alpha * static_cast<double>(val[i]);
 }
 
 double DenseDotSse2(const double* __restrict a, const double* __restrict b,

@@ -26,7 +26,7 @@ void DenseVector::SetZero() {
 
 // Every dot/axpy below routes through the runtime-dispatched kernel
 // table (core/simd/dispatch.h). The scalar tier is the pre-SIMD code
-// of this file moved verbatim, and the vector tiers reproduce its f64
+// of this file moved verbatim, and the vector tiers reproduce its
 // arithmetic bit-for-bit, so which tier runs can never change a
 // simulated result — only how fast it is produced.
 
@@ -37,12 +37,6 @@ void DenseVector::AddScaled(const SparseVector& x, double alpha) {
 void DenseVector::AddScaled(const FeatureIndex* indices,
                             const double* values, size_t nnz, double alpha) {
   simd::Kernels().sparse_axpy_f64(values_.data(), indices, values, nnz,
-                                  alpha);
-}
-
-void DenseVector::AddScaled(const FeatureIndex* indices,
-                            const float* values, size_t nnz, double alpha) {
-  simd::Kernels().sparse_axpy_f32(values_.data(), indices, values, nnz,
                                   alpha);
 }
 
@@ -63,12 +57,6 @@ double DenseVector::Dot(const SparseVector& x) const {
 double DenseVector::Dot(const FeatureIndex* indices, const double* values,
                         size_t nnz) const {
   return simd::Kernels().sparse_dot_f64(values_.data(), indices, values,
-                                        nnz);
-}
-
-double DenseVector::Dot(const FeatureIndex* indices, const float* values,
-                        size_t nnz) const {
-  return simd::Kernels().sparse_dot_f32(values_.data(), indices, values,
                                         nnz);
 }
 

@@ -64,14 +64,8 @@ class DenseVector {
   /// Sparse axpy over a raw span (a CsrBlock row view). The
   /// SparseVector overload delegates here, so both layouts perform the
   /// identical arithmetic. Routed through the runtime-dispatched SIMD
-  /// kernel table (core/simd) — every dispatch level is bit-identical
-  /// for f64 operands.
+  /// kernel table (core/simd) — every dispatch level is bit-identical.
   void AddScaled(const FeatureIndex* indices, const double* values,
-                 size_t nnz, double alpha);
-
-  /// Mixed-precision sparse axpy: f32 values widened per element, f64
-  /// destination and arithmetic (the CsrBlock f32 compute path).
-  void AddScaled(const FeatureIndex* indices, const float* values,
                  size_t nnz, double alpha);
 
   /// this += alpha * x. Dimensions must match.
@@ -87,11 +81,6 @@ class DenseVector {
   /// SparseVector overload delegates here, so both layouts produce
   /// bit-identical sums. Routed through the SIMD kernel table.
   double Dot(const FeatureIndex* indices, const double* values,
-             size_t nnz) const;
-
-  /// Mixed-precision sparse dot: f32 values, f64 model reads and
-  /// accumulators.
-  double Dot(const FeatureIndex* indices, const float* values,
              size_t nnz) const;
 
   /// Dot product with a dense vector of the same dimension.

@@ -11,12 +11,9 @@
 namespace mllibstar {
 
 /// Splits the dataset's points into `k` partitions by dealing rows
-/// round-robin (the layout Spark gets after a random repartition).
+/// round-robin (the layout Spark gets after a random repartition). The
+/// DataPoint reference that tests hold PartitionCsr to.
 std::vector<std::vector<DataPoint>> PartitionRoundRobin(
-    const Dataset& dataset, size_t k);
-
-/// Splits into `k` contiguous, near-equal ranges (HDFS-block-style).
-std::vector<std::vector<DataPoint>> PartitionContiguous(
     const Dataset& dataset, size_t k);
 
 /// Round-robin split packed directly into CSR blocks: the same row
@@ -35,26 +32,6 @@ std::vector<CsrBlock> PartitionCsr(const Dataset& dataset, size_t k);
 inline size_t RoundRobinRow(size_t partition, size_t row, size_t k) {
   return row * k + partition;
 }
-
-/// A half-open range [begin, end) of model coordinates.
-struct ModelRange {
-  FeatureIndex begin = 0;
-  FeatureIndex end = 0;
-
-  size_t size() const { return end - begin; }
-  bool Contains(FeatureIndex i) const { return i >= begin && i < end; }
-};
-
-/// Partitions the model [0, dim) into `k` near-equal contiguous
-/// ranges; the first dim % k ranges get one extra coordinate. Used
-/// both for AllReduce ownership (paper Figure 2b) and for parameter-
-/// server sharding.
-std::vector<ModelRange> PartitionModel(size_t dim, size_t k);
-
-/// Index of the range in `ranges` containing coordinate `i`
-/// (binary search; `ranges` must come from PartitionModel).
-size_t OwnerOfCoordinate(const std::vector<ModelRange>& ranges,
-                         FeatureIndex i);
 
 }  // namespace mllibstar
 

@@ -9,6 +9,13 @@
 #include "sim/network.h"
 
 namespace mllibstar {
+namespace {
+
+// Cores a parameter-server shard applies updates with (updates to
+// disjoint model ranges apply in parallel on real servers).
+constexpr size_t kServerCores = 16;
+
+}  // namespace
 
 PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
                      const GradientCodec* codec)
@@ -205,8 +212,7 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
     if (!is_pull) {
       // Applying the slice to the shard's partition of the model;
       // disjoint ranges apply in parallel across the server's cores.
-      const uint64_t apply_work =
-          shard_bytes / 8 / std::max<size_t>(1, sim_->config().server_cores);
+      const uint64_t apply_work = shard_bytes / 8 / kServerCores;
       sim_->ComputeExact(&shard, apply_work, ActivityKind::kAggregate,
                          detail + "/apply");
     }

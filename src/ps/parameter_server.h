@@ -20,21 +20,14 @@ enum class ConsistencyKind {
   kAsp,  ///< no coordination
 };
 
-/// How the server combines worker contributions (paper Section IV-B1
-/// remark: Petuum uses summation, MLlib*/Petuum* use averaging).
-enum class PsAggregation {
-  kSumDeltas,      ///< w += Σ_r (w_r − w_pulled_r), applied as pushes land
-  kAverageModels,  ///< w ← (1/k) Σ_r w_r at the end of each round
-};
-
 /// Configuration of the parameter-server tier.
 struct PsConfig {
   size_t num_shards = 2;
   ConsistencyKind consistency = ConsistencyKind::kBsp;
   int staleness = 0;  ///< only used by kSsp
-  PsAggregation aggregation = PsAggregation::kSumDeltas;
-  /// Multiplier applied to pushed deltas in kSumDeltas mode (real
-  /// systems normalize by worker count or batch size; 1.0 = raw sum).
+  /// Multiplier applied to pushed deltas when the trainer sums them
+  /// into the live model (Petuum, Angel; real systems normalize by
+  /// worker count or batch size; 1.0 = raw sum).
   double delta_scale = 1.0;
   /// Workers pull only the coordinates their partition touches
   /// (Angel's feature-filtered pull) instead of the dense model.
@@ -125,12 +118,12 @@ class PsContext {
   /// this model and not to a stale one.
   void ResetModel(DenseVector model);
 
-  /// kSumDeltas: applies `delta` (scaled by config.delta_scale) to the
-  /// global model immediately, in push order.
+  /// Summation (Petuum, Angel): applies `delta` (scaled by
+  /// config.delta_scale) to the global model immediately, in push order.
   void ApplyDelta(const DenseVector& delta);
 
-  /// kAverageModels: adds a completed round's mean delta to the model.
-  /// The crash-restore snapshot follows in lossless mode
+  /// Averaging (Petuum*): adds a completed round's mean delta to the
+  /// model. The crash-restore snapshot follows in lossless mode
   /// (server_checkpoint_every_sec == 0); a positive cadence keeps its
   /// lossy window.
   void ApplyRoundAverage(const DenseVector& mean_delta);

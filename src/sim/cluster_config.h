@@ -23,9 +23,6 @@ struct ClusterConfig {
   double latency_sec = 1e-3;   ///< per-message network latency
   double bandwidth_bytes_per_sec = 125e6 * 1e-3;  ///< per-link (see presets)
   double compute_speed = 5e6;  ///< work units per second per node
-  /// Cores a parameter-server shard applies updates with (updates to
-  /// disjoint model ranges apply in parallel on real servers).
-  size_t server_cores = 16;
   double straggler_sigma = 0.05;  ///< lognormal sigma of per-task jitter
   /// Static per-node speed multipliers, cycled over the workers (e.g.
   /// {1.0, 1.0, 0.5} makes every third worker half-speed). Empty =

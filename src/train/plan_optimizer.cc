@@ -115,7 +115,7 @@ PlanCost EstimateStepCost(SystemKind system, const DatasetStats& stats,
       cost.network_seconds = pull + push;
       double work = 1.5 * PassWork(partition_nnz);
       if (regularized) work += num_batches * 2.0 * d;
-      if (config.angel_allocation_overhead) work += num_batches * d / 4.0;
+      work += num_batches * d / 4.0;
       cost.compute_seconds = work / speed;
       cost.updates_per_step = num_batches;
       break;

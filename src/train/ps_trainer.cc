@@ -50,24 +50,18 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   const size_t d = data.num_features();
 
-  // The aggregation scheme is what distinguishes the systems; the
-  // shard count and consistency come from the config.
+  // The aggregation scheme is what distinguishes the systems (paper
+  // §IV-B1 remark): Petuum* averages the round's models, Petuum and
+  // Angel sum deltas into the live model as pushes land. The shard
+  // count and consistency come from the config.
+  const bool average_models = mode_ == Mode::kPetuumStar;
   PsConfig ps = config().ps;
-  switch (mode_) {
-    case Mode::kPetuum:
-      ps.aggregation = PsAggregation::kSumDeltas;
-      break;
-    case Mode::kPetuumStar:
-      ps.aggregation = PsAggregation::kAverageModels;
-      break;
-    case Mode::kAngel:
-      // Angel normalizes each worker's epoch update by the worker
-      // count when applying (otherwise k simultaneous epoch deltas
-      // overshoot), so the sum behaves like an average of deltas.
-      ps.aggregation = PsAggregation::kSumDeltas;
-      ps.delta_scale =
-          config().ps.delta_scale / static_cast<double>(cluster.num_workers);
-      break;
+  if (mode_ == Mode::kAngel) {
+    // Angel normalizes each worker's epoch update by the worker count
+    // when applying (otherwise k simultaneous epoch deltas overshoot),
+    // so the sum behaves like an average of deltas.
+    ps.delta_scale =
+        config().ps.delta_scale / static_cast<double>(cluster.num_workers);
   }
 
   ClusterConfig cc = cluster;
@@ -193,7 +187,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       round_stale_sum.assign(resumed_round, 0.0);
       round_stale_max.assign(resumed_round, 0.0);
       round_stale_n.assign(resumed_round, 0);
-      if (ps.aggregation == PsAggregation::kAverageModels) {
+      if (average_models) {
         round_stage.assign(resumed_round, DenseVector());
       }
       last_completed_round = resumed_round;
@@ -246,11 +240,9 @@ TrainResult PsTrainer::Train(const Dataset& data,
         const size_t num_batches = (part.rows() + bsize - 1) / bsize;
         stats = objective().MiniBatchGd(part, lr, bsize, num_batches,
                                         &rngs[r], local);
-        if (config().angel_allocation_overhead) {
-          // Allocating and collecting a dense gradient buffer per
-          // batch (paper §V-B2's memory/GC overhead).
-          stats.nnz_processed += num_batches * (d / 4);
-        }
+        // Allocating and collecting a dense gradient buffer per batch
+        // (paper §V-B2's memory/GC overhead).
+        stats.nnz_processed += num_batches * (d / 4);
         break;
       }
     }
@@ -402,7 +394,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       ++membership.stats().degraded_rounds;
     }
     // The round is complete everywhere.
-    if (ps.aggregation == PsAggregation::kAverageModels) {
+    if (average_models) {
       // New global model = old model + average of the deltas that
       // were actually applied (all contributors unless staleness
       // discarded some; with a full fleet and none discarded this is
@@ -695,7 +687,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       round_stale_sum.resize(round + 1, 0.0);
       round_stale_max.resize(round + 1, 0.0);
       round_stale_n.resize(round + 1, 0);
-      if (ps.aggregation == PsAggregation::kAverageModels) {
+      if (average_models) {
         round_stage.resize(round + 1, DenseVector(d));
       }
     }
@@ -718,7 +710,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         ps.discard_stale_pushes && leader - round > ps.staleness + 1;
     if (stale) {
       ++sim.faults().stats().stale_pushes_discarded;
-    } else if (ps.aggregation == PsAggregation::kSumDeltas) {
+    } else if (!average_models) {
       server.ApplyDelta(delta);
       ++round_contribs[round];
     } else {

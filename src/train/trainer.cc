@@ -37,8 +37,7 @@ Trainer::Trainer(TrainerConfig config)
       loss_(MakeLoss(config_.loss)),
       reg_(MakeRegularizer(config_.regularizer, config_.lambda)),
       objective_(MakeBinaryObjective(loss_.get(), reg_.get(),
-                                     config_.lazy_regularization,
-                                     config_.compute_precision)),
+                                     config_.lazy_regularization)),
       schedule_(config_.lr_schedule, config_.base_lr) {}
 
 double Trainer::Eval(const std::vector<CsrBlock>& partitions,

@@ -60,13 +60,6 @@ struct TrainerConfig {
   size_t local_epochs = 1;
   /// Use the Bottou lazy/sparse trick for L2 in local SGD.
   bool lazy_regularization = true;
-  /// Feature-value precision of the training kernels. kF64 (default)
-  /// reproduces every existing run bit-for-bit; kF32 reads the CSR
-  /// blocks' float32 value copy (model, margins, and all accumulators
-  /// stay f64) for roughly half the value-stream memory traffic, with
-  /// drift bounded by the budget in DESIGN §13. Evaluation is always
-  /// f64, so recorded loss curves expose any f32 drift.
-  ComputePrecision compute_precision = ComputePrecision::kF64;
   /// Update rule for the SendModel trainers' local passes (kSgd
   /// reproduces the paper; the adaptive rules are extensions).
   LocalOptimizerConfig local_optimizer;
@@ -106,9 +99,6 @@ struct TrainerConfig {
 
   // Parameter-server knobs (Petuum/Petuum*/Angel).
   PsConfig ps;
-  /// Model Angel's per-batch gradient-buffer allocation + GC overhead
-  /// (paper §V-B2); adds work proportional to the model size per batch.
-  bool angel_allocation_overhead = true;
 };
 
 /// Outcome of one training run.
@@ -153,9 +143,8 @@ class Trainer {
   const Regularizer& regularizer() const { return *reg_; }
   const LrSchedule& schedule() const { return schedule_; }
 
-  /// The objective being trained (loss + regularizer at the
-  /// configured precision). Trainers route every local computation
-  /// through this.
+  /// The objective being trained (loss + regularizer). Trainers route
+  /// every local computation through this.
   const GlmObjective& objective() const { return *objective_; }
 
   /// Full objective f(w, X) over the run's round-robin `partitions`

@@ -10,79 +10,47 @@ namespace mllibstar {
 namespace {
 
 // ---- GD kernels --------------------------------------------------------
-// Every worker task the seven trainers run is one of the templates
+// Every worker task the seven trainers run is one of the functions
 // below, reached only through the GlmObjective methods further down.
-// They are written once against a row view over a CsrBlock:
-// CsrView reads the f64 values, CsrF32View the block's float32 copy.
-// Instantiated with CsrF32View, overload resolution picks the f32 Dot /
-// AddScaled entry points on DenseVector/ScaledVector while every
-// margin, derivative and accumulator stays f64; control flow and RNG
-// consumption are identical, which keeps the f32 path deterministic
-// and host_threads-invariant like the f64 one (DESIGN §13). This file
-// is built with -ffp-contract=off, so no compiler fuses a multiply-add
-// in these loops.
+// Each walks a CsrBlock through its row accessors. This file is built
+// with -ffp-contract=off, so no compiler fuses a multiply-add in these
+// loops.
 
-struct CsrView {
-  explicit CsrView(const CsrBlock& b) : block(b) {}
-  const CsrBlock& block;
-  size_t size() const { return block.rows(); }
-  const FeatureIndex* indices(size_t i) const {
-    return block.row_indices(i);
-  }
-  const double* values(size_t i) const { return block.row_values(i); }
-  size_t nnz(size_t i) const { return block.row_nnz(i); }
-  double label(size_t i) const { return block.label(i); }
-};
-
-struct CsrF32View {
-  explicit CsrF32View(const CsrBlock& b) : block(b) {
-    MLLIBSTAR_CHECK(block.has_f32())
-        << "CsrBlock::Finalize() must run before the f32 kernels";
-  }
-  const CsrBlock& block;
-  size_t size() const { return block.rows(); }
-  const FeatureIndex* indices(size_t i) const {
-    return block.row_indices(i);
-  }
-  const float* values(size_t i) const { return block.row_values_f32(i); }
-  size_t nnz(size_t i) const { return block.row_nnz(i); }
-  double label(size_t i) const { return block.label(i); }
-};
-
-template <typename View>
-ComputeStats BatchGradientImpl(const View& v,
+ComputeStats BatchGradientImpl(const CsrBlock& block,
                                const std::vector<size_t>& batch,
                                const Loss& loss, const DenseVector& w,
                                DenseVector* gradient) {
   ComputeStats stats;
   for (size_t idx : batch) {
-    const size_t n = v.nnz(idx);
-    const double margin = w.Dot(v.indices(idx), v.values(idx), n);
-    const double d = loss.Derivative(margin, v.label(idx));
+    const size_t n = block.row_nnz(idx);
+    const double margin =
+        w.Dot(block.row_indices(idx), block.row_values(idx), n);
+    const double d = loss.Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     if (d != 0.0) {
-      gradient->AddScaled(v.indices(idx), v.values(idx), n, d);
+      gradient->AddScaled(block.row_indices(idx), block.row_values(idx), n,
+                          d);
       stats.nnz_processed += n;
     }
   }
   return stats;
 }
 
-template <typename View>
-ComputeStats LossGradientImpl(const View& v, const Loss& loss,
+ComputeStats LossGradientImpl(const CsrBlock& block, const Loss& loss,
                               const DenseVector& w, DenseVector* gradient,
                               double* loss_sum) {
   ComputeStats stats;
-  const size_t rows = v.size();
+  const size_t rows = block.rows();
   for (size_t i = 0; i < rows; ++i) {
-    const size_t n = v.nnz(i);
-    const double margin = w.Dot(v.indices(i), v.values(i), n);
-    const double y = v.label(i);
+    const size_t n = block.row_nnz(i);
+    const double margin =
+        w.Dot(block.row_indices(i), block.row_values(i), n);
+    const double y = block.label(i);
     const double d = loss.Derivative(margin, y);
     *loss_sum += loss.Value(margin, y);
     stats.nnz_processed += n;
     if (d != 0.0) {
-      gradient->AddScaled(v.indices(i), v.values(i), n, d);
+      gradient->AddScaled(block.row_indices(i), block.row_values(i), n, d);
       stats.nnz_processed += n;
     }
   }
@@ -90,8 +58,7 @@ ComputeStats LossGradientImpl(const View& v, const Loss& loss,
 }
 
 // One shuffled SGD pass visiting `rows` (shuffled in place).
-template <typename View>
-ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
+ComputeStats SgdEpochImpl(const CsrBlock& block, std::vector<size_t> rows,
                           const Loss& loss, const Regularizer& reg,
                           double lr, bool lazy_regularization, Rng* rng,
                           DenseVector* w) {
@@ -107,13 +74,15 @@ ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
     const double shrink = 1.0 - lr * reg.lambda();
     MLLIBSTAR_CHECK_GT(shrink, 0.0);
     for (size_t idx : rows) {
-      const size_t n = v.nnz(idx);
-      const double margin = scaled.Dot(v.indices(idx), v.values(idx), n);
-      const double d = loss.Derivative(margin, v.label(idx));
+      const size_t n = block.row_nnz(idx);
+      const double margin =
+          scaled.Dot(block.row_indices(idx), block.row_values(idx), n);
+      const double d = loss.Derivative(margin, block.label(idx));
       stats.nnz_processed += n;
       scaled.Shrink(shrink);
       if (d != 0.0) {
-        scaled.AddScaled(v.indices(idx), v.values(idx), n, -lr * d);
+        scaled.AddScaled(block.row_indices(idx), block.row_values(idx), n,
+                         -lr * d);
         stats.nnz_processed += n;
       }
       ++stats.model_updates;
@@ -123,9 +92,10 @@ ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
   }
 
   for (size_t idx : rows) {
-    const size_t n = v.nnz(idx);
-    const double margin = w->Dot(v.indices(idx), v.values(idx), n);
-    const double d = loss.Derivative(margin, v.label(idx));
+    const size_t n = block.row_nnz(idx);
+    const double margin =
+        w->Dot(block.row_indices(idx), block.row_values(idx), n);
+    const double d = loss.Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     if (reg.kind() != RegularizerKind::kNone) {
       reg.ApplyGradientStep(w, lr);
@@ -133,7 +103,8 @@ ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
       stats.nnz_processed += w->dim();
     }
     if (d != 0.0) {
-      w->AddScaled(v.indices(idx), v.values(idx), n, -lr * d);
+      w->AddScaled(block.row_indices(idx), block.row_values(idx), n,
+                   -lr * d);
       stats.nnz_processed += n;
     }
     ++stats.model_updates;
@@ -141,15 +112,14 @@ ComputeStats SgdEpochImpl(const View& v, std::vector<size_t> rows,
   return stats;
 }
 
-template <typename View>
-ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
+ComputeStats OptimizerEpochImpl(const CsrBlock& block, const Loss& loss,
                                 const Regularizer& reg, double lr,
                                 LocalOptimizer* optimizer, Rng* rng,
                                 DenseVector* w) {
   ComputeStats stats;
-  if (v.size() == 0) return stats;
+  if (block.rows() == 0) return stats;
 
-  std::vector<size_t> order(v.size());
+  std::vector<size_t> order(block.rows());
   std::iota(order.begin(), order.end(), size_t{0});
   rng->Shuffle(&order);
 
@@ -163,9 +133,9 @@ ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
 
   uint64_t step = 0;
   for (size_t idx : order) {
-    const size_t n = v.nnz(idx);
-    const FeatureIndex* idxs = v.indices(idx);
-    const double* vals = v.values(idx);
+    const size_t n = block.row_nnz(idx);
+    const FeatureIndex* idxs = block.row_indices(idx);
+    const double* vals = block.row_values(idx);
     ++step;
     if (lazy_l2) {
       // Decoupled weight decay, applied lazily to the coordinates this
@@ -185,7 +155,7 @@ ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
       stats.nnz_processed += w->dim();
     }
     const double margin = w->Dot(idxs, vals, n);
-    const double d = loss.Derivative(margin, v.label(idx));
+    const double d = loss.Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     stats.nnz_processed += optimizer->ApplyUpdate(idxs, vals, n, d, lr, w);
     ++stats.model_updates;
@@ -204,20 +174,22 @@ ComputeStats OptimizerEpochImpl(const View& v, const Loss& loss,
   return stats;
 }
 
-template <typename View>
-ComputeStats MiniBatchGdImpl(const View& v, const Loss& loss,
+ComputeStats MiniBatchGdImpl(const CsrBlock& block, const Loss& loss,
                              const Regularizer& reg, double lr,
                              size_t batch_size, size_t num_batches,
                              Rng* rng, DenseVector* w) {
   ComputeStats stats;
-  if (v.size() == 0 || batch_size == 0) return stats;
+  if (block.rows() == 0 || batch_size == 0) return stats;
 
   TouchedBuffer gradient(w->dim());
   for (size_t b = 0; b < num_batches; ++b) {
-    const std::vector<size_t> batch = SampleBatch(v.size(), batch_size, rng);
-    for (size_t idx : batch) gradient.Touch(v.indices(idx), v.nnz(idx));
+    const std::vector<size_t> batch =
+        SampleBatch(block.rows(), batch_size, rng);
+    for (size_t idx : batch) {
+      gradient.Touch(block.row_indices(idx), block.row_nnz(idx));
+    }
     const ComputeStats batch_stats =
-        BatchGradientImpl(v, batch, loss, *w, gradient.mutable_vector());
+        BatchGradientImpl(block, batch, loss, *w, gradient.mutable_vector());
     stats += batch_stats;
     const double inv_batch = 1.0 / static_cast<double>(batch.size());
     if (reg.kind() != RegularizerKind::kNone) {
@@ -244,12 +216,7 @@ std::vector<size_t> Iota(size_t n) {
 }
 
 // ---- The objective -----------------------------------------------------
-// `View` is the row view every kernel but OptimizerEpoch reads through,
-// chosen once by the factory from the ComputePrecision. OptimizerEpoch
-// always reads f64: LocalOptimizer::ApplyUpdate consumes f64 value
-// spans.
 
-template <typename View>
 class BinaryObjective final : public GlmObjective {
  public:
   BinaryObjective(const Loss* loss, const Regularizer* reg,
@@ -260,45 +227,42 @@ class BinaryObjective final : public GlmObjective {
                              const std::vector<size_t>& batch,
                              const DenseVector& w,
                              DenseVector* gradient) const override {
-    return BatchGradientImpl(View(block), batch, *loss_, w, gradient);
+    return BatchGradientImpl(block, batch, *loss_, w, gradient);
   }
 
   ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
                             DenseVector* gradient,
                             double* loss_sum) const override {
-    return LossGradientImpl(View(block), *loss_, w, gradient, loss_sum);
+    return LossGradientImpl(block, *loss_, w, gradient, loss_sum);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
                         DenseVector* w) const override {
-    return SgdEpochImpl(View(block), Iota(block.rows()), *loss_, *reg_, lr,
+    return SgdEpochImpl(block, Iota(block.rows()), *loss_, *reg_, lr,
                         lazy_, rng, w);
   }
 
   ComputeStats SgdEpoch(const CsrBlock& block,
                         const std::vector<size_t>& rows, double lr,
                         Rng* rng, DenseVector* w) const override {
-    return SgdEpochImpl(View(block), rows, *loss_, *reg_, lr, lazy_, rng, w);
+    return SgdEpochImpl(block, rows, *loss_, *reg_, lr, lazy_, rng, w);
   }
 
   ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
                               LocalOptimizer* optimizer, Rng* rng,
                               DenseVector* w) const override {
-    return OptimizerEpochImpl(CsrView(block), *loss_, *reg_, lr, optimizer,
-                              rng, w);
+    return OptimizerEpochImpl(block, *loss_, *reg_, lr, optimizer, rng, w);
   }
 
   ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
                            size_t batch_size, size_t num_batches, Rng* rng,
                            DenseVector* w) const override {
-    return MiniBatchGdImpl(View(block), *loss_, *reg_, lr, batch_size,
+    return MiniBatchGdImpl(block, *loss_, *reg_, lr, batch_size,
                            num_batches, rng, w);
   }
 
  private:
-  // MeanLoss's per-point term (core/model), over the f64 row values:
-  // evaluation stays f64 regardless of compute precision so the
-  // recorded loss curves expose any f32 training drift.
+  // MeanLoss's per-point term (core/model).
   void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
                  size_t stride) const override {
     for (size_t i = 0; i < block.rows(); ++i) {
@@ -336,15 +300,10 @@ double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
   return sum / static_cast<double>(n);
 }
 
-std::unique_ptr<GlmObjective> MakeBinaryObjective(
-    const Loss* loss, const Regularizer* reg, bool lazy_regularization,
-    ComputePrecision precision) {
-  if (precision == ComputePrecision::kF32) {
-    return std::make_unique<BinaryObjective<CsrF32View>>(loss, reg,
-                                                         lazy_regularization);
-  }
-  return std::make_unique<BinaryObjective<CsrView>>(loss, reg,
-                                                    lazy_regularization);
+std::unique_ptr<GlmObjective> MakeBinaryObjective(const Loss* loss,
+                                                  const Regularizer* reg,
+                                                  bool lazy_regularization) {
+  return std::make_unique<BinaryObjective>(loss, reg, lazy_regularization);
 }
 
 }  // namespace mllibstar

@@ -10,7 +10,6 @@
 #include "core/local_optimizer.h"
 #include "core/loss.h"
 #include "core/regularizer.h"
-#include "core/simd/dispatch.h"
 #include "core/vector.h"
 
 namespace mllibstar {
@@ -18,7 +17,7 @@ namespace mllibstar {
 /// The binary GLM objective (paper Equation 1: a margin loss plus
 /// Ω(w)) viewed through the kernel calls the seven distributed trainers
 /// make, and the only way into the GD kernels: each method is one call
-/// into a kernel template (objective.cc) over the block's packed rows.
+/// into a kernel (objective.cc) over the block's packed rows.
 /// Trainers hold exactly one of these, built by MakeBinaryObjective.
 class GlmObjective {
  public:
@@ -80,21 +79,17 @@ class GlmObjective {
                            std::vector<double>* row_losses) const;
 
  private:
-  /// Writes the pointwise loss of row i of `block` to out[i · stride].
-  /// Always f64, like MeanLoss.
+  /// Writes the pointwise loss of row i of `block` to out[i · stride],
+  /// as MeanLoss computes it.
   virtual void RowLosses(const CsrBlock& block, const DenseVector& w,
                          double* out, size_t stride) const = 0;
 };
 
 /// The binary margin objective over `loss` + `reg` (borrowed, not
-/// owned; must outlive the objective). `precision` picks the row view
-/// the kernels read, once: kF64 reads the f64 values; kF32 reads the
-/// block's float32 copy, with every accumulation still f64 (DESIGN
-/// §13). OptimizerEpoch stays f64 either way, because the stateful
-/// LocalOptimizer interface takes f64 value spans.
-std::unique_ptr<GlmObjective> MakeBinaryObjective(
-    const Loss* loss, const Regularizer* reg, bool lazy_regularization,
-    ComputePrecision precision = ComputePrecision::kF64);
+/// owned; must outlive the objective).
+std::unique_ptr<GlmObjective> MakeBinaryObjective(const Loss* loss,
+                                                  const Regularizer* reg,
+                                                  bool lazy_regularization);
 
 }  // namespace mllibstar
 

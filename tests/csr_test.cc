@@ -109,19 +109,11 @@ TEST(PartitionCsrTest, MatchesRoundRobinPartitioning) {
 // rows stored with explicit 1.0 values: the kernels multiply by the
 // block's run of 1.0s where they would have read the stored ones.
 
-constexpr ComputePrecision kPrecisions[] = {ComputePrecision::kF64,
-                                            ComputePrecision::kF32};
-
-std::string PrecisionName(ComputePrecision precision) {
-  return precision == ComputePrecision::kF32 ? "f32" : "f64";
-}
-
 // The rows of a value-free block in the valued layout the packers built
-// before value-free blocks: stored 1.0s and their f32 copy.
+// before value-free blocks: stored 1.0s.
 CsrBlock WithStoredOnes(CsrBlock block) {
   block.value_free = false;
   block.ones.clear();
-  block.ones_f32.clear();
   block.values.assign(block.nnz(), 1.0);
   block.Finalize();
   return block;
@@ -151,22 +143,18 @@ TEST(CsrKernelTest, BatchGradientValueFreeMatchesStoredOnes) {
   const std::vector<size_t> batch = SampleBatch(data.size(), 40, &rng);
   const DenseVector w = StartWeights(data.num_features());
 
-  for (const ComputePrecision precision : kPrecisions) {
-    SCOPED_TRACE(PrecisionName(precision));
-    auto objective = MakeBinaryObjective(loss.get(), none.get(), true,
-                                         precision);
-    DenseVector g_a(w.dim()), g_b(w.dim());
-    ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
-                    objective->BatchGradient(stored, batch, w, &g_b));
-    ExpectSameVector(g_a, g_b);
+  auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
+  DenseVector g_a(w.dim()), g_b(w.dim());
+  ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
+                  objective->BatchGradient(stored, batch, w, &g_b));
+  ExpectSameVector(g_a, g_b);
 
-    // The fused full-partition pass, with its loss sum.
-    double loss_a = 0.0, loss_b = 0.0;
-    ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
-                    objective->LossGradient(stored, w, &g_b, &loss_b));
-    EXPECT_EQ(loss_a, loss_b);
-    ExpectSameVector(g_a, g_b);
-  }
+  // The fused full-partition pass, with its loss sum.
+  double loss_a = 0.0, loss_b = 0.0;
+  ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
+                  objective->LossGradient(stored, w, &g_b, &loss_b));
+  EXPECT_EQ(loss_a, loss_b);
+  ExpectSameVector(g_a, g_b);
 }
 
 TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
@@ -215,56 +203,48 @@ TEST(CsrKernelTest, SgdEpochValueFreeMatchesStoredOnes) {
   auto loss = MakeLoss(LossKind::kLogistic);
   const size_t dim = data.num_features();
 
-  for (const ComputePrecision precision : kPrecisions) {
-    for (const RegularizerKind kind :
-         {RegularizerKind::kNone, RegularizerKind::kL2}) {
-      for (const bool lazy : {false, true}) {
-        SCOPED_TRACE(PrecisionName(precision) + " reg " +
-                     std::to_string(static_cast<int>(kind)) + " lazy " +
-                     std::to_string(lazy));
-        auto reg = MakeRegularizer(kind, 0.01);
-        auto objective =
-            MakeBinaryObjective(loss.get(), reg.get(), lazy, precision);
-        Rng rng_a(11), rng_b(11);
-        DenseVector w_a(dim), w_b(dim);
-        ExpectSameStats(objective->SgdEpoch(value_free, 0.2, &rng_a, &w_a),
-                        objective->SgdEpoch(stored, 0.2, &rng_b, &w_b));
-        ExpectSameVector(w_a, w_b);
-        EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-            << "RNG consumption diverged";
-      }
+  for (const RegularizerKind kind :
+       {RegularizerKind::kNone, RegularizerKind::kL2}) {
+    for (const bool lazy : {false, true}) {
+      SCOPED_TRACE("reg " + std::to_string(static_cast<int>(kind)) +
+                   " lazy " + std::to_string(lazy));
+      auto reg = MakeRegularizer(kind, 0.01);
+      auto objective = MakeBinaryObjective(loss.get(), reg.get(), lazy);
+      Rng rng_a(11), rng_b(11);
+      DenseVector w_a(dim), w_b(dim);
+      ExpectSameStats(objective->SgdEpoch(value_free, 0.2, &rng_a, &w_a),
+                      objective->SgdEpoch(stored, 0.2, &rng_b, &w_b));
+      ExpectSameVector(w_a, w_b);
+      EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+          << "RNG consumption diverged";
     }
   }
 }
 
 TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
   for (const bool gaussian : kValueKinds) {
+    SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
     const CsrBlock block = CsrBlock::FromPoints(data.points());
     auto loss = MakeLoss(LossKind::kLogistic);
     auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
+    auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+    Rng rng_a(23), rng_b(23);
+    const std::vector<size_t> rows = SampleBatch(block.rows(), 50, &rng_a);
+    ASSERT_EQ(SampleBatch(block.rows(), 50, &rng_b), rows);
 
-    for (const ComputePrecision precision : kPrecisions) {
-      SCOPED_TRACE(KindName(gaussian) + " " + PrecisionName(precision));
-      auto objective =
-          MakeBinaryObjective(loss.get(), reg.get(), true, precision);
-      Rng rng_a(23), rng_b(23);
-      const std::vector<size_t> rows = SampleBatch(block.rows(), 50, &rng_a);
-      ASSERT_EQ(SampleBatch(block.rows(), 50, &rng_b), rows);
+    std::vector<DataPoint> copied;
+    copied.reserve(rows.size());
+    for (size_t idx : rows) copied.push_back(data.point(idx));
+    const CsrBlock copied_block = CsrBlock::FromPoints(copied);
 
-      std::vector<DataPoint> copied;
-      copied.reserve(rows.size());
-      for (size_t idx : rows) copied.push_back(data.point(idx));
-      const CsrBlock copied_block = CsrBlock::FromPoints(copied);
-
-      DenseVector w_a(data.num_features());
-      DenseVector w_b(data.num_features());
-      ExpectSameStats(objective->SgdEpoch(block, rows, 0.3, &rng_a, &w_a),
-                      objective->SgdEpoch(copied_block, 0.3, &rng_b, &w_b));
-      ExpectSameVector(w_a, w_b);
-      EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-          << "RNG consumption diverged";
-    }
+    DenseVector w_a(data.num_features());
+    DenseVector w_b(data.num_features());
+    ExpectSameStats(objective->SgdEpoch(block, rows, 0.3, &rng_a, &w_a),
+                    objective->SgdEpoch(copied_block, 0.3, &rng_b, &w_b));
+    ExpectSameVector(w_a, w_b);
+    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+        << "RNG consumption diverged";
   }
 }
 
@@ -278,21 +258,17 @@ TEST(CsrKernelTest, OptimizerEpochValueFreeMatchesStoredOnes) {
   LocalOptimizerConfig opt_config;
   opt_config.kind = LocalOptimizerKind::kAdam;
 
-  for (const ComputePrecision precision : kPrecisions) {
-    SCOPED_TRACE(PrecisionName(precision));
-    auto objective =
-        MakeBinaryObjective(loss.get(), reg.get(), true, precision);
-    auto opt_a = MakeLocalOptimizer(opt_config, dim);
-    auto opt_b = MakeLocalOptimizer(opt_config, dim);
-    Rng rng_a(7), rng_b(7);
-    DenseVector w_a(dim), w_b(dim);
-    ExpectSameStats(
-        objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
-        objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
-    ExpectSameVector(w_a, w_b);
-    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-        << "RNG consumption diverged";
-  }
+  auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  auto opt_a = MakeLocalOptimizer(opt_config, dim);
+  auto opt_b = MakeLocalOptimizer(opt_config, dim);
+  Rng rng_a(7), rng_b(7);
+  DenseVector w_a(dim), w_b(dim);
+  ExpectSameStats(
+      objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
+      objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
+  ExpectSameVector(w_a, w_b);
+  EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+      << "RNG consumption diverged";
 }
 
 TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
@@ -303,19 +279,14 @@ TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
   auto loss = MakeLoss(LossKind::kLogistic);
   auto reg = MakeRegularizer(RegularizerKind::kL2, 0.05);
 
-  for (const ComputePrecision precision : kPrecisions) {
-    SCOPED_TRACE(PrecisionName(precision));
-    auto objective =
-        MakeBinaryObjective(loss.get(), reg.get(), true, precision);
-    Rng rng_a(29), rng_b(29);
-    DenseVector w_a(dim), w_b(dim);
-    ExpectSameStats(
-        objective->MiniBatchGd(value_free, 0.1, 30, 5, &rng_a, &w_a),
-        objective->MiniBatchGd(stored, 0.1, 30, 5, &rng_b, &w_b));
-    ExpectSameVector(w_a, w_b);
-    EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-        << "RNG consumption diverged";
-  }
+  auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  Rng rng_a(29), rng_b(29);
+  DenseVector w_a(dim), w_b(dim);
+  ExpectSameStats(objective->MiniBatchGd(value_free, 0.1, 30, 5, &rng_a, &w_a),
+                  objective->MiniBatchGd(stored, 0.1, 30, 5, &rng_b, &w_b));
+  ExpectSameVector(w_a, w_b);
+  EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
+      << "RNG consumption diverged";
 }
 
 // ---- Value-free packing --------------------------------------------
@@ -333,8 +304,6 @@ TEST(CsrBlockTest, ValueFreeBlockStoresNoValues) {
   const CsrBlock block = CsrBlock::FromPoints(points);
   ASSERT_TRUE(block.value_free);
   EXPECT_TRUE(block.values.empty());
-  EXPECT_TRUE(block.values_f32.empty());
-  EXPECT_TRUE(block.has_f32());
   size_t widest = 0;
   for (const DataPoint& p : points) widest = std::max(widest, p.nnz());
   ASSERT_GT(widest, 0u);
@@ -342,7 +311,6 @@ TEST(CsrBlockTest, ValueFreeBlockStoresNoValues) {
   for (size_t i = 0; i < block.rows(); ++i) {
     for (size_t j = 0; j < block.row_nnz(i); ++j) {
       ASSERT_EQ(block.row_values(i)[j], 1.0);
-      ASSERT_EQ(block.row_values_f32(i)[j], 1.0f);
     }
   }
 }
@@ -361,7 +329,6 @@ TEST(CsrBlockTest, OneValueOtherThanOneKeepsTheArrays) {
     const CsrBlock block = CsrBlock::FromPoints(points);
     EXPECT_FALSE(block.value_free);
     EXPECT_EQ(block.values.size(), block.nnz());
-    EXPECT_EQ(block.values_f32.size(), block.nnz());
     for (size_t i = 0; i < points.size(); ++i) {
       const DataPoint back = block.PointAt(i);
       ASSERT_EQ(back.features.indices, points[i].features.indices);

@@ -35,10 +35,8 @@ std::vector<DataPoint> SeparableProblem() {
 // The binary objective over `loss` and `reg`: the one entry into the
 // GD kernels.
 std::unique_ptr<GlmObjective> Binary(const Loss& loss, const Regularizer& reg,
-                                     bool lazy_regularization = true,
-                                     ComputePrecision precision =
-                                         ComputePrecision::kF64) {
-  return MakeBinaryObjective(&loss, &reg, lazy_regularization, precision);
+                                     bool lazy_regularization = true) {
+  return MakeBinaryObjective(&loss, &reg, lazy_regularization);
 }
 
 TEST(SampleBatchTest, FullBatchWhenOversized) {
@@ -117,7 +115,7 @@ TEST(ScaledVectorTest, SurvivesScaleUnderflowByMaterializing) {
   ScaledVector v(DenseVector(std::vector<double>{1.0}));
   for (int i = 0; i < 5000; ++i) v.Shrink(0.99);
   const FeatureIndex index = 0;
-  const float value = 1.0f;  // the f32 overload the mixed-precision SGD uses
+  const double value = 1.0;
   v.AddScaled(&index, &value, 1, 1.0);
   const DenseVector dense = v.ToDense();
   EXPECT_TRUE(std::isfinite(dense[0]));
@@ -129,9 +127,7 @@ TEST(ScaledVectorTest, DotMatchesDense) {
   v.Shrink(0.5);
   const FeatureIndex indices[] = {0, 1};
   const double values[] = {1.0, 1.0};
-  const float values_f32[] = {1.0f, 1.0f};
   EXPECT_DOUBLE_EQ(v.Dot(indices, values, 2), 0.5);
-  EXPECT_DOUBLE_EQ(v.Dot(indices, values_f32, 2), 0.5);
 }
 
 TEST(LocalSgdEpochTest, ReducesLossOnSeparableData) {
@@ -298,32 +294,26 @@ TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
 
   // 4-row batches list ~32 coordinates (the listed sweep); 100-row
   // batches list ~800 of the 2000 (the dense sweep).
-  for (bool f32 : {false, true}) {
-    for (RegularizerKind kind : {RegularizerKind::kNone,
-                                 RegularizerKind::kL2,
-                                 RegularizerKind::kL1}) {
-      for (size_t batch_size : {size_t{4}, size_t{100}}) {
-        SCOPED_TRACE(testing::Message()
-                     << "f32 " << f32 << " reg " << static_cast<int>(kind)
-                     << " batch " << batch_size);
-        auto reg = MakeRegularizer(kind, 0.01);
-        const ComputePrecision precision =
-            f32 ? ComputePrecision::kF32 : ComputePrecision::kF64;
-        const auto objective = Binary(*loss, *reg, true, precision);
-        DenseVector w = StartWeights(features);
-        DenseVector ref_w = w;
-        Rng rng(17);
-        Rng ref_rng(17);
-        const ComputeStats stats =
-            objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
-        const ComputeStats ref = DenseReferenceMiniBatchGd(
-            block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
-        EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
-        EXPECT_EQ(stats.model_updates, ref.model_updates);
-        EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
-        for (size_t i = 0; i < features; ++i) {
-          ASSERT_EQ(Bits(w[i]), Bits(ref_w[i])) << "coordinate " << i;
-        }
+  for (RegularizerKind kind : {RegularizerKind::kNone, RegularizerKind::kL2,
+                               RegularizerKind::kL1}) {
+    for (size_t batch_size : {size_t{4}, size_t{100}}) {
+      SCOPED_TRACE(testing::Message() << "reg " << static_cast<int>(kind)
+                                      << " batch " << batch_size);
+      auto reg = MakeRegularizer(kind, 0.01);
+      const auto objective = Binary(*loss, *reg);
+      DenseVector w = StartWeights(features);
+      DenseVector ref_w = w;
+      Rng rng(17);
+      Rng ref_rng(17);
+      const ComputeStats stats =
+          objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
+      const ComputeStats ref = DenseReferenceMiniBatchGd(
+          block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
+      EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
+      EXPECT_EQ(stats.model_updates, ref.model_updates);
+      EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
+      for (size_t i = 0; i < features; ++i) {
+        ASSERT_EQ(Bits(w[i]), Bits(ref_w[i])) << "coordinate " << i;
       }
     }
   }

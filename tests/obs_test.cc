@@ -198,10 +198,11 @@ TEST(TelemetryTest, BoundedBuffersDropNewestAndAccount) {
   obs.set_span_capacity(4);
   obs.set_event_capacity(3);
   for (int i = 0; i < 10; ++i) {
-    ScopedSpan span("s" + std::to_string(i), "test");
+    ScopedSpan span(std::string("s") + std::to_string(i), "test");
   }
   for (int i = 0; i < 10; ++i) {
-    obs.RecordEvent("e" + std::to_string(i), "test", static_cast<double>(i));
+    obs.RecordEvent(std::string("e") + std::to_string(i), "test",
+                    static_cast<double>(i));
   }
   ASSERT_EQ(obs.spans().size(), 4u);
   EXPECT_EQ(obs.events().size(), 3u);

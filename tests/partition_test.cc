@@ -5,7 +5,8 @@
 namespace mllibstar {
 namespace {
 
-Dataset MakeDataset(size_t n, size_t dim = 100) {
+Dataset MakeDataset(size_t n) {
+  const size_t dim = 100;
   Dataset ds(dim);
   for (size_t i = 0; i < n; ++i) {
     DataPoint p;
@@ -33,16 +34,6 @@ TEST(PartitionDataTest, RoundRobinCoversAllPoints) {
   EXPECT_EQ(total, 17u);
 }
 
-TEST(PartitionDataTest, ContiguousPreservesOrder) {
-  const Dataset ds = MakeDataset(10, 10);
-  const auto parts = PartitionContiguous(ds, 3);
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0].size(), 4u);  // 10 = 4+3+3
-  EXPECT_EQ(parts[0][0].features.indices[0], 0u);
-  EXPECT_EQ(parts[1][0].features.indices[0], 4u);
-  EXPECT_EQ(parts[2][0].features.indices[0], 7u);
-}
-
 TEST(PartitionDataTest, MorePartitionsThanPoints) {
   const Dataset ds = MakeDataset(2);
   const auto parts = PartitionRoundRobin(ds, 5);
@@ -50,47 +41,6 @@ TEST(PartitionDataTest, MorePartitionsThanPoints) {
   EXPECT_EQ(parts[0].size(), 1u);
   EXPECT_EQ(parts[1].size(), 1u);
   EXPECT_TRUE(parts[2].empty());
-}
-
-TEST(PartitionModelTest, RangesTileTheModel) {
-  const auto ranges = PartitionModel(10, 3);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0].begin, 0u);
-  EXPECT_EQ(ranges[0].end, 4u);  // 10 = 4+3+3
-  EXPECT_EQ(ranges[1].begin, 4u);
-  EXPECT_EQ(ranges[2].end, 10u);
-  size_t total = 0;
-  for (const auto& r : ranges) total += r.size();
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(PartitionModelTest, ExactDivision) {
-  const auto ranges = PartitionModel(8, 4);
-  for (const auto& r : ranges) EXPECT_EQ(r.size(), 2u);
-}
-
-TEST(PartitionModelTest, MoreWorkersThanCoordinates) {
-  const auto ranges = PartitionModel(2, 4);
-  EXPECT_EQ(ranges[0].size(), 1u);
-  EXPECT_EQ(ranges[1].size(), 1u);
-  EXPECT_EQ(ranges[2].size(), 0u);
-  EXPECT_EQ(ranges[3].size(), 0u);
-}
-
-TEST(PartitionModelTest, OwnerLookupAgreesWithRanges) {
-  const auto ranges = PartitionModel(100, 7);
-  for (FeatureIndex i = 0; i < 100; ++i) {
-    const size_t owner = OwnerOfCoordinate(ranges, i);
-    EXPECT_TRUE(ranges[owner].Contains(i)) << "i=" << i;
-  }
-}
-
-TEST(PartitionModelTest, ContainsIsHalfOpen) {
-  ModelRange r{5, 8};
-  EXPECT_FALSE(r.Contains(4));
-  EXPECT_TRUE(r.Contains(5));
-  EXPECT_TRUE(r.Contains(7));
-  EXPECT_FALSE(r.Contains(8));
 }
 
 }  // namespace

@@ -1,18 +1,13 @@
-// Tests for the SIMD kernel layer (core/simd) and the mixed-precision
-// compute path (DESIGN §13).
+// Tests for the SIMD kernel layer (core/simd, DESIGN §13).
 //
-// The load-bearing property is the f64 bit-exactness contract: every
+// The load-bearing property is the bit-exactness contract: every
 // dispatch tier must reproduce the scalar reference bit-for-bit, so
-// the choice of SIMD level can never perturb a simulated result. The
-// f32 kernels are tolerance-checked instead (they read narrowed
-// values and the AVX2/AVX-512 tiers fuse multiply-adds), with the
-// budget documented in DESIGN §13.
+// the choice of SIMD level can never perturb a simulated result.
 #include "core/simd/dispatch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,7 +17,6 @@
 #include "core/simd/kernels.h"
 #include "core/vector.h"
 #include "data/synthetic.h"
-#include "train/trainer.h"
 #include "workloads/objective.h"
 
 namespace mllibstar {
@@ -37,16 +31,15 @@ struct SimdLevelGuard {
 std::vector<simd::SimdLevel> AvailableLevels() {
   std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
   const simd::SimdLevel detected = simd::DetectedSimdLevel();
-  for (simd::SimdLevel l : {simd::SimdLevel::kSse2, simd::SimdLevel::kAvx2,
-                            simd::SimdLevel::kAvx512}) {
+  for (simd::SimdLevel l : {simd::SimdLevel::kSse2, simd::SimdLevel::kAvx2}) {
     if (detected >= l) levels.push_back(l);
   }
   return levels;
 }
 
 // Lengths chosen to cover every vector-loop remainder: 0..16 hits all
-// 4-wide and 8-wide tails, 31..33 straddles the AVX-512 dot's
-// wide-path threshold, and the larger ones exercise multi-block rows.
+// 4-wide tails several times over, and the larger ones exercise
+// multi-block rows.
 std::vector<size_t> RemainderLengths() {
   std::vector<size_t> lengths;
   for (size_t n = 0; n <= 16; ++n) lengths.push_back(n);
@@ -60,7 +53,6 @@ std::vector<size_t> RemainderLengths() {
 struct TestRow {
   std::vector<FeatureIndex> indices;
   std::vector<double> values;
-  std::vector<float> values_f32;
 };
 
 TestRow MakeSortedRow(size_t dim, size_t nnz, Rng* rng) {
@@ -75,9 +67,7 @@ TestRow MakeSortedRow(size_t dim, size_t nnz, Rng* rng) {
   }
   std::sort(row.indices.begin(), row.indices.end());
   for (size_t i = 0; i < nnz; ++i) {
-    const double v = rng->NextDouble(-1.0, 1.0);
-    row.values.push_back(v);
-    row.values_f32.push_back(static_cast<float>(v));
+    row.values.push_back(rng->NextDouble(-1.0, 1.0));
   }
   return row;
 }
@@ -85,19 +75,20 @@ TestRow MakeSortedRow(size_t dim, size_t nnz, Rng* rng) {
 TEST(DispatchTest, LevelNamesRoundTrip) {
   for (simd::SimdLevel level :
        {simd::SimdLevel::kScalar, simd::SimdLevel::kSse2,
-        simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
+        simd::SimdLevel::kAvx2}) {
     const auto parsed = simd::ParseSimdLevel(simd::SimdLevelName(level));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, level);
   }
   EXPECT_FALSE(simd::ParseSimdLevel("auto").has_value());
+  EXPECT_FALSE(simd::ParseSimdLevel("avx512").has_value());
   EXPECT_FALSE(simd::ParseSimdLevel("avx999").has_value());
 }
 
 TEST(DispatchTest, SetLevelClampsToDetected) {
   SimdLevelGuard guard;
   const simd::SimdLevel detected = simd::DetectedSimdLevel();
-  const simd::SimdLevel applied = simd::SetSimdLevel(simd::SimdLevel::kAvx512);
+  const simd::SimdLevel applied = simd::SetSimdLevel(simd::SimdLevel::kAvx2);
   EXPECT_LE(static_cast<int>(applied), static_cast<int>(detected));
   EXPECT_EQ(simd::ActiveSimdLevel(), applied);
   EXPECT_EQ(simd::SetSimdLevel(simd::SimdLevel::kScalar),
@@ -119,7 +110,7 @@ TEST(DispatchTest, TableMatchesLevel) {
   }
 }
 
-// ---- f64 bit-exactness across tiers --------------------------------
+// ---- Bit-exactness across tiers ------------------------------------
 
 TEST(KernelBitEqualityTest, SparseDotF64AllTiers) {
   Rng rng(101);
@@ -192,64 +183,6 @@ TEST(KernelBitEqualityTest, DenseKernelsF64AllTiers) {
   }
 }
 
-// ---- f32 tolerance across tiers ------------------------------------
-
-TEST(KernelF32ToleranceTest, SparseDotF32NearF64) {
-  Rng rng(104);
-  const size_t dim = 1024;
-  std::vector<double> w(dim);
-  for (double& v : w) v = rng.NextDouble(-2.0, 2.0);
-  const simd::KernelDispatch& scalar =
-      simd::KernelsFor(simd::SimdLevel::kScalar);
-  for (size_t nnz : RemainderLengths()) {
-    const TestRow row = MakeSortedRow(dim, nnz, &rng);
-    const double ref64 =
-        scalar.sparse_dot_f64(w.data(), row.indices.data(),
-                              row.values.data(), nnz);
-    const double ref32 =
-        scalar.sparse_dot_f32(w.data(), row.indices.data(),
-                              row.values_f32.data(), nnz);
-    // Value narrowing: one 2^-24 relative rounding per element.
-    EXPECT_NEAR(ref32, ref64,
-                1e-6 * (static_cast<double>(nnz) + 1.0))
-        << "nnz=" << nnz;
-    for (simd::SimdLevel level : AvailableLevels()) {
-      const double got = simd::KernelsFor(level).sparse_dot_f32(
-          w.data(), row.indices.data(), row.values_f32.data(), nnz);
-      // Cross-tier: same f32 inputs, only association/FMA rounding
-      // differs (f64 accumulators), so the tiers agree very tightly.
-      EXPECT_NEAR(got, ref32, 1e-10 * (std::fabs(ref32) + 1.0))
-          << simd::SimdLevelName(level) << " nnz=" << nnz;
-    }
-  }
-}
-
-TEST(KernelF32ToleranceTest, SparseAxpyF32NearF64) {
-  Rng rng(105);
-  const size_t dim = 1024;
-  std::vector<double> w0(dim);
-  for (double& v : w0) v = rng.NextDouble(-2.0, 2.0);
-  const simd::KernelDispatch& scalar =
-      simd::KernelsFor(simd::SimdLevel::kScalar);
-  for (size_t nnz : RemainderLengths()) {
-    const TestRow row = MakeSortedRow(dim, nnz, &rng);
-    const double alpha = rng.NextDouble(-1.0, 1.0);
-    std::vector<double> ref = w0;
-    scalar.sparse_axpy_f32(ref.data(), row.indices.data(),
-                           row.values_f32.data(), nnz, alpha);
-    for (simd::SimdLevel level : AvailableLevels()) {
-      std::vector<double> got = w0;
-      simd::KernelsFor(level).sparse_axpy_f32(
-          got.data(), row.indices.data(), row.values_f32.data(), nnz,
-          alpha);
-      for (size_t i = 0; i < dim; ++i) {
-        ASSERT_NEAR(got[i], ref[i], 1e-12)
-            << simd::SimdLevelName(level) << " nnz=" << nnz << " i=" << i;
-      }
-    }
-  }
-}
-
 // ---- CsrBlock storage invariants -----------------------------------
 
 TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
@@ -264,11 +197,9 @@ TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
   const CsrBlock block = CsrBlock::FromPoints(data.points());
   ASSERT_FALSE(block.value_free);
   ASSERT_FALSE(block.values.empty());
-  ASSERT_FALSE(block.values_f32.empty());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.offsets.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.indices.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.values.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(block.values_f32.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.labels.data()) % 64, 0u);
 
   // A value-free block's runs of ones are aligned the same way.
@@ -278,29 +209,9 @@ TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
   ASSERT_TRUE(ones.value_free);
   ASSERT_FALSE(ones.ones.empty());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(ones.ones.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(ones.ones_f32.data()) % 64, 0u);
 }
 
-TEST(CsrAlignmentTest, FinalizeBuildsF32Copy) {
-  SyntheticSpec spec;
-  spec.name = "simd_f32copy";
-  spec.num_instances = 32;
-  spec.num_features = 100;
-  spec.avg_nnz = 10;
-  spec.seed = 4;
-  spec.gaussian_values = true;  // values that f32 actually rounds
-  const Dataset data = GenerateSynthetic(spec);
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
-  ASSERT_FALSE(block.value_free);
-  ASSERT_TRUE(block.has_f32());
-  ASSERT_EQ(block.values.size(), block.nnz());
-  ASSERT_EQ(block.values_f32.size(), block.values.size());
-  for (size_t i = 0; i < block.values.size(); ++i) {
-    EXPECT_EQ(block.values_f32[i], static_cast<float>(block.values[i]));
-  }
-}
-
-// ---- Fused passes: f64 bit-exact per tier, f32 within budget -------
+// ---- Fused passes: bit-exact per tier ------------------------------
 
 TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   SimdLevelGuard guard;
@@ -337,135 +248,6 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
     }
   }
 }
-
-TEST(FusedKernelTest, F32FusedPassWithinBudget) {
-  SimdLevelGuard guard;
-  SyntheticSpec spec;
-  spec.name = "simd_fused32";
-  spec.num_instances = 200;
-  spec.num_features = 300;
-  spec.avg_nnz = 24;
-  spec.seed = 10;
-  spec.gaussian_values = true;  // valued rows: f32 rounds them
-  const Dataset data = GenerateSynthetic(spec);
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto f64 = MakeBinaryObjective(loss.get(), none.get(), true);
-  const auto f32 = MakeBinaryObjective(loss.get(), none.get(), true,
-                                       ComputePrecision::kF32);
-  DenseVector w(spec.num_features);
-  Rng rng(8);
-  for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.5, 0.5);
-
-  simd::SetSimdLevel(simd::SimdLevel::kScalar);
-  DenseVector ref_grad(w.dim());
-  double ref_loss = 0.0;
-  f64->LossGradient(block, w, &ref_grad, &ref_loss);
-
-  // DESIGN §13 budget: 1e-4 relative on the fused loss and gradient
-  // norm; with f64 accumulation the observed drift is far smaller.
-  constexpr double kBudget = 1e-4;
-  for (simd::SimdLevel level : AvailableLevels()) {
-    simd::SetSimdLevel(level);
-    DenseVector grad(w.dim());
-    double loss_sum = 0.0;
-    f32->LossGradient(block, w, &grad, &loss_sum);
-    EXPECT_NEAR(loss_sum, ref_loss,
-                kBudget * std::max(1.0, std::fabs(ref_loss)))
-        << simd::SimdLevelName(level);
-    EXPECT_NEAR(grad.Norm2(), ref_grad.Norm2(),
-                kBudget * std::max(1.0, ref_grad.Norm2()))
-        << simd::SimdLevelName(level);
-  }
-}
-
-// ---- End-to-end mixed-precision training ---------------------------
-
-Dataset TrainData() {
-  SyntheticSpec spec;
-  spec.name = "simd_train";
-  spec.num_instances = 800;
-  spec.num_features = 100;
-  spec.avg_nnz = 8;
-  spec.seed = 77;
-  return GenerateSynthetic(spec);
-}
-
-ClusterConfig TrainCluster() {
-  ClusterConfig config = ClusterConfig::Cluster1(4);
-  config.straggler_sigma = 0.0;
-  return config;
-}
-
-TrainerConfig TrainBaseConfig() {
-  TrainerConfig config;
-  config.loss = LossKind::kLogistic;
-  config.base_lr = 0.5;
-  config.lr_schedule = LrScheduleKind::kConstant;
-  config.batch_fraction = 0.1;
-  config.max_comm_steps = 12;
-  config.seed = 5;
-  return config;
-}
-
-class MixedPrecisionTrainTest : public testing::TestWithParam<SystemKind> {};
-
-TEST_P(MixedPrecisionTrainTest, F32ObjectiveTracksF64) {
-  const Dataset data = TrainData();
-  TrainerConfig f64_config = TrainBaseConfig();
-  TrainerConfig f32_config = TrainBaseConfig();
-  f32_config.compute_precision = ComputePrecision::kF32;
-
-  const TrainResult r64 =
-      MakeTrainer(GetParam(), f64_config)->Train(data, TrainCluster());
-  const TrainResult r32 =
-      MakeTrainer(GetParam(), f32_config)->Train(data, TrainCluster());
-  ASSERT_FALSE(r32.curve.empty());
-  EXPECT_FALSE(r32.diverged);
-
-  // The f32 path must still learn...
-  const double initial = r32.curve.points().front().objective;
-  EXPECT_LT(r32.curve.BestObjective(), initial * 0.9)
-      << SystemName(GetParam());
-  // ...and land near the f64 objective. Evaluation is always f64, so
-  // this bound sees real precision drift, amplified by the training
-  // dynamics — hence much looser than the per-pass kernel budget.
-  EXPECT_NEAR(r32.curve.BestObjective(), r64.curve.BestObjective(),
-              0.05 * std::fabs(r64.curve.BestObjective()))
-      << SystemName(GetParam());
-}
-
-TEST_P(MixedPrecisionTrainTest, F32Deterministic) {
-  const Dataset data = TrainData();
-  TrainerConfig config = TrainBaseConfig();
-  config.compute_precision = ComputePrecision::kF32;
-  config.max_comm_steps = 5;
-  const TrainResult a =
-      MakeTrainer(GetParam(), config)->Train(data, TrainCluster());
-  const TrainResult b =
-      MakeTrainer(GetParam(), config)->Train(data, TrainCluster());
-  ASSERT_EQ(a.curve.points().size(), b.curve.points().size());
-  for (size_t i = 0; i < a.curve.points().size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.curve.points()[i].objective,
-                     b.curve.points()[i].objective);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSystems, MixedPrecisionTrainTest,
-    testing::Values(SystemKind::kMllib, SystemKind::kMllibMa,
-                    SystemKind::kMllibStar, SystemKind::kPetuum,
-                    SystemKind::kPetuumStar, SystemKind::kAngel,
-                    SystemKind::kMllibLbfgs),
-    [](const testing::TestParamInfo<SystemKind>& info) {
-      std::string name = SystemName(info.param);
-      for (char& c : name) {
-        if (c == '*' || c == '+' || c == '-') c = '_';
-      }
-      if (name.back() == '_') name += "star";
-      return name;
-    });
 
 }  // namespace
 }  // namespace mllibstar
