@@ -12,7 +12,8 @@
 // capped well below the dot's speedup: roughly half its time is the
 // store-bound sparse axpy plus the per-row loss derivative, neither
 // of which vectorization can accelerate much), (c) a vectorized fused
-// pass is not bit-identical to the scalar one, or (d) evaluating the
+// pass's loss or any coordinate of its gradient is not bit-identical
+// to the scalar one, or (d) evaluating the
 // objective from value-free partitions disagrees with, or is slower
 // than, the walk over DataPoint rows. CI runs it as a smoke check so
 // kernel regressions fail the build, and the committed JSON pairs with
@@ -293,10 +294,11 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     for (size_t i = 0; i < regime.dim; ++i) w[i] = 0.01 * rng.NextDouble();
     DenseVector grad(regime.dim);
 
-    // Scalar reference loss for the drift gate.
+    // Scalar reference loss and gradient for the drift gate.
+    DenseVector ref_grad(regime.dim);
     double ref_loss = 0.0;
     simd::SetSimdLevel(simd::SimdLevel::kScalar);
-    objective->LossGradient(block, w, &grad, &ref_loss);
+    objective->LossGradient(block, w, &ref_grad, &ref_loss);
 
     for (simd::SimdLevel level : levels) {
       // Paired with the scalar reference, so machine-speed drift
@@ -327,14 +329,19 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
             std::max(best_fused_speedup, res.speedup_vs_scalar);
       }
 
-      // Drift gate: this tier's fused pass must be bit-identical to the
-      // scalar reference. The timer's last pass may have been the
-      // scalar one, so select this tier again.
+      // Drift gate: this tier's fused pass — its loss and every
+      // gradient coordinate — must be bit-identical to the scalar
+      // reference. The timer's last pass may have been the scalar one,
+      // so select this tier again.
       simd::SetSimdLevel(level);
       grad.SetZero();
       double loss_sum = 0.0;
       objective->LossGradient(block, w, &grad, &loss_sum);
-      if (loss_sum != ref_loss) {
+      bool grad_equal = true;
+      for (size_t i = 0; i < regime.dim; ++i) {
+        if (grad[i] != ref_grad[i]) grad_equal = false;
+      }
+      if (loss_sum != ref_loss || !grad_equal) {
         std::printf("FAIL drift: %s not bit-identical to scalar on %s\n",
                     simd::SimdLevelName(level), regime.name);
         drift_gate_failed = true;

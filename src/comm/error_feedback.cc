@@ -9,19 +9,23 @@ namespace mllibstar {
 namespace {
 
 /// Byte accounting for one transmit: raw payload vs what went on the
-/// wire, per {codec, stream}. Called from worker-pool threads, so it
-/// only touches atomic counters after the registry lookup.
+/// wire, into the run's tally and, when telemetry is on, the counters
+/// per {codec, stream}.
 void RecordTransmit(const GradientCodec& codec, const ErrorFeedback* ef,
-                    size_t stream, size_t dim, uint64_t encoded_bytes) {
+                    size_t stream, size_t dim, uint64_t encoded_bytes,
+                    CodecTally* tally) {
+  const uint64_t raw_bytes = static_cast<uint64_t>(dim) * sizeof(double);
+  if (tally != nullptr) {
+    tally->raw += raw_bytes;
+    tally->encoded += encoded_bytes;
+  }
   Telemetry& obs = Telemetry::Get();
   if (!obs.enabled()) return;
   const std::string stream_label =
       ef != nullptr && ef->enabled() ? std::to_string(stream) : "broadcast";
   const MetricLabels labels = {{"codec", codec.name()},
                                {"stream", stream_label}};
-  obs.metrics()
-      .Counter("comm.raw_bytes", labels)
-      .Add(static_cast<uint64_t>(dim) * sizeof(double));
+  obs.metrics().Counter("comm.raw_bytes", labels).Add(raw_bytes);
   obs.metrics().Counter("comm.encoded_bytes", labels).Add(encoded_bytes);
   obs.metrics().Counter("comm.transmits", labels).Add();
 }
@@ -66,8 +70,8 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
   return ErrorFeedback(num_streams, dim);
 }
 
-void CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                   size_t stream, DenseVector* v, uint64_t* wire_bytes) {
+uint64_t CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
+                       size_t stream, DenseVector* v, CodecTally* tally) {
   EngineProfiler::Scope codec_prof(Subsystem::kCodec);
   EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
   // Lossless fast path: the wire is transparent, so skip the
@@ -75,35 +79,35 @@ void CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
   // comm_test pins down).
   if (codec.lossless()) {
     const uint64_t encoded = codec.EncodedBytes(v->dim());
-    if (wire_bytes != nullptr) *wire_bytes += encoded;
-    RecordTransmit(codec, ef, stream, v->dim(), encoded);
-    return;
+    RecordTransmit(codec, ef, stream, v->dim(), encoded, tally);
+    return encoded;
   }
   if (ef != nullptr) ef->Compensate(stream, v);
   const EncodedChunk chunk = codec.Encode(*v);
-  if (wire_bytes != nullptr) *wire_bytes += chunk.bytes;
-  RecordTransmit(codec, ef, stream, v->dim(), chunk.bytes);
+  RecordTransmit(codec, ef, stream, v->dim(), chunk.bytes, tally);
   DenseVector decoded = codec.Decode(chunk);
   if (ef != nullptr) ef->Absorb(stream, *v, decoded);
   *v = std::move(decoded);
+  return chunk.bytes;
 }
 
 const DenseVector& CodecBroadcast(const GradientCodec& codec,
                                   const DenseVector& v,
-                                  DenseVector* received) {
+                                  DenseVector* received, CodecTally* tally) {
   if (codec.lossless()) {
-    AccountBroadcast(codec, v.dim());
+    AccountBroadcast(codec, v.dim(), tally);
     return v;
   }
   *received = v;
-  CodecTransmit(codec, nullptr, 0, received);
+  CodecTransmit(codec, nullptr, 0, received, tally);
   return *received;
 }
 
-void AccountBroadcast(const GradientCodec& codec, size_t dim) {
+void AccountBroadcast(const GradientCodec& codec, size_t dim,
+                      CodecTally* tally) {
   EngineProfiler::Scope codec_prof(Subsystem::kCodec);
   EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
-  RecordTransmit(codec, nullptr, 0, dim, codec.EncodedBytes(dim));
+  RecordTransmit(codec, nullptr, 0, dim, codec.EncodedBytes(dim), tally);
 }
 
 }  // namespace mllibstar

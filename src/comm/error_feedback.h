@@ -6,6 +6,7 @@
 
 #include "comm/codec.h"
 #include "core/vector.h"
+#include "obs/round_profile.h"
 
 namespace mllibstar {
 
@@ -54,19 +55,21 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
 /// Ships `*v` through `codec` as stream `stream`, in place: compensates
 /// with the stream's residual, encodes, decodes, absorbs the new
 /// residual, and leaves in `*v` the vector the receivers actually see.
-/// Adds the encoded wire size to *wire_bytes when non-null. Pass
+/// Returns the encoded wire size and adds the raw and encoded payload
+/// bytes to *tally when non-null (the run's codec tally). Pass
 /// ef == nullptr for residual-free paths (broadcasts). A lossless codec
 /// leaves `*v` untouched: the transmit is accounted (bytes, telemetry,
 /// one codec event) and nothing is copied.
-void CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
-                   size_t stream, DenseVector* v,
-                   uint64_t* wire_bytes = nullptr);
+uint64_t CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
+                       size_t stream, DenseVector* v,
+                       CodecTally* tally = nullptr);
 
 /// Residual-free broadcast of `v`: returns `v` itself when the codec is
 /// lossless, otherwise the decoded copy, written to `*received`.
 const DenseVector& CodecBroadcast(const GradientCodec& codec,
                                   const DenseVector& v,
-                                  DenseVector* received);
+                                  DenseVector* received,
+                                  CodecTally* tally = nullptr);
 
 /// Accounts one residual-free transmit of a `dim`-vector (bytes,
 /// telemetry, one codec event) without encoding it, for a receiver that
@@ -75,7 +78,8 @@ const DenseVector& CodecBroadcast(const GradientCodec& codec,
 /// Valid for every codec: encoding is deterministic, and a broadcast
 /// carries no error-feedback state, so the same vector always decodes
 /// the same.
-void AccountBroadcast(const GradientCodec& codec, size_t dim);
+void AccountBroadcast(const GradientCodec& codec, size_t dim,
+                      CodecTally* tally = nullptr);
 
 }  // namespace mllibstar
 

@@ -14,7 +14,7 @@ namespace mllibstar {
 /// A JSON document: null, bool, number, string, array, or object.
 /// Objects preserve insertion order so exported reports are stable and
 /// diffable. This is the one JSON codepath shared by every exporter
-/// (Chrome traces, RunReports, JSONL event logs) and by the tests that
+/// (Chrome traces, RunReports, bench reports) and by the tests that
 /// parse those exports back to validate them.
 class JsonValue {
  public:
@@ -56,9 +56,8 @@ class JsonValue {
   bool Has(const std::string& key) const { return Find(key) != nullptr; }
   const std::vector<std::pair<std::string, JsonValue>>& items() const;
 
-  /// Serializes the document. `indent` == 0 emits one compact line
-  /// (the JSONL shape); positive values pretty-print with that many
-  /// spaces per level.
+  /// Serializes the document. `indent` == 0 emits one compact line;
+  /// positive values pretty-print with that many spaces per level.
   std::string Dump(int indent = 0) const;
 
   /// Parses a complete JSON document (trailing garbage is an error).

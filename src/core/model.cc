@@ -1,16 +1,6 @@
 #include "core/model.h"
 
-#include "common/logging.h"
-
 namespace mllibstar {
-
-MulticlassGlmModel::MulticlassGlmModel(size_t num_classes,
-                                       size_t num_features, DenseVector flat)
-    : num_classes_(num_classes),
-      num_features_(num_features),
-      flat_(std::move(flat)) {
-  MLLIBSTAR_CHECK_EQ(flat_.dim(), num_classes_ * num_features_);
-}
 
 double MeanLoss(const std::vector<DataPoint>& points, const Loss& loss,
                 const DenseVector& w) {

@@ -27,39 +27,6 @@ class GlmModel {
   DenseVector weights_;
 };
 
-/// The K-class weight storage of the model_io v2 format: K weight
-/// vectors flattened into one DenseVector of dimension K·d, class k
-/// occupying [k·d, (k+1)·d). A v1 (binary) file loads as K = 1.
-class MulticlassGlmModel {
- public:
-  MulticlassGlmModel() = default;
-
-  /// Zero-initialized K-class model over d features.
-  MulticlassGlmModel(size_t num_classes, size_t num_features)
-      : num_classes_(num_classes),
-        num_features_(num_features),
-        flat_(num_classes * num_features) {}
-
-  /// Wraps flattened weights; flat.dim() must equal K·d.
-  MulticlassGlmModel(size_t num_classes, size_t num_features,
-                     DenseVector flat);
-
-  size_t num_classes() const { return num_classes_; }
-  size_t num_features() const { return num_features_; }
-  const DenseVector& flat_weights() const { return flat_; }
-  DenseVector* mutable_flat_weights() { return &flat_; }
-
-  /// Weight of feature j for class k.
-  double weight(size_t k, size_t j) const {
-    return flat_[k * num_features_ + j];
-  }
-
- private:
-  size_t num_classes_ = 0;
-  size_t num_features_ = 0;
-  DenseVector flat_;
-};
-
 /// Mean point loss (1/n) Σ l(w·xᵢ, yᵢ) over `points`. Returns 0 for an
 /// empty range.
 double MeanLoss(const std::vector<DataPoint>& points, const Loss& loss,

@@ -8,12 +8,10 @@ namespace mllibstar {
 
 namespace {
 constexpr char kMagic[] = "mllibstar-model v1";
-constexpr char kMagicV2[] = "mllibstar-model v2";
 
-// Shared body of both loaders: reads "dim <d>" plus sparse
-// "<index> <value>" lines into a vector of `expected_dim` (the v1
-// model dim, or K·d for v2). `line_number` continues the caller's
-// header count for error messages.
+// Reads the sparse "<index> <value>" lines into a vector of
+// `expected_dim`. `line_number` continues the caller's header count
+// for error messages.
 Result<DenseVector> LoadWeightLines(std::ifstream& in,
                                     const std::string& path,
                                     int64_t expected_dim,
@@ -91,57 +89,6 @@ Result<GlmModel> LoadModel(const std::string& path) {
   MLLIBSTAR_ASSIGN_OR_RETURN(DenseVector w,
                              LoadWeightLines(in, path, dim, 2));
   return GlmModel(std::move(w));
-}
-
-Status SaveMulticlassModel(const MulticlassGlmModel& model,
-                           const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out << kMagicV2 << '\n';
-  out << "classes " << model.num_classes() << '\n';
-  out << "dim " << model.num_features() << '\n';
-  out.precision(17);
-  const DenseVector& w = model.flat_weights();
-  for (size_t i = 0; i < w.dim(); ++i) {
-    if (w[i] != 0.0) out << i << ' ' << w[i] << '\n';
-  }
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-Result<MulticlassGlmModel> LoadMulticlassModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open: " + path);
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("bad model header in " + path);
-  }
-  const std::string_view magic = StrTrim(line);
-  if (magic == kMagic) {
-    // v1 file: a single weight vector becomes the one class block.
-    MLLIBSTAR_ASSIGN_OR_RETURN(int64_t dim,
-                               LoadHeaderCount(in, path, "dim"));
-    MLLIBSTAR_ASSIGN_OR_RETURN(DenseVector w,
-                               LoadWeightLines(in, path, dim, 2));
-    return MulticlassGlmModel(1, static_cast<size_t>(dim), std::move(w));
-  }
-  if (magic != kMagicV2) {
-    return Status::InvalidArgument("bad model header in " + path);
-  }
-  MLLIBSTAR_ASSIGN_OR_RETURN(int64_t classes,
-                             LoadHeaderCount(in, path, "classes"));
-  if (classes == 0) {
-    return Status::InvalidArgument("zero classes in " + path);
-  }
-  MLLIBSTAR_ASSIGN_OR_RETURN(int64_t dim, LoadHeaderCount(in, path, "dim"));
-  MLLIBSTAR_ASSIGN_OR_RETURN(
-      DenseVector flat, LoadWeightLines(in, path, classes * dim, 3));
-  return MulticlassGlmModel(static_cast<size_t>(classes),
-                            static_cast<size_t>(dim), std::move(flat));
 }
 
 }  // namespace mllibstar

@@ -19,21 +19,6 @@ Status SaveModel(const GlmModel& model, const std::string& path);
 /// malformed lines, and out-of-range indices.
 Result<GlmModel> LoadModel(const std::string& path);
 
-/// Saves a K-class model as format v2, which inserts a `classes` line
-/// and indexes weights by flattened coordinate (class k, feature j →
-/// k·d + j):
-///   mllibstar-model v2
-///   classes <K>
-///   dim <d>
-///   <flat-index> <value>   (one line per nonzero weight)
-Status SaveMulticlassModel(const MulticlassGlmModel& model,
-                           const std::string& path);
-
-/// Loads a v2 multiclass model. v1 files stay loadable here too: they
-/// come back as a 1-class model whose single weight block is the v1
-/// weight vector, so old binary-model files survive the format bump.
-Result<MulticlassGlmModel> LoadMulticlassModel(const std::string& path);
-
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_CORE_MODEL_IO_H_

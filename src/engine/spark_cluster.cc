@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "obs/engine_profiler.h"
-#include "obs/round_profile.h"
 #include "obs/telemetry.h"
 
 namespace mllibstar {
@@ -65,95 +64,66 @@ void SparkCluster::ApplyChurn(SimTime at) {
   MembershipTracker& membership = sim_.membership();
   if (!membership.enabled()) return;
   const size_t k = sim_.num_workers();
-  Telemetry& obs = Telemetry::Get();
   for (const MembershipEvent& ev : membership.AdvanceTo(at)) {
-    switch (ev.kind) {
-      case MembershipEvent::Kind::kLeave: {
-        SimNode& gone = sim_.worker(ev.node);
-        trace().Record(gone.name, ev.at, ev.suspect_at,
-                       ActivityKind::kMembershipLeave, "membership/leave");
-        trace().Record(gone.name, ev.suspect_at, ev.detected_at,
-                       ActivityKind::kMembershipSuspect,
-                       "membership/suspected");
-        // The departed executor's partitions migrate to the
-        // least-loaded survivors and must be lineage-rebuilt there.
-        MLLIBSTAR_CHECK_GT(membership.num_active(), 0u);
-        std::vector<size_t> load(k, 0);
-        for (size_t r = 0; r < k; ++r) {
-          if (membership.IsActive(assign_[r])) ++load[assign_[r]];
-        }
-        for (size_t r = 0; r < k; ++r) {
-          if (assign_[r] != ev.node) continue;
-          size_t host = k;
-          for (size_t h = 0; h < k; ++h) {
-            if (!membership.IsActive(h)) continue;
-            if (host == k || load[h] < load[host]) host = h;
-          }
-          assign_[r] = host;
-          ++load[host];
-          needs_rebuild_[r] = true;
-          ++membership.stats().partitions_migrated;
-        }
-        pending_catchup_[ev.node] = false;
-        if (obs.enabled()) {
-          obs.metrics().Counter("membership.leaves").Add();
-          obs.RecordEvent("membership-leave", "membership", ev.detected_at,
-                          {{"worker", gone.name}});
-        }
-        break;
+    // Spark runs have no PS shards; the PS trainer consumes server
+    // leaves from its own event loop.
+    if (ev.kind == MembershipEvent::Kind::kServerLeave) continue;
+    SimNode& node = sim_.worker(ev.node);
+    RecordMembershipTransition(&trace(), ev, node.name,
+                               {{"worker", node.name}});
+    if (ev.kind == MembershipEvent::Kind::kLeave) {
+      // The departed executor's partitions migrate to the
+      // least-loaded survivors and must be lineage-rebuilt there.
+      MLLIBSTAR_CHECK_GT(membership.num_active(), 0u);
+      std::vector<size_t> load(k, 0);
+      for (size_t r = 0; r < k; ++r) {
+        if (membership.IsActive(assign_[r])) ++load[assign_[r]];
       }
-      case MembershipEvent::Kind::kJoin:
-      case MembershipEvent::Kind::kRejoin: {
-        const bool rejoin = ev.kind == MembershipEvent::Kind::kRejoin;
-        SimNode& joiner = sim_.worker(ev.node);
-        trace().Record(joiner.name, ev.at, ev.detected_at,
-                       rejoin ? ActivityKind::kMembershipRejoin
-                              : ActivityKind::kMembershipJoin,
-                       rejoin ? "membership/rejoin" : "membership/join");
-        joiner.clock = std::max(joiner.clock, ev.detected_at);
-        admit_time_[ev.node] = ev.detected_at;
-        pending_catchup_[ev.node] = true;
-        // Rebalance: pull partitions off the most-loaded hosts until
-        // the joiner carries its fair share; each moved partition is
-        // cold on the joiner and rebuilds via lineage.
-        std::vector<size_t> load(k, 0);
-        for (size_t r = 0; r < k; ++r) ++load[assign_[r]];
-        const size_t fair = k / membership.num_active();
-        while (load[ev.node] < fair) {
-          size_t donor = k;
-          for (size_t h = 0; h < k; ++h) {
-            if (h == ev.node) continue;
-            if (donor == k || load[h] > load[donor]) donor = h;
-          }
-          if (donor == k || load[donor] <= load[ev.node] + 1) break;
-          size_t moved = k;
-          for (size_t r = k; r-- > 0;) {
-            if (assign_[r] == donor) {
-              moved = r;
-              break;
-            }
-          }
-          if (moved == k) break;
-          assign_[moved] = ev.node;
-          --load[donor];
-          ++load[ev.node];
-          needs_rebuild_[moved] = true;
-          ++membership.stats().partitions_migrated;
+      for (size_t r = 0; r < k; ++r) {
+        if (assign_[r] != ev.node) continue;
+        size_t host = k;
+        for (size_t h = 0; h < k; ++h) {
+          if (!membership.IsActive(h)) continue;
+          if (host == k || load[h] < load[host]) host = h;
         }
-        if (obs.enabled()) {
-          obs.metrics()
-              .Counter(rejoin ? "membership.rejoins" : "membership.joins")
-              .Add();
-          obs.RecordEvent(rejoin ? "membership-rejoin" : "membership-join",
-                          "membership", ev.detected_at,
-                          {{"worker", joiner.name}});
-        }
-        break;
+        assign_[r] = host;
+        ++load[host];
+        needs_rebuild_[r] = true;
+        ++membership.stats().partitions_migrated;
       }
-      case MembershipEvent::Kind::kServerLeave:
-        // Spark runs have no PS shards; the PS trainer consumes these
-        // from its own event loop.
-        break;
+      pending_catchup_[ev.node] = false;
+      continue;
+    }
+    // A join or rejoin.
+    node.clock = std::max(node.clock, ev.detected_at);
+    admit_time_[ev.node] = ev.detected_at;
+    pending_catchup_[ev.node] = true;
+    // Rebalance: pull partitions off the most-loaded hosts until the
+    // joiner carries its fair share; each moved partition is cold on
+    // the joiner and rebuilds via lineage.
+    std::vector<size_t> load(k, 0);
+    for (size_t r = 0; r < k; ++r) ++load[assign_[r]];
+    const size_t fair = k / membership.num_active();
+    while (load[ev.node] < fair) {
+      size_t donor = k;
+      for (size_t h = 0; h < k; ++h) {
+        if (h == ev.node) continue;
+        if (donor == k || load[h] > load[donor]) donor = h;
+      }
+      if (donor == k || load[donor] <= load[ev.node] + 1) break;
+      size_t moved = k;
+      for (size_t r = k; r-- > 0;) {
+        if (assign_[r] == donor) {
+          moved = r;
+          break;
+        }
+      }
+      if (moved == k) break;
+      assign_[moved] = ev.node;
+      --load[donor];
+      ++load[ev.node];
+      needs_rebuild_[moved] = true;
+      ++membership.stats().partitions_migrated;
     }
   }
 }
@@ -222,6 +192,30 @@ void SparkCluster::BeginStage(const std::string& label) {
     obs.metrics().Counter("engine.stages").Add();
     obs.RecordEvent("stage", "engine", at, {{"label", label}});
   }
+  round_ = RoundProfile();
+  round_.sim_start = Now();
+  round_durations_.clear();
+  round_covered_ = 0.0;
+  round_wire_start_ = wire_;
+}
+
+SimTime SparkCluster::EndStage(const std::string& system, int round) {
+  const SimTime now = Barrier();
+  RoundProfile& p = round_;
+  p.system = system;
+  p.round = round;
+  p.sim_end = now;
+  for (double d : round_durations_) p.compute_sec += d;
+  SetTaskSpread(&round_durations_, &p);
+  const double span = std::max(0.0, p.sim_end - p.sim_start);
+  p.comm_sec = std::max(0.0, span - round_covered_);
+  p.wire = wire_.Since(round_wire_start_);
+  Telemetry& obs = Telemetry::Get();
+  if (obs.enabled()) {
+    obs.metrics().Counter("train.rounds_completed", {{"system", system}}).Add();
+  }
+  rounds_.push_back(std::move(p));
+  return now;
 }
 
 std::vector<WorkerStats> SparkCluster::RunOnWorkers(
@@ -304,6 +298,7 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
           worker.clock + cfg.task_restart_seconds;
       trace().Record(worker.name, worker.clock, fail_at,
                      ActivityKind::kRetry, detail + "/task-retry");
+      ++wire_.retries;
       if (span.active()) {
         Telemetry::Get().metrics().Counter("engine.task_retries").Add();
       }
@@ -465,26 +460,27 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
       sim_end = std::max(sim_end, sim_.worker(r).clock);
     }
     span.SetSimRange(sim_start, sim_end);
-    // Stage the committed task timings for the trainer's RoundCollector
-    // (straggler spread + compute/wait/comm split per round).
-    RoundTaskBatch batch;
-    bool any = false;
+  }
+  // The committed tasks join the open round: their durations, the time
+  // finished tasks idled for this batch's slowest, and the span the
+  // batch covered.
+  SimTime first_start = 0.0;
+  SimTime last_end = 0.0;
+  bool any = false;
+  for (size_t r = 0; r < k; ++r) {
+    if (plan[r].crashed) continue;
+    round_durations_.push_back(plan[r].end - plan[r].start);
+    if (!any || plan[r].start < first_start) first_start = plan[r].start;
+    if (!any || plan[r].end > last_end) last_end = plan[r].end;
+    any = true;
+  }
+  if (any) {
+    double wait = 0.0;
     for (size_t r = 0; r < k; ++r) {
-      if (plan[r].crashed) continue;
-      batch.durations.push_back(plan[r].end - plan[r].start);
-      if (!any || plan[r].start < batch.first_start) {
-        batch.first_start = plan[r].start;
-      }
-      if (!any || plan[r].end > batch.last_end) batch.last_end = plan[r].end;
-      any = true;
+      if (!plan[r].crashed) wait += last_end - plan[r].end;
     }
-    if (any) {
-      for (size_t r = 0; r < k; ++r) {
-        if (plan[r].crashed) continue;
-        batch.wait_sec += batch.last_end - plan[r].end;
-      }
-      Telemetry::Get().StageRoundTasks(std::move(batch));
-    }
+    round_.wait_sec += wait;
+    round_covered_ += std::max(0.0, last_end - first_start);
   }
   return stats;
 }
@@ -507,7 +503,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
   const NetworkModel& net = sim_.network();
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
   // Level 1 moves (a - g) payloads, level 2 moves g: a total.
-  total_bytes_ += bytes * a;
+  wire_.tree_aggregate += bytes * a;
   {
     Telemetry& obs = Telemetry::Get();
     if (obs.enabled()) {
@@ -593,7 +589,7 @@ void SparkCluster::Broadcast(uint64_t bytes, BroadcastMode mode,
   SimNode& driver = sim_.driver();
   const SimTime start = driver.clock;
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
-  total_bytes_ += bytes * a;
+  wire_.broadcast += bytes * a;
   {
     Telemetry& obs = Telemetry::Get();
     if (obs.enabled()) {
@@ -662,7 +658,7 @@ void SparkCluster::ShuffleAllToAll(uint64_t bytes_per_peer,
   if (a <= 1) return;
   const NetworkModel& net = sim_.network();
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
-  total_bytes_ += bytes_per_peer * a * (a - 1);
+  wire_.shuffle += bytes_per_peer * a * (a - 1);
   {
     Telemetry& obs = Telemetry::Get();
     if (obs.enabled()) {

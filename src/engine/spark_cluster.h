@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/round_profile.h"
 #include "sim/cluster_config.h"
 #include "sim/sim_cluster.h"
 #include "sim/trace.h"
@@ -68,8 +69,19 @@ class SparkCluster {
   /// the driver acts on the failure detector: detected leaves migrate
   /// the departed executor's partitions onto survivors (lineage
   /// rebuild charged on first touch), admitted joiners get partitions
-  /// rebalanced onto them.
+  /// rebalanced onto them. The stage opens a training round: its
+  /// committed tasks and wire traffic accumulate until EndStage.
   void BeginStage(const std::string& label);
+
+  /// Closes the stage BeginStage opened as round `round` of `system`:
+  /// barriers driver and workers, appends the round's RoundProfile
+  /// (straggler spread, compute/wait/comm split, wire traffic) to
+  /// rounds(), counts it in train.rounds_completed when telemetry is
+  /// on, and returns the barrier time.
+  SimTime EndStage(const std::string& system, int round);
+
+  /// One profile per closed round, in order.
+  std::vector<RoundProfile>& rounds() { return rounds_; }
 
   /// Runs `fn(worker_index)` for every worker — host-parallel when the
   /// cluster was built with host_threads > 1. `fn` performs the real
@@ -111,7 +123,11 @@ class SparkCluster {
 
   /// Total bytes moved by all collectives so far (the paper's "2km
   /// per communication step" accounting).
-  uint64_t total_bytes() const { return total_bytes_; }
+  uint64_t total_bytes() const { return wire_.total(); }
+
+  /// The run's codec tally: the trainers' codec transmits add to it,
+  /// and each round's profile carries its share.
+  CodecTally* codec_tally() { return &wire_.codec; }
 
   /// Which executor currently hosts partition r. Identity when the
   /// fleet is full and no churn has happened.
@@ -131,15 +147,16 @@ class SparkCluster {
  private:
   /// Fires every membership transition detected by `at` and applies
   /// it: leaves migrate partitions to survivors, joins rebalance
-  /// partitions onto the joiner. Records membership trace bars and obs
-  /// events.
+  /// partitions onto the joiner. Records each transition
+  /// (RecordMembershipTransition).
   void ApplyChurn(SimTime at);
 
   /// Indices of currently participating workers, ascending.
   std::vector<size_t> ActiveWorkers() const;
 
   SimCluster sim_;
-  uint64_t total_bytes_ = 0;
+  /// Cumulative bytes by path, codec tally and task retries.
+  WireTally wire_;
   size_t host_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  ///< created when host_threads_ > 1
 
@@ -154,6 +171,15 @@ class SparkCluster {
   /// whether the first post-admission task end is still pending.
   std::vector<SimTime> admit_time_;
   std::vector<bool> pending_catchup_;
+
+  /// The open round: its start time and wait split, the committed task
+  /// durations and the span their batches covered so far, and wire_
+  /// at its start.
+  RoundProfile round_;
+  std::vector<double> round_durations_;
+  double round_covered_ = 0.0;
+  WireTally round_wire_start_;
+  std::vector<RoundProfile> rounds_;
 };
 
 }  // namespace mllibstar

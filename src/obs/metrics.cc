@@ -37,24 +37,6 @@ ObsCounter& MetricsRegistry::Counter(const std::string& name,
   return *it->second.counter;
 }
 
-uint64_t MetricsRegistry::CounterValue(const std::string& name,
-                                       const MetricLabels& labels) const {
-  const std::string key = CanonicalKey(name, labels);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = series_.find(key);
-  if (it == series_.end()) return 0;
-  return it->second.counter->value();
-}
-
-uint64_t MetricsRegistry::CounterTotal(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t total = 0;
-  for (const auto& [key, s] : series_) {
-    if (s.name == name) total += s.counter->value();
-  }
-  return total;
-}
-
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSample> out;

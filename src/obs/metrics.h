@@ -50,14 +50,6 @@ class MetricsRegistry {
   ObsCounter& Counter(const std::string& name,
                       const MetricLabels& labels = {});
 
-  /// Current value of a counter if it exists; 0 otherwise (does not
-  /// create the series).
-  uint64_t CounterValue(const std::string& name,
-                        const MetricLabels& labels = {}) const;
-
-  /// Sum of every counter named `name` across all label sets.
-  uint64_t CounterTotal(const std::string& name) const;
-
   /// Point-in-time copy of every series, ordered by canonical key
   /// (deterministic across runs).
   std::vector<MetricSample> Snapshot() const;

@@ -1,103 +1,31 @@
 #include "obs/round_profile.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "obs/telemetry.h"
 
 namespace mllibstar {
 
-CommByteSnapshot CommByteSnapshot::Capture(const MetricsRegistry& reg) {
-  CommByteSnapshot s;
-  s.broadcast = reg.CounterValue("engine.bytes", {{"path", "broadcast"}});
-  s.tree_aggregate =
-      reg.CounterValue("engine.bytes", {{"path", "tree_aggregate"}});
-  s.shuffle = reg.CounterValue("engine.bytes", {{"path", "shuffle"}});
-  s.pull = reg.CounterValue("ps.bytes", {{"path", "pull"}});
-  s.push = reg.CounterValue("ps.bytes", {{"path", "push"}});
-  s.raw = reg.CounterTotal("comm.raw_bytes");
-  s.encoded = reg.CounterTotal("comm.encoded_bytes");
-  s.retries =
-      reg.CounterTotal("engine.task_retries") + reg.CounterTotal("ps.retries");
-  return s;
+WireTally WireTally::Since(const WireTally& start) const {
+  WireTally d;
+  d.broadcast = broadcast - start.broadcast;
+  d.tree_aggregate = tree_aggregate - start.tree_aggregate;
+  d.shuffle = shuffle - start.shuffle;
+  d.pull = pull - start.pull;
+  d.push = push - start.push;
+  d.codec.raw = codec.raw - start.codec.raw;
+  d.codec.encoded = codec.encoded - start.codec.encoded;
+  d.retries = retries - start.retries;
+  return d;
 }
 
-void CommByteSnapshot::DiffInto(const CommByteSnapshot& now,
-                                RoundProfile* profile) const {
-  profile->bytes_broadcast = now.broadcast - broadcast;
-  profile->bytes_tree_aggregate = now.tree_aggregate - tree_aggregate;
-  profile->bytes_shuffle = now.shuffle - shuffle;
-  profile->bytes_pull = now.pull - pull;
-  profile->bytes_push = now.push - push;
-  profile->raw_bytes = now.raw - raw;
-  profile->encoded_bytes = now.encoded - encoded;
-  profile->retries = now.retries - retries;
-}
-
-double DurationQuantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t idx = static_cast<size_t>(pos);
-  return values[std::min(idx, values.size() - 1)];
-}
-
-RoundCollector::RoundCollector(std::string system, int round,
-                               SimTime sim_start, Telemetry& sink)
-    : sink_(&sink) {
-  if (!sink.enabled()) return;
-  active_ = true;
-  profile_.system = std::move(system);
-  profile_.round = round;
-  profile_.sim_start = sim_start;
-  // Defensive: an abandoned earlier round (e.g. divergence early-out
-  // between RunOnWorkers and the barrier) must not leak its batches
-  // into this round.
-  sink.TakeStagedRoundTasks();
-  start_ = CommByteSnapshot::Capture(sink.metrics());
-}
-
-RoundCollector::~RoundCollector() {
-  if (active_) sink_->TakeStagedRoundTasks();
-}
-
-void RoundCollector::Finish(SimTime sim_end) {
-  if (!active_) return;
-  active_ = false;
-  profile_.sim_end = sim_end;
-
-  std::vector<RoundTaskBatch> batches = sink_->TakeStagedRoundTasks();
-  std::vector<double> durations;
-  double covered = 0.0;
-  for (RoundTaskBatch& b : batches) {
-    durations.insert(durations.end(), b.durations.begin(), b.durations.end());
-    profile_.wait_sec += b.wait_sec;
-    covered += std::max(0.0, b.last_end - b.first_start);
-  }
-  profile_.tasks = durations.size();
-  for (double d : durations) profile_.compute_sec += d;
-  profile_.task_p50 = DurationQuantile(durations, 0.5);
-  profile_.task_p95 = DurationQuantile(durations, 0.95);
-  profile_.task_max =
-      durations.empty()
-          ? 0.0
-          : *std::max_element(durations.begin(), durations.end());
-  const double span = std::max(0.0, profile_.sim_end - profile_.sim_start);
-  profile_.comm_sec = std::max(0.0, span - covered);
-
-  const CommByteSnapshot end = CommByteSnapshot::Capture(sink_->metrics());
-  start_.DiffInto(end, &profile_);
-
-  // Spark trainers complete exactly one round per collector; the PS
-  // trainers bump this themselves at round-frontier completion.
-  sink_->metrics()
-      .Counter("train.rounds_completed", {{"system", profile_.system}})
-      .Add();
-  sink_->ObserveSeries("straggler.spread", SeriesAgg::kMax, sim_end,
-                       profile_.task_max - profile_.task_p50);
-  sink_->SampleWindows(sim_end);
-  sink_->RecordRoundProfile(std::move(profile_));
+void SetTaskSpread(std::vector<double>* durations, RoundProfile* profile) {
+  std::vector<double>& d = *durations;
+  profile->tasks = d.size();
+  if (d.empty()) return;
+  std::sort(d.begin(), d.end());
+  const double last = static_cast<double>(d.size() - 1);
+  profile->task_p50 = d[static_cast<size_t>(0.5 * last)];
+  profile->task_p95 = d[static_cast<size_t>(0.95 * last)];
+  profile->task_max = d.back();
 }
 
 }  // namespace mllibstar

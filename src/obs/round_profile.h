@@ -5,28 +5,44 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "sim/trace.h"
-
 namespace mllibstar {
 
-class Telemetry;
+/// Raw (pre-codec) and encoded (on-the-wire) payload bytes of codec
+/// transmits.
+struct CodecTally {
+  uint64_t raw = 0;
+  uint64_t encoded = 0;
+};
 
-/// Committed task timings for one RunOnWorkers call, staged by the
-/// Spark engine for the trainer's RoundCollector to fold in. All times
-/// are virtual seconds; only tasks that actually committed (survived
-/// retries / speculation races) appear.
-struct RoundTaskBatch {
-  std::vector<double> durations;  ///< per committed task
-  double first_start = 0.0;       ///< earliest committed task start
-  double last_end = 0.0;          ///< latest committed task end
-  double wait_sec = 0.0;  ///< sum over tasks of (last_end - task_end)
+/// What crossed the wire: bytes by path, the codec tally of the
+/// payloads, and retried tasks or requests. A run's Spark engine or PS
+/// context keeps the cumulative totals; a round holds their difference
+/// across it.
+struct WireTally {
+  uint64_t broadcast = 0;
+  uint64_t tree_aggregate = 0;
+  uint64_t shuffle = 0;
+  uint64_t pull = 0;
+  uint64_t push = 0;
+  CodecTally codec;
+  uint64_t retries = 0;
+
+  /// Bytes over every path.
+  uint64_t total() const {
+    return broadcast + tree_aggregate + shuffle + pull + push;
+  }
+
+  /// What accumulated since `start`, an earlier reading of the same
+  /// totals.
+  WireTally Since(const WireTally& start) const;
 };
 
 /// One training round's breakdown: where virtual time went, how spread
-/// the stragglers were, what crossed the wire. Spark rounds carry the
-/// compute/wait/comm split (the engine stages committed task timings);
-/// PS rounds instead carry staleness occupancy — its compute overlaps
+/// the stragglers were, what crossed the wire. The code that closes a
+/// round builds it into TrainResult::rounds: the Spark engine at the
+/// stage's closing barrier, the PS trainer at round-frontier
+/// completion. Spark rounds carry the compute/wait/comm split; PS
+/// rounds instead carry staleness occupancy — their compute overlaps
 /// communication by design, so the split is left zero there.
 struct RoundProfile {
   std::string system;
@@ -45,15 +61,7 @@ struct RoundProfile {
   double compute_sec = 0.0;
   double wait_sec = 0.0;
   double comm_sec = 0.0;
-  // Wire bytes this round, by path (counter deltas).
-  uint64_t bytes_broadcast = 0;
-  uint64_t bytes_tree_aggregate = 0;
-  uint64_t bytes_shuffle = 0;
-  uint64_t bytes_pull = 0;
-  uint64_t bytes_push = 0;
-  uint64_t raw_bytes = 0;      ///< pre-codec payload bytes
-  uint64_t encoded_bytes = 0;  ///< post-codec payload bytes
-  uint64_t retries = 0;
+  WireTally wire;  ///< this round's share of the run's wire totals
   // SSP staleness occupancy (PS rounds): how stale the pushes applied
   // during this round were, in rounds behind the leader.
   uint64_t staleness_samples = 0;
@@ -61,53 +69,12 @@ struct RoundProfile {
   double staleness_max = 0.0;
 };
 
-/// Point-in-time reading of the communication counters, used to turn
-/// cumulative totals into per-round deltas.
-struct CommByteSnapshot {
-  uint64_t broadcast = 0;
-  uint64_t tree_aggregate = 0;
-  uint64_t shuffle = 0;
-  uint64_t pull = 0;
-  uint64_t push = 0;
-  uint64_t raw = 0;
-  uint64_t encoded = 0;
-  uint64_t retries = 0;
-
-  static CommByteSnapshot Capture(const MetricsRegistry& reg);
-
-  /// Writes (now - this) into the profile's byte/retry fields.
-  void DiffInto(const CommByteSnapshot& now, RoundProfile* profile) const;
-};
-
-/// Sorted-copy quantile over task durations: index floor(q * (n - 1)).
-double DurationQuantile(std::vector<double> values, double q);
-
-/// Builds one Spark round's RoundProfile across a trainer iteration.
-/// Construct after the round's barrier opens, call Finish at the
-/// closing barrier: it takes the task batches the engine staged in the
-/// Telemetry sink, computes the compute/wait/comm split and straggler
-/// quantiles, diffs the comm counters, feeds the windowed series
-/// (straggler.spread + window advance), and records the profile.
-/// Inert when telemetry is disabled at construction.
-class RoundCollector {
- public:
-  RoundCollector(std::string system, int round, SimTime sim_start,
-                 Telemetry& sink);
-  ~RoundCollector();  ///< discards staged batches if Finish was never called
-
-  RoundCollector(const RoundCollector&) = delete;
-  RoundCollector& operator=(const RoundCollector&) = delete;
-
-  void Finish(SimTime sim_end);
-
-  bool active() const { return active_; }
-
- private:
-  Telemetry* sink_ = nullptr;
-  bool active_ = false;
-  RoundProfile profile_;
-  CommByteSnapshot start_;
-};
+/// Sets the profile's task count and straggler spread from the
+/// round's task durations, which it sorts in place: p50 and p95 are
+/// the sorted values at index floor(q * (n - 1)), max the largest (all
+/// 0 for no tasks). Callers reuse one buffer across rounds, so the
+/// spread costs no allocation per round.
+void SetTaskSpread(std::vector<double>* durations, RoundProfile* profile);
 
 }  // namespace mllibstar
 

@@ -1,13 +1,18 @@
 #include "obs/run_report.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "obs/engine_profiler.h"
+#include "obs/time_series.h"
 #include "sim/trace_summary.h"
 
 namespace mllibstar {
 
 namespace {
+
+/// Rounds a report keeps; `rounds_dropped` counts the rest.
+constexpr size_t kReportRounds = 4096;
 
 JsonValue NodeSummaryJson(const NodeSummary& n) {
   JsonValue out = JsonValue::Object();
@@ -42,8 +47,6 @@ const char* SeriesAggName(SeriesAgg agg) {
   switch (agg) {
     case SeriesAgg::kDelta:
       return "delta";
-    case SeriesAgg::kSum:
-      return "sum";
     case SeriesAgg::kMean:
       return "mean";
     case SeriesAgg::kMax:
@@ -85,15 +88,15 @@ JsonValue RoundProfileJson(const RoundProfile& r) {
   out.Set("wait_sec", JsonValue::Number(r.wait_sec));
   out.Set("comm_sec", JsonValue::Number(r.comm_sec));
   JsonValue bytes = JsonValue::Object();
-  bytes.Set("broadcast", JsonValue::Number(r.bytes_broadcast));
-  bytes.Set("tree_aggregate", JsonValue::Number(r.bytes_tree_aggregate));
-  bytes.Set("shuffle", JsonValue::Number(r.bytes_shuffle));
-  bytes.Set("pull", JsonValue::Number(r.bytes_pull));
-  bytes.Set("push", JsonValue::Number(r.bytes_push));
-  bytes.Set("raw", JsonValue::Number(r.raw_bytes));
-  bytes.Set("encoded", JsonValue::Number(r.encoded_bytes));
+  bytes.Set("broadcast", JsonValue::Number(r.wire.broadcast));
+  bytes.Set("tree_aggregate", JsonValue::Number(r.wire.tree_aggregate));
+  bytes.Set("shuffle", JsonValue::Number(r.wire.shuffle));
+  bytes.Set("pull", JsonValue::Number(r.wire.pull));
+  bytes.Set("push", JsonValue::Number(r.wire.push));
+  bytes.Set("raw", JsonValue::Number(r.wire.codec.raw));
+  bytes.Set("encoded", JsonValue::Number(r.wire.codec.encoded));
   out.Set("bytes", std::move(bytes));
-  out.Set("retries", JsonValue::Number(r.retries));
+  out.Set("retries", JsonValue::Number(r.wire.retries));
   if (r.staleness_samples > 0) {
     JsonValue stale = JsonValue::Object();
     stale.Set("samples", JsonValue::Number(r.staleness_samples));
@@ -174,24 +177,29 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
       metrics.Append(MetricSampleJson(s));
     }
     report.Set("metrics", std::move(metrics));
+  }
 
-    // v2 sections: windowed series, per-round profiles, simulator
-    // self-profile, and telemetry buffer accounting. v1 consumers
-    // ignore unknown keys, so parse-back of old reports is unchanged.
+  // v2 sections: windowed series, per-round profiles, simulator
+  // self-profile, and telemetry buffer accounting. v1 consumers ignore
+  // unknown keys, so parse-back of old reports is unchanged.
+  if (info.rounds != nullptr) {
     JsonValue series = JsonValue::Array();
-    for (const SeriesSnapshot& s :
-         telemetry->time_series().Snapshot(telemetry->metrics())) {
+    for (const SeriesSnapshot& s : WindowedSeries(*info.rounds, info.curve)) {
       series.Append(SeriesSnapshotJson(s));
     }
     report.Set("series", std::move(series));
 
+    const size_t kept = std::min(info.rounds->size(), kReportRounds);
     JsonValue rounds = JsonValue::Array();
-    for (const RoundProfile& r : telemetry->round_profiles()) {
-      rounds.Append(RoundProfileJson(r));
+    for (size_t i = 0; i < kept; ++i) {
+      rounds.Append(RoundProfileJson((*info.rounds)[i]));
     }
     report.Set("rounds", std::move(rounds));
-    report.Set("rounds_dropped", JsonValue::Number(telemetry->rounds_dropped()));
+    report.Set("rounds_dropped", JsonValue::Number(static_cast<uint64_t>(
+                                     info.rounds->size() - kept)));
+  }
 
+  if (telemetry != nullptr) {
     const EngineProfiler& prof = EngineProfiler::Get();
     JsonValue profiler = JsonValue::Object();
     JsonValue subsystems = JsonValue::Array();

@@ -6,6 +6,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "core/convergence.h"
+#include "obs/round_profile.h"
 #include "obs/telemetry.h"
 #include "sim/fault_plan.h"
 #include "sim/trace.h"
@@ -27,14 +28,17 @@ struct RunInfo {
   const ConvergenceCurve* curve = nullptr;
   const FaultStats* faults = nullptr;
   const TraceLog* trace = nullptr;
+  const std::vector<RoundProfile>* rounds = nullptr;
 };
 
 /// Builds the unified per-run report: the TrainResult headline numbers
 /// and curve, per-node utilization from the trace (via TraceSummary),
-/// fault/recovery counts, and — when `telemetry` is supplied — every
-/// metric series the run recorded (codec byte accounting, PS
-/// push/pull/backoff counters, ...) under "metrics". One file answers
-/// "where did the time and bytes go".
+/// fault/recovery counts, the round profiles with the windowed series
+/// computed from them and the curve (obs/time_series.h), and — when
+/// `telemetry` is supplied — every metric series the run recorded
+/// (codec byte accounting, PS push/pull/backoff counters, ...) under
+/// "metrics", the host-time profiler and the telemetry buffer
+/// accounting. One file answers "where did the time and bytes go".
 JsonValue BuildRunReport(const RunInfo& info,
                          const Telemetry* telemetry = nullptr);
 

@@ -1,9 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <cstdio>
-#include <fstream>
-
-#include "common/json.h"
 #include "obs/engine_profiler.h"
 
 namespace mllibstar {
@@ -107,104 +103,15 @@ size_t Telemetry::event_capacity() const {
   return event_capacity_;
 }
 
-void Telemetry::ObserveSeries(const std::string& series, SeriesAgg agg,
-                              SimTime t, double value) {
-  if (!enabled()) return;
-  time_series_.Observe(series, agg, t, value);
-}
-
-void Telemetry::SampleWindows(SimTime now) {
-  if (!enabled()) return;
-  time_series_.AdvanceTo(now, metrics_);
-}
-
-void Telemetry::StageRoundTasks(RoundTaskBatch batch) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  staged_tasks_.push_back(std::move(batch));
-}
-
-std::vector<RoundTaskBatch> Telemetry::TakeStagedRoundTasks() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<RoundTaskBatch> out;
-  out.swap(staged_tasks_);
-  return out;
-}
-
-void Telemetry::RecordRoundProfile(RoundProfile profile) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (round_profiles_.size() >= round_capacity_) {
-    rounds_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  round_profiles_.push_back(std::move(profile));
-}
-
-std::vector<RoundProfile> Telemetry::round_profiles() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return round_profiles_;
-}
-
-void Telemetry::set_round_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  round_capacity_ = capacity > 0 ? capacity : 1;
-}
-
 void Telemetry::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
   events_.clear();
-  staged_tasks_.clear();
-  round_profiles_.clear();
   spans_dropped_.store(0, std::memory_order_relaxed);
   events_dropped_.store(0, std::memory_order_relaxed);
-  rounds_dropped_.store(0, std::memory_order_relaxed);
   metrics_.Reset();
-  time_series_.Reset();
   EngineProfiler::Get().Reset();
   epoch_ = std::chrono::steady_clock::now();
-}
-
-Status Telemetry::WriteJsonl(const std::string& path) const {
-  std::vector<SpanRecord> spans_copy = spans();
-  std::vector<EventRecord> events_copy = events();
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  for (const SpanRecord& s : spans_copy) {
-    JsonValue line = JsonValue::Object();
-    line.Set("type", JsonValue::Str("span"));
-    line.Set("name", JsonValue::Str(s.name));
-    line.Set("track", JsonValue::Str(s.track));
-    line.Set("host_start_us", JsonValue::Number(s.host_start_us));
-    line.Set("host_end_us", JsonValue::Number(s.host_end_us));
-    if (s.sim_start >= 0.0) {
-      line.Set("sim_start", JsonValue::Number(s.sim_start));
-      line.Set("sim_end", JsonValue::Number(s.sim_end));
-    }
-    line.Set("depth", JsonValue::Number(static_cast<int64_t>(s.depth)));
-    line.Set("thread", JsonValue::Number(s.thread_id));
-    out << line.Dump() << '\n';
-  }
-  for (const EventRecord& e : events_copy) {
-    JsonValue line = JsonValue::Object();
-    line.Set("type", JsonValue::Str("event"));
-    line.Set("name", JsonValue::Str(e.name));
-    line.Set("track", JsonValue::Str(e.track));
-    line.Set("host_ts_us", JsonValue::Number(e.host_ts_us));
-    if (e.sim_ts >= 0.0) line.Set("sim_ts", JsonValue::Number(e.sim_ts));
-    if (!e.attrs.empty()) {
-      JsonValue attrs = JsonValue::Object();
-      for (const auto& [k, v] : e.attrs) attrs.Set(k, JsonValue::Str(v));
-      line.Set("attrs", std::move(attrs));
-    }
-    out << line.Dump() << '\n';
-  }
-  out.close();
-  if (!out) return Status::IoError("failed writing " + path);
-  return Status::Ok();
 }
 
 ScopedSpan::ScopedSpan(const std::string& name, const std::string& track,
@@ -230,6 +137,42 @@ void ScopedSpan::SetSimRange(SimTime start, SimTime end) {
   if (!active_) return;
   record_.sim_start = start;
   record_.sim_end = end;
+}
+
+void RecordMembershipTransition(
+    TraceLog* trace, const MembershipEvent& ev, const std::string& node,
+    std::vector<std::pair<std::string, std::string>> attrs) {
+  const char* counter = "membership.leaves";
+  const char* instant = "membership-leave";
+  switch (ev.kind) {
+    case MembershipEvent::Kind::kLeave:
+    case MembershipEvent::Kind::kServerLeave:
+      trace->Record(node, ev.at, ev.suspect_at,
+                    ActivityKind::kMembershipLeave, "membership/leave");
+      trace->Record(node, ev.suspect_at, ev.detected_at,
+                    ActivityKind::kMembershipSuspect, "membership/suspected");
+      if (ev.kind == MembershipEvent::Kind::kServerLeave) {
+        counter = "membership.server_leaves";
+        instant = "membership-server-leave";
+      }
+      break;
+    case MembershipEvent::Kind::kJoin:
+      trace->Record(node, ev.at, ev.detected_at,
+                    ActivityKind::kMembershipJoin, "membership/join");
+      counter = "membership.joins";
+      instant = "membership-join";
+      break;
+    case MembershipEvent::Kind::kRejoin:
+      trace->Record(node, ev.at, ev.detected_at,
+                    ActivityKind::kMembershipRejoin, "membership/rejoin");
+      counter = "membership.rejoins";
+      instant = "membership-rejoin";
+      break;
+  }
+  Telemetry& obs = Telemetry::Get();
+  if (!obs.enabled()) return;
+  obs.metrics().Counter(counter).Add();
+  obs.RecordEvent(instant, "membership", ev.detected_at, std::move(attrs));
 }
 
 }  // namespace mllibstar

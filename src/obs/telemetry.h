@@ -9,10 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/round_profile.h"
-#include "obs/time_series.h"
+#include "sim/membership.h"
 #include "sim/trace.h"
 
 namespace mllibstar {
@@ -99,45 +97,10 @@ class Telemetry {
     return events_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// The windowed time-series recorder fed by the trainers (virtual
-  /// time). Its series only move when telemetry is enabled.
-  TimeSeriesRecorder& time_series() { return time_series_; }
-  const TimeSeriesRecorder& time_series() const { return time_series_; }
-
-  /// Folds an observation into a windowed series (no-op when
-  /// disabled). Virtual-time `t`.
-  void ObserveSeries(const std::string& series, SeriesAgg agg, SimTime t,
-                     double value);
-
-  /// Closes every elapsed virtual-time window (no-op when disabled).
-  /// Trainers call this at deterministic points — round barriers /
-  /// round-frontier completions — so the resulting series are
-  /// byte-identical across host_threads.
-  void SampleWindows(SimTime now);
-
-  /// Engine -> RoundCollector handoff: the Spark engine stages the
-  /// committed task timings of each RunOnWorkers call here; the
-  /// trainer's RoundCollector takes them at the round barrier.
-  void StageRoundTasks(RoundTaskBatch batch);
-  std::vector<RoundTaskBatch> TakeStagedRoundTasks();
-
-  /// Bounded per-round profile store (newest-dropped past capacity).
-  void RecordRoundProfile(RoundProfile profile);
-  std::vector<RoundProfile> round_profiles() const;
-  void set_round_capacity(size_t capacity);
-  uint64_t rounds_dropped() const {
-    return rounds_dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Drops all spans/events/round profiles and staged batches, zeroes
-  /// the metrics registry, dropped-record counters, windowed series,
-  /// and the EngineProfiler, and restarts the host-clock epoch. Does
-  /// not change enabled().
+  /// Drops all spans and events, zeroes the metrics registry, the
+  /// dropped-record counters and the EngineProfiler, and restarts the
+  /// host-clock epoch. Does not change enabled().
   void Clear();
-
-  /// Writes every span and event as one compact JSON object per line
-  /// ({"type":"span"|"event",...}), in recording order.
-  Status WriteJsonl(const std::string& path) const;
 
   /// Small stable ordinal for the calling thread (0 for the first
   /// thread that records, 1 for the next, ...).
@@ -148,7 +111,6 @@ class Telemetry {
 
   std::atomic<bool> enabled_{false};
   MetricsRegistry metrics_;
-  TimeSeriesRecorder time_series_;
 
   mutable std::mutex mutex_;
   std::vector<SpanRecord> spans_;
@@ -157,10 +119,6 @@ class Telemetry {
   size_t event_capacity_ = 1 << 16;
   std::atomic<uint64_t> spans_dropped_{0};
   std::atomic<uint64_t> events_dropped_{0};
-  std::vector<RoundTaskBatch> staged_tasks_;
-  std::vector<RoundProfile> round_profiles_;
-  size_t round_capacity_ = 4096;
-  std::atomic<uint64_t> rounds_dropped_{0};
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
 };
@@ -190,6 +148,15 @@ class ScopedSpan {
   bool active_ = false;
   SpanRecord record_;
 };
+
+/// Records one membership transition of `node` (a worker or a PS
+/// shard): its trace bars — leave then suspected for a departure, join
+/// or rejoin for an admission — and, when telemetry is on, the
+/// transition's membership.* counter and its instant on the
+/// "membership" track at detection time, annotated with `attrs`.
+void RecordMembershipTransition(
+    TraceLog* trace, const MembershipEvent& ev, const std::string& node,
+    std::vector<std::pair<std::string, std::string>> attrs);
 
 }  // namespace mllibstar
 

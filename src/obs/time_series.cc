@@ -5,174 +5,164 @@
 
 namespace mllibstar {
 
-TimeSeries::TimeSeries(std::string name, SeriesAgg agg, size_t capacity)
-    : name_(std::move(name)), agg_(agg), ring_(std::max<size_t>(capacity, 1)) {}
+namespace {
 
-void TimeSeries::Push(SeriesPoint p) {
-  const size_t slot = (head_ + size_) % ring_.size();
-  ring_[slot] = p;
-  if (size_ < ring_.size()) {
-    ++size_;
-  } else {
-    head_ = (head_ + 1) % ring_.size();
-  }
-  ++total_pushed_;
-}
-
-std::vector<SeriesPoint> TimeSeries::Points() const {
-  std::vector<SeriesPoint> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void TimeSeriesRecorder::Configure(double window_sec, size_t capacity) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    window_sec_ = window_sec > 0.0 ? window_sec : 0.25;
-    capacity_ = std::max<size_t>(capacity, 1);
-  }
-  Reset();
-}
-
-void TimeSeriesRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counter_series_.clear();
-  observed_series_.clear();
-  window_index_ = 0;
-  high_water_ = 0.0;
-  // The default series every report carries: wire bytes regardless of
-  // engine (Spark collectives or PS push/pull), codec effectiveness,
-  // training progress, and retry pressure.
-  counter_series_.emplace_back("bytes.wire", capacity_,
-                               std::vector<std::string>{"engine.bytes",
-                                                        "ps.bytes"});
-  counter_series_.emplace_back("bytes.raw", capacity_,
-                               std::vector<std::string>{"comm.raw_bytes"});
-  counter_series_.emplace_back("bytes.encoded", capacity_,
-                               std::vector<std::string>{"comm.encoded_bytes"});
-  counter_series_.emplace_back(
-      "rounds", capacity_,
-      std::vector<std::string>{"train.rounds_completed"});
-  counter_series_.emplace_back("retries", capacity_,
-                               std::vector<std::string>{"engine.task_retries",
-                                                        "ps.retries"});
-}
-
-void TimeSeriesRecorder::TrackCounters(const std::string& series,
-                                       std::vector<std::string> counters) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const CounterSeries& cs : counter_series_) {
-    if (cs.series.name() == series) return;
-  }
-  counter_series_.emplace_back(series, capacity_, std::move(counters));
-}
-
-void TimeSeriesRecorder::Observe(const std::string& series, SeriesAgg agg,
-                                 double t, double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  high_water_ = std::max(high_water_, t);
-  for (ObservedSeries& os : observed_series_) {
-    if (os.series.name() != series) continue;
-    os.sum += value;
-    os.max = os.count == 0 ? value : std::max(os.max, value);
-    ++os.count;
-    return;
-  }
-  observed_series_.emplace_back(series, agg, capacity_);
-  ObservedSeries& os = observed_series_.back();
-  os.sum = value;
-  os.max = value;
-  os.count = 1;
-}
-
-uint64_t TimeSeriesRecorder::SumCounters(const std::vector<std::string>& names,
-                                         const MetricsRegistry& reg) const {
-  uint64_t total = 0;
-  for (const std::string& name : names) total += reg.CounterTotal(name);
-  return total;
-}
-
-double TimeSeriesRecorder::FoldObserved(const ObservedSeries& s) {
-  if (s.count == 0) return 0.0;
-  switch (s.series.agg()) {
-    case SeriesAgg::kSum:
-      return s.sum;
-    case SeriesAgg::kMean:
-      return s.sum / static_cast<double>(s.count);
-    case SeriesAgg::kMax:
-      return s.max;
-    case SeriesAgg::kDelta:
-      return s.sum;  // not reachable for observed series
-  }
-  return 0.0;
-}
-
-void TimeSeriesRecorder::AdvanceTo(double now, const MetricsRegistry& reg) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  high_water_ = std::max(high_water_, now);
-  while (now >= static_cast<double>(window_index_ + 1) * window_sec_) {
-    const double t0 = static_cast<double>(window_index_) * window_sec_;
-    const double t1 = static_cast<double>(window_index_ + 1) * window_sec_;
-    for (CounterSeries& cs : counter_series_) {
-      const uint64_t total = SumCounters(cs.counters, reg);
-      const double delta =
-          static_cast<double>(total - std::min(total, cs.last_total));
-      cs.series.Push({t0, t1, delta, 0});
-      cs.last_total = total;
+/// Replays the run's sample points in completion order onto the window
+/// grid.
+class WindowReplay {
+ public:
+  void Observe(const std::string& name, SeriesAgg agg, double t,
+               double value) {
+    high_water_ = std::max(high_water_, t);
+    for (Observed& o : observed_) {
+      if (o.snap.name != name) continue;
+      o.sum += value;
+      o.max = o.count == 0 ? value : std::max(o.max, value);
+      ++o.count;
+      return;
     }
-    for (ObservedSeries& os : observed_series_) {
-      os.series.Push({t0, t1, FoldObserved(os), os.count});
-      os.sum = 0.0;
-      os.max = 0.0;
-      os.count = 0;
-    }
-    ++window_index_;
+    Observed o;
+    o.snap.name = name;
+    o.snap.agg = agg;
+    o.sum = value;
+    o.max = value;
+    o.count = 1;
+    observed_.push_back(std::move(o));
   }
-}
 
-double TimeSeriesRecorder::window_sec() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return window_sec_;
-}
+  void AddTotals(const RoundProfile& r) {
+    totals_[0].total += r.wire.total();
+    totals_[1].total += r.wire.codec.raw;
+    totals_[2].total += r.wire.codec.encoded;
+    totals_[3].total += 1;
+    totals_[4].total += r.wire.retries;
+  }
 
-std::vector<SeriesSnapshot> TimeSeriesRecorder::Snapshot(
-    const MetricsRegistry& reg) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SeriesSnapshot> out;
-  out.reserve(counter_series_.size() + observed_series_.size());
-  const double open_t0 = static_cast<double>(window_index_) * window_sec_;
-  const bool partial = high_water_ > open_t0;
-  for (const CounterSeries& cs : counter_series_) {
+  /// Closes every window whose end is <= now.
+  void AdvanceTo(double now) {
+    high_water_ = std::max(high_water_, now);
+    while (now >= End(window_)) {
+      const double t0 = Start(window_);
+      const double t1 = End(window_);
+      for (Total& s : totals_) {
+        s.snap.points.push_back({t0, t1, Delta(s), 0});
+        s.last = s.total;
+      }
+      for (Observed& o : observed_) {
+        o.snap.points.push_back({t0, t1, Fold(o), o.count});
+        o.sum = 0.0;
+        o.max = 0.0;
+        o.count = 0;
+      }
+      ++window_;
+    }
+  }
+
+  /// Every series, trimmed to its newest kSeriesCapacity closed
+  /// windows, plus the partial window the run ended in.
+  std::vector<SeriesSnapshot> Finish() {
+    const double open_t0 = Start(window_);
+    const bool partial = high_water_ > open_t0;
+    std::vector<SeriesSnapshot> out;
+    for (Total& s : totals_) {
+      Trim(&s.snap);
+      const double delta = Delta(s);
+      if (partial && delta > 0.0) {
+        s.snap.points.push_back({open_t0, high_water_, delta, 0});
+      }
+      out.push_back(std::move(s.snap));
+    }
+    for (Observed& o : observed_) {
+      Trim(&o.snap);
+      if (partial && o.count > 0) {
+        o.snap.points.push_back({open_t0, high_water_, Fold(o), o.count});
+      }
+      out.push_back(std::move(o.snap));
+    }
+    return out;
+  }
+
+ private:
+  struct Total {
     SeriesSnapshot snap;
-    snap.name = cs.series.name();
-    snap.agg = SeriesAgg::kDelta;
-    snap.window_sec = window_sec_;
-    snap.dropped = cs.series.dropped();
-    snap.points = cs.series.Points();
-    if (partial) {
-      const uint64_t total = SumCounters(cs.counters, reg);
-      const double delta =
-          static_cast<double>(total - std::min(total, cs.last_total));
-      if (delta > 0.0) snap.points.push_back({open_t0, high_water_, delta, 0});
-    }
-    out.push_back(std::move(snap));
-  }
-  for (const ObservedSeries& os : observed_series_) {
+    uint64_t total = 0;
+    uint64_t last = 0;  ///< total when the last window closed
+  };
+  struct Observed {
     SeriesSnapshot snap;
-    snap.name = os.series.name();
-    snap.agg = os.series.agg();
-    snap.window_sec = window_sec_;
-    snap.dropped = os.series.dropped();
-    snap.points = os.series.Points();
-    if (partial && os.count > 0) {
-      snap.points.push_back({open_t0, high_water_, FoldObserved(os), os.count});
-    }
-    out.push_back(std::move(snap));
+    double sum = 0.0;
+    double max = 0.0;
+    uint64_t count = 0;
+  };
+
+  static double Start(uint64_t window) {
+    return static_cast<double>(window) * kSeriesWindowSec;
   }
-  return out;
+  static double End(uint64_t window) { return Start(window + 1); }
+
+  static double Delta(const Total& s) {
+    return static_cast<double>(s.total - std::min(s.total, s.last));
+  }
+
+  static double Fold(const Observed& o) {
+    if (o.count == 0) return 0.0;
+    return o.snap.agg == SeriesAgg::kMax
+               ? o.max
+               : o.sum / static_cast<double>(o.count);
+  }
+
+  static void Trim(SeriesSnapshot* snap) {
+    snap->window_sec = kSeriesWindowSec;
+    if (snap->points.size() <= kSeriesCapacity) return;
+    snap->dropped = snap->points.size() - kSeriesCapacity;
+    snap->points.erase(snap->points.begin(),
+                       snap->points.begin() + snap->dropped);
+  }
+
+  static Total MakeTotal(const char* name) {
+    Total s;
+    s.snap.name = name;
+    return s;
+  }
+
+  Total totals_[5] = {MakeTotal("bytes.wire"), MakeTotal("bytes.raw"),
+                      MakeTotal("bytes.encoded"), MakeTotal("rounds"),
+                      MakeTotal("retries")};
+  std::vector<Observed> observed_;
+  uint64_t window_ = 0;      ///< the open window [i*w, (i+1)*w)
+  double high_water_ = 0.0;  ///< latest sample or observation time
+};
+
+}  // namespace
+
+std::vector<SeriesSnapshot> WindowedSeries(
+    const std::vector<RoundProfile>& rounds, const ConvergenceCurve* curve) {
+  static const std::vector<ConvergencePoint> kNoPoints;
+  const std::vector<ConvergencePoint>& points =
+      curve != nullptr ? curve->points() : kNoPoints;
+  WindowReplay replay;
+  size_t next = 0;  // the next curve point not yet observed
+  for (const RoundProfile& r : rounds) {
+    if (r.staleness_samples > 0) {
+      replay.Observe("staleness", SeriesAgg::kMean, r.sim_end,
+                     r.staleness_mean);
+    }
+    replay.Observe("straggler.spread", SeriesAgg::kMax, r.sim_end,
+                   r.task_max - r.task_p50);
+    replay.AddTotals(r);
+    replay.AdvanceTo(r.sim_end);
+    // Points before this round's evaluation (the starting objective)
+    // are not observed.
+    while (next < points.size() && points[next].comm_step < r.round + 1) {
+      ++next;
+    }
+    if (next < points.size() && points[next].comm_step == r.round + 1) {
+      const ConvergencePoint& p = points[next++];
+      replay.Observe("objective", SeriesAgg::kMean, p.time_sec, p.objective);
+      replay.AdvanceTo(p.time_sec);
+    }
+  }
+  return replay.Finish();
 }
 
 }  // namespace mllibstar

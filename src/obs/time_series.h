@@ -1,28 +1,26 @@
 #ifndef MLLIBSTAR_OBS_TIME_SERIES_H_
 #define MLLIBSTAR_OBS_TIME_SERIES_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "sim/trace.h"
+#include "core/convergence.h"
+#include "obs/round_profile.h"
 
 namespace mllibstar {
 
 /// How a windowed series folds what happened inside one window into a
 /// single value.
 enum class SeriesAgg {
-  kDelta,  ///< counter totals: value = total at close - total at open
-  kSum,    ///< sum of the Observe()d values
-  kMean,   ///< mean of the Observe()d values
-  kMax,    ///< max of the Observe()d values
+  kDelta,  ///< running totals: value = total at close - total at open
+  kMean,   ///< mean of the values observed in the window
+  kMax,    ///< max of the values observed in the window
 };
 
-/// One closed (or, for the final snapshot entry, partial) window.
-/// Times are in the recorder's clock domain — virtual seconds for the
-/// training series, host seconds if a caller chooses to feed those.
+/// One closed (or, for a series' last entry, partial) window, in
+/// virtual seconds.
 struct SeriesPoint {
   double t0 = 0.0;
   double t1 = 0.0;
@@ -30,34 +28,10 @@ struct SeriesPoint {
   uint64_t count = 0;  ///< observations folded in (0 for kDelta)
 };
 
-/// Fixed-capacity ring of SeriesPoints: pushing past capacity drops
-/// the oldest point and counts the drop, so unbounded runs keep a
-/// bounded tail of recent windows.
-class TimeSeries {
- public:
-  TimeSeries(std::string name, SeriesAgg agg, size_t capacity);
-
-  void Push(SeriesPoint p);
-
-  /// Oldest-to-newest copy of the retained points.
-  std::vector<SeriesPoint> Points() const;
-
-  const std::string& name() const { return name_; }
-  SeriesAgg agg() const { return agg_; }
-  size_t size() const { return size_; }
-  uint64_t total_pushed() const { return total_pushed_; }
-  uint64_t dropped() const { return total_pushed_ - size_; }
-
- private:
-  std::string name_;
-  SeriesAgg agg_;
-  std::vector<SeriesPoint> ring_;
-  size_t head_ = 0;  ///< index of the oldest retained point
-  size_t size_ = 0;
-  uint64_t total_pushed_ = 0;
-};
-
-/// Export-ready copy of one series (see TimeSeriesRecorder::Snapshot).
+/// One exported series: its newest closed windows (at most
+/// kSeriesCapacity; `dropped` counts the older ones) plus, when the
+/// run ended mid-window with anything to show, one final partial
+/// window ending at the run's last sample time.
 struct SeriesSnapshot {
   std::string name;
   SeriesAgg agg = SeriesAgg::kDelta;
@@ -66,85 +40,29 @@ struct SeriesSnapshot {
   std::vector<SeriesPoint> points;
 };
 
-/// Samples metric counters and explicit observations into
-/// fixed-virtual-time windows.
-///
-/// Windows are the half-open intervals [i*w, (i+1)*w) of the window
-/// grid; they close when AdvanceTo(now) passes their end. Because
-/// every input — the sample times, the counter totals at those times,
-/// and the observed values — is a deterministic function of the
-/// simulated run, the emitted series are byte-identical across
-/// `host_threads` settings (pinned by obs_test). When several windows
-/// elapse between two samples, the whole counter delta lands in the
-/// first closed window and the rest close empty: the recorder only
-/// knows what it was shown at sample points.
-///
-/// Thread-safe (one mutex); AdvanceTo may race with counter Add()s on
-/// other threads — it reads whatever totals are visible, which at the
-/// deterministic trainer sample points is always the committed value.
-class TimeSeriesRecorder {
- public:
-  TimeSeriesRecorder() { Reset(); }
+/// Window width of every series, in virtual seconds.
+inline constexpr double kSeriesWindowSec = 0.25;
+/// Closed windows kept per series.
+inline constexpr size_t kSeriesCapacity = 512;
 
-  /// Sets the window width / per-series ring capacity and resets.
-  void Configure(double window_sec, size_t capacity);
-
-  /// Drops all points and re-registers the default counter-delta
-  /// series (bytes.wire, bytes.raw, bytes.encoded, rounds, retries).
-  void Reset();
-
-  /// Registers a kDelta series whose per-window value is the delta of
-  /// the summed CounterTotal of `counters`. Idempotent by name.
-  void TrackCounters(const std::string& series,
-                     std::vector<std::string> counters);
-
-  /// Folds one observation into the window containing `t` (or the
-  /// current open window when `t` lags it — the recorder never goes
-  /// back). Creates the series on first use.
-  void Observe(const std::string& series, SeriesAgg agg, double t,
-               double value);
-
-  /// Closes every window whose end is <= now against `reg`.
-  void AdvanceTo(double now, const MetricsRegistry& reg);
-
-  double window_sec() const;
-
-  /// All series, each with its closed points plus — when the run ended
-  /// mid-window with anything to show — one final partial point ending
-  /// at the latest sampled/observed time.
-  std::vector<SeriesSnapshot> Snapshot(const MetricsRegistry& reg) const;
-
- private:
-  struct CounterSeries {
-    TimeSeries series;
-    std::vector<std::string> counters;
-    uint64_t last_total = 0;
-    CounterSeries(std::string name, size_t capacity,
-                  std::vector<std::string> names)
-        : series(std::move(name), SeriesAgg::kDelta, capacity),
-          counters(std::move(names)) {}
-  };
-  struct ObservedSeries {
-    TimeSeries series;
-    double sum = 0.0;
-    double max = 0.0;
-    uint64_t count = 0;
-    ObservedSeries(std::string name, SeriesAgg agg, size_t capacity)
-        : series(std::move(name), agg, capacity) {}
-  };
-
-  uint64_t SumCounters(const std::vector<std::string>& names,
-                       const MetricsRegistry& reg) const;
-  static double FoldObserved(const ObservedSeries& s);
-
-  mutable std::mutex mutex_;
-  double window_sec_ = 0.25;
-  size_t capacity_ = 512;
-  uint64_t window_index_ = 0;  ///< current open window [i*w, (i+1)*w)
-  double high_water_ = 0.0;    ///< latest time sampled or observed
-  std::vector<CounterSeries> counter_series_;
-  std::vector<ObservedSeries> observed_series_;
-};
+/// The run's windowed series, a pure function of its round record and
+/// curve. Windows are the half-open intervals [i*w, (i+1)*w) of the
+/// grid. The rounds are replayed in completion order; each one:
+///   1. observes its staleness mean (rounds with staleness samples)
+///      and its straggler spread (task_max - task_p50);
+///   2. adds its share to the running totals bytes.wire (every path),
+///      bytes.raw, bytes.encoded, rounds and retries;
+///   3. closes every window ending at or before its sim_end;
+///   4. observes the curve point taken at its close (comm_step
+///      round + 1), if any, as `objective`.
+/// An observation folds into whichever window is open when it is made,
+/// and a total's growth lands in the first window the next close
+/// closes, so windows that elapse between two closes close empty.
+/// Series: the five totals (kDelta), then the observed ones
+/// (staleness and objective kMean, straggler.spread kMax) in order of
+/// first observation.
+std::vector<SeriesSnapshot> WindowedSeries(
+    const std::vector<RoundProfile>& rounds, const ConvergenceCurve* curve);
 
 }  // namespace mllibstar
 

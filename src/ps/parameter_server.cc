@@ -86,23 +86,19 @@ void PsContext::OnServerLeft(const MembershipEvent& ev) {
   }
   if (alive <= 1) return;  // refusing to evict the last shard
 
-  SimNode& gone = sim_->server(s);
-  sim_->trace().Record(gone.name, ev.at, ev.suspect_at,
-                       ActivityKind::kMembershipLeave, "membership/leave");
-  sim_->trace().Record(gone.name, ev.suspect_at, ev.detected_at,
-                       ActivityKind::kMembershipSuspect,
-                       "membership/suspected");
   shard_left_[s] = true;
-
   // The departed shard's range re-reads from the checkpoint store onto
   // its successor, which serves both ranges from then on.
   const size_t successor = ServingShard((s + 1) % config_.num_shards);
+  SimNode& succ = sim_->server(successor);
+  const std::string& gone = sim_->server(s).name;
+  RecordMembershipTransition(&sim_->trace(), ev, gone,
+                             {{"shard", gone}, {"successor", succ.name}});
   const size_t dim = model_.dim();
   const size_t per = (dim + config_.num_shards - 1) / config_.num_shards;
   const size_t lo = std::min(dim, s * per);
   const size_t hi = std::min(dim, lo + per);
   const uint64_t range_bytes = codec_->EncodedBytes(hi - lo);
-  SimNode& succ = sim_->server(successor);
   const SimTime start = std::max(ev.detected_at, succ.clock);
   const SimTime end =
       start + static_cast<double>(range_bytes) / sim_->network().bandwidth();
@@ -111,13 +107,13 @@ void PsContext::OnServerLeft(const MembershipEvent& ev) {
   succ.clock = std::max(succ.clock, end);
   ++sim_->membership().stats().shard_migrations;
   Telemetry& obs = Telemetry::Get();
-  if (obs.enabled()) {
-    obs.metrics().Counter("membership.server_leaves").Add();
-    obs.metrics().Counter("membership.shard_migrations").Add();
-    obs.RecordEvent("membership-server-leave", "membership", ev.detected_at,
-                    {{"shard", gone.name},
-                     {"successor", succ.name}});
-  }
+  if (obs.enabled()) obs.metrics().Counter("membership.shard_migrations").Add();
+}
+
+WireTally PsContext::wire() const {
+  WireTally w = wire_;
+  w.retries = sim_->faults().stats().ps_retries;
+  return w;
 }
 
 void PsContext::MaybeServerCheckpoint() {
@@ -134,7 +130,7 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
   const NetworkModel& net = sim_->network();
   const size_t shards = config_.num_shards;
   const uint64_t shard_bytes = (total_bytes + shards - 1) / shards;
-  total_bytes_ += total_bytes;
+  (is_pull ? wire_.pull : wire_.push) += total_bytes;
   FaultInjector& faults = sim_->faults();
   Telemetry& obs = Telemetry::Get();
   if (obs.enabled()) {
@@ -257,11 +253,11 @@ uint64_t PsContext::SparseUpdateBytes(size_t nnz, size_t dim) {
 
 std::shared_ptr<const DenseVector> PsContext::PullSnapshot() {
   if (pull_snapshot_ != nullptr && pull_snapshot_version_ == version_) {
-    AccountBroadcast(*codec_, model_.dim());
+    AccountBroadcast(*codec_, model_.dim(), &wire_.codec);
     return pull_snapshot_;
   }
   auto snapshot = std::make_shared<DenseVector>(model_);
-  CodecTransmit(*codec_, nullptr, 0, snapshot.get());
+  CodecTransmit(*codec_, nullptr, 0, snapshot.get(), &wire_.codec);
   pull_snapshot_ = std::move(snapshot);
   pull_snapshot_version_ = version_;
   return pull_snapshot_;

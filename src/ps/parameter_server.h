@@ -8,6 +8,7 @@
 
 #include "comm/codec.h"
 #include "core/vector.h"
+#include "obs/round_profile.h"
 #include "sim/sim_cluster.h"
 
 namespace mllibstar {
@@ -129,7 +130,15 @@ class PsContext {
   void ApplyRoundAverage(const DenseVector& mean_delta);
 
   /// Total bytes moved through the server tier so far.
-  uint64_t total_bytes() const { return total_bytes_; }
+  uint64_t total_bytes() const { return wire_.total(); }
+
+  /// The run's wire totals so far: pull and push bytes, the codec
+  /// tally, and retried requests (FaultStats::ps_retries).
+  WireTally wire() const;
+
+  /// The run's codec tally: pull snapshots and the trainer's push
+  /// transmits add to it.
+  CodecTally* codec_tally() { return &wire_.codec; }
 
   /// Time the last push completed (gates server-side checkpoints).
   SimTime last_push_end() const { return last_push_end_; }
@@ -174,7 +183,8 @@ class PsContext {
   /// The last pull snapshot and the model version it was taken at.
   std::shared_ptr<const DenseVector> pull_snapshot_;
   uint64_t pull_snapshot_version_ = 0;
-  uint64_t total_bytes_ = 0;
+  /// Cumulative pull/push bytes and codec tally.
+  WireTally wire_;
   /// Per-shard time until which the shard is unavailable (crash +
   /// restore in progress).
   std::vector<SimTime> shard_down_until_;

@@ -8,7 +8,6 @@
 #include "core/lbfgs.h"
 #include "core/owlqn.h"
 #include "data/partition.h"
-#include "obs/round_profile.h"
 #include "obs/telemetry.h"
 
 namespace mllibstar {
@@ -39,9 +38,9 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     spark.BeginStage("lbfgs pass " + std::to_string(passes));
     ScopedSpan pass_span("lbfgs pass " + std::to_string(passes), "trainer");
     const SimTime pass_sim_start = spark.Now();
-    RoundCollector round(name(), passes, pass_sim_start, Telemetry::Get());
     spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-    const DenseVector& w_recv = CodecBroadcast(codec(), w, &w_decoded);
+    const DenseVector& w_recv =
+        CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 
     // Fused margin -> loss + derivative -> axpy pass over each CSR
     // partition. Each callback owns its gradient slot and returns its
@@ -63,7 +62,8 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
 
     gradient->SetZero();
     for (size_t r = 0; r < k; ++r) {
-      CodecTransmit(codec(), &ef, r, &worker_gradients[r]);
+      CodecTransmit(codec(), &ef, r, &worker_gradients[r],
+                    spark.codec_tally());
       gradient->AddScaled(worker_gradients[r], 1.0);
     }
     gradient->Scale(1.0 / n);
@@ -72,13 +72,12 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     // (spark.ml's LBFGS/OWLQN selection).
     regularizer().AddSmoothGradient(w, gradient);
     spark.RunOnDriver("lbfgs-direction", 2 * d);
-    ++passes;
     ++result.total_model_updates;
 
     const double smooth = loss_sum / n + regularizer().SmoothValue(w);
-    const SimTime now = spark.Barrier();
+    const SimTime now = spark.EndStage(name(), passes);
+    ++passes;
     pass_span.SetSimRange(pass_sim_start, now);
-    round.Finish(now);
     // The recorded curve always shows the full objective.
     const double l1s = regularizer().l1_lambda();
     const double full = l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth;

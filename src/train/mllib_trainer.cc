@@ -7,7 +7,6 @@
 #include "core/gd.h"
 #include "data/partition.h"
 #include "obs/engine_profiler.h"
-#include "obs/round_profile.h"
 #include "obs/telemetry.h"
 
 namespace mllibstar {
@@ -134,7 +133,6 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     spark.BeginStage("iteration " + std::to_string(t));
     ScopedSpan iter_span("iteration " + std::to_string(t), "trainer");
     const SimTime iter_sim_start = spark.Now();
-    RoundCollector round(name(), t, iter_sim_start, Telemetry::Get());
     const double lr = schedule().LrAt(t);
 
     switch (mode_) {
@@ -142,7 +140,8 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         // (1) Driver broadcasts the current model (through the codec:
         // executors compute at the model they actually received).
         spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-        const DenseVector& w_recv = CodecBroadcast(codec(), w, &w_decoded);
+        const DenseVector& w_recv =
+            CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 
         // (2) Executors compute batch gradients at the received model.
         // Each callback touches only its own gradient slot and Rng, so
@@ -181,7 +180,8 @@ TrainResult MllibTrainer::Train(const Dataset& data,
           gradient_sum.SetZero();
           for (size_t r = 0; r < k; ++r) {
             if (!codec().lossless()) gradients[r].TouchAll();
-            CodecTransmit(codec(), &ef, r, gradients[r].mutable_vector());
+            CodecTransmit(codec(), &ef, r, gradients[r].mutable_vector(),
+                          spark.codec_tally());
             gradients[r].FlushSum(&gradient_sum);
           }
           regularizer().ApplyGradientStep(&w, lr);
@@ -197,13 +197,14 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         // (1) Driver broadcasts the current global model through the
         // codec; (2) executors run local passes starting from it.
         spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
-        local_passes(CodecBroadcast(codec(), w, &w_decoded), lr);
+        local_passes(
+            CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally()), lr);
 
         // (3) Local models flow back through the same treeAggregate
         // path, each crossing the codec with per-worker error feedback.
         spark.TreeAggregate(model_bytes, num_agg, d, "model-agg");
         for (size_t r = 0; r < k; ++r) {
-          CodecTransmit(codec(), &ef, r, &locals[r]);
+          CodecTransmit(codec(), &ef, r, &locals[r], spark.codec_tally());
         }
 
         // (4) Driver averages them into the new global model.
@@ -222,7 +223,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
           // Averaging k contributions of d/k coordinates ~ d work units.
           spark.sim().ComputeExact(&spark.sim().worker(r), d,
                                    ActivityKind::kAggregate, "range-average");
-          CodecTransmit(codec(), &ef, r, &locals[r]);
+          CodecTransmit(codec(), &ef, r, &locals[r], spark.codec_tally());
         }
         w = Average(locals);
 
@@ -230,13 +231,12 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         // executor reassembles the full model from what the wire
         // delivered.
         spark.ShuffleAllToAll(partition_bytes, "all-gather");
-        CodecTransmit(codec(), nullptr, 0, &w);
+        CodecTransmit(codec(), nullptr, 0, &w, spark.codec_tally());
         break;
     }
 
-    const SimTime now = spark.Barrier();
+    const SimTime now = spark.EndStage(name(), t);
     iter_span.SetSimRange(iter_sim_start, now);
-    round.Finish(now);
     if (ShouldCheckpoint(config().checkpoint, t + 1)) {
       // Every step's tasks start from `w`, so the step boundary needs
       // no per-worker local models on disk.

@@ -15,7 +15,6 @@
 #include "data/partition.h"
 #include "engine/spark_cluster.h"
 #include "obs/engine_profiler.h"
-#include "obs/round_profile.h"
 #include "obs/telemetry.h"
 
 namespace mllibstar {
@@ -203,10 +202,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // attribution).
   EngineProfiler::Scope ps_prof(Subsystem::kPs);
   // Per-round profile state: the virtual frontier where the previous
-  // completed round ended, and the comm-counter reading at that point.
+  // completed round ended, and the run's wire totals at that point.
   SimTime profile_frontier = 0.0;
-  CommByteSnapshot profile_snap =
-      CommByteSnapshot::Capture(Telemetry::Get().metrics());
+  WireTally wire_at_frontier = server.wire();
+  std::vector<double> offsets;  // the round's push offsets, reused
 
   // Runs the system-specific local computation, updating `*local` in
   // place and returning the work done (paper §III-B differences).
@@ -380,10 +379,11 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   bool stop_all = false;
 
-  // Fires the round-t completion (averaging finalize, telemetry,
-  // checkpoint, eval) once its expected pushes are in. Invoked after
-  // every push and after every departure — a leave can complete the
-  // round that was only waiting on the departed pusher.
+  // Fires the round-t completion (averaging finalize, telemetry, the
+  // round's profile, checkpoint, eval) once its expected pushes are
+  // in. Invoked after every push and after every departure — a leave
+  // can complete the round that was only waiting on the departed
+  // pusher.
   auto complete_round = [&](int t) {
     if (t < 0 || static_cast<size_t>(t) >= round_pushes.size()) return;
     if (round_complete[t]) return;
@@ -407,63 +407,48 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     const int completed = t + 1;
     last_completed_round = std::max(last_completed_round, completed);
-    {
-      Telemetry& obs = Telemetry::Get();
-      if (obs.enabled()) {
-        obs.metrics()
-            .Counter("train.rounds_completed", {{"system", name()}})
-            .Add();
-        obs.RecordEvent("round-complete", "trainer", round_end[t],
-                        {{"system", name()},
-                         {"round", std::to_string(completed)}});
-        // Per-round profile. A PS round has no task batches — the
-        // "task duration" proxy is each worker's push instant relative
-        // to the round's earliest push, which is exactly the straggler
-        // spread SSP bounds. Compute overlaps communication here by
-        // design, so the Spark compute/wait/comm split stays zero.
-        RoundProfile profile;
-        profile.system = name();
-        profile.round = t;
-        profile.sim_start = profile_frontier;
-        profile.sim_end = round_end[t];
-        std::vector<double> offsets;
-        for (size_t v = 0; v < k; ++v) {
-          if (finish_times[v].size() > static_cast<size_t>(t) &&
-              finish_times[v][t] > 0.0) {
-            offsets.push_back(finish_times[v][t]);
-          }
-        }
-        if (!offsets.empty()) {
-          const double first =
-              *std::min_element(offsets.begin(), offsets.end());
-          for (double& f : offsets) f -= first;
-        }
-        profile.tasks = offsets.size();
-        profile.task_p50 = DurationQuantile(offsets, 0.5);
-        profile.task_p95 = DurationQuantile(offsets, 0.95);
-        profile.task_max =
-            offsets.empty()
-                ? 0.0
-                : *std::max_element(offsets.begin(), offsets.end());
-        const CommByteSnapshot now_snap =
-            CommByteSnapshot::Capture(obs.metrics());
-        profile_snap.DiffInto(now_snap, &profile);
-        profile_snap = now_snap;
-        profile.staleness_samples = round_stale_n[t];
-        if (round_stale_n[t] > 0) {
-          profile.staleness_mean =
-              round_stale_sum[t] / static_cast<double>(round_stale_n[t]);
-          profile.staleness_max = round_stale_max[t];
-          obs.ObserveSeries("staleness", SeriesAgg::kMean, round_end[t],
-                            profile.staleness_mean);
-        }
-        obs.ObserveSeries("straggler.spread", SeriesAgg::kMax, round_end[t],
-                          profile.task_max - profile.task_p50);
-        obs.SampleWindows(round_end[t]);
-        profile_frontier = std::max(profile_frontier, round_end[t]);
-        obs.RecordRoundProfile(std::move(profile));
+    Telemetry& obs = Telemetry::Get();
+    if (obs.enabled()) {
+      obs.metrics()
+          .Counter("train.rounds_completed", {{"system", name()}})
+          .Add();
+      obs.RecordEvent("round-complete", "trainer", round_end[t],
+                      {{"system", name()},
+                       {"round", std::to_string(completed)}});
+    }
+    // The round's profile. A PS round has no task batches — the "task
+    // duration" proxy is each worker's push instant relative to the
+    // round's earliest push, which is exactly the straggler spread SSP
+    // bounds. Compute overlaps communication here by design, so the
+    // Spark compute/wait/comm split stays zero.
+    RoundProfile profile;
+    profile.system = name();
+    profile.round = t;
+    profile.sim_start = profile_frontier;
+    profile.sim_end = round_end[t];
+    offsets.clear();
+    for (size_t v = 0; v < k; ++v) {
+      if (finish_times[v].size() > static_cast<size_t>(t) &&
+          finish_times[v][t] > 0.0) {
+        offsets.push_back(finish_times[v][t]);
       }
     }
+    if (!offsets.empty()) {
+      const double first = *std::min_element(offsets.begin(), offsets.end());
+      for (double& f : offsets) f -= first;
+    }
+    SetTaskSpread(&offsets, &profile);
+    const WireTally wire_now = server.wire();
+    profile.wire = wire_now.Since(wire_at_frontier);
+    wire_at_frontier = wire_now;
+    profile.staleness_samples = round_stale_n[t];
+    if (round_stale_n[t] > 0) {
+      profile.staleness_mean =
+          round_stale_sum[t] / static_cast<double>(round_stale_n[t]);
+      profile.staleness_max = round_stale_max[t];
+    }
+    profile_frontier = std::max(profile_frontier, round_end[t]);
+    result.rounds.push_back(std::move(profile));
     // A completed BSP round is a quiescent point — every participating
     // worker has pushed, nothing is queued or in flight — which is the
     // one moment the whole trainer state is a handful of vectors and
@@ -524,68 +509,38 @@ TrainResult PsTrainer::Train(const Dataset& data,
     if (!membership.enabled()) return;
     const std::vector<MembershipEvent> events = membership.AdvanceTo(now);
     if (events.empty()) return;
-    Telemetry& obs = Telemetry::Get();
     for (const MembershipEvent& ev : events) {
-      switch (ev.kind) {
-        case MembershipEvent::Kind::kLeave: {
-          SimNode& gone = sim.worker(ev.node);
-          sim.trace().Record(gone.name, ev.at, ev.suspect_at,
-                             ActivityKind::kMembershipLeave,
-                             "membership/leave");
-          sim.trace().Record(gone.name, ev.suspect_at, ev.detected_at,
-                             ActivityKind::kMembershipSuspect,
-                             "membership/suspected");
-          ++incarnation[ev.node];
-          pending_delta[ev.node] = DenseVector();
-          pending_catchup[ev.node] = false;
-          if (obs.enabled()) {
-            obs.metrics().Counter("membership.leaves").Add();
-            obs.RecordEvent("membership-leave", "membership", ev.detected_at,
-                            {{"worker", gone.name}});
-          }
-          for (int t = 0; t < static_cast<int>(round_pushes.size()); ++t) {
-            complete_round(t);
-          }
-          break;
-        }
-        case MembershipEvent::Kind::kJoin:
-        case MembershipEvent::Kind::kRejoin: {
-          const bool rejoin = ev.kind == MembershipEvent::Kind::kRejoin;
-          SimNode& joiner = sim.worker(ev.node);
-          sim.trace().Record(joiner.name, ev.at, ev.detected_at,
-                             rejoin ? ActivityKind::kMembershipRejoin
-                                    : ActivityKind::kMembershipJoin,
-                             rejoin ? "membership/rejoin"
-                                    : "membership/join");
-          joiner.clock = std::max(joiner.clock, ev.detected_at);
-          // Admitted at the current leader round: the joiner pulls the
-          // live model and contributes from the fleet's frontier, not
-          // from round 0 (a rejoiner never re-pushes rounds it already
-          // finished in a previous incarnation).
-          int leader = last_completed_round;
-          for (size_t v = 0; v < k; ++v) {
-            if (v == ev.node || !membership.IsActive(v)) continue;
-            leader = std::max(leader, rounds_done[v]);
-          }
-          rounds_done[ev.node] = std::max(rounds_done[ev.node], leader);
-          join_round[ev.node] = rounds_done[ev.node];
-          admit_time[ev.node] = ev.detected_at;
-          pending_catchup[ev.node] = true;
-          if (obs.enabled()) {
-            obs.metrics()
-                .Counter(rejoin ? "membership.rejoins" : "membership.joins")
-                .Add();
-            obs.RecordEvent(rejoin ? "membership-rejoin" : "membership-join",
-                            "membership", ev.detected_at,
-                            {{"worker", joiner.name}});
-          }
-          try_schedule_pull(ev.node);
-          break;
-        }
-        case MembershipEvent::Kind::kServerLeave:
-          server.OnServerLeft(ev);
-          break;
+      if (ev.kind == MembershipEvent::Kind::kServerLeave) {
+        server.OnServerLeft(ev);
+        continue;
       }
+      SimNode& node = sim.worker(ev.node);
+      RecordMembershipTransition(&sim.trace(), ev, node.name,
+                                 {{"worker", node.name}});
+      if (ev.kind == MembershipEvent::Kind::kLeave) {
+        ++incarnation[ev.node];
+        pending_delta[ev.node] = DenseVector();
+        pending_catchup[ev.node] = false;
+        for (int t = 0; t < static_cast<int>(round_pushes.size()); ++t) {
+          complete_round(t);
+        }
+        continue;
+      }
+      // A join or rejoin, admitted at the current leader round: the
+      // joiner pulls the live model and contributes from the fleet's
+      // frontier, not from round 0 (a rejoiner never re-pushes rounds it
+      // already finished in a previous incarnation).
+      node.clock = std::max(node.clock, ev.detected_at);
+      int leader = last_completed_round;
+      for (size_t v = 0; v < k; ++v) {
+        if (v == ev.node || !membership.IsActive(v)) continue;
+        leader = std::max(leader, rounds_done[v]);
+      }
+      rounds_done[ev.node] = std::max(rounds_done[ev.node], leader);
+      join_round[ev.node] = rounds_done[ev.node];
+      admit_time[ev.node] = ev.detected_at;
+      pending_catchup[ev.node] = true;
+      try_schedule_pull(ev.node);
     }
     std::vector<size_t> to_retry;
     std::swap(parked, to_retry);
@@ -673,8 +628,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
     // kPush: ship the delta through the codec (with error feedback);
     // the wire carries whichever of the codec's dense and sparse
     // index/value encodings is smaller.
-    uint64_t dense_bytes = 0;
-    CodecTransmit(codec(), &ef, r, &pending_delta[r], &dense_bytes);
+    const uint64_t dense_bytes =
+        CodecTransmit(codec(), &ef, r, &pending_delta[r], server.codec_tally());
     const DenseVector& delta = pending_delta[r];
     const uint64_t push_bytes =
         std::min(dense_bytes, server.SparseBytes(delta.CountNonZeros()));

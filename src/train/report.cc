@@ -64,6 +64,7 @@ Status WriteRunReport(const TrainResult& result, const std::string& path) {
   info.curve = &result.curve;
   info.faults = &result.faults;
   info.trace = &result.trace;
+  info.rounds = &result.rounds;
   Telemetry& obs = Telemetry::Get();
   return WriteRunReportJson(path, info, obs.enabled() ? &obs : nullptr);
 }

@@ -70,8 +70,6 @@ void Trainer::RecordEval(int step, SimTime now, double objective,
                    {"step", std::to_string(step)},
                    {"objective", FormatDouble(objective, 9)}});
   obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
-  obs.ObserveSeries("objective", SeriesAgg::kMean, now, objective);
-  obs.SampleWindows(now);
 }
 
 size_t Trainer::NumAggregators(size_t k) const {
@@ -100,6 +98,7 @@ void Trainer::FinishResult(SparkCluster* spark, TrainResult* result) {
   result->faults = spark->sim().faults().stats();
   result->membership = spark->membership().stats();
   result->trace = std::move(spark->trace());
+  result->rounds = std::move(spark->rounds());
 }
 
 std::unique_ptr<Trainer> MakeTrainer(SystemKind kind, TrainerConfig config) {

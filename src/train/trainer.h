@@ -17,6 +17,7 @@
 #include "core/regularizer.h"
 #include "data/dataset.h"
 #include "engine/spark_cluster.h"
+#include "obs/round_profile.h"
 #include "ps/parameter_server.h"
 #include "sim/cluster_config.h"
 #include "sim/fault_plan.h"
@@ -117,6 +118,10 @@ struct TrainResult {
   /// zeros when the churn plan is empty).
   MembershipStats membership;
   TraceLog trace;
+  /// One profile per completed round, in completion order, built by
+  /// the code that closed the round. The RunReport's `rounds` and
+  /// windowed `series` are computed from these and the curve.
+  std::vector<RoundProfile> rounds;
 };
 
 /// Interface every system implements: train on `data` over a simulated
@@ -162,9 +167,8 @@ class Trainer {
   static bool IsDiverged(double objective);
 
   /// Records one evaluation: the curve point and, when telemetry is on,
-  /// an eval instant, the per-system eval counter and a point of the
-  /// `objective` series. Pure reporting: the objective was already
-  /// computed.
+  /// an eval instant and the per-system eval counter. Pure reporting:
+  /// the objective was already computed.
   void RecordEval(int step, SimTime now, double objective,
                   TrainResult* result) const;
 
@@ -181,7 +185,8 @@ class Trainer {
   static size_t BatchSize(size_t partition_size, double fraction);
 
   /// Copies a finished Spark run's virtual time, bytes, fault and
-  /// membership stats into *result and moves its trace there.
+  /// membership stats into *result and moves its trace and round
+  /// profiles there.
   static void FinishResult(SparkCluster* spark, TrainResult* result);
 
  private:

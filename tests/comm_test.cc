@@ -211,13 +211,15 @@ TEST(ErrorFeedbackTest, DisabledForLosslessCodecs) {
 TEST(ErrorFeedbackTest, LosslessTransmitIsIdentity) {
   const auto codec = MakeCodec(ConfigFor(CodecKind::kDenseF64));
   const DenseVector v = TestVector(301);
-  uint64_t bytes = 0;
+  CodecTally tally;
   DenseVector sent = v;
   const double* storage = sent.data();
-  CodecTransmit(*codec, nullptr, 0, &sent, &bytes);
+  const uint64_t bytes = CodecTransmit(*codec, nullptr, 0, &sent, &tally);
   EXPECT_EQ(std::memcmp(sent.data(), v.data(), 8 * v.dim()), 0);
   EXPECT_EQ(sent.data(), storage);  // in place: nothing copied
   EXPECT_EQ(bytes, NetworkModel::DenseBytes(301));
+  EXPECT_EQ(tally.encoded, bytes);
+  EXPECT_EQ(tally.raw, 8u * 301);
   // A lossless broadcast hands the receivers the sender's own vector.
   DenseVector unused;
   EXPECT_EQ(&CodecBroadcast(*codec, v, &unused), &v);

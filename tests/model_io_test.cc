@@ -83,59 +83,13 @@ TEST(ModelIoTest, MalformedWeightLineRejected) {
   EXPECT_FALSE(LoadModel(path).ok());
 }
 
-TEST(MulticlassIoTest, V2RoundTripIsBitExact) {
-  MulticlassGlmModel model(3, 4);
-  (*model.mutable_flat_weights())[0] = 1.0 / 3.0;    // class 0, feature 0
-  (*model.mutable_flat_weights())[5] = -1e-17;       // class 1, feature 1
-  (*model.mutable_flat_weights())[11] = 2.5;         // class 2, feature 3
-  const std::string path = TempPath("model_v2_rt.txt");
-  ASSERT_TRUE(SaveMulticlassModel(model, path).ok());
-  auto loaded = LoadMulticlassModel(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_classes(), 3u);
-  EXPECT_EQ(loaded->num_features(), 4u);
-  EXPECT_EQ(loaded->weight(0, 0), 1.0 / 3.0);
-  EXPECT_EQ(loaded->weight(1, 1), -1e-17);
-  EXPECT_EQ(loaded->weight(2, 3), 2.5);
-  EXPECT_EQ(loaded->flat_weights().CountNonZeros(), 3u);
-}
-
-TEST(MulticlassIoTest, V1FileLoadsAsOneClassModel) {
-  // The format-bump regression: a v1 file written by SaveModel (and a
-  // hand-written v1 literal) must keep loading after v2 shipped.
-  GlmModel binary(3);
-  (*binary.mutable_weights())[1] = -0.75;
-  const std::string path = TempPath("model_v1_as_mc.txt");
-  ASSERT_TRUE(SaveModel(binary, path).ok());
-  auto loaded = LoadMulticlassModel(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_classes(), 1u);
-  EXPECT_EQ(loaded->num_features(), 3u);
-  EXPECT_EQ(loaded->weight(0, 1), -0.75);
-
-  const std::string literal = TempPath("model_v1_literal.txt");
-  std::ofstream(literal) << "mllibstar-model v1\ndim 2\n0 4.0\n";
-  auto lit = LoadMulticlassModel(literal);
-  ASSERT_TRUE(lit.ok());
-  EXPECT_EQ(lit->num_classes(), 1u);
-  EXPECT_EQ(lit->weight(0, 0), 4.0);
-}
-
 TEST(MulticlassIoTest, V1LoaderStillRejectsV2Files) {
-  // LoadModel is the binary API; handing it a K-class file must fail
-  // loudly, not truncate.
-  MulticlassGlmModel model(2, 3);
-  (*model.mutable_flat_weights())[4] = 1.0;
+  // The K-class v2 format is retired; a v2 file (here its literal
+  // header and one weight) handed to LoadModel must fail loudly, not
+  // truncate.
   const std::string path = TempPath("model_v2_for_v1.txt");
-  ASSERT_TRUE(SaveMulticlassModel(model, path).ok());
-  EXPECT_FALSE(LoadModel(path).ok());
-}
-
-TEST(MulticlassIoTest, V2OutOfRangeFlatIndexRejected) {
-  const std::string path = TempPath("model_v2_oor.txt");
-  std::ofstream(path) << "mllibstar-model v2\nclasses 2\ndim 3\n6 1.0\n";
-  EXPECT_EQ(LoadMulticlassModel(path).status().code(),
-            StatusCode::kOutOfRange);
+  std::ofstream(path) << "mllibstar-model v2\nclasses 2\ndim 3\n4 1.0\n";
+  EXPECT_EQ(LoadModel(path).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(MetricsRegistryTest, CounterBasics) {
   MetricsRegistry registry;
   registry.Counter("requests").Add();
   registry.Counter("requests").Add(4);
-  EXPECT_EQ(registry.CounterValue("requests"), 5u);
+  EXPECT_EQ(registry.Counter("requests").value(), 5u);
   registry.Counter("errors").Add(2);
 
   const std::vector<MetricSample> snapshot = registry.Snapshot();
@@ -65,8 +65,9 @@ TEST(MetricsRegistryTest, LabelOrderDoesNotSplitSeries) {
   MetricsRegistry registry;
   registry.Counter("bytes", {{"path", "push"}, {"shard", "0"}}).Add(10);
   registry.Counter("bytes", {{"shard", "0"}, {"path", "push"}}).Add(5);
-  EXPECT_EQ(registry.CounterValue("bytes", {{"shard", "0"}, {"path", "push"}}),
-            15u);
+  EXPECT_EQ(
+      registry.Counter("bytes", {{"shard", "0"}, {"path", "push"}}).value(),
+      15u);
   EXPECT_EQ(registry.Snapshot().size(), 1u);
 }
 
@@ -75,17 +76,6 @@ TEST(MetricsRegistryTest, CanonicalKeySortsLabels) {
   EXPECT_EQ(
       MetricsRegistry::CanonicalKey("m", {{"b", "2"}, {"a", "1"}}),
       "m{a=1,b=2}");
-}
-
-TEST(MetricsRegistryTest, CounterTotalSumsAcrossLabelSets) {
-  MetricsRegistry registry;
-  registry.Counter("bytes", {{"path", "push"}}).Add(3);
-  registry.Counter("bytes", {{"path", "pull"}}).Add(4);
-  registry.Counter("other").Add(100);
-  EXPECT_EQ(registry.CounterTotal("bytes"), 7u);
-  EXPECT_EQ(registry.CounterValue("bytes", {{"path", "missing"}}), 0u);
-  // CounterValue on a missing series must not create it.
-  EXPECT_EQ(registry.Snapshot().size(), 3u);
 }
 
 TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
@@ -103,7 +93,7 @@ TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(registry.CounterValue("c", {{"t", "shared"}}),
+  EXPECT_EQ(registry.Counter("c", {{"t", "shared"}}).value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
@@ -114,7 +104,7 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsReferencesValid) {
   registry.Reset();
   EXPECT_EQ(c.value(), 0u);
   c.Add(2);  // the reference must still point at the live series
-  EXPECT_EQ(registry.CounterValue("c"), 2u);
+  EXPECT_EQ(registry.Snapshot().at(0).value, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,31 +154,6 @@ TEST(TelemetryTest, SpansNestWithDepths) {
   EXPECT_LE(spans[0].host_start_us, spans[0].host_end_us);
 }
 
-TEST(TelemetryTest, JsonlLinesParse) {
-  TelemetryGuard guard;
-  Telemetry& obs = Telemetry::Get();
-  obs.set_enabled(true);
-  {
-    ScopedSpan span("work \"quoted\"", "test");
-    span.SetSimRange(0.25, 0.5);
-  }
-  obs.RecordEvent("fault", "test", 1.5, {{"node", "executor1"}});
-  const std::string path = testing::TempDir() + "/telemetry.jsonl";
-  ASSERT_TRUE(obs.WriteJsonl(path).ok());
-  std::ifstream in(path);
-  std::string line;
-  size_t lines = 0;
-  std::set<std::string> types;
-  while (std::getline(in, line)) {
-    ++lines;
-    const Result<JsonValue> parsed = JsonValue::Parse(line);
-    ASSERT_TRUE(parsed.ok()) << line;
-    types.insert(parsed->Find("type")->string_value());
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_EQ(types, (std::set<std::string>{"span", "event"}));
-}
-
 TEST(TelemetryTest, BoundedBuffersDropNewestAndAccount) {
   TelemetryGuard guard;
   Telemetry& obs = Telemetry::Get();
@@ -232,112 +197,80 @@ TEST(TelemetryTest, BoundedBuffersDropNewestAndAccount) {
 }
 
 // ---------------------------------------------------------------------------
-// TimeSeriesRecorder windows
+// Windowed series, computed from the round record
+
+RoundProfile RoundClosingAt(int round, double sim_end) {
+  RoundProfile r;
+  r.round = round;
+  r.sim_end = sim_end;
+  return r;
+}
+
+/// The series `name` of `all`; fails the test when it is missing.
+SeriesSnapshot SeriesNamed(const std::vector<SeriesSnapshot>& all,
+                           const std::string& name) {
+  for (const SeriesSnapshot& s : all) {
+    if (s.name == name) return s;
+  }
+  ADD_FAILURE() << "no series " << name;
+  return {};
+}
 
 TEST(TimeSeriesTest, WindowsAlignToGridAndDeltasLandInFirstClosedWindow) {
-  TimeSeriesRecorder rec;
-  rec.Configure(0.5, 8);
-  MetricsRegistry reg;
-  rec.TrackCounters("bytes", {"x.bytes"});
-  reg.Counter("x.bytes").Add(100);
-  rec.AdvanceTo(0.6, reg);  // closes [0, 0.5)
-  reg.Counter("x.bytes").Add(50);
-  rec.AdvanceTo(2.1, reg);  // closes [0.5,1.0) [1.0,1.5) [1.5,2.0)
-  const std::vector<SeriesSnapshot> snaps = rec.Snapshot(reg);
-  const SeriesSnapshot* bytes = nullptr;
-  for (const SeriesSnapshot& s : snaps) {
-    if (s.name == "bytes") bytes = &s;
-  }
-  ASSERT_NE(bytes, nullptr);
-  ASSERT_EQ(bytes->points.size(), 4u);
-  EXPECT_EQ(bytes->points[0].t0, 0.0);
-  EXPECT_EQ(bytes->points[0].t1, 0.5);
-  EXPECT_EQ(bytes->points[0].value, 100.0);
-  // The recorder only sees counter totals at sample points: the whole
-  // 50-byte delta lands in the first closed window, the rest are 0.
-  EXPECT_EQ(bytes->points[1].value, 50.0);
-  EXPECT_EQ(bytes->points[2].value, 0.0);
-  EXPECT_EQ(bytes->points[3].value, 0.0);
+  std::vector<RoundProfile> rounds = {RoundClosingAt(0, 0.3),
+                                      RoundClosingAt(1, 1.05)};
+  rounds[0].wire.broadcast = 100;  // closes [0, 0.25)
+  rounds[1].wire.pull = 50;        // closes [0.25, 0.5) .. [0.75, 1.0)
+  const SeriesSnapshot bytes =
+      SeriesNamed(WindowedSeries(rounds, nullptr), "bytes.wire");
+  ASSERT_EQ(bytes.points.size(), 4u);
+  EXPECT_EQ(bytes.window_sec, kSeriesWindowSec);
+  EXPECT_EQ(bytes.points[0].t0, 0.0);
+  EXPECT_EQ(bytes.points[0].t1, 0.25);
+  EXPECT_EQ(bytes.points[0].value, 100.0);
+  // Totals are only seen at round closes: the whole 50-byte delta
+  // lands in the first window the second close closes, the rest are 0,
+  // and the partial window [1.0, 1.05) has nothing left to show.
+  EXPECT_EQ(bytes.points[1].value, 50.0);
+  EXPECT_EQ(bytes.points[2].value, 0.0);
+  EXPECT_EQ(bytes.points[3].value, 0.0);
+  EXPECT_EQ(bytes.points[3].t1, 1.0);
 }
 
 TEST(TimeSeriesTest, ObservedAggregationsFoldPerWindow) {
-  TimeSeriesRecorder rec;
-  rec.Configure(1.0, 8);
-  MetricsRegistry reg;
-  rec.Observe("m", SeriesAgg::kMean, 0.1, 2.0);
-  rec.Observe("m", SeriesAgg::kMean, 0.2, 4.0);
-  rec.Observe("x", SeriesAgg::kMax, 0.1, 2.0);
-  rec.Observe("x", SeriesAgg::kMax, 0.2, 7.0);
-  rec.AdvanceTo(1.0, reg);
-  const std::vector<SeriesSnapshot> snaps = rec.Snapshot(reg);
-  const SeriesSnapshot* mean = nullptr;
-  const SeriesSnapshot* max = nullptr;
-  for (const SeriesSnapshot& s : snaps) {
-    if (s.name == "m") mean = &s;
-    if (s.name == "x") max = &s;
-  }
-  ASSERT_NE(mean, nullptr);
-  ASSERT_NE(max, nullptr);
-  ASSERT_EQ(mean->points.size(), 1u);
-  EXPECT_EQ(mean->points[0].value, 3.0);
-  EXPECT_EQ(mean->points[0].count, 2u);
-  ASSERT_EQ(max->points.size(), 1u);
-  EXPECT_EQ(max->points[0].value, 7.0);
+  std::vector<RoundProfile> rounds = {RoundClosingAt(0, 0.1),
+                                      RoundClosingAt(1, 0.2),
+                                      RoundClosingAt(2, 0.25)};
+  rounds[0].task_max = 3.0;  // spread 3
+  rounds[1].task_max = 7.0;  // spread 7
+  ConvergenceCurve curve;
+  curve.Add(0, 0.0, 100.0);  // the starting objective: not observed
+  curve.Add(1, 0.1, 2.0);
+  curve.Add(2, 0.2, 4.0);
+  const std::vector<SeriesSnapshot> all = WindowedSeries(rounds, &curve);
+  const SeriesSnapshot mean = SeriesNamed(all, "objective");
+  const SeriesSnapshot max = SeriesNamed(all, "straggler.spread");
+  EXPECT_EQ(mean.agg, SeriesAgg::kMean);
+  ASSERT_EQ(mean.points.size(), 1u);
+  EXPECT_EQ(mean.points[0].value, 3.0);
+  EXPECT_EQ(mean.points[0].count, 2u);
+  // The third round's spread is observed before its close closes
+  // [0, 0.25), so it folds into that window.
+  ASSERT_EQ(max.points.size(), 1u);
+  EXPECT_EQ(max.points[0].value, 7.0);
+  EXPECT_EQ(max.points[0].count, 3u);
+  EXPECT_EQ(SeriesNamed(all, "rounds").points[0].value, 3.0);
 }
 
 TEST(TimeSeriesTest, RingDropsOldestPastCapacityAndCounts) {
-  TimeSeriesRecorder rec;
-  rec.Configure(1.0, 4);
-  MetricsRegistry reg;
-  rec.Observe("v", SeriesAgg::kSum, 0.5, 1.0);
-  rec.AdvanceTo(10.0, reg);  // closes windows [0,1) .. [9,10)
-  const std::vector<SeriesSnapshot> snaps = rec.Snapshot(reg);
-  const SeriesSnapshot* v = nullptr;
-  for (const SeriesSnapshot& s : snaps) {
-    if (s.name == "v") v = &s;
-  }
-  ASSERT_NE(v, nullptr);
-  ASSERT_EQ(v->points.size(), 4u);
-  EXPECT_EQ(v->dropped, 6u);
+  const double end = kSeriesWindowSec * (kSeriesCapacity + 6);
+  const SeriesSnapshot v = SeriesNamed(
+      WindowedSeries({RoundClosingAt(0, end)}, nullptr), "straggler.spread");
+  ASSERT_EQ(v.points.size(), kSeriesCapacity);
+  EXPECT_EQ(v.dropped, 6u);
   // The retained tail is the newest windows.
-  EXPECT_EQ(v->points.front().t0, 6.0);
-  EXPECT_EQ(v->points.back().t1, 10.0);
-}
-
-TEST(TimeSeriesTest, ConcurrentObserveAndAdvanceIsSafe) {
-  // Hammered under tsan in CI: Observe and AdvanceTo race from
-  // different threads; the recorder must neither crash nor lose
-  // observations (every Observe lands in some window).
-  TimeSeriesRecorder rec;
-  rec.Configure(0.05, 64);
-  MetricsRegistry reg;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rec, &reg, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const double now = static_cast<double>(i) * 0.001;
-        if (t % 2 == 0) {
-          reg.Counter("c").Add();
-          rec.Observe("obs", SeriesAgg::kSum, now, 1.0);
-        } else {
-          rec.AdvanceTo(now, reg);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  rec.AdvanceTo(2.5, reg);
-  const std::vector<SeriesSnapshot> snaps = rec.Snapshot(reg);
-  const SeriesSnapshot* obs = nullptr;
-  for (const SeriesSnapshot& s : snaps) {
-    if (s.name == "obs") obs = &s;
-  }
-  ASSERT_NE(obs, nullptr);
-  uint64_t folded = 0;
-  for (const SeriesPoint& p : obs->points) folded += p.count;
-  EXPECT_EQ(folded, static_cast<uint64_t>(kThreads / 2) * kIters);
+  EXPECT_EQ(v.points.front().t0, 6 * kSeriesWindowSec);
+  EXPECT_EQ(v.points.back().t1, end);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,6 +528,40 @@ void ExpectBitIdentical(const TrainResult& a, const TrainResult& b) {
   }
 }
 
+/// The exported series + rounds sections of `result`'s RunReport as a
+/// byte string (the profiler/telemetry sections carry host-time
+/// numbers and are legitimately run-dependent, so they are excluded).
+std::string SeriesAndRoundsDump(const TrainResult& result) {
+  RunInfo info;
+  info.curve = &result.curve;
+  info.rounds = &result.rounds;
+  const JsonValue report = BuildRunReport(info);
+  return report.Find("series")->Dump(2) + "\n" +
+         report.Find("rounds")->Dump(2);
+}
+
+/// Points in `result`'s exported series `name`; 0 when the run never
+/// recorded it.
+size_t SeriesPoints(const TrainResult& result, const std::string& name) {
+  for (const SeriesSnapshot& s : WindowedSeries(result.rounds, &result.curve)) {
+    if (s.name == name) return s.points.size();
+  }
+  return 0;
+}
+
+/// The round record covers the whole run: one profile per
+/// communication step, and the per-path bytes of all rounds add up to
+/// the run's total.
+void ExpectRoundsCoverRun(const TrainResult& result) {
+  EXPECT_EQ(result.rounds.size(), static_cast<size_t>(result.comm_steps));
+  uint64_t bytes = 0;
+  for (const RoundProfile& r : result.rounds) {
+    bytes += r.wire.broadcast + r.wire.tree_aggregate + r.wire.shuffle +
+             r.wire.pull + r.wire.push;
+  }
+  EXPECT_EQ(bytes, result.total_bytes);
+}
+
 class TelemetryIdentityTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(TelemetryIdentityTest, EnablingTelemetryIsBitInvisible) {
@@ -613,8 +580,10 @@ TEST_P(TelemetryIdentityTest, EnablingTelemetryIsBitInvisible) {
   // The instrumentation actually fired...
   EXPECT_FALSE(Telemetry::Get().spans().empty());
   EXPECT_FALSE(Telemetry::Get().metrics().Snapshot().empty());
-  // ...and changed nothing.
+  // ...and changed nothing, the round record included.
   ExpectBitIdentical(off, on);
+  EXPECT_EQ(SeriesAndRoundsDump(off), SeriesAndRoundsDump(on));
+  ExpectRoundsCoverRun(on);
 }
 
 TEST_P(TelemetryIdentityTest, BitInvisibleUnderChurnAndHostThreads) {
@@ -636,35 +605,13 @@ TEST_P(TelemetryIdentityTest, BitInvisibleUnderChurnAndHostThreads) {
 
   EXPECT_FALSE(Telemetry::Get().spans().empty());
   ExpectBitIdentical(off, on);
-}
-
-/// The exported series + rounds sections as a byte string (the
-/// profiler/telemetry sections carry host-time numbers and are
-/// legitimately run-dependent, so they are excluded).
-std::string SeriesAndRoundsDump() {
-  RunInfo info;
-  const JsonValue report = BuildRunReport(info, &Telemetry::Get());
-  return report.Find("series")->Dump(2) + "\n" +
-         report.Find("rounds")->Dump(2);
-}
-
-/// Points in the exported series `name`; 0 when the run never
-/// recorded it.
-size_t SeriesPoints(const std::string& name) {
-  RunInfo info;
-  const JsonValue report = BuildRunReport(info, &Telemetry::Get());
-  const JsonValue& series = *report.Find("series");
-  for (size_t i = 0; i < series.size(); ++i) {
-    if (series.at(i).Find("name")->string_value() == name) {
-      return series.at(i).Find("points")->size();
-    }
-  }
-  return 0;
+  EXPECT_EQ(SeriesAndRoundsDump(off), SeriesAndRoundsDump(on));
+  ExpectRoundsCoverRun(on);
 }
 
 TEST_P(TelemetryIdentityTest, WindowedSeriesByteIdenticalAcrossHostThreads) {
-  // Windows align to virtual time and close at deterministic trainer
-  // sample points, so the serialized series and round profiles must be
+  // Round profiles come from deterministic round closes and the series
+  // are computed from them and the curve, so both must be
   // byte-identical for any host_threads value.
   TelemetryGuard guard;
   const Dataset data = ObsData();
@@ -674,18 +621,21 @@ TEST_P(TelemetryIdentityTest, WindowedSeriesByteIdenticalAcrossHostThreads) {
 
   config.host_threads = 1;
   Telemetry::Get().Clear();
-  MakeTrainer(GetParam(), config)->Train(data, cluster);
-  const std::string single = SeriesAndRoundsDump();
+  const TrainResult single =
+      MakeTrainer(GetParam(), config)->Train(data, cluster);
 
   config.host_threads = 8;
   Telemetry::Get().Clear();
-  MakeTrainer(GetParam(), config)->Train(data, cluster);
-  const std::string threaded = SeriesAndRoundsDump();
+  const TrainResult threaded =
+      MakeTrainer(GetParam(), config)->Train(data, cluster);
 
-  EXPECT_EQ(single, threaded);
-  EXPECT_NE(single.find("\"points\""), std::string::npos);
+  const std::string dump = SeriesAndRoundsDump(single);
+  EXPECT_EQ(dump, SeriesAndRoundsDump(threaded));
+  EXPECT_NE(dump.find("\"points\""), std::string::npos);
+  ExpectRoundsCoverRun(single);
+  ExpectRoundsCoverRun(threaded);
   // Every system records its evaluations as the objective trajectory.
-  EXPECT_GE(SeriesPoints("objective"), 1u);
+  EXPECT_GE(SeriesPoints(single, "objective"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
