@@ -13,9 +13,12 @@
 // store-bound sparse axpy plus the per-row loss derivative, neither
 // of which vectorization can accelerate much), (c) a vectorized fused
 // pass's loss or any coordinate of its gradient is not bit-identical
-// to the scalar one, or (d) evaluating the
+// to the scalar one, (d) evaluating the
 // objective from value-free partitions disagrees with, or is slower
-// than, the walk over DataPoint rows. CI runs it as a smoke check so
+// than, the walk over DataPoint rows, (e) SampleBatch draws other rows,
+// in another order, or leaves the Rng elsewhere than the hash-set
+// Floyd it replaced, or (f) SampleBatch fails to beat that reference
+// by the sampler floor at the kdd12 shape. CI runs it as a smoke check so
 // kernel regressions fail the build, and the committed JSON pairs with
 // results/BENCH_kernels_scalar.json (a forced-scalar run) to record
 // the before/after speedup trajectory.
@@ -26,12 +29,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/csr_block.h"
+#include "core/gd.h"
 #include "core/loss.h"
 #include "core/model.h"
 #include "core/regularizer.h"
@@ -53,6 +59,27 @@ namespace {
 // --min-speedup so a CI run with a relaxed gate (unknown machine)
 // relaxes this floor too.
 constexpr double kFusedFloor = 1.1;
+
+// Gate (a)'s bound when --min-speedup is not given.
+constexpr double kDefaultMinSpeedup = 1.15;
+
+// Speedup floor for the bitmap SampleBatch over the hash-set reference
+// at the kdd12 shape (18,705 rows, 1,870 drawn). Like the fused floor
+// it relaxes with the gate: a run that sets --min-speedup below its
+// default clamps this floor to it.
+constexpr double kSampleFloor = 2.0;
+
+// Partition rows and batch sizes of the figure workloads' mini-batches,
+// then one shape for each other branch of SampleBatch. The first is
+// the gated one.
+struct SampleShape {
+  size_t n;
+  size_t batch_size;
+};
+constexpr SampleShape kSampleShapes[] = {
+    {18705, 1870}, {18705, 187}, {2408, 24}, {2408, 120},
+    {2408, 481},   {1812, 72},   {2408, 602}, {2408, 0},
+};
 
 struct Regime {
   const char* name;
@@ -153,6 +180,42 @@ SparseRow MakeRow(size_t dim, size_t nnz, Rng* rng) {
     row.values.push_back(rng->NextDouble(-1.0, 1.0));
   }
   return row;
+}
+
+// SampleBatch as it was before its bitmap, with Floyd's picks in a
+// node-based hash set: the reference the sample_batch case times and
+// holds the draws to. Kept only here.
+std::vector<size_t> HashSetSampleBatch(size_t n, size_t batch_size,
+                                       Rng* rng) {
+  std::vector<size_t> batch;
+  if (batch_size >= n) {
+    batch.resize(n);
+    std::iota(batch.begin(), batch.end(), size_t{0});
+    return batch;
+  }
+  batch.reserve(batch_size);
+  if (batch_size * 4 >= n) {
+    std::vector<size_t> pool(n);
+    std::iota(pool.begin(), pool.end(), size_t{0});
+    for (size_t i = 0; i < batch_size; ++i) {
+      const size_t j = i + rng->NextUint64(n - i);
+      std::swap(pool[i], pool[j]);
+      batch.push_back(pool[i]);
+    }
+  } else {
+    std::unordered_set<size_t> chosen;
+    chosen.reserve(batch_size * 2);
+    for (size_t i = n - batch_size; i < n; ++i) {
+      const size_t j = rng->NextUint64(i + 1);
+      if (chosen.insert(j).second) {
+        batch.push_back(j);
+      } else {
+        chosen.insert(i);
+        batch.push_back(i);
+      }
+    }
+  }
+  return batch;
 }
 
 struct Result {
@@ -513,6 +576,72 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     }
   }
 
+  // ---- Mini-batch sampling -------------------------------------------
+  // SampleBatch (core/gd.h) against HashSetSampleBatch at each shape.
+  // A pass draws `batches` consecutive batches from a fresh Rng, so
+  // both sides draw the same rows. Drift gate: every batch and the
+  // Rng's next draw agree. Perf gate: the first shape's speedup.
+  JsonValue sample_runs = JsonValue::Array();
+  double sample_speedup_gated = 0.0;
+  std::printf("\n%8s %6s %8s %14s %12s %9s\n", "rows", "batch", "batches",
+              "hash-set ns", "bitmap ns", "speedup");
+  for (const SampleShape& shape : kSampleShapes) {
+    const size_t batches = std::max<size_t>(
+        4, 40000 / std::max<size_t>(shape.batch_size, 1));
+    auto sample_pass = [&](auto sample) {
+      Rng sample_rng(7);
+      size_t drawn = 0;
+      for (size_t b = 0; b < batches; ++b) {
+        drawn += sample(shape.n, shape.batch_size, &sample_rng).size();
+      }
+      g_sink = static_cast<double>(drawn);
+    };
+    const PairedNs t =
+        PairedMinNs([&] { sample_pass(HashSetSampleBatch); },
+                    [&] { sample_pass(SampleBatch); }, reps);
+    Rng ref_rng(7);
+    Rng bitmap_rng(7);
+    bool identical = true;
+    for (size_t b = 0; b < batches; ++b) {
+      if (HashSetSampleBatch(shape.n, shape.batch_size, &ref_rng) !=
+          SampleBatch(shape.n, shape.batch_size, &bitmap_rng)) {
+        identical = false;
+      }
+    }
+    if (ref_rng.NextUint64() != bitmap_rng.NextUint64()) identical = false;
+    const double speedup = t.ref / t.fn;
+    if (&shape == &kSampleShapes[0]) sample_speedup_gated = speedup;
+    std::printf("%8zu %6zu %8zu %14.0f %12.0f %8.2fx\n", shape.n,
+                shape.batch_size, batches, t.ref, t.fn, speedup);
+    if (!identical) {
+      std::printf("FAIL drift: SampleBatch(%zu, %zu) differs from the "
+                  "hash-set reference\n",
+                  shape.n, shape.batch_size);
+      drift_gate_failed = true;
+    }
+    JsonValue e = JsonValue::Object();
+    e.Set("rows", JsonValue::Number(static_cast<int64_t>(shape.n)));
+    e.Set("batch_size",
+          JsonValue::Number(static_cast<int64_t>(shape.batch_size)));
+    e.Set("batches_per_pass",
+          JsonValue::Number(static_cast<int64_t>(batches)));
+    e.Set("hash_set_ns_per_pass", JsonValue::Number(t.ref));
+    e.Set("bitmap_ns_per_pass", JsonValue::Number(t.fn));
+    e.Set("speedup_vs_hash_set", JsonValue::Number(speedup));
+    e.Set("identical", JsonValue::Bool(identical));
+    sample_runs.Append(e);
+  }
+  const double sample_floor = min_speedup < kDefaultMinSpeedup
+                                  ? std::min(kSampleFloor, min_speedup)
+                                  : kSampleFloor;
+  if (sample_speedup_gated < sample_floor) {
+    std::printf("FAIL perf: SampleBatch(%zu, %zu) is %.2fx the hash-set "
+                "reference (< floor %.2fx)\n",
+                kSampleShapes[0].n, kSampleShapes[0].batch_size,
+                sample_speedup_gated, sample_floor);
+    perf_gate_failed = true;
+  }
+
   // ---- Report ---------------------------------------------------------
   std::printf("\n%-22s %-7s %-10s %12s %10s\n", "kernel", "level",
               "regime", "ns/pass", "vs scalar");
@@ -554,6 +683,9 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   doc.Set("flush_density", flush_runs);
   doc.Set("eval_gate_ok", JsonValue::Bool(!eval_gate_failed));
   doc.Set("eval_layout", eval_runs);
+  doc.Set("sample_floor_gate", JsonValue::Number(sample_floor));
+  doc.Set("sample_speedup_gated", JsonValue::Number(sample_speedup_gated));
+  doc.Set("sample_batch", sample_runs);
   bench::WriteBenchJson(out_name, doc);
 
   if (perf_gate_failed || drift_gate_failed || eval_gate_failed) {
@@ -568,7 +700,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
 }  // namespace mllibstar
 
 int main(int argc, char** argv) {
-  double min_speedup = 1.15;
+  double min_speedup = mllibstar::kDefaultMinSpeedup;
   int reps = 7;
   std::string out_name = "BENCH_kernels.json";
   for (int i = 1; i < argc; ++i) {

@@ -120,6 +120,12 @@ int main(int argc, char** argv) {
     config.ps.staleness = static_cast<int>(flags.GetInt64("staleness"));
   }
 
+  const Status config_status = ValidateTrainerConfig(config);
+  if (!config_status.ok()) {
+    std::fprintf(stderr, "%s\n", config_status.ToString().c_str());
+    return 1;
+  }
+
   const ClusterConfig cluster =
       ClusterConfig::Cluster1(static_cast<size_t>(flags.GetInt64("workers")));
   const SystemKind system = SystemFromName(flags.GetString("system"));

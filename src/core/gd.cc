@@ -1,7 +1,6 @@
 #include "core/gd.h"
 
 #include <numeric>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -29,19 +28,17 @@ std::vector<size_t> SampleBatch(size_t n, size_t batch_size, Rng* rng) {
       batch.push_back(pool[i]);
     }
   } else {
-    // Floyd's sampling: exactly batch_size draws, O(batch_size)
-    // memory, uniform over subsets — unlike rejection sampling, no
-    // O(n) bitmap and no retries as the batch fills.
-    std::unordered_set<size_t> chosen;
-    chosen.reserve(batch_size * 2);
+    // Floyd's sampling: exactly batch_size draws, uniform over subsets,
+    // no retries as the batch fills. Step i draws j from [0, i] and
+    // takes j, or i itself if j is already taken; every earlier pick is
+    // below i, so i never is. The picks are marked in a bitmap of n
+    // bits, zeroed once per call.
+    std::vector<uint64_t> chosen((n + 63) / 64, 0);
     for (size_t i = n - batch_size; i < n; ++i) {
-      const size_t j = rng->NextUint64(i + 1);
-      if (chosen.insert(j).second) {
-        batch.push_back(j);
-      } else {
-        chosen.insert(i);
-        batch.push_back(i);
-      }
+      size_t row = rng->NextUint64(i + 1);
+      if ((chosen[row / 64] >> (row % 64)) & 1) row = i;
+      chosen[row / 64] |= uint64_t{1} << (row % 64);
+      batch.push_back(row);
     }
   }
   return batch;

@@ -24,8 +24,12 @@ struct ComputeStats {
 
 /// Samples `batch_size` indices from [0, n) without replacement when
 /// batch_size < n (otherwise returns all indices, i.e. full GD).
-/// Small batches use Floyd's algorithm: exactly `batch_size` draws and
-/// O(batch_size) memory — no O(n) pool or bitmap allocation.
+/// Batches of at least n/4 take a partial Fisher–Yates over an index
+/// pool. Smaller ones use Floyd's algorithm: exactly `batch_size`
+/// draws, with the picks marked in a bitmap of n bits (n/64 words,
+/// zeroed once per call and freed on return). The rows, their order
+/// and the Rng's state afterwards are those of the hash-set Floyd it
+/// replaced (`SampleBatchTest.DrawsArePinnedAtWorkloadShapes`).
 std::vector<size_t> SampleBatch(size_t n, size_t batch_size, Rng* rng);
 
 /// Dense weight vector stored as scale · v so that the multiplicative

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/csr_block.h"
 #include "core/simd/dispatch.h"
 
 namespace mllibstar {
@@ -101,11 +102,20 @@ DenseVector Average(const std::vector<DenseVector>& vectors) {
 
 TouchedBuffer::TouchedBuffer(size_t dim) : buf_(dim) {}
 
-void TouchedBuffer::Touch(const FeatureIndex* indices, size_t nnz) {
+void TouchedBuffer::TouchRows(const CsrBlock& block,
+                              const std::vector<size_t>& rows) {
   if (all_touched_) return;
-  touched_.insert(touched_.end(), indices, indices + nnz);
-  // Past the threshold the flush sweeps densely anyway; stop listing.
-  if (touched_.size() * kSparseFactor > buf_.dim()) TouchAll();
+  size_t listed = touched_.size();
+  for (size_t i : rows) listed += block.row_nnz(i);
+  // Past the threshold the flush sweeps densely anyway; list nothing.
+  if (listed * kSparseFactor > buf_.dim()) {
+    TouchAll();
+    return;
+  }
+  for (size_t i : rows) {
+    const FeatureIndex* indices = block.row_indices(i);
+    touched_.insert(touched_.end(), indices, indices + block.row_nnz(i));
+  }
 }
 
 void TouchedBuffer::TouchAll() {

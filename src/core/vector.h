@@ -7,6 +7,8 @@
 
 namespace mllibstar {
 
+struct CsrBlock;
+
 /// Index type for feature dimensions. 32 bits covers the paper's
 /// largest model (54.7M features) with room to spare.
 using FeatureIndex = uint32_t;
@@ -132,9 +134,13 @@ class TouchedBuffer {
   /// other write must be preceded by TouchAll().
   DenseVector* mutable_vector() { return &buf_; }
 
-  /// Lists `nnz` feature indices as possibly written. Duplicates are
-  /// harmless: each visit of a flush re-zeros its coordinate.
-  void Touch(const FeatureIndex* indices, size_t nnz);
+  /// Lists the feature indices of `block`'s rows `rows` (one batch) as
+  /// possibly written. The density rule is applied once, from the rows'
+  /// nonzeros: if the list would grow past dim / kSparseFactor, it
+  /// marks every coordinate instead (TouchAll) and lists nothing.
+  /// Duplicates are harmless: each visit of a flush re-zeros its
+  /// coordinate.
+  void TouchRows(const CsrBlock& block, const std::vector<size_t>& rows);
 
   /// Marks every coordinate as possibly written; the next flush sweeps
   /// the whole vector.

@@ -17,6 +17,18 @@ WireTally WireTally::Since(const WireTally& start) const {
   return d;
 }
 
+WireTally& WireTally::operator+=(const WireTally& other) {
+  broadcast += other.broadcast;
+  tree_aggregate += other.tree_aggregate;
+  shuffle += other.shuffle;
+  pull += other.pull;
+  push += other.push;
+  codec.raw += other.codec.raw;
+  codec.encoded += other.codec.encoded;
+  retries += other.retries;
+  return *this;
+}
+
 void SetTaskSpread(std::vector<double>* durations, RoundProfile* profile) {
   std::vector<double>& d = *durations;
   profile->tasks = d.size();

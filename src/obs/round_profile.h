@@ -35,6 +35,9 @@ struct WireTally {
   /// What accumulated since `start`, an earlier reading of the same
   /// totals.
   WireTally Since(const WireTally& start) const;
+
+  /// Adds `other`'s counts to these.
+  WireTally& operator+=(const WireTally& other);
 };
 
 /// One training round's breakdown: where virtual time went, how spread

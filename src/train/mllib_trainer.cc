@@ -156,9 +156,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
               if (bsize == 0) return ws;
               const std::vector<size_t> batch =
                   SampleBatch(part.rows(), bsize, &rngs[r]);
-              for (size_t i : batch) {
-                gradients[r].Touch(part.row_indices(i), part.row_nnz(i));
-              }
+              gradients[r].TouchRows(part, batch);
               const ComputeStats stats = objective().BatchGradient(
                   part, batch, w_recv, gradients[r].mutable_vector());
               ws.work_units = stats.nnz_processed;

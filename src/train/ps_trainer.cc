@@ -705,6 +705,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // before reading the clocks.
   drain();
   run_span.SetSimRange(0.0, sim.Now());
+  // A run that stops early (ShouldStop lowered max_rounds) still moves
+  // traffic after its last completed round: workers up to `staleness`
+  // rounds ahead finish the pulls and pushes they had started. That
+  // round holds it, so the rounds' bytes add up to the run's.
+  if (!result.rounds.empty()) {
+    result.rounds.back().wire += server.wire().Since(wire_at_frontier);
+  }
 
   result.comm_steps = std::min(last_completed_round, max_rounds);
   result.final_weights = server.model();

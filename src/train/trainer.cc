@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "obs/telemetry.h"
 #include "train/lbfgs_trainer.h"
@@ -31,6 +32,19 @@ std::string SystemName(SystemKind kind) {
   return "unknown";
 }
 
+Status ValidateTrainerConfig(const TrainerConfig& config) {
+  if (config.eval_every < 1) {
+    return Status::InvalidArgument("eval_every must be at least 1, got " +
+                                   std::to_string(config.eval_every));
+  }
+  if (!std::isfinite(config.batch_fraction) || config.batch_fraction <= 0.0) {
+    return Status::InvalidArgument(
+        "batch_fraction must be finite and > 0, got " +
+        FormatDouble(config.batch_fraction));
+  }
+  return Status::Ok();
+}
+
 Trainer::Trainer(TrainerConfig config)
     : config_(std::move(config)),
       codec_(MakeCodec(config_.codec)),
@@ -38,7 +52,9 @@ Trainer::Trainer(TrainerConfig config)
       reg_(MakeRegularizer(config_.regularizer, config_.lambda)),
       objective_(MakeBinaryObjective(loss_.get(), reg_.get(),
                                      config_.lazy_regularization)),
-      schedule_(config_.lr_schedule, config_.base_lr) {}
+      schedule_(config_.lr_schedule, config_.base_lr) {
+  MLLIBSTAR_CHECK_OK(ValidateTrainerConfig(config_));
+}
 
 double Trainer::Eval(const std::vector<CsrBlock>& partitions,
                      const DenseVector& w) {
@@ -88,7 +104,9 @@ std::vector<Rng> Trainer::WorkerRngs(uint64_t seed, size_t k) {
 
 size_t Trainer::BatchSize(size_t partition_size, double fraction) {
   if (partition_size == 0) return 0;
-  const double raw = fraction * static_cast<double>(partition_size);
+  // Capped before the cast, which is defined only for values in range.
+  const double rows = static_cast<double>(partition_size);
+  const double raw = std::min(fraction * rows, rows);
   return std::clamp<size_t>(static_cast<size_t>(raw), 1, partition_size);
 }
 

@@ -9,6 +9,7 @@
 #include "comm/codec.h"
 #include "comm/error_feedback.h"
 #include "common/random.h"
+#include "common/status.h"
 #include "core/convergence.h"
 #include "core/local_optimizer.h"
 #include "core/loss.h"
@@ -101,6 +102,12 @@ struct TrainerConfig {
   // Parameter-server knobs (Petuum/Petuum*/Angel).
   PsConfig ps;
 };
+
+/// Rejects a config no trainer can run: an `eval_every` below 1 (the
+/// trainers evaluate after every eval_every-th step) or a
+/// `batch_fraction` that is not finite and positive (a mini-batch holds
+/// fraction × rows rows). Every Trainer CHECKs it on construction.
+Status ValidateTrainerConfig(const TrainerConfig& config);
 
 /// Outcome of one training run.
 struct TrainResult {

@@ -185,9 +185,7 @@ ComputeStats MiniBatchGdImpl(const CsrBlock& block, const Loss& loss,
   for (size_t b = 0; b < num_batches; ++b) {
     const std::vector<size_t> batch =
         SampleBatch(block.rows(), batch_size, rng);
-    for (size_t idx : batch) {
-      gradient.Touch(block.row_indices(idx), block.row_nnz(idx));
-    }
+    gradient.TouchRows(block, batch);
     const ComputeStats batch_stats =
         BatchGradientImpl(block, batch, loss, *w, gradient.mutable_vector());
     stats += batch_stats;

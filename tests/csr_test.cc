@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 
+#include "common/fnv1a.h"
 #include "core/gd.h"
 #include "core/model.h"
 #include "data/partition.h"
@@ -434,23 +435,35 @@ TEST(SampleBatchFloydTest, SmallFractionIsUniqueAndInRange) {
   const std::vector<size_t> batch = SampleBatch(1000, 50, &rng);
   ASSERT_EQ(batch.size(), 50u);
   std::vector<bool> seen(1000, false);
+  uint64_t digest = kFnv1aBasis;
   for (size_t idx : batch) {
     ASSERT_LT(idx, 1000u);
     EXPECT_FALSE(seen[idx]) << "duplicate index " << idx;
     seen[idx] = true;
+    Fnv1aMix(static_cast<uint64_t>(idx), &digest);
   }
+  // The rows in draw order and the Rng's next draw, as the hash-set
+  // sampler left them.
+  Fnv1aMix(rng.NextUint64(), &digest);
+  EXPECT_EQ(digest, 0x631b6be262696ae8ull);
 }
 
 TEST(SampleBatchFloydTest, CoversAllIndicesEventually) {
   // Every index must be reachable (uniformity smoke check).
   std::vector<bool> seen(64, false);
   Rng rng(13);
+  uint64_t digest = kFnv1aBasis;
   for (int trial = 0; trial < 400; ++trial) {
-    for (size_t idx : SampleBatch(64, 8, &rng)) seen[idx] = true;
+    for (size_t idx : SampleBatch(64, 8, &rng)) {
+      seen[idx] = true;
+      Fnv1aMix(static_cast<uint64_t>(idx), &digest);
+    }
   }
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_TRUE(seen[i]) << "index " << i << " never sampled";
   }
+  Fnv1aMix(rng.NextUint64(), &digest);
+  EXPECT_EQ(digest, 0xc83e1eaa2e7bd917ull);
 }
 
 }  // namespace

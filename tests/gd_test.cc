@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/fnv1a.h"
 #include "core/csr_block.h"
 #include "core/model.h"
 #include "data/synthetic.h"
@@ -63,6 +64,47 @@ TEST(SampleBatchTest, NoDuplicatesLargeBatch) {
   ASSERT_EQ(batch.size(), 15u);
   std::set<size_t> unique(batch.begin(), batch.end());
   EXPECT_EQ(unique.size(), 15u);
+}
+
+// FNV-1a digest of 20 consecutive batches drawn at (n, batch_size)
+// from one Rng — each batch's size and its rows in draw order — then
+// of the Rng's next draw. It moves if any row, the rows' order or the
+// number of Rng draws a batch consumes changes.
+uint64_t SampleDigest(size_t n, size_t batch_size) {
+  Rng rng(17);
+  uint64_t h = kFnv1aBasis;
+  for (int call = 0; call < 20; ++call) {
+    const std::vector<size_t> batch = SampleBatch(n, batch_size, &rng);
+    Fnv1aMix(static_cast<uint64_t>(batch.size()), &h);
+    for (size_t row : batch) Fnv1aMix(static_cast<uint64_t>(row), &h);
+  }
+  Fnv1aMix(rng.NextUint64(), &h);
+  return h;
+}
+
+TEST(SampleBatchTest, DrawsArePinnedAtWorkloadShapes) {
+  // Recorded with the hash-set Floyd sampler the bitmap replaced: the
+  // figure workloads' (partition rows, batch size) shapes, plus one of
+  // each other branch.
+  const struct {
+    size_t n;
+    size_t batch_size;
+    uint64_t digest;
+  } cases[] = {
+      {18705, 1870, 0x6ad729f52561db65ull},  // Floyd's draws: these six
+      {18705, 187, 0x6a8113ffc61f06d4ull},
+      {2408, 24, 0xc45d44bf5fab02edull},
+      {2408, 120, 0x8c9fae353e0b6a05ull},
+      {2408, 481, 0x6d404b91327db5b6ull},
+      {1812, 72, 0x807153efb4605004ull},
+      {2408, 602, 0xcd1b246e5bcb22a7ull},  // batch_size × 4 == n: Fisher–Yates
+      {2408, 0, 0xad222aeca9e188d5ull},    // no draws, an empty batch
+      {5, 10, 0x23d5d9999e1393d5ull},      // the whole partition
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(SampleDigest(c.n, c.batch_size), c.digest)
+        << "n " << c.n << " batch_size " << c.batch_size;
+  }
 }
 
 TEST(BatchGradientTest, MatchesHandComputedLogistic) {

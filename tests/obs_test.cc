@@ -656,6 +656,40 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// A PS run under SSP that stops at its target: ShouldStop lowers the
+// round budget while workers up to `staleness` rounds ahead still pull
+// and push. That trailing traffic is charged to the last completed
+// round, so the record still covers the run.
+class EarlyStopRoundsTest : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(EarlyStopRoundsTest, SspRunThatStopsEarlyKeepsTrailingTraffic) {
+  const Dataset data = ObsData();
+  ClusterConfig cluster = ClusterConfig::Cluster1(8);
+  cluster.straggler_sigma = 0.3;
+  TrainerConfig config = ObsConfig(GetParam());
+  config.max_comm_steps = 30;
+  config.ps.consistency = ConsistencyKind::kSsp;
+  config.ps.staleness = 2;
+  const TrainResult full =
+      MakeTrainer(GetParam(), config)->Train(data, cluster);
+  const std::vector<ConvergencePoint>& curve = full.curve.points();
+  config.target_objective = curve[curve.size() / 3].objective;
+  const TrainResult early =
+      MakeTrainer(GetParam(), config)->Train(data, cluster);
+  ASSERT_LT(early.comm_steps, full.comm_steps);
+  ExpectRoundsCoverRun(early);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PsSystems, EarlyStopRoundsTest,
+    ::testing::Values(SystemKind::kPetuum, SystemKind::kPetuumStar,
+                      SystemKind::kAngel),
+    [](const ::testing::TestParamInfo<SystemKind>& info) {
+      std::string name = SystemName(info.param);
+      if (name.back() == '*') name.back() = 'S';
+      return name;
+    });
+
 // ---------------------------------------------------------------------------
 // Offline report renderer
 

@@ -2,6 +2,9 @@
 // the core behaviors covered in trainer_test.cc.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "data/synthetic.h"
 #include "train/trainer.h"
 
@@ -254,6 +257,75 @@ TEST(TrainerEdgeTest, FaultyClusterSameResultSlower) {
   EXPECT_DOUBLE_EQ(clean.curve.FinalObjective(),
                    failed.curve.FinalObjective());
   EXPECT_GT(failed.sim_seconds, clean.sim_seconds);
+}
+
+TEST(TrainerConfigTest, DefaultsAndFigureGridsAreValid) {
+  EXPECT_TRUE(ValidateTrainerConfig(TrainerConfig()).ok());
+  // Every batch fraction and eval cadence the figure benches, perfbench
+  // and GridSearchSpec's default grid use.
+  for (double fraction : {0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.5}) {
+    TrainerConfig config;
+    config.batch_fraction = fraction;
+    EXPECT_TRUE(ValidateTrainerConfig(config).ok()) << fraction;
+  }
+  for (int eval_every : {1, 5, 10, 25, 50, 200}) {
+    TrainerConfig config;
+    config.eval_every = eval_every;
+    EXPECT_TRUE(ValidateTrainerConfig(config).ok()) << eval_every;
+  }
+}
+
+TEST(TrainerConfigTest, RejectsEvalEveryBelowOne) {
+  // The trainers evaluate when the step count is a multiple of
+  // eval_every; 0 would divide by zero.
+  for (int eval_every : {0, -1}) {
+    TrainerConfig config;
+    config.eval_every = eval_every;
+    const Status status = ValidateTrainerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << eval_every;
+    EXPECT_NE(status.message().find("eval_every"), std::string::npos);
+  }
+}
+
+TEST(TrainerConfigTest, RejectsBatchFractionNotFiniteAndPositive) {
+  // fraction × rows is cast to a row count, which is undefined for a
+  // negative or NaN product.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double fraction : {0.0, -0.0, -0.25, -inf, inf,
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    TrainerConfig config;
+    config.batch_fraction = fraction;
+    const Status status = ValidateTrainerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << fraction;
+    EXPECT_NE(status.message().find("batch_fraction"), std::string::npos);
+  }
+}
+
+TEST(TrainerConfigTest, HugeBatchFractionTakesWholePartitions) {
+  // fraction × rows far beyond any size_t is capped at the partition
+  // before the cast, so it trains exactly as a fraction of 1 does.
+  const Dataset data = SmallData();
+  TrainerConfig whole = BaseConfig();
+  whole.batch_fraction = 1.0;
+  TrainerConfig huge = whole;
+  huge.batch_fraction = 1e300;
+  const TrainResult a =
+      MakeTrainer(SystemKind::kMllib, whole)->Train(data, SmallCluster());
+  const TrainResult b =
+      MakeTrainer(SystemKind::kMllib, huge)->Train(data, SmallCluster());
+  ASSERT_EQ(a.final_weights.dim(), b.final_weights.dim());
+  for (size_t i = 0; i < a.final_weights.dim(); ++i) {
+    EXPECT_EQ(a.final_weights[i], b.final_weights[i]) << i;
+  }
+}
+
+TEST(TrainerConfigDeathTest, EveryTrainerChecksItsConfig) {
+  TrainerConfig config;
+  config.eval_every = 0;
+  EXPECT_DEATH(MakeTrainer(SystemKind::kPetuum, config), "eval_every");
+  config = TrainerConfig();
+  config.batch_fraction = -0.5;
+  EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config), "batch_fraction");
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "common/random.h"
+#include "core/csr_block.h"
 
 namespace mllibstar {
 namespace {
@@ -211,11 +214,22 @@ void WriteBatch(const std::vector<std::vector<FeatureIndex>>& rows,
   }
 }
 
+// `rows` packed as a CsrBlock, the layout TouchRows lists from.
+CsrBlock BlockOf(const std::vector<std::vector<FeatureIndex>>& rows) {
+  std::vector<DataPoint> points(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (FeatureIndex j : rows[r]) points[r].features.Push(j, 1.0);
+  }
+  return CsrBlock::FromPoints(points);
+}
+
+// Lists the whole batch with one TouchRows call, as the trainers do,
+// then writes it.
 void FillBuffer(const std::vector<std::vector<FeatureIndex>>& rows,
                 TouchedBuffer* tb) {
-  for (const std::vector<FeatureIndex>& row : rows) {
-    tb->Touch(row.data(), row.size());
-  }
+  std::vector<size_t> batch(rows.size());
+  std::iota(batch.begin(), batch.end(), size_t{0});
+  tb->TouchRows(BlockOf(rows), batch);
   WriteBatch(rows, tb->mutable_vector());
 }
 
@@ -282,12 +296,50 @@ TEST(TouchedBufferTest, FlushSumMatchesDenseFoldBitForBit) {
   }
 }
 
+TEST(TouchedBufferTest, TouchRowsDecidesTheSweepOncePerBatch) {
+  // Which sweep a flush takes shows at a coordinate no row listed: the
+  // dense sweep picks a write there up, the listed sweep leaves it in
+  // the buffer. At dim 240, 15 rows × 4 indices × kSparseFactor == 240
+  // still lists; 16 rows, or two calls of 8 rows before one flush,
+  // sweep the whole vector.
+  const size_t dim = 240;
+  const auto rows = BatchRows(16, 4, dim, 7);
+  const CsrBlock block = BlockOf(rows);
+  std::vector<bool> listed(dim, false);
+  for (const std::vector<FeatureIndex>& row : rows) {
+    for (FeatureIndex j : row) listed[j] = true;
+  }
+  const size_t unlisted =
+      std::find(listed.begin(), listed.end(), false) - listed.begin();
+  ASSERT_LT(unlisted, dim);
+  std::vector<size_t> first15(15);
+  std::iota(first15.begin(), first15.end(), size_t{0});
+  std::vector<size_t> all16 = first15;
+  all16.push_back(15);
+  const std::vector<size_t> first8(first15.begin(), first15.begin() + 8);
+  const std::vector<size_t> last8(all16.begin() + 8, all16.end());
+  const struct {
+    std::vector<std::vector<size_t>> calls;
+    bool dense;
+  } cases[] = {{{first15}, false}, {{all16}, true}, {{first8, last8}, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "calls " << c.calls.size()
+                                    << " dense " << c.dense);
+    TouchedBuffer tb(dim);
+    for (const std::vector<size_t>& batch : c.calls) tb.TouchRows(block, batch);
+    (*tb.mutable_vector())[unlisted] = 1.0;
+    DenseVector sum(dim);
+    tb.FlushSum(&sum);
+    EXPECT_EQ(sum[unlisted], c.dense ? 1.0 : 0.0);
+    EXPECT_EQ(tb.vector()[unlisted], c.dense ? 0.0 : 1.0);
+  }
+}
+
 TEST(TouchedBufferTest, TouchAllSweepsWritesAnywhere) {
   // A lossy codec rewrites the whole buffer; after TouchAll the flush
   // must pick up coordinates no row listed.
   TouchedBuffer tb(8);
-  const FeatureIndex listed[] = {2};
-  tb.Touch(listed, 1);
+  tb.TouchRows(BlockOf({{2}}), {0});
   tb.TouchAll();
   for (size_t i = 0; i < 8; ++i) (*tb.mutable_vector())[i] = 1.0;
   DenseVector sum(8);
