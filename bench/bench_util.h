@@ -77,8 +77,8 @@ inline std::string SanitizeStem(std::string stem) {
 /// Perfetto-loadable Chrome trace (results/<stem>.trace.json) when
 /// `chrome_trace` is set and a unified RunReport
 /// (results/<stem>.report.json) when `run_report` is set. Callers
-/// that want host-side spans in the trace and metric series in the
-/// report must enable Telemetry::Get() before training and Clear()
+/// that want host-side spans in the trace and the host-time profile in
+/// the report must enable Telemetry::Get() before training and Clear()
 /// it between runs.
 inline void ExportRunArtifacts(const TrainResult& result,
                                const std::string& stem, bool chrome_trace,

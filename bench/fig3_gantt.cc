@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   };
 
   for (const auto& variant : variants) {
-    // Per-variant telemetry window so each report's metric series
-    // covers exactly one run.
+    // Per-variant telemetry window so each report's host spans and
+    // profile cover exactly one run.
     Telemetry::Get().Clear();
     const TrainResult result =
         MakeTrainer(variant.kind, config)->Train(data, cluster);

@@ -72,6 +72,15 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.Usage().c_str());
     return 0;
   }
+  // Counts are cast to unsigned sizes below; a negative one would wrap.
+  for (const char* count :
+       {"steps", "workers", "host_threads", "ps-shards", "staleness"}) {
+    if (flags.GetInt64(count) < 0) {
+      std::fprintf(stderr, "--%s must be >= 0, got %lld\n", count,
+                   static_cast<long long>(flags.GetInt64(count)));
+      return 1;
+    }
+  }
 
   // --- data -------------------------------------------------------
   Dataset data;
@@ -128,6 +137,11 @@ int main(int argc, char** argv) {
 
   const ClusterConfig cluster =
       ClusterConfig::Cluster1(static_cast<size_t>(flags.GetInt64("workers")));
+  const Status cluster_status = ValidateClusterConfig(cluster);
+  if (!cluster_status.ok()) {
+    std::fprintf(stderr, "%s\n", cluster_status.ToString().c_str());
+    return 1;
+  }
   const SystemKind system = SystemFromName(flags.GetString("system"));
 
   // --- train ------------------------------------------------------

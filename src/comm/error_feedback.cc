@@ -2,32 +2,17 @@
 
 #include "common/logging.h"
 #include "obs/engine_profiler.h"
-#include "obs/telemetry.h"
 
 namespace mllibstar {
 
 namespace {
 
-/// Byte accounting for one transmit: raw payload vs what went on the
-/// wire, into the run's tally and, when telemetry is on, the counters
-/// per {codec, stream}.
-void RecordTransmit(const GradientCodec& codec, const ErrorFeedback* ef,
-                    size_t stream, size_t dim, uint64_t encoded_bytes,
-                    CodecTally* tally) {
-  const uint64_t raw_bytes = static_cast<uint64_t>(dim) * sizeof(double);
-  if (tally != nullptr) {
-    tally->raw += raw_bytes;
-    tally->encoded += encoded_bytes;
-  }
-  Telemetry& obs = Telemetry::Get();
-  if (!obs.enabled()) return;
-  const std::string stream_label =
-      ef != nullptr && ef->enabled() ? std::to_string(stream) : "broadcast";
-  const MetricLabels labels = {{"codec", codec.name()},
-                               {"stream", stream_label}};
-  obs.metrics().Counter("comm.raw_bytes", labels).Add(raw_bytes);
-  obs.metrics().Counter("comm.encoded_bytes", labels).Add(encoded_bytes);
-  obs.metrics().Counter("comm.transmits", labels).Add();
+/// Byte accounting for one transmit into the run's tally: the raw
+/// payload of a `dim`-vector vs what went on the wire.
+void TallyTransmit(size_t dim, uint64_t encoded_bytes, CodecTally* tally) {
+  if (tally == nullptr) return;
+  tally->raw += static_cast<uint64_t>(dim) * sizeof(double);
+  tally->encoded += encoded_bytes;
 }
 
 }  // namespace
@@ -79,12 +64,12 @@ uint64_t CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
   // comm_test pins down).
   if (codec.lossless()) {
     const uint64_t encoded = codec.EncodedBytes(v->dim());
-    RecordTransmit(codec, ef, stream, v->dim(), encoded, tally);
+    TallyTransmit(v->dim(), encoded, tally);
     return encoded;
   }
   if (ef != nullptr) ef->Compensate(stream, v);
   const EncodedChunk chunk = codec.Encode(*v);
-  RecordTransmit(codec, ef, stream, v->dim(), chunk.bytes, tally);
+  TallyTransmit(v->dim(), chunk.bytes, tally);
   DenseVector decoded = codec.Decode(chunk);
   if (ef != nullptr) ef->Absorb(stream, *v, decoded);
   *v = std::move(decoded);
@@ -107,7 +92,7 @@ void AccountBroadcast(const GradientCodec& codec, size_t dim,
                       CodecTally* tally) {
   EngineProfiler::Scope codec_prof(Subsystem::kCodec);
   EngineProfiler::Get().AddEvents(Subsystem::kCodec, 1);
-  RecordTransmit(codec, nullptr, 0, dim, codec.EncodedBytes(dim), tally);
+  TallyTransmit(dim, codec.EncodedBytes(dim), tally);
 }
 
 }  // namespace mllibstar

@@ -58,7 +58,7 @@ ErrorFeedback MakeErrorFeedback(const GradientCodec& codec,
 /// Returns the encoded wire size and adds the raw and encoded payload
 /// bytes to *tally when non-null (the run's codec tally). Pass
 /// ef == nullptr for residual-free paths (broadcasts). A lossless codec
-/// leaves `*v` untouched: the transmit is accounted (bytes, telemetry,
+/// leaves `*v` untouched: the transmit is accounted (tally bytes and
 /// one codec event) and nothing is copied.
 uint64_t CodecTransmit(const GradientCodec& codec, ErrorFeedback* ef,
                        size_t stream, DenseVector* v,
@@ -71,8 +71,8 @@ const DenseVector& CodecBroadcast(const GradientCodec& codec,
                                   DenseVector* received,
                                   CodecTally* tally = nullptr);
 
-/// Accounts one residual-free transmit of a `dim`-vector (bytes,
-/// telemetry, one codec event) without encoding it, for a receiver that
+/// Accounts one residual-free transmit of a `dim`-vector (tally bytes
+/// and one codec event) without encoding it, for a receiver that
 /// already holds the decoded value: the vector itself under a lossless
 /// codec, or the result of an earlier transmit of the same vector.
 /// Valid for every codec: encoding is deterministic, and a broadcast

@@ -37,11 +37,12 @@ uint64_t Rng::NextUint64() {
 
 uint64_t Rng::NextUint64(uint64_t bound) {
   MLLIBSTAR_CHECK_GT(bound, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
+  // Rejection sampling to avoid modulo bias: a draw below 2^64 mod
+  // bound is rejected. That threshold is below bound, so only a draw
+  // below bound can fall under it, and only then is it computed.
   for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
+    const uint64_t r = NextUint64();
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
 }
 

@@ -69,8 +69,7 @@ void SparkCluster::ApplyChurn(SimTime at) {
     // leaves from its own event loop.
     if (ev.kind == MembershipEvent::Kind::kServerLeave) continue;
     SimNode& node = sim_.worker(ev.node);
-    RecordMembershipTransition(&trace(), ev, node.name,
-                               {{"worker", node.name}});
+    RecordMembershipTransition(&trace(), ev, node.name);
     if (ev.kind == MembershipEvent::Kind::kLeave) {
       // The departed executor's partitions migrate to the
       // least-loaded survivors and must be lineage-rebuilt there.
@@ -187,11 +186,6 @@ void SparkCluster::BeginStage(const std::string& label) {
     at = Barrier();
   }
   trace().MarkStage(at, label);
-  Telemetry& obs = Telemetry::Get();
-  if (obs.enabled()) {
-    obs.metrics().Counter("engine.stages").Add();
-    obs.RecordEvent("stage", "engine", at, {{"label", label}});
-  }
   round_ = RoundProfile();
   round_.sim_start = Now();
   round_durations_.clear();
@@ -210,10 +204,6 @@ SimTime SparkCluster::EndStage(const std::string& system, int round) {
   const double span = std::max(0.0, p.sim_end - p.sim_start);
   p.comm_sec = std::max(0.0, span - round_covered_);
   p.wire = wire_.Since(round_wire_start_);
-  Telemetry& obs = Telemetry::Get();
-  if (obs.enabled()) {
-    obs.metrics().Counter("train.rounds_completed", {{"system", system}}).Add();
-  }
   rounds_.push_back(std::move(p));
   return now;
 }
@@ -299,9 +289,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
       trace().Record(worker.name, worker.clock, fail_at,
                      ActivityKind::kRetry, detail + "/task-retry");
       ++wire_.retries;
-      if (span.active()) {
-        Telemetry::Get().metrics().Counter("engine.task_retries").Add();
-      }
       worker.clock = fail_at;
       sim_.ChargeCompute(&worker, work, sim_.NextRetryJitter(),
                          detail + "/retry");
@@ -338,12 +325,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
         p.crash_at + faults.plan().executor_restart_seconds;
     trace().Record(worker.name, p.crash_at, up_at, ActivityKind::kFault,
                    detail + "/executor-down");
-    if (span.active()) {
-      Telemetry& obs = Telemetry::Get();
-      obs.metrics().Counter("engine.executor_losses").Add();
-      obs.RecordEvent("executor-crash", "engine", p.crash_at,
-                      {{"worker", worker.name}});
-    }
     worker.clock = up_at;
     // Replacement: the earliest-available surviving participating
     // executor (ties to the lowest index); the restarted executor
@@ -408,12 +389,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
                             host.compute_speed * sim_.NextRetryJitter();
         const SimTime bend = bstart + bdur;
         ++faults.stats().speculative_launches;
-        if (span.active()) {
-          Telemetry::Get()
-              .metrics()
-              .Counter("engine.speculative_launches")
-              .Add();
-        }
         const SimTime win = std::min(plan[r].end, bend);
         if (bend < plan[r].end) ++faults.stats().speculative_wins;
         trace().Record(host.name, bstart, win, ActivityKind::kSpeculative,
@@ -451,7 +426,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
     worker.clock = std::max(worker.clock, host_free[h]);
   }
   if (span.active()) {
-    Telemetry::Get().metrics().Counter("engine.worker_tasks").Add(k);
     EngineProfiler::Get().AddEvents(Subsystem::kEngine, k);
     SimTime sim_start = plan.empty() ? 0.0 : plan[0].start;
     SimTime sim_end = sim_start;
@@ -504,16 +478,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
   // Level 1 moves (a - g) payloads, level 2 moves g: a total.
   wire_.tree_aggregate += bytes * a;
-  {
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) {
-      obs.metrics().Counter("engine.tree_aggregates").Add();
-      obs.metrics()
-          .Counter("engine.bytes", {{"path", "tree_aggregate"}})
-          .Add(bytes * a);
-      EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
-    }
-  }
+  EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
 
   // Group workers round-robin onto aggregators (the first g active
   // workers act as the intermediate aggregators themselves, like MLlib
@@ -590,16 +555,7 @@ void SparkCluster::Broadcast(uint64_t bytes, BroadcastMode mode,
   const SimTime start = driver.clock;
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
   wire_.broadcast += bytes * a;
-  {
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) {
-      obs.metrics().Counter("engine.broadcasts").Add();
-      obs.metrics()
-          .Counter("engine.bytes", {{"path", "broadcast"}})
-          .Add(bytes * a);
-      EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
-    }
-  }
+  EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
 
   // Degraded-link windows stretch every transfer of this broadcast
   // (they all start at the driver's send time).
@@ -659,16 +615,7 @@ void SparkCluster::ShuffleAllToAll(uint64_t bytes_per_peer,
   const NetworkModel& net = sim_.network();
   EngineProfiler::Scope engine_prof(Subsystem::kEngine);
   wire_.shuffle += bytes_per_peer * a * (a - 1);
-  {
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) {
-      obs.metrics().Counter("engine.shuffles").Add();
-      obs.metrics()
-          .Counter("engine.bytes", {{"path", "shuffle"}})
-          .Add(bytes_per_peer * a * (a - 1));
-      EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
-    }
-  }
+  EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
 
   // Shuffle fetch starts once all map outputs exist (stage boundary),
   // then every link moves (a-1) payloads; sends and receives overlap

@@ -76,8 +76,7 @@ class SparkCluster {
   /// Closes the stage BeginStage opened as round `round` of `system`:
   /// barriers driver and workers, appends the round's RoundProfile
   /// (straggler spread, compute/wait/comm split, wire traffic) to
-  /// rounds(), counts it in train.rounds_completed when telemetry is
-  /// on, and returns the barrier time.
+  /// rounds(), and returns the barrier time.
   SimTime EndStage(const std::string& system, int round);
 
   /// One profile per closed round, in order.

@@ -76,9 +76,7 @@ JsonValue ChromeTraceJson(const TraceLog& trace, const Telemetry* telemetry) {
   // --- pid 2: host wall time from the telemetry sink.
   const std::vector<SpanRecord> spans =
       telemetry ? telemetry->spans() : std::vector<SpanRecord>{};
-  const std::vector<EventRecord> instants =
-      telemetry ? telemetry->events() : std::vector<EventRecord>{};
-  if (!spans.empty() || !instants.empty()) {
+  if (!spans.empty()) {
     events.Append(
         MetadataEvent("process_name", kHostPid, -1, "host wall time"));
     std::vector<uint64_t> threads;
@@ -106,23 +104,6 @@ JsonValue ChromeTraceJson(const TraceLog& trace, const Telemetry* telemetry) {
         args.Set("sim_end_s", JsonValue::Number(s.sim_end));
       }
       ev.Set("args", std::move(args));
-      events.Append(std::move(ev));
-    }
-    for (const EventRecord& e : instants) {
-      JsonValue ev = JsonValue::Object();
-      ev.Set("name", JsonValue::Str(e.name));
-      ev.Set("cat", JsonValue::Str("host"));
-      ev.Set("ph", JsonValue::Str("i"));
-      ev.Set("s", JsonValue::Str("p"));  // process scope
-      ev.Set("pid", JsonValue::Number(static_cast<int64_t>(kHostPid)));
-      ev.Set("tid", JsonValue::Number(static_cast<int64_t>(0)));
-      ev.Set("ts", JsonValue::Number(e.host_ts_us));
-      if (!e.attrs.empty() || e.sim_ts >= 0.0) {
-        JsonValue args = JsonValue::Object();
-        if (e.sim_ts >= 0.0) args.Set("sim_ts_s", JsonValue::Number(e.sim_ts));
-        for (const auto& [k, v] : e.attrs) args.Set(k, JsonValue::Str(v));
-        ev.Set("args", std::move(args));
-      }
       events.Append(std::move(ev));
     }
   }

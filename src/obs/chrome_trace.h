@@ -20,7 +20,10 @@ namespace mllibstar {
 ///     marks as global instant events. Sim seconds map to trace
 ///     microseconds 1:1 so a 3 s simulated run reads as 3 s.
 ///   - pid 2 "host wall time": telemetry spans as slices on one track
-///     per recording host thread, telemetry instants as events.
+///     per recording host thread.
+///
+/// Fault, recovery and membership bars are TraceEvents, so they are
+/// pid-1 slices on the node they happened to.
 ///
 /// `telemetry` may be null (or disabled/empty) — the virtual-time
 /// process alone is still a valid trace.

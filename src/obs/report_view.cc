@@ -194,13 +194,7 @@ std::string RenderRunReport(const JsonValue& report) {
   if (const JsonValue* buffers = report.Find("telemetry")) {
     out << "telemetry: spans=" << FormatNum(NumberOr(buffers->Find("spans"), 0))
         << " (dropped " << FormatNum(NumberOr(buffers->Find("spans_dropped"), 0))
-        << ")  events=" << FormatNum(NumberOr(buffers->Find("events"), 0))
-        << " (dropped "
-        << FormatNum(NumberOr(buffers->Find("events_dropped"), 0)) << ")\n";
-  }
-
-  if (const JsonValue* metrics = report.Find("metrics")) {
-    out << "metrics: " << metrics->size() << " series\n";
+        << ")\n";
   }
 
   return out.str();

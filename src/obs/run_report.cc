@@ -30,19 +30,6 @@ JsonValue NodeSummaryJson(const NodeSummary& n) {
   return out;
 }
 
-JsonValue MetricSampleJson(const MetricSample& s) {
-  JsonValue out = JsonValue::Object();
-  out.Set("name", JsonValue::Str(s.name));
-  if (!s.labels.empty()) {
-    JsonValue labels = JsonValue::Object();
-    for (const auto& [k, v] : s.labels) labels.Set(k, JsonValue::Str(v));
-    out.Set("labels", std::move(labels));
-  }
-  out.Set("kind", JsonValue::Str("counter"));
-  out.Set("value", JsonValue::Number(s.value));
-  return out;
-}
-
 const char* SeriesAggName(SeriesAgg agg) {
   switch (agg) {
     case SeriesAgg::kDelta:
@@ -171,12 +158,24 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
     report.Set("faults", std::move(faults));
   }
 
-  if (telemetry != nullptr) {
-    JsonValue metrics = JsonValue::Array();
-    for (const MetricSample& s : telemetry->metrics().Snapshot()) {
-      metrics.Append(MetricSampleJson(s));
-    }
-    report.Set("metrics", std::move(metrics));
+  if (info.membership != nullptr) {
+    const MembershipStats& m = *info.membership;
+    JsonValue membership = JsonValue::Object();
+    membership.Set("joins", JsonValue::Number(m.joins));
+    membership.Set("leaves", JsonValue::Number(m.leaves));
+    membership.Set("rejoins", JsonValue::Number(m.rejoins));
+    membership.Set("suspicions", JsonValue::Number(m.suspicions));
+    membership.Set("server_leaves", JsonValue::Number(m.server_leaves));
+    membership.Set("partitions_migrated",
+                   JsonValue::Number(m.partitions_migrated));
+    membership.Set("shard_migrations", JsonValue::Number(m.shard_migrations));
+    membership.Set("degraded_rounds", JsonValue::Number(m.degraded_rounds));
+    membership.Set("catchup_latency_sum",
+                   JsonValue::Number(m.catchup_latency_sum));
+    membership.Set("catchup_count", JsonValue::Number(m.catchup_count));
+    membership.Set("min_active", JsonValue::Number(m.min_active));
+    membership.Set("max_active", JsonValue::Number(m.max_active));
+    report.Set("membership", std::move(membership));
   }
 
   // v2 sections: windowed series, per-round profiles, simulator
@@ -223,17 +222,10 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
     JsonValue buffers = JsonValue::Object();
     buffers.Set("spans", JsonValue::Number(
                              static_cast<uint64_t>(telemetry->spans().size())));
-    buffers.Set("events", JsonValue::Number(static_cast<uint64_t>(
-                              telemetry->events().size())));
     buffers.Set("span_capacity",
                 JsonValue::Number(
                     static_cast<uint64_t>(telemetry->span_capacity())));
-    buffers.Set("event_capacity",
-                JsonValue::Number(
-                    static_cast<uint64_t>(telemetry->event_capacity())));
     buffers.Set("spans_dropped", JsonValue::Number(telemetry->spans_dropped()));
-    buffers.Set("events_dropped",
-                JsonValue::Number(telemetry->events_dropped()));
     report.Set("telemetry", std::move(buffers));
   }
 

@@ -9,6 +9,7 @@
 #include "obs/round_profile.h"
 #include "obs/telemetry.h"
 #include "sim/fault_plan.h"
+#include "sim/membership.h"
 #include "sim/trace.h"
 
 namespace mllibstar {
@@ -27,18 +28,20 @@ struct RunInfo {
   bool diverged = false;
   const ConvergenceCurve* curve = nullptr;
   const FaultStats* faults = nullptr;
+  const MembershipStats* membership = nullptr;
   const TraceLog* trace = nullptr;
   const std::vector<RoundProfile>* rounds = nullptr;
 };
 
 /// Builds the unified per-run report: the TrainResult headline numbers
 /// and curve, per-node utilization from the trace (via TraceSummary),
-/// fault/recovery counts, the round profiles with the windowed series
-/// computed from them and the curve (obs/time_series.h), and — when
-/// `telemetry` is supplied — every metric series the run recorded
-/// (codec byte accounting, PS push/pull/backoff counters, ...) under
-/// "metrics", the host-time profiler and the telemetry buffer
-/// accounting. One file answers "where did the time and bytes go".
+/// fault/recovery and membership counts, the round profiles with the
+/// windowed series computed from them and the curve
+/// (obs/time_series.h), and — when `telemetry` is supplied — the
+/// host-time profiler and the span buffer accounting. Every section but
+/// those two is a function of the run's result alone, so it reads the
+/// same whether or not telemetry recorded. One file answers "where did
+/// the time and bytes go".
 JsonValue BuildRunReport(const RunInfo& info,
                          const Telemetry* telemetry = nullptr);
 

@@ -50,37 +50,9 @@ void Telemetry::RecordSpan(SpanRecord span) {
   spans_.push_back(std::move(span));
 }
 
-void Telemetry::RecordEvent(EventRecord event) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (events_.size() >= event_capacity_) {
-    events_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  events_.push_back(std::move(event));
-}
-
-void Telemetry::RecordEvent(
-    const std::string& name, const std::string& track, SimTime sim_ts,
-    std::vector<std::pair<std::string, std::string>> attrs) {
-  if (!enabled()) return;
-  EventRecord e;
-  e.name = name;
-  e.track = track;
-  e.host_ts_us = HostNowUs();
-  e.sim_ts = sim_ts;
-  e.attrs = std::move(attrs);
-  RecordEvent(std::move(e));
-}
-
 std::vector<SpanRecord> Telemetry::spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return spans_;
-}
-
-std::vector<EventRecord> Telemetry::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
 }
 
 void Telemetry::set_span_capacity(size_t capacity) {
@@ -88,28 +60,15 @@ void Telemetry::set_span_capacity(size_t capacity) {
   span_capacity_ = capacity > 0 ? capacity : 1;
 }
 
-void Telemetry::set_event_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  event_capacity_ = capacity > 0 ? capacity : 1;
-}
-
 size_t Telemetry::span_capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return span_capacity_;
 }
 
-size_t Telemetry::event_capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return event_capacity_;
-}
-
 void Telemetry::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
-  events_.clear();
   spans_dropped_.store(0, std::memory_order_relaxed);
-  events_dropped_.store(0, std::memory_order_relaxed);
-  metrics_.Reset();
   EngineProfiler::Get().Reset();
   epoch_ = std::chrono::steady_clock::now();
 }
@@ -137,42 +96,6 @@ void ScopedSpan::SetSimRange(SimTime start, SimTime end) {
   if (!active_) return;
   record_.sim_start = start;
   record_.sim_end = end;
-}
-
-void RecordMembershipTransition(
-    TraceLog* trace, const MembershipEvent& ev, const std::string& node,
-    std::vector<std::pair<std::string, std::string>> attrs) {
-  const char* counter = "membership.leaves";
-  const char* instant = "membership-leave";
-  switch (ev.kind) {
-    case MembershipEvent::Kind::kLeave:
-    case MembershipEvent::Kind::kServerLeave:
-      trace->Record(node, ev.at, ev.suspect_at,
-                    ActivityKind::kMembershipLeave, "membership/leave");
-      trace->Record(node, ev.suspect_at, ev.detected_at,
-                    ActivityKind::kMembershipSuspect, "membership/suspected");
-      if (ev.kind == MembershipEvent::Kind::kServerLeave) {
-        counter = "membership.server_leaves";
-        instant = "membership-server-leave";
-      }
-      break;
-    case MembershipEvent::Kind::kJoin:
-      trace->Record(node, ev.at, ev.detected_at,
-                    ActivityKind::kMembershipJoin, "membership/join");
-      counter = "membership.joins";
-      instant = "membership-join";
-      break;
-    case MembershipEvent::Kind::kRejoin:
-      trace->Record(node, ev.at, ev.detected_at,
-                    ActivityKind::kMembershipRejoin, "membership/rejoin");
-      counter = "membership.rejoins";
-      instant = "membership-rejoin";
-      break;
-  }
-  Telemetry& obs = Telemetry::Get();
-  if (!obs.enabled()) return;
-  obs.metrics().Counter(counter).Add();
-  obs.RecordEvent(instant, "membership", ev.detected_at, std::move(attrs));
 }
 
 }  // namespace mllibstar

@@ -6,11 +6,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "sim/membership.h"
 #include "sim/trace.h"
 
 namespace mllibstar {
@@ -32,17 +29,10 @@ struct SpanRecord {
   uint64_t thread_id = 0;  ///< small per-process ordinal, not the OS tid
 };
 
-/// One instant event (fault injected, checkpoint restored, round
-/// completed, ...). `attrs` are free-form key/value annotations.
-struct EventRecord {
-  std::string name;
-  std::string track;
-  uint64_t host_ts_us = 0;
-  SimTime sim_ts = -1.0;
-  std::vector<std::pair<std::string, std::string>> attrs;
-};
-
-/// Process-wide telemetry sink: spans + events + a metrics registry.
+/// Process-wide host-time sink: the spans of host work, and the switch
+/// that arms the EngineProfiler. Everything a run did in virtual time
+/// is in its own result (trace, round profiles, fault and membership
+/// stats, curve), recorded whether or not telemetry is on.
 ///
 /// Disabled by default; every recording entry point checks one relaxed
 /// atomic and returns immediately when off, so instrumented hot paths
@@ -51,8 +41,8 @@ struct EventRecord {
 /// enabling it must leave every trainer's weights and traces
 /// bit-identical (enforced by obs_test).
 ///
-/// Recording is thread-safe: metrics are lock-free, span/event capture
-/// takes a short mutex. Span nesting depth is tracked per thread.
+/// Recording is thread-safe: span capture takes a short mutex. Span
+/// nesting depth is tracked per thread.
 class Telemetry {
  public:
   /// The process-wide sink used by all instrumented code.
@@ -67,39 +57,26 @@ class Telemetry {
   /// switch arms all of telemetry.
   void set_enabled(bool on);
 
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   /// Microseconds since this sink's epoch (construction or Clear).
   uint64_t HostNowUs() const;
 
   void RecordSpan(SpanRecord span);
-  void RecordEvent(EventRecord event);
-  void RecordEvent(const std::string& name, const std::string& track,
-                   SimTime sim_ts,
-                   std::vector<std::pair<std::string, std::string>> attrs = {});
 
   std::vector<SpanRecord> spans() const;
-  std::vector<EventRecord> events() const;
 
-  /// Span/event buffers are bounded: once a buffer holds `capacity`
-  /// records, further records are dropped (newest-dropped) and counted
-  /// instead, so long path runs can't grow memory without limit.
-  /// Setting a capacity does not discard already-held records.
+  /// The span buffer is bounded: once it holds `capacity` records,
+  /// further records are dropped (newest-dropped) and counted instead,
+  /// so long path runs can't grow memory without limit. Setting a
+  /// capacity does not discard already-held records.
   void set_span_capacity(size_t capacity);
-  void set_event_capacity(size_t capacity);
   size_t span_capacity() const;
-  size_t event_capacity() const;
   uint64_t spans_dropped() const {
     return spans_dropped_.load(std::memory_order_relaxed);
   }
-  uint64_t events_dropped() const {
-    return events_dropped_.load(std::memory_order_relaxed);
-  }
 
-  /// Drops all spans and events, zeroes the metrics registry, the
-  /// dropped-record counters and the EngineProfiler, and restarts the
-  /// host-clock epoch. Does not change enabled().
+  /// Drops all spans, zeroes the dropped-span counter and the
+  /// EngineProfiler, and restarts the host-clock epoch. Does not change
+  /// enabled().
   void Clear();
 
   /// Small stable ordinal for the calling thread (0 for the first
@@ -110,15 +87,11 @@ class Telemetry {
   friend class ScopedSpan;
 
   std::atomic<bool> enabled_{false};
-  MetricsRegistry metrics_;
 
   mutable std::mutex mutex_;
   std::vector<SpanRecord> spans_;
-  std::vector<EventRecord> events_;
   size_t span_capacity_ = 1 << 16;
-  size_t event_capacity_ = 1 << 16;
   std::atomic<uint64_t> spans_dropped_{0};
-  std::atomic<uint64_t> events_dropped_{0};
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
 };
@@ -148,15 +121,6 @@ class ScopedSpan {
   bool active_ = false;
   SpanRecord record_;
 };
-
-/// Records one membership transition of `node` (a worker or a PS
-/// shard): its trace bars — leave then suspected for a departure, join
-/// or rejoin for an admission — and, when telemetry is on, the
-/// transition's membership.* counter and its instant on the
-/// "membership" track at detection time, annotated with `attrs`.
-void RecordMembershipTransition(
-    TraceLog* trace, const MembershipEvent& ev, const std::string& node,
-    std::vector<std::pair<std::string, std::string>> attrs);
 
 }  // namespace mllibstar
 

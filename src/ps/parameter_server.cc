@@ -5,7 +5,6 @@
 
 #include "comm/error_feedback.h"
 #include "common/logging.h"
-#include "obs/telemetry.h"
 #include "sim/network.h"
 
 namespace mllibstar {
@@ -33,13 +32,6 @@ void PsContext::HandleShardCrash(size_t s, SimTime at) {
   const SimTime up_at = at + faults.plan().server_restart_seconds;
   sim_->trace().Record(shard.name, at, up_at, ActivityKind::kFault,
                        "ps-shard-down");
-  {
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) {
-      obs.metrics().Counter("ps.shard_crashes").Add();
-      obs.RecordEvent("ps-shard-crash", "ps", at, {{"shard", shard.name}});
-    }
-  }
 
   // Updates applied to this shard's model range since the last server
   // checkpoint are lost: roll the range back. With
@@ -59,10 +51,6 @@ void PsContext::HandleShardCrash(size_t s, SimTime at) {
       up_at + static_cast<double>(range_bytes) / sim_->network().bandwidth();
   sim_->trace().Record(shard.name, up_at, restore_end,
                        ActivityKind::kRecompute, "ps-restore");
-  {
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) obs.metrics().Counter("ps.checkpoint_restores").Add();
-  }
   shard.clock = std::max(shard.clock, restore_end);
   shard_down_until_[s] = restore_end;
 }
@@ -92,8 +80,7 @@ void PsContext::OnServerLeft(const MembershipEvent& ev) {
   const size_t successor = ServingShard((s + 1) % config_.num_shards);
   SimNode& succ = sim_->server(successor);
   const std::string& gone = sim_->server(s).name;
-  RecordMembershipTransition(&sim_->trace(), ev, gone,
-                             {{"shard", gone}, {"successor", succ.name}});
+  RecordMembershipTransition(&sim_->trace(), ev, gone);
   const size_t dim = model_.dim();
   const size_t per = (dim + config_.num_shards - 1) / config_.num_shards;
   const size_t lo = std::min(dim, s * per);
@@ -106,8 +93,6 @@ void PsContext::OnServerLeft(const MembershipEvent& ev) {
                        "ps-shard-migrate");
   succ.clock = std::max(succ.clock, end);
   ++sim_->membership().stats().shard_migrations;
-  Telemetry& obs = Telemetry::Get();
-  if (obs.enabled()) obs.metrics().Counter("membership.shard_migrations").Add();
 }
 
 WireTally PsContext::wire() const {
@@ -132,13 +117,6 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
   const uint64_t shard_bytes = (total_bytes + shards - 1) / shards;
   (is_pull ? wire_.pull : wire_.push) += total_bytes;
   FaultInjector& faults = sim_->faults();
-  Telemetry& obs = Telemetry::Get();
-  if (obs.enabled()) {
-    obs.metrics().Counter(is_pull ? "ps.pulls" : "ps.pushes").Add();
-    obs.metrics()
-        .Counter("ps.bytes", {{"path", is_pull ? "pull" : "push"}})
-        .Add(total_bytes);
-  }
 
   // Fire any shard crash due at this request (scripted events, or the
   // probabilistic while-serving draw). The crash rolls the shard's
@@ -169,20 +147,12 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
     }
     if (!blocked || attempt >= config_.max_request_retries) break;
     ++faults.stats().ps_retries;
-    if (obs.enabled()) obs.metrics().Counter("ps.retries").Add();
     const double backoff =
         std::min(config_.backoff_max_sec,
                  config_.backoff_base_sec *
                      std::ldexp(1.0, static_cast<int>(attempt))) *
         (0.5 + 0.5 * faults.NextBackoffJitter());
     const SimTime wait_until = now + config_.request_timeout_sec + backoff;
-    if (obs.enabled()) {
-      // Backoff spent waiting, in simulated microseconds (integer so a
-      // counter can accumulate it).
-      obs.metrics()
-          .Counter("ps.backoff_sim_us")
-          .Add(static_cast<uint64_t>(backoff * 1e6));
-    }
     sim_->trace().Record(worker->name, now, wait_until, ActivityKind::kRetry,
                          detail + "/retry");
     worker->clock = wait_until;

@@ -1,5 +1,9 @@
 #include "sim/cluster_config.h"
 
+#include <cmath>
+
+#include "common/strings.h"
+
 namespace mllibstar {
 
 // Calibration: the synthetic datasets shrink the paper's data by 1000x
@@ -35,6 +39,38 @@ ClusterConfig ClusterConfig::Cluster2(size_t workers) {
   config.straggler_sigma = 0.35;
   config.seed = 11;
   return config;
+}
+
+namespace {
+
+bool FinitePositive(double x) { return std::isfinite(x) && x > 0.0; }
+
+}  // namespace
+
+Status ValidateClusterConfig(const ClusterConfig& config) {
+  if (config.num_workers < 1) {
+    return Status::InvalidArgument("num_workers must be at least 1");
+  }
+  if (!FinitePositive(config.compute_speed)) {
+    return Status::InvalidArgument("compute_speed must be finite and > 0, got " +
+                                   FormatDouble(config.compute_speed));
+  }
+  if (!FinitePositive(config.bandwidth_bytes_per_sec)) {
+    return Status::InvalidArgument(
+        "bandwidth_bytes_per_sec must be finite and > 0, got " +
+        FormatDouble(config.bandwidth_bytes_per_sec));
+  }
+  if (!(config.latency_sec >= 0.0)) {
+    return Status::InvalidArgument("latency_sec must be >= 0, got " +
+                                   FormatDouble(config.latency_sec));
+  }
+  if (!(config.speculation_quantile >= 0.0 &&
+        config.speculation_quantile <= 1.0)) {
+    return Status::InvalidArgument(
+        "speculation_quantile must be in [0, 1], got " +
+        FormatDouble(config.speculation_quantile));
+  }
+  return Status::Ok();
 }
 
 }  // namespace mllibstar

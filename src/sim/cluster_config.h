@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "sim/fault_plan.h"
 #include "sim/membership.h"
 
@@ -66,6 +67,13 @@ struct ClusterConfig {
   /// (high per-task variance — the straggler effect of Figure 6).
   static ClusterConfig Cluster2(size_t workers);
 };
+
+/// Rejects a cluster no simulation can run: no workers, a compute speed
+/// or link bandwidth that is not finite and positive (every duration
+/// divides by them), a negative latency, or a speculation quantile
+/// outside [0, 1] (it indexes the stage's sorted task durations).
+/// SimCluster CHECKs it on construction.
+Status ValidateClusterConfig(const ClusterConfig& config);
 
 }  // namespace mllibstar
 

@@ -427,4 +427,25 @@ void MembershipTracker::RestoreWords(const std::vector<uint64_t>& words) {
   MLLIBSTAR_CHECK(i == words.size());
 }
 
+void RecordMembershipTransition(TraceLog* trace, const MembershipEvent& ev,
+                                const std::string& node) {
+  switch (ev.kind) {
+    case MembershipEvent::Kind::kLeave:
+    case MembershipEvent::Kind::kServerLeave:
+      trace->Record(node, ev.at, ev.suspect_at,
+                    ActivityKind::kMembershipLeave, "membership/leave");
+      trace->Record(node, ev.suspect_at, ev.detected_at,
+                    ActivityKind::kMembershipSuspect, "membership/suspected");
+      break;
+    case MembershipEvent::Kind::kJoin:
+      trace->Record(node, ev.at, ev.detected_at,
+                    ActivityKind::kMembershipJoin, "membership/join");
+      break;
+    case MembershipEvent::Kind::kRejoin:
+      trace->Record(node, ev.at, ev.detected_at,
+                    ActivityKind::kMembershipRejoin, "membership/rejoin");
+      break;
+  }
+}
+
 }  // namespace mllibstar

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -206,6 +207,13 @@ class MembershipTracker {
   std::vector<MembershipEvent> poisson_pending_;
   MembershipStats stats_;
 };
+
+/// Records one membership transition of `node` (a worker or a PS
+/// shard) as its trace bars: leave then suspected for a departure,
+/// join or rejoin for an admission. The engines count the transition
+/// itself in MembershipStats.
+void RecordMembershipTransition(TraceLog* trace, const MembershipEvent& ev,
+                                const std::string& node);
 
 }  // namespace mllibstar
 

@@ -16,8 +16,7 @@ SimCluster::SimCluster(const ClusterConfig& config)
       failure_rng_(config.seed ^ 0x0fa111e5c0feeULL),
       faults_(config.faults),
       membership_(config.churn, config.num_workers, config.num_servers) {
-  MLLIBSTAR_CHECK_GT(config.num_workers, 0u);
-  MLLIBSTAR_CHECK_GT(config.compute_speed, 0.0);
+  MLLIBSTAR_CHECK_OK(ValidateClusterConfig(config));
   driver_.name = "driver";
   driver_.compute_speed = config.compute_speed;
   workers_.resize(config.num_workers);

@@ -81,7 +81,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     // The recorded curve always shows the full objective.
     const double l1s = regularizer().l1_lambda();
     const double full = l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth;
-    RecordEval(passes, now, full, &result);
+    result.curve.Add(passes, now, full);
     return smooth;
   };
 

@@ -252,7 +252,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     if ((t + 1) % config().eval_every == 0 ||
         t + 1 == config().max_comm_steps) {
       const double objective = Eval(partitions, w);
-      RecordEval(t + 1, now, objective, &result);
+      result.curve.Add(t + 1, now, objective);
       if (IsDiverged(objective)) {
         result.diverged = true;
         break;

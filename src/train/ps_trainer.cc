@@ -379,11 +379,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   bool stop_all = false;
 
-  // Fires the round-t completion (averaging finalize, telemetry, the
-  // round's profile, checkpoint, eval) once its expected pushes are
-  // in. Invoked after every push and after every departure — a leave
-  // can complete the round that was only waiting on the departed
-  // pusher.
+  // Fires the round-t completion (averaging finalize, the round's
+  // profile, checkpoint, eval) once its expected pushes are in.
+  // Invoked after every push and after every departure — a leave can
+  // complete the round that was only waiting on the departed pusher.
   auto complete_round = [&](int t) {
     if (t < 0 || static_cast<size_t>(t) >= round_pushes.size()) return;
     if (round_complete[t]) return;
@@ -407,15 +406,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     const int completed = t + 1;
     last_completed_round = std::max(last_completed_round, completed);
-    Telemetry& obs = Telemetry::Get();
-    if (obs.enabled()) {
-      obs.metrics()
-          .Counter("train.rounds_completed", {{"system", name()}})
-          .Add();
-      obs.RecordEvent("round-complete", "trainer", round_end[t],
-                      {{"system", name()},
-                       {"round", std::to_string(completed)}});
-    }
     // The round's profile. A PS round has no task batches — the "task
     // duration" proxy is each worker's push instant relative to the
     // round's earliest push, which is exactly the straggler spread SSP
@@ -487,7 +477,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     if (completed % config().eval_every == 0 || completed >= max_rounds) {
       const double objective = Eval(partitions, server.model());
-      RecordEval(completed, round_end[t], objective, &result);
+      result.curve.Add(completed, round_end[t], objective);
       if (IsDiverged(objective)) {
         result.diverged = true;
         stop_all = true;
@@ -515,8 +505,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         continue;
       }
       SimNode& node = sim.worker(ev.node);
-      RecordMembershipTransition(&sim.trace(), ev, node.name,
-                                 {{"worker", node.name}});
+      RecordMembershipTransition(&sim.trace(), ev, node.name);
       if (ev.kind == MembershipEvent::Kind::kLeave) {
         ++incarnation[ev.node];
         pending_delta[ev.node] = DenseVector();

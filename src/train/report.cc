@@ -63,6 +63,7 @@ Status WriteRunReport(const TrainResult& result, const std::string& path) {
   info.diverged = result.diverged;
   info.curve = &result.curve;
   info.faults = &result.faults;
+  info.membership = &result.membership;
   info.trace = &result.trace;
   info.rounds = &result.rounds;
   Telemetry& obs = Telemetry::Get();

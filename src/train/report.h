@@ -28,9 +28,9 @@ std::string ComparisonRow(const std::vector<ConvergenceCurve>& curves,
 
 /// Writes the unified per-run RunReport JSON (obs/run_report.h) for a
 /// finished training run: headline numbers, curve, per-node
-/// utilization, fault stats, round profiles and windowed series, and —
-/// when telemetry was enabled during the run — every recorded metric
-/// series and the host-time profile.
+/// utilization, fault and membership stats, round profiles and windowed
+/// series, and — when telemetry was enabled during the run — the
+/// host-time profile and span accounting.
 Status WriteRunReport(const TrainResult& result, const std::string& path);
 
 }  // namespace mllibstar

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "obs/telemetry.h"
 #include "train/lbfgs_trainer.h"
 #include "train/mllib_trainer.h"
 #include "train/ps_trainer.h"
@@ -42,6 +41,9 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
         "batch_fraction must be finite and > 0, got " +
         FormatDouble(config.batch_fraction));
   }
+  if (config.ps.num_shards < 1) {
+    return Status::InvalidArgument("ps.num_shards must be at least 1");
+  }
   return Status::Ok();
 }
 
@@ -74,18 +76,6 @@ bool Trainer::ShouldStop(int step, SimTime now, double objective) const {
 
 bool Trainer::IsDiverged(double objective) {
   return !std::isfinite(objective) || objective > 1e9;
-}
-
-void Trainer::RecordEval(int step, SimTime now, double objective,
-                         TrainResult* result) const {
-  result->curve.Add(step, now, objective);
-  Telemetry& obs = Telemetry::Get();
-  if (!obs.enabled()) return;
-  obs.RecordEvent("eval", "trainer", now,
-                  {{"system", name()},
-                   {"step", std::to_string(step)},
-                   {"objective", FormatDouble(objective, 9)}});
-  obs.metrics().Counter("train.evals", {{"system", name()}}).Add();
 }
 
 size_t Trainer::NumAggregators(size_t k) const {

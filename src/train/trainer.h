@@ -104,9 +104,10 @@ struct TrainerConfig {
 };
 
 /// Rejects a config no trainer can run: an `eval_every` below 1 (the
-/// trainers evaluate after every eval_every-th step) or a
+/// trainers evaluate after every eval_every-th step), a
 /// `batch_fraction` that is not finite and positive (a mini-batch holds
-/// fraction × rows rows). Every Trainer CHECKs it on construction.
+/// fraction × rows rows) or no PS shard (`ps.num_shards` below 1).
+/// Every Trainer CHECKs it on construction.
 Status ValidateTrainerConfig(const TrainerConfig& config);
 
 /// Outcome of one training run.
@@ -172,12 +173,6 @@ class Trainer {
 
   /// Detects a diverged run (non-finite or exploding objective).
   static bool IsDiverged(double objective);
-
-  /// Records one evaluation: the curve point and, when telemetry is on,
-  /// an eval instant and the per-system eval counter. Pure reporting:
-  /// the objective was already computed.
-  void RecordEval(int step, SimTime now, double objective,
-                  TrainResult* result) const;
 
   /// Intermediate aggregators for a treeAggregate over `k` executors:
   /// config().num_aggregators when set (at most k), otherwise MLlib's

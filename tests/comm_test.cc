@@ -6,7 +6,6 @@
 
 #include "comm/error_feedback.h"
 #include "data/synthetic.h"
-#include "obs/telemetry.h"
 #include "sim/network.h"
 #include "train/trainer.h"
 
@@ -227,28 +226,25 @@ TEST(ErrorFeedbackTest, LosslessTransmitIsIdentity) {
 }
 
 // A broadcast decodes once; later receivers of the same vector are
-// accounted without re-encoding, and the counters cannot tell the two
-// apart.
+// accounted without re-encoding, and the codec tally cannot tell the
+// two apart.
 TEST(ErrorFeedbackTest, BroadcastAccountingMatchesTransmit) {
-  Telemetry& obs = Telemetry::Get();
   for (CodecKind kind : {CodecKind::kDenseF64, CodecKind::kInt8Linear}) {
     const auto codec = MakeCodec(ConfigFor(kind));
     const DenseVector v = TestVector(300);
-    obs.Clear();
-    obs.set_enabled(true);
+    CodecTally broadcast;
     DenseVector received;
-    const DenseVector& first = CodecBroadcast(*codec, v, &received);
-    AccountBroadcast(*codec, v.dim());
-    obs.set_enabled(false);
-    const MetricLabels labels = {{"codec", codec->name()},
-                                 {"stream", "broadcast"}};
-    EXPECT_EQ(obs.metrics().Counter("comm.transmits", labels).value(), 2u);
-    EXPECT_EQ(obs.metrics().Counter("comm.encoded_bytes", labels).value(),
-              2 * codec->EncodedBytes(v.dim()));
+    const DenseVector& first = CodecBroadcast(*codec, v, &received, &broadcast);
+    AccountBroadcast(*codec, v.dim(), &broadcast);
+    EXPECT_EQ(broadcast.raw, 2u * 8 * v.dim());
+    EXPECT_EQ(broadcast.encoded, 2 * codec->EncodedBytes(v.dim()));
+    CodecTally transmit;
     DenseVector again = v;
-    CodecTransmit(*codec, nullptr, 0, &again);
+    const uint64_t bytes = CodecTransmit(*codec, nullptr, 0, &again, &transmit);
     EXPECT_EQ(std::memcmp(again.data(), first.data(), 8 * v.dim()), 0);
-    obs.Clear();
+    EXPECT_EQ(2 * bytes, broadcast.encoded);
+    EXPECT_EQ(2 * transmit.raw, broadcast.raw);
+    EXPECT_EQ(2 * transmit.encoded, broadcast.encoded);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/fnv1a.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -176,6 +177,32 @@ TEST(RngTest, BoundedDrawRespectsBound) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.NextUint64(17), 17u);
+  }
+}
+
+TEST(RngTest, BoundedDrawsArePinned) {
+  // Recorded before the rejection threshold became lazy: the same
+  // draws, the same rejections (2^63 + 1 rejects almost half of them)
+  // and the same generator state after them, pinned by the next
+  // unbounded draw.
+  const struct {
+    uint64_t bound;
+    uint64_t digest;
+  } cases[] = {
+      {1, 0xe76336b54e37f6ceull},
+      {17, 0x63bf8229bbe3d309ull},
+      {1870, 0x0b61f1e53204db15ull},
+      {18705, 0x5c25e2bf7b0558b5ull},
+      {(uint64_t{1} << 32) + 15, 0x401dfec4867b8da4ull},
+      {(uint64_t{1} << 63) + 1, 0x8171550f59f7ce00ull},
+      {~uint64_t{0}, 0x2b12271f8f8d4b69ull},
+  };
+  for (const auto& c : cases) {
+    Rng rng(2024);
+    uint64_t digest = kFnv1aBasis;
+    for (int i = 0; i < 10000; ++i) Fnv1aMix(rng.NextUint64(c.bound), &digest);
+    Fnv1aMix(rng.NextUint64(), &digest);
+    EXPECT_EQ(digest, c.digest) << "bound " << c.bound;
   }
 }
 

@@ -1,10 +1,10 @@
-// Observability-layer tests: metrics registry semantics (including
-// concurrent recording), span nesting, Chrome-trace and RunReport
+// Observability-layer tests: span nesting, Chrome-trace and RunReport
 // export well-formedness (each export is parsed back), and the hard
 // invariant that enabling telemetry leaves every trainer's results —
-// weights, curve, clocks, byte counts, and full trace — bit-identical,
-// including under host parallelism and fault injection. Telemetry
-// consumes no RNG; EXPECT_EQ on doubles is deliberate.
+// weights, curve, clocks, byte counts, and full trace — and every
+// RunReport section it does not own bit-identical, including under
+// host parallelism, fault injection and churn. Telemetry consumes no
+// RNG; EXPECT_EQ on doubles is deliberate.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +12,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/json.h"
 #include "data/synthetic.h"
 #include "obs/chrome_trace.h"
-#include "obs/metrics.h"
+#include "obs/engine_profiler.h"
 #include "obs/report_view.h"
 #include "obs/run_report.h"
 #include "obs/telemetry.h"
@@ -43,72 +42,7 @@ struct TelemetryGuard {
 };
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
-
-TEST(MetricsRegistryTest, CounterBasics) {
-  MetricsRegistry registry;
-  registry.Counter("requests").Add();
-  registry.Counter("requests").Add(4);
-  EXPECT_EQ(registry.Counter("requests").value(), 5u);
-  registry.Counter("errors").Add(2);
-
-  const std::vector<MetricSample> snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  // Snapshot is ordered by canonical key.
-  EXPECT_EQ(snapshot[0].name, "errors");
-  EXPECT_EQ(snapshot[0].value, 2.0);
-  EXPECT_EQ(snapshot[1].name, "requests");
-  EXPECT_EQ(snapshot[1].value, 5.0);
-}
-
-TEST(MetricsRegistryTest, LabelOrderDoesNotSplitSeries) {
-  MetricsRegistry registry;
-  registry.Counter("bytes", {{"path", "push"}, {"shard", "0"}}).Add(10);
-  registry.Counter("bytes", {{"shard", "0"}, {"path", "push"}}).Add(5);
-  EXPECT_EQ(
-      registry.Counter("bytes", {{"shard", "0"}, {"path", "push"}}).value(),
-      15u);
-  EXPECT_EQ(registry.Snapshot().size(), 1u);
-}
-
-TEST(MetricsRegistryTest, CanonicalKeySortsLabels) {
-  EXPECT_EQ(MetricsRegistry::CanonicalKey("m", {}), "m");
-  EXPECT_EQ(
-      MetricsRegistry::CanonicalKey("m", {{"b", "2"}, {"a", "1"}}),
-      "m{a=1,b=2}");
-}
-
-TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      // Every thread creates and records the series through the
-      // registry path concurrently.
-      for (int i = 0; i < kPerThread; ++i) {
-        registry.Counter("c", {{"t", "shared"}}).Add();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(registry.Counter("c", {{"t", "shared"}}).value(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesButKeepsReferencesValid) {
-  MetricsRegistry registry;
-  ObsCounter& c = registry.Counter("c");
-  c.Add(9);
-  registry.Reset();
-  EXPECT_EQ(c.value(), 0u);
-  c.Add(2);  // the reference must still point at the live series
-  EXPECT_EQ(registry.Snapshot().at(0).value, 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry spans and events
+// Telemetry spans
 
 TEST(TelemetryTest, DisabledSinkRecordsNothing) {
   TelemetryGuard guard;
@@ -119,9 +53,7 @@ TEST(TelemetryTest, DisabledSinkRecordsNothing) {
     EXPECT_FALSE(span.active());
     span.SetSimRange(0.0, 1.0);
   }
-  obs.RecordEvent("e", "test", 1.0);
   EXPECT_TRUE(obs.spans().empty());
-  EXPECT_TRUE(obs.events().empty());
 }
 
 TEST(TelemetryTest, SpansNestWithDepths) {
@@ -159,24 +91,15 @@ TEST(TelemetryTest, BoundedBuffersDropNewestAndAccount) {
   Telemetry& obs = Telemetry::Get();
   obs.set_enabled(true);
   const size_t old_span_cap = obs.span_capacity();
-  const size_t old_event_cap = obs.event_capacity();
   obs.set_span_capacity(4);
-  obs.set_event_capacity(3);
   for (int i = 0; i < 10; ++i) {
     ScopedSpan span(std::string("s") + std::to_string(i), "test");
   }
-  for (int i = 0; i < 10; ++i) {
-    obs.RecordEvent(std::string("e") + std::to_string(i), "test",
-                    static_cast<double>(i));
-  }
   ASSERT_EQ(obs.spans().size(), 4u);
-  EXPECT_EQ(obs.events().size(), 3u);
   EXPECT_EQ(obs.spans_dropped(), 6u);
-  EXPECT_EQ(obs.events_dropped(), 7u);
   // Drop-newest: the records kept are the earliest ones, so the head
   // of a long run (setup, first rounds) survives.
   EXPECT_EQ(obs.spans()[0].name, "s0");
-  EXPECT_EQ(obs.events()[0].name, "e0");
 
   RunInfo info;
   info.system = "drop-test";
@@ -186,14 +109,11 @@ TEST(TelemetryTest, BoundedBuffersDropNewestAndAccount) {
   EXPECT_EQ(buffers->Find("spans")->number_value(), 4.0);
   EXPECT_EQ(buffers->Find("span_capacity")->number_value(), 4.0);
   EXPECT_EQ(buffers->Find("spans_dropped")->number_value(), 6.0);
-  EXPECT_EQ(buffers->Find("events_dropped")->number_value(), 7.0);
 
-  // Clear zeroes the drop counters along with the buffers.
+  // Clear zeroes the drop counter along with the buffer.
   obs.Clear();
   EXPECT_EQ(obs.spans_dropped(), 0u);
-  EXPECT_EQ(obs.events_dropped(), 0u);
   obs.set_span_capacity(old_span_cap);
-  obs.set_event_capacity(old_event_cap);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +314,7 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   Telemetry::Get().set_enabled(true);
   const TrainResult result =
       MakeTrainer(SystemKind::kMllibStar, ObsConfig(SystemKind::kMllibStar))
-          ->Train(ObsData(), FaultyCluster());
+          ->Train(ObsData(), ChurnyCluster());
   const std::string path = testing::TempDir() + "/run_report.json";
   ASSERT_TRUE(WriteRunReport(result, path).ok());
 
@@ -424,15 +344,33 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   ASSERT_NE(faults, nullptr);
   EXPECT_EQ(faults->Find("worker_crashes")->number_value(),
             static_cast<double>(result.faults.worker_crashes));
-  // Telemetry was on, so the engine/comm metric series must be there.
-  const JsonValue* metrics = report.Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  std::set<std::string> names;
-  for (size_t i = 0; i < metrics->size(); ++i) {
-    names.insert(metrics->at(i).Find("name")->string_value());
-  }
-  EXPECT_TRUE(names.count("engine.worker_tasks"));
-  EXPECT_TRUE(names.count("comm.raw_bytes"));
+  // The churn fired, and the membership section is the run's own
+  // MembershipStats.
+  const MembershipStats& m = result.membership;
+  ASSERT_GT(m.leaves, 0u);
+  ASSERT_GT(m.joins, 0u);
+  const JsonValue* membership = report.Find("membership");
+  ASSERT_NE(membership, nullptr);
+  EXPECT_EQ(membership->Find("joins")->number_value(), m.joins);
+  EXPECT_EQ(membership->Find("leaves")->number_value(), m.leaves);
+  EXPECT_EQ(membership->Find("rejoins")->number_value(), m.rejoins);
+  EXPECT_EQ(membership->Find("suspicions")->number_value(), m.suspicions);
+  EXPECT_EQ(membership->Find("server_leaves")->number_value(),
+            m.server_leaves);
+  EXPECT_EQ(membership->Find("partitions_migrated")->number_value(),
+            m.partitions_migrated);
+  EXPECT_EQ(membership->Find("shard_migrations")->number_value(),
+            m.shard_migrations);
+  EXPECT_EQ(membership->Find("degraded_rounds")->number_value(),
+            m.degraded_rounds);
+  EXPECT_EQ(membership->Find("catchup_latency_sum")->number_value(),
+            m.catchup_latency_sum);
+  EXPECT_EQ(membership->Find("catchup_count")->number_value(),
+            m.catchup_count);
+  EXPECT_EQ(membership->Find("min_active")->number_value(), m.min_active);
+  EXPECT_EQ(membership->Find("max_active")->number_value(), m.max_active);
+  EXPECT_EQ(membership->items().size(), 12u);
+  EXPECT_FALSE(report.Has("metrics"));
 
   // v2 sections: at least three windowed series with points (bytes on
   // the wire, the objective, the straggler spread), per-round profiles
@@ -479,7 +417,6 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   ASSERT_NE(buffers, nullptr);
   EXPECT_GT(buffers->Find("spans")->number_value(), 0.0);
   EXPECT_EQ(buffers->Find("spans_dropped")->number_value(), 0.0);
-  EXPECT_EQ(buffers->Find("events_dropped")->number_value(), 0.0);
 }
 
 TEST(RunReportTest, SectionsOmittedForNullPointers) {
@@ -490,7 +427,95 @@ TEST(RunReportTest, SectionsOmittedForNullPointers) {
   EXPECT_FALSE(report.Has("curve"));
   EXPECT_FALSE(report.Has("utilization"));
   EXPECT_FALSE(report.Has("faults"));
-  EXPECT_FALSE(report.Has("metrics"));
+  EXPECT_FALSE(report.Has("membership"));
+  EXPECT_FALSE(report.Has("profiler"));
+}
+
+/// `path`'s RunReport without the two sections telemetry owns
+/// (`profiler`, `telemetry`), as a byte string.
+std::string ReportWithoutHostSections(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const Result<JsonValue> parsed = JsonValue::Parse(buffer.str());
+  EXPECT_TRUE(parsed.ok()) << path;
+  if (!parsed.ok()) return "";
+  JsonValue kept = JsonValue::Object();
+  for (const auto& [key, value] : parsed->items()) {
+    if (key != "profiler" && key != "telemetry") kept.Set(key, value);
+  }
+  return kept.Dump(2);
+}
+
+// Everything a RunReport says about the run comes from its result, so
+// the report written with telemetry off is the one written with it on,
+// apart from the host-time sections.
+TEST(RunReportTest, ReportDoesNotDependOnTelemetry) {
+  TelemetryGuard guard;
+  const Dataset data = ObsData();
+  const std::string off_path = testing::TempDir() + "/report_off.json";
+  const std::string on_path = testing::TempDir() + "/report_on.json";
+  for (const ClusterConfig& cluster : {FaultyCluster(), ChurnyCluster()}) {
+    for (SystemKind kind :
+         {SystemKind::kMllib, SystemKind::kMllibMa, SystemKind::kMllibStar,
+          SystemKind::kPetuum, SystemKind::kPetuumStar, SystemKind::kAngel,
+          SystemKind::kMllibLbfgs}) {
+      SCOPED_TRACE(SystemName(kind));
+      const TrainerConfig config = ObsConfig(kind);
+      Telemetry::Get().set_enabled(false);
+      ASSERT_TRUE(
+          WriteRunReport(MakeTrainer(kind, config)->Train(data, cluster),
+                         off_path)
+              .ok());
+      Telemetry::Get().set_enabled(true);
+      Telemetry::Get().Clear();
+      ASSERT_TRUE(
+          WriteRunReport(MakeTrainer(kind, config)->Train(data, cluster),
+                         on_path)
+              .ok());
+      Telemetry::Get().set_enabled(false);
+      const std::string off = ReportWithoutHostSections(off_path);
+      EXPECT_NE(off.find("\"membership\""), std::string::npos);
+      EXPECT_EQ(off, ReportWithoutHostSections(on_path));
+    }
+  }
+}
+
+// A traced run's Chrome trace: the simulated cluster (pid 1) keeps the
+// stage marks and every fault and membership bar the run recorded; the
+// host process (pid 2) holds only its spans.
+TEST(ChromeTraceTest, HostProcessHoldsOnlySpans) {
+  TelemetryGuard guard;
+  Telemetry::Get().set_enabled(true);
+  const TrainResult result =
+      MakeTrainer(SystemKind::kMllibStar, ObsConfig(SystemKind::kMllibStar))
+          ->Train(ObsData(), ChurnyCluster());
+  const JsonValue doc = ChromeTraceJson(result.trace, &Telemetry::Get());
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<std::string> sim_slices;
+  size_t stage_marks = 0;
+  size_t host_spans = 0;
+  for (size_t i = 0; i < events->size(); ++i) {
+    const JsonValue& e = events->at(i);
+    const std::string ph = e.Find("ph")->string_value();
+    const int pid = static_cast<int>(e.Find("pid")->number_value());
+    if (pid == 2) {
+      EXPECT_TRUE(ph == "X" || ph == "M") << ph;
+      if (ph == "X") ++host_spans;
+      continue;
+    }
+    ASSERT_EQ(pid, 1);
+    if (ph == "X") sim_slices.insert(e.Find("name")->string_value());
+    if (ph == "i" && e.Find("cat")->string_value() == "stage") ++stage_marks;
+  }
+  EXPECT_EQ(host_spans, Telemetry::Get().spans().size());
+  EXPECT_GT(host_spans, 0u);
+  EXPECT_EQ(stage_marks, result.trace.stages().size());
+  EXPECT_GT(stage_marks, 0u);
+  for (const char* bar : {"fault", "leave", "suspected", "join"}) {
+    EXPECT_TRUE(sim_slices.count(bar)) << bar;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -579,7 +604,7 @@ TEST_P(TelemetryIdentityTest, EnablingTelemetryIsBitInvisible) {
 
   // The instrumentation actually fired...
   EXPECT_FALSE(Telemetry::Get().spans().empty());
-  EXPECT_FALSE(Telemetry::Get().metrics().Snapshot().empty());
+  EXPECT_GT(EngineProfiler::Get().TotalEvents(), 0u);
   // ...and changed nothing, the round record included.
   ExpectBitIdentical(off, on);
   EXPECT_EQ(SeriesAndRoundsDump(off), SeriesAndRoundsDump(on));

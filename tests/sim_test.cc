@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "sim/network.h"
 
@@ -224,6 +226,86 @@ TEST(ClusterConfigTest, PresetsAreSane) {
   // Cluster 2 is 10x faster network but much more heterogeneous.
   EXPECT_GT(c2.bandwidth_bytes_per_sec, c1.bandwidth_bytes_per_sec);
   EXPECT_GT(c2.straggler_sigma, c1.straggler_sigma);
+}
+
+TEST(ClusterConfigTest, FigureAndBenchmarkClustersPass) {
+  // Cluster 1 at 8 executors runs Figs. 3-5, the ablations and the
+  // fig4/fig5 benchmark workloads; Cluster 2 runs Fig. 6 at 32, 64 and
+  // 128 machines (fig6-wx128).
+  std::vector<ClusterConfig> clusters = {
+      ClusterConfig::Cluster1(), ClusterConfig::Cluster1(8),
+      ClusterConfig::Cluster2(8), ClusterConfig::Cluster2(32),
+      ClusterConfig::Cluster2(64), ClusterConfig::Cluster2(128)};
+  ClusterConfig speculative = ClusterConfig::Cluster1(8);
+  speculative.speculation = true;
+  clusters.push_back(speculative);
+  for (const ClusterConfig& c : clusters) {
+    EXPECT_TRUE(ValidateClusterConfig(c).ok()) << c.num_workers;
+  }
+}
+
+/// Expects `config` to be rejected with a message naming `field`.
+void ExpectRejected(const ClusterConfig& config, const std::string& field) {
+  const Status status = ValidateClusterConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+  EXPECT_NE(status.message().find(field), std::string::npos)
+      << status.message();
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ClusterConfigTest, RejectsNoWorkers) {
+  ExpectRejected(ClusterConfig::Cluster1(0), "num_workers");
+}
+
+TEST(ClusterConfigTest, RejectsComputeSpeedNotFiniteAndPositive) {
+  for (double speed : {0.0, -2e4, kInf, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.compute_speed = speed;
+    ExpectRejected(config, "compute_speed");
+  }
+}
+
+TEST(ClusterConfigTest, RejectsBandwidthNotFiniteAndPositive) {
+  for (double bandwidth : {0.0, -125e3, kInf, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.bandwidth_bytes_per_sec = bandwidth;
+    ExpectRejected(config, "bandwidth_bytes_per_sec");
+  }
+}
+
+TEST(ClusterConfigTest, RejectsNegativeLatency) {
+  for (double latency : {-1e-3, -kInf, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.latency_sec = latency;
+    ExpectRejected(config, "latency_sec");
+  }
+  ClusterConfig zero = ClusterConfig::Cluster1(8);
+  zero.latency_sec = 0.0;
+  EXPECT_TRUE(ValidateClusterConfig(zero).ok());
+}
+
+TEST(ClusterConfigTest, RejectsSpeculationQuantileOutsideUnitInterval) {
+  // The quantile indexes a stage's sorted task durations: 1.5 over 8
+  // tasks would read the 11th.
+  for (double quantile : {-0.25, 1.5, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.speculation = true;
+    config.speculation_quantile = quantile;
+    ExpectRejected(config, "speculation_quantile");
+  }
+  for (double quantile : {0.0, 1.0}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.speculation_quantile = quantile;
+    EXPECT_TRUE(ValidateClusterConfig(config).ok()) << quantile;
+  }
+}
+
+TEST(ClusterConfigDeathTest, SimClusterChecksItsConfig) {
+  ClusterConfig config = ClusterConfig::Cluster1(8);
+  config.speculation_quantile = 1.5;
+  EXPECT_DEATH(SimCluster{config}, "speculation_quantile");
 }
 
 }  // namespace

@@ -301,6 +301,15 @@ TEST(TrainerConfigTest, RejectsBatchFractionNotFiniteAndPositive) {
   }
 }
 
+TEST(TrainerConfigTest, RejectsNoPsShard) {
+  // The PS context splits the model's range over the shards.
+  TrainerConfig config;
+  config.ps.num_shards = 0;
+  const Status status = ValidateTrainerConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("num_shards"), std::string::npos);
+}
+
 TEST(TrainerConfigTest, HugeBatchFractionTakesWholePartitions) {
   // fraction × rows far beyond any size_t is capped at the partition
   // before the cast, so it trains exactly as a fraction of 1 does.
