@@ -29,8 +29,6 @@ int main() {
     config.batch_fraction = 0.5;
     config.max_comm_steps = 40;
     config.eval_every = 5;
-    config.ps.consistency =
-        staleness == 0 ? ConsistencyKind::kBsp : ConsistencyKind::kSsp;
     config.ps.staleness = staleness;
 
     const TrainResult result =

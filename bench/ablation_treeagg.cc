@@ -25,7 +25,7 @@ int main() {
 
   for (size_t aggs : {1, 2, 4, 8, 16}) {
     SparkCluster spark(config);
-    spark.Broadcast(bytes, BroadcastMode::kDriverSequential, "bcast");
+    spark.Broadcast(bytes, "bcast");
     spark.TreeAggregate(bytes, aggs, model_dim, "agg");
     std::printf("%-14zu %16.2f\n", aggs, spark.Barrier());
   }

@@ -124,10 +124,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   config.host_threads = static_cast<size_t>(flags.GetInt64("host_threads"));
   config.ps.num_shards = static_cast<size_t>(flags.GetInt64("ps-shards"));
-  if (flags.GetInt64("staleness") > 0) {
-    config.ps.consistency = ConsistencyKind::kSsp;
-    config.ps.staleness = static_cast<int>(flags.GetInt64("staleness"));
-  }
+  config.ps.staleness = static_cast<int>(flags.GetInt64("staleness"));
 
   const Status config_status = ValidateTrainerConfig(config);
   if (!config_status.ok()) {

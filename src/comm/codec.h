@@ -72,8 +72,8 @@ class GradientCodec {
   /// Wire size of `nnz` (index, value) pairs out of `dim` coordinates
   /// with this codec's value width — 4-byte index plus the encoded
   /// value — never more than the dense encoding. This is the one
-  /// sparse-size rule shared by the PS sparse pulls/pushes and the
-  /// MLlib* shuffle accounting.
+  /// sparse-size rule shared by the PS delta pushes and the MLlib*
+  /// shuffle accounting.
   virtual uint64_t SparseEncodedBytes(size_t nnz, size_t dim) const;
 
  protected:

@@ -1,7 +1,6 @@
 #include "engine/spark_cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -244,7 +243,6 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
   struct TaskPlan {
     SimTime start = 0.0;
     SimTime end = 0.0;
-    double dur = 0.0;
     uint64_t work = 0;
     bool crashed = false;
     SimTime crash_at = 0.0;
@@ -253,7 +251,7 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
   std::vector<TaskPlan> plan(k);
 
   // host_free[h]: when executor h is next free to run another
-  // partition, host recovery, or take backup work. With a full fleet
+  // partition or host recovery. With a full fleet
   // every executor hosts exactly its own partition and this matches
   // the per-task availability of the fixed-membership engine.
   std::vector<SimTime> host_free(k);
@@ -263,7 +261,7 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
   // Pass A — sequential draws. Task-failure retries (Spark lineage
   // recovery: a failed task re-executes from its cached partition after
   // a scheduling delay) commit immediately; the primary attempt is only
-  // planned, so later passes can truncate or extend it. Partitions run
+  // planned, so pass B can replace it. Partitions run
   // on their assigned host; a migrated partition pays its lineage
   // rebuild (jittered from the membership stream, so churn never
   // shifts the jitter/failure streams) before its first task.
@@ -274,8 +272,7 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
     worker.clock = host_free[h];
     if (needs_rebuild_[r]) {
       const double rebuild_dur =
-          static_cast<double>(work) *
-          faults.plan().lineage_recompute_factor / worker.compute_speed *
+          static_cast<double>(work) / worker.compute_speed *
           membership.NextRecoveryJitter(cfg.straggler_sigma);
       trace().Record(worker.name, worker.clock, worker.clock + rebuild_dur,
                      ActivityKind::kRecompute, detail + "/churn-rebuild");
@@ -297,9 +294,8 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
     p.work = work;
     p.host = h;
     p.start = worker.clock;
-    p.dur = static_cast<double>(work) / worker.compute_speed *
-            sim_.NextJitter();
-    p.end = p.start + p.dur;
+    p.end = p.start + static_cast<double>(work) / worker.compute_speed *
+                          sim_.NextJitter();
     p.crashed = faults.WorkerCrashes(h, p.start, p.end, &p.crash_at);
     host_free[h] = p.crashed ? p.crash_at +
                                    faults.plan().executor_restart_seconds
@@ -310,9 +306,8 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
 
   // Pass B — executor loss. The partial result dies with the executor;
   // a surviving worker rebuilds the lost partition via lineage (charged
-  // at lineage_recompute_factor times the task's work) and re-executes
-  // the task. The host-side result from phase 1 already exists, so
-  // only virtual time is paid.
+  // at the task's work again) and re-executes the task. The host-side
+  // result from phase 1 already exists, so only virtual time is paid.
   for (size_t r = 0; r < k; ++r) {
     if (!plan[r].crashed) continue;
     const TaskPlan& p = plan[r];
@@ -337,10 +332,8 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
     }
     SimNode& host = sim_.worker(repl);
     const SimTime t0 = std::max(host_free[repl], p.crash_at);
-    const double rebuild_dur =
-        static_cast<double>(p.work) *
-        faults.plan().lineage_recompute_factor / host.compute_speed *
-        sim_.NextRetryJitter();
+    const double rebuild_dur = static_cast<double>(p.work) /
+                               host.compute_speed * sim_.NextRetryJitter();
     trace().Record(host.name, t0, t0 + rebuild_dur,
                    ActivityKind::kRecompute, detail + "/lineage-rebuild");
     ++faults.stats().lineage_recomputes;
@@ -352,62 +345,8 @@ std::vector<WorkerStats> SparkCluster::RunOnWorkers(
     host_free[repl] = t0 + rebuild_dur + rerun_dur;
   }
 
-  // Pass C — speculative execution (spark.speculation). Once a task
-  // runs speculation_multiplier times longer than the duration at
-  // speculation_quantile of its stage, a backup copy launches on the
-  // earliest-available other worker; the first copy to finish wins and
-  // the loser is killed at that instant.
-  if (cfg.speculation && k > 1) {
-    std::vector<double> durs;
-    for (size_t r = 0; r < k; ++r) {
-      if (!plan[r].crashed) durs.push_back(plan[r].dur);
-    }
-    if (durs.size() >= 2) {
-      std::sort(durs.begin(), durs.end());
-      const size_t qi = static_cast<size_t>(
-          cfg.speculation_quantile *
-          static_cast<double>(durs.size() - 1));
-      const double threshold = cfg.speculation_multiplier * durs[qi];
-      for (size_t r = 0; r < k; ++r) {
-        if (plan[r].crashed || plan[r].dur <= threshold) continue;
-        size_t helper = plan[r].host;
-        for (size_t h2 = 0; h2 < k; ++h2) {
-          if (h2 == plan[r].host) continue;
-          if (!membership.IsActive(h2)) continue;
-          if (helper == plan[r].host || host_free[h2] < host_free[helper]) {
-            helper = h2;
-          }
-        }
-        if (helper == plan[r].host) continue;
-        // The scheduler only notices the straggler once it exceeds
-        // the threshold.
-        const SimTime bstart =
-            std::max(host_free[helper], plan[r].start + threshold);
-        if (bstart >= plan[r].end) continue;
-        SimNode& host = sim_.worker(helper);
-        const double bdur = static_cast<double>(plan[r].work) /
-                            host.compute_speed * sim_.NextRetryJitter();
-        const SimTime bend = bstart + bdur;
-        ++faults.stats().speculative_launches;
-        const SimTime win = std::min(plan[r].end, bend);
-        if (bend < plan[r].end) ++faults.stats().speculative_wins;
-        trace().Record(host.name, bstart, win, ActivityKind::kSpeculative,
-                       detail + "/speculative");
-        // Only roll the straggler's host back if this partition was
-        // the one pinning its availability (always true with a full
-        // fleet, where each host runs exactly one partition).
-        if (host_free[plan[r].host] == plan[r].end) {
-          host_free[plan[r].host] = win;
-        }
-        plan[r].end = win;
-        host_free[helper] = std::max(host_free[helper], win);
-      }
-    }
-  }
-
-  // Pass D — commit the (possibly truncated) primary bars and final
-  // clocks, and close out joiner catch-up latencies (admission to
-  // first completed task).
+  // Pass C — commit the primary bars and final clocks, and close out
+  // joiner catch-up latencies (admission to first completed task).
   for (size_t r = 0; r < k; ++r) {
     SimNode& worker = sim_.worker(plan[r].host);
     if (!plan[r].crashed) {
@@ -545,8 +484,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
                     ActivityKind::kAggregate, detail + "/final-merge");
 }
 
-void SparkCluster::Broadcast(uint64_t bytes, BroadcastMode mode,
-                             const std::string& detail) {
+void SparkCluster::Broadcast(uint64_t bytes, const std::string& detail) {
   const std::vector<size_t> active = ActiveWorkers();
   const size_t a = active.size();
   if (a == 0) return;
@@ -561,50 +499,24 @@ void SparkCluster::Broadcast(uint64_t bytes, BroadcastMode mode,
   // (they all start at the driver's send time).
   const double link = sim_.LinkFactor(start);
 
-  switch (mode) {
-    case BroadcastMode::kDriverSequential: {
-      // The driver's outbound link pushes a copies back-to-back;
-      // the i-th participating worker's copy lands after i+1 payloads.
-      for (size_t pos = 0; pos < a; ++pos) {
-        SimNode& w = sim_.worker(active[pos]);
-        const SimTime arrive =
-            start + net.latency() +
-            static_cast<double>(bytes) * static_cast<double>(pos + 1) /
-                net.bandwidth() * link;
-        const SimTime recv_start = std::max(w.clock, start);
-        const SimTime recv_end = std::max(arrive, recv_start);
-        trace().Record(w.name, recv_start, recv_end,
-                       ActivityKind::kCommunicate, detail + "/recv");
-        w.clock = recv_end;
-      }
-      const SimTime send_end =
-          start + net.SerializedTransferTime(bytes, a) * link;
-      trace().Record(driver.name, start, send_end,
-                     ActivityKind::kCommunicate, detail + "/send");
-      driver.clock = send_end;
-      break;
-    }
-    case BroadcastMode::kTorrent: {
-      // Doubling rounds: after ceil(log2(a+1)) rounds every node has
-      // the payload; each round costs one point-to-point transfer.
-      const double rounds =
-          std::ceil(std::log2(static_cast<double>(a) + 1.0));
-      const SimTime done = start + rounds * net.TransferTime(bytes) * link;
-      for (size_t pos = 0; pos < a; ++pos) {
-        SimNode& w = sim_.worker(active[pos]);
-        const SimTime recv_start = std::max(w.clock, start);
-        const SimTime recv_end = std::max(done, recv_start);
-        trace().Record(w.name, recv_start, recv_end,
-                       ActivityKind::kCommunicate, detail + "/recv");
-        w.clock = recv_end;
-      }
-      const SimTime send_end = start + net.TransferTime(bytes) * link;
-      trace().Record(driver.name, start, send_end,
-                     ActivityKind::kCommunicate, detail + "/seed");
-      driver.clock = send_end;
-      break;
-    }
+  // The driver's outbound link pushes a copies back-to-back; the i-th
+  // participating worker's copy lands after i+1 payloads.
+  for (size_t pos = 0; pos < a; ++pos) {
+    SimNode& w = sim_.worker(active[pos]);
+    const SimTime arrive =
+        start + net.latency() +
+        static_cast<double>(bytes) * static_cast<double>(pos + 1) /
+            net.bandwidth() * link;
+    const SimTime recv_start = std::max(w.clock, start);
+    const SimTime recv_end = std::max(arrive, recv_start);
+    trace().Record(w.name, recv_start, recv_end, ActivityKind::kCommunicate,
+                   detail + "/recv");
+    w.clock = recv_end;
   }
+  const SimTime send_end = start + net.SerializedTransferTime(bytes, a) * link;
+  trace().Record(driver.name, start, send_end, ActivityKind::kCommunicate,
+                 detail + "/send");
+  driver.clock = send_end;
 }
 
 void SparkCluster::ShuffleAllToAll(uint64_t bytes_per_peer,

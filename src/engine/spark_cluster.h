@@ -15,12 +15,6 @@
 
 namespace mllibstar {
 
-/// How the driver ships the model to the executors.
-enum class BroadcastMode {
-  kDriverSequential,  ///< driver's link serializes k copies (the bottleneck)
-  kTorrent,           ///< BitTorrent-style: ~log2(k) pipelined rounds
-};
-
 /// What one simulated worker task produced, returned by the task
 /// callback instead of being accumulated into captured shared state
 /// (which would race once tasks run host-parallel). The engine hands
@@ -105,9 +99,9 @@ class SparkCluster {
   void TreeAggregate(uint64_t bytes, size_t num_aggregators,
                      uint64_t merge_work_units, const std::string& detail);
 
-  /// Driver sends `bytes` to every worker.
-  void Broadcast(uint64_t bytes, BroadcastMode mode,
-                 const std::string& detail);
+  /// Driver sends `bytes` to every worker; its outbound link
+  /// serializes the copies (the driver bottleneck).
+  void Broadcast(uint64_t bytes, const std::string& detail);
 
   /// All-to-all shuffle: every worker sends `bytes_per_peer` to each
   /// of the other k-1 workers (full-duplex links, so inbound and

@@ -24,7 +24,6 @@ JsonValue NodeSummaryJson(const NodeSummary& n) {
   out.Set("retry", JsonValue::Number(n.retry));
   out.Set("fault", JsonValue::Number(n.fault));
   out.Set("recompute", JsonValue::Number(n.recompute));
-  out.Set("speculative", JsonValue::Number(n.speculative));
   out.Set("busy", JsonValue::Number(n.busy()));
   out.Set("utilization", JsonValue::Number(n.utilization()));
   return out;
@@ -148,13 +147,8 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
     faults.Set("worker_crashes", JsonValue::Number(f.worker_crashes));
     faults.Set("server_crashes", JsonValue::Number(f.server_crashes));
     faults.Set("lineage_recomputes", JsonValue::Number(f.lineage_recomputes));
-    faults.Set("speculative_launches",
-               JsonValue::Number(f.speculative_launches));
-    faults.Set("speculative_wins", JsonValue::Number(f.speculative_wins));
     faults.Set("messages_dropped", JsonValue::Number(f.messages_dropped));
     faults.Set("ps_retries", JsonValue::Number(f.ps_retries));
-    faults.Set("stale_pushes_discarded",
-               JsonValue::Number(f.stale_pushes_discarded));
     report.Set("faults", std::move(faults));
   }
 

@@ -59,7 +59,8 @@ class WindowReplay {
   }
 
   /// Every series, trimmed to its newest kSeriesCapacity closed
-  /// windows, plus the partial window the run ended in.
+  /// windows, plus the partial window the run ended in when it holds a
+  /// total's growth or an observation.
   std::vector<SeriesSnapshot> Finish() {
     const double open_t0 = Start(window_);
     const bool partial = high_water_ > open_t0;
@@ -74,7 +75,7 @@ class WindowReplay {
     }
     for (Observed& o : observed_) {
       Trim(&o.snap);
-      if (partial && o.count > 0) {
+      if (o.count > 0) {
         o.snap.points.push_back({open_t0, high_water_, Fold(o), o.count});
       }
       out.push_back(std::move(o.snap));
@@ -143,14 +144,14 @@ std::vector<SeriesSnapshot> WindowedSeries(
   WindowReplay replay;
   size_t next = 0;  // the next curve point not yet observed
   for (const RoundProfile& r : rounds) {
+    replay.AddTotals(r);
+    replay.AdvanceTo(r.sim_end);
     if (r.staleness_samples > 0) {
       replay.Observe("staleness", SeriesAgg::kMean, r.sim_end,
                      r.staleness_mean);
     }
     replay.Observe("straggler.spread", SeriesAgg::kMax, r.sim_end,
                    r.task_max - r.task_p50);
-    replay.AddTotals(r);
-    replay.AdvanceTo(r.sim_end);
     // Points before this round's evaluation (the starting objective)
     // are not observed.
     while (next < points.size() && points[next].comm_step < r.round + 1) {
@@ -158,8 +159,8 @@ std::vector<SeriesSnapshot> WindowedSeries(
     }
     if (next < points.size() && points[next].comm_step == r.round + 1) {
       const ConvergencePoint& p = points[next++];
-      replay.Observe("objective", SeriesAgg::kMean, p.time_sec, p.objective);
       replay.AdvanceTo(p.time_sec);
+      replay.Observe("objective", SeriesAgg::kMean, p.time_sec, p.objective);
     }
   }
   return replay.Finish();

@@ -30,7 +30,7 @@ struct SeriesPoint {
 
 /// One exported series: its newest closed windows (at most
 /// kSeriesCapacity; `dropped` counts the older ones) plus, when the
-/// run ended mid-window with anything to show, one final partial
+/// window the run ended in has anything to show, one final partial
 /// window ending at the run's last sample time.
 struct SeriesSnapshot {
   std::string name;
@@ -48,16 +48,20 @@ inline constexpr size_t kSeriesCapacity = 512;
 /// The run's windowed series, a pure function of its round record and
 /// curve. Windows are the half-open intervals [i*w, (i+1)*w) of the
 /// grid. The rounds are replayed in completion order; each one:
-///   1. observes its staleness mean (rounds with staleness samples)
-///      and its straggler spread (task_max - task_p50);
-///   2. adds its share to the running totals bytes.wire (every path),
+///   1. adds its share to the running totals bytes.wire (every path),
 ///      bytes.raw, bytes.encoded, rounds and retries;
-///   3. closes every window ending at or before its sim_end;
-///   4. observes the curve point taken at its close (comm_step
-///      round + 1), if any, as `objective`.
-/// An observation folds into whichever window is open when it is made,
-/// and a total's growth lands in the first window the next close
-/// closes, so windows that elapse between two closes close empty.
+///   2. closes every window ending at or before its sim_end;
+///   3. observes its staleness mean (rounds with staleness samples)
+///      and its straggler spread (task_max - task_p50);
+///   4. closes every window ending at or before the time of the curve
+///      point taken at its close (comm_step round + 1), if any, and
+///      observes that point as `objective`.
+/// An observation folds into the window holding its time, the one the
+/// round ended in (a round ending on a boundary files under the window
+/// that boundary opens). A total's growth lands in the first window the
+/// next close closes, so windows that elapse between two closes close
+/// empty. The final partial window carries a total only when it grew
+/// there, and an observed series whenever it holds an observation.
 /// Series: the five totals (kDelta), then the observed ones
 /// (staleness and objective kMean, straggler.spread kMax) in order of
 /// first observation.

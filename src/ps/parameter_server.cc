@@ -21,34 +21,31 @@ PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
     : sim_(sim), config_(config),
       codec_(codec != nullptr ? codec : &PassthroughCodec()), model_(dim),
       shard_down_until_(config.num_shards, 0.0),
-      shard_left_(config.num_shards, false), ckpt_model_(dim) {
+      shard_left_(config.num_shards, false) {
   MLLIBSTAR_CHECK_EQ(sim->num_servers(), config.num_shards);
   MLLIBSTAR_CHECK_GT(config.num_shards, 0u);
 }
 
-void PsContext::HandleShardCrash(size_t s, SimTime at) {
-  FaultInjector& faults = sim_->faults();
-  SimNode& shard = sim_->server(s);
-  const SimTime up_at = at + faults.plan().server_restart_seconds;
-  sim_->trace().Record(shard.name, at, up_at, ActivityKind::kFault,
-                       "ps-shard-down");
-
-  // Updates applied to this shard's model range since the last server
-  // checkpoint are lost: roll the range back. With
-  // server_checkpoint_every_sec == 0 the last checkpoint *is* the
-  // current state, so nothing is lost and crash-free bit-identity
-  // holds.
+uint64_t PsContext::ShardRangeBytes(size_t s) const {
   const size_t dim = model_.dim();
   const size_t per = (dim + config_.num_shards - 1) / config_.num_shards;
   const size_t lo = std::min(dim, s * per);
   const size_t hi = std::min(dim, lo + per);
-  for (size_t i = lo; i < hi; ++i) model_[i] = ckpt_model_[i];
-  ++version_;
+  return codec_->EncodedBytes(hi - lo);
+}
+
+void PsContext::HandleShardCrash(size_t s, SimTime at) {
+  SimNode& shard = sim_->server(s);
+  const SimTime up_at = at + kServerRestartSeconds;
+  sim_->trace().Record(shard.name, at, up_at, ActivityKind::kFault,
+                       "ps-shard-down");
 
   // The restarted shard re-reads its range from the checkpoint store.
-  const uint64_t range_bytes = codec_->EncodedBytes(hi - lo);
+  // Every applied update is checkpointed, so the range comes back as it
+  // was and the model never changes.
   const SimTime restore_end =
-      up_at + static_cast<double>(range_bytes) / sim_->network().bandwidth();
+      up_at + static_cast<double>(ShardRangeBytes(s)) /
+                  sim_->network().bandwidth();
   sim_->trace().Record(shard.name, up_at, restore_end,
                        ActivityKind::kRecompute, "ps-restore");
   shard.clock = std::max(shard.clock, restore_end);
@@ -81,14 +78,9 @@ void PsContext::OnServerLeft(const MembershipEvent& ev) {
   SimNode& succ = sim_->server(successor);
   const std::string& gone = sim_->server(s).name;
   RecordMembershipTransition(&sim_->trace(), ev, gone);
-  const size_t dim = model_.dim();
-  const size_t per = (dim + config_.num_shards - 1) / config_.num_shards;
-  const size_t lo = std::min(dim, s * per);
-  const size_t hi = std::min(dim, lo + per);
-  const uint64_t range_bytes = codec_->EncodedBytes(hi - lo);
   const SimTime start = std::max(ev.detected_at, succ.clock);
-  const SimTime end =
-      start + static_cast<double>(range_bytes) / sim_->network().bandwidth();
+  const SimTime end = start + static_cast<double>(ShardRangeBytes(s)) /
+                                  sim_->network().bandwidth();
   sim_->trace().Record(succ.name, start, end, ActivityKind::kRecompute,
                        "ps-shard-migrate");
   succ.clock = std::max(succ.clock, end);
@@ -101,15 +93,6 @@ WireTally PsContext::wire() const {
   return w;
 }
 
-void PsContext::MaybeServerCheckpoint() {
-  if (config_.server_checkpoint_every_sec <= 0.0 ||
-      last_push_end_ - last_ckpt_time_ >=
-          config_.server_checkpoint_every_sec) {
-    ckpt_model_ = model_;
-    last_ckpt_time_ = last_push_end_;
-  }
-}
-
 SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
                                 bool is_pull, const std::string& detail) {
   const NetworkModel& net = sim_->network();
@@ -118,25 +101,19 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
   (is_pull ? wire_.pull : wire_.push) += total_bytes;
   FaultInjector& faults = sim_->faults();
 
-  // Fire any shard crash due at this request (scripted events, or the
-  // probabilistic while-serving draw). The crash rolls the shard's
-  // range back to its checkpoint and makes it unavailable until the
-  // restore completes.
+  // Fire any scripted shard crash due at this request. The crash makes
+  // the shard unavailable until its restore completes.
   for (size_t s = 0; s < shards; ++s) {
     if (shard_left_[s]) continue;  // departed shards can no longer crash
     SimTime crash_at = 0.0;
     if (faults.ServerCrashDue(s, worker->clock, &crash_at)) {
       HandleShardCrash(s, std::max(crash_at, shard_down_until_[s]));
-    } else if (faults.plan().server_crash_prob > 0.0 &&
-               faults.NextServerCrash()) {
-      HandleShardCrash(s, std::max(worker->clock,
-                                   sim_->server(s).clock));
     }
   }
 
   // Retry with jittered exponential backoff while the request is
   // dropped in-flight or a target shard is down. After
-  // max_request_retries the request proceeds regardless and queues on
+  // kPsMaxRequestRetries the request proceeds regardless and queues on
   // the shard.
   size_t attempt = 0;
   for (;;) {
@@ -145,14 +122,14 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
     for (size_t s = 0; !blocked && s < shards; ++s) {
       if (shard_down_until_[ServingShard(s)] > now) blocked = true;
     }
-    if (!blocked || attempt >= config_.max_request_retries) break;
+    if (!blocked || attempt >= kPsMaxRequestRetries) break;
     ++faults.stats().ps_retries;
     const double backoff =
-        std::min(config_.backoff_max_sec,
-                 config_.backoff_base_sec *
+        std::min(kPsBackoffMaxSec,
+                 kPsBackoffBaseSec *
                      std::ldexp(1.0, static_cast<int>(attempt))) *
         (0.5 + 0.5 * faults.NextBackoffJitter());
-    const SimTime wait_until = now + config_.request_timeout_sec + backoff;
+    const SimTime wait_until = now + kPsRequestTimeoutSec + backoff;
     sim_->trace().Record(worker->name, now, wait_until, ActivityKind::kRetry,
                          detail + "/retry");
     worker->clock = wait_until;
@@ -196,7 +173,6 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
   sim_->trace().Record(worker->name, worker->clock, done,
                        ActivityKind::kCommunicate, detail);
   worker->clock = done;
-  if (!is_pull) last_push_end_ = std::max(last_push_end_, done);
   return done;
 }
 
@@ -205,20 +181,8 @@ SimTime PsContext::TimePull(SimNode* worker) {
                       /*is_pull=*/true, "ps-pull");
 }
 
-SimTime PsContext::TimePull(SimNode* worker, uint64_t bytes) {
-  return TimeTransfer(worker, bytes, /*is_pull=*/true, "ps-pull");
-}
-
 SimTime PsContext::TimePush(SimNode* worker, uint64_t bytes) {
   return TimeTransfer(worker, bytes, /*is_pull=*/false, "ps-push");
-}
-
-SimTime PsContext::TimePush(SimNode* worker) {
-  return TimePush(worker, codec_->EncodedBytes(dim()));
-}
-
-uint64_t PsContext::SparseUpdateBytes(size_t nnz, size_t dim) {
-  return PassthroughCodec().SparseEncodedBytes(nnz, dim);
 }
 
 std::shared_ptr<const DenseVector> PsContext::PullSnapshot() {
@@ -236,26 +200,23 @@ std::shared_ptr<const DenseVector> PsContext::PullSnapshot() {
 void PsContext::ResetModel(DenseVector model) {
   MLLIBSTAR_CHECK_EQ(model.dim(), model_.dim());
   model_ = std::move(model);
-  ckpt_model_ = model_;
   ++version_;
 }
 
-void PsContext::ApplyDelta(const DenseVector& delta) {
+void PsContext::ApplyDelta(const DenseVector& delta, double scale) {
   MLLIBSTAR_CHECK_EQ(delta.dim(), model_.dim());
-  model_.AddScaled(delta, config_.delta_scale);
+  model_.AddScaled(delta, scale);
   ++version_;
-  MaybeServerCheckpoint();
 }
 
 void PsContext::ApplyRoundAverage(const DenseVector& mean_delta) {
   MLLIBSTAR_CHECK_EQ(mean_delta.dim(), model_.dim());
   model_.AddScaled(mean_delta, 1.0);
   ++version_;
-  if (config_.server_checkpoint_every_sec <= 0.0) ckpt_model_ = model_;
 }
 
 SimTime ConsistencyStartTime(
-    ConsistencyKind kind, int staleness, size_t worker, int round,
+    int staleness, size_t worker, int round,
     const std::vector<std::vector<SimTime>>& finish_times) {
   // Own previous round always gates the next one.
   SimTime start = 0.0;
@@ -264,17 +225,8 @@ SimTime ConsistencyStartTime(
     start = finish_times[worker][round - 1];
   }
 
-  int barrier_round = -1;
-  switch (kind) {
-    case ConsistencyKind::kAsp:
-      return start;
-    case ConsistencyKind::kBsp:
-      barrier_round = round - 1;
-      break;
-    case ConsistencyKind::kSsp:
-      barrier_round = round - 1 - staleness;
-      break;
-  }
+  // Everyone's round `round - 1 - staleness` gates it too.
+  const int barrier_round = round - 1 - staleness;
   if (barrier_round < 0) return start;
   for (const std::vector<SimTime>& times : finish_times) {
     if (static_cast<size_t>(barrier_round) < times.size()) {

@@ -13,49 +13,26 @@
 
 namespace mllibstar {
 
-/// Consistency schemes a parameter server can enforce between workers
-/// (paper Section III-B).
-enum class ConsistencyKind {
-  kBsp,  ///< barrier every round
-  kSsp,  ///< a worker may lead the slowest by at most `staleness` rounds
-  kAsp,  ///< no coordination
-};
-
 /// Configuration of the parameter-server tier.
 struct PsConfig {
   size_t num_shards = 2;
-  ConsistencyKind consistency = ConsistencyKind::kBsp;
-  int staleness = 0;  ///< only used by kSsp
-  /// Multiplier applied to pushed deltas when the trainer sums them
-  /// into the live model (Petuum, Angel; real systems normalize by
-  /// worker count or batch size; 1.0 = raw sum).
-  double delta_scale = 1.0;
-  /// Workers pull only the coordinates their partition touches
-  /// (Angel's feature-filtered pull) instead of the dense model.
-  bool sparse_pull = false;
-
-  /// Robustness knobs: a pull/push that is dropped (fault plan) or
-  /// that targets a down shard times out and retries with jittered
-  /// exponential backoff — delay = min(backoff_max_sec,
-  /// backoff_base_sec * 2^attempt) * (0.5 + 0.5 * U[0,1)) — up to
-  /// max_request_retries times before proceeding regardless (the shard
-  /// queue then absorbs the wait).
-  double request_timeout_sec = 0.25;
-  double backoff_base_sec = 0.05;
-  double backoff_max_sec = 2.0;
-  size_t max_request_retries = 6;
-
-  /// How often a shard snapshots its model range to stable storage.
-  /// 0 = after every applied update (lossless: a crash rolls back to
-  /// the state just before the in-flight request, which is then
-  /// retried — bit-identical to a crash-free run). Positive values
-  /// trade checkpoint overhead for lost updates on crash.
-  double server_checkpoint_every_sec = 0.0;
-
-  /// SSP/ASP graceful degradation: pushes staler than the staleness
-  /// bound are discarded (and counted) instead of applied.
-  bool discard_stale_pushes = false;
+  /// The SSP bound (paper Section III-B): a worker may start round t
+  /// once every worker has finished round t - 1 - staleness. 0 is BSP,
+  /// a barrier every round; a bound at or above the round budget is
+  /// ASP, where no worker ever waits on another.
+  int staleness = 0;
 };
+
+/// Request retries: a pull/push that is dropped (fault plan) or that
+/// targets a down shard times out and retries with jittered
+/// exponential backoff — delay = min(kPsBackoffMaxSec,
+/// kPsBackoffBaseSec * 2^attempt) * (0.5 + 0.5 * U[0,1)) — up to
+/// kPsMaxRequestRetries times before proceeding regardless (the shard
+/// queue then absorbs the wait).
+inline constexpr double kPsRequestTimeoutSec = 0.25;
+inline constexpr double kPsBackoffBaseSec = 0.05;
+inline constexpr double kPsBackoffMaxSec = 2.0;
+inline constexpr size_t kPsMaxRequestRetries = 6;
 
 /// The global model sharded across server nodes, plus the timing model
 /// for pull/push traffic (paper Figure 2c).
@@ -74,7 +51,6 @@ class PsContext {
   PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
             const GradientCodec* codec = nullptr);
 
-  const PsConfig& config() const { return config_; }
   size_t dim() const { return model_.dim(); }
   const GradientCodec& wire_codec() const { return *codec_; }
 
@@ -82,25 +58,21 @@ class PsContext {
 
   /// The model as a pulling worker receives it through the wire codec.
   /// Pulls at the same model version share one decoded snapshot; each
-  /// pull still accounts its own transmit. Every change to the model
-  /// (the mutators below and a shard-crash rollback) bumps the
-  /// version. Call after TimePull, which may roll the model back.
+  /// pull still accounts its own transmit. Every mutator below bumps
+  /// the version.
   std::shared_ptr<const DenseVector> PullSnapshot();
 
   /// Charges the time for `worker` to pull the full model (one
   /// request per shard, shard links serve in parallel, the worker's
   /// inbound link is the floor). Returns the completion time and
-  /// advances the worker and shard clocks. The `bytes` overload pulls
-  /// a filtered slice (sparse_pull).
+  /// advances the worker and shard clocks.
   SimTime TimePull(SimNode* worker);
-  SimTime TimePull(SimNode* worker, uint64_t bytes);
 
   /// Charges the time for `worker` to push an update of `bytes`
   /// (sparse updates are cheaper — real PS clients ship index/value
   /// pairs), including the shards' apply work. Returns the completion
-  /// time. The overload without `bytes` pushes a dense full model.
+  /// time.
   SimTime TimePush(SimNode* worker, uint64_t bytes);
-  SimTime TimePush(SimNode* worker);
 
   /// Wire size of a sparse update with `nnz` nonzeros out of `dim`
   /// coordinates through this context's codec (4-byte index + encoded
@@ -110,23 +82,15 @@ class PsContext {
     return codec_->SparseEncodedBytes(nnz, dim());
   }
 
-  /// The uncompressed special case (12 bytes per entry), kept for
-  /// codec-free callers.
-  static uint64_t SparseUpdateBytes(size_t nnz, size_t dim);
-
-  /// Replaces the model (trainer resume) and re-snapshots the
-  /// crash-restore state from it, so a later shard crash rolls back to
-  /// this model and not to a stale one.
+  /// Replaces the model (trainer resume).
   void ResetModel(DenseVector model);
 
-  /// Summation (Petuum, Angel): applies `delta` (scaled by
-  /// config.delta_scale) to the global model immediately, in push order.
-  void ApplyDelta(const DenseVector& delta);
+  /// Summation (Petuum, Angel): adds `scale` times `delta` to the
+  /// global model immediately, in push order.
+  void ApplyDelta(const DenseVector& delta, double scale);
 
   /// Averaging (Petuum*): adds a completed round's mean delta to the
-  /// model. The crash-restore snapshot follows in lossless mode
-  /// (server_checkpoint_every_sec == 0); a positive cadence keeps its
-  /// lossy window.
+  /// model.
   void ApplyRoundAverage(const DenseVector& mean_delta);
 
   /// Total bytes moved through the server tier so far.
@@ -139,9 +103,6 @@ class PsContext {
   /// The run's codec tally: pull snapshots and the trainer's push
   /// transmits add to it.
   CodecTally* codec_tally() { return &wire_.codec; }
-
-  /// Time the last push completed (gates server-side checkpoints).
-  SimTime last_push_end() const { return last_push_end_; }
 
   /// Permanent departure of shard `ev.node` (a membership
   /// kServerLeave event): its model range migrates to the next alive
@@ -164,14 +125,14 @@ class PsContext {
   SimTime TimeTransfer(SimNode* worker, uint64_t total_bytes, bool is_pull,
                        const std::string& detail);
 
-  /// Crashes shard `s` at virtual time `at`: its model range rolls
-  /// back to the last server checkpoint, it is down for
-  /// server_restart_seconds, then pays the restore transfer.
-  void HandleShardCrash(size_t s, SimTime at);
+  /// Wire size of shard `s`'s model range (a ceil split of dim).
+  uint64_t ShardRangeBytes(size_t s) const;
 
-  /// Snapshots the model for crash restore when the checkpoint
-  /// cadence says so (always when server_checkpoint_every_sec == 0).
-  void MaybeServerCheckpoint();
+  /// Crashes shard `s` at virtual time `at`: it is down for
+  /// kServerRestartSeconds, then re-reads its model range from the
+  /// server checkpoint, which every applied update writes, so no
+  /// update is lost.
+  void HandleShardCrash(size_t s, SimTime at);
 
   SimCluster* sim_;
   PsConfig config_;
@@ -191,20 +152,16 @@ class PsContext {
   /// Shards evicted by the failure detector; their ranges are served
   /// by the next alive shard.
   std::vector<bool> shard_left_;
-  /// Last server-side snapshot of the model (crash rollback target).
-  DenseVector ckpt_model_;
-  SimTime last_ckpt_time_ = 0.0;
-  SimTime last_push_end_ = 0.0;
 };
 
 /// Returns the virtual time at which a worker may start round `round`
-/// under the given consistency model, given each worker's completion
-/// time per finished round. `finish_times[r][t]` is worker r's
-/// completion time of round t; rounds not yet run are absent.
-SimTime ConsistencyStartTime(ConsistencyKind kind, int staleness,
-                             size_t worker, int round,
-                             const std::vector<std::vector<SimTime>>&
-                                 finish_times);
+/// under the SSP bound `staleness` (PsConfig::staleness), given each
+/// worker's completion time per finished round. `finish_times[r][t]`
+/// is worker r's completion time of round t; rounds not yet run are
+/// absent.
+SimTime ConsistencyStartTime(
+    int staleness, size_t worker, int round,
+    const std::vector<std::vector<SimTime>>& finish_times);
 
 }  // namespace mllibstar
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
 #include "sim/fault_plan.h"
@@ -25,11 +24,6 @@ struct ClusterConfig {
   double bandwidth_bytes_per_sec = 125e6 * 1e-3;  ///< per-link (see presets)
   double compute_speed = 5e6;  ///< work units per second per node
   double straggler_sigma = 0.05;  ///< lognormal sigma of per-task jitter
-  /// Static per-node speed multipliers, cycled over the workers (e.g.
-  /// {1.0, 1.0, 0.5} makes every third worker half-speed). Empty =
-  /// homogeneous. Models persistent heterogeneity, on top of the
-  /// per-task jitter above.
-  std::vector<double> node_speed_factors;
   /// Probability that one worker task fails and is re-executed from
   /// its cached input (Spark's lineage recovery). The retry costs the
   /// task's work again plus task_restart_seconds of scheduling delay.
@@ -48,15 +42,6 @@ struct ClusterConfig {
   /// RNG stream and are bit-identical to fixed-fleet runs.
   ChurnPlan churn;
 
-  /// Spark speculative execution (spark.speculation): once a stage's
-  /// pending tasks exceed `speculation_multiplier` times the duration
-  /// at `speculation_quantile` of finished tasks, a backup copy is
-  /// launched on the first available worker; the first copy to finish
-  /// wins.
-  bool speculation = false;
-  double speculation_quantile = 0.75;
-  double speculation_multiplier = 1.5;
-
   /// The paper's Cluster 1: 9 nodes (1 driver + 8 executors) on a
   /// 1 Gbps network. Bandwidth is scaled by the same 1/1000 factor as
   /// the synthetic datasets so that bytes-per-model / bandwidth keeps
@@ -68,11 +53,22 @@ struct ClusterConfig {
   static ClusterConfig Cluster2(size_t workers);
 };
 
-/// Rejects a cluster no simulation can run: no workers, a compute speed
-/// or link bandwidth that is not finite and positive (every duration
-/// divides by them), a negative latency, or a speculation quantile
-/// outside [0, 1] (it indexes the stage's sorted task durations).
-/// SimCluster CHECKs it on construction.
+/// Rejects a cluster no simulation can run:
+///   - no workers;
+///   - a compute speed or link bandwidth that is not finite and
+///     positive (every duration divides by them);
+///   - a negative latency;
+///   - a straggler sigma, task restart or executor restart time that is
+///     NaN, infinite or negative;
+///   - a task failure probability outside [0, 1) (at 1 every retry
+///     fails again, and the retry loop never ends);
+///   - a crash or drop probability outside [0, 1];
+///   - a link-degradation factor that is not finite and positive, or a
+///     fault window with from > until;
+///   - churn rates that are not finite and non-negative, a heartbeat
+///     interval that is not positive, or a negative suspicion timeout.
+/// SimCluster CHECKs it on construction, before it builds anything
+/// from the fault and churn plans.
 Status ValidateClusterConfig(const ClusterConfig& config);
 
 }  // namespace mllibstar

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace mllibstar {
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan),
-      rng_(plan.fault_seed),
+      rng_(kFaultSeed),
       worker_fired_(plan.worker_crashes.size(), false),
       server_fired_(plan.server_crashes.size(), false) {
-  MLLIBSTAR_CHECK_GE(plan_.worker_crash_prob, 0.0);
-  MLLIBSTAR_CHECK_GE(plan_.server_crash_prob, 0.0);
-  MLLIBSTAR_CHECK_GT(plan_.lineage_recompute_factor, 0.0);
 }
 
 bool FaultInjector::WorkerCrashes(size_t worker, SimTime start, SimTime end,
@@ -51,13 +46,6 @@ bool FaultInjector::ServerCrashDue(size_t server, SimTime now,
     return true;
   }
   return false;
-}
-
-bool FaultInjector::NextServerCrash() {
-  if (plan_.server_crash_prob <= 0.0) return false;
-  if (!rng_.NextBool(plan_.server_crash_prob)) return false;
-  ++stats_.server_crashes;
-  return true;
 }
 
 double FaultInjector::LinkFactor(SimTime at) const {

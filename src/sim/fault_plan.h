@@ -13,15 +13,17 @@ namespace mllibstar {
 /// Scripted loss of one executor: the worker dies at virtual time `at`
 /// (while running whatever task covers that instant), is down for
 /// FaultPlan::executor_restart_seconds, and its lost partition is
-/// rebuilt via lineage on a surviving worker. Fires at most once.
+/// rebuilt via lineage on a surviving worker (at the lost task's work
+/// again: Spark recomputes the narrow-dependency chain from the cached
+/// parent). Fires at most once.
 struct CrashWorkerEvent {
   size_t worker = 0;
   SimTime at = 0.0;
 };
 
 /// Scripted loss of one parameter-server shard: the shard dies at `at`,
-/// is down for FaultPlan::server_restart_seconds, and restores its
-/// model range from the latest server-side checkpoint. Fires once.
+/// is down for kServerRestartSeconds, and restores its model range from
+/// the latest server-side checkpoint. Fires once.
 struct CrashServerEvent {
   size_t server = 0;
   SimTime at = 0.0;
@@ -45,13 +47,19 @@ struct DropMessageWindow {
   SimTime until = 0.0;
 };
 
+/// Seed of the dedicated fault RNG stream.
+inline constexpr uint64_t kFaultSeed = 0x5eedfa17ULL;
+/// Downtime before a crashed PS shard is back, excluding the
+/// checkpoint-restore transfer it then pays.
+inline constexpr double kServerRestartSeconds = 5.0;
+
 /// A deterministic script of cluster faults, plus probabilistic
-/// variants drawn from a dedicated fault RNG stream (seeded by
-/// `fault_seed`, independent of the straggler-jitter and task-failure
+/// executor crashes drawn from a dedicated fault RNG stream (seeded by
+/// kFaultSeed, independent of the straggler-jitter and task-failure
 /// streams, so adding faults never perturbs the baseline schedule
 /// draws). Consumed by SimCluster / SparkCluster / PsContext; every
-/// fault costs virtual time (and, for shard rollback, server state) —
-/// the host-side math stays the deterministic ground truth.
+/// fault costs virtual time only — the host-side math stays the
+/// deterministic ground truth.
 struct FaultPlan {
   std::vector<CrashWorkerEvent> worker_crashes;
   std::vector<CrashServerEvent> server_crashes;
@@ -61,25 +69,14 @@ struct FaultPlan {
   /// Probability that any one worker task ends in an executor crash
   /// (the probabilistic sibling of `worker_crashes`).
   double worker_crash_prob = 0.0;
-  /// Probability that a PS shard crashes while serving one request.
-  double server_crash_prob = 0.0;
-
-  uint64_t fault_seed = 0x5eedfa17ULL;
 
   /// Downtime before a crashed executor rejoins the cluster.
   double executor_restart_seconds = 5.0;
-  /// Downtime before a crashed PS shard is back, excluding the
-  /// checkpoint-restore transfer it then pays.
-  double server_restart_seconds = 5.0;
-  /// Lineage cost of rebuilding a lost partition on a surviving
-  /// worker, as a multiple of the lost task's work units (Spark
-  /// recomputes the narrow-dependency chain from the cached parent).
-  double lineage_recompute_factor = 1.0;
 
   bool empty() const {
     return worker_crashes.empty() && server_crashes.empty() &&
            degraded_links.empty() && message_drops.empty() &&
-           worker_crash_prob <= 0.0 && server_crash_prob <= 0.0;
+           worker_crash_prob <= 0.0;
   }
 };
 
@@ -89,11 +86,8 @@ struct FaultStats {
   uint64_t worker_crashes = 0;
   uint64_t server_crashes = 0;
   uint64_t lineage_recomputes = 0;
-  uint64_t speculative_launches = 0;
-  uint64_t speculative_wins = 0;  ///< backup finished before the original
   uint64_t messages_dropped = 0;
   uint64_t ps_retries = 0;  ///< pull/push attempts that were retried
-  uint64_t stale_pushes_discarded = 0;  ///< SSP/ASP degradation
 };
 
 /// Consumes a FaultPlan during a simulated run. All draws come from
@@ -118,10 +112,6 @@ class FaultInjector {
   /// True when a scripted crash of `server` is due at or before `now`
   /// and has not fired yet. Writes the scripted instant to *crash_at.
   bool ServerCrashDue(size_t server, SimTime now, SimTime* crash_at);
-
-  /// Bernoulli(server_crash_prob) draw: does the shard crash while
-  /// serving the current request?
-  bool NextServerCrash();
 
   /// Product of the factors of every degradation window containing
   /// `at` (1.0 outside all windows).

@@ -28,8 +28,6 @@ const char* ActivityColor(ActivityKind kind) {
       return "#c0392b";  // dark red
     case ActivityKind::kRecompute:
       return "#2a8f8f";  // teal
-    case ActivityKind::kSpeculative:
-      return "#7fb04d";  // olive green
     case ActivityKind::kMembershipJoin:
       return "#2e86de";  // bright blue
     case ActivityKind::kMembershipLeave:
@@ -60,8 +58,6 @@ const char* ActivityLabel(ActivityKind kind) {
       return "fault";
     case ActivityKind::kRecompute:
       return "recompute";
-    case ActivityKind::kSpeculative:
-      return "speculative";
     case ActivityKind::kMembershipJoin:
       return "join";
     case ActivityKind::kMembershipLeave:
@@ -79,7 +75,6 @@ constexpr ActivityKind kAllKinds[] = {
     ActivityKind::kAggregate, ActivityKind::kUpdate,
     ActivityKind::kWait,      ActivityKind::kRetry,
     ActivityKind::kFault,     ActivityKind::kRecompute,
-    ActivityKind::kSpeculative,
     ActivityKind::kMembershipJoin,    ActivityKind::kMembershipLeave,
     ActivityKind::kMembershipSuspect, ActivityKind::kMembershipRejoin,
 };

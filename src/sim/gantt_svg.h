@@ -16,8 +16,8 @@ struct GanttSvgOptions {
   std::string title;
   bool draw_stage_lines = true;  ///< the paper's red stage boundaries
   /// Color legend under the time axis, one swatch per activity kind
-  /// that actually occurs in the trace (fault/retry/recompute/
-  /// speculative bars are distinguishable at a glance).
+  /// that actually occurs in the trace (fault/retry/recompute bars
+  /// are distinguishable at a glance).
   bool draw_legend = true;
 };
 

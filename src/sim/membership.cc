@@ -26,7 +26,7 @@ double WordToDouble(uint64_t word) {
 
 MembershipTracker::MembershipTracker(const ChurnPlan& plan, size_t num_workers,
                                      size_t num_servers)
-    : plan_(plan), enabled_(!plan.empty()), rng_(plan.membership_seed) {
+    : plan_(plan), enabled_(!plan.empty()), rng_(kMembershipSeed) {
   MLLIBSTAR_CHECK(num_workers > 0);
   MLLIBSTAR_CHECK(plan_.heartbeat_interval_sec > 0.0);
   MLLIBSTAR_CHECK(plan_.suspicion_timeout_sec >= 0.0);

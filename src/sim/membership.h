@@ -43,6 +43,9 @@ struct LeaveServerEvent {
   SimTime at = 0.0;
 };
 
+/// Seed of the dedicated membership RNG stream.
+inline constexpr uint64_t kMembershipSeed = 0x6a01c1b5e7ULL;
+
 /// Elastic-membership script, the churn sibling of FaultPlan: scripted
 /// join/leave/rejoin events plus Poisson arrival/departure rates, all
 /// consumed through a dedicated membership RNG stream (so enabling
@@ -75,8 +78,6 @@ struct ChurnPlan {
   /// after they announce.
   double heartbeat_interval_sec = 0.5;
   double suspicion_timeout_sec = 2.0;
-
-  uint64_t membership_seed = 0x6a01c1b5e7ULL;
 
   bool empty() const {
     return joins.empty() && leaves.empty() && rejoins.empty() &&

@@ -6,9 +6,20 @@
 #include "common/logging.h"
 
 namespace mllibstar {
+namespace {
+
+/// `config` once ValidateClusterConfig accepts it, so that a bad fault
+/// or churn plan fails with the validation message before the members
+/// built from it exist.
+const ClusterConfig& Checked(const ClusterConfig& config) {
+  MLLIBSTAR_CHECK_OK(ValidateClusterConfig(config));
+  return config;
+}
+
+}  // namespace
 
 SimCluster::SimCluster(const ClusterConfig& config)
-    : config_(config),
+    : config_(Checked(config)),
       network_(config.latency_sec, config.bandwidth_bytes_per_sec),
       jitter_rng_(config.seed),
       // Failures live on their own stream so that enabling them leaves
@@ -16,18 +27,12 @@ SimCluster::SimCluster(const ClusterConfig& config)
       failure_rng_(config.seed ^ 0x0fa111e5c0feeULL),
       faults_(config.faults),
       membership_(config.churn, config.num_workers, config.num_servers) {
-  MLLIBSTAR_CHECK_OK(ValidateClusterConfig(config));
   driver_.name = "driver";
   driver_.compute_speed = config.compute_speed;
   workers_.resize(config.num_workers);
   for (size_t i = 0; i < config.num_workers; ++i) {
     workers_[i].name = "executor" + std::to_string(i + 1);
-    double factor = 1.0;
-    if (!config.node_speed_factors.empty()) {
-      factor = config.node_speed_factors[i % config.node_speed_factors.size()];
-      MLLIBSTAR_CHECK_GT(factor, 0.0);
-    }
-    workers_[i].compute_speed = config.compute_speed * factor;
+    workers_[i].compute_speed = config.compute_speed;
   }
   servers_.resize(config.num_servers);
   for (size_t i = 0; i < config.num_servers; ++i) {

@@ -96,7 +96,7 @@ class SimCluster {
   /// jitter sequence is identical with failures on or off.
   bool NextTaskFailure();
 
-  /// Jitter for a retried / recomputed / speculative task, drawn from
+  /// Jitter for a retried or recomputed task, drawn from
   /// the failure stream — recovery never perturbs the primary
   /// schedule's jitter sequence.
   double NextRetryJitter();

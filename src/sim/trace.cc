@@ -27,8 +27,6 @@ char ActivityCode(ActivityKind kind) {
       return 'X';
     case ActivityKind::kRecompute:
       return 'L';
-    case ActivityKind::kSpeculative:
-      return 'S';
     case ActivityKind::kMembershipJoin:
       return 'J';
     case ActivityKind::kMembershipLeave:
@@ -59,8 +57,6 @@ const char* ActivityName(ActivityKind kind) {
       return "fault";
     case ActivityKind::kRecompute:
       return "recompute";
-    case ActivityKind::kSpeculative:
-      return "speculative";
     case ActivityKind::kMembershipJoin:
       return "join";
     case ActivityKind::kMembershipLeave:
@@ -138,8 +134,8 @@ std::string TraceLog::RenderAscii(size_t width) const {
      << std::string(width > 8 ? width - 8 : 1, ' ')
      << FormatDouble(total, 4) << "s\n";
   os << "legend: C=compute M=communicate A=aggregate U=update .=wait "
-        "R=retry X=fault L=recompute S=speculative "
-        "J=join Q=leave H=suspected B=rejoin\n";
+        "R=retry X=fault L=recompute J=join Q=leave H=suspected "
+        "B=rejoin\n";
   return os.str();
 }
 

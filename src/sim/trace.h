@@ -22,7 +22,6 @@ enum class ActivityKind {
   kRetry,        ///< rescheduling delay / backoff of a failed attempt
   kFault,        ///< crash downtime of an executor or PS shard
   kRecompute,    ///< lineage rebuild of a lost partition / ckpt restore
-  kSpeculative,  ///< backup copy of a straggler task
   kMembershipJoin,     ///< new worker announcing itself, until admitted
   kMembershipLeave,    ///< departed node, until its first missed heartbeat
   kMembershipSuspect,  ///< suspicion window, until the detector evicts
@@ -30,7 +29,7 @@ enum class ActivityKind {
 };
 
 /// Single-letter code used by the ASCII gantt
-/// ("C", "M", "A", "U", ".", "R", "X", "L", "S", "J", "Q", "H", "B").
+/// ("C", "M", "A", "U", ".", "R", "X", "L", "J", "Q", "H", "B").
 char ActivityCode(ActivityKind kind);
 
 /// Full lowercase name ("compute", "communicate", ...) used by the

@@ -31,9 +31,6 @@ void Accumulate(NodeSummary* summary, ActivityKind kind, double duration) {
     case ActivityKind::kRecompute:
       summary->recompute += duration;
       break;
-    case ActivityKind::kSpeculative:
-      summary->speculative += duration;
-      break;
     case ActivityKind::kMembershipJoin:
     case ActivityKind::kMembershipLeave:
     case ActivityKind::kMembershipSuspect:

@@ -18,16 +18,13 @@ struct NodeSummary {
   double retry = 0.0;        ///< backoff / rescheduling delay
   double fault = 0.0;        ///< crash downtime
   double recompute = 0.0;    ///< lineage rebuild / checkpoint restore
-  double speculative = 0.0;  ///< backup copies of straggler tasks
   double membership = 0.0;   ///< join/leave/suspicion detector windows
 
   /// Recovery work is real work (the cluster is burning cycles on it),
-  /// so lineage recomputation and speculative copies count as busy;
-  /// downtime, backoff, and membership-transition windows count
-  /// against utilization like wait.
+  /// so lineage recomputation counts as busy; downtime, backoff, and
+  /// membership-transition windows count against utilization like wait.
   double busy() const {
-    return compute + communicate + aggregate + update + recompute +
-           speculative;
+    return compute + communicate + aggregate + update + recompute;
   }
   double total() const { return busy() + wait + retry + fault + membership; }
   /// Fraction of accounted time spent doing useful work.

@@ -24,10 +24,7 @@ GridSearchOutcome GridSearch(SystemKind kind, const TrainerConfig& base,
         candidate.base_lr = lr;
         candidate.batch_fraction = fraction;
         candidate.max_comm_steps = spec.trial_comm_steps;
-        if (is_ps && staleness > 0) {
-          candidate.ps.consistency = ConsistencyKind::kSsp;
-          candidate.ps.staleness = staleness;
-        }
+        if (is_ps) candidate.ps.staleness = staleness;
         TrainResult result =
             MakeTrainer(kind, candidate)->Train(data, cluster);
         ++outcome.candidates_evaluated;

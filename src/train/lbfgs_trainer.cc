@@ -38,7 +38,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
     spark.BeginStage("lbfgs pass " + std::to_string(passes));
     ScopedSpan pass_span("lbfgs pass " + std::to_string(passes), "trainer");
     const SimTime pass_sim_start = spark.Now();
-    spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
+    spark.Broadcast(model_bytes, "model-bcast");
     const DenseVector& w_recv =
         CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 

@@ -97,7 +97,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   }
 
   // The SendModel worker phase: every task copies the model it starts
-  // from into its own local model and runs local passes over its
+  // from into its own local model and runs one local pass over its
   // partition. Per-worker state only (own local model, Rng and
   // optimizer), so the engine may run the tasks host-parallel; the
   // update counter folds in fixed worker order.
@@ -105,16 +105,13 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     const std::vector<WorkerStats> step_stats =
         spark.RunOnWorkers("local-sgd", [&](size_t r) -> WorkerStats {
           locals[r] = start;
-          ComputeStats stats;
-          for (size_t e = 0; e < std::max<size_t>(1, config().local_epochs);
-               ++e) {
-            stats += optimizers.empty()
-                         ? objective().SgdEpoch(partitions[r], lr,
-                                                &rngs[r], &locals[r])
-                         : objective().OptimizerEpoch(partitions[r], lr,
-                                                      optimizers[r].get(),
-                                                      &rngs[r], &locals[r]);
-          }
+          const ComputeStats stats =
+              optimizers.empty()
+                  ? objective().SgdEpoch(partitions[r], lr, &rngs[r],
+                                         &locals[r])
+                  : objective().OptimizerEpoch(partitions[r], lr,
+                                               optimizers[r].get(), &rngs[r],
+                                               &locals[r]);
           WorkerStats ws;
           ws.work_units = stats.nnz_processed;
           ws.model_updates = stats.model_updates;
@@ -139,7 +136,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
       case Mode::kMllib: {
         // (1) Driver broadcasts the current model (through the codec:
         // executors compute at the model they actually received).
-        spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
+        spark.Broadcast(model_bytes, "model-bcast");
         const DenseVector& w_recv =
             CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 
@@ -194,7 +191,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
       case Mode::kMllibMa:
         // (1) Driver broadcasts the current global model through the
         // codec; (2) executors run local passes starting from it.
-        spark.Broadcast(model_bytes, config().broadcast, "model-bcast");
+        spark.Broadcast(model_bytes, "model-bcast");
         local_passes(
             CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally()), lr);
 
@@ -257,7 +254,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         result.diverged = true;
         break;
       }
-      if (ShouldStop(t + 1, now, objective)) break;
+      if (ShouldStop(t + 1, objective)) break;
     }
   }
   run_span.SetSimRange(0.0, spark.Now());

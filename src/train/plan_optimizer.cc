@@ -64,22 +64,20 @@ PlanCost EstimateStepCost(SystemKind system, const DatasetStats& stats,
       cost.driver_seconds = lat + k * model_bytes / bw +
                             lat + aggregators * model_bytes / bw +
                             (d + aggregators * d) / speed;
-      cost.compute_seconds =
-          config.local_epochs * PassWork(partition_nnz) / speed;
+      cost.compute_seconds = PassWork(partition_nnz) / speed;
       cost.network_seconds =
           lat + (k / aggregators) * model_bytes / bw;
-      cost.updates_per_step = config.local_epochs * partition_rows;
+      cost.updates_per_step = partition_rows;
       break;
     }
     case SystemKind::kMllibStar: {
       // Two all-to-all shuffles of d/k pieces + range averaging; no
       // driver at all.
-      cost.compute_seconds =
-          config.local_epochs * PassWork(partition_nnz) / speed;
+      cost.compute_seconds = PassWork(partition_nnz) / speed;
       cost.network_seconds =
           2.0 * (lat + (k - 1.0) * (model_bytes / k) / bw) + d / speed;
       cost.driver_seconds = 0.0;
-      cost.updates_per_step = config.local_epochs * partition_rows;
+      cost.updates_per_step = partition_rows;
       break;
     }
     case SystemKind::kPetuum:

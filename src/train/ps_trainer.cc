@@ -52,16 +52,15 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // The aggregation scheme is what distinguishes the systems (paper
   // §IV-B1 remark): Petuum* averages the round's models, Petuum and
   // Angel sum deltas into the live model as pushes land. The shard
-  // count and consistency come from the config.
+  // count and the staleness bound come from the config.
   const bool average_models = mode_ == Mode::kPetuumStar;
-  PsConfig ps = config().ps;
-  if (mode_ == Mode::kAngel) {
-    // Angel normalizes each worker's epoch update by the worker count
-    // when applying (otherwise k simultaneous epoch deltas overshoot),
-    // so the sum behaves like an average of deltas.
-    ps.delta_scale =
-        config().ps.delta_scale / static_cast<double>(cluster.num_workers);
-  }
+  const PsConfig& ps = config().ps;
+  // Angel normalizes each worker's epoch update by the worker count
+  // when applying (otherwise k simultaneous epoch deltas overshoot), so
+  // the sum behaves like an average of deltas.
+  const double delta_scale =
+      mode_ == Mode::kAngel ? 1.0 / static_cast<double>(cluster.num_workers)
+                            : 1.0;
 
   ClusterConfig cc = cluster;
   cc.num_servers = ps.num_shards;
@@ -73,39 +72,18 @@ TrainResult PsTrainer::Train(const Dataset& data,
   std::vector<Rng> rngs = WorkerRngs(config().seed, k);
 
   // Per-worker and per-round progress.
-  // Feature-filtered pulls: each worker only needs the coordinates its
-  // partition actually references (Angel's optimization). Computed
-  // once from the static partitioning.
-  std::vector<uint64_t> pull_bytes(k, codec().EncodedBytes(d));
-  if (ps.sparse_pull) {
-    std::vector<bool> touched(data.num_features());
-    for (size_t r = 0; r < k; ++r) {
-      std::fill(touched.begin(), touched.end(), false);
-      size_t features = 0;
-      for (FeatureIndex j : partitions[r].indices) {
-        if (!touched[j]) {
-          touched[j] = true;
-          ++features;
-        }
-      }
-      pull_bytes[r] = server.SparseBytes(features);
-    }
-  }
-
   ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
   std::vector<std::vector<SimTime>> finish_times(k);
   std::vector<int> rounds_done(k, 0);
   std::vector<DenseVector> pending_delta(k);  // between pull and push
   std::vector<size_t> round_pushes;           // pushes seen per round
-  std::vector<size_t> round_contribs;         // deltas actually applied
   std::vector<SimTime> round_end;             // latest push per round
   std::vector<bool> round_complete;           // completion fired once
   std::vector<DenseVector> round_stage;       // averaging: delta sums
   // Staleness occupancy per round (pure observation — never read by
-  // the math): how far behind the leader each applied push was.
+  // the math): how far behind the leader each push was.
   std::vector<double> round_stale_sum;
   std::vector<double> round_stale_max;
-  std::vector<uint64_t> round_stale_n;
 
   // Elastic membership. join_round[r] is the first round worker r
   // participates in (kNeverJoined while it sits in the joiner pool);
@@ -131,8 +109,8 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // flight), so the restored state is exactly "all workers about to
   // schedule round t+1": model, per-worker RNG cursors, the shared
   // jitter/failure/fault streams, every virtual clock, and the finish
-  // times the consistency barrier reads. SSP/ASP runs have no
-  // quiescent point and never write checkpoints.
+  // times the consistency barrier reads. Runs with a staleness bound
+  // have no quiescent point and never write checkpoints.
   int resumed_round = 0;
   {
     Checkpoint ck;
@@ -141,8 +119,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
                          static_cast<uint64_t>(CheckpointTag::kPs));
       MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
       resumed_round = static_cast<int>(ck.TakeU64());
-      // A later shard crash must roll back to the restored state, not
-      // to the fresh context's zeros.
       server.ResetModel(ck.TakeVector());
       TakeWorkerRngs(&ck, &rngs);
       sim.mutable_jitter_rng()->RestoreState(ck.TakeRngState());
@@ -180,12 +156,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
       // Completed rounds stay completed; their staging slots were
       // already released and will not be touched again.
       round_pushes.assign(resumed_round, k);
-      round_contribs.assign(resumed_round, k);
       round_end.assign(resumed_round, 0.0);
       round_complete.assign(resumed_round, true);
       round_stale_sum.assign(resumed_round, 0.0);
       round_stale_max.assign(resumed_round, 0.0);
-      round_stale_n.assign(resumed_round, 0);
       if (average_models) {
         round_stage.assign(resumed_round, DenseVector());
       }
@@ -265,22 +239,18 @@ TrainResult PsTrainer::Train(const Dataset& data,
     if (!membership.IsActive(r)) return;
     const int round = rounds_done[r];
     if (round >= max_rounds) return;
-    if (ps.consistency != ConsistencyKind::kAsp) {
-      const int gate =
-          round - 1 -
-          (ps.consistency == ConsistencyKind::kSsp ? ps.staleness : 0);
-      if (gate >= 0) {
-        for (size_t v = 0; v < k; ++v) {
-          if (!membership.IsActive(v)) continue;
-          if (rounds_done[v] <= gate) {
-            parked.push_back(r);
-            return;
-          }
+    const int gate = round - 1 - ps.staleness;
+    if (gate >= 0) {
+      for (size_t v = 0; v < k; ++v) {
+        if (!membership.IsActive(v)) continue;
+        if (rounds_done[v] <= gate) {
+          parked.push_back(r);
+          return;
         }
       }
     }
-    const SimTime barrier = ConsistencyStartTime(
-        ps.consistency, ps.staleness, r, round, finish_times);
+    const SimTime barrier =
+        ConsistencyStartTime(ps.staleness, r, round, finish_times);
     SimNode& node = sim.worker(r);
     if (node.clock < barrier) {
       sim.trace().Record(node.name, node.clock, barrier, ActivityKind::kWait,
@@ -394,14 +364,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
     }
     // The round is complete everywhere.
     if (average_models) {
-      // New global model = old model + average of the deltas that
-      // were actually applied (all contributors unless staleness
-      // discarded some; with a full fleet and none discarded this is
-      // exactly the old 1/k).
-      if (round_contribs[t] > 0) {
-        round_stage[t].Scale(1.0 / static_cast<double>(round_contribs[t]));
-        server.ApplyRoundAverage(round_stage[t]);
-      }
+      // New global model = old model + average of the round's deltas
+      // (with a full fleet exactly the old 1/k).
+      round_stage[t].Scale(1.0 / static_cast<double>(round_pushes[t]));
+      server.ApplyRoundAverage(round_stage[t]);
       round_stage[t] = DenseVector();  // release
     }
     const int completed = t + 1;
@@ -431,19 +397,17 @@ TrainResult PsTrainer::Train(const Dataset& data,
     const WireTally wire_now = server.wire();
     profile.wire = wire_now.Since(wire_at_frontier);
     wire_at_frontier = wire_now;
-    profile.staleness_samples = round_stale_n[t];
-    if (round_stale_n[t] > 0) {
-      profile.staleness_mean =
-          round_stale_sum[t] / static_cast<double>(round_stale_n[t]);
-      profile.staleness_max = round_stale_max[t];
-    }
+    profile.staleness_samples = round_pushes[t];
+    profile.staleness_mean =
+        round_stale_sum[t] / static_cast<double>(round_pushes[t]);
+    profile.staleness_max = round_stale_max[t];
     profile_frontier = std::max(profile_frontier, round_end[t]);
     result.rounds.push_back(std::move(profile));
-    // A completed BSP round is a quiescent point — every participating
-    // worker has pushed, nothing is queued or in flight — which is the
-    // one moment the whole trainer state is a handful of vectors and
-    // cursors. Snapshot it if the cadence says so.
-    if (ps.consistency == ConsistencyKind::kBsp && queue.empty() &&
+    // A completed BSP round (staleness 0) is a quiescent point — every
+    // participating worker has pushed, nothing is queued or in flight —
+    // which is the one moment the whole trainer state is a handful of
+    // vectors and cursors. Snapshot it if the cadence says so.
+    if (ps.staleness == 0 && queue.empty() &&
         inflight.empty() &&
         ShouldCheckpoint(config().checkpoint, completed)) {
       Checkpoint ck;
@@ -483,7 +447,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
         stop_all = true;
         return;
       }
-      if (ShouldStop(completed, round_end[t], objective)) {
+      if (ShouldStop(completed, objective)) {
         max_rounds = std::min(max_rounds, completed);
       }
     }
@@ -582,7 +546,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
     const int round = rounds_done[r];
 
     if (phase == kPull) {
-      server.TimePull(&node, pull_bytes[r]);
+      server.TimePull(&node);
       // The worker trains on the model the wire delivered.
       auto fl = std::make_unique<InflightCompute>();
       fl->worker = r;
@@ -625,12 +589,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
     server.TimePush(&node, push_bytes);
     if (static_cast<size_t>(round) >= round_pushes.size()) {
       round_pushes.resize(round + 1, 0);
-      round_contribs.resize(round + 1, 0);
       round_end.resize(round + 1, 0.0);
       round_complete.resize(round + 1, false);
       round_stale_sum.resize(round + 1, 0.0);
       round_stale_max.resize(round + 1, 0.0);
-      round_stale_n.resize(round + 1, 0);
       if (average_models) {
         round_stage.resize(round + 1, DenseVector(d));
       }
@@ -641,32 +603,16 @@ TrainResult PsTrainer::Train(const Dataset& data,
       ++membership.stats().catchup_count;
       pending_catchup[r] = false;
     }
-    // SSP/ASP graceful degradation: a worker more than staleness + 1
-    // rounds behind the leader is pushing a delta computed on a model
-    // the cluster has long moved past, so it is discarded — it still
-    // counts toward round completion (the worker moves on) but its
-    // delta never touches the model. SSP's scheduling gate already
-    // bounds the spread to staleness + 1, so this only fires under
-    // ASP, where nothing else protects the model from ancient deltas.
+    if (average_models) {
+      round_stage[round].AddScaled(delta, 1.0);
+    } else {
+      server.ApplyDelta(delta, delta_scale);
+    }
     const int leader =
         *std::max_element(rounds_done.begin(), rounds_done.end());
-    const bool stale =
-        ps.discard_stale_pushes && leader - round > ps.staleness + 1;
-    if (stale) {
-      ++sim.faults().stats().stale_pushes_discarded;
-    } else if (!average_models) {
-      server.ApplyDelta(delta);
-      ++round_contribs[round];
-    } else {
-      round_stage[round].AddScaled(delta, 1.0);
-      ++round_contribs[round];
-    }
-    if (!stale) {
-      const double lag = static_cast<double>(leader - round);
-      round_stale_sum[round] += lag;
-      round_stale_max[round] = std::max(round_stale_max[round], lag);
-      ++round_stale_n[round];
-    }
+    const double lag = static_cast<double>(leader - round);
+    round_stale_sum[round] += lag;
+    round_stale_max[round] = std::max(round_stale_max[round], lag);
     pending_delta[r] = DenseVector();  // release
     ++round_pushes[round];
     round_end[round] = std::max(round_end[round], node.clock);

@@ -44,6 +44,10 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
   if (config.ps.num_shards < 1) {
     return Status::InvalidArgument("ps.num_shards must be at least 1");
   }
+  if (config.ps.staleness < 0) {
+    return Status::InvalidArgument("ps.staleness must be >= 0, got " +
+                                   std::to_string(config.ps.staleness));
+  }
   return Status::Ok();
 }
 
@@ -64,9 +68,8 @@ double Trainer::Eval(const std::vector<CsrBlock>& partitions,
          reg_->Value(w);
 }
 
-bool Trainer::ShouldStop(int step, SimTime now, double objective) const {
+bool Trainer::ShouldStop(int step, double objective) const {
   if (step >= config_.max_comm_steps) return true;
-  if (now >= config_.max_sim_seconds) return true;
   if (config_.target_objective.has_value() &&
       objective <= *config_.target_objective) {
     return true;
@@ -78,8 +81,7 @@ bool Trainer::IsDiverged(double objective) {
   return !std::isfinite(objective) || objective > 1e9;
 }
 
-size_t Trainer::NumAggregators(size_t k) const {
-  if (config_.num_aggregators > 0) return std::min(config_.num_aggregators, k);
+size_t Trainer::NumAggregators(size_t k) {
   return std::max<size_t>(
       1, static_cast<size_t>(std::sqrt(static_cast<double>(k))));
 }

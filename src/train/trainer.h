@@ -44,7 +44,10 @@ std::string SystemName(SystemKind kind);
 
 /// Hyperparameters and run limits shared by every trainer. Fields that
 /// a given system does not use are ignored by it (e.g. `ps` for the
-/// Spark-based trainers).
+/// Spark-based trainers). The SendModel Spark trainers run one local
+/// pass over the partition per communication step; the driver ships
+/// the model with its link serializing the k copies, and
+/// treeAggregate uses MLlib's about sqrt(k) intermediate aggregators.
 struct TrainerConfig {
   // Objective.
   LossKind loss = LossKind::kHinge;
@@ -57,9 +60,6 @@ struct TrainerConfig {
   /// Mini-batch size as a fraction of each worker's partition
   /// (MLlib's sampling fraction; Petuum/Angel's batch size).
   double batch_fraction = 0.01;
-  /// Local passes over the partition per communication step for the
-  /// SendModel Spark trainers.
-  size_t local_epochs = 1;
   /// Use the Bottou lazy/sparse trick for L2 in local SGD.
   bool lazy_regularization = true;
   /// Update rule for the SendModel trainers' local passes (kSgd
@@ -68,7 +68,6 @@ struct TrainerConfig {
 
   // Run limits.
   int max_comm_steps = 100;
-  double max_sim_seconds = 1e18;
   /// Stop once the evaluated objective reaches this value.
   std::optional<double> target_objective;
   int eval_every = 1;
@@ -87,11 +86,6 @@ struct TrainerConfig {
   // and math bit-for-bit.
   CodecConfig codec;
 
-  // Spark engine knobs.
-  BroadcastMode broadcast = BroadcastMode::kDriverSequential;
-  /// Intermediate aggregators for treeAggregate; 0 = floor(sqrt(k)).
-  size_t num_aggregators = 0;
-
   // Crash recovery: periodic trainer-state snapshots (model,
   // iteration, RNG cursors, error-feedback residuals) and resume.
   // Resumed runs finish with weights bit-identical to uninterrupted
@@ -106,7 +100,8 @@ struct TrainerConfig {
 /// Rejects a config no trainer can run: an `eval_every` below 1 (the
 /// trainers evaluate after every eval_every-th step), a
 /// `batch_fraction` that is not finite and positive (a mini-batch holds
-/// fraction × rows rows) or no PS shard (`ps.num_shards` below 1).
+/// fraction × rows rows), no PS shard (`ps.num_shards` below 1) or a
+/// negative `ps.staleness` (round t waits on round t - 1 - staleness).
 /// Every Trainer CHECKs it on construction.
 Status ValidateTrainerConfig(const TrainerConfig& config);
 
@@ -167,17 +162,16 @@ class Trainer {
   /// once and reused by every later evaluation.
   double Eval(const std::vector<CsrBlock>& partitions, const DenseVector& w);
 
-  /// True when the run should stop after observing `objective` at
-  /// virtual time `now` having completed `step` communication steps.
-  bool ShouldStop(int step, SimTime now, double objective) const;
+  /// True when the run should stop after observing `objective` having
+  /// completed `step` communication steps.
+  bool ShouldStop(int step, double objective) const;
 
   /// Detects a diverged run (non-finite or exploding objective).
   static bool IsDiverged(double objective);
 
   /// Intermediate aggregators for a treeAggregate over `k` executors:
-  /// config().num_aggregators when set (at most k), otherwise MLlib's
-  /// default depth-2 tree of about sqrt(k).
-  size_t NumAggregators(size_t k) const;
+  /// MLlib's default depth-2 tree of about sqrt(k).
+  static size_t NumAggregators(size_t k);
 
   /// One Rng per worker, forked in worker order from `seed`.
   static std::vector<Rng> WorkerRngs(uint64_t seed, size_t k);

@@ -45,7 +45,7 @@ TEST(SparkClusterTest, BroadcastSequentialSerializesAtDriver) {
   SparkCluster spark(TestConfig(4));
   const NetworkModel& net = spark.network();
   const uint64_t bytes = 100000;
-  spark.Broadcast(bytes, BroadcastMode::kDriverSequential, "bcast");
+  spark.Broadcast(bytes, "bcast");
   // Driver outbound pushed 4 copies.
   EXPECT_NEAR(spark.sim().driver().clock,
               net.SerializedTransferTime(bytes, 4), 1e-9);
@@ -55,15 +55,6 @@ TEST(SparkClusterTest, BroadcastSequentialSerializesAtDriver) {
   // The first worker receives earlier than the last: the bottleneck
   // grows linearly with k.
   EXPECT_LT(spark.sim().worker(0).clock, spark.sim().worker(3).clock);
-}
-
-TEST(SparkClusterTest, TorrentBroadcastBeatsSequentialForManyWorkers) {
-  const uint64_t bytes = 1000000;
-  SparkCluster seq(TestConfig(16));
-  seq.Broadcast(bytes, BroadcastMode::kDriverSequential, "b");
-  SparkCluster tor(TestConfig(16));
-  tor.Broadcast(bytes, BroadcastMode::kTorrent, "b");
-  EXPECT_LT(tor.Barrier(), seq.Barrier());
 }
 
 TEST(SparkClusterTest, TreeAggregateEndsAtDriver) {
@@ -115,8 +106,7 @@ TEST(SparkClusterTest, ByteAccountingMatchesPaper) {
 
   // Driver-centric: broadcast + treeAggregate.
   SparkCluster driver_centric(TestConfig(k));
-  driver_centric.Broadcast(model_bytes, BroadcastMode::kDriverSequential,
-                           "b");
+  driver_centric.Broadcast(model_bytes, "b");
   driver_centric.TreeAggregate(model_bytes, 2, 0, "agg");
   const uint64_t driver_bytes = driver_centric.total_bytes();
 

@@ -1,9 +1,8 @@
 // Fault injection and crash recovery. Three invariants anchor every
 // test here:
-//   1. Faults cost virtual time (and, for PS shard rollback, server
-//      state) but never perturb the host-side numerics — so a Spark
-//      run with crashes, degraded links or speculation finishes with
-//      the exact same weights as a fault-free run.
+//   1. Faults cost virtual time but never perturb the host-side
+//      numerics — so a run with crashes or degraded links finishes
+//      with the exact same weights as a fault-free run.
 //   2. A fixed seed plus a fixed FaultPlan reproduces byte-identical
 //      traces, across repeated runs and across host_threads values.
 //   3. Checkpoint/resume is bit-identical: a run interrupted at a
@@ -413,58 +412,6 @@ TEST(ExecutorCrashTest, PsWorkerCrashRecoversOnTheSameNode) {
 }
 
 // ---------------------------------------------------------------------
-// Speculative execution: backups help the stragglers without touching
-// the math.
-
-TEST(SpeculationTest, BackupsLaunchAndNeverSlowTheStageDown) {
-  const Dataset data = FaultData();
-  ClusterConfig slow_node = BaseCluster();
-  slow_node.node_speed_factors = {1.0, 1.0, 1.0, 0.25};
-  ClusterConfig speculative = slow_node;
-  speculative.speculation = true;
-  speculative.speculation_quantile = 0.5;
-  speculative.speculation_multiplier = 1.2;
-
-  const TrainerConfig config = BaseConfig();
-  const TrainResult base =
-      MakeTrainer(SystemKind::kMllibStar, config)->Train(data, slow_node);
-  const TrainResult spec =
-      MakeTrainer(SystemKind::kMllibStar, config)->Train(data, speculative);
-
-  EXPECT_GT(spec.faults.speculative_launches, 0u);
-  EXPECT_LE(spec.faults.speculative_wins, spec.faults.speculative_launches);
-  EXPECT_LE(spec.sim_seconds, base.sim_seconds);
-  ExpectSameWeights(base.final_weights, spec.final_weights);
-
-  bool saw_speculative_bar = false;
-  for (const TraceEvent& e : spec.trace.events()) {
-    saw_speculative_bar =
-        saw_speculative_bar || e.kind == ActivityKind::kSpeculative;
-  }
-  EXPECT_TRUE(saw_speculative_bar);
-}
-
-TEST(SpeculationTest, DeterministicAcrossHostThreads) {
-  const Dataset data = FaultData();
-  ClusterConfig cluster = BaseCluster();
-  cluster.node_speed_factors = {1.0, 1.0, 1.0, 0.25};
-  cluster.speculation = true;
-  cluster.speculation_quantile = 0.5;
-  cluster.speculation_multiplier = 1.2;
-
-  TrainerConfig sequential = BaseConfig();
-  TrainerConfig parallel = sequential;
-  parallel.host_threads = 4;
-
-  const TrainResult a =
-      MakeTrainer(SystemKind::kMllibStar, sequential)->Train(data, cluster);
-  const TrainResult b =
-      MakeTrainer(SystemKind::kMllibStar, parallel)->Train(data, cluster);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  ExpectSameTrace(a.trace, b.trace);
-}
-
-// ---------------------------------------------------------------------
 // Degraded links: a pure virtual-time tax.
 
 TEST(DegradedLinkTest, SlowsTheRunButNotTheNumerics) {
@@ -484,7 +431,7 @@ TEST(DegradedLinkTest, SlowsTheRunButNotTheNumerics) {
 }
 
 // ---------------------------------------------------------------------
-// PS robustness: retry/backoff, shard crash + restore, stale pushes.
+// PS robustness: retry/backoff, shard crash + restore.
 
 TEST(PsFaultTest, DroppedRequestsRetryWithBoundedBackoff) {
   const Dataset data = FaultData();
@@ -493,10 +440,6 @@ TEST(PsFaultTest, DroppedRequestsRetryWithBoundedBackoff) {
 
   TrainerConfig config = BaseConfig();
   config.max_comm_steps = 3;
-  config.ps.request_timeout_sec = 0.25;
-  config.ps.backoff_base_sec = 0.05;
-  config.ps.backoff_max_sec = 2.0;
-  config.ps.max_request_retries = 4;
 
   const TrainResult result =
       MakeTrainer(SystemKind::kPetuum, config)->Train(data, cluster);
@@ -510,10 +453,8 @@ TEST(PsFaultTest, DroppedRequestsRetryWithBoundedBackoff) {
     const double wait = e.end - e.start;
     // Each retry waits timeout + jittered backoff, where the backoff
     // is min(max, base * 2^attempt) * [0.5, 1.0).
-    EXPECT_GE(wait, config.ps.request_timeout_sec +
-                        0.5 * config.ps.backoff_base_sec - 1e-12);
-    EXPECT_LE(wait, config.ps.request_timeout_sec +
-                        config.ps.backoff_max_sec + 1e-12);
+    EXPECT_GE(wait, kPsRequestTimeoutSec + 0.5 * kPsBackoffBaseSec - 1e-12);
+    EXPECT_LE(wait, kPsRequestTimeoutSec + kPsBackoffMaxSec + 1e-12);
   }
   EXPECT_EQ(retry_bars, result.faults.ps_retries);
 }
@@ -524,12 +465,12 @@ TEST(PsFaultTest, ShardCrashWithContinuousCheckpointIsLossless) {
   cc.faults.server_crashes = {{0, 0.001}};
   SimCluster sim(cc);
   PsConfig ps;
-  ps.num_shards = 2;  // server_checkpoint_every_sec = 0: lossless
+  ps.num_shards = 2;  // every applied update is checkpointed: lossless
   PsContext ctx(&sim, 8, ps);
 
   DenseVector delta(8);
   for (size_t i = 0; i < 8; ++i) delta[i] = static_cast<double>(i + 1);
-  ctx.ApplyDelta(delta);
+  ctx.ApplyDelta(delta, 1.0);
   const DenseVector before = ctx.model();
 
   sim.worker(0).clock = 0.01;  // past the scripted crash instant
@@ -545,62 +486,6 @@ TEST(PsFaultTest, ShardCrashWithContinuousCheckpointIsLossless) {
   }
   EXPECT_TRUE(saw_down);
   EXPECT_TRUE(saw_restore);
-}
-
-TEST(PsFaultTest, ShardCrashWithStaleCheckpointLosesItsRange) {
-  ClusterConfig cc = ClusterConfig::Cluster1(2);
-  cc.num_servers = 2;
-  cc.faults.server_crashes = {{0, 0.001}};
-  SimCluster sim(cc);
-  PsConfig ps;
-  ps.num_shards = 2;
-  ps.server_checkpoint_every_sec = 1e9;  // snapshot effectively never
-  PsContext ctx(&sim, 8, ps);
-
-  DenseVector delta(8);
-  for (size_t i = 0; i < 8; ++i) delta[i] = static_cast<double>(i + 1);
-  ctx.ApplyDelta(delta);
-  const auto before_crash = ctx.PullSnapshot();
-
-  sim.worker(0).clock = 0.01;
-  ctx.TimePull(&sim.worker(0));
-
-  // Shard 0 owns [0, 4): rolled back to the (zero) snapshot. Shard 1's
-  // range survives untouched.
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(ctx.model()[i], 0.0) << i;
-  for (size_t i = 4; i < 8; ++i) {
-    EXPECT_EQ(ctx.model()[i], delta[i]) << i;
-  }
-  // The rollback moved the model version, so the pull that follows
-  // sees the rolled-back model, not the snapshot taken before it.
-  const auto after_crash = ctx.PullSnapshot();
-  EXPECT_NE(after_crash, before_crash);
-  EXPECT_EQ(after_crash->values(), ctx.model().values());
-}
-
-TEST(PsFaultTest, AspDiscardsPushesBeyondTheStalenessBound) {
-  const Dataset data = FaultData();
-  ClusterConfig cluster = BaseCluster(3);
-  cluster.node_speed_factors = {1.0, 1.0, 0.1};
-
-  TrainerConfig keep = BaseConfig();
-  keep.base_lr = 0.1;
-  keep.max_comm_steps = 12;
-  keep.ps.consistency = ConsistencyKind::kAsp;
-  TrainerConfig discard = keep;
-  discard.ps.discard_stale_pushes = true;
-
-  const TrainResult kept =
-      MakeTrainer(SystemKind::kPetuum, keep)->Train(data, cluster);
-  const TrainResult dropped =
-      MakeTrainer(SystemKind::kPetuum, discard)->Train(data, cluster);
-
-  EXPECT_EQ(kept.faults.stale_pushes_discarded, 0u);
-  EXPECT_GT(dropped.faults.stale_pushes_discarded, 0u);
-  EXPECT_FALSE(dropped.diverged);
-  for (size_t i = 0; i < dropped.final_weights.dim(); ++i) {
-    EXPECT_TRUE(std::isfinite(dropped.final_weights[i]));
-  }
 }
 
 }  // namespace

@@ -88,16 +88,13 @@ TEST(GanttSvgTest, FaultBarsGetTheirOwnColorsAndLegendEntries) {
   trace.Record("w", 0.0, 1.0, ActivityKind::kRetry, "task-retry");
   trace.Record("w", 1.0, 2.0, ActivityKind::kFault, "executor-down");
   trace.Record("w", 2.0, 3.0, ActivityKind::kRecompute, "lineage-rebuild");
-  trace.Record("w", 3.0, 4.0, ActivityKind::kSpeculative, "backup");
   const std::string svg = RenderGanttSvg(trace);
   EXPECT_NE(svg.find("#e8845a"), std::string::npos);  // retry
   EXPECT_NE(svg.find("#c0392b"), std::string::npos);  // fault
   EXPECT_NE(svg.find("#2a8f8f"), std::string::npos);  // recompute
-  EXPECT_NE(svg.find("#7fb04d"), std::string::npos);  // speculative
   EXPECT_NE(svg.find(">retry</text>"), std::string::npos);
   EXPECT_NE(svg.find(">fault</text>"), std::string::npos);
   EXPECT_NE(svg.find(">recompute</text>"), std::string::npos);
-  EXPECT_NE(svg.find(">speculative</text>"), std::string::npos);
 }
 
 TEST(GanttSvgTest, MembershipBarsGetTheirOwnColorsAndLegendEntries) {

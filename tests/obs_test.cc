@@ -174,23 +174,67 @@ TEST(TimeSeriesTest, ObservedAggregationsFoldPerWindow) {
   ASSERT_EQ(mean.points.size(), 1u);
   EXPECT_EQ(mean.points[0].value, 3.0);
   EXPECT_EQ(mean.points[0].count, 2u);
-  // The third round's spread is observed before its close closes
-  // [0, 0.25), so it folds into that window.
-  ASSERT_EQ(max.points.size(), 1u);
+  // The third round ends on the boundary 0.25: its close closes
+  // [0, 0.25), and its spread files under [0.25, 0.5), the window it
+  // ended in. The run ends there too, so that window is emitted with
+  // zero width to keep the observation.
+  ASSERT_EQ(max.points.size(), 2u);
   EXPECT_EQ(max.points[0].value, 7.0);
-  EXPECT_EQ(max.points[0].count, 3u);
+  EXPECT_EQ(max.points[0].count, 2u);
+  EXPECT_EQ(max.points[1].t0, 0.25);
+  EXPECT_EQ(max.points[1].t1, 0.25);
+  EXPECT_EQ(max.points[1].value, 0.0);
+  EXPECT_EQ(max.points[1].count, 1u);
   EXPECT_EQ(SeriesNamed(all, "rounds").points[0].value, 3.0);
+}
+
+TEST(TimeSeriesTest, RoundObservationsFileUnderTheWindowTheRoundEndedIn) {
+  // A round spanning several windows reports its spread and staleness
+  // where it ended, not in the window the previous round ended in.
+  std::vector<RoundProfile> rounds = {RoundClosingAt(0, 0.1),
+                                      RoundClosingAt(1, 0.9)};
+  rounds[0].task_max = 2.0;
+  rounds[1].task_max = 5.0;
+  for (RoundProfile& r : rounds) {
+    r.staleness_samples = 4;
+    r.staleness_mean = r.task_max / 2.0;
+  }
+  const std::vector<SeriesSnapshot> all = WindowedSeries(rounds, nullptr);
+  for (const char* name : {"straggler.spread", "staleness"}) {
+    SCOPED_TRACE(name);
+    const SeriesSnapshot s = SeriesNamed(all, name);
+    // [0, 0.25) holds round 0; [0.25, 0.5) and [0.5, 0.75) close
+    // empty; round 1 ends in the partial window [0.75, 0.9].
+    ASSERT_EQ(s.points.size(), 4u);
+    EXPECT_EQ(s.points[0].count, 1u);
+    EXPECT_EQ(s.points[1].count, 0u);
+    EXPECT_EQ(s.points[2].count, 0u);
+    EXPECT_EQ(s.points[3].t0, 0.75);
+    EXPECT_EQ(s.points[3].t1, 0.9);
+    EXPECT_EQ(s.points[3].count, 1u);
+    EXPECT_EQ(s.points[3].value, s.points[0].value * 2.5);
+  }
 }
 
 TEST(TimeSeriesTest, RingDropsOldestPastCapacityAndCounts) {
   const double end = kSeriesWindowSec * (kSeriesCapacity + 6);
-  const SeriesSnapshot v = SeriesNamed(
-      WindowedSeries({RoundClosingAt(0, end)}, nullptr), "straggler.spread");
+  const std::vector<SeriesSnapshot> all =
+      WindowedSeries({RoundClosingAt(0, end)}, nullptr);
+  const SeriesSnapshot v = SeriesNamed(all, "rounds");
   ASSERT_EQ(v.points.size(), kSeriesCapacity);
   EXPECT_EQ(v.dropped, 6u);
-  // The retained tail is the newest windows.
+  // The retained tail is the newest windows; the round's count landed
+  // in the first window its close closed, which fell off.
   EXPECT_EQ(v.points.front().t0, 6 * kSeriesWindowSec);
   EXPECT_EQ(v.points.back().t1, end);
+  for (const SeriesPoint& p : v.points) EXPECT_EQ(p.value, 0.0);
+  // The round's spread files under the window it ended in, which
+  // starts at `end`, so it survives the ring's bound.
+  const SeriesSnapshot spread = SeriesNamed(all, "straggler.spread");
+  ASSERT_EQ(spread.points.size(), 1u);
+  EXPECT_EQ(spread.dropped, 0u);
+  EXPECT_EQ(spread.points[0].t0, end);
+  EXPECT_EQ(spread.points[0].count, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -693,7 +737,6 @@ TEST_P(EarlyStopRoundsTest, SspRunThatStopsEarlyKeepsTrailingTraffic) {
   cluster.straggler_sigma = 0.3;
   TrainerConfig config = ObsConfig(GetParam());
   config.max_comm_steps = 30;
-  config.ps.consistency = ConsistencyKind::kSsp;
   config.ps.staleness = 2;
   const TrainResult full =
       MakeTrainer(GetParam(), config)->Train(data, cluster);

@@ -70,18 +70,16 @@ TEST(PsContextTest, PushCountsBytes) {
   PsContext ps(&sim, 1000, DefaultPs(2));
   EXPECT_EQ(ps.total_bytes(), 0u);
   ps.TimePull(&sim.worker(0));
-  ps.TimePush(&sim.worker(0));
+  ps.TimePush(&sim.worker(0), ps.wire_codec().EncodedBytes(ps.dim()));
   EXPECT_EQ(ps.total_bytes(), 2u * 8u * 1000u);
 }
 
 TEST(PsContextTest, ApplyDeltaSums) {
   SimCluster sim(PsClusterConfig(1, 1));
-  PsConfig config = DefaultPs(1);
-  config.delta_scale = 0.5;
-  PsContext ps(&sim, 3, config);
+  PsContext ps(&sim, 3, DefaultPs(1));
   DenseVector delta(std::vector<double>{2.0, 0.0, -4.0});
-  ps.ApplyDelta(delta);
-  ps.ApplyDelta(delta);
+  ps.ApplyDelta(delta, 0.5);
+  ps.ApplyDelta(delta, 0.5);
   EXPECT_DOUBLE_EQ(ps.model()[0], 2.0);
   EXPECT_DOUBLE_EQ(ps.model()[2], -4.0);
 }
@@ -102,7 +100,7 @@ TEST(PsContextTest, PullSnapshotsFollowModelVersion) {
     EXPECT_EQ(ps.PullSnapshot(), snap);
     previous = snap;
   };
-  ps.ApplyDelta(DenseVector(std::vector<double>{1.0, 2.0}));
+  ps.ApplyDelta(DenseVector(std::vector<double>{1.0, 2.0}), 1.0);
   expect_fresh({1.0, 2.0});
   ps.ApplyRoundAverage(DenseVector(std::vector<double>{0.5, -2.0}));
   expect_fresh({1.5, 0.0});
@@ -113,26 +111,26 @@ TEST(PsContextTest, PullSnapshotsFollowModelVersion) {
 }
 
 // ----------------------------------------------------- consistency model
+// One SSP bound covers all three schemes: staleness 0 is BSP, and a
+// bound the round budget never reaches is ASP.
 
 TEST(ConsistencyTest, AspNeverWaitsOnOthers) {
+  // A three-round budget (rounds 0..2): staleness 3 gates none of them,
+  // so worker 0 starts its last round as soon as its own round 1 ends.
   std::vector<std::vector<SimTime>> finish = {{1.0, 2.0}, {10.0, 20.0}};
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kAsp, 0, 0, 2, finish), 2.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(3, 0, 2, finish), 2.0);
 }
 
 TEST(ConsistencyTest, BspWaitsForSlowestPreviousRound) {
   std::vector<std::vector<SimTime>> finish = {{1.0}, {5.0}};
   // Worker 0 starting round 1 must wait for worker 1's round 0.
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, 1, finish), 5.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(0, 0, 1, finish), 5.0);
 }
 
 TEST(ConsistencyTest, FirstRoundStartsImmediately) {
   std::vector<std::vector<SimTime>> finish = {{}, {}};
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, 0, finish), 0.0);
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 1, 0, finish), 0.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(0, 0, 0, finish), 0.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(2, 1, 0, finish), 0.0);
 }
 
 TEST(ConsistencyTest, SspAllowsBoundedLead) {
@@ -140,20 +138,18 @@ TEST(ConsistencyTest, SspAllowsBoundedLead) {
   std::vector<std::vector<SimTime>> finish = {{1.0, 2.0, 3.0}, {10.0}};
   // With staleness 2, worker 0 starting round 3 waits for everyone's
   // round 0 only: max(own 3.0, other 10.0) = 10.
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 0, 3, finish), 10.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(2, 0, 3, finish), 10.0);
   // Starting round 2 needs everyone's round -1: no constraint.
-  EXPECT_DOUBLE_EQ(
-      ConsistencyStartTime(ConsistencyKind::kSsp, 2, 0, 2, finish), 2.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(2, 0, 2, finish), 2.0);
 }
 
 TEST(ConsistencyTest, SspZeroStalenessEqualsBsp) {
+  // Staleness 0 is a barrier every round: round r starts once every
+  // worker, the slowest included, has finished round r - 1.
   std::vector<std::vector<SimTime>> finish = {{1.0, 4.0}, {3.0, 6.0}};
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_DOUBLE_EQ(
-        ConsistencyStartTime(ConsistencyKind::kSsp, 0, 0, round, finish),
-        ConsistencyStartTime(ConsistencyKind::kBsp, 0, 0, round, finish));
-  }
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(0, 0, 0, finish), 0.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(0, 0, 1, finish), 3.0);
+  EXPECT_DOUBLE_EQ(ConsistencyStartTime(0, 0, 2, finish), 6.0);
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ TEST(TraceLogTest, TinyWidthGanttDoesNotUnderflow) {
 TEST(TraceLogTest, ActivityNames) {
   EXPECT_STREQ(ActivityName(ActivityKind::kCompute), "compute");
   EXPECT_STREQ(ActivityName(ActivityKind::kCommunicate), "communicate");
-  EXPECT_STREQ(ActivityName(ActivityKind::kSpeculative), "speculative");
+  EXPECT_STREQ(ActivityName(ActivityKind::kRecompute), "recompute");
 }
 
 TEST(TraceLogTest, StageMarks) {
@@ -185,20 +185,6 @@ TEST(TraceLogTest, StageMarks) {
   ASSERT_EQ(log.stages().size(), 2u);
   EXPECT_EQ(log.stages()[0].second, "s1");
   EXPECT_DOUBLE_EQ(log.stages()[1].first, 2.0);
-}
-
-TEST(SimClusterTest, NodeSpeedFactorsCycle) {
-  ClusterConfig config = NoJitterConfig(4);
-  config.node_speed_factors = {1.0, 0.5};
-  SimCluster sim(config);
-  EXPECT_DOUBLE_EQ(sim.worker(0).compute_speed, config.compute_speed);
-  EXPECT_DOUBLE_EQ(sim.worker(1).compute_speed, config.compute_speed * 0.5);
-  EXPECT_DOUBLE_EQ(sim.worker(2).compute_speed, config.compute_speed);
-  EXPECT_DOUBLE_EQ(sim.worker(3).compute_speed, config.compute_speed * 0.5);
-  // The slow node takes twice as long for the same work.
-  sim.Compute(&sim.worker(0), 1000, "a");
-  sim.Compute(&sim.worker(1), 1000, "b");
-  EXPECT_NEAR(sim.worker(1).clock, 2.0 * sim.worker(0).clock, 1e-12);
 }
 
 TEST(SimClusterTest, NoFailuresWhenProbabilityZero) {
@@ -236,9 +222,6 @@ TEST(ClusterConfigTest, FigureAndBenchmarkClustersPass) {
       ClusterConfig::Cluster1(), ClusterConfig::Cluster1(8),
       ClusterConfig::Cluster2(8), ClusterConfig::Cluster2(32),
       ClusterConfig::Cluster2(64), ClusterConfig::Cluster2(128)};
-  ClusterConfig speculative = ClusterConfig::Cluster1(8);
-  speculative.speculation = true;
-  clusters.push_back(speculative);
   for (const ClusterConfig& c : clusters) {
     EXPECT_TRUE(ValidateClusterConfig(c).ok()) << c.num_workers;
   }
@@ -286,26 +269,107 @@ TEST(ClusterConfigTest, RejectsNegativeLatency) {
   EXPECT_TRUE(ValidateClusterConfig(zero).ok());
 }
 
-TEST(ClusterConfigTest, RejectsSpeculationQuantileOutsideUnitInterval) {
-  // The quantile indexes a stage's sorted task durations: 1.5 over 8
-  // tasks would read the 11th.
-  for (double quantile : {-0.25, 1.5, kNaN}) {
+TEST(ClusterConfigTest, RejectsTaskFailureProbOutsideHalfOpenUnitInterval) {
+  // A failed task is retried until a draw succeeds: at 1 no draw ever
+  // does, and RunOnWorkers would loop forever.
+  for (double prob : {-0.25, 1.0, 1.5, kInf, kNaN}) {
     ClusterConfig config = ClusterConfig::Cluster1(8);
-    config.speculation = true;
-    config.speculation_quantile = quantile;
-    ExpectRejected(config, "speculation_quantile");
+    config.task_failure_prob = prob;
+    ExpectRejected(config, "task_failure_prob");
   }
-  for (double quantile : {0.0, 1.0}) {
+  for (double prob : {0.0, 0.05, 0.999}) {
     ClusterConfig config = ClusterConfig::Cluster1(8);
-    config.speculation_quantile = quantile;
-    EXPECT_TRUE(ValidateClusterConfig(config).ok()) << quantile;
+    config.task_failure_prob = prob;
+    EXPECT_TRUE(ValidateClusterConfig(config).ok()) << prob;
   }
+}
+
+TEST(ClusterConfigTest, RejectsJitterAndRestartTimesNotFiniteAndNonNegative) {
+  for (double bad : {-1.0, kInf, kNaN}) {
+    ClusterConfig sigma = ClusterConfig::Cluster1(8);
+    sigma.straggler_sigma = bad;
+    ExpectRejected(sigma, "straggler_sigma");
+    ClusterConfig task = ClusterConfig::Cluster1(8);
+    task.task_restart_seconds = bad;
+    ExpectRejected(task, "task_restart_seconds");
+    ClusterConfig executor = ClusterConfig::Cluster1(8);
+    executor.faults.executor_restart_seconds = bad;
+    ExpectRejected(executor, "executor_restart_seconds");
+  }
+  ClusterConfig zero = ClusterConfig::Cluster1(8);
+  zero.straggler_sigma = 0.0;
+  zero.task_restart_seconds = 0.0;
+  zero.faults.executor_restart_seconds = 0.0;
+  EXPECT_TRUE(ValidateClusterConfig(zero).ok());
+}
+
+TEST(ClusterConfigTest, RejectsCrashAndDropProbabilitiesOutsideUnitInterval) {
+  for (double prob : {-0.5, 1.5, kNaN}) {
+    ClusterConfig crash = ClusterConfig::Cluster1(8);
+    crash.faults.worker_crash_prob = prob;
+    ExpectRejected(crash, "worker_crash_prob");
+    ClusterConfig drop = ClusterConfig::Cluster1(8);
+    drop.faults.message_drops = {{prob, 0.0, 1.0}};
+    ExpectRejected(drop, "message_drops");
+  }
+  ClusterConfig certain = ClusterConfig::Cluster1(8);
+  certain.faults.worker_crash_prob = 1.0;
+  certain.faults.message_drops = {{1.0, 0.0, 0.05}};
+  EXPECT_TRUE(ValidateClusterConfig(certain).ok());
+}
+
+TEST(ClusterConfigTest, RejectsBadFaultWindows) {
+  for (double factor : {0.0, -4.0, kInf, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.faults.degraded_links = {{factor, 0.0, 1.0}};
+    ExpectRejected(config, "degraded_links");
+  }
+  ClusterConfig link = ClusterConfig::Cluster1(8);
+  link.faults.degraded_links = {{4.0, 0.0, 1.0}, {2.0, 3.0, 2.0}};
+  ExpectRejected(link, "degraded_links[1]");
+  ClusterConfig drop = ClusterConfig::Cluster1(8);
+  drop.faults.message_drops = {{0.5, 1.0, kNaN}};
+  ExpectRejected(drop, "message_drops[0]");
+  // An empty window is allowed; it never fires.
+  ClusterConfig empty = ClusterConfig::Cluster1(8);
+  empty.faults.degraded_links = {{4.0, 1.0, 1.0}};
+  empty.faults.message_drops = {{0.5, 2.0, 2.0}};
+  EXPECT_TRUE(ValidateClusterConfig(empty).ok());
+}
+
+TEST(ClusterConfigTest, RejectsBadChurnRatesAndDetectorTimes) {
+  for (double rate : {-0.1, kInf, kNaN}) {
+    ClusterConfig leave = ClusterConfig::Cluster1(8);
+    leave.churn.leave_rate_per_sec = rate;
+    ExpectRejected(leave, "leave_rate_per_sec");
+    ClusterConfig join = ClusterConfig::Cluster1(8);
+    join.churn.join_rate_per_sec = rate;
+    ExpectRejected(join, "join_rate_per_sec");
+  }
+  for (double heartbeat : {0.0, -0.5, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.churn.heartbeat_interval_sec = heartbeat;
+    ExpectRejected(config, "heartbeat_interval_sec");
+  }
+  for (double timeout : {-1.0, kNaN}) {
+    ClusterConfig config = ClusterConfig::Cluster1(8);
+    config.churn.suspicion_timeout_sec = timeout;
+    ExpectRejected(config, "suspicion_timeout_sec");
+  }
+  ClusterConfig immediate = ClusterConfig::Cluster1(8);
+  immediate.churn.suspicion_timeout_sec = 0.0;
+  EXPECT_TRUE(ValidateClusterConfig(immediate).ok());
 }
 
 TEST(ClusterConfigDeathTest, SimClusterChecksItsConfig) {
   ClusterConfig config = ClusterConfig::Cluster1(8);
-  config.speculation_quantile = 1.5;
-  EXPECT_DEATH(SimCluster{config}, "speculation_quantile");
+  config.task_failure_prob = 1.0;
+  EXPECT_DEATH(SimCluster{config}, "task_failure_prob");
+  // A bad churn plan fails with the validation message, before the
+  // membership tracker built from it runs its own checks.
+  ClusterConfig churn = ClusterConfig::Cluster1(8);
+  churn.churn.heartbeat_interval_sec = 0.0;
+  EXPECT_DEATH(SimCluster{churn}, "heartbeat_interval_sec must be > 0");
 }
 
 }  // namespace

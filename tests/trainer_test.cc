@@ -224,9 +224,8 @@ TEST(PsConsistencyTest, SspToleratesStragglersBetterThanBsp) {
   ClusterConfig cluster = ClusterConfig::Cluster2(4);  // heavy jitter
   TrainerConfig bsp_config = BaseConfig();
   bsp_config.max_comm_steps = 10;
-  bsp_config.ps.consistency = ConsistencyKind::kBsp;
+  bsp_config.ps.staleness = 0;
   TrainerConfig ssp_config = bsp_config;
-  ssp_config.ps.consistency = ConsistencyKind::kSsp;
   ssp_config.ps.staleness = 3;
   const TrainResult bsp =
       MakeTrainer(SystemKind::kPetuumStar, bsp_config)->Train(data, cluster);
