@@ -267,22 +267,34 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
   }
 }
 
+struct CkptPinCase {
+  SystemKind system;
+  CodecKind codec;
+  const char* digest;
+};
+
 // The checkpoint word layout of each Spark mode (tag, classes, step,
 // model, worker RNG cursors, error-feedback residuals, elastic words):
 // FNV-1a over the bytes of the file written after step 3, recorded
-// before the three modes shared one driver loop. Same-build resume
-// tests cannot see a reordered word; this pin does.
+// before the three modes shared one driver loop, at the default
+// DenseF64 wire and with int8 residuals. The L-BFGS row pins the
+// smooth solver's layout (step, objective, iterate, gradient, history).
+// Same-build resume tests cannot see a reordered word; this pin does.
 TEST(HostWorkGoldenTest, SparkCheckpointFilesMatchPins) {
   const Dataset data = HostWorkData();
   const ClusterConfig cluster = JitteryCluster();
 
-  const std::pair<SystemKind, const char*> cases[] = {
-      {SystemKind::kMllib, "da4eaacc11dfb9ca"},
-      {SystemKind::kMllibMa, "c212840c1e409fa0"},
-      {SystemKind::kMllibStar, "4d0bb688eee3e3f3"},
+  const CkptPinCase cases[] = {
+      {SystemKind::kMllib, CodecKind::kInt8Linear, "da4eaacc11dfb9ca"},
+      {SystemKind::kMllibMa, CodecKind::kInt8Linear, "c212840c1e409fa0"},
+      {SystemKind::kMllibStar, CodecKind::kInt8Linear, "4d0bb688eee3e3f3"},
+      {SystemKind::kMllib, CodecKind::kDenseF64, "cfe02060f49e6b67"},
+      {SystemKind::kMllibMa, CodecKind::kDenseF64, "55bbe9bd9e8ff166"},
+      {SystemKind::kMllibStar, CodecKind::kDenseF64, "3bb1acf43ac6fdc6"},
+      {SystemKind::kMllibLbfgs, CodecKind::kDenseF64, "1cb1e831e63efcef"},
   };
-  for (const auto& [system, digest] : cases) {
-    SCOPED_TRACE(SystemName(system));
+  for (const auto& [system, codec, digest] : cases) {
+    SCOPED_TRACE(SystemName(system) + " " + CodecName(codec));
     const std::string path = testing::TempDir() + "/golden_ckpt.bin";
     std::remove(path.c_str());
     TrainerConfig config = BaseConfig(1);
@@ -291,7 +303,7 @@ TEST(HostWorkGoldenTest, SparkCheckpointFilesMatchPins) {
     config.lambda = 0.01;
     config.batch_fraction = 0.04;
     config.max_comm_steps = 4;
-    config.codec.kind = CodecKind::kInt8Linear;
+    config.codec.kind = codec;
     config.checkpoint.path = path;
     config.checkpoint.every_steps = 3;
     (void)MakeTrainer(system, config)->Train(data, cluster);
@@ -368,26 +380,72 @@ TEST(PsConsistencyPinTest, SspAndAspRunsMatchPins) {
   }
 }
 
+// Staleness 2 against ASP where the bound binds: compute-heavy rounds
+// on Cluster 2's fast links with heavy straggler jitter let a fast
+// worker run three rounds ahead, which staleness 2 forbids and ASP
+// allows, so each system's two digests differ. A change that made
+// staleness 2 act as ASP (or the reverse) moves one of them.
+struct StalenessPinCase {
+  SystemKind system;
+  const char* ssp2;
+  const char* asp;
+};
+
+TEST(PsConsistencyPinTest, StalenessTwoAndAspRunsDiffer) {
+  const Dataset data = HostparData();
+  ClusterConfig cluster = ClusterConfig::Cluster2(8);
+  cluster.straggler_sigma = 0.3;
+
+  const StalenessPinCase cases[] = {
+      {SystemKind::kPetuum, "265b636460fa53df", "bb83aca317252b50"},
+      {SystemKind::kPetuumStar, "00e67a925aa11dae", "1a6be01d3ae049fe"},
+      {SystemKind::kAngel, "705e723adf496981", "226a504e8dcc0131"},
+  };
+  for (const StalenessPinCase& c : cases) {
+    SCOPED_TRACE(SystemName(c.system));
+    std::string digests[2];  // staleness 2, ASP
+    for (const bool asp : {false, true}) {
+      SCOPED_TRACE(asp ? "asp" : "ssp 2");
+      TrainerConfig config = BaseConfig(1);
+      config.ps.staleness = asp ? config.max_comm_steps : 2;
+      TrainerConfig parallel = config;
+      parallel.host_threads = 8;
+      const TrainResult a =
+          MakeTrainer(c.system, config)->Train(data, cluster);
+      const TrainResult b =
+          MakeTrainer(c.system, parallel)->Train(data, cluster);
+      digests[asp ? 1 : 0] = PsRunDigest(a);
+      EXPECT_EQ(PsRunDigest(a), asp ? c.asp : c.ssp2);
+      ExpectBitIdentical(a, b);
+    }
+    EXPECT_NE(digests[0], digests[1]);
+  }
+}
+
 // The PS checkpoint word layout (tag, reserved word, round, model,
 // worker and shared RNG cursors, clocks, finish times, error-feedback
 // residuals, membership block), written at the quiescent point after
-// BSP round 3: FNV-1a over the file's bytes.
+// BSP round 3, at the default DenseF64 wire and with int8 residuals:
+// FNV-1a over the file's bytes.
 TEST(PsConsistencyPinTest, BspCheckpointFilesMatchPins) {
   const Dataset data = HostparData();
   const ClusterConfig cluster = JitteryCluster();
 
-  const std::pair<SystemKind, const char*> cases[] = {
-      {SystemKind::kPetuum, "2e1bbea25a800602"},
-      {SystemKind::kPetuumStar, "ee3fb67f59f4ade6"},
-      {SystemKind::kAngel, "ee549d6ecc47d007"},
+  const CkptPinCase cases[] = {
+      {SystemKind::kPetuum, CodecKind::kInt8Linear, "2e1bbea25a800602"},
+      {SystemKind::kPetuumStar, CodecKind::kInt8Linear, "ee3fb67f59f4ade6"},
+      {SystemKind::kAngel, CodecKind::kInt8Linear, "ee549d6ecc47d007"},
+      {SystemKind::kPetuum, CodecKind::kDenseF64, "b9d8c88277d6ad3e"},
+      {SystemKind::kPetuumStar, CodecKind::kDenseF64, "8436ffa5e4087ce1"},
+      {SystemKind::kAngel, CodecKind::kDenseF64, "b51b1b9e8b5206ff"},
   };
-  for (const auto& [system, digest] : cases) {
-    SCOPED_TRACE(SystemName(system));
+  for (const auto& [system, codec, digest] : cases) {
+    SCOPED_TRACE(SystemName(system) + " " + CodecName(codec));
     const std::string path = testing::TempDir() + "/golden_ps_ckpt.bin";
     std::remove(path.c_str());
     TrainerConfig config = BaseConfig(1);
     config.max_comm_steps = 4;
-    config.codec.kind = CodecKind::kInt8Linear;
+    config.codec.kind = codec;
     config.checkpoint.path = path;
     config.checkpoint.every_steps = 3;
     (void)MakeTrainer(system, config)->Train(data, cluster);
