@@ -108,10 +108,12 @@ int main(int argc, char** argv) {
   // --- config -----------------------------------------------------
   TrainerConfig config;
   config.loss = LossKindFromName(flags.GetString("loss"));
-  if (flags.GetDouble("l2") > 0) {
+  // Any strength but 0 selects its regularizer, so a negative or NaN
+  // one reaches ValidateTrainerConfig instead of training unregularized.
+  if (flags.GetDouble("l2") != 0) {
     config.regularizer = RegularizerKind::kL2;
     config.lambda = flags.GetDouble("l2");
-  } else if (flags.GetDouble("l1") > 0) {
+  } else if (flags.GetDouble("l1") != 0) {
     config.regularizer = RegularizerKind::kL1;
     config.lambda = flags.GetDouble("l1");
   }

@@ -118,10 +118,6 @@ class SparkCluster {
   /// per communication step" accounting).
   uint64_t total_bytes() const { return wire_.total(); }
 
-  /// The run's codec tally: the trainers' codec transmits add to it,
-  /// and each round's profile carries its share.
-  CodecTally* codec_tally() { return &wire_.codec; }
-
   /// Which executor currently hosts partition r. Identity when the
   /// fleet is full and no churn has happened.
   size_t PartitionHost(size_t r) const { return assign_[r]; }
@@ -148,7 +144,7 @@ class SparkCluster {
   std::vector<size_t> ActiveWorkers() const;
 
   SimCluster sim_;
-  /// Cumulative bytes by path, codec tally and task retries.
+  /// Cumulative bytes by path and task retries.
   WireTally wire_;
   size_t host_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  ///< created when host_threads_ > 1

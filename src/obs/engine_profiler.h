@@ -14,7 +14,11 @@ enum class Subsystem : int {
   kEngine = 0,      ///< Spark stage machinery + comm collectives
   kKernels = 1,     ///< gradient/loss math (phase-1 parallel work)
   kPs = 2,          ///< parameter-server event-queue drain
-  kCodec = 3,       ///< gradient encode/decode in CodecTransmit
+  /// Charged by nothing: it timed the lossy codecs, which are gone. It
+  /// stays, named "codec", because perfbench reads that subsystem in
+  /// every traced pass and CI's observability smoke checks the name; a
+  /// benchmark change drops both, and then this value.
+  kCodec = 3,
   kCheckpoint = 4,  ///< checkpoint serialize/write + read/restore
   kCount = 5,
 };
@@ -33,8 +37,8 @@ struct SubsystemStats {
 /// number (the RunReport's `profiler` section).
 ///
 /// Attribution is *exclusive*: a Scope charges its parent scope up to
-/// the moment it opens, so nested regions (a codec transmit inside a
-/// Spark collective) never double-count. Each thread keeps its own
+/// the moment it opens, so nested regions (a local pass inside the PS
+/// event loop) never double-count. Each thread keeps its own
 /// scope stack in TLS; totals are relaxed atomics. When profiling is
 /// disabled every entry point is a cheap early-out and nothing —
 /// including the TLS stack — is touched, preserving the
@@ -46,7 +50,7 @@ class EngineProfiler {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Counts `n` processed work items (tasks, queue events, transmits)
+  /// Counts `n` processed work items (tasks, queue events)
   /// against a subsystem without opening a scope.
   void AddEvents(Subsystem s, uint64_t n);
 

@@ -11,8 +11,6 @@ WireTally WireTally::Since(const WireTally& start) const {
   d.shuffle = shuffle - start.shuffle;
   d.pull = pull - start.pull;
   d.push = push - start.push;
-  d.codec.raw = codec.raw - start.codec.raw;
-  d.codec.encoded = codec.encoded - start.codec.encoded;
   d.retries = retries - start.retries;
   return d;
 }
@@ -23,8 +21,6 @@ WireTally& WireTally::operator+=(const WireTally& other) {
   shuffle += other.shuffle;
   pull += other.pull;
   push += other.push;
-  codec.raw += other.codec.raw;
-  codec.encoded += other.codec.encoded;
   retries += other.retries;
   return *this;
 }

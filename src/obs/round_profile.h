@@ -7,24 +7,15 @@
 
 namespace mllibstar {
 
-/// Raw (pre-codec) and encoded (on-the-wire) payload bytes of codec
-/// transmits.
-struct CodecTally {
-  uint64_t raw = 0;
-  uint64_t encoded = 0;
-};
-
-/// What crossed the wire: bytes by path, the codec tally of the
-/// payloads, and retried tasks or requests. A run's Spark engine or PS
-/// context keeps the cumulative totals; a round holds their difference
-/// across it.
+/// What crossed the wire: bytes by path, and retried tasks or
+/// requests. A run's Spark engine or PS context keeps the cumulative
+/// totals; a round holds their difference across it.
 struct WireTally {
   uint64_t broadcast = 0;
   uint64_t tree_aggregate = 0;
   uint64_t shuffle = 0;
   uint64_t pull = 0;
   uint64_t push = 0;
-  CodecTally codec;
   uint64_t retries = 0;
 
   /// Bytes over every path.

@@ -79,8 +79,6 @@ JsonValue RoundProfileJson(const RoundProfile& r) {
   bytes.Set("shuffle", JsonValue::Number(r.wire.shuffle));
   bytes.Set("pull", JsonValue::Number(r.wire.pull));
   bytes.Set("push", JsonValue::Number(r.wire.push));
-  bytes.Set("raw", JsonValue::Number(r.wire.codec.raw));
-  bytes.Set("encoded", JsonValue::Number(r.wire.codec.encoded));
   out.Set("bytes", std::move(bytes));
   out.Set("retries", JsonValue::Number(r.wire.retries));
   if (r.staleness_samples > 0) {

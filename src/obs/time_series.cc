@@ -32,10 +32,8 @@ class WindowReplay {
 
   void AddTotals(const RoundProfile& r) {
     totals_[0].total += r.wire.total();
-    totals_[1].total += r.wire.codec.raw;
-    totals_[2].total += r.wire.codec.encoded;
-    totals_[3].total += 1;
-    totals_[4].total += r.wire.retries;
+    totals_[1].total += 1;
+    totals_[2].total += r.wire.retries;
   }
 
   /// Closes every window whose end is <= now.
@@ -126,8 +124,7 @@ class WindowReplay {
     return s;
   }
 
-  Total totals_[5] = {MakeTotal("bytes.wire"), MakeTotal("bytes.raw"),
-                      MakeTotal("bytes.encoded"), MakeTotal("rounds"),
+  Total totals_[3] = {MakeTotal("bytes.wire"), MakeTotal("rounds"),
                       MakeTotal("retries")};
   std::vector<Observed> observed_;
   uint64_t window_ = 0;      ///< the open window [i*w, (i+1)*w)

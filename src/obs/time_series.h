@@ -49,7 +49,7 @@ inline constexpr size_t kSeriesCapacity = 512;
 /// curve. Windows are the half-open intervals [i*w, (i+1)*w) of the
 /// grid. The rounds are replayed in completion order; each one:
 ///   1. adds its share to the running totals bytes.wire (every path),
-///      bytes.raw, bytes.encoded, rounds and retries;
+///      rounds and retries;
 ///   2. closes every window ending at or before its sim_end;
 ///   3. observes its staleness mean (rounds with staleness samples)
 ///      and its straggler spread (task_max - task_p50);
@@ -62,7 +62,7 @@ inline constexpr size_t kSeriesCapacity = 512;
 /// next close closes, so windows that elapse between two closes close
 /// empty. The final partial window carries a total only when it grew
 /// there, and an observed series whenever it holds an observation.
-/// Series: the five totals (kDelta), then the observed ones
+/// Series: the three totals (kDelta), then the observed ones
 /// (staleness and objective kMean, straggler.spread kMax) in order of
 /// first observation.
 std::vector<SeriesSnapshot> WindowedSeries(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "comm/error_feedback.h"
 #include "common/logging.h"
 #include "sim/network.h"
 
@@ -16,10 +15,8 @@ constexpr size_t kServerCores = 16;
 
 }  // namespace
 
-PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
-                     const GradientCodec* codec)
-    : sim_(sim), config_(config),
-      codec_(codec != nullptr ? codec : &PassthroughCodec()), model_(dim),
+PsContext::PsContext(SimCluster* sim, size_t dim, const PsConfig& config)
+    : sim_(sim), config_(config), model_(dim),
       shard_down_until_(config.num_shards, 0.0),
       shard_left_(config.num_shards, false) {
   MLLIBSTAR_CHECK_EQ(sim->num_servers(), config.num_shards);
@@ -31,7 +28,7 @@ uint64_t PsContext::ShardRangeBytes(size_t s) const {
   const size_t per = (dim + config_.num_shards - 1) / config_.num_shards;
   const size_t lo = std::min(dim, s * per);
   const size_t hi = std::min(dim, lo + per);
-  return codec_->EncodedBytes(hi - lo);
+  return NetworkModel::DenseBytes(hi - lo);
 }
 
 void PsContext::HandleShardCrash(size_t s, SimTime at) {
@@ -177,7 +174,7 @@ SimTime PsContext::TimeTransfer(SimNode* worker, uint64_t total_bytes,
 }
 
 SimTime PsContext::TimePull(SimNode* worker) {
-  return TimeTransfer(worker, codec_->EncodedBytes(dim()),
+  return TimeTransfer(worker, NetworkModel::DenseBytes(dim()),
                       /*is_pull=*/true, "ps-pull");
 }
 
@@ -186,14 +183,10 @@ SimTime PsContext::TimePush(SimNode* worker, uint64_t bytes) {
 }
 
 std::shared_ptr<const DenseVector> PsContext::PullSnapshot() {
-  if (pull_snapshot_ != nullptr && pull_snapshot_version_ == version_) {
-    AccountBroadcast(*codec_, model_.dim(), &wire_.codec);
-    return pull_snapshot_;
+  if (pull_snapshot_ == nullptr || pull_snapshot_version_ != version_) {
+    pull_snapshot_ = std::make_shared<const DenseVector>(model_);
+    pull_snapshot_version_ = version_;
   }
-  auto snapshot = std::make_shared<DenseVector>(model_);
-  CodecTransmit(*codec_, nullptr, 0, snapshot.get(), &wire_.codec);
-  pull_snapshot_ = std::move(snapshot);
-  pull_snapshot_version_ = version_;
   return pull_snapshot_;
 }
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/codec.h"
 #include "core/vector.h"
 #include "obs/round_profile.h"
 #include "sim/sim_cluster.h"
@@ -45,24 +44,18 @@ inline constexpr size_t kPsMaxRequestRetries = 6;
 class PsContext {
  public:
   /// `sim` must outlive this context and have been built with
-  /// config.num_shards server nodes. `codec` (non-owning, may outlive
-  /// this context) sizes all pull/push traffic; nullptr means the
-  /// uncompressed DenseF64 wire.
-  PsContext(SimCluster* sim, size_t dim, const PsConfig& config,
-            const GradientCodec* codec = nullptr);
+  /// config.num_shards server nodes.
+  PsContext(SimCluster* sim, size_t dim, const PsConfig& config);
 
   size_t dim() const { return model_.dim(); }
-  const GradientCodec& wire_codec() const { return *codec_; }
 
   const DenseVector& model() const { return model_; }
 
-  /// The model as a pulling worker receives it through the wire codec.
-  /// Pulls at the same model version share one decoded snapshot; each
-  /// pull still accounts its own transmit. Every mutator below bumps
-  /// the version.
+  /// The model as a pulling worker receives it. Pulls at the same model
+  /// version share one snapshot. Every mutator below bumps the version.
   std::shared_ptr<const DenseVector> PullSnapshot();
 
-  /// Charges the time for `worker` to pull the full model (one
+  /// Charges the time for `worker` to pull the full dense model (one
   /// request per shard, shard links serve in parallel, the worker's
   /// inbound link is the floor). Returns the completion time and
   /// advances the worker and shard clocks.
@@ -70,17 +63,9 @@ class PsContext {
 
   /// Charges the time for `worker` to push an update of `bytes`
   /// (sparse updates are cheaper — real PS clients ship index/value
-  /// pairs), including the shards' apply work. Returns the completion
-  /// time.
+  /// pairs, NetworkModel::SparseBytes), including the shards' apply
+  /// work. Returns the completion time.
   SimTime TimePush(SimNode* worker, uint64_t bytes);
-
-  /// Wire size of a sparse update with `nnz` nonzeros out of `dim`
-  /// coordinates through this context's codec (4-byte index + encoded
-  /// value per entry, never more than the dense encoding) — the same
-  /// rule the MLlib* shuffle accounting uses.
-  uint64_t SparseBytes(size_t nnz) const {
-    return codec_->SparseEncodedBytes(nnz, dim());
-  }
 
   /// Replaces the model (trainer resume).
   void ResetModel(DenseVector model);
@@ -96,13 +81,9 @@ class PsContext {
   /// Total bytes moved through the server tier so far.
   uint64_t total_bytes() const { return wire_.total(); }
 
-  /// The run's wire totals so far: pull and push bytes, the codec
-  /// tally, and retried requests (FaultStats::ps_retries).
+  /// The run's wire totals so far: pull and push bytes, and retried
+  /// requests (FaultStats::ps_retries).
   WireTally wire() const;
-
-  /// The run's codec tally: pull snapshots and the trainer's push
-  /// transmits add to it.
-  CodecTally* codec_tally() { return &wire_.codec; }
 
   /// Permanent departure of shard `ev.node` (a membership
   /// kServerLeave event): its model range migrates to the next alive
@@ -136,7 +117,6 @@ class PsContext {
 
   SimCluster* sim_;
   PsConfig config_;
-  const GradientCodec* codec_;
   DenseVector model_;
   /// Bumped by every change to model_, so equal versions mean equal
   /// models.
@@ -144,7 +124,7 @@ class PsContext {
   /// The last pull snapshot and the model version it was taken at.
   std::shared_ptr<const DenseVector> pull_snapshot_;
   uint64_t pull_snapshot_version_ = 0;
-  /// Cumulative pull/push bytes and codec tally.
+  /// Cumulative pull/push bytes.
   WireTally wire_;
   /// Per-shard time until which the shard is unavailable (crash +
   /// restore in progress).

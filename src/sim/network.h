@@ -1,6 +1,8 @@
 #ifndef MLLIBSTAR_SIM_NETWORK_H_
 #define MLLIBSTAR_SIM_NETWORK_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/trace.h"
@@ -42,6 +44,13 @@ class NetworkModel {
 
   /// Bytes for a dense model (or gradient) of `dim` doubles.
   static uint64_t DenseBytes(size_t dim) { return 8ull * dim; }
+
+  /// Bytes for a sparse update of `nnz` (index, value) pairs out of
+  /// `dim` coordinates: a 4-byte index and an 8-byte double each, never
+  /// more than the dense vector. The PS pushes ship this.
+  static uint64_t SparseBytes(size_t nnz, size_t dim) {
+    return std::min<uint64_t>(12ull * nnz, DenseBytes(dim));
+  }
 
  private:
   double latency_;

@@ -157,22 +157,6 @@ void TakeWorkerRngs(Checkpoint* ck, std::vector<Rng>* rngs) {
   for (Rng& rng : *rngs) rng.RestoreState(ck->TakeRngState());
 }
 
-void PutErrorFeedback(Checkpoint* ck, const ErrorFeedback& ef) {
-  ck->PutU64(ef.enabled() ? ef.num_streams() : 0);
-  if (!ef.enabled()) return;
-  for (size_t s = 0; s < ef.num_streams(); ++s) {
-    ck->PutVector(ef.residual(s));
-  }
-}
-
-void TakeErrorFeedback(Checkpoint* ck, ErrorFeedback* ef) {
-  const uint64_t streams = ck->TakeU64();
-  MLLIBSTAR_CHECK_EQ(streams, ef->enabled() ? ef->num_streams() : 0);
-  for (uint64_t s = 0; s < streams; ++s) {
-    ef->RestoreResidual(s, ck->TakeVector());
-  }
-}
-
 void PutElasticWords(Checkpoint* ck, const SparkCluster& spark) {
   const std::vector<uint64_t> words = spark.SaveElasticWords();
   ck->PutU64(words.size());

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/error_feedback.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/vector.h"
@@ -31,12 +30,12 @@ struct CheckpointConfig {
 };
 
 /// A flat, typed word store for trainer snapshots. Everything —
-/// iteration counters, RNG cursors, model weights, error-feedback
-/// residuals — serializes to uint64 words; doubles travel as raw bit
-/// patterns, so a write/read round trip is bit-exact and Resume()
-/// reproduces the uninterrupted run's weights EXACTLY (EXPECT_EQ, not
-/// EXPECT_NEAR). Writers append in a fixed order; readers consume in
-/// the same order through a cursor.
+/// iteration counters, RNG cursors, model weights — serializes to
+/// uint64 words; doubles travel as raw bit patterns, so a write/read
+/// round trip is bit-exact and Resume() reproduces the uninterrupted
+/// run's weights EXACTLY (EXPECT_EQ, not EXPECT_NEAR). Writers append
+/// in a fixed order; readers consume in the same order through a
+/// cursor.
 class Checkpoint {
  public:
   // -- Writing --------------------------------------------------------
@@ -80,7 +79,10 @@ class Checkpoint {
 /// (resuming a Petuum run from an MLlib checkpoint is a bug, not a
 /// format guess). The second word is reserved and always 0; it held
 /// the class count while the trainers also ran a softmax objective,
-/// and stays so the snapshot layout does not change.
+/// and stays so the snapshot layout does not change. A second reserved
+/// 0 word, just before the elastic (Spark) or membership (PS) block,
+/// held the error-feedback residual count while lossy wire codecs
+/// existed, and stays for the same reason.
 enum class CheckpointTag : uint64_t {
   kMllib = 1,
   kMllibMa = 2,
@@ -100,11 +102,6 @@ bool TryResume(const CheckpointConfig& config, Checkpoint* ck);
 /// (rngs->size() must match what was saved).
 void PutWorkerRngs(Checkpoint* ck, const std::vector<Rng>& rngs);
 void TakeWorkerRngs(Checkpoint* ck, std::vector<Rng>* rngs);
-
-/// Serializes the error-feedback residuals (nothing when disabled) /
-/// restores them into an identically-shaped accumulator.
-void PutErrorFeedback(Checkpoint* ck, const ErrorFeedback& ef);
-void TakeErrorFeedback(Checkpoint* ck, ErrorFeedback* ef);
 
 /// Serializes a Spark engine's elastic state (fired churn events,
 /// partition hosting, pending rebuilds) as a length-prefixed word block

@@ -2,13 +2,13 @@
 
 #include <cmath>
 
-#include "comm/error_feedback.h"
 #include "common/logging.h"
 #include "core/gd.h"
 #include "core/lbfgs.h"
 #include "core/owlqn.h"
 #include "data/partition.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
 
 namespace mllibstar {
 
@@ -20,7 +20,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   SparkCluster spark(cluster, config().host_threads);
   const size_t k = spark.num_workers();
   const size_t d = data.num_features();
-  const uint64_t model_bytes = codec().EncodedBytes(d);
+  const uint64_t model_bytes = NetworkModel::DenseBytes(d);
   const size_t num_agg = NumAggregators(k);
 
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
@@ -32,15 +32,11 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
   // model-sized dense vector plus the scalar loss.
   int passes = 0;
   std::vector<DenseVector> worker_gradients(k, DenseVector(d));
-  DenseVector w_decoded;  // the broadcast's decoded copy (lossy codecs)
-  ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
   auto oracle = [&](const DenseVector& w, DenseVector* gradient) -> double {
     spark.BeginStage("lbfgs pass " + std::to_string(passes));
     ScopedSpan pass_span("lbfgs pass " + std::to_string(passes), "trainer");
     const SimTime pass_sim_start = spark.Now();
     spark.Broadcast(model_bytes, "model-bcast");
-    const DenseVector& w_recv =
-        CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 
     // Fused margin -> loss + derivative -> axpy pass over each CSR
     // partition. Each callback owns its gradient slot and returns its
@@ -51,7 +47,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
           worker_gradients[r].SetZero();
           WorkerStats ws;
           const ComputeStats stats = objective().LossGradient(
-              partitions[r], w_recv, &worker_gradients[r], &ws.loss_sum);
+              partitions[r], w, &worker_gradients[r], &ws.loss_sum);
           ws.work_units = stats.nnz_processed;
           return ws;
         });
@@ -62,8 +58,6 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
 
     gradient->SetZero();
     for (size_t r = 0; r < k; ++r) {
-      CodecTransmit(codec(), &ef, r, &worker_gradients[r],
-                    spark.codec_tally());
       gradient->AddScaled(worker_gradients[r], 1.0);
     }
     gradient->Scale(1.0 / n);
@@ -119,7 +113,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
           state.y_history.push_back(ck.TakeVector());
           state.rho_history.push_back(ck.TakeDouble());
         }
-        TakeErrorFeedback(&ck, &ef);
+        MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved residual-count word
         TakeElasticWords(&ck, &spark);
         MLLIBSTAR_CHECK(ck.exhausted());
       }
@@ -143,7 +137,7 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
           ck.PutVector(st.y_history[i]);
           ck.PutDouble(st.rho_history[i]);
         }
-        PutErrorFeedback(&ck, ef);
+        ck.PutU64(0);  // reserved residual-count word
         PutElasticWords(&ck, spark);
         MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
       };

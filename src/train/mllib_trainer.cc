@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "comm/error_feedback.h"
 #include "common/logging.h"
 #include "core/gd.h"
 #include "data/partition.h"
 #include "obs/engine_profiler.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
 
 namespace mllibstar {
 
@@ -34,10 +34,10 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   SparkCluster spark(cluster, config().host_threads);
   const size_t k = spark.num_workers();
   const size_t d = data.num_features();
-  const uint64_t model_bytes = codec().EncodedBytes(d);
-  // Each MLlib* shuffle moves one codec-encoded model partition (~d/k
+  const uint64_t model_bytes = NetworkModel::DenseBytes(d);
+  // Each MLlib* shuffle moves one dense model partition (~d/k
   // coordinates) per peer pair.
-  const uint64_t partition_bytes = codec().EncodedBytes((d + k - 1) / k);
+  const uint64_t partition_bytes = NetworkModel::DenseBytes((d + k - 1) / k);
   const size_t num_agg = NumAggregators(k);
   CheckpointTag tag = CheckpointTag::kMllib;
   if (mode_ == Mode::kMllibMa) tag = CheckpointTag::kMllibMa;
@@ -62,24 +62,12 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     gradient_sum = DenseVector(d);
   }
   // SendModel (MLlib+MA, MLlib*): per-worker local models, each
-  // overwritten by its task with the step's start model, and, for an
-  // adaptive rule, optimizers. Copying `w` sizes them without a
-  // model-sized temporary, whose free would move the allocator's mmap
-  // threshold (and the host page-fault count) for later allocations.
+  // overwritten by its task with the step's start model. Copying `w`
+  // sizes them without a model-sized temporary, whose free would move
+  // the allocator's mmap threshold (and the host page-fault count) for
+  // later allocations.
   std::vector<DenseVector> locals(mode_ == Mode::kMllib ? 0 : k, w);
-  DenseVector w_decoded;  // the broadcast's decoded copy (lossy codecs)
-  ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
-  std::vector<std::unique_ptr<LocalOptimizer>> optimizers;
-  if (mode_ != Mode::kMllib &&
-      config().local_optimizer.kind != LocalOptimizerKind::kSgd) {
-    for (size_t r = 0; r < k; ++r) {
-      optimizers.push_back(MakeLocalOptimizer(config().local_optimizer, d));
-    }
-  }
 
-  // Adaptive-optimizer moments are not serialized; checkpointing
-  // requires the paper's plain SGD local passes.
-  if (config().checkpoint.enabled()) MLLIBSTAR_CHECK(optimizers.empty());
   int t0 = 0;
   {
     Checkpoint ck;
@@ -90,7 +78,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
       w = ck.TakeVector();
       MLLIBSTAR_CHECK_EQ(w.dim(), d);
       TakeWorkerRngs(&ck, &rngs);
-      TakeErrorFeedback(&ck, &ef);
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved residual-count word
       TakeElasticWords(&ck, &spark);
       MLLIBSTAR_CHECK(ck.exhausted());
     }
@@ -98,20 +86,15 @@ TrainResult MllibTrainer::Train(const Dataset& data,
 
   // The SendModel worker phase: every task copies the model it starts
   // from into its own local model and runs one local pass over its
-  // partition. Per-worker state only (own local model, Rng and
-  // optimizer), so the engine may run the tasks host-parallel; the
-  // update counter folds in fixed worker order.
+  // partition. Per-worker state only (own local model and Rng), so the
+  // engine may run the tasks host-parallel; the update counter folds in
+  // fixed worker order.
   auto local_passes = [&](const DenseVector& start, double lr) {
     const std::vector<WorkerStats> step_stats =
         spark.RunOnWorkers("local-sgd", [&](size_t r) -> WorkerStats {
           locals[r] = start;
           const ComputeStats stats =
-              optimizers.empty()
-                  ? objective().SgdEpoch(partitions[r], lr, &rngs[r],
-                                         &locals[r])
-                  : objective().OptimizerEpoch(partitions[r], lr,
-                                               optimizers[r].get(), &rngs[r],
-                                               &locals[r]);
+              objective().SgdEpoch(partitions[r], lr, &rngs[r], &locals[r]);
           WorkerStats ws;
           ws.work_units = stats.nnz_processed;
           ws.model_updates = stats.model_updates;
@@ -134,13 +117,10 @@ TrainResult MllibTrainer::Train(const Dataset& data,
 
     switch (mode_) {
       case Mode::kMllib: {
-        // (1) Driver broadcasts the current model (through the codec:
-        // executors compute at the model they actually received).
+        // (1) Driver broadcasts the current model.
         spark.Broadcast(model_bytes, "model-bcast");
-        const DenseVector& w_recv =
-            CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally());
 
-        // (2) Executors compute batch gradients at the received model.
+        // (2) Executors compute batch gradients at the broadcast model.
         // Each callback touches only its own gradient slot and Rng, so
         // the engine may run them host-parallel; the batch-size fold
         // happens below in fixed worker order.
@@ -155,7 +135,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
                   SampleBatch(part.rows(), bsize, &rngs[r]);
               gradients[r].TouchRows(part, batch);
               const ComputeStats stats = objective().BatchGradient(
-                  part, batch, w_recv, gradients[r].mutable_vector());
+                  part, batch, w, gradients[r].mutable_vector());
               ws.work_units = stats.nnz_processed;
               ws.batch_size = batch.size();
               return ws;
@@ -163,22 +143,15 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         uint64_t total_batch = 0;
         for (const WorkerStats& ws : step_stats) total_batch += ws.batch_size;
 
-        // (3) Gradients flow to the driver through treeAggregate; each
-        // worker's contribution crosses the codec (with error feedback).
+        // (3) Gradients flow to the driver through treeAggregate.
         spark.TreeAggregate(model_bytes, num_agg, d, "grad-agg");
 
         // (4) The driver folds the received gradients in worker order
-        // and applies the single update of this step. A lossy codec
-        // rewrites a whole buffer, so its fold sweeps densely.
+        // and applies the single update of this step.
         {
           EngineProfiler::Scope fold_prof(Subsystem::kKernels);
           gradient_sum.SetZero();
-          for (size_t r = 0; r < k; ++r) {
-            if (!codec().lossless()) gradients[r].TouchAll();
-            CodecTransmit(codec(), &ef, r, gradients[r].mutable_vector(),
-                          spark.codec_tally());
-            gradients[r].FlushSum(&gradient_sum);
-          }
+          for (size_t r = 0; r < k; ++r) gradients[r].FlushSum(&gradient_sum);
           regularizer().ApplyGradientStep(&w, lr);
           if (total_batch > 0) {
             w.AddScaled(gradient_sum, -lr / static_cast<double>(total_batch));
@@ -189,18 +162,14 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         break;
       }
       case Mode::kMllibMa:
-        // (1) Driver broadcasts the current global model through the
-        // codec; (2) executors run local passes starting from it.
+        // (1) Driver broadcasts the current global model; (2) executors
+        // run local passes starting from it.
         spark.Broadcast(model_bytes, "model-bcast");
-        local_passes(
-            CodecBroadcast(codec(), w, &w_decoded, spark.codec_tally()), lr);
+        local_passes(w, lr);
 
         // (3) Local models flow back through the same treeAggregate
-        // path, each crossing the codec with per-worker error feedback.
+        // path.
         spark.TreeAggregate(model_bytes, num_agg, d, "model-agg");
-        for (size_t r = 0; r < k; ++r) {
-          CodecTransmit(codec(), &ef, r, &locals[r], spark.codec_tally());
-        }
 
         // (4) Driver averages them into the new global model.
         w = Average(locals);
@@ -211,22 +180,18 @@ TrainResult MllibTrainer::Train(const Dataset& data,
         local_passes(w, lr);
 
         // (2) Reduce-Scatter: everyone ships the ranges it does not own
-        // to their owners (each piece crossing the codec, with
-        // per-worker error feedback), then averages the range it owns.
+        // to their owners, then averages the range it owns.
         spark.ShuffleAllToAll(partition_bytes, "reduce-scatter");
         for (size_t r = 0; r < k; ++r) {
           // Averaging k contributions of d/k coordinates ~ d work units.
           spark.sim().ComputeExact(&spark.sim().worker(r), d,
                                    ActivityKind::kAggregate, "range-average");
-          CodecTransmit(codec(), &ef, r, &locals[r], spark.codec_tally());
         }
         w = Average(locals);
 
         // (3) AllGather: owners broadcast their averaged range; every
-        // executor reassembles the full model from what the wire
-        // delivered.
+        // executor reassembles the full model.
         spark.ShuffleAllToAll(partition_bytes, "all-gather");
-        CodecTransmit(codec(), nullptr, 0, &w, spark.codec_tally());
         break;
     }
 
@@ -241,7 +206,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
       ck.PutU64(static_cast<uint64_t>(t + 1));
       ck.PutVector(w);
       PutWorkerRngs(&ck, rngs);
-      PutErrorFeedback(&ck, ef);
+      ck.PutU64(0);  // reserved residual-count word
       PutElasticWords(&ck, spark);
       MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
     }

@@ -8,7 +8,6 @@
 #include <queue>
 #include <tuple>
 
-#include "comm/error_feedback.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/gd.h"
@@ -16,6 +15,7 @@
 #include "engine/spark_cluster.h"
 #include "obs/engine_profiler.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
 
 namespace mllibstar {
 
@@ -65,14 +65,13 @@ TrainResult PsTrainer::Train(const Dataset& data,
   ClusterConfig cc = cluster;
   cc.num_servers = ps.num_shards;
   SimCluster sim(cc);
-  PsContext server(&sim, d, ps, &codec());
+  PsContext server(&sim, d, ps);
 
   const size_t k = sim.num_workers();
   std::vector<CsrBlock> partitions = PartitionCsr(data, k);
   std::vector<Rng> rngs = WorkerRngs(config().seed, k);
 
   // Per-worker and per-round progress.
-  ErrorFeedback ef = MakeErrorFeedback(codec(), config().codec, k, d);
   std::vector<std::vector<SimTime>> finish_times(k);
   std::vector<int> rounds_done(k, 0);
   std::vector<DenseVector> pending_delta(k);  // between pull and push
@@ -127,7 +126,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       sim.RestoreClocks(ck.TakeDoubles());
       MLLIBSTAR_CHECK_EQ(ck.TakeU64(), k);
       for (size_t r = 0; r < k; ++r) finish_times[r] = ck.TakeDoubles();
-      TakeErrorFeedback(&ck, &ef);
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved residual-count word
       // Membership block: the failure detector resumes mid-churn with
       // already-fired events fired, the Poisson cursor un-rewound, and
       // every worker's participation window intact — a resumed churn
@@ -172,8 +171,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
 
   ScopedSpan run_span("train:" + name(), "trainer");
   // The whole PS event loop is kPs host time; the nested kKernels /
-  // kCodec / kCheckpoint scopes carve their shares out (exclusive
-  // attribution).
+  // kCheckpoint scopes carve their shares out (exclusive attribution).
   EngineProfiler::Scope ps_prof(Subsystem::kPs);
   // Per-round profile state: the virtual frontier where the previous
   // completed round ended, and the run's wire totals at that point.
@@ -422,7 +420,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       ck.PutDoubles(sim.SaveClocks());
       ck.PutU64(k);
       for (size_t v = 0; v < k; ++v) ck.PutDoubles(finish_times[v]);
-      PutErrorFeedback(&ck, ef);
+      ck.PutU64(0);  // reserved residual-count word
       {
         const std::vector<uint64_t> mwords = membership.SaveWords();
         ck.PutU64(mwords.size());
@@ -578,15 +576,10 @@ TrainResult PsTrainer::Train(const Dataset& data,
       continue;
     }
 
-    // kPush: ship the delta through the codec (with error feedback);
-    // the wire carries whichever of the codec's dense and sparse
-    // index/value encodings is smaller.
-    const uint64_t dense_bytes =
-        CodecTransmit(codec(), &ef, r, &pending_delta[r], server.codec_tally());
+    // kPush: the wire carries whichever of the dense and sparse
+    // index/value encodings of the delta is smaller.
     const DenseVector& delta = pending_delta[r];
-    const uint64_t push_bytes =
-        std::min(dense_bytes, server.SparseBytes(delta.CountNonZeros()));
-    server.TimePush(&node, push_bytes);
+    server.TimePush(&node, NetworkModel::SparseBytes(delta.CountNonZeros(), d));
     if (static_cast<size_t>(round) >= round_pushes.size()) {
       round_pushes.resize(round + 1, 0);
       round_end.resize(round + 1, 0.0);

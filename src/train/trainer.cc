@@ -32,6 +32,22 @@ std::string SystemName(SystemKind kind) {
 }
 
 Status ValidateTrainerConfig(const TrainerConfig& config) {
+  if (!std::isfinite(config.base_lr) || config.base_lr <= 0.0) {
+    return Status::InvalidArgument("base_lr must be finite and > 0, got " +
+                                   FormatDouble(config.base_lr));
+  }
+  if (!std::isfinite(config.lambda) || config.lambda < 0.0) {
+    return Status::InvalidArgument("lambda must be finite and >= 0, got " +
+                                   FormatDouble(config.lambda));
+  }
+  if (config.max_comm_steps < 0) {
+    return Status::InvalidArgument("max_comm_steps must be >= 0, got " +
+                                   std::to_string(config.max_comm_steps));
+  }
+  if (config.target_objective.has_value() &&
+      std::isnan(*config.target_objective)) {
+    return Status::InvalidArgument("target_objective must not be NaN");
+  }
   if (config.eval_every < 1) {
     return Status::InvalidArgument("eval_every must be at least 1, got " +
                                    std::to_string(config.eval_every));
@@ -53,7 +69,6 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
 
 Trainer::Trainer(TrainerConfig config)
     : config_(std::move(config)),
-      codec_(MakeCodec(config_.codec)),
       loss_(MakeLoss(config_.loss)),
       reg_(MakeRegularizer(config_.regularizer, config_.lambda)),
       objective_(MakeBinaryObjective(loss_.get(), reg_.get(),

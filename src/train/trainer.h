@@ -6,12 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "comm/codec.h"
-#include "comm/error_feedback.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/convergence.h"
-#include "core/local_optimizer.h"
 #include "core/loss.h"
 #include "core/lr_schedule.h"
 #include "core/model.h"
@@ -62,9 +59,6 @@ struct TrainerConfig {
   double batch_fraction = 0.01;
   /// Use the Bottou lazy/sparse trick for L2 in local SGD.
   bool lazy_regularization = true;
-  /// Update rule for the SendModel trainers' local passes (kSgd
-  /// reproduces the paper; the adaptive rules are extensions).
-  LocalOptimizerConfig local_optimizer;
 
   // Run limits.
   int max_comm_steps = 100;
@@ -80,29 +74,26 @@ struct TrainerConfig {
   // virtual time" in docs/ARCHITECTURE.md.
   size_t host_threads = 1;
 
-  // Communication codec applied to every path that ships a model or
-  // gradient (broadcast, treeAggregate, Reduce-Scatter/AllGather, PS
-  // push/pull). kDenseF64 reproduces the pre-codec byte accounting
-  // and math bit-for-bit.
-  CodecConfig codec;
-
   // Crash recovery: periodic trainer-state snapshots (model,
-  // iteration, RNG cursors, error-feedback residuals) and resume.
-  // Resumed runs finish with weights bit-identical to uninterrupted
-  // ones. Not supported with adaptive local optimizers or L1-regularized
-  // L-BFGS (OWL-QN).
+  // iteration, RNG cursors) and resume. Resumed runs finish with
+  // weights bit-identical to uninterrupted ones. Not supported with
+  // L1-regularized L-BFGS (OWL-QN).
   CheckpointConfig checkpoint;
 
   // Parameter-server knobs (Petuum/Petuum*/Angel).
   PsConfig ps;
 };
 
-/// Rejects a config no trainer can run: an `eval_every` below 1 (the
-/// trainers evaluate after every eval_every-th step), a
-/// `batch_fraction` that is not finite and positive (a mini-batch holds
-/// fraction × rows rows), no PS shard (`ps.num_shards` below 1) or a
-/// negative `ps.staleness` (round t waits on round t - 1 - staleness).
-/// Every Trainer CHECKs it on construction.
+/// Rejects a config no trainer can run: a `base_lr` that is not finite
+/// and positive (a step of it must go downhill), a `lambda` that is not
+/// finite and non-negative (L2 shrinks by 1 - lr · lambda), a negative
+/// `max_comm_steps`, a NaN `target_objective` (no objective ever
+/// reaches it), an `eval_every` below 1 (the trainers evaluate after
+/// every eval_every-th step), a `batch_fraction` that is not finite and
+/// positive (a mini-batch holds fraction × rows rows), no PS shard
+/// (`ps.num_shards` below 1) or a negative `ps.staleness` (round t
+/// waits on round t - 1 - staleness). Every Trainer CHECKs it on
+/// construction.
 Status ValidateTrainerConfig(const TrainerConfig& config);
 
 /// Outcome of one training run.
@@ -146,7 +137,6 @@ class Trainer {
 
  protected:
   const TrainerConfig& config() const { return config_; }
-  const GradientCodec& codec() const { return *codec_; }
   const Loss& loss() const { return *loss_; }
   const Regularizer& regularizer() const { return *reg_; }
   const LrSchedule& schedule() const { return schedule_; }
@@ -187,7 +177,6 @@ class Trainer {
 
  private:
   TrainerConfig config_;
-  std::unique_ptr<GradientCodec> codec_;
   std::unique_ptr<Loss> loss_;
   std::unique_ptr<Regularizer> reg_;
   std::unique_ptr<GlmObjective> objective_;

@@ -1,6 +1,5 @@
 #include "workloads/objective.h"
 
-#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -112,68 +111,6 @@ ComputeStats SgdEpochImpl(const CsrBlock& block, std::vector<size_t> rows,
   return stats;
 }
 
-ComputeStats OptimizerEpochImpl(const CsrBlock& block, const Loss& loss,
-                                const Regularizer& reg, double lr,
-                                LocalOptimizer* optimizer, Rng* rng,
-                                DenseVector* w) {
-  ComputeStats stats;
-  if (block.rows() == 0) return stats;
-
-  std::vector<size_t> order(block.rows());
-  std::iota(order.begin(), order.end(), size_t{0});
-  rng->Shuffle(&order);
-
-  const bool lazy_l2 = reg.kind() == RegularizerKind::kL2;
-  const double shrink = 1.0 - lr * reg.lambda();
-  std::vector<uint64_t> last_touched;
-  if (lazy_l2) {
-    MLLIBSTAR_CHECK_GT(shrink, 0.0);
-    last_touched.assign(w->dim(), 0);
-  }
-
-  uint64_t step = 0;
-  for (size_t idx : order) {
-    const size_t n = block.row_nnz(idx);
-    const FeatureIndex* idxs = block.row_indices(idx);
-    const double* vals = block.row_values(idx);
-    ++step;
-    if (lazy_l2) {
-      // Decoupled weight decay, applied lazily to the coordinates this
-      // example reads (pending decay from skipped steps first).
-      for (size_t i = 0; i < n; ++i) {
-        const FeatureIndex j = idxs[i];
-        const uint64_t gap = step - last_touched[j];
-        if (gap > 0) {
-          (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
-          last_touched[j] = step;
-        }
-      }
-      stats.nnz_processed += n;
-    } else if (reg.kind() != RegularizerKind::kNone) {
-      // L1 has no lazy form here; fall back to the eager dense step.
-      reg.ApplyGradientStep(w, lr);
-      stats.nnz_processed += w->dim();
-    }
-    const double margin = w->Dot(idxs, vals, n);
-    const double d = loss.Derivative(margin, block.label(idx));
-    stats.nnz_processed += n;
-    stats.nnz_processed += optimizer->ApplyUpdate(idxs, vals, n, d, lr, w);
-    ++stats.model_updates;
-  }
-
-  if (lazy_l2) {
-    // Flush the pending decay so the returned model is exact.
-    for (size_t j = 0; j < w->dim(); ++j) {
-      const uint64_t gap = step - last_touched[j];
-      if (gap > 0) {
-        (*w)[j] *= std::pow(shrink, static_cast<double>(gap));
-      }
-    }
-    stats.nnz_processed += w->dim();
-  }
-  return stats;
-}
-
 ComputeStats MiniBatchGdImpl(const CsrBlock& block, const Loss& loss,
                              const Regularizer& reg, double lr,
                              size_t batch_size, size_t num_batches,
@@ -244,12 +181,6 @@ class BinaryObjective final : public GlmObjective {
                         const std::vector<size_t>& rows, double lr,
                         Rng* rng, DenseVector* w) const override {
     return SgdEpochImpl(block, rows, *loss_, *reg_, lr, lazy_, rng, w);
-  }
-
-  ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
-                              LocalOptimizer* optimizer, Rng* rng,
-                              DenseVector* w) const override {
-    return OptimizerEpochImpl(block, *loss_, *reg_, lr, optimizer, rng, w);
   }
 
   ComputeStats MiniBatchGd(const CsrBlock& block, double lr,

@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "core/csr_block.h"
 #include "core/gd.h"
-#include "core/local_optimizer.h"
 #include "core/loss.h"
 #include "core/regularizer.h"
 #include "core/vector.h"
@@ -49,14 +48,6 @@ class GlmObjective {
   virtual ComputeStats SgdEpoch(const CsrBlock& block,
                                 const std::vector<size_t>& rows, double lr,
                                 Rng* rng, DenseVector* w) const = 0;
-
-  /// One shuffled pass through a stateful local optimizer (sized for
-  /// the model's coordinates). L2 is applied as lazy decoupled weight
-  /// decay on the touched coordinates, flushed at the end of the pass;
-  /// L1 falls back to the eager dense step.
-  virtual ComputeStats OptimizerEpoch(const CsrBlock& block, double lr,
-                                      LocalOptimizer* optimizer, Rng* rng,
-                                      DenseVector* w) const = 0;
 
   /// `num_batches` local mini-batch GD steps (Petuum/Angel style): each
   /// samples `batch_size` rows, and applies their averaged gradient at

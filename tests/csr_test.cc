@@ -249,29 +249,6 @@ TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
   }
 }
 
-TEST(CsrKernelTest, OptimizerEpochValueFreeMatchesStoredOnes) {
-  const Dataset data = TestData(false);
-  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
-  const CsrBlock stored = WithStoredOnes(value_free);
-  const size_t dim = data.num_features();
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.01);
-  LocalOptimizerConfig opt_config;
-  opt_config.kind = LocalOptimizerKind::kAdam;
-
-  auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
-  auto opt_a = MakeLocalOptimizer(opt_config, dim);
-  auto opt_b = MakeLocalOptimizer(opt_config, dim);
-  Rng rng_a(7), rng_b(7);
-  DenseVector w_a(dim), w_b(dim);
-  ExpectSameStats(
-      objective->OptimizerEpoch(value_free, 0.1, opt_a.get(), &rng_a, &w_a),
-      objective->OptimizerEpoch(stored, 0.1, opt_b.get(), &rng_b, &w_b));
-  ExpectSameVector(w_a, w_b);
-  EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
-      << "RNG consumption diverged";
-}
-
 TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
   const Dataset data = TestData(false);
   const CsrBlock value_free = CsrBlock::FromPoints(data.points());

@@ -75,16 +75,14 @@ class HostParallelismTest : public ::testing::TestWithParam<SystemKind> {};
 TEST_P(HostParallelismTest, EightThreadsMatchesSequentialBitForBit) {
   const Dataset data = HostparData();
   // Two inputs: the jittery cluster alone, and the fault gauntlet, which
-  // adds probabilistic worker crashes, a lossy int8 codec (error
-  // feedback state per worker) and L2 on top of its stragglers and
-  // task failures.
+  // adds probabilistic worker crashes and L2 on top of its stragglers
+  // and task failures.
   for (const bool gauntlet : {false, true}) {
     SCOPED_TRACE(gauntlet ? "fault gauntlet" : "jittery cluster");
     ClusterConfig cluster = JitteryCluster();
     TrainerConfig sequential = BaseConfig(1);
     if (gauntlet) {
       cluster.faults.worker_crash_prob = 0.02;
-      sequential.codec.kind = CodecKind::kInt8Linear;
       sequential.regularizer = RegularizerKind::kL2;
       sequential.lambda = 1e-3;
     }
@@ -161,18 +159,15 @@ TEST(ResolveHostThreadsTest, ZeroMeansHardware) {
 }
 
 // ------------------------------------------------ host-work golden pins
-// The touched-coordinate gradient flushes, copy-free lossless
-// transmits and shared PS pull snapshots (DESIGN §16) must leave every
-// simulated result bit-identical to the dense host paths they
-// replaced. The digests below were recorded with those dense paths:
-// FNV-1a over the exact bits of the final weights and the whole curve.
-// Each system runs at a batch fraction whose batches take the listed
-// sweep (4 % of 250 rows × ~10 nnz ≪ 4000 / 4) and at one whose
-// batches take the dense sweep (50 %), over the lossless DenseF64 wire
-// and over int8 with error feedback, which keeps the dense path.
-// MLlib+MA, MLlib* and L-BFGS pass over whole partitions (the batch
-// fraction is unused); their rows pin the Spark driver loop they share
-// with MLlib, each SendModel system once more with Adam local passes.
+// The touched-coordinate gradient flushes and shared PS pull snapshots
+// (DESIGN §16) must leave every simulated result bit-identical to the
+// dense host paths they replaced. The digests below were recorded with
+// those dense paths: FNV-1a over the exact bits of the final weights
+// and the whole curve. Each system runs at a batch fraction whose
+// batches take the listed sweep (4 % of 250 rows × ~10 nnz ≪ 4000 / 4)
+// and at one whose batches take the dense sweep (50 %). MLlib+MA,
+// MLlib* and L-BFGS pass over whole partitions (the batch fraction is
+// unused); their rows pin the Spark driver loop they share with MLlib.
 
 std::string HexDigest(uint64_t h) {
   char buf[24];
@@ -207,8 +202,6 @@ Dataset HostWorkData() {
 struct GoldenCase {
   SystemKind system;
   double batch_fraction;
-  CodecKind codec;
-  LocalOptimizerKind optimizer;
   const char* digest;
 };
 
@@ -216,37 +209,20 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
   const Dataset data = HostWorkData();
   const ClusterConfig cluster = JitteryCluster();
 
-  const CodecKind kF64 = CodecKind::kDenseF64;
-  const CodecKind kInt8 = CodecKind::kInt8Linear;
-  const LocalOptimizerKind kSgd = LocalOptimizerKind::kSgd;
-  const LocalOptimizerKind kAdam = LocalOptimizerKind::kAdam;
   const GoldenCase cases[] = {
-      {SystemKind::kMllib, 0.04, kF64, kSgd, "4a77eb1bebe86b84"},
-      {SystemKind::kMllib, 0.5, kF64, kSgd, "bb1a337646de453e"},
-      {SystemKind::kMllib, 0.04, kInt8, kSgd, "f46108095e7ddccf"},
-      {SystemKind::kMllib, 0.5, kInt8, kSgd, "fca47ecdf07e368f"},
-      {SystemKind::kPetuumStar, 0.04, kF64, kSgd, "96afb4289fbacb85"},
-      {SystemKind::kPetuumStar, 0.5, kF64, kSgd, "b6088c7d76d11563"},
-      {SystemKind::kPetuumStar, 0.04, kInt8, kSgd, "d4bec3172e8d34cb"},
-      {SystemKind::kPetuumStar, 0.5, kInt8, kSgd, "89b9a003acaae3f5"},
-      {SystemKind::kAngel, 0.04, kF64, kSgd, "2645278c7f8017ab"},
-      {SystemKind::kAngel, 0.5, kF64, kSgd, "ffb7f6e23206cfa9"},
-      {SystemKind::kAngel, 0.04, kInt8, kSgd, "d0154f68997c7eab"},
-      {SystemKind::kAngel, 0.5, kInt8, kSgd, "09d0e89bbe4356d9"},
-      {SystemKind::kMllibMa, 0.04, kF64, kSgd, "9c160d053b80820c"},
-      {SystemKind::kMllibMa, 0.04, kInt8, kSgd, "93356ad9b3e3986e"},
-      {SystemKind::kMllibMa, 0.04, kF64, kAdam, "e3c0c1c6468e1336"},
-      {SystemKind::kMllibStar, 0.04, kF64, kSgd, "1dcdb3e5e41339c0"},
-      {SystemKind::kMllibStar, 0.04, kInt8, kSgd, "87477069a18fd1c6"},
-      {SystemKind::kMllibStar, 0.04, kF64, kAdam, "e055d78f194cf5f1"},
-      {SystemKind::kMllibLbfgs, 0.04, kF64, kSgd, "b04f5f87dfb922a3"},
-      {SystemKind::kMllibLbfgs, 0.04, kInt8, kSgd, "8d4d12e38e0e5cb6"},
+      {SystemKind::kMllib, 0.04, "4a77eb1bebe86b84"},
+      {SystemKind::kMllib, 0.5, "bb1a337646de453e"},
+      {SystemKind::kPetuumStar, 0.04, "96afb4289fbacb85"},
+      {SystemKind::kPetuumStar, 0.5, "b6088c7d76d11563"},
+      {SystemKind::kAngel, 0.04, "2645278c7f8017ab"},
+      {SystemKind::kAngel, 0.5, "ffb7f6e23206cfa9"},
+      {SystemKind::kMllibMa, 0.04, "9c160d053b80820c"},
+      {SystemKind::kMllibStar, 0.04, "1dcdb3e5e41339c0"},
+      {SystemKind::kMllibLbfgs, 0.04, "b04f5f87dfb922a3"},
   };
   for (const GoldenCase& c : cases) {
-    SCOPED_TRACE(testing::Message()
-                 << SystemName(c.system) << " fraction " << c.batch_fraction
-                 << " codec " << CodecName(c.codec) << " optimizer "
-                 << static_cast<int>(c.optimizer));
+    SCOPED_TRACE(testing::Message() << SystemName(c.system) << " fraction "
+                                    << c.batch_fraction);
     TrainerConfig config = BaseConfig(1);
     config.loss = LossKind::kHinge;
     // L2 sends Petuum* through batch GD (its no-regularizer path is
@@ -255,8 +231,6 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
     config.lambda = 0.01;
     config.batch_fraction = c.batch_fraction;
     config.max_comm_steps = 6;
-    config.codec.kind = c.codec;
-    config.local_optimizer.kind = c.optimizer;
     TrainerConfig parallel = config;
     parallel.host_threads = 8;
     const TrainResult a = MakeTrainer(c.system, config)->Train(data, cluster);
@@ -267,34 +241,24 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
   }
 }
 
-struct CkptPinCase {
-  SystemKind system;
-  CodecKind codec;
-  const char* digest;
-};
-
-// The checkpoint word layout of each Spark mode (tag, classes, step,
-// model, worker RNG cursors, error-feedback residuals, elastic words):
-// FNV-1a over the bytes of the file written after step 3, recorded
-// before the three modes shared one driver loop, at the default
-// DenseF64 wire and with int8 residuals. The L-BFGS row pins the
-// smooth solver's layout (step, objective, iterate, gradient, history).
-// Same-build resume tests cannot see a reordered word; this pin does.
+// The checkpoint word layout of each Spark mode (tag, reserved 0 word,
+// step, model, worker RNG cursors, reserved 0 word, elastic words):
+// FNV-1a over the bytes of the file written after step 3. The L-BFGS
+// row pins the smooth solver's layout (step, objective, iterate,
+// gradient, history). Same-build resume tests cannot see a reordered
+// word; this pin does.
 TEST(HostWorkGoldenTest, SparkCheckpointFilesMatchPins) {
   const Dataset data = HostWorkData();
   const ClusterConfig cluster = JitteryCluster();
 
-  const CkptPinCase cases[] = {
-      {SystemKind::kMllib, CodecKind::kInt8Linear, "da4eaacc11dfb9ca"},
-      {SystemKind::kMllibMa, CodecKind::kInt8Linear, "c212840c1e409fa0"},
-      {SystemKind::kMllibStar, CodecKind::kInt8Linear, "4d0bb688eee3e3f3"},
-      {SystemKind::kMllib, CodecKind::kDenseF64, "cfe02060f49e6b67"},
-      {SystemKind::kMllibMa, CodecKind::kDenseF64, "55bbe9bd9e8ff166"},
-      {SystemKind::kMllibStar, CodecKind::kDenseF64, "3bb1acf43ac6fdc6"},
-      {SystemKind::kMllibLbfgs, CodecKind::kDenseF64, "1cb1e831e63efcef"},
+  const std::pair<SystemKind, const char*> cases[] = {
+      {SystemKind::kMllib, "cfe02060f49e6b67"},
+      {SystemKind::kMllibMa, "55bbe9bd9e8ff166"},
+      {SystemKind::kMllibStar, "3bb1acf43ac6fdc6"},
+      {SystemKind::kMllibLbfgs, "1cb1e831e63efcef"},
   };
-  for (const auto& [system, codec, digest] : cases) {
-    SCOPED_TRACE(SystemName(system) + " " + CodecName(codec));
+  for (const auto& [system, digest] : cases) {
+    SCOPED_TRACE(SystemName(system));
     const std::string path = testing::TempDir() + "/golden_ckpt.bin";
     std::remove(path.c_str());
     TrainerConfig config = BaseConfig(1);
@@ -303,7 +267,6 @@ TEST(HostWorkGoldenTest, SparkCheckpointFilesMatchPins) {
     config.lambda = 0.01;
     config.batch_fraction = 0.04;
     config.max_comm_steps = 4;
-    config.codec.kind = codec;
     config.checkpoint.path = path;
     config.checkpoint.every_steps = 3;
     (void)MakeTrainer(system, config)->Train(data, cluster);
@@ -422,30 +385,25 @@ TEST(PsConsistencyPinTest, StalenessTwoAndAspRunsDiffer) {
   }
 }
 
-// The PS checkpoint word layout (tag, reserved word, round, model,
-// worker and shared RNG cursors, clocks, finish times, error-feedback
-// residuals, membership block), written at the quiescent point after
-// BSP round 3, at the default DenseF64 wire and with int8 residuals:
-// FNV-1a over the file's bytes.
+// The PS checkpoint word layout (tag, reserved 0 word, round, model,
+// worker and shared RNG cursors, clocks, finish times, reserved 0
+// word, membership block), written at the quiescent point after BSP
+// round 3: FNV-1a over the file's bytes.
 TEST(PsConsistencyPinTest, BspCheckpointFilesMatchPins) {
   const Dataset data = HostparData();
   const ClusterConfig cluster = JitteryCluster();
 
-  const CkptPinCase cases[] = {
-      {SystemKind::kPetuum, CodecKind::kInt8Linear, "2e1bbea25a800602"},
-      {SystemKind::kPetuumStar, CodecKind::kInt8Linear, "ee3fb67f59f4ade6"},
-      {SystemKind::kAngel, CodecKind::kInt8Linear, "ee549d6ecc47d007"},
-      {SystemKind::kPetuum, CodecKind::kDenseF64, "b9d8c88277d6ad3e"},
-      {SystemKind::kPetuumStar, CodecKind::kDenseF64, "8436ffa5e4087ce1"},
-      {SystemKind::kAngel, CodecKind::kDenseF64, "b51b1b9e8b5206ff"},
+  const std::pair<SystemKind, const char*> cases[] = {
+      {SystemKind::kPetuum, "b9d8c88277d6ad3e"},
+      {SystemKind::kPetuumStar, "8436ffa5e4087ce1"},
+      {SystemKind::kAngel, "b51b1b9e8b5206ff"},
   };
-  for (const auto& [system, codec, digest] : cases) {
-    SCOPED_TRACE(SystemName(system) + " " + CodecName(codec));
+  for (const auto& [system, digest] : cases) {
+    SCOPED_TRACE(SystemName(system));
     const std::string path = testing::TempDir() + "/golden_ps_ckpt.bin";
     std::remove(path.c_str());
     TrainerConfig config = BaseConfig(1);
     config.max_comm_steps = 4;
-    config.codec.kind = codec;
     config.checkpoint.path = path;
     config.checkpoint.every_steps = 3;
     (void)MakeTrainer(system, config)->Train(data, cluster);

@@ -437,6 +437,7 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   const JsonValue* rounds = report.Find("rounds");
   ASSERT_NE(rounds, nullptr);
   ASSERT_EQ(rounds->size(), static_cast<size_t>(result.comm_steps));
+  double wire = 0.0;
   for (size_t i = 0; i < rounds->size(); ++i) {
     const JsonValue& r = rounds->at(i);
     EXPECT_EQ(r.Find("system")->string_value(), result.system);
@@ -448,8 +449,16 @@ TEST(RunReportTest, RoundTripsTrainResult) {
               r.Find("sim_start")->number_value());
     const JsonValue* bytes = r.Find("bytes");
     ASSERT_NE(bytes, nullptr);
-    EXPECT_GT(bytes->Find("raw")->number_value(), 0.0);
+    // The per-path bytes are the one byte count.
+    EXPECT_EQ(bytes->items().size(), 5u);
+    for (const char* path :
+         {"broadcast", "tree_aggregate", "shuffle", "pull", "push"}) {
+      ASSERT_NE(bytes->Find(path), nullptr) << path;
+      wire += bytes->Find(path)->number_value();
+    }
   }
+  EXPECT_GT(wire, 0.0);
+  EXPECT_EQ(wire, static_cast<double>(result.total_bytes));
 
   const JsonValue* profiler = report.Find("profiler");
   ASSERT_NE(profiler, nullptr);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/network.h"
+
 namespace mllibstar {
 namespace {
 
@@ -70,7 +72,7 @@ TEST(PsContextTest, PushCountsBytes) {
   PsContext ps(&sim, 1000, DefaultPs(2));
   EXPECT_EQ(ps.total_bytes(), 0u);
   ps.TimePull(&sim.worker(0));
-  ps.TimePush(&sim.worker(0), ps.wire_codec().EncodedBytes(ps.dim()));
+  ps.TimePush(&sim.worker(0), NetworkModel::DenseBytes(ps.dim()));
   EXPECT_EQ(ps.total_bytes(), 2u * 8u * 1000u);
 }
 

@@ -28,6 +28,14 @@ TEST(NetworkModelTest, DenseBytes) {
   EXPECT_EQ(NetworkModel::DenseBytes(1000), 8000u);
 }
 
+TEST(NetworkModelTest, SparseBytes) {
+  EXPECT_EQ(NetworkModel::SparseBytes(10, 1000), 120u);  // 12 per pair
+  // Capped by the dense vector when nnz is large.
+  EXPECT_EQ(NetworkModel::SparseBytes(900, 1000),
+            NetworkModel::DenseBytes(1000));
+  EXPECT_EQ(NetworkModel::SparseBytes(0, 1000), 0u);
+}
+
 TEST(SimClusterTest, NodeNamesAndCounts) {
   ClusterConfig config = NoJitterConfig(3);
   config.num_servers = 2;

@@ -204,6 +204,74 @@ TEST(TrainerConfigTest, DefaultsAndFigureGridsAreValid) {
     config.eval_every = eval_every;
     EXPECT_TRUE(ValidateTrainerConfig(config).ok()) << eval_every;
   }
+  // Every learning rate the figure, ablation and perfbench grids and
+  // GridSearchSpec's default grid try, and every lambda they train at.
+  for (double lr : {0.005, 0.01, 0.02, 0.04, 0.08, 0.1, 0.2, 0.3, 0.32, 0.5,
+                    1.0, 4.0, 16.0, 64.0, 256.0, 512.0}) {
+    TrainerConfig config;
+    config.base_lr = lr;
+    EXPECT_TRUE(ValidateTrainerConfig(config).ok()) << lr;
+  }
+  for (double lambda : {0.0, 1e-3, 0.01, 0.1}) {
+    TrainerConfig config;
+    config.regularizer = RegularizerKind::kL2;
+    config.lambda = lambda;
+    EXPECT_TRUE(ValidateTrainerConfig(config).ok()) << lambda;
+  }
+  // A run of no steps only evaluates the starting model; a target may
+  // be any number, infinite ones included.
+  TrainerConfig config;
+  config.max_comm_steps = 0;
+  config.target_objective = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(ValidateTrainerConfig(config).ok());
+}
+
+TEST(TrainerConfigTest, RejectsBaseLrNotFiniteAndPositive) {
+  // A step of -lr · gradient must go downhill: a negative rate trains
+  // uphill, and a NaN one poisons the first update.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double lr : {0.0, -0.0, -1.0, -inf, inf,
+                    std::numeric_limits<double>::quiet_NaN()}) {
+    TrainerConfig config;
+    config.base_lr = lr;
+    const Status status = ValidateTrainerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << lr;
+    EXPECT_NE(status.message().find("base_lr"), std::string::npos);
+  }
+}
+
+TEST(TrainerConfigTest, RejectsLambdaNotFiniteAndNonNegative) {
+  // L2 shrinks the model by 1 - lr · lambda per update; a negative or
+  // non-finite strength has no objective to minimize.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double lambda : {-1e-3, -1.0, -inf, inf,
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    TrainerConfig config;
+    config.regularizer = RegularizerKind::kL2;
+    config.lambda = lambda;
+    const Status status = ValidateTrainerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << lambda;
+    EXPECT_NE(status.message().find("lambda"), std::string::npos);
+  }
+}
+
+TEST(TrainerConfigTest, RejectsNegativeMaxCommSteps) {
+  for (int steps : {-1, -100}) {
+    TrainerConfig config;
+    config.max_comm_steps = steps;
+    const Status status = ValidateTrainerConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << steps;
+    EXPECT_NE(status.message().find("max_comm_steps"), std::string::npos);
+  }
+}
+
+TEST(TrainerConfigTest, RejectsNanTargetObjective) {
+  // No objective compares <= NaN, so the target could never stop a run.
+  TrainerConfig config;
+  config.target_objective = std::numeric_limits<double>::quiet_NaN();
+  const Status status = ValidateTrainerConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("target_objective"), std::string::npos);
 }
 
 TEST(TrainerConfigTest, RejectsEvalEveryBelowOne) {

@@ -336,8 +336,8 @@ TEST(TouchedBufferTest, TouchRowsDecidesTheSweepOncePerBatch) {
 }
 
 TEST(TouchedBufferTest, TouchAllSweepsWritesAnywhere) {
-  // A lossy codec rewrites the whole buffer; after TouchAll the flush
-  // must pick up coordinates no row listed.
+  // A kernel that writes outside the listed coordinates calls TouchAll
+  // first; the flush must then pick up coordinates no row listed.
   TouchedBuffer tb(8);
   tb.TouchRows(BlockOf({{2}}), {0});
   tb.TouchAll();
