@@ -168,6 +168,10 @@ TEST(ResolveHostThreadsTest, ZeroMeansHardware) {
 // and at one whose batches take the dense sweep (50 %). MLlib+MA,
 // MLlib* and L-BFGS pass over whole partitions (the batch fraction is
 // unused); their rows pin the Spark driver loop they share with MLlib.
+// The unregularized and eager-L2 rows, recorded after the dense paths
+// were gone, pin what the L2 rows do not reach: MLlib's driver step and
+// the L-BFGS oracle with no regularizer, Petuum/Petuum*'s per-point
+// SGD, and the eager L2 step that runs densely per update.
 
 std::string HexDigest(uint64_t h) {
   char buf[24];
@@ -203,6 +207,8 @@ struct GoldenCase {
   SystemKind system;
   double batch_fraction;
   const char* digest;
+  RegularizerKind regularizer = RegularizerKind::kL2;
+  bool lazy_regularization = true;
 };
 
 TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
@@ -219,16 +225,29 @@ TEST(HostWorkGoldenTest, DigestsMatchDenseHostPaths) {
       {SystemKind::kMllibMa, 0.04, "9c160d053b80820c"},
       {SystemKind::kMllibStar, 0.04, "1dcdb3e5e41339c0"},
       {SystemKind::kMllibLbfgs, 0.04, "b04f5f87dfb922a3"},
+      // No regularizer; its λ is ignored.
+      {SystemKind::kMllib, 0.04, "8f746016c3bdc438", RegularizerKind::kNone},
+      {SystemKind::kMllibMa, 0.04, "cc2dc20724373404", RegularizerKind::kNone},
+      {SystemKind::kMllibStar, 0.04, "7d6101a8aac4ac67", RegularizerKind::kNone},
+      {SystemKind::kPetuum, 0.04, "a0320c35d9a87ad8", RegularizerKind::kNone},
+      {SystemKind::kPetuumStar, 0.04, "c2ce09ba12f8ba10", RegularizerKind::kNone},
+      {SystemKind::kAngel, 0.04, "05123e6ac244a195", RegularizerKind::kNone},
+      {SystemKind::kMllibLbfgs, 0.04, "8a15c6f4a2993e1a", RegularizerKind::kNone},
+      // The eager L2 step (lazy regularization off).
+      {SystemKind::kMllibStar, 0.04, "1bc484152ebb0b72", RegularizerKind::kL2, false},
   };
   for (const GoldenCase& c : cases) {
-    SCOPED_TRACE(testing::Message() << SystemName(c.system) << " fraction "
-                                    << c.batch_fraction);
+    SCOPED_TRACE(testing::Message()
+                 << SystemName(c.system) << " fraction " << c.batch_fraction
+                 << " regularizer " << static_cast<int>(c.regularizer)
+                 << " lazy " << c.lazy_regularization);
     TrainerConfig config = BaseConfig(1);
     config.loss = LossKind::kHinge;
-    // L2 sends Petuum* through batch GD (its no-regularizer path is
-    // per-point SGD, which has no gradient buffer).
-    config.regularizer = RegularizerKind::kL2;
+    // L2 sends Petuum* through batch GD; without a regularizer it runs
+    // per-point SGD, which has no gradient buffer.
+    config.regularizer = c.regularizer;
     config.lambda = 0.01;
+    config.lazy_regularization = c.lazy_regularization;
     config.batch_fraction = c.batch_fraction;
     config.max_comm_steps = 6;
     TrainerConfig parallel = config;
