@@ -16,7 +16,7 @@ int main() {
               "eager-time(s)", "speedup", "lazy-obj", "eager-obj");
 
   for (const char* dataset : {"avazu", "kddb"}) {
-    const Dataset data = GenerateSynthetic(SpecByName(dataset, 3e-4));
+    const Dataset data = GenerateSynthetic(SpecByName(dataset, 3e-4).value());
     const ClusterConfig cluster = ClusterConfig::Cluster1(8);
 
     TrainerConfig config;

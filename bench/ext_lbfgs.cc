@@ -17,7 +17,7 @@ int main() {
       "loss, L2=0.01, 8 executors\n");
 
   for (const char* dataset : {"avazu", "kdd12"}) {
-    const Dataset data = GenerateSynthetic(SpecByName(dataset));
+    const Dataset data = GenerateSynthetic(SpecByName(dataset).value());
     const ClusterConfig cluster = ClusterConfig::Cluster1(8);
 
     TrainerConfig base;

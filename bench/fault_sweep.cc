@@ -90,8 +90,13 @@ int main(int argc, char** argv) {
   if (chrome_trace || run_report) Telemetry::Get().set_enabled(true);
 
   const std::string dataset_name = flags.GetString("dataset");
-  const Dataset data =
-      GenerateSynthetic(SpecByName(dataset_name, flags.GetDouble("scale")));
+  const Result<SyntheticSpec> spec =
+      SpecByName(dataset_name, flags.GetDouble("scale"));
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    return 1;
+  }
+  const Dataset data = GenerateSynthetic(*spec);
   const std::vector<double> rates = ParseRates(flags.GetString("rates"));
   const int steps = static_cast<int>(flags.GetInt64("steps"));
 

@@ -27,7 +27,7 @@ namespace {
 using namespace mllibstar;
 
 void RunSubfigure(const char* dataset, double lambda) {
-  const Dataset data = GenerateSynthetic(SpecByName(dataset));
+  const Dataset data = GenerateSynthetic(SpecByName(dataset).value());
   const ClusterConfig cluster = ClusterConfig::Cluster1(8);
 
   TrainerConfig base;

@@ -35,7 +35,7 @@ TrainResult TunedRun(SystemKind kind, const TrainerConfig& base,
 }
 
 void RunSubfigure(const char* dataset, double lambda) {
-  const Dataset data = GenerateSynthetic(SpecByName(dataset));
+  const Dataset data = GenerateSynthetic(SpecByName(dataset).value());
   const ClusterConfig cluster = ClusterConfig::Cluster1(8);
   const bool regularized = lambda > 0;
 

@@ -341,9 +341,8 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   // The objective's fused LossGradient (the L-BFGS oracle's worker
   // task), timed end-to-end under SetSimdLevel so the numbers reflect
   // what the trainers actually run.
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto no_reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto objective = MakeBinaryObjective(loss.get(), no_reg.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   for (const Regime& regime : kRegimes) {
     SyntheticSpec spec;
     spec.name = "kernels_bench";
@@ -361,7 +360,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     DenseVector ref_grad(regime.dim);
     double ref_loss = 0.0;
     simd::SetSimdLevel(simd::SimdLevel::kScalar);
-    objective->LossGradient(block, w, &ref_grad, &ref_loss);
+    objective.LossGradient(block, w, &ref_grad, &ref_loss);
 
     for (simd::SimdLevel level : levels) {
       // Paired with the scalar reference, so machine-speed drift
@@ -371,7 +370,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
         simd::SetSimdLevel(pass_level);
         grad.SetZero();
         double loss_sum = 0.0;
-        objective->LossGradient(block, w, &grad, &loss_sum);
+        objective.LossGradient(block, w, &grad, &loss_sum);
         g_sink = loss_sum;
       };
       const PairedNs t =
@@ -399,7 +398,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       simd::SetSimdLevel(level);
       grad.SetZero();
       double loss_sum = 0.0;
-      objective->LossGradient(block, w, &grad, &loss_sum);
+      objective.LossGradient(block, w, &grad, &loss_sum);
       bool grad_equal = true;
       for (size_t i = 0; i < regime.dim; ++i) {
         if (grad[i] != ref_grad[i]) grad_equal = false;
@@ -503,10 +502,8 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   std::printf("\n%-8s %5s %12s %12s %12s %10s\n", "dataset", "k",
               "points ns", "valued ns", "value-free", "pts/vfree");
   {
-    auto hinge = MakeLoss(LossKind::kHinge);
-    auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-    auto hinge_objective =
-        MakeBinaryObjective(hinge.get(), none.get(), true);
+    const GlmObjective hinge_objective(
+        LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), true);
     struct EvalShape {
       SyntheticSpec spec;
       size_t k;
@@ -531,15 +528,17 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       const double valued_ns = MinNs(
           [&] {
             valued_loss =
-                hinge_objective->MeanPartitionLoss(valued, w, &slots);
+                hinge_objective.MeanPartitionLoss(valued, w, &slots);
           },
           reps);
       // The gated pair: the DataPoint walk against the value-free one.
       const PairedNs walks = PairedMinNs(
-          [&] { points_loss = MeanLoss(data.points(), *hinge, w); },
+          [&] {
+            points_loss = MeanLoss(data.points(), hinge_objective.loss(), w);
+          },
           [&] {
             value_free_loss =
-                hinge_objective->MeanPartitionLoss(value_free, w, &slots);
+                hinge_objective.MeanPartitionLoss(value_free, w, &slots);
           },
           reps);
       const double points_ns = walks.ref;

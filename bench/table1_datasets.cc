@@ -28,7 +28,7 @@ int main() {
               "#instances", "#features", "size", "nnz/row", "shape",
               "paper(#inst/#feat)");
   for (const PaperRow& row : paper) {
-    const Dataset ds = GenerateSynthetic(SpecByName(row.name));
+    const Dataset ds = GenerateSynthetic(SpecByName(row.name).value());
     const DatasetStats stats = ds.Stats();
     std::printf("%-8s %12zu %12zu %10s %8.1f %15s %10llu/%llu\n",
                 stats.name.c_str(), stats.num_instances, stats.num_features,

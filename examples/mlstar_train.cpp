@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/flags.h"
+#include "common/strings.h"
 #include "core/metrics.h"
 #include "core/model_io.h"
 #include "data/libsvm.h"
@@ -22,14 +23,10 @@ namespace {
 
 using namespace mllibstar;
 
-SystemKind SystemFromName(const std::string& name) {
-  if (name == "mllib") return SystemKind::kMllib;
-  if (name == "mllib+ma") return SystemKind::kMllibMa;
-  if (name == "petuum") return SystemKind::kPetuum;
-  if (name == "petuum*") return SystemKind::kPetuumStar;
-  if (name == "angel") return SystemKind::kAngel;
-  if (name == "mllib-lbfgs") return SystemKind::kMllibLbfgs;
-  return SystemKind::kMllibStar;
+// Prints `status` and gives the exit code of a rejected run.
+int Reject(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 }  // namespace
@@ -46,7 +43,6 @@ int main(int argc, char** argv) {
                   "mllib|mllib+ma|mllib*|petuum|petuum*|angel|mllib-lbfgs");
   flags.AddString("loss", "hinge", "hinge|logistic|squared");
   flags.AddDouble("l2", 0.0, "L2 regularization strength (0 = none)");
-  flags.AddDouble("l1", 0.0, "L1 regularization strength (0 = none)");
   flags.AddDouble("lr", 0.1, "base learning rate");
   flags.AddString("lr-schedule", "constant", "constant|inverse-sqrt");
   flags.AddDouble("batch-fraction", 0.01, "batch size / partition size");
@@ -81,6 +77,25 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Names and fractions are checked before anything is built (the
+  // dataset name where it is read), so a typo ends the run instead of
+  // training something else.
+  const Result<SystemKind> system = SystemFromName(flags.GetString("system"));
+  if (!system.ok()) return Reject(system.status());
+  const Result<LossKind> loss = LossKindFromName(flags.GetString("loss"));
+  if (!loss.ok()) return Reject(loss.status());
+  const std::string schedule = flags.GetString("lr-schedule");
+  if (schedule != "constant" && schedule != "inverse-sqrt") {
+    return Reject(Status::InvalidArgument(
+        "unknown lr-schedule '" + schedule +
+        "'; expected constant|inverse-sqrt"));
+  }
+  const double test_fraction = flags.GetDouble("test-fraction");
+  if (!(test_fraction >= 0.0 && test_fraction < 1.0)) {
+    return Reject(Status::InvalidArgument(
+        "test-fraction must be in [0, 1), got " +
+        FormatDouble(test_fraction)));
+  }
 
   // --- data -------------------------------------------------------
   Dataset data;
@@ -94,33 +109,29 @@ int main(int argc, char** argv) {
     }
     data = std::move(loaded).value();
   } else {
-    SyntheticSpec spec =
+    Result<SyntheticSpec> spec =
         SpecByName(flags.GetString("dataset"), flags.GetDouble("scale"));
-    spec.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-    data = GenerateSynthetic(spec);
+    if (!spec.ok()) return Reject(spec.status());
+    spec->seed = static_cast<uint64_t>(flags.GetInt64("seed"));
+    data = GenerateSynthetic(*spec);
   }
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")));
-  const TrainTestSplit split =
-      RandomSplit(data, 1.0 - flags.GetDouble("test-fraction"), &rng);
+  const TrainTestSplit split = RandomSplit(data, 1.0 - test_fraction, &rng);
   std::printf("data: %zu train / %zu test, %zu features\n",
               split.train.size(), split.test.size(), data.num_features());
 
   // --- config -----------------------------------------------------
   TrainerConfig config;
-  config.loss = LossKindFromName(flags.GetString("loss"));
-  // Any strength but 0 selects its regularizer, so a negative or NaN
-  // one reaches ValidateTrainerConfig instead of training unregularized.
+  config.loss = *loss;
+  // Any strength but 0 selects L2, so a negative or NaN one reaches
+  // ValidateTrainerConfig instead of training unregularized.
   if (flags.GetDouble("l2") != 0) {
     config.regularizer = RegularizerKind::kL2;
     config.lambda = flags.GetDouble("l2");
-  } else if (flags.GetDouble("l1") != 0) {
-    config.regularizer = RegularizerKind::kL1;
-    config.lambda = flags.GetDouble("l1");
   }
   config.base_lr = flags.GetDouble("lr");
-  config.lr_schedule = flags.GetString("lr-schedule") == "inverse-sqrt"
-                           ? LrScheduleKind::kInverseSqrt
-                           : LrScheduleKind::kConstant;
+  config.lr_schedule = schedule == "inverse-sqrt" ? LrScheduleKind::kInverseSqrt
+                                                  : LrScheduleKind::kConstant;
   config.batch_fraction = flags.GetDouble("batch-fraction");
   config.max_comm_steps = static_cast<int>(flags.GetInt64("steps"));
   config.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
@@ -129,23 +140,16 @@ int main(int argc, char** argv) {
   config.ps.staleness = static_cast<int>(flags.GetInt64("staleness"));
 
   const Status config_status = ValidateTrainerConfig(config);
-  if (!config_status.ok()) {
-    std::fprintf(stderr, "%s\n", config_status.ToString().c_str());
-    return 1;
-  }
+  if (!config_status.ok()) return Reject(config_status);
 
   const ClusterConfig cluster =
       ClusterConfig::Cluster1(static_cast<size_t>(flags.GetInt64("workers")));
   const Status cluster_status = ValidateClusterConfig(cluster);
-  if (!cluster_status.ok()) {
-    std::fprintf(stderr, "%s\n", cluster_status.ToString().c_str());
-    return 1;
-  }
-  const SystemKind system = SystemFromName(flags.GetString("system"));
+  if (!cluster_status.ok()) return Reject(cluster_status);
 
   // --- train ------------------------------------------------------
   const TrainResult result =
-      MakeTrainer(system, config)->Train(split.train, cluster);
+      MakeTrainer(*system, config)->Train(split.train, cluster);
   std::printf("\n%-6s %12s %12s\n", "step", "sim-time(s)", "objective");
   for (const ConvergencePoint& p : result.curve.points()) {
     std::printf("%-6d %12.3f %12.6f\n", p.comm_step, p.time_sec,

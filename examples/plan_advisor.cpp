@@ -18,7 +18,7 @@ int main() {
   config.lr_schedule = LrScheduleKind::kConstant;
 
   for (const char* name : {"avazu", "url", "kddb", "kdd12"}) {
-    const Dataset data = GenerateSynthetic(SpecByName(name, 3e-4));
+    const Dataset data = GenerateSynthetic(SpecByName(name, 3e-4).value());
     const DatasetStats stats = data.Stats();
     std::printf("\n=== %s (%zu x %zu) ===\n", name, stats.num_instances,
                 stats.num_features);

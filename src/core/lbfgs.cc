@@ -28,6 +28,17 @@ LbfgsResult LbfgsSolver::MinimizeFrom(
     const Oracle& oracle, LbfgsState st,
     const IterationObserver& observer) const {
   const size_t dim = st.x.dim();
+  MLLIBSTAR_CHECK_EQ(st.y_history.size(), st.s_history.size());
+  MLLIBSTAR_CHECK_EQ(st.rho_history.size(), st.s_history.size());
+  MLLIBSTAR_CHECK_LE(st.s_history.size(), options_.history)
+      << "more correction pairs than the history";
+  for (size_t j = 0; j < st.s_history.size(); ++j) {
+    MLLIBSTAR_CHECK_EQ(st.s_history[j].dim(), dim);
+    MLLIBSTAR_CHECK_EQ(st.y_history[j].dim(), dim);
+  }
+  if (st.evaluated) {
+    MLLIBSTAR_CHECK_EQ(st.gradient.dim(), dim);
+  }
   LbfgsResult result;
 
   if (!st.evaluated) {
@@ -83,14 +94,12 @@ LbfgsResult LbfgsSolver::MinimizeFrom(
     DenseVector candidate(dim);
     DenseVector candidate_gradient(dim);
     double candidate_objective = st.objective;
-    int evals_this_iter = 0;
     bool accepted = false;
     for (int ls = 0; ls < options_.max_line_search_steps; ++ls) {
       candidate = st.x;
       candidate.AddScaled(direction, step);
       candidate_objective = oracle(candidate, &candidate_gradient);
       ++result.function_evaluations;
-      ++evals_this_iter;
       if (candidate_objective <=
           st.objective + options_.armijo_c * step * directional) {
         accepted = true;
@@ -98,12 +107,8 @@ LbfgsResult LbfgsSolver::MinimizeFrom(
       }
       step *= options_.backtrack_factor;
     }
-    if (!accepted) {
-      // The line search failed: gradient noise floor reached.
-      result.trace.push_back(
-          {iter, st.objective, gnorm, evals_this_iter});
-      break;
-    }
+    // A failed line search means the gradient noise floor is reached.
+    if (!accepted) break;
 
     // Update histories.
     DenseVector s = candidate;
@@ -128,8 +133,6 @@ LbfgsResult LbfgsSolver::MinimizeFrom(
     st.objective = candidate_objective;
     st.iteration = iter + 1;
     result.iterations = iter + 1;
-    result.trace.push_back({iter, st.objective, InfNorm(st.gradient),
-                            evals_this_iter});
     if (observer) observer(st);
 
     if (previous - st.objective <=

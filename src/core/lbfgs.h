@@ -19,14 +19,6 @@ struct LbfgsOptions {
   int max_line_search_steps = 20;
 };
 
-/// One iteration record (for convergence plots).
-struct LbfgsIterate {
-  int iteration = 0;
-  double objective = 0.0;
-  double gradient_norm = 0.0;
-  int function_evaluations = 0;  ///< oracle calls used by this iteration
-};
-
 /// Outcome of a minimization run.
 struct LbfgsResult {
   DenseVector minimizer;
@@ -34,7 +26,6 @@ struct LbfgsResult {
   int iterations = 0;
   int function_evaluations = 0;
   bool converged = false;
-  std::vector<LbfgsIterate> trace;
 };
 
 /// The complete resumable state of an L-BFGS run after some number of
@@ -79,7 +70,10 @@ class LbfgsSolver {
 
   /// Continues minimization from `state` (a fresh state with only `x`
   /// set behaves exactly like Minimize). `observer`, when non-null,
-  /// sees the state after each accepted iteration.
+  /// sees the state after each accepted iteration. CHECKs that the
+  /// state is one this solver could have produced: s, y and rho of
+  /// equal length, at most `history`, and every vector (the gradient
+  /// once evaluated) of x's dimension.
   LbfgsResult MinimizeFrom(const Oracle& oracle, LbfgsState state,
                            const IterationObserver& observer = nullptr) const;
 

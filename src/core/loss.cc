@@ -72,10 +72,12 @@ std::unique_ptr<Loss> MakeLoss(LossKind kind) {
   return std::make_unique<HingeLoss>();
 }
 
-LossKind LossKindFromName(const std::string& name) {
+Result<LossKind> LossKindFromName(const std::string& name) {
   if (name == "logistic") return LossKind::kLogistic;
+  if (name == "hinge") return LossKind::kHinge;
   if (name == "squared") return LossKind::kSquared;
-  return LossKind::kHinge;
+  return Status::InvalidArgument("unknown loss '" + name +
+                                 "'; expected logistic|hinge|squared");
 }
 
 }  // namespace mllibstar

@@ -4,6 +4,8 @@
 #include <memory>
 #include <string>
 
+#include "common/status.h"
+
 namespace mllibstar {
 
 /// Kinds of point losses supported for GLM training.
@@ -35,9 +37,10 @@ class Loss {
 /// Creates the loss implementation for `kind`.
 std::unique_ptr<Loss> MakeLoss(LossKind kind);
 
-/// Parses "logistic" / "hinge" / "squared" (used by bench CLIs);
-/// returns kHinge for unrecognized names.
-LossKind LossKindFromName(const std::string& name);
+/// Parses "logistic" / "hinge" / "squared" (used by bench CLIs). An
+/// unknown name is an InvalidArgument that names it and the accepted
+/// ones.
+Result<LossKind> LossKindFromName(const std::string& name);
 
 }  // namespace mllibstar
 

@@ -78,12 +78,6 @@ double DenseVector::SquaredNorm() const {
   return sum;
 }
 
-double DenseVector::Norm1() const {
-  double sum = 0.0;
-  for (double v : values_) sum += std::fabs(v);
-  return sum;
-}
-
 size_t DenseVector::CountNonZeros(double tolerance) const {
   size_t count = 0;
   for (double v : values_) {

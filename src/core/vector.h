@@ -94,9 +94,6 @@ class DenseVector {
   /// Sum of squared components.
   double SquaredNorm() const;
 
-  /// Sum of absolute values.
-  double Norm1() const;
-
   /// Number of entries with |value| > tolerance (for sparsity stats).
   size_t CountNonZeros(double tolerance = 0.0) const;
 

@@ -138,12 +138,14 @@ SyntheticSpec WxSpec(double scale) {
   return spec;
 }
 
-SyntheticSpec SpecByName(const std::string& name, double scale) {
+Result<SyntheticSpec> SpecByName(const std::string& name, double scale) {
+  if (name == "avazu") return AvazuSpec(scale);
   if (name == "url") return UrlSpec(scale);
   if (name == "kddb") return KddbSpec(scale);
   if (name == "kdd12") return Kdd12Spec(scale);
   if (name == "wx") return WxSpec(scale);
-  return AvazuSpec(scale);
+  return Status::InvalidArgument("unknown dataset '" + name +
+                                 "'; expected avazu|url|kddb|kdd12|wx");
 }
 
 }  // namespace mllibstar

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
 #include "data/dataset.h"
 
 namespace mllibstar {
@@ -50,8 +51,10 @@ SyntheticSpec Kdd12Spec(double scale = 1e-3);
 SyntheticSpec WxSpec(double scale = 1e-3);
 
 /// Looks a preset up by name ("avazu", "url", "kddb", "kdd12", "wx").
-/// Unknown names fall back to avazu.
-SyntheticSpec SpecByName(const std::string& name, double scale = 1e-3);
+/// An unknown name is an InvalidArgument that names it and the accepted
+/// ones.
+Result<SyntheticSpec> SpecByName(const std::string& name,
+                                 double scale = 1e-3);
 
 }  // namespace mllibstar
 

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "core/gd.h"
 #include "core/lbfgs.h"
-#include "core/owlqn.h"
 #include "data/partition.h"
 #include "obs/telemetry.h"
 #include "sim/network.h"
@@ -61,89 +60,82 @@ TrainResult MllibLbfgsTrainer::Train(const Dataset& data,
       gradient->AddScaled(worker_gradients[r], 1.0);
     }
     gradient->Scale(1.0 / n);
-    // OWL-QN owns the ‖w‖₁ term of L1: the oracle returns the smooth
-    // part only — mean loss plus the regularizer's smooth component
-    // (spark.ml's LBFGS/OWLQN selection).
-    regularizer().AddSmoothGradient(w, gradient);
+    // The full objective: mean loss plus Ω(w).
+    regularizer().AddGradient(w, gradient);
     spark.RunOnDriver("lbfgs-direction", 2 * d);
     ++result.total_model_updates;
 
-    const double smooth = loss_sum / n + regularizer().SmoothValue(w);
+    const double value = loss_sum / n + regularizer().Value(w);
     const SimTime now = spark.EndStage(name(), passes);
     ++passes;
     pass_span.SetSimRange(pass_sim_start, now);
-    // The recorded curve always shows the full objective.
-    const double l1s = regularizer().l1_lambda();
-    const double full = l1s > 0.0 ? smooth + l1s * w.Norm1() : smooth;
-    result.curve.Add(passes, now, full);
-    return smooth;
+    result.curve.Add(passes, now, value);
+    return value;
   };
 
   ScopedSpan run_span("train:" + name(), "trainer");
   LbfgsOptions options;
-  // Each "communication step" budget unit buys one distributed pass.
+  // The communication-step budget caps accepted iterations, not
+  // passes: the run makes one initial pass plus one per line-search
+  // evaluation, so a run that spends the whole budget reports more
+  // passes than it (one even at a budget of 0).
   options.max_iterations = config().max_comm_steps;
-  LbfgsResult solved;
-  const double l1_strength = regularizer().l1_lambda();
-  if (l1_strength > 0.0) {
-    // OWL-QN carries orthant/pseudo-gradient state that is not
-    // serialized; checkpointing covers the smooth L-BFGS path only.
-    MLLIBSTAR_CHECK(!config().checkpoint.enabled());
-    OwlqnSolver solver(options, l1_strength);
-    solved = solver.Minimize(oracle, DenseVector(d));
-  } else {
-    LbfgsSolver solver(options);
-    LbfgsState state;
-    state.x = DenseVector(d);
-    {
-      Checkpoint ck;
-      if (TryResume(config().checkpoint, &ck)) {
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
-                           static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
-        state.iteration = static_cast<int>(ck.TakeU64());
-        state.evaluated = ck.TakeU64() != 0;
-        state.objective = ck.TakeDouble();
-        state.x = ck.TakeVector();
-        state.gradient = ck.TakeVector();
-        MLLIBSTAR_CHECK_EQ(state.x.dim(), d);
-        const uint64_t m = ck.TakeU64();
-        for (uint64_t i = 0; i < m; ++i) {
-          state.s_history.push_back(ck.TakeVector());
-          state.y_history.push_back(ck.TakeVector());
-          state.rho_history.push_back(ck.TakeDouble());
-        }
-        MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved residual-count word
-        TakeElasticWords(&ck, &spark);
-        MLLIBSTAR_CHECK(ck.exhausted());
+  LbfgsSolver solver(options);
+  LbfgsState state;
+  state.x = DenseVector(d);
+  {
+    Checkpoint ck;
+    if (TryResume(config().checkpoint, &ck)) {
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(),
+                         static_cast<uint64_t>(CheckpointTag::kLbfgs));
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved class-count word
+      state.iteration = static_cast<int>(ck.TakeU64());
+      state.evaluated = ck.TakeU64() != 0;
+      state.objective = ck.TakeDouble();
+      state.x = ck.TakeVector();
+      state.gradient = ck.TakeVector();
+      MLLIBSTAR_CHECK_EQ(state.x.dim(), d);
+      MLLIBSTAR_CHECK_EQ(state.gradient.dim(), d);
+      const uint64_t m = ck.TakeU64();
+      MLLIBSTAR_CHECK_LE(m, options.history)
+          << "checkpoint holds more correction pairs than the history";
+      for (uint64_t i = 0; i < m; ++i) {
+        state.s_history.push_back(ck.TakeVector());
+        state.y_history.push_back(ck.TakeVector());
+        state.rho_history.push_back(ck.TakeDouble());
+        MLLIBSTAR_CHECK_EQ(state.s_history.back().dim(), d);
+        MLLIBSTAR_CHECK_EQ(state.y_history.back().dim(), d);
       }
+      MLLIBSTAR_CHECK_EQ(ck.TakeU64(), 0u);  // reserved residual-count word
+      TakeElasticWords(&ck, &spark);
+      MLLIBSTAR_CHECK(ck.exhausted());
     }
-    LbfgsSolver::IterationObserver observer;
-    if (config().checkpoint.enabled() &&
-        config().checkpoint.every_steps > 0) {
-      observer = [&](const LbfgsState& st) {
-        if (!ShouldCheckpoint(config().checkpoint, st.iteration)) return;
-        Checkpoint ck;
-        ck.PutU64(static_cast<uint64_t>(CheckpointTag::kLbfgs));
-        ck.PutU64(0);  // reserved class-count word
-        ck.PutU64(static_cast<uint64_t>(st.iteration));
-        ck.PutU64(st.evaluated ? 1 : 0);
-        ck.PutDouble(st.objective);
-        ck.PutVector(st.x);
-        ck.PutVector(st.gradient);
-        ck.PutU64(st.s_history.size());
-        for (size_t i = 0; i < st.s_history.size(); ++i) {
-          ck.PutVector(st.s_history[i]);
-          ck.PutVector(st.y_history[i]);
-          ck.PutDouble(st.rho_history[i]);
-        }
-        ck.PutU64(0);  // reserved residual-count word
-        PutElasticWords(&ck, spark);
-        MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
-      };
-    }
-    solved = solver.MinimizeFrom(oracle, std::move(state), observer);
   }
+  LbfgsSolver::IterationObserver observer;
+  if (config().checkpoint.enabled() && config().checkpoint.every_steps > 0) {
+    observer = [&](const LbfgsState& st) {
+      if (!ShouldCheckpoint(config().checkpoint, st.iteration)) return;
+      Checkpoint ck;
+      ck.PutU64(static_cast<uint64_t>(CheckpointTag::kLbfgs));
+      ck.PutU64(0);  // reserved class-count word
+      ck.PutU64(static_cast<uint64_t>(st.iteration));
+      ck.PutU64(st.evaluated ? 1 : 0);
+      ck.PutDouble(st.objective);
+      ck.PutVector(st.x);
+      ck.PutVector(st.gradient);
+      ck.PutU64(st.s_history.size());
+      for (size_t i = 0; i < st.s_history.size(); ++i) {
+        ck.PutVector(st.s_history[i]);
+        ck.PutVector(st.y_history[i]);
+        ck.PutDouble(st.rho_history[i]);
+      }
+      ck.PutU64(0);  // reserved residual-count word
+      PutElasticWords(&ck, spark);
+      MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
+    };
+  }
+  const LbfgsResult solved =
+      solver.MinimizeFrom(oracle, std::move(state), observer);
 
   run_span.SetSimRange(0.0, spark.Now());
   result.comm_steps = passes;

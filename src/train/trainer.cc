@@ -31,6 +31,20 @@ std::string SystemName(SystemKind kind) {
   return "unknown";
 }
 
+Result<SystemKind> SystemFromName(const std::string& name) {
+  std::string accepted;
+  for (const SystemKind kind :
+       {SystemKind::kMllib, SystemKind::kMllibMa, SystemKind::kMllibStar,
+        SystemKind::kPetuum, SystemKind::kPetuumStar, SystemKind::kAngel,
+        SystemKind::kMllibLbfgs}) {
+    if (name == SystemName(kind)) return kind;
+    if (!accepted.empty()) accepted += '|';
+    accepted += SystemName(kind);
+  }
+  return Status::InvalidArgument("unknown system '" + name + "'; expected " +
+                                 accepted);
+}
+
 Status ValidateTrainerConfig(const TrainerConfig& config) {
   if (!std::isfinite(config.base_lr) || config.base_lr <= 0.0) {
     return Status::InvalidArgument("base_lr must be finite and > 0, got " +
@@ -69,18 +83,17 @@ Status ValidateTrainerConfig(const TrainerConfig& config) {
 
 Trainer::Trainer(TrainerConfig config)
     : config_(std::move(config)),
-      loss_(MakeLoss(config_.loss)),
-      reg_(MakeRegularizer(config_.regularizer, config_.lambda)),
-      objective_(MakeBinaryObjective(loss_.get(), reg_.get(),
-                                     config_.lazy_regularization)),
+      objective_(config_.loss,
+                 Regularizer(config_.regularizer, config_.lambda),
+                 config_.lazy_regularization),
       schedule_(config_.lr_schedule, config_.base_lr) {
   MLLIBSTAR_CHECK_OK(ValidateTrainerConfig(config_));
 }
 
 double Trainer::Eval(const std::vector<CsrBlock>& partitions,
                      const DenseVector& w) {
-  return objective_->MeanPartitionLoss(partitions, w, &eval_losses_) +
-         reg_->Value(w);
+  return objective_.MeanPartitionLoss(partitions, w, &eval_losses_) +
+         objective_.regularizer().Value(w);
 }
 
 bool Trainer::ShouldStop(int step, double objective) const {

@@ -39,6 +39,10 @@ enum class SystemKind {
 /// Short identifier ("mllib", "mllib*", ...) used in bench output.
 std::string SystemName(SystemKind kind);
 
+/// Parses a SystemName back to its kind. An unknown name is an
+/// InvalidArgument that names it and the accepted ones.
+Result<SystemKind> SystemFromName(const std::string& name);
+
 /// Hyperparameters and run limits shared by every trainer. Fields that
 /// a given system does not use are ignored by it (e.g. `ps` for the
 /// Spark-based trainers). The SendModel Spark trainers run one local
@@ -61,6 +65,10 @@ struct TrainerConfig {
   bool lazy_regularization = true;
 
   // Run limits.
+  /// Communication steps before the run stops. For L-BFGS it caps
+  /// accepted iterations instead: the run makes one initial pass plus
+  /// one per line-search evaluation, so a run that spends the whole
+  /// budget reports more passes than this (one even at 0).
   int max_comm_steps = 100;
   /// Stop once the evaluated objective reaches this value.
   std::optional<double> target_objective;
@@ -76,8 +84,7 @@ struct TrainerConfig {
 
   // Crash recovery: periodic trainer-state snapshots (model,
   // iteration, RNG cursors) and resume. Resumed runs finish with
-  // weights bit-identical to uninterrupted ones. Not supported with
-  // L1-regularized L-BFGS (OWL-QN).
+  // weights bit-identical to uninterrupted ones.
   CheckpointConfig checkpoint;
 
   // Parameter-server knobs (Petuum/Petuum*/Angel).
@@ -137,13 +144,12 @@ class Trainer {
 
  protected:
   const TrainerConfig& config() const { return config_; }
-  const Loss& loss() const { return *loss_; }
-  const Regularizer& regularizer() const { return *reg_; }
   const LrSchedule& schedule() const { return schedule_; }
 
   /// The objective being trained (loss + regularizer). Trainers route
   /// every local computation through this.
-  const GlmObjective& objective() const { return *objective_; }
+  const GlmObjective& objective() const { return objective_; }
+  const Regularizer& regularizer() const { return objective_.regularizer(); }
 
   /// Full objective f(w, X) over the run's round-robin `partitions`
   /// (host-side; costs no sim time — the paper also measures the
@@ -177,9 +183,7 @@ class Trainer {
 
  private:
   TrainerConfig config_;
-  std::unique_ptr<Loss> loss_;
-  std::unique_ptr<Regularizer> reg_;
-  std::unique_ptr<GlmObjective> objective_;
+  GlmObjective objective_;
   LrSchedule schedule_;
   /// Eval's per-row loss slots, in dataset order.
   std::vector<double> eval_losses_;

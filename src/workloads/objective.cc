@@ -8,23 +8,47 @@
 namespace mllibstar {
 namespace {
 
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
+}
+
+// MeanLoss's per-point term (core/model): writes the pointwise loss of
+// row i of `block` to out[i · stride].
+void RowLosses(const CsrBlock& block, const Loss& loss, const DenseVector& w,
+               double* out, size_t stride) {
+  for (size_t i = 0; i < block.rows(); ++i) {
+    const double margin =
+        w.Dot(block.row_indices(i), block.row_values(i), block.row_nnz(i));
+    out[i * stride] = loss.Value(margin, block.label(i));
+  }
+}
+
+}  // namespace
+
+GlmObjective::GlmObjective(LossKind loss, Regularizer regularizer,
+                           bool lazy_regularization)
+    : loss_(MakeLoss(loss)),
+      reg_(regularizer),
+      lazy_(lazy_regularization) {}
+
 // ---- GD kernels --------------------------------------------------------
-// Every worker task the seven trainers run is one of the functions
-// below, reached only through the GlmObjective methods further down.
+// Every worker task the seven trainers run is one of the methods below.
 // Each walks a CsrBlock through its row accessors. This file is built
 // with -ffp-contract=off, so no compiler fuses a multiply-add in these
 // loops.
 
-ComputeStats BatchGradientImpl(const CsrBlock& block,
-                               const std::vector<size_t>& batch,
-                               const Loss& loss, const DenseVector& w,
-                               DenseVector* gradient) {
+ComputeStats GlmObjective::BatchGradient(const CsrBlock& block,
+                                         const std::vector<size_t>& batch,
+                                         const DenseVector& w,
+                                         DenseVector* gradient) const {
   ComputeStats stats;
   for (size_t idx : batch) {
     const size_t n = block.row_nnz(idx);
     const double margin =
         w.Dot(block.row_indices(idx), block.row_values(idx), n);
-    const double d = loss.Derivative(margin, block.label(idx));
+    const double d = loss_->Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     if (d != 0.0) {
       gradient->AddScaled(block.row_indices(idx), block.row_values(idx), n,
@@ -35,9 +59,10 @@ ComputeStats BatchGradientImpl(const CsrBlock& block,
   return stats;
 }
 
-ComputeStats LossGradientImpl(const CsrBlock& block, const Loss& loss,
-                              const DenseVector& w, DenseVector* gradient,
-                              double* loss_sum) {
+ComputeStats GlmObjective::LossGradient(const CsrBlock& block,
+                                        const DenseVector& w,
+                                        DenseVector* gradient,
+                                        double* loss_sum) const {
   ComputeStats stats;
   const size_t rows = block.rows();
   for (size_t i = 0; i < rows; ++i) {
@@ -45,8 +70,8 @@ ComputeStats LossGradientImpl(const CsrBlock& block, const Loss& loss,
     const double margin =
         w.Dot(block.row_indices(i), block.row_values(i), n);
     const double y = block.label(i);
-    const double d = loss.Derivative(margin, y);
-    *loss_sum += loss.Value(margin, y);
+    const double d = loss_->Derivative(margin, y);
+    *loss_sum += loss_->Value(margin, y);
     stats.nnz_processed += n;
     if (d != 0.0) {
       gradient->AddScaled(block.row_indices(i), block.row_values(i), n, d);
@@ -56,27 +81,36 @@ ComputeStats LossGradientImpl(const CsrBlock& block, const Loss& loss,
   return stats;
 }
 
-// One shuffled SGD pass visiting `rows` (shuffled in place).
-ComputeStats SgdEpochImpl(const CsrBlock& block, std::vector<size_t> rows,
-                          const Loss& loss, const Regularizer& reg,
-                          double lr, bool lazy_regularization, Rng* rng,
-                          DenseVector* w) {
+ComputeStats GlmObjective::SgdEpoch(const CsrBlock& block, double lr,
+                                    Rng* rng, DenseVector* w) const {
+  return ShuffledSgd(block, Iota(block.rows()), lr, rng, w);
+}
+
+ComputeStats GlmObjective::SgdEpoch(const CsrBlock& block,
+                                    const std::vector<size_t>& rows,
+                                    double lr, Rng* rng,
+                                    DenseVector* w) const {
+  return ShuffledSgd(block, rows, lr, rng, w);
+}
+
+ComputeStats GlmObjective::ShuffledSgd(const CsrBlock& block,
+                                       std::vector<size_t> rows, double lr,
+                                       Rng* rng, DenseVector* w) const {
   ComputeStats stats;
   if (rows.empty()) return stats;
   rng->Shuffle(&rows);
 
-  const bool lazy_l2 =
-      lazy_regularization && reg.kind() == RegularizerKind::kL2;
+  const bool lazy_l2 = lazy_ && reg_.kind() == RegularizerKind::kL2;
 
   if (lazy_l2) {
     ScaledVector scaled(std::move(*w));
-    const double shrink = 1.0 - lr * reg.lambda();
+    const double shrink = 1.0 - lr * reg_.lambda();
     MLLIBSTAR_CHECK_GT(shrink, 0.0);
     for (size_t idx : rows) {
       const size_t n = block.row_nnz(idx);
       const double margin =
           scaled.Dot(block.row_indices(idx), block.row_values(idx), n);
-      const double d = loss.Derivative(margin, block.label(idx));
+      const double d = loss_->Derivative(margin, block.label(idx));
       stats.nnz_processed += n;
       scaled.Shrink(shrink);
       if (d != 0.0) {
@@ -94,10 +128,10 @@ ComputeStats SgdEpochImpl(const CsrBlock& block, std::vector<size_t> rows,
     const size_t n = block.row_nnz(idx);
     const double margin =
         w->Dot(block.row_indices(idx), block.row_values(idx), n);
-    const double d = loss.Derivative(margin, block.label(idx));
+    const double d = loss_->Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
-    if (reg.kind() != RegularizerKind::kNone) {
-      reg.ApplyGradientStep(w, lr);
+    if (reg_.kind() != RegularizerKind::kNone) {
+      reg_.ApplyGradientStep(w, lr);
       // The eager regularizer step touches every coordinate.
       stats.nnz_processed += w->dim();
     }
@@ -111,10 +145,9 @@ ComputeStats SgdEpochImpl(const CsrBlock& block, std::vector<size_t> rows,
   return stats;
 }
 
-ComputeStats MiniBatchGdImpl(const CsrBlock& block, const Loss& loss,
-                             const Regularizer& reg, double lr,
-                             size_t batch_size, size_t num_batches,
-                             Rng* rng, DenseVector* w) {
+ComputeStats GlmObjective::MiniBatchGd(const CsrBlock& block, double lr,
+                                       size_t batch_size, size_t num_batches,
+                                       Rng* rng, DenseVector* w) const {
   ComputeStats stats;
   if (block.rows() == 0 || batch_size == 0) return stats;
 
@@ -124,89 +157,25 @@ ComputeStats MiniBatchGdImpl(const CsrBlock& block, const Loss& loss,
         SampleBatch(block.rows(), batch_size, rng);
     gradient.TouchRows(block, batch);
     const ComputeStats batch_stats =
-        BatchGradientImpl(block, batch, loss, *w, gradient.mutable_vector());
+        BatchGradient(block, batch, *w, gradient.mutable_vector());
     stats += batch_stats;
     const double inv_batch = 1.0 / static_cast<double>(batch.size());
-    if (reg.kind() != RegularizerKind::kNone) {
+    if (reg_.kind() != RegularizerKind::kNone) {
       // A nonzero regularizer makes the update dense -- the expense the
       // paper calls out for Petuum-style batch GD (SIII-B1).
-      reg.ApplyGradientStep(w, lr);
+      reg_.ApplyGradientStep(w, lr);
       stats.nnz_processed += w->dim();
     }
     gradient.FlushScaled(-lr * inv_batch, w);
     // Without regularization the batch gradient has at most batch-nnz
     // nonzeros and the flush above applies it sparsely; charge that.
-    stats.nnz_processed += reg.kind() != RegularizerKind::kNone
+    stats.nnz_processed += reg_.kind() != RegularizerKind::kNone
                                ? w->dim()
                                : batch_stats.nnz_processed / 2;
     ++stats.model_updates;
   }
   return stats;
 }
-
-std::vector<size_t> Iota(size_t n) {
-  std::vector<size_t> all(n);
-  std::iota(all.begin(), all.end(), size_t{0});
-  return all;
-}
-
-// ---- The objective -----------------------------------------------------
-
-class BinaryObjective final : public GlmObjective {
- public:
-  BinaryObjective(const Loss* loss, const Regularizer* reg,
-                  bool lazy_regularization)
-      : loss_(loss), reg_(reg), lazy_(lazy_regularization) {}
-
-  ComputeStats BatchGradient(const CsrBlock& block,
-                             const std::vector<size_t>& batch,
-                             const DenseVector& w,
-                             DenseVector* gradient) const override {
-    return BatchGradientImpl(block, batch, *loss_, w, gradient);
-  }
-
-  ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
-                            DenseVector* gradient,
-                            double* loss_sum) const override {
-    return LossGradientImpl(block, *loss_, w, gradient, loss_sum);
-  }
-
-  ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
-                        DenseVector* w) const override {
-    return SgdEpochImpl(block, Iota(block.rows()), *loss_, *reg_, lr,
-                        lazy_, rng, w);
-  }
-
-  ComputeStats SgdEpoch(const CsrBlock& block,
-                        const std::vector<size_t>& rows, double lr,
-                        Rng* rng, DenseVector* w) const override {
-    return SgdEpochImpl(block, rows, *loss_, *reg_, lr, lazy_, rng, w);
-  }
-
-  ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
-                           size_t batch_size, size_t num_batches, Rng* rng,
-                           DenseVector* w) const override {
-    return MiniBatchGdImpl(block, *loss_, *reg_, lr, batch_size,
-                           num_batches, rng, w);
-  }
-
- private:
-  // MeanLoss's per-point term (core/model).
-  void RowLosses(const CsrBlock& block, const DenseVector& w, double* out,
-                 size_t stride) const override {
-    for (size_t i = 0; i < block.rows(); ++i) {
-      const double margin =
-          w.Dot(block.row_indices(i), block.row_values(i), block.row_nnz(i));
-      out[i * stride] = loss_->Value(margin, block.label(i));
-    }
-  }
-
-  const Loss* loss_;
-  const Regularizer* reg_;
-  bool lazy_;
-};
-
-}  // namespace
 
 double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
                                        const DenseVector& w,
@@ -221,18 +190,12 @@ double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
   for (size_t p = 0; p < k; ++p) {
     MLLIBSTAR_CHECK_EQ(partitions[p].rows(), (n + k - 1 - p) / k)
         << "partitions are not a round-robin deal";
-    RowLosses(partitions[p], w, row_losses->data() + RoundRobinRow(p, 0, k),
-              k);
+    RowLosses(partitions[p], *loss_, w,
+              row_losses->data() + RoundRobinRow(p, 0, k), k);
   }
   double sum = 0.0;
   for (double loss : *row_losses) sum += loss;
   return sum / static_cast<double>(n);
-}
-
-std::unique_ptr<GlmObjective> MakeBinaryObjective(const Loss* loss,
-                                                  const Regularizer* reg,
-                                                  bool lazy_regularization) {
-  return std::make_unique<BinaryObjective>(loss, reg, lazy_regularization);
 }
 
 }  // namespace mllibstar

@@ -15,46 +15,50 @@ namespace mllibstar {
 
 /// The binary GLM objective (paper Equation 1: a margin loss plus
 /// Ω(w)) viewed through the kernel calls the seven distributed trainers
-/// make, and the only way into the GD kernels: each method is one call
-/// into a kernel (objective.cc) over the block's packed rows.
-/// Trainers hold exactly one of these, built by MakeBinaryObjective.
+/// make, and the only way into the GD kernels: each method runs one
+/// kernel loop (objective.cc) over the block's packed rows. Owns its
+/// loss and its regularizer; every Trainer holds exactly one.
 class GlmObjective {
  public:
-  virtual ~GlmObjective() = default;
+  /// With `lazy_regularization`, local SGD applies L2 through a
+  /// ScaledVector instead of a dense step per update.
+  GlmObjective(LossKind loss, Regularizer regularizer,
+               bool lazy_regularization);
+
+  const Loss& loss() const { return *loss_; }
+  const Regularizer& regularizer() const { return reg_; }
 
   /// grad += Σ_{i ∈ batch} ∇l(w, xᵢ, yᵢ) — the SendGradient worker
   /// task (Algorithm 2).
-  virtual ComputeStats BatchGradient(const CsrBlock& block,
-                                     const std::vector<size_t>& batch,
-                                     const DenseVector& w,
-                                     DenseVector* gradient) const = 0;
+  ComputeStats BatchGradient(const CsrBlock& block,
+                             const std::vector<size_t>& batch,
+                             const DenseVector& w,
+                             DenseVector* gradient) const;
 
   /// Fused full-partition loss + gradient — the L-BFGS oracle's
   /// worker task.
-  virtual ComputeStats LossGradient(const CsrBlock& block,
-                                    const DenseVector& w,
-                                    DenseVector* gradient,
-                                    double* loss_sum) const = 0;
+  ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
+                            DenseVector* gradient, double* loss_sum) const;
 
   /// One shuffled local SGD pass (the SendModel local computation,
   /// paper §III-B1, §IV-B). With lazy regularization and L2 the
   /// shrinkage costs O(nnz) per update (ScaledVector); otherwise the
   /// regularizer's dense step runs per update and its O(d) cost is
   /// charged to the returned ComputeStats (the ablation baseline).
-  virtual ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
-                                DenseVector* w) const = 0;
+  ComputeStats SgdEpoch(const CsrBlock& block, double lr, Rng* rng,
+                        DenseVector* w) const;
 
   /// Subset variant over `rows` of `block` (a sampled mini-batch).
-  virtual ComputeStats SgdEpoch(const CsrBlock& block,
-                                const std::vector<size_t>& rows, double lr,
-                                Rng* rng, DenseVector* w) const = 0;
+  ComputeStats SgdEpoch(const CsrBlock& block,
+                        const std::vector<size_t>& rows, double lr, Rng* rng,
+                        DenseVector* w) const;
 
   /// `num_batches` local mini-batch GD steps (Petuum/Angel style): each
   /// samples `batch_size` rows, and applies their averaged gradient at
   /// the current local model as one update.
-  virtual ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
-                                   size_t batch_size, size_t num_batches,
-                                   Rng* rng, DenseVector* w) const = 0;
+  ComputeStats MiniBatchGd(const CsrBlock& block, double lr,
+                           size_t batch_size, size_t num_batches, Rng* rng,
+                           DenseVector* w) const;
 
   /// Mean pointwise loss (1/n) Σ l(w, xᵢ, yᵢ), without the
   /// regularizer — the data term of the evaluated objective — over a
@@ -70,17 +74,14 @@ class GlmObjective {
                            std::vector<double>* row_losses) const;
 
  private:
-  /// Writes the pointwise loss of row i of `block` to out[i · stride],
-  /// as MeanLoss computes it.
-  virtual void RowLosses(const CsrBlock& block, const DenseVector& w,
-                         double* out, size_t stride) const = 0;
-};
+  /// One shuffled SGD pass visiting `rows` (shuffled in place).
+  ComputeStats ShuffledSgd(const CsrBlock& block, std::vector<size_t> rows,
+                           double lr, Rng* rng, DenseVector* w) const;
 
-/// The binary margin objective over `loss` + `reg` (borrowed, not
-/// owned; must outlive the objective).
-std::unique_ptr<GlmObjective> MakeBinaryObjective(const Loss* loss,
-                                                  const Regularizer* reg,
-                                                  bool lazy_regularization);
+  std::unique_ptr<Loss> loss_;
+  Regularizer reg_;
+  bool lazy_;
+};
 
 }  // namespace mllibstar
 

@@ -138,22 +138,21 @@ TEST(CsrKernelTest, BatchGradientValueFreeMatchesStoredOnes) {
   const CsrBlock value_free = CsrBlock::FromPoints(data.points());
   ASSERT_TRUE(value_free.value_free);
   const CsrBlock stored = WithStoredOnes(value_free);
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
   Rng rng(3);
   const std::vector<size_t> batch = SampleBatch(data.size(), 40, &rng);
   const DenseVector w = StartWeights(data.num_features());
 
-  auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   DenseVector g_a(w.dim()), g_b(w.dim());
-  ExpectSameStats(objective->BatchGradient(value_free, batch, w, &g_a),
-                  objective->BatchGradient(stored, batch, w, &g_b));
+  ExpectSameStats(objective.BatchGradient(value_free, batch, w, &g_a),
+                  objective.BatchGradient(stored, batch, w, &g_b));
   ExpectSameVector(g_a, g_b);
 
   // The fused full-partition pass, with its loss sum.
   double loss_a = 0.0, loss_b = 0.0;
-  ExpectSameStats(objective->LossGradient(value_free, w, &g_a, &loss_a),
-                  objective->LossGradient(stored, w, &g_b, &loss_b));
+  ExpectSameStats(objective.LossGradient(value_free, w, &g_a, &loss_a),
+                  objective.LossGradient(stored, w, &g_b, &loss_b));
   EXPECT_EQ(loss_a, loss_b);
   ExpectSameVector(g_a, g_b);
 }
@@ -163,8 +162,9 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
     const CsrBlock block = CsrBlock::FromPoints(data.points());
-    auto loss = MakeLoss(LossKind::kHinge);
-    auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
+    const GlmObjective objective(
+        LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), true);
+    const Loss& loss = objective.loss();
 
     DenseVector w(data.num_features());
     for (size_t i = 0; i < w.dim(); ++i) {
@@ -177,8 +177,8 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
     uint64_t work_ref = 0;
     for (const DataPoint& p : data.points()) {
       const double margin = w.Dot(p.features);
-      const double dl = loss->Derivative(margin, p.label);
-      loss_ref += loss->Value(margin, p.label);
+      const double dl = loss.Derivative(margin, p.label);
+      loss_ref += loss.Value(margin, p.label);
       work_ref += p.nnz();
       if (dl != 0.0) {
         g_ref.AddScaled(p.features, dl);
@@ -188,9 +188,7 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
 
     DenseVector g(w.dim());
     double loss_sum = 0.0;
-    const ComputeStats stats =
-        MakeBinaryObjective(loss.get(), none.get(), true)
-            ->LossGradient(block, w, &g, &loss_sum);
+    const ComputeStats stats = objective.LossGradient(block, w, &g, &loss_sum);
     EXPECT_EQ(stats.nnz_processed, work_ref);
     EXPECT_EQ(loss_sum, loss_ref);
     ExpectSameVector(g, g_ref);
@@ -201,7 +199,6 @@ TEST(CsrKernelTest, SgdEpochValueFreeMatchesStoredOnes) {
   const Dataset data = TestData(false);
   const CsrBlock value_free = CsrBlock::FromPoints(data.points());
   const CsrBlock stored = WithStoredOnes(value_free);
-  auto loss = MakeLoss(LossKind::kLogistic);
   const size_t dim = data.num_features();
 
   for (const RegularizerKind kind :
@@ -209,12 +206,12 @@ TEST(CsrKernelTest, SgdEpochValueFreeMatchesStoredOnes) {
     for (const bool lazy : {false, true}) {
       SCOPED_TRACE("reg " + std::to_string(static_cast<int>(kind)) +
                    " lazy " + std::to_string(lazy));
-      auto reg = MakeRegularizer(kind, 0.01);
-      auto objective = MakeBinaryObjective(loss.get(), reg.get(), lazy);
+      const GlmObjective objective(LossKind::kLogistic,
+                                   Regularizer(kind, 0.01), lazy);
       Rng rng_a(11), rng_b(11);
       DenseVector w_a(dim), w_b(dim);
-      ExpectSameStats(objective->SgdEpoch(value_free, 0.2, &rng_a, &w_a),
-                      objective->SgdEpoch(stored, 0.2, &rng_b, &w_b));
+      ExpectSameStats(objective.SgdEpoch(value_free, 0.2, &rng_a, &w_a),
+                      objective.SgdEpoch(stored, 0.2, &rng_b, &w_b));
       ExpectSameVector(w_a, w_b);
       EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
           << "RNG consumption diverged";
@@ -227,9 +224,8 @@ TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
     const CsrBlock block = CsrBlock::FromPoints(data.points());
-    auto loss = MakeLoss(LossKind::kLogistic);
-    auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-    auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+    const GlmObjective objective(
+        LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
     Rng rng_a(23), rng_b(23);
     const std::vector<size_t> rows = SampleBatch(block.rows(), 50, &rng_a);
     ASSERT_EQ(SampleBatch(block.rows(), 50, &rng_b), rows);
@@ -241,8 +237,8 @@ TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
 
     DenseVector w_a(data.num_features());
     DenseVector w_b(data.num_features());
-    ExpectSameStats(objective->SgdEpoch(block, rows, 0.3, &rng_a, &w_a),
-                    objective->SgdEpoch(copied_block, 0.3, &rng_b, &w_b));
+    ExpectSameStats(objective.SgdEpoch(block, rows, 0.3, &rng_a, &w_a),
+                    objective.SgdEpoch(copied_block, 0.3, &rng_b, &w_b));
     ExpectSameVector(w_a, w_b);
     EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
         << "RNG consumption diverged";
@@ -254,14 +250,12 @@ TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
   const CsrBlock value_free = CsrBlock::FromPoints(data.points());
   const CsrBlock stored = WithStoredOnes(value_free);
   const size_t dim = data.num_features();
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.05);
-
-  auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kL2, 0.05), true);
   Rng rng_a(29), rng_b(29);
   DenseVector w_a(dim), w_b(dim);
-  ExpectSameStats(objective->MiniBatchGd(value_free, 0.1, 30, 5, &rng_a, &w_a),
-                  objective->MiniBatchGd(stored, 0.1, 30, 5, &rng_b, &w_b));
+  ExpectSameStats(objective.MiniBatchGd(value_free, 0.1, 30, 5, &rng_a, &w_a),
+                  objective.MiniBatchGd(stored, 0.1, 30, 5, &rng_b, &w_b));
   ExpectSameVector(w_a, w_b);
   EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64())
       << "RNG consumption diverged";
@@ -376,18 +370,17 @@ TEST(PartitionEvalTest, BinaryMatchesMeanLossBitForBit) {
   ones.set_name("value-free");
   valued.set_name("valued");
   Dataset mixed = MixedData(ones, valued);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const DenseVector w = TestWeights(ones.num_features(), 5);
   for (const LossKind kind : {LossKind::kHinge, LossKind::kLogistic}) {
-    auto loss = MakeLoss(kind);
-    auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
+    const GlmObjective objective(
+        kind, Regularizer(RegularizerKind::kNone, 0.0), true);
     for (const Dataset* data : {&ones, &valued, &mixed}) {
-      SCOPED_TRACE(data->name() + "/" + loss->name());
-      const double expected = MeanLoss(data->points(), *loss, w);
+      SCOPED_TRACE(data->name() + "/" + objective.loss().name());
+      const double expected = MeanLoss(data->points(), objective.loss(), w);
       std::vector<double> slots;
       for (const size_t k : EvalPartitionCounts(data->size())) {
         const std::vector<CsrBlock> parts = PartitionCsr(*data, k);
-        EXPECT_EQ(objective->MeanPartitionLoss(parts, w, &slots), expected)
+        EXPECT_EQ(objective.MeanPartitionLoss(parts, w, &slots), expected)
             << "k=" << k;
         EXPECT_EQ(slots.size(), data->size());
       }
@@ -396,14 +389,13 @@ TEST(PartitionEvalTest, BinaryMatchesMeanLossBitForBit) {
 }
 
 TEST(PartitionEvalTest, EmptyDatasetIsZero) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   const Dataset empty(10, "empty");
   std::vector<double> slots;
-  EXPECT_EQ(objective->MeanPartitionLoss(PartitionCsr(empty, 3),
-                                         DenseVector(10), &slots),
-            MeanLoss(empty.points(), *loss, DenseVector(10)));
+  EXPECT_EQ(objective.MeanPartitionLoss(PartitionCsr(empty, 3),
+                                        DenseVector(10), &slots),
+            MeanLoss(empty.points(), objective.loss(), DenseVector(10)));
 }
 
 TEST(SampleBatchFloydTest, SmallFractionIsUniqueAndInRange) {

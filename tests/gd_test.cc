@@ -35,9 +35,10 @@ std::vector<DataPoint> SeparableProblem() {
 
 // The binary objective over `loss` and `reg`: the one entry into the
 // GD kernels.
-std::unique_ptr<GlmObjective> Binary(const Loss& loss, const Regularizer& reg,
-                                     bool lazy_regularization = true) {
-  return MakeBinaryObjective(&loss, &reg, lazy_regularization);
+GlmObjective Binary(LossKind loss,
+                    Regularizer reg = Regularizer(RegularizerKind::kNone, 0.0),
+                    bool lazy_regularization = true) {
+  return GlmObjective(loss, reg, lazy_regularization);
 }
 
 TEST(SampleBatchTest, FullBatchWhenOversized) {
@@ -108,14 +109,12 @@ TEST(SampleBatchTest, DrawsArePinnedAtWorkloadShapes) {
 }
 
 TEST(BatchGradientTest, MatchesHandComputedLogistic) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(2);
   DenseVector grad(2);
   std::vector<size_t> batch = {0, 2};
   const ComputeStats stats =
-      Binary(*loss, *reg)->BatchGradient(block, batch, w, &grad);
+      Binary(LossKind::kLogistic).BatchGradient(block, batch, w, &grad);
   // At w=0, derivative = -y * 0.5; gradient = sum of d * x.
   EXPECT_NEAR(grad[0], -0.5 * 1.0, 1e-12);
   EXPECT_NEAR(grad[1], 0.5 * 1.0, 1e-12);
@@ -123,13 +122,11 @@ TEST(BatchGradientTest, MatchesHandComputedLogistic) {
 }
 
 TEST(BatchGradientTest, HingeSkipsCorrectWideMargins) {
-  auto loss = MakeLoss(LossKind::kHinge);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(std::vector<double>{10.0, -10.0});  // classifies everything
   DenseVector grad(2);
   std::vector<size_t> batch = {0, 1, 2, 3, 4, 5};
-  Binary(*loss, *reg)->BatchGradient(block, batch, w, &grad);
+  Binary(LossKind::kHinge).BatchGradient(block, batch, w, &grad);
   EXPECT_DOUBLE_EQ(grad[0], 0.0);
   EXPECT_DOUBLE_EQ(grad[1], 0.0);
 }
@@ -173,46 +170,42 @@ TEST(ScaledVectorTest, DotMatchesDense) {
 }
 
 TEST(LocalSgdEpochTest, ReducesLossOnSeparableData) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const auto points = SeparableProblem();
   const CsrBlock block = CsrBlock::FromPoints(points);
-  const auto objective = Binary(*loss, *reg);
+  const GlmObjective objective = Binary(LossKind::kLogistic);
   DenseVector w(2);
   Rng rng(5);
-  const double before = MeanLoss(points, *loss, w);
+  const double before = MeanLoss(points, objective.loss(), w);
   ComputeStats stats;
   for (int epoch = 0; epoch < 20; ++epoch) {
-    stats += objective->SgdEpoch(block, 0.5, &rng, &w);
+    stats += objective.SgdEpoch(block, 0.5, &rng, &w);
   }
-  const double after = MeanLoss(points, *loss, w);
+  const double after = MeanLoss(points, objective.loss(), w);
   EXPECT_LT(after, before * 0.5);
   EXPECT_EQ(stats.model_updates, 20u * points.size());
   EXPECT_GT(Accuracy(points, w), 0.99);
 }
 
 TEST(LocalSgdEpochTest, LazyAndEagerL2AgreeNumerically) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.1);
+  const Regularizer reg(RegularizerKind::kL2, 0.1);
   const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
-  const auto lazy = Binary(*loss, *reg, true);
-  const auto eager = Binary(*loss, *reg, false);
+  const GlmObjective lazy = Binary(LossKind::kLogistic, reg, true);
+  const GlmObjective eager = Binary(LossKind::kLogistic, reg, false);
 
   DenseVector w_lazy(2);
   DenseVector w_eager(2);
   Rng rng_lazy(7);
   Rng rng_eager(7);  // same shuffle order
   for (int epoch = 0; epoch < 5; ++epoch) {
-    lazy->SgdEpoch(block, 0.1, &rng_lazy, &w_lazy);
-    eager->SgdEpoch(block, 0.1, &rng_eager, &w_eager);
+    lazy.SgdEpoch(block, 0.1, &rng_lazy, &w_lazy);
+    eager.SgdEpoch(block, 0.1, &rng_eager, &w_eager);
   }
   EXPECT_NEAR(w_lazy[0], w_eager[0], 1e-9);
   EXPECT_NEAR(w_lazy[1], w_eager[1], 1e-9);
 }
 
 TEST(LocalSgdEpochTest, LazyL2ChargesLessWorkThanEager) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.1);
+  const Regularizer reg(RegularizerKind::kL2, 0.1);
   // High-dimensional sparse points: eager pays O(d) per update.
   std::vector<DataPoint> points;
   for (int i = 0; i < 10; ++i) {
@@ -226,43 +219,39 @@ TEST(LocalSgdEpochTest, LazyL2ChargesLessWorkThanEager) {
   Rng r1(9);
   Rng r2(9);
   const ComputeStats lazy =
-      Binary(*loss, *reg, true)->SgdEpoch(block, 0.1, &r1, &w1);
+      Binary(LossKind::kLogistic, reg, true).SgdEpoch(block, 0.1, &r1, &w1);
   const ComputeStats eager =
-      Binary(*loss, *reg, false)->SgdEpoch(block, 0.1, &r2, &w2);
+      Binary(LossKind::kLogistic, reg, false).SgdEpoch(block, 0.1, &r2, &w2);
   EXPECT_LT(lazy.nnz_processed * 100, eager.nnz_processed);
 }
 
 TEST(LocalSgdEpochTest, EmptyDataIsNoOp) {
-  auto loss = MakeLoss(LossKind::kHinge);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const CsrBlock block = CsrBlock::FromPoints({});
   DenseVector w(3);
   Rng rng(1);
   const ComputeStats stats =
-      Binary(*loss, *reg)->SgdEpoch(block, 0.1, &rng, &w);
+      Binary(LossKind::kHinge).SgdEpoch(block, 0.1, &rng, &w);
   EXPECT_EQ(stats.model_updates, 0u);
   EXPECT_EQ(stats.nnz_processed, 0u);
 }
 
 TEST(LocalMiniBatchGdTest, OneBatchOneUpdate) {
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
   const CsrBlock block = CsrBlock::FromPoints(SeparableProblem());
   DenseVector w(2);
   Rng rng(11);
-  const ComputeStats stats = Binary(*loss, *reg)->MiniBatchGd(
-      block, 0.1, block.rows(), 1, &rng, &w);
+  const ComputeStats stats = Binary(LossKind::kLogistic)
+                                 .MiniBatchGd(block, 0.1, block.rows(), 1,
+                                              &rng, &w);
   EXPECT_EQ(stats.model_updates, 1u);
 }
 
 TEST(LocalMiniBatchGdTest, ConvergesOnSeparableData) {
-  auto loss = MakeLoss(LossKind::kHinge);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.01);
   const auto points = SeparableProblem();
   const CsrBlock block = CsrBlock::FromPoints(points);
   DenseVector w(2);
   Rng rng(13);
-  Binary(*loss, *reg)->MiniBatchGd(block, 0.2, 3, 200, &rng, &w);
+  Binary(LossKind::kHinge, Regularizer(RegularizerKind::kL2, 0.01))
+      .MiniBatchGd(block, 0.2, 3, 200, &rng, &w);
   EXPECT_GT(Accuracy(points, w), 0.99);
 }
 
@@ -274,10 +263,10 @@ TEST(LocalMiniBatchGdTest, ConvergesOnSeparableData) {
 // produce the same weight bits and the same work accounting.
 ComputeStats DenseReferenceMiniBatchGd(const CsrBlock& block,
                                        const GlmObjective& objective,
-                                       const Regularizer& reg, double lr,
-                                       size_t batch_size,
+                                       double lr, size_t batch_size,
                                        size_t num_batches, Rng* rng,
                                        DenseVector* w) {
+  const Regularizer& reg = objective.regularizer();
   ComputeStats stats;
   if (block.rows() == 0 || batch_size == 0) return stats;
 
@@ -332,25 +321,23 @@ TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
   spec.seed = 3;
   const CsrBlock block =
       CsrBlock::FromPoints(GenerateSynthetic(spec).points());
-  auto loss = MakeLoss(LossKind::kLogistic);
 
   // 4-row batches list ~32 coordinates (the listed sweep); 100-row
   // batches list ~800 of the 2000 (the dense sweep).
-  for (RegularizerKind kind : {RegularizerKind::kNone, RegularizerKind::kL2,
-                               RegularizerKind::kL1}) {
+  for (RegularizerKind kind : {RegularizerKind::kNone, RegularizerKind::kL2}) {
     for (size_t batch_size : {size_t{4}, size_t{100}}) {
       SCOPED_TRACE(testing::Message() << "reg " << static_cast<int>(kind)
                                       << " batch " << batch_size);
-      auto reg = MakeRegularizer(kind, 0.01);
-      const auto objective = Binary(*loss, *reg);
+      const GlmObjective objective =
+          Binary(LossKind::kLogistic, Regularizer(kind, 0.01));
       DenseVector w = StartWeights(features);
       DenseVector ref_w = w;
       Rng rng(17);
       Rng ref_rng(17);
       const ComputeStats stats =
-          objective->MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
+          objective.MiniBatchGd(block, 0.3, batch_size, 6, &rng, &w);
       const ComputeStats ref = DenseReferenceMiniBatchGd(
-          block, *objective, *reg, 0.3, batch_size, 6, &ref_rng, &ref_w);
+          block, objective, 0.3, batch_size, 6, &ref_rng, &ref_w);
       EXPECT_EQ(stats.nnz_processed, ref.nnz_processed);
       EXPECT_EQ(stats.model_updates, ref.model_updates);
       EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());

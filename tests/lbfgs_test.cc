@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/model.h"
 #include "data/synthetic.h"
@@ -89,9 +91,17 @@ TEST(LbfgsSolverTest, TraceIsMonotoneNonIncreasing) {
     return f;
   };
   LbfgsSolver solver(LbfgsOptions{});
-  const LbfgsResult result = solver.Minimize(oracle, DenseVector(3));
-  for (size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_LE(result.trace[i].objective, result.trace[i - 1].objective);
+  // From the origin the first step lands on the minimum exactly, so
+  // start where the solver needs many iterations.
+  LbfgsState start;
+  start.x = DenseVector(std::vector<double>{0.0, 0.5, -1.0});
+  std::vector<double> objectives;
+  solver.MinimizeFrom(oracle, std::move(start), [&](const LbfgsState& st) {
+    objectives.push_back(st.objective);
+  });
+  ASSERT_GT(objectives.size(), 1u);
+  for (size_t i = 1; i < objectives.size(); ++i) {
+    EXPECT_LE(objectives[i], objectives[i - 1]);
   }
 }
 
@@ -124,6 +134,95 @@ TEST(LbfgsSolverTest, AlreadyAtMinimumConvergesImmediately) {
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0);
   EXPECT_EQ(result.function_evaluations, 1);
+}
+
+// States no solver run produces. The two-loop recursion sizes its
+// scratch by the history and walks every stored pair against x, so it
+// must refuse such a state instead of reading or writing past it.
+TEST(LbfgsSolverDeathTest, RejectsStatesItCouldNotHaveProduced) {
+  LbfgsOptions options;
+  options.history = 2;
+  const LbfgsSolver solver(options);
+  auto oracle = [](const DenseVector&, DenseVector* g) {
+    g->SetZero();
+    return 0.0;
+  };
+  LbfgsState too_long;
+  too_long.x = DenseVector(2);
+  for (int i = 0; i < 3; ++i) {
+    too_long.s_history.push_back(DenseVector(2));
+    too_long.y_history.push_back(DenseVector(2));
+    too_long.rho_history.push_back(1.0);
+  }
+  EXPECT_DEATH(solver.MinimizeFrom(oracle, too_long),
+               "more correction pairs than the history");
+
+  LbfgsState wrong_dim;
+  wrong_dim.x = DenseVector(2);
+  wrong_dim.s_history.push_back(DenseVector(3));
+  wrong_dim.y_history.push_back(DenseVector(2));
+  wrong_dim.rho_history.push_back(1.0);
+  EXPECT_DEATH(solver.MinimizeFrom(oracle, wrong_dim), "dim");
+}
+
+// A real run's snapshot, re-written through Checkpoint::WriteFile (so
+// its checksum holds) with its first correction pair repeated 40 times
+// against a history of 10, and its iteration word below the budget.
+// The resume must stop at the history-length word before it reads a
+// pair; the solver would otherwise write past its scratch.
+TEST(LbfgsResumeDeathTest, RejectsMoreCorrectionPairsThanTheHistory) {
+  SyntheticSpec spec;
+  spec.name = "lbfgs-resume";
+  spec.num_instances = 300;
+  spec.num_features = 40;
+  spec.avg_nnz = 6;
+  spec.seed = 37;
+  const Dataset data = GenerateSynthetic(spec);
+  const ClusterConfig cluster = ClusterConfig::Cluster1(4);
+  const std::string path = testing::TempDir() + "/lbfgs_history.ckpt";
+  std::remove(path.c_str());
+
+  TrainerConfig config;
+  config.loss = LossKind::kLogistic;
+  config.regularizer = RegularizerKind::kL2;
+  config.lambda = 0.01;
+  config.max_comm_steps = 3;
+  config.checkpoint.path = path;
+  config.checkpoint.every_steps = 3;
+  (void)MakeTrainer(SystemKind::kMllibLbfgs, config)->Train(data, cluster);
+
+  Checkpoint in;
+  ASSERT_TRUE(in.ReadFile(path).ok());
+  Checkpoint out;
+  // Tag, reserved word, iteration, evaluated flag, objective.
+  for (int i = 0; i < 5; ++i) out.PutU64(in.TakeU64());
+  out.PutVector(in.TakeVector());  // iterate
+  out.PutVector(in.TakeVector());  // gradient
+  const uint64_t m = in.TakeU64();
+  ASSERT_GE(m, 1u);
+  const DenseVector s = in.TakeVector();
+  const DenseVector y = in.TakeVector();
+  const double rho = in.TakeDouble();
+  for (uint64_t i = 1; i < m; ++i) {
+    (void)in.TakeVector();
+    (void)in.TakeVector();
+    (void)in.TakeDouble();
+  }
+  out.PutU64(40);
+  for (int i = 0; i < 40; ++i) {
+    out.PutVector(s);
+    out.PutVector(y);
+    out.PutDouble(rho);
+  }
+  while (!in.exhausted()) out.PutU64(in.TakeU64());  // reserved, elastic
+  ASSERT_TRUE(out.WriteFile(path).ok());
+
+  config.max_comm_steps = 50;
+  config.checkpoint.every_steps = 0;
+  config.checkpoint.resume = true;
+  EXPECT_DEATH(
+      MakeTrainer(SystemKind::kMllibLbfgs, config)->Train(data, cluster),
+      "checkpoint holds more correction pairs than the history");
 }
 
 TEST(LbfgsTrainerTest, ConvergesOnLogisticRegression) {

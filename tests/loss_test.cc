@@ -63,10 +63,15 @@ TEST(LossFactoryTest, KindsRoundTrip) {
 }
 
 TEST(LossFactoryTest, FromName) {
-  EXPECT_EQ(LossKindFromName("logistic"), LossKind::kLogistic);
-  EXPECT_EQ(LossKindFromName("squared"), LossKind::kSquared);
-  EXPECT_EQ(LossKindFromName("hinge"), LossKind::kHinge);
-  EXPECT_EQ(LossKindFromName("banana"), LossKind::kHinge);
+  EXPECT_EQ(LossKindFromName("logistic").value(), LossKind::kLogistic);
+  EXPECT_EQ(LossKindFromName("squared").value(), LossKind::kSquared);
+  EXPECT_EQ(LossKindFromName("hinge").value(), LossKind::kHinge);
+  const Result<LossKind> unknown = LossKindFromName("banana");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("'banana'"), std::string::npos);
+  EXPECT_NE(unknown.status().message().find("logistic|hinge|squared"),
+            std::string::npos);
 }
 
 // Parameterized property suite: every loss is convex-consistent with

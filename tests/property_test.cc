@@ -66,7 +66,7 @@ TEST(PropertyTest, ObjectiveIsConvexAlongRandomSegments) {
   // f(mid) <= (f(a) + f(b)) / 2 for convex losses + L2, for random
   // models a, b and random data.
   Rng rng(103);
-  auto reg = MakeRegularizer(RegularizerKind::kL2, 0.05);
+  const Regularizer reg(RegularizerKind::kL2, 0.05);
   for (LossKind kind :
        {LossKind::kLogistic, LossKind::kHinge, LossKind::kSquared}) {
     auto loss = MakeLoss(kind);
@@ -78,9 +78,9 @@ TEST(PropertyTest, ObjectiveIsConvexAlongRandomSegments) {
       DenseVector mid = a;
       mid.AddScaled(b, 1.0);
       mid.Scale(0.5);
-      const double fa = Objective(points, *loss, *reg, a);
-      const double fb = Objective(points, *loss, *reg, b);
-      const double fm = Objective(points, *loss, *reg, mid);
+      const double fa = Objective(points, *loss, reg, a);
+      const double fb = Objective(points, *loss, reg, b);
+      const double fm = Objective(points, *loss, reg, mid);
       EXPECT_LE(fm, 0.5 * (fa + fb) + 1e-9)
           << loss->name() << " trial " << trial;
     }
@@ -91,16 +91,15 @@ TEST(PropertyTest, SgdEpochNeverTouchesUnseenCoordinates) {
   // Without regularization, coordinates outside the data's support
   // stay exactly zero.
   Rng rng(107);
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   for (int trial = 0; trial < 10; ++trial) {
     const size_t dim = 50;
     // Support only [0, 25).
     const CsrBlock block = CsrBlock::FromPoints(RandomPoints(30, 25, &rng));
     DenseVector w(dim);
     Rng epoch_rng(trial);
-    objective->SgdEpoch(block, 0.3, &epoch_rng, &w);
+    objective.SgdEpoch(block, 0.3, &epoch_rng, &w);
     for (size_t j = 25; j < dim; ++j) {
       EXPECT_EQ(w[j], 0.0) << "j=" << j;
     }

@@ -224,9 +224,8 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   spec.gaussian_values = true;  // valued rows, as stored
   const Dataset data = GenerateSynthetic(spec);
   const CsrBlock block = CsrBlock::FromPoints(data.points());
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto none = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto objective = MakeBinaryObjective(loss.get(), none.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   DenseVector w(spec.num_features);
   Rng rng(7);
   for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.5, 0.5);
@@ -234,13 +233,13 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   simd::SetSimdLevel(simd::SimdLevel::kScalar);
   DenseVector ref_grad(w.dim());
   double ref_loss = 0.0;
-  objective->LossGradient(block, w, &ref_grad, &ref_loss);
+  objective.LossGradient(block, w, &ref_grad, &ref_loss);
 
   for (simd::SimdLevel level : AvailableLevels()) {
     simd::SetSimdLevel(level);
     DenseVector grad(w.dim());
     double loss_sum = 0.0;
-    objective->LossGradient(block, w, &grad, &loss_sum);
+    objective.LossGradient(block, w, &grad, &loss_sum);
     EXPECT_EQ(loss_sum, ref_loss) << simd::SimdLevelName(level);
     for (size_t i = 0; i < w.dim(); ++i) {
       ASSERT_EQ(grad[i], ref_grad[i])

@@ -98,14 +98,13 @@ TEST(SyntheticTest, IsLearnable) {
   // the data comes from a (noisy) linear teacher.
   SyntheticSpec spec = AvazuSpec(1e-4);
   const Dataset ds = GenerateSynthetic(spec);
-  auto loss = MakeLoss(LossKind::kLogistic);
-  auto reg = MakeRegularizer(RegularizerKind::kNone, 0.0);
-  const auto objective = MakeBinaryObjective(loss.get(), reg.get(), true);
+  const GlmObjective objective(
+      LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   const CsrBlock block = CsrBlock::FromPoints(ds.points());
   DenseVector w(ds.num_features());
   Rng rng(3);
   for (int epoch = 0; epoch < 5; ++epoch) {
-    objective->SgdEpoch(block, 0.5, &rng, &w);
+    objective.SgdEpoch(block, 0.5, &rng, &w);
   }
   EXPECT_GT(Accuracy(ds.points(), w), 0.8);
 }
@@ -120,12 +119,17 @@ TEST(SyntheticPresetTest, TableOneRatiosPreserved) {
 }
 
 TEST(SyntheticPresetTest, SpecByNameRoundTrip) {
-  EXPECT_EQ(SpecByName("avazu").name, "avazu");
-  EXPECT_EQ(SpecByName("url").name, "url");
-  EXPECT_EQ(SpecByName("kddb").name, "kddb");
-  EXPECT_EQ(SpecByName("kdd12").name, "kdd12");
-  EXPECT_EQ(SpecByName("wx").name, "wx");
-  EXPECT_EQ(SpecByName("unknown").name, "avazu");
+  for (const char* name : {"avazu", "url", "kddb", "kdd12", "wx"}) {
+    const Result<SyntheticSpec> spec = SpecByName(name);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    EXPECT_EQ(spec->name, name);
+  }
+  const Result<SyntheticSpec> unknown = SpecByName("unknown");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("'unknown'"), std::string::npos);
+  EXPECT_NE(unknown.status().message().find("avazu|url|kddb|kdd12|wx"),
+            std::string::npos);
 }
 
 TEST(SyntheticPresetTest, ScaleControlsSize) {

@@ -36,21 +36,6 @@ TrainerConfig BaseConfig() {
   return config;
 }
 
-TEST(TrainerEdgeTest, L1RegularizationSparsifiesTheModel) {
-  const Dataset data = SmallData();
-  TrainerConfig plain = BaseConfig();
-  TrainerConfig l1 = BaseConfig();
-  l1.regularizer = RegularizerKind::kL1;
-  l1.lambda = 0.02;
-  const TrainResult without =
-      MakeTrainer(SystemKind::kMllibStar, plain)->Train(data, SmallCluster());
-  const TrainResult with =
-      MakeTrainer(SystemKind::kMllibStar, l1)->Train(data, SmallCluster());
-  EXPECT_FALSE(with.diverged);
-  EXPECT_LT(with.final_weights.CountNonZeros(1e-9),
-            without.final_weights.CountNonZeros(1e-9));
-}
-
 TEST(TrainerEdgeTest, SquaredLossRegressionRuns) {
   Dataset data(3, "sq");
   Rng rng(4);

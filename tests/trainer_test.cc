@@ -47,6 +47,23 @@ TEST(SystemNameTest, AllNamed) {
   EXPECT_EQ(SystemName(SystemKind::kAngel), "angel");
 }
 
+TEST(SystemNameTest, EveryNameParsesBackToItsKind) {
+  for (SystemKind kind :
+       {SystemKind::kMllib, SystemKind::kMllibMa, SystemKind::kMllibStar,
+        SystemKind::kPetuum, SystemKind::kPetuumStar, SystemKind::kAngel,
+        SystemKind::kMllibLbfgs}) {
+    const Result<SystemKind> parsed = SystemFromName(SystemName(kind));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(*parsed, kind);
+  }
+  const Result<SystemKind> unknown = SystemFromName("bogus");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("'bogus'"), std::string::npos);
+  EXPECT_NE(unknown.status().message().find("mllib-lbfgs"),
+            std::string::npos);
+}
+
 TEST(MakeTrainerTest, NamesMatchKinds) {
   for (SystemKind kind :
        {SystemKind::kMllib, SystemKind::kMllibMa, SystemKind::kMllibStar,

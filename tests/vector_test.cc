@@ -82,7 +82,6 @@ TEST(DenseVectorTest, Norms) {
   DenseVector v(std::vector<double>{3.0, -4.0});
   EXPECT_DOUBLE_EQ(v.SquaredNorm(), 25.0);
   EXPECT_DOUBLE_EQ(v.Norm2(), 5.0);
-  EXPECT_DOUBLE_EQ(v.Norm1(), 7.0);
 }
 
 TEST(DenseVectorTest, ScaleAndZero) {
