@@ -161,10 +161,19 @@ void SparkCluster::RestoreElasticWords(const std::vector<uint64_t>& words) {
     MLLIBSTAR_CHECK(i < words.size());
     return words[i++];
   };
-  std::vector<uint64_t> mwords(take());
-  for (uint64_t& w : mwords) w = take();
-  sim_.membership().RestoreWords(mwords);
-  for (size_t& h : assign_) h = take();
+  // Every word below is checked before it sizes or indexes anything.
+  const uint64_t count = take();
+  MLLIBSTAR_CHECK_LE(count, words.size() - i)
+      << "the membership block runs past the elastic words";
+  const auto mbegin = words.begin() + static_cast<std::ptrdiff_t>(i);
+  i += count;
+  sim_.membership().RestoreWords(std::vector<uint64_t>(
+      mbegin, words.begin() + static_cast<std::ptrdiff_t>(i)));
+  for (size_t& h : assign_) {
+    h = take();
+    MLLIBSTAR_CHECK_LT(h, num_workers())
+        << "a partition's host index is not an executor";
+  }
   for (size_t r = 0; r < needs_rebuild_.size(); ++r) {
     needs_rebuild_[r] = take() != 0;
   }

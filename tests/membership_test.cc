@@ -19,6 +19,7 @@
 
 #include "data/synthetic.h"
 #include "sim/membership.h"
+#include "train/checkpoint.h"
 #include "train/trainer.h"
 
 namespace mllibstar {
@@ -408,6 +409,74 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_t" + std::to_string(std::get<1>(info.param));
     });
+
+// ---- Elastic words of a crafted checkpoint ----------------------------
+// A real MLlib run's step-3 snapshot, re-written through
+// Checkpoint::WriteFile (so its checksum holds) with `edit` applied to
+// its elastic words: [membership count, membership words, one host
+// index per partition, rebuild flags, admit times, catch-up flags].
+// Returns the config that resumes from it.
+template <typename Edit>
+TrainerConfig WriteEditedElasticCheckpoint(const Dataset& data,
+                                           const ClusterConfig& cluster,
+                                           const std::string& file,
+                                           Edit edit) {
+  const std::string path = testing::TempDir() + "/" + file;
+  std::remove(path.c_str());
+  TrainerConfig config;
+  config.max_comm_steps = 3;
+  config.checkpoint.path = path;
+  config.checkpoint.every_steps = 3;
+  (void)MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster);
+
+  Checkpoint in;
+  EXPECT_TRUE(in.ReadFile(path).ok());
+  Checkpoint out;
+  for (int i = 0; i < 3; ++i) out.PutU64(in.TakeU64());  // tag, reserved, step
+  out.PutVector(in.TakeVector());                        // model
+  const uint64_t rngs = in.TakeU64();
+  out.PutU64(rngs);
+  for (uint64_t r = 0; r < rngs; ++r) out.PutRngState(in.TakeRngState());
+  out.PutU64(in.TakeU64());  // reserved residual-count word
+  std::vector<uint64_t> elastic(in.TakeU64());
+  for (uint64_t& w : elastic) w = in.TakeU64();
+  EXPECT_TRUE(in.exhausted());
+  edit(&elastic);
+  out.PutU64(elastic.size());
+  for (uint64_t w : elastic) out.PutU64(w);
+  EXPECT_TRUE(out.WriteFile(path).ok());
+
+  config.max_comm_steps = 6;
+  config.checkpoint.every_steps = 0;
+  config.checkpoint.resume = true;
+  return config;
+}
+
+TEST(ElasticResumeDeathTest, RejectsAHostIndexPastTheExecutors) {
+  const Dataset data = ChurnData();
+  const ClusterConfig cluster = BaseCluster(4);
+  const TrainerConfig config = WriteEditedElasticCheckpoint(
+      data, cluster, "elastic_host.ckpt", [](std::vector<uint64_t>* words) {
+        const size_t first_host = 1 + (*words)[0];
+        ASSERT_LT(first_host, words->size());
+        ASSERT_EQ((*words)[first_host], 0u);
+        (*words)[first_host] = 1000;  // partition 0's host, of 4 executors
+      });
+  EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
+               "host index is not an executor");
+}
+
+TEST(ElasticResumeDeathTest, RejectsAMembershipBlockPastTheWords) {
+  const Dataset data = ChurnData();
+  const ClusterConfig cluster = BaseCluster(4);
+  // 2^62 words: more than any vector of them can hold, so the count
+  // must be refused before anything is sized from it.
+  const TrainerConfig config = WriteEditedElasticCheckpoint(
+      data, cluster, "elastic_membership.ckpt",
+      [](std::vector<uint64_t>* words) { (*words)[0] = uint64_t{1} << 62; });
+  EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
+               "membership block runs past the elastic words");
+}
 
 }  // namespace
 }  // namespace mllibstar
