@@ -163,11 +163,11 @@ int main(int argc, char** argv) {
   // --- evaluate ---------------------------------------------------
   if (config.loss != LossKind::kSquared && !split.test.empty()) {
     const ClassificationMetrics metrics =
-        EvaluateClassifier(split.test.points(), result.final_weights);
+        EvaluateClassifier(split.test.rows(), result.final_weights);
     std::printf("\nheld-out: %s\n", MetricsToString(metrics).c_str());
   } else if (!split.test.empty()) {
     std::printf("\nheld-out MSE: %.6f\n",
-                MeanSquaredError(split.test.points(), result.final_weights));
+                MeanSquaredError(split.test.rows(), result.final_weights));
   }
   std::printf("system=%s steps=%d sim-time=%.2fs updates=%llu moved=%.2fMB\n",
               result.system.c_str(), result.comm_steps, result.sim_seconds,

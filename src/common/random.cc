@@ -77,21 +77,6 @@ double Rng::NextGaussian() {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-uint64_t Rng::NextZipf(uint64_t n, double alpha) {
-  MLLIBSTAR_CHECK_GT(n, 0u);
-  if (n == 1) return 0;
-  // Inverse-CDF sampling on the continuous approximation of the bounded
-  // power law, which is accurate enough for workload generation and O(1).
-  if (alpha == 1.0) alpha = 1.0000001;
-  const double exponent = 1.0 - alpha;
-  const double nmax = std::pow(static_cast<double>(n), exponent);
-  const double u = NextDouble();
-  const double x = std::pow(u * (nmax - 1.0) + 1.0, 1.0 / exponent);
-  uint64_t k = static_cast<uint64_t>(x) - 1;
-  if (k >= n) k = n - 1;
-  return k;
-}
-
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
 std::array<uint64_t, Rng::kStateWords> Rng::SaveState() const {
@@ -106,6 +91,25 @@ void Rng::RestoreState(const std::array<uint64_t, kStateWords>& words) {
   for (size_t i = 0; i < 4; ++i) state_[i] = words[i];
   has_cached_gaussian_ = words[4] != 0;
   std::memcpy(&cached_gaussian_, &words[5], sizeof(cached_gaussian_));
+}
+
+ZipfSampler::ZipfSampler(uint64_t n, double alpha) : n_(n) {
+  MLLIBSTAR_CHECK_GT(n, 0u);
+  // Inverse-CDF sampling on the continuous approximation of the bounded
+  // power law, which is accurate enough for workload generation and O(1).
+  if (alpha == 1.0) alpha = 1.0000001;
+  const double exponent = 1.0 - alpha;
+  span_ = std::pow(static_cast<double>(n), exponent) - 1.0;
+  inv_exponent_ = 1.0 / exponent;
+}
+
+uint64_t ZipfSampler::Draw(Rng* rng) const {
+  if (n_ == 1) return 0;
+  const double u = rng->NextDouble();
+  const double x = std::pow(u * span_ + 1.0, inv_exponent_);
+  uint64_t k = static_cast<uint64_t>(x) - 1;
+  if (k >= n_) k = n_ - 1;
+  return k;
 }
 
 }  // namespace mllibstar

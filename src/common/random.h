@@ -40,11 +40,6 @@ class Rng {
   /// Bernoulli(p) draw.
   bool NextBool(double p);
 
-  /// Integer from a bounded power-law (Zipf-like) distribution over
-  /// [0, n): P(k) proportional to 1 / (k + 1)^alpha. Used to model
-  /// skewed feature popularity in sparse datasets.
-  uint64_t NextZipf(uint64_t n, double alpha);
-
   /// Fisher-Yates shuffles `values` in place.
   template <typename T>
   void Shuffle(std::vector<T>* values) {
@@ -70,6 +65,23 @@ class Rng {
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
+};
+
+/// Integers from a bounded power-law (Zipf-like) distribution over
+/// [0, n): P(k) proportional to 1 / (k + 1)^alpha. Used to model skewed
+/// feature popularity in sparse datasets. The distribution's constants
+/// are computed once, so a draw costs one uniform and one pow.
+class ZipfSampler {
+ public:
+  ZipfSampler(uint64_t n, double alpha);
+
+  /// One draw; consumes one uniform from `rng` (none when n is 1).
+  uint64_t Draw(Rng* rng) const;
+
+ private:
+  uint64_t n_;
+  double span_;          ///< n^(1 - alpha) - 1
+  double inv_exponent_;  ///< 1 / (1 - alpha)
 };
 
 }  // namespace mllibstar

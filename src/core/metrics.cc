@@ -6,12 +6,21 @@
 
 namespace mllibstar {
 
-ConfusionMatrix ComputeConfusion(const std::vector<DataPoint>& points,
-                                 const DenseVector& w, double threshold) {
+namespace {
+
+// The margin w·x of row i.
+double Margin(const CsrBlock& rows, const DenseVector& w, size_t i) {
+  return w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+}
+
+}  // namespace
+
+ConfusionMatrix ComputeConfusion(const CsrBlock& rows, const DenseVector& w,
+                                 double threshold) {
   ConfusionMatrix cm;
-  for (const DataPoint& p : points) {
-    const bool predicted_positive = w.Dot(p.features) >= threshold;
-    const bool actually_positive = p.label > 0;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    const bool predicted_positive = Margin(rows, w, i) >= threshold;
+    const bool actually_positive = rows.label(i) > 0;
     if (predicted_positive && actually_positive) {
       ++cm.true_positives;
     } else if (predicted_positive) {
@@ -59,12 +68,12 @@ double RocAuc(const std::vector<double>& scores,
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
 }
 
-ClassificationMetrics EvaluateClassifier(
-    const std::vector<DataPoint>& points, const DenseVector& w) {
+ClassificationMetrics EvaluateClassifier(const CsrBlock& rows,
+                                         const DenseVector& w) {
   ClassificationMetrics metrics;
-  if (points.empty()) return metrics;
+  if (rows.rows() == 0) return metrics;
 
-  metrics.confusion = ComputeConfusion(points, w);
+  metrics.confusion = ComputeConfusion(rows, w);
   const ConfusionMatrix& cm = metrics.confusion;
   metrics.accuracy =
       static_cast<double>(cm.true_positives + cm.true_negatives) /
@@ -84,27 +93,21 @@ ClassificationMetrics EvaluateClassifier(
                  (metrics.precision + metrics.recall);
   }
 
-  std::vector<double> scores;
-  std::vector<double> labels;
-  scores.reserve(points.size());
-  labels.reserve(points.size());
-  for (const DataPoint& p : points) {
-    scores.push_back(w.Dot(p.features));
-    labels.push_back(p.label);
-  }
-  metrics.auc = RocAuc(scores, labels);
+  std::vector<double> scores(rows.rows());
+  for (size_t i = 0; i < rows.rows(); ++i) scores[i] = Margin(rows, w, i);
+  metrics.auc = RocAuc(
+      scores, std::vector<double>(rows.labels.begin(), rows.labels.end()));
   return metrics;
 }
 
-double MeanSquaredError(const std::vector<DataPoint>& points,
-                        const DenseVector& w) {
-  if (points.empty()) return 0.0;
+double MeanSquaredError(const CsrBlock& rows, const DenseVector& w) {
+  if (rows.rows() == 0) return 0.0;
   double sum = 0.0;
-  for (const DataPoint& p : points) {
-    const double d = w.Dot(p.features) - p.label;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    const double d = Margin(rows, w, i) - rows.label(i);
     sum += d * d;
   }
-  return sum / static_cast<double>(points.size());
+  return sum / static_cast<double>(rows.rows());
 }
 
 std::string MetricsToString(const ClassificationMetrics& metrics) {

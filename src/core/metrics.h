@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/datapoint.h"
+#include "core/csr_block.h"
 #include "core/model.h"
 #include "core/vector.h"
 
@@ -35,14 +35,13 @@ struct ClassificationMetrics {
 
 /// Counts the confusion matrix of sign(w·x) against ±1 labels,
 /// classifying margin ≥ `threshold` as positive.
-ConfusionMatrix ComputeConfusion(const std::vector<DataPoint>& points,
-                                 const DenseVector& w,
+ConfusionMatrix ComputeConfusion(const CsrBlock& rows, const DenseVector& w,
                                  double threshold = 0.0);
 
 /// Precision/recall/F1/accuracy at threshold 0 plus ROC AUC computed
 /// by margin ranking (ties share credit). Returns zeros on empty data.
-ClassificationMetrics EvaluateClassifier(
-    const std::vector<DataPoint>& points, const DenseVector& w);
+ClassificationMetrics EvaluateClassifier(const CsrBlock& rows,
+                                         const DenseVector& w);
 
 /// Area under the ROC curve for raw (score, label∈{-1,+1}) pairs.
 /// Returns 0.5 when either class is absent.
@@ -50,8 +49,7 @@ double RocAuc(const std::vector<double>& scores,
               const std::vector<double>& labels);
 
 /// Mean squared error of margins against real-valued labels.
-double MeanSquaredError(const std::vector<DataPoint>& points,
-                        const DenseVector& w);
+double MeanSquaredError(const CsrBlock& rows, const DenseVector& w);
 
 /// Human-readable one-line rendering ("acc=0.93 p=0.91 r=0.95 ...").
 std::string MetricsToString(const ClassificationMetrics& metrics);

@@ -2,29 +2,33 @@
 
 namespace mllibstar {
 
-double MeanLoss(const std::vector<DataPoint>& points, const Loss& loss,
-                const DenseVector& w) {
-  if (points.empty()) return 0.0;
+double MeanLoss(const CsrBlock& rows, const Loss& loss, const DenseVector& w) {
+  const size_t n = rows.rows();
+  if (n == 0) return 0.0;
   double sum = 0.0;
-  for (const DataPoint& p : points) {
-    sum += loss.Value(w.Dot(p.features), p.label);
+  for (size_t i = 0; i < n; ++i) {
+    const double margin =
+        w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+    sum += loss.Value(margin, rows.label(i));
   }
-  return sum / static_cast<double>(points.size());
+  return sum / static_cast<double>(n);
 }
 
-double Objective(const std::vector<DataPoint>& points, const Loss& loss,
+double Objective(const CsrBlock& rows, const Loss& loss,
                  const Regularizer& reg, const DenseVector& w) {
-  return MeanLoss(points, loss, w) + reg.Value(w);
+  return MeanLoss(rows, loss, w) + reg.Value(w);
 }
 
-double Accuracy(const std::vector<DataPoint>& points, const DenseVector& w) {
-  if (points.empty()) return 0.0;
+double Accuracy(const CsrBlock& rows, const DenseVector& w) {
+  const size_t n = rows.rows();
+  if (n == 0) return 0.0;
   size_t correct = 0;
-  for (const DataPoint& p : points) {
-    const double predicted = w.Dot(p.features) >= 0.0 ? 1.0 : -1.0;
-    if (predicted == p.label) ++correct;
+  for (size_t i = 0; i < n; ++i) {
+    const double margin =
+        w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+    if ((margin >= 0.0 ? 1.0 : -1.0) == rows.label(i)) ++correct;
   }
-  return static_cast<double>(correct) / static_cast<double>(points.size());
+  return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 }  // namespace mllibstar

@@ -1,9 +1,7 @@
 #ifndef MLLIBSTAR_CORE_MODEL_H_
 #define MLLIBSTAR_CORE_MODEL_H_
 
-#include <vector>
-
-#include "core/datapoint.h"
+#include "core/csr_block.h"
 #include "core/loss.h"
 #include "core/regularizer.h"
 #include "core/vector.h"
@@ -27,17 +25,17 @@ class GlmModel {
   DenseVector weights_;
 };
 
-/// Mean point loss (1/n) Σ l(w·xᵢ, yᵢ) over `points`. Returns 0 for an
-/// empty range.
-double MeanLoss(const std::vector<DataPoint>& points, const Loss& loss,
-                const DenseVector& w);
+/// Mean point loss (1/n) Σ l(w·xᵢ, yᵢ) over the rows of `rows`, summed
+/// in row order. Returns 0 for no rows. Every evaluated objective in the
+/// library is this walk (DESIGN §17).
+double MeanLoss(const CsrBlock& rows, const Loss& loss, const DenseVector& w);
 
 /// Full objective f(w, X) = mean loss + Ω(w) (paper Equation 1).
-double Objective(const std::vector<DataPoint>& points, const Loss& loss,
+double Objective(const CsrBlock& rows, const Loss& loss,
                  const Regularizer& reg, const DenseVector& w);
 
-/// Fraction of points whose predicted class matches the label.
-double Accuracy(const std::vector<DataPoint>& points, const DenseVector& w);
+/// Fraction of rows whose predicted class matches the label.
+double Accuracy(const CsrBlock& rows, const DenseVector& w);
 
 }  // namespace mllibstar
 

@@ -3,9 +3,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/random.h"
+#include "core/csr_block.h"
 #include "core/datapoint.h"
 
 namespace mllibstar {
@@ -21,42 +20,42 @@ struct DatasetStats {
   bool underdetermined = false;  ///< #features > #instances
 };
 
-/// An in-memory labeled sparse dataset.
+/// An in-memory labeled sparse dataset. Its rows live in one packed
+/// CsrBlock, value-free when every value is 1.0 (core/csr_block.h):
+/// the generator, the LIBSVM reader and RandomSplit write into it,
+/// PartitionCsr deals from it and evaluation walks it.
 class Dataset {
  public:
   Dataset() = default;
   /// Creates an empty dataset whose feature space is [0, num_features).
   explicit Dataset(size_t num_features, std::string name = "")
       : num_features_(num_features), name_(std::move(name)) {}
+  /// Takes rows packed elsewhere. Each row's indices must be strictly
+  /// increasing and < num_features (its last one is checked).
+  Dataset(size_t num_features, std::string name, CsrBlock rows);
 
   /// Appends a point. Feature indices must be < num_features().
-  void Add(DataPoint point);
+  void Add(const DataPoint& point);
 
-  size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
+  size_t size() const { return rows_.rows(); }
+  bool empty() const { return size() == 0; }
   size_t num_features() const { return num_features_; }
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  const DataPoint& point(size_t i) const { return points_[i]; }
-  const std::vector<DataPoint>& points() const { return points_; }
-  std::vector<DataPoint>* mutable_points() { return &points_; }
+  /// The rows, in dataset order.
+  const CsrBlock& rows() const { return rows_; }
+  /// Row `i` as a DataPoint (a copy).
+  DataPoint point(size_t i) const { return rows_.PointAt(i); }
 
   /// Total number of stored nonzero feature values.
-  uint64_t TotalNnz() const;
-
-  /// Randomly permutes the points (e.g. before contiguous partitioning).
-  void Shuffle(Rng* rng);
-
-  /// Copies points [begin, end) into a new dataset with the same
-  /// feature space.
-  Dataset Slice(size_t begin, size_t end) const;
+  uint64_t TotalNnz() const { return rows_.nnz(); }
 
   /// Computes Table-I-style statistics.
   DatasetStats Stats() const;
 
  private:
-  std::vector<DataPoint> points_;
+  CsrBlock rows_;
   size_t num_features_ = 0;
   std::string name_;
 };

@@ -15,7 +15,10 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
     return Status::IoError("cannot open: " + path);
   }
 
-  std::vector<DataPoint> raw_points;
+  // Rows are packed as read; the index base is known only at the end.
+  CsrBlock rows;
+  std::vector<FeatureIndex> indices;  // the current line's entries
+  std::vector<double> values;
   FeatureIndex max_index = 0;
   bool saw_zero_index = false;
 
@@ -26,20 +29,22 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
     const std::string_view trimmed = StrTrim(line);
     if (trimmed.empty() || trimmed[0] == '#') continue;
 
-    DataPoint point;
+    double label = 0.0;
+    indices.clear();
+    values.clear();
     bool first_token = true;
     for (std::string_view token : StrSplit(trimmed, ' ')) {
       token = StrTrim(token);
       if (token.empty()) continue;
       if (first_token) {
-        MLLIBSTAR_ASSIGN_OR_RETURN(double label, ParseDouble(token));
-        if (!std::isfinite(label)) {
+        MLLIBSTAR_ASSIGN_OR_RETURN(double raw, ParseDouble(token));
+        if (!std::isfinite(raw)) {
           return Status::InvalidArgument("line " +
                                          std::to_string(line_number) +
                                          ": non-finite label");
         }
         // Normalize {0,1} labels to {-1,+1}.
-        point.label = (label == 0.0) ? -1.0 : (label > 0.0 ? 1.0 : -1.0);
+        label = (raw == 0.0) ? -1.0 : (raw > 0.0 ? 1.0 : -1.0);
         first_token = false;
         continue;
       }
@@ -68,29 +73,29 @@ Result<Dataset> ReadLibSvm(const std::string& path, size_t num_features) {
                                        ": non-finite feature value");
       }
       if (index == 0) saw_zero_index = true;
-      point.features.Push(static_cast<FeatureIndex>(index), value);
+      indices.push_back(static_cast<FeatureIndex>(index));
+      values.push_back(value);
       max_index = std::max(max_index, static_cast<FeatureIndex>(index));
     }
     if (first_token) continue;  // label-only blank remainder
-    raw_points.push_back(std::move(point));
+    rows.AppendRow(indices.data(), values.data(), indices.size(), label);
   }
 
   // LIBSVM files are conventionally 1-based; shift down unless a zero
   // index was seen (then the file is already 0-based).
   const FeatureIndex shift = saw_zero_index ? 0 : 1;
+  for (FeatureIndex& idx : rows.indices) idx -= shift;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    const FeatureIndex* row = rows.row_indices(i);
+    for (size_t j = 1; j < rows.row_nnz(i); ++j) {
+      if (row[j] <= row[j - 1]) {
+        return Status::InvalidArgument("unsorted feature indices in " + path);
+      }
+    }
+  }
   size_t dim = static_cast<size_t>(max_index) + 1 - shift;
   dim = std::max(dim, num_features);
-  Dataset dataset(dim, path);
-  for (DataPoint& p : raw_points) {
-    if (shift != 0) {
-      for (FeatureIndex& idx : p.features.indices) idx -= shift;
-    }
-    if (!p.features.IsSorted()) {
-      return Status::InvalidArgument("unsorted feature indices in " + path);
-    }
-    dataset.Add(std::move(p));
-  }
-  return dataset;
+  return Dataset(dim, path, std::move(rows));
 }
 
 Status WriteLibSvm(const Dataset& dataset, const std::string& path) {
@@ -98,11 +103,13 @@ Status WriteLibSvm(const Dataset& dataset, const std::string& path) {
   if (!out.is_open()) {
     return Status::IoError("cannot open for writing: " + path);
   }
-  for (const DataPoint& p : dataset.points()) {
-    out << (p.label > 0 ? "+1" : "-1");
-    for (size_t i = 0; i < p.nnz(); ++i) {
-      out << ' ' << (p.features.indices[i] + 1) << ':'
-          << FormatDouble(p.features.values[i]);
+  const CsrBlock& rows = dataset.rows();
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    out << (rows.label(i) > 0 ? "+1" : "-1");
+    const FeatureIndex* indices = rows.row_indices(i);
+    const double* values = rows.row_values(i);
+    for (size_t j = 0; j < rows.row_nnz(i); ++j) {
+      out << ' ' << (indices[j] + 1) << ':' << FormatDouble(values[j]);
     }
     out << '\n';
   }

@@ -7,16 +7,16 @@ namespace mllibstar {
 TrainTestSplit RandomSplit(const Dataset& data, double train_fraction,
                            Rng* rng) {
   train_fraction = std::clamp(train_fraction, 0.0, 1.0);
-  TrainTestSplit split{Dataset(data.num_features(), data.name() + "/train"),
-                       Dataset(data.num_features(), data.name() + "/test")};
-  for (const DataPoint& p : data.points()) {
-    if (rng->NextBool(train_fraction)) {
-      split.train.Add(p);
-    } else {
-      split.test.Add(p);
-    }
+  const CsrBlock& rows = data.rows();
+  CsrBlock train;
+  CsrBlock test;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    (rng->NextBool(train_fraction) ? train : test).AppendRow(rows, i);
   }
-  return split;
+  return {Dataset(data.num_features(), data.name() + "/train",
+                  std::move(train)),
+          Dataset(data.num_features(), data.name() + "/test",
+                  std::move(test))};
 }
 
 }  // namespace mllibstar

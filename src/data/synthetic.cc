@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "core/vector.h"
 
 namespace mllibstar {
@@ -30,14 +31,22 @@ Dataset GenerateSynthetic(const SyntheticSpec& spec) {
                std::pow(1.0 + static_cast<double>(i), spec.truth_decay);
   }
 
-  // First pass: draw the rows and their teacher margins. Labels are
-  // assigned against the *median* margin so the classes stay balanced
-  // regardless of how the truth vector interacts with the popular
-  // features.
-  Dataset dataset(spec.num_features, spec.name);
+  // First pass: draw the rows, straight into the packed block, and
+  // their teacher margins. Labels are assigned against the *median*
+  // margin so the classes stay balanced regardless of how the truth
+  // vector interacts with the popular features.
+  const ZipfSampler zipf(spec.num_features, spec.feature_skew);
+  // No row is wider than this, so the block never reallocates; the
+  // reserved room past the rows actually drawn is never touched.
+  const size_t widest = std::min(
+      spec.num_features,
+      std::max<size_t>(1, spec.avg_nnz + spec.avg_nnz / 2 - spec.avg_nnz / 4));
+  CsrBlock rows;
+  rows.Reserve(spec.num_instances, spec.num_instances * widest);
   std::vector<double> margins;
   margins.reserve(spec.num_instances);
   std::vector<FeatureIndex> row;
+  std::vector<double> values;
   for (size_t i = 0; i < spec.num_instances; ++i) {
     // Row sparsity jitters around avg_nnz (at least 1).
     const size_t target_nnz = std::max<size_t>(
@@ -46,21 +55,23 @@ Dataset GenerateSynthetic(const SyntheticSpec& spec) {
                spec.avg_nnz / 4);
     row.clear();
     while (row.size() < target_nnz && row.size() < spec.num_features) {
-      const FeatureIndex idx = static_cast<FeatureIndex>(
-          rng.NextZipf(spec.num_features, spec.feature_skew));
+      const FeatureIndex idx = static_cast<FeatureIndex>(zipf.Draw(&rng));
       if (std::find(row.begin(), row.end(), idx) == row.end()) {
         row.push_back(idx);
       }
     }
     std::sort(row.begin(), row.end());
 
-    DataPoint point;
-    for (FeatureIndex idx : row) {
-      point.features.Push(idx, spec.gaussian_values ? rng.NextGaussian()
-                                                    : 1.0);
+    values.clear();
+    if (spec.gaussian_values) {
+      for (size_t k = 0; k < row.size(); ++k) {
+        values.push_back(rng.NextGaussian());
+      }
     }
-    margins.push_back(truth.Dot(point.features));
-    dataset.Add(std::move(point));
+    rows.AppendRow(row.data(), spec.gaussian_values ? values.data() : nullptr,
+                   row.size(), 0.0);
+    margins.push_back(
+        truth.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i)));
   }
 
   // Second pass: label = sign(margin - median + noise).
@@ -73,9 +84,9 @@ Dataset GenerateSynthetic(const SyntheticSpec& spec) {
         margins[i] - threshold + 0.1 * rng.NextGaussian() >= 0.0 ? 1.0
                                                                  : -1.0;
     if (rng.NextBool(spec.label_noise)) label = -label;
-    (*dataset.mutable_points())[i].label = label;
+    rows.labels[i] = label;
   }
-  return dataset;
+  return Dataset(spec.num_features, spec.name, std::move(rows));
 }
 
 SyntheticSpec AvazuSpec(double scale) {

@@ -106,7 +106,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
   };
 
   result.curve.set_label(name());
-  result.curve.Add(t0, 0.0, Eval(partitions, w));
+  result.curve.Add(t0, 0.0, Eval(data, w));
 
   ScopedSpan run_span("train:" + name(), "trainer");
   for (int t = t0; t < config().max_comm_steps; ++t) {
@@ -213,7 +213,7 @@ TrainResult MllibTrainer::Train(const Dataset& data,
     result.comm_steps = t + 1;
     if ((t + 1) % config().eval_every == 0 ||
         t + 1 == config().max_comm_steps) {
-      const double objective = Eval(partitions, w);
+      const double objective = Eval(data, w);
       result.curve.Add(t + 1, now, objective);
       if (IsDiverged(objective)) {
         result.diverged = true;

@@ -167,7 +167,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
   }
 
   result.curve.set_label(name());
-  result.curve.Add(resumed_round, 0.0, Eval(partitions, server.model()));
+  result.curve.Add(resumed_round, 0.0, Eval(data, server.model()));
 
   ScopedSpan run_span("train:" + name(), "trainer");
   // The whole PS event loop is kPs host time; the nested kKernels /
@@ -438,7 +438,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       MLLIBSTAR_CHECK_OK(ck.WriteFile(config().checkpoint.path));
     }
     if (completed % config().eval_every == 0 || completed >= max_rounds) {
-      const double objective = Eval(partitions, server.model());
+      const double objective = Eval(data, server.model());
       result.curve.Add(completed, round_end[t], objective);
       if (IsDiverged(objective)) {
         result.diverged = true;

@@ -90,10 +90,9 @@ Trainer::Trainer(TrainerConfig config)
   MLLIBSTAR_CHECK_OK(ValidateTrainerConfig(config_));
 }
 
-double Trainer::Eval(const std::vector<CsrBlock>& partitions,
-                     const DenseVector& w) {
-  return objective_.MeanPartitionLoss(partitions, w, &eval_losses_) +
-         objective_.regularizer().Value(w);
+double Trainer::Eval(const Dataset& data, const DenseVector& w) const {
+  return Objective(data.rows(), objective_.loss(), objective_.regularizer(),
+                   w);
 }
 
 bool Trainer::ShouldStop(int step, double objective) const {

@@ -151,12 +151,10 @@ class Trainer {
   const GlmObjective& objective() const { return objective_; }
   const Regularizer& regularizer() const { return objective_.regularizer(); }
 
-  /// Full objective f(w, X) over the run's round-robin `partitions`
-  /// (host-side; costs no sim time — the paper also measures the
-  /// objective out-of-band). Bit-identical to the mean loss over the
-  /// dataset's points plus Ω(w); its per-row loss buffer is allocated
-  /// once and reused by every later evaluation.
-  double Eval(const std::vector<CsrBlock>& partitions, const DenseVector& w);
+  /// Full objective f(w, X): MeanLoss over the dataset's rows, in
+  /// dataset order, plus Ω(w) (host-side; costs no sim time — the paper
+  /// also measures the objective out-of-band).
+  double Eval(const Dataset& data, const DenseVector& w) const;
 
   /// True when the run should stop after observing `objective` having
   /// completed `step` communication steps.
@@ -185,8 +183,6 @@ class Trainer {
   TrainerConfig config_;
   GlmObjective objective_;
   LrSchedule schedule_;
-  /// Eval's per-row loss slots, in dataset order.
-  std::vector<double> eval_losses_;
 };
 
 /// Creates the trainer for `kind`.

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "data/partition.h"
 
 namespace mllibstar {
 namespace {
@@ -12,17 +11,6 @@ std::vector<size_t> Iota(size_t n) {
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), size_t{0});
   return all;
-}
-
-// MeanLoss's per-point term (core/model): writes the pointwise loss of
-// row i of `block` to out[i · stride].
-void RowLosses(const CsrBlock& block, const Loss& loss, const DenseVector& w,
-               double* out, size_t stride) {
-  for (size_t i = 0; i < block.rows(); ++i) {
-    const double margin =
-        w.Dot(block.row_indices(i), block.row_values(i), block.row_nnz(i));
-    out[i * stride] = loss.Value(margin, block.label(i));
-  }
 }
 
 }  // namespace
@@ -175,27 +163,6 @@ ComputeStats GlmObjective::MiniBatchGd(const CsrBlock& block, double lr,
     ++stats.model_updates;
   }
   return stats;
-}
-
-double GlmObjective::MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
-                                       const DenseVector& w,
-                                       std::vector<double>* row_losses) const {
-  const size_t k = partitions.size();
-  size_t n = 0;
-  for (const CsrBlock& b : partitions) n += b.rows();
-  if (n == 0) return 0.0;
-  row_losses->resize(n);
-  // Row r of partition p is dataset row RoundRobinRow(p, r, k): each
-  // partition fills a stride-k run of slots starting at its first row's.
-  for (size_t p = 0; p < k; ++p) {
-    MLLIBSTAR_CHECK_EQ(partitions[p].rows(), (n + k - 1 - p) / k)
-        << "partitions are not a round-robin deal";
-    RowLosses(partitions[p], *loss_, w,
-              row_losses->data() + RoundRobinRow(p, 0, k), k);
-  }
-  double sum = 0.0;
-  for (double loss : *row_losses) sum += loss;
-  return sum / static_cast<double>(n);
 }
 
 }  // namespace mllibstar

@@ -60,19 +60,6 @@ class GlmObjective {
                            size_t batch_size, size_t num_batches, Rng* rng,
                            DenseVector* w) const;
 
-  /// Mean pointwise loss (1/n) Σ l(w, xᵢ, yᵢ), without the
-  /// regularizer — the data term of the evaluated objective — over a
-  /// dataset dealt round-robin into `partitions` (PartitionCsr), with
-  /// exactly the bits of MeanLoss (core/model) over the dataset's
-  /// points: each partition is walked in order, every row's loss lands
-  /// in the slot of its dataset row, and the slots are summed in
-  /// dataset order (DESIGN §17). `row_losses` is the caller's buffer,
-  /// resized to the row count; reusing it keeps evaluation
-  /// allocation-free.
-  double MeanPartitionLoss(const std::vector<CsrBlock>& partitions,
-                           const DenseVector& w,
-                           std::vector<double>* row_losses) const;
-
  private:
   /// One shuffled SGD pass visiting `rows` (shuffled in place).
   ComputeStats ShuffledSgd(const CsrBlock& block, std::vector<size_t> rows,

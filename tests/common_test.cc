@@ -234,10 +234,11 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
 TEST(RngTest, ZipfStaysInRangeAndIsSkewed) {
   Rng rng(13);
   const uint64_t n = 1000;
+  const ZipfSampler zipf(n, 1.2);
   int low_bucket = 0;
   const int draws = 10000;
   for (int i = 0; i < draws; ++i) {
-    const uint64_t k = rng.NextZipf(n, 1.2);
+    const uint64_t k = zipf.Draw(&rng);
     ASSERT_LT(k, n);
     if (k < n / 10) ++low_bucket;
   }

@@ -39,6 +39,14 @@ Dataset TestData(bool gaussian_values) {
 
 constexpr bool kValueKinds[] = {false, true};
 
+// The dataset's rows as points, materialized one at a time.
+std::vector<DataPoint> Points(const Dataset& data) {
+  std::vector<DataPoint> points;
+  points.reserve(data.size());
+  for (size_t i = 0; i < data.size(); ++i) points.push_back(data.point(i));
+  return points;
+}
+
 std::string KindName(bool gaussian_values) {
   return gaussian_values ? "valued" : "value-free";
 }
@@ -54,10 +62,11 @@ TEST(CsrBlockTest, RoundTripsEveryPoint) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const std::vector<DataPoint>& points = data.points();
+    const std::vector<DataPoint> points = Points(data);
     const CsrBlock block = CsrBlock::FromPoints(points);
 
     EXPECT_EQ(block.value_free, !gaussian);
+    EXPECT_EQ(data.rows().value_free, !gaussian);
     ASSERT_EQ(block.rows(), points.size());
     EXPECT_EQ(block.offsets.size(), points.size() + 1);
     EXPECT_EQ(block.offsets.front(), 0u);
@@ -83,23 +92,20 @@ TEST(PartitionCsrTest, MatchesRoundRobinPartitioning) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
+    const size_t n = data.size();
     const size_t k = 7;  // does not divide 300: uneven partitions
-    const std::vector<std::vector<DataPoint>> parts =
-        PartitionRoundRobin(data, k);
     const std::vector<CsrBlock> blocks = PartitionCsr(data, k);
 
-    ASSERT_EQ(blocks.size(), parts.size());
+    ASSERT_EQ(blocks.size(), k);
     for (size_t r = 0; r < k; ++r) {
-      ASSERT_EQ(blocks[r].rows(), parts[r].size()) << "partition " << r;
+      ASSERT_EQ(blocks[r].rows(), (n + k - 1 - r) / k) << "partition " << r;
       EXPECT_EQ(blocks[r].value_free, !gaussian);
-      for (size_t i = 0; i < parts[r].size(); ++i) {
-        const DataPoint& source = data.point(RoundRobinRow(r, i, k));
-        EXPECT_EQ(source.label, parts[r][i].label);
-        ASSERT_EQ(source.features.indices, parts[r][i].features.indices);
+      for (size_t i = 0; i < blocks[r].rows(); ++i) {
+        const DataPoint source = data.point(i * k + r);
         const DataPoint back = blocks[r].PointAt(i);
-        EXPECT_EQ(back.label, parts[r][i].label);
-        ASSERT_EQ(back.features.indices, parts[r][i].features.indices);
-        ASSERT_EQ(back.features.values, parts[r][i].features.values);
+        EXPECT_EQ(back.label, source.label);
+        ASSERT_EQ(back.features.indices, source.features.indices);
+        ASSERT_EQ(back.features.values, source.features.values);
       }
     }
   }
@@ -116,7 +122,6 @@ CsrBlock WithStoredOnes(CsrBlock block) {
   block.value_free = false;
   block.ones.clear();
   block.values.assign(block.nnz(), 1.0);
-  block.Finalize();
   return block;
 }
 
@@ -135,7 +140,7 @@ DenseVector StartWeights(size_t dim) {
 
 TEST(CsrKernelTest, BatchGradientValueFreeMatchesStoredOnes) {
   const Dataset data = TestData(false);
-  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock& value_free = data.rows();
   ASSERT_TRUE(value_free.value_free);
   const CsrBlock stored = WithStoredOnes(value_free);
   Rng rng(3);
@@ -161,7 +166,7 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const CsrBlock block = CsrBlock::FromPoints(data.points());
+    const CsrBlock& block = data.rows();
     const GlmObjective objective(
         LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), true);
     const Loss& loss = objective.loss();
@@ -175,7 +180,7 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
     DenseVector g_ref(w.dim());
     double loss_ref = 0.0;
     uint64_t work_ref = 0;
-    for (const DataPoint& p : data.points()) {
+    for (const DataPoint& p : Points(data)) {
       const double margin = w.Dot(p.features);
       const double dl = loss.Derivative(margin, p.label);
       loss_ref += loss.Value(margin, p.label);
@@ -197,7 +202,7 @@ TEST(CsrKernelTest, LossGradientMatchesSeparateLoops) {
 
 TEST(CsrKernelTest, SgdEpochValueFreeMatchesStoredOnes) {
   const Dataset data = TestData(false);
-  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock& value_free = data.rows();
   const CsrBlock stored = WithStoredOnes(value_free);
   const size_t dim = data.num_features();
 
@@ -223,7 +228,7 @@ TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
   for (const bool gaussian : kValueKinds) {
     SCOPED_TRACE(KindName(gaussian));
     const Dataset data = TestData(gaussian);
-    const CsrBlock block = CsrBlock::FromPoints(data.points());
+    const CsrBlock& block = data.rows();
     const GlmObjective objective(
         LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
     Rng rng_a(23), rng_b(23);
@@ -247,7 +252,7 @@ TEST(CsrKernelTest, SubsetEpochMatchesCopyingTheRowsOut) {
 
 TEST(CsrKernelTest, MiniBatchGdValueFreeMatchesStoredOnes) {
   const Dataset data = TestData(false);
-  const CsrBlock value_free = CsrBlock::FromPoints(data.points());
+  const CsrBlock& value_free = data.rows();
   const CsrBlock stored = WithStoredOnes(value_free);
   const size_t dim = data.num_features();
   const GlmObjective objective(
@@ -272,7 +277,7 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(CsrBlockTest, ValueFreeBlockStoresNoValues) {
   const Dataset data = TestData(false);
-  const std::vector<DataPoint>& points = data.points();
+  const std::vector<DataPoint> points = Points(data);
   const CsrBlock block = CsrBlock::FromPoints(points);
   ASSERT_TRUE(block.value_free);
   EXPECT_TRUE(block.values.empty());
@@ -293,7 +298,7 @@ TEST(CsrBlockTest, OneValueOtherThanOneKeepsTheArrays) {
                             std::numeric_limits<double>::quiet_NaN()};
   for (const double bad : kNotOne) {
     SCOPED_TRACE(bad);
-    std::vector<DataPoint> points = data.points();
+    std::vector<DataPoint> points = Points(data);
     DataPoint& target = points[points.size() / 2];
     ASSERT_GT(target.nnz(), 0u);
     target.features.values.back() = bad;
@@ -342,7 +347,7 @@ TEST(PartitionCsrTest, MixedDatasetGivesMixedBlocks) {
   EXPECT_TRUE(blocks[2].value_free);
   for (size_t r = 0; r < k; ++r) {
     for (size_t i = 0; i < blocks[r].rows(); ++i) {
-      const DataPoint& source = data.point(RoundRobinRow(r, i, k));
+      const DataPoint source = data.point(i * k + r);
       const DataPoint back = blocks[r].PointAt(i);
       EXPECT_EQ(back.label, source.label);
       ASSERT_EQ(back.features.indices, source.features.indices);
@@ -351,7 +356,11 @@ TEST(PartitionCsrTest, MixedDatasetGivesMixedBlocks) {
   }
 }
 
-// ---- The objective evaluated from the packed partitions -------------
+// ---- The objective evaluated from the dataset's packed rows --------
+// Evaluation walks the dataset's rows in dataset order (MeanLoss), the
+// same per-row terms summed in the same order as a walk over the rows
+// held as points, and as the walk over the k round-robin partitions
+// that put every row's term back in its dataset slot before summing.
 
 // Partition counts: one block, uneven blocks, the kdd12 worker count,
 // and more partitions than rows (two stay empty).
@@ -362,6 +371,37 @@ DenseVector TestWeights(size_t dim, uint64_t seed) {
   DenseVector w(dim);
   for (size_t i = 0; i < dim; ++i) w[i] = rng.NextDouble(-0.5, 0.5);
   return w;
+}
+
+// The mean loss over the rows as points.
+double PointsMeanLoss(const Dataset& data, const Loss& loss,
+                      const DenseVector& w) {
+  if (data.empty()) return 0.0;
+  double sum = 0.0;
+  for (const DataPoint& p : Points(data)) {
+    sum += loss.Value(w.Dot(p.features), p.label);
+  }
+  return sum / static_cast<double>(data.size());
+}
+
+// The mean loss from the k-way deal: row i of partition p is dataset
+// row i * k + p; its term lands in that slot, and the slots are summed
+// in dataset order.
+double PartitionsMeanLoss(const Dataset& data, size_t k, const Loss& loss,
+                          const DenseVector& w) {
+  const std::vector<CsrBlock> parts = PartitionCsr(data, k);
+  std::vector<double> slots(data.size());
+  for (size_t p = 0; p < k; ++p) {
+    for (size_t i = 0; i < parts[p].rows(); ++i) {
+      const double margin = w.Dot(parts[p].row_indices(i),
+                                  parts[p].row_values(i), parts[p].row_nnz(i));
+      slots[i * k + p] = loss.Value(margin, parts[p].label(i));
+    }
+  }
+  if (slots.empty()) return 0.0;
+  double sum = 0.0;
+  for (double term : slots) sum += term;
+  return sum / static_cast<double>(slots.size());
 }
 
 TEST(PartitionEvalTest, BinaryMatchesMeanLossBitForBit) {
@@ -376,13 +416,12 @@ TEST(PartitionEvalTest, BinaryMatchesMeanLossBitForBit) {
         kind, Regularizer(RegularizerKind::kNone, 0.0), true);
     for (const Dataset* data : {&ones, &valued, &mixed}) {
       SCOPED_TRACE(data->name() + "/" + objective.loss().name());
-      const double expected = MeanLoss(data->points(), objective.loss(), w);
-      std::vector<double> slots;
+      const double evaluated = MeanLoss(data->rows(), objective.loss(), w);
+      EXPECT_EQ(evaluated, PointsMeanLoss(*data, objective.loss(), w));
       for (const size_t k : EvalPartitionCounts(data->size())) {
-        const std::vector<CsrBlock> parts = PartitionCsr(*data, k);
-        EXPECT_EQ(objective.MeanPartitionLoss(parts, w, &slots), expected)
+        EXPECT_EQ(evaluated,
+                  PartitionsMeanLoss(*data, k, objective.loss(), w))
             << "k=" << k;
-        EXPECT_EQ(slots.size(), data->size());
       }
     }
   }
@@ -392,10 +431,9 @@ TEST(PartitionEvalTest, EmptyDatasetIsZero) {
   const GlmObjective objective(
       LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   const Dataset empty(10, "empty");
-  std::vector<double> slots;
-  EXPECT_EQ(objective.MeanPartitionLoss(PartitionCsr(empty, 3),
-                                        DenseVector(10), &slots),
-            MeanLoss(empty.points(), objective.loss(), DenseVector(10)));
+  const DenseVector w(10);
+  EXPECT_EQ(MeanLoss(empty.rows(), objective.loss(), w), 0.0);
+  EXPECT_EQ(PartitionsMeanLoss(empty, 3, objective.loss(), w), 0.0);
 }
 
 TEST(SampleBatchFloydTest, SmallFractionIsUniqueAndInRange) {

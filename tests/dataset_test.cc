@@ -30,32 +30,30 @@ TEST(DatasetTest, TotalNnz) {
   EXPECT_EQ(ds.TotalNnz(), 4u);
 }
 
-TEST(DatasetTest, SliceCopiesRange) {
+TEST(DatasetTest, RowsStayValueFreeUntilAValueIsNotOne) {
   Dataset ds(10, "toy");
-  for (int i = 0; i < 5; ++i) {
-    ds.Add(MakePoint(i % 2 == 0 ? 1.0 : -1.0,
-                     {static_cast<FeatureIndex>(i)}));
-  }
-  const Dataset slice = ds.Slice(1, 3);
-  EXPECT_EQ(slice.size(), 2u);
-  EXPECT_EQ(slice.num_features(), 10u);
-  EXPECT_EQ(slice.point(0).features.indices[0], 1u);
-  EXPECT_EQ(slice.point(1).features.indices[0], 2u);
+  ds.Add(MakePoint(1.0, {0, 3}));
+  ds.Add(MakePoint(-1.0, {1, 2, 9}));
+  EXPECT_TRUE(ds.rows().value_free);
+  EXPECT_TRUE(ds.rows().values.empty());
+  EXPECT_EQ(ds.point(1).features.values, std::vector<double>(3, 1.0));
+
+  DataPoint valued = MakePoint(1.0, {4, 5});
+  valued.features.values[1] = 0.5;
+  ds.Add(valued);
+  EXPECT_FALSE(ds.rows().value_free);
+  EXPECT_EQ(ds.rows().values.size(), ds.TotalNnz());
+  EXPECT_EQ(ds.point(0).features.values, std::vector<double>(2, 1.0));
+  EXPECT_EQ(ds.point(2).features.values, valued.features.values);
+  EXPECT_EQ(ds.point(2).features.indices, valued.features.indices);
+  EXPECT_EQ(ds.point(2).label, 1.0);
 }
 
-TEST(DatasetTest, ShufflePreservesMultiset) {
-  Dataset ds(100);
-  for (int i = 0; i < 50; ++i) {
-    ds.Add(MakePoint(1.0, {static_cast<FeatureIndex>(i)}));
-  }
-  Rng rng(3);
-  ds.Shuffle(&rng);
-  EXPECT_EQ(ds.size(), 50u);
-  std::vector<bool> seen(50, false);
-  for (const DataPoint& p : ds.points()) {
-    seen[p.features.indices[0]] = true;
-  }
-  for (bool s : seen) EXPECT_TRUE(s);
+TEST(DatasetTest, PackedRowsOutsideTheFeatureSpaceDie) {
+  CsrBlock rows;
+  rows.AppendRow(MakePoint(1.0, {2, 10}));
+  EXPECT_DEATH(Dataset(10, "wide", rows), "outside the feature space");
+  EXPECT_EQ(Dataset(11, "fits", rows).size(), 1u);
 }
 
 TEST(DatasetTest, StatsUnderdeterminedFlag) {

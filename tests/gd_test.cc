@@ -175,15 +175,15 @@ TEST(LocalSgdEpochTest, ReducesLossOnSeparableData) {
   const GlmObjective objective = Binary(LossKind::kLogistic);
   DenseVector w(2);
   Rng rng(5);
-  const double before = MeanLoss(points, objective.loss(), w);
+  const double before = MeanLoss(block, objective.loss(), w);
   ComputeStats stats;
   for (int epoch = 0; epoch < 20; ++epoch) {
     stats += objective.SgdEpoch(block, 0.5, &rng, &w);
   }
-  const double after = MeanLoss(points, objective.loss(), w);
+  const double after = MeanLoss(block, objective.loss(), w);
   EXPECT_LT(after, before * 0.5);
   EXPECT_EQ(stats.model_updates, 20u * points.size());
-  EXPECT_GT(Accuracy(points, w), 0.99);
+  EXPECT_GT(Accuracy(block, w), 0.99);
 }
 
 TEST(LocalSgdEpochTest, LazyAndEagerL2AgreeNumerically) {
@@ -252,7 +252,7 @@ TEST(LocalMiniBatchGdTest, ConvergesOnSeparableData) {
   Rng rng(13);
   Binary(LossKind::kHinge, Regularizer(RegularizerKind::kL2, 0.01))
       .MiniBatchGd(block, 0.2, 3, 200, &rng, &w);
-  EXPECT_GT(Accuracy(points, w), 0.99);
+  EXPECT_GT(Accuracy(block, w), 0.99);
 }
 
 // ------------------------------------- MiniBatchGd vs the dense reference
@@ -319,8 +319,7 @@ TEST(LocalMiniBatchGdTest, TouchedFlushMatchesDenseReferenceBitForBit) {
   spec.num_features = features;
   spec.avg_nnz = 8;
   spec.seed = 3;
-  const CsrBlock block =
-      CsrBlock::FromPoints(GenerateSynthetic(spec).points());
+  const CsrBlock block = GenerateSynthetic(spec).rows();
 
   // 4-row batches list ~32 coordinates (the listed sweep); 100-row
   // batches list ~800 of the 2000 (the dense sweep).

@@ -246,7 +246,7 @@ TEST(LbfgsTrainerTest, ConvergesOnLogisticRegression) {
   EXPECT_FALSE(result.diverged);
   EXPECT_LT(result.curve.BestObjective(),
             result.curve.points().front().objective * 0.8);
-  EXPECT_GT(Accuracy(data.points(), result.final_weights), 0.85);
+  EXPECT_GT(Accuracy(data.rows(), result.final_weights), 0.85);
 }
 
 TEST(LbfgsTrainerTest, ConvergesFasterPerPassThanMllibGd) {

@@ -72,15 +72,15 @@ TEST(PropertyTest, ObjectiveIsConvexAlongRandomSegments) {
     auto loss = MakeLoss(kind);
     for (int trial = 0; trial < 20; ++trial) {
       const size_t dim = 10 + rng.NextUint64(20);
-      const auto points = RandomPoints(40, dim, &rng);
+      const CsrBlock rows = CsrBlock::FromPoints(RandomPoints(40, dim, &rng));
       const DenseVector a = RandomDense(dim, &rng);
       const DenseVector b = RandomDense(dim, &rng);
       DenseVector mid = a;
       mid.AddScaled(b, 1.0);
       mid.Scale(0.5);
-      const double fa = Objective(points, *loss, reg, a);
-      const double fb = Objective(points, *loss, reg, b);
-      const double fm = Objective(points, *loss, reg, mid);
+      const double fa = Objective(rows, *loss, reg, a);
+      const double fb = Objective(rows, *loss, reg, b);
+      const double fm = Objective(rows, *loss, reg, mid);
       EXPECT_LE(fm, 0.5 * (fa + fb) + 1e-9)
           << loss->name() << " trial " << trial;
     }
@@ -167,7 +167,8 @@ TEST(PropertyTest, MetricsStayInBounds) {
     const size_t dim = 10 + rng.NextUint64(30);
     const auto points = RandomPoints(60, dim, &rng);
     const DenseVector w = RandomDense(dim, &rng);
-    const ClassificationMetrics m = EvaluateClassifier(points, w);
+    const ClassificationMetrics m =
+        EvaluateClassifier(CsrBlock::FromPoints(points), w);
     for (double value : {m.accuracy, m.precision, m.recall, m.f1, m.auc}) {
       EXPECT_GE(value, 0.0);
       EXPECT_LE(value, 1.0);

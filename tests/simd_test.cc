@@ -194,7 +194,7 @@ TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
   spec.seed = 3;
   spec.gaussian_values = true;  // a valued block: every array is filled
   const Dataset data = GenerateSynthetic(spec);
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
+  const CsrBlock& block = data.rows();
   ASSERT_FALSE(block.value_free);
   ASSERT_FALSE(block.values.empty());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(block.offsets.data()) % 64, 0u);
@@ -204,8 +204,7 @@ TEST(CsrAlignmentTest, BlockArraysAre64ByteAligned) {
 
   // A value-free block's runs of ones are aligned the same way.
   spec.gaussian_values = false;
-  const CsrBlock ones =
-      CsrBlock::FromPoints(GenerateSynthetic(spec).points());
+  const CsrBlock ones = GenerateSynthetic(spec).rows();
   ASSERT_TRUE(ones.value_free);
   ASSERT_FALSE(ones.ones.empty());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(ones.ones.data()) % 64, 0u);
@@ -223,7 +222,7 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
   spec.seed = 9;
   spec.gaussian_values = true;  // valued rows, as stored
   const Dataset data = GenerateSynthetic(spec);
-  const CsrBlock block = CsrBlock::FromPoints(data.points());
+  const CsrBlock& block = data.rows();
   const GlmObjective objective(
       LossKind::kLogistic, Regularizer(RegularizerKind::kNone, 0.0), true);
   DenseVector w(spec.num_features);
