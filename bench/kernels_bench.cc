@@ -17,9 +17,13 @@
 // value-free packed rows disagrees with, or is slower than, the walk
 // over the same rows as DataPoints, (e) SampleBatch draws other rows,
 // in another order, or leaves the Rng elsewhere than the hash-set
-// Floyd it replaced, or (f) SampleBatch fails to beat that reference
-// by the sampler floor at the kdd12 shape. CI runs it as a smoke check so
-// kernel regressions fail the build, and the committed JSON pairs with
+// Floyd it replaced, (f) SampleBatch fails to beat that reference
+// by the sampler floor at the kdd12 shape, (g) a block margin, or a
+// loss sum or gradient taken from block margins, is not bit-identical
+// to the per-row loop's, or (h) the block path's batch gradients at
+// the kdd12 shape fail to beat the per-row loop by the row-margins
+// floor. CI runs it as a smoke check so kernel regressions fail the
+// build, and the committed JSON pairs with
 // results/BENCH_kernels_scalar.json (a forced-scalar run) to record
 // the before/after speedup trajectory.
 //
@@ -44,6 +48,7 @@
 #include "core/regularizer.h"
 #include "core/simd/dispatch.h"
 #include "core/vector.h"
+#include "data/partition.h"
 #include "data/synthetic.h"
 #include "workloads/objective.h"
 
@@ -79,6 +84,27 @@ struct SampleShape {
 constexpr SampleShape kSampleShapes[] = {
     {18705, 1870}, {18705, 187}, {2408, 24}, {2408, 120},
     {2408, 481},   {1812, 72},   {2408, 602}, {2408, 0},
+};
+
+// Speedup floor for the block path's batch gradients over the per-row
+// loop at the first batch shape. Measured 1.33-1.50x with the kernel's
+// prefetch and 1.05-1.07x without it, so the floor fails a block path
+// that lost its prefetch. It relaxes with the gate like the sampler
+// floor.
+constexpr double kRowMarginsFloor = 1.2;
+
+// The figure workloads' mini-batches: the dataset, its partition count,
+// and the rows drawn per batch from a partition (fig4 kdd12 at batch
+// fractions 0.1 and 0.01, fig5 kddb at 0.05 and 0.01, fig6 WX on 128
+// machines at 0.04). The first is the gated one.
+struct BatchShape {
+  const char* dataset;
+  size_t partitions;
+  size_t batch_size;
+};
+constexpr BatchShape kBatchShapes[] = {
+    {"kdd12", 8, 1870}, {"kdd12", 8, 187}, {"kddb", 8, 120},
+    {"kddb", 8, 24},    {"wx", 128, 72},
 };
 
 struct Regime {
@@ -194,6 +220,38 @@ double PointsMeanLoss(const std::vector<DataPoint>& points, const Loss& loss,
     sum += loss.Value(w.Dot(p.features), p.label);
   }
   return sum / static_cast<double>(points.size());
+}
+
+// MeanLoss and GlmObjective::BatchGradient as they ran before the block
+// kernel: one DenseVector::Dot per row, then the loss (and the axpy),
+// row by row. Kept only here, as the references the row_margins case
+// times and holds the block path to.
+double PerRowMeanLoss(const CsrBlock& rows, const Loss& loss,
+                      const DenseVector& w) {
+  const size_t n = rows.rows();
+  if (n == 0) return 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double margin =
+        w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+    sum += loss.Value(margin, rows.label(i));
+  }
+  return sum / static_cast<double>(n);
+}
+
+void PerRowBatchGradient(const CsrBlock& block,
+                         const std::vector<size_t>& batch, const Loss& loss,
+                         const DenseVector& w, DenseVector* gradient) {
+  for (size_t idx : batch) {
+    const size_t n = block.row_nnz(idx);
+    const double margin =
+        w.Dot(block.row_indices(idx), block.row_values(idx), n);
+    const double d = loss.Derivative(margin, block.label(idx));
+    if (d != 0.0) {
+      gradient->AddScaled(block.row_indices(idx), block.row_values(idx), n,
+                          d);
+    }
+  }
 }
 
 // SampleBatch as it was before its bitmap, with Floyd's picks in a
@@ -511,14 +569,16 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   // DataPoint walk. Datasets: kdd12 (Fig. 4) and WX (Fig. 6). All three
   // results must be bit-equal, and the value-free walk must not lose to
   // the DataPoint walk.
+  const Loss hinge(LossKind::kHinge);
+  const Dataset kdd12 = GenerateSynthetic(Kdd12Spec());
+  const Dataset wx = GenerateSynthetic(WxSpec());
   bool eval_gate_failed = false;
   JsonValue eval_runs = JsonValue::Array();
   std::printf("\n%-8s %12s %12s %12s %10s\n", "dataset", "points ns",
               "valued ns", "value-free", "pts/vfree");
   {
-    const std::unique_ptr<Loss> hinge = MakeLoss(LossKind::kHinge);
-    for (const SyntheticSpec& spec : {Kdd12Spec(), WxSpec()}) {
-      const Dataset data = GenerateSynthetic(spec);
+    for (const Dataset* dataset : {&kdd12, &wx}) {
+      const Dataset& data = *dataset;
       std::vector<DataPoint> points;
       points.reserve(data.size());
       for (size_t i = 0; i < data.size(); ++i) points.push_back(data.point(i));
@@ -533,37 +593,37 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-1.0, 1.0);
       double points_loss = 0.0, valued_loss = 0.0, value_free_loss = 0.0;
       const auto points_walk = [&] {
-        points_loss = PointsMeanLoss(points, *hinge, w);
+        points_loss = PointsMeanLoss(points, hinge, w);
       };
       const PairedNs valued_walks = PairedMinNs(
-          points_walk, [&] { valued_loss = MeanLoss(valued, *hinge, w); },
+          points_walk, [&] { valued_loss = MeanLoss(valued, hinge, w); },
           reps);
       // The gated pair: the DataPoint walk against the value-free one.
       const PairedNs walks = PairedMinNs(
           points_walk,
-          [&] { value_free_loss = MeanLoss(value_free, *hinge, w); }, reps);
+          [&] { value_free_loss = MeanLoss(value_free, hinge, w); }, reps);
       const double points_ns = walks.ref;
       const double valued_ns = valued_walks.fn;
       const double value_free_ns = walks.fn;
       const bool bit_equal =
           points_loss == valued_loss && points_loss == value_free_loss;
       const double ratio = points_ns / value_free_ns;
-      std::printf("%-8s %12.0f %12.0f %12.0f %9.2fx\n", spec.name.c_str(),
+      std::printf("%-8s %12.0f %12.0f %12.0f %9.2fx\n", data.name().c_str(),
                   points_ns, valued_ns, value_free_ns, ratio);
       if (!bit_equal) {
         std::printf("FAIL eval: %s layouts disagree (%.17g %.17g %.17g)\n",
-                    spec.name.c_str(), points_loss, valued_loss,
+                    data.name().c_str(), points_loss, valued_loss,
                     value_free_loss);
         eval_gate_failed = true;
       }
       if (value_free_ns > points_ns) {
         std::printf("FAIL eval: %s value-free walk slower than DataPoint "
                     "walk\n",
-                    spec.name.c_str());
+                    data.name().c_str());
         eval_gate_failed = true;
       }
       JsonValue e = JsonValue::Object();
-      e.Set("dataset", JsonValue::Str(spec.name));
+      e.Set("dataset", JsonValue::Str(data.name()));
       e.Set("rows", JsonValue::Number(static_cast<int64_t>(data.size())));
       e.Set("nnz", JsonValue::Number(static_cast<int64_t>(data.TotalNnz())));
       e.Set("points_ns", JsonValue::Number(points_ns));
@@ -575,6 +635,161 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
       e.Set("bit_equal", JsonValue::Bool(bit_equal));
       eval_runs.Append(e);
     }
+  }
+
+  // ---- Block margins --------------------------------------------------
+  // The block kernel (simd row_margins, through ForEachMargin) against
+  // the per-row loops it replaced (PerRowMeanLoss, PerRowBatchGradient),
+  // hinge loss as the figure workloads train. Evaluation: one MeanLoss
+  // over kdd12 (Fig. 4) and WX (Fig. 6). Batches: at each shape a pass
+  // draws `draws` batches in every one of the dataset's k partitions,
+  // so the rows it reads outgrow L2 and come from L3, as in a round.
+  // Drift gate: every tier's block margins over the batches equal its
+  // per-row sparse dots, and the loss sums and gradients equal the
+  // per-row loop's, bit for bit. Perf gate: the first batch shape.
+  JsonValue margin_runs = JsonValue::Array();
+  double margins_speedup_gated = 0.0;
+  // A pass takes about a millisecond; three times the repetitions
+  // steady the gated ratio against other tenants at little cost.
+  const int margin_reps = 3 * reps;
+  std::printf("\n%-6s %-8s %5s %6s %6s %6s %12s %12s %9s\n", "case",
+              "dataset", "parts", "rows", "batch", "draws", "per-row ns",
+              "block ns", "speedup");
+  {
+    const GlmObjective objective(
+        LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), false);
+    const Dataset kddb = GenerateSynthetic(KddbSpec());
+    // A model like a trained one: small weights, so most rows sit
+    // inside the hinge and take an axpy.
+    auto model = [&](const Dataset& data) {
+      DenseVector w(data.num_features());
+      for (size_t i = 0; i < w.dim(); ++i) {
+        w[i] = rng.NextDouble(-0.01, 0.01);
+      }
+      return w;
+    };
+    auto record = [&](const char* kind, const Dataset& data, size_t k,
+                      size_t rows, size_t batch_size, size_t draws,
+                      const PairedNs& t, bool bit_equal) {
+      const double speedup = t.ref / t.fn;
+      std::printf("%-6s %-8s %5zu %6zu %6zu %6zu %12.0f %12.0f %8.2fx\n",
+                  kind, data.name().c_str(), k, rows, batch_size, draws,
+                  t.ref, t.fn, speedup);
+      if (!bit_equal) {
+        std::printf("FAIL drift: block margins on %s (%s, batch %zu) "
+                    "differ from the per-row loop\n",
+                    data.name().c_str(), kind, batch_size);
+        drift_gate_failed = true;
+      }
+      JsonValue e = JsonValue::Object();
+      e.Set("case", JsonValue::Str(kind));
+      e.Set("dataset", JsonValue::Str(data.name()));
+      e.Set("partitions", JsonValue::Number(static_cast<int64_t>(k)));
+      e.Set("rows", JsonValue::Number(static_cast<int64_t>(rows)));
+      e.Set("batch_size",
+            JsonValue::Number(static_cast<int64_t>(batch_size)));
+      e.Set("draws_per_partition",
+            JsonValue::Number(static_cast<int64_t>(draws)));
+      e.Set("per_row_ns_per_pass", JsonValue::Number(t.ref));
+      e.Set("block_ns_per_pass", JsonValue::Number(t.fn));
+      e.Set("speedup_vs_per_row", JsonValue::Number(speedup));
+      e.Set("bit_equal", JsonValue::Bool(bit_equal));
+      margin_runs.Append(e);
+      return speedup;
+    };
+
+    for (const Dataset* dataset : {&kdd12, &wx}) {
+      const Dataset& data = *dataset;
+      const DenseVector w = model(data);
+      double per_row_loss = 0.0;
+      double block_loss = 0.0;
+      const PairedNs t = PairedMinNs(
+          [&] { per_row_loss = PerRowMeanLoss(data.rows(), hinge, w); },
+          [&] { block_loss = MeanLoss(data.rows(), hinge, w); },
+          margin_reps);
+      record("eval", data, 1, data.size(), data.size(), 1, t,
+             per_row_loss == block_loss);
+    }
+
+    for (const BatchShape& shape : kBatchShapes) {
+      const Dataset& data = std::strcmp(shape.dataset, "kdd12") == 0 ? kdd12
+                            : std::strcmp(shape.dataset, "kddb") == 0
+                                ? kddb
+                                : wx;
+      const std::vector<CsrBlock> parts =
+          PartitionCsr(data, shape.partitions);
+      // Enough draws that a pass reads about 16,000 rows.
+      const size_t draws = std::max<size_t>(
+          1, 16000 / (shape.partitions * shape.batch_size));
+      Rng batch_rng(11);
+      std::vector<std::vector<size_t>> batches;  // partition-major
+      for (const CsrBlock& part : parts) {
+        for (size_t d = 0; d < draws; ++d) {
+          batches.push_back(
+              SampleBatch(part.rows(), shape.batch_size, &batch_rng));
+        }
+      }
+      const DenseVector w = model(data);
+      DenseVector per_row_grad(w.dim());
+      DenseVector block_grad(w.dim());
+      auto per_row_pass = [&] {
+        for (size_t b = 0; b < batches.size(); ++b) {
+          PerRowBatchGradient(parts[b / draws], batches[b], hinge, w,
+                              &per_row_grad);
+        }
+      };
+      auto block_pass = [&] {
+        for (size_t b = 0; b < batches.size(); ++b) {
+          objective.BatchGradient(parts[b / draws], batches[b], w,
+                                  &block_grad);
+        }
+      };
+      const PairedNs t =
+          PairedMinNs(per_row_pass, block_pass, margin_reps);
+
+      // Drift: one pass of each from zero, and every tier's margins.
+      per_row_grad.SetZero();
+      block_grad.SetZero();
+      per_row_pass();
+      block_pass();
+      bool bit_equal = true;
+      for (size_t i = 0; i < w.dim(); ++i) {
+        if (per_row_grad[i] != block_grad[i]) bit_equal = false;
+      }
+      for (simd::SimdLevel level : levels) {
+        const simd::KernelDispatch& k = simd::KernelsFor(level);
+        for (size_t b = 0; b < batches.size(); ++b) {
+          const CsrBlock& part = parts[b / draws];
+          const std::vector<size_t>& batch = batches[b];
+          std::vector<double> margins(batch.size());
+          k.row_margins(w.data(), part.spans(), batch.data(), batch.size(),
+                        0, batch.size(), margins.data());
+          for (size_t j = 0; j < batch.size(); ++j) {
+            const size_t r = batch[j];
+            if (margins[j] != k.sparse_dot_f64(w.data(),
+                                                part.row_indices(r),
+                                                part.row_values(r),
+                                                part.row_nnz(r))) {
+              bit_equal = false;
+            }
+          }
+        }
+      }
+      const double speedup =
+          record("batch", data, shape.partitions, parts[0].rows(),
+                 shape.batch_size, draws, t, bit_equal);
+      if (&shape == &kBatchShapes[0]) margins_speedup_gated = speedup;
+    }
+  }
+  const double margins_floor = min_speedup < kDefaultMinSpeedup
+                                   ? std::min(kRowMarginsFloor, min_speedup)
+                                   : kRowMarginsFloor;
+  if (margins_speedup_gated < margins_floor) {
+    std::printf("FAIL perf: block-margin batch gradients (%s, batch %zu) "
+                "are %.2fx the per-row loop (< floor %.2fx)\n",
+                kBatchShapes[0].dataset, kBatchShapes[0].batch_size,
+                margins_speedup_gated, margins_floor);
+    perf_gate_failed = true;
   }
 
   // ---- Mini-batch sampling -------------------------------------------
@@ -687,6 +902,10 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   doc.Set("sample_floor_gate", JsonValue::Number(sample_floor));
   doc.Set("sample_speedup_gated", JsonValue::Number(sample_speedup_gated));
   doc.Set("sample_batch", sample_runs);
+  doc.Set("row_margins_floor_gate", JsonValue::Number(margins_floor));
+  doc.Set("row_margins_speedup_gated",
+          JsonValue::Number(margins_speedup_gated));
+  doc.Set("row_margins", margin_runs);
   bench::WriteBenchJson(out_name, doc);
 
   if (perf_gate_failed || drift_gate_failed || eval_gate_failed) {

@@ -1,6 +1,7 @@
 #ifndef MLLIBSTAR_CORE_CSR_BLOCK_H_
 #define MLLIBSTAR_CORE_CSR_BLOCK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,6 +60,13 @@ struct CsrBlock {
     return value_free ? ones.data() : values.data() + offsets[i];
   }
 
+  /// The arrays as the block kernel (simd row_margins) reads them.
+  simd::RowSpans spans() const {
+    return {offsets.data(), indices.data(),
+            value_free ? nullptr : values.data(), ones.data(),
+            labels.data()};
+  }
+
   /// Reserves room for `rows` more rows holding `nnz` more nonzeros,
   /// so appending them never reallocates (a `values` array, if one is
   /// needed, is sized from `indices`' capacity).
@@ -94,6 +102,45 @@ struct CsrBlock {
   /// Row `i` as a DataPoint (a copy).
   DataPoint PointAt(size_t i) const;
 };
+
+/// Margins one ForEachMargin chunk holds on the stack (256 bytes).
+inline constexpr size_t kMarginChunk = 32;
+
+/// Calls visit(r, w · row r) for the `count` rows r = list[j] of
+/// `block` (a sampled or shuffled row list), or r = j when `list` is
+/// null, in that order. The margins come from the block kernel
+/// (simd row_margins) a chunk at a time, each bit-equal to
+/// w.Dot(row r's spans); a listed walk prefetches its rows ahead of
+/// their dots. A chunk's margins are all taken before the first visit,
+/// so `visit` must not write `w`.
+template <typename Visit>
+void ForEachMargin(const CsrBlock& block, const size_t* list, size_t count,
+                   const DenseVector& w, Visit&& visit) {
+  const simd::KernelDispatch& kernels = simd::Kernels();
+  const simd::RowSpans spans = block.spans();
+  double margins[kMarginChunk] = {};
+  for (size_t begin = 0; begin < count; begin += kMarginChunk) {
+    const size_t n = std::min(kMarginChunk, count - begin);
+    kernels.row_margins(w.data(), spans, list, count, begin, n, margins);
+    for (size_t j = 0; j < n; ++j) {
+      visit(list == nullptr ? begin + j : list[begin + j], margins[j]);
+    }
+  }
+}
+
+/// Every row of `block`, in row order.
+template <typename Visit>
+void ForEachMargin(const CsrBlock& block, const DenseVector& w,
+                   Visit&& visit) {
+  ForEachMargin(block, nullptr, block.rows(), w, visit);
+}
+
+/// The listed rows `rows`, in list order.
+template <typename Visit>
+void ForEachMargin(const CsrBlock& block, const std::vector<size_t>& rows,
+                   const DenseVector& w, Visit&& visit) {
+  ForEachMargin(block, rows.data(), rows.size(), w, visit);
+}
 
 }  // namespace mllibstar
 

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "common/logging.h"
 
 namespace mllibstar {
 namespace {
@@ -42,18 +41,6 @@ std::vector<size_t> SampleBatch(size_t n, size_t batch_size, Rng* rng) {
     }
   }
   return batch;
-}
-
-void ScaledVector::Shrink(double factor) {
-  MLLIBSTAR_CHECK_GT(factor, 0.0);
-  scale_ *= factor;
-  if (scale_ < 1e-9) Materialize();
-}
-
-void ScaledVector::AddScaled(const FeatureIndex* indices,
-                             const double* values, size_t nnz,
-                             double alpha) {
-  v_.AddScaled(indices, values, nnz, alpha / scale_);
 }
 
 DenseVector ScaledVector::ToDense() const {

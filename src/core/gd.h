@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "core/vector.h"
 
@@ -52,11 +53,17 @@ class ScaledVector {
   }
 
   /// w ← factor · w in O(1).
-  void Shrink(double factor);
+  void Shrink(double factor) {
+    MLLIBSTAR_CHECK_GT(factor, 0.0);
+    scale_ *= factor;
+    if (scale_ < 1e-9) Materialize();
+  }
 
   /// w ← w + alpha · x (sparse, O(nnz(x))).
   void AddScaled(const FeatureIndex* indices, const double* values,
-                 size_t nnz, double alpha);
+                 size_t nnz, double alpha) {
+    v_.AddScaled(indices, values, nnz, alpha / scale_);
+  }
 
   /// Materializes the plain dense weights (O(d)).
   DenseVector ToDense() const;

@@ -6,20 +6,11 @@
 
 namespace mllibstar {
 
-namespace {
-
-// The margin w·x of row i.
-double Margin(const CsrBlock& rows, const DenseVector& w, size_t i) {
-  return w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
-}
-
-}  // namespace
-
 ConfusionMatrix ComputeConfusion(const CsrBlock& rows, const DenseVector& w,
                                  double threshold) {
   ConfusionMatrix cm;
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const bool predicted_positive = Margin(rows, w, i) >= threshold;
+  ForEachMargin(rows, w, [&](size_t i, double margin) {
+    const bool predicted_positive = margin >= threshold;
     const bool actually_positive = rows.label(i) > 0;
     if (predicted_positive && actually_positive) {
       ++cm.true_positives;
@@ -30,7 +21,7 @@ ConfusionMatrix ComputeConfusion(const CsrBlock& rows, const DenseVector& w,
     } else {
       ++cm.true_negatives;
     }
-  }
+  });
   return cm;
 }
 
@@ -94,7 +85,7 @@ ClassificationMetrics EvaluateClassifier(const CsrBlock& rows,
   }
 
   std::vector<double> scores(rows.rows());
-  for (size_t i = 0; i < rows.rows(); ++i) scores[i] = Margin(rows, w, i);
+  ForEachMargin(rows, w, [&](size_t i, double margin) { scores[i] = margin; });
   metrics.auc = RocAuc(
       scores, std::vector<double>(rows.labels.begin(), rows.labels.end()));
   return metrics;
@@ -103,10 +94,10 @@ ClassificationMetrics EvaluateClassifier(const CsrBlock& rows,
 double MeanSquaredError(const CsrBlock& rows, const DenseVector& w) {
   if (rows.rows() == 0) return 0.0;
   double sum = 0.0;
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const double d = Margin(rows, w, i) - rows.label(i);
+  ForEachMargin(rows, w, [&](size_t i, double margin) {
+    const double d = margin - rows.label(i);
     sum += d * d;
-  }
+  });
   return sum / static_cast<double>(rows.rows());
 }
 

@@ -6,11 +6,9 @@ double MeanLoss(const CsrBlock& rows, const Loss& loss, const DenseVector& w) {
   const size_t n = rows.rows();
   if (n == 0) return 0.0;
   double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double margin =
-        w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+  ForEachMargin(rows, w, [&](size_t i, double margin) {
     sum += loss.Value(margin, rows.label(i));
-  }
+  });
   return sum / static_cast<double>(n);
 }
 
@@ -23,11 +21,9 @@ double Accuracy(const CsrBlock& rows, const DenseVector& w) {
   const size_t n = rows.rows();
   if (n == 0) return 0.0;
   size_t correct = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double margin =
-        w.Dot(rows.row_indices(i), rows.row_values(i), rows.row_nnz(i));
+  ForEachMargin(rows, w, [&](size_t i, double margin) {
     if ((margin >= 0.0 ? 1.0 : -1.0) == rows.label(i)) ++correct;
-  }
+  });
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 

@@ -26,8 +26,9 @@ class GlmModel {
 };
 
 /// Mean point loss (1/n) Σ l(w·xᵢ, yᵢ) over the rows of `rows`, summed
-/// in row order. Returns 0 for no rows. Every evaluated objective in the
-/// library is this walk (DESIGN §17).
+/// in row order, with the margins taken a chunk at a time by the block
+/// kernel (ForEachMargin). Returns 0 for no rows. Every evaluated
+/// objective in the library is this walk (DESIGN §17).
 double MeanLoss(const CsrBlock& rows, const Loss& loss, const DenseVector& w);
 
 /// Full objective f(w, X) = mean loss + Ω(w) (paper Equation 1).

@@ -12,18 +12,18 @@ namespace {
 
 constexpr KernelDispatch kScalarTable = {
     SimdLevel::kScalar, &SparseDotF64Scalar, &SparseAxpyF64Scalar,
-    &DenseDotScalar, &DenseAxpyScalar,
+    &DenseDotScalar,    &DenseAxpyScalar,    &RowMarginsF64Scalar,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelDispatch kSse2Table = {
     SimdLevel::kSse2, &SparseDotF64Sse2, &SparseAxpyF64Sse2,
-    &DenseDotSse2, &DenseAxpySse2,
+    &DenseDotSse2,    &DenseAxpySse2,    &RowMarginsF64Sse2,
 };
 
 constexpr KernelDispatch kAvx2Table = {
     SimdLevel::kAvx2, &SparseDotF64Avx2, &SparseAxpyF64Avx2,
-    &DenseDotAvx2, &DenseAxpyAvx2,
+    &DenseDotAvx2,    &DenseAxpyAvx2,    &RowMarginsF64Avx2,
 };
 #endif
 
@@ -71,13 +71,22 @@ SimdLevel InitialLevel(SimdLevel detected) {
   return detected;
 }
 
-std::atomic<const KernelDispatch*>& ActiveTable() {
-  static std::atomic<const KernelDispatch*> active(
-      &TableFor(InitialLevel(ProbeCpu())));
-  return active;
+}  // namespace
+
+namespace internal {
+
+constinit std::atomic<const KernelDispatch*> active_table{nullptr};
+
+const KernelDispatch& InitActiveTable() {
+  const KernelDispatch* expected = nullptr;
+  // A SetSimdLevel that got here first keeps its table.
+  active_table.compare_exchange_strong(
+      expected, &TableFor(InitialLevel(DetectedSimdLevel())),
+      std::memory_order_acq_rel);
+  return *active_table.load(std::memory_order_acquire);
 }
 
-}  // namespace
+}  // namespace internal
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
@@ -107,12 +116,9 @@ SimdLevel ActiveSimdLevel() { return Kernels().level; }
 
 SimdLevel SetSimdLevel(SimdLevel level) {
   const SimdLevel applied = Clamp(level, DetectedSimdLevel());
-  ActiveTable().store(&TableFor(applied), std::memory_order_release);
+  internal::active_table.store(&TableFor(applied),
+                               std::memory_order_release);
   return applied;
-}
-
-const KernelDispatch& Kernels() {
-  return *ActiveTable().load(std::memory_order_acquire);
 }
 
 const KernelDispatch& KernelsFor(SimdLevel level) {

@@ -66,5 +66,12 @@ void DenseAxpyScalar(double* __restrict w, const double* __restrict x,
   for (size_t i = 0; i < n; ++i) w[i] += alpha * x[i];
 }
 
+void RowMarginsF64Scalar(const double* w, const RowSpans& rows,
+                         const size_t* list, size_t list_size, size_t begin,
+                         size_t count, double* out) {
+  RowMarginsLoop<&SparseDotF64Scalar>(w, rows, list, list_size, begin, count,
+                                      out);
+}
+
 }  // namespace simd
 }  // namespace mllibstar

@@ -95,6 +95,13 @@ void DenseAxpySse2(double* __restrict w, const double* __restrict x,
   for (; i < n; ++i) w[i] += alpha * x[i];
 }
 
+void RowMarginsF64Sse2(const double* w, const RowSpans& rows,
+                       const size_t* list, size_t list_size, size_t begin,
+                       size_t count, double* out) {
+  RowMarginsLoop<&SparseDotF64Sse2>(w, rows, list, list_size, begin, count,
+                                    out);
+}
+
 }  // namespace simd
 }  // namespace mllibstar
 

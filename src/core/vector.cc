@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "core/csr_block.h"
-#include "core/simd/dispatch.h"
 
 namespace mllibstar {
 
@@ -35,12 +34,6 @@ void DenseVector::AddScaled(const SparseVector& x, double alpha) {
   AddScaled(x.indices.data(), x.values.data(), x.nnz(), alpha);
 }
 
-void DenseVector::AddScaled(const FeatureIndex* indices,
-                            const double* values, size_t nnz, double alpha) {
-  simd::Kernels().sparse_axpy_f64(values_.data(), indices, values, nnz,
-                                  alpha);
-}
-
 void DenseVector::AddScaled(const DenseVector& x, double alpha) {
   MLLIBSTAR_CHECK_EQ(dim(), x.dim());
   simd::Kernels().dense_axpy(values_.data(), x.data(), values_.size(),
@@ -53,12 +46,6 @@ void DenseVector::Scale(double alpha) {
 
 double DenseVector::Dot(const SparseVector& x) const {
   return Dot(x.indices.data(), x.values.data(), x.nnz());
-}
-
-double DenseVector::Dot(const FeatureIndex* indices, const double* values,
-                        size_t nnz) const {
-  return simd::Kernels().sparse_dot_f64(values_.data(), indices, values,
-                                        nnz);
 }
 
 double DenseVector::Dot(const DenseVector& x) const {

@@ -5,13 +5,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/simd/dispatch.h"
+
 namespace mllibstar {
 
 struct CsrBlock;
-
-/// Index type for feature dimensions. 32 bits covers the paper's
-/// largest model (54.7M features) with room to spare.
-using FeatureIndex = uint32_t;
 
 /// A sparse vector in coordinate format with strictly increasing
 /// indices. Used for data points and sparse gradients.
@@ -68,7 +66,10 @@ class DenseVector {
   /// identical arithmetic. Routed through the runtime-dispatched SIMD
   /// kernel table (core/simd) — every dispatch level is bit-identical.
   void AddScaled(const FeatureIndex* indices, const double* values,
-                 size_t nnz, double alpha);
+                 size_t nnz, double alpha) {
+    simd::Kernels().sparse_axpy_f64(values_.data(), indices, values, nnz,
+                                    alpha);
+  }
 
   /// this += alpha * x. Dimensions must match.
   void AddScaled(const DenseVector& x, double alpha);
@@ -83,7 +84,10 @@ class DenseVector {
   /// SparseVector overload delegates here, so both layouts produce
   /// bit-identical sums. Routed through the SIMD kernel table.
   double Dot(const FeatureIndex* indices, const double* values,
-             size_t nnz) const;
+             size_t nnz) const {
+    return simd::Kernels().sparse_dot_f64(values_.data(), indices, values,
+                                          nnz);
+  }
 
   /// Dot product with a dense vector of the same dimension.
   double Dot(const DenseVector& x) const;

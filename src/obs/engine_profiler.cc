@@ -33,6 +33,8 @@ const char* SubsystemName(Subsystem s) {
       return "codec";
     case Subsystem::kCheckpoint:
       return "checkpoint";
+    case Subsystem::kEval:
+      return "eval";
     case Subsystem::kCount:
       break;
   }

@@ -20,7 +20,8 @@ enum class Subsystem : int {
   /// benchmark change drops both, and then this value.
   kCodec = 3,
   kCheckpoint = 4,  ///< checkpoint serialize/write + read/restore
-  kCount = 5,
+  kEval = 5,        ///< objective evaluation (Trainer::Eval)
+  kCount = 6,
 };
 
 const char* SubsystemName(Subsystem s);

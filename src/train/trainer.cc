@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "obs/engine_profiler.h"
 #include "train/lbfgs_trainer.h"
 #include "train/mllib_trainer.h"
 #include "train/ps_trainer.h"
@@ -91,6 +92,8 @@ Trainer::Trainer(TrainerConfig config)
 }
 
 double Trainer::Eval(const Dataset& data, const DenseVector& w) const {
+  EngineProfiler::Scope eval_prof(Subsystem::kEval);
+  EngineProfiler::Get().AddEvents(Subsystem::kEval, 1);
   return Objective(data.rows(), objective_.loss(), objective_.regularizer(),
                    w);
 }

@@ -153,7 +153,8 @@ class Trainer {
 
   /// Full objective f(w, X): MeanLoss over the dataset's rows, in
   /// dataset order, plus Ω(w) (host-side; costs no sim time — the paper
-  /// also measures the objective out-of-band).
+  /// also measures the objective out-of-band). Its host time is charged
+  /// to the profiler's `eval` subsystem, one event per evaluation.
   double Eval(const Dataset& data, const DenseVector& w) const;
 
   /// True when the run should stop after observing `objective` having

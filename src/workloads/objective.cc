@@ -17,33 +17,34 @@ std::vector<size_t> Iota(size_t n) {
 
 GlmObjective::GlmObjective(LossKind loss, Regularizer regularizer,
                            bool lazy_regularization)
-    : loss_(MakeLoss(loss)),
+    : loss_(loss),
       reg_(regularizer),
       lazy_(lazy_regularization) {}
 
 // ---- GD kernels --------------------------------------------------------
 // Every worker task the seven trainers run is one of the methods below.
-// Each walks a CsrBlock through its row accessors. This file is built
-// with -ffp-contract=off, so no compiler fuses a multiply-add in these
-// loops.
+// Each walks a CsrBlock through its row accessors. The two that only
+// read w take their margins from the block kernel (ForEachMargin) and
+// then apply the loss and the axpy row by row, in the order a per-row
+// loop would; the SGD pass, whose every row sees the previous row's
+// update, keeps its per-row dot.
 
 ComputeStats GlmObjective::BatchGradient(const CsrBlock& block,
                                          const std::vector<size_t>& batch,
                                          const DenseVector& w,
                                          DenseVector* gradient) const {
+  MLLIBSTAR_CHECK(gradient != &w) << "BatchGradient: gradient aliases w";
   ComputeStats stats;
-  for (size_t idx : batch) {
+  ForEachMargin(block, batch, w, [&](size_t idx, double margin) {
     const size_t n = block.row_nnz(idx);
-    const double margin =
-        w.Dot(block.row_indices(idx), block.row_values(idx), n);
-    const double d = loss_->Derivative(margin, block.label(idx));
+    const double d = loss_.Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     if (d != 0.0) {
       gradient->AddScaled(block.row_indices(idx), block.row_values(idx), n,
                           d);
       stats.nnz_processed += n;
     }
-  }
+  });
   return stats;
 }
 
@@ -51,21 +52,19 @@ ComputeStats GlmObjective::LossGradient(const CsrBlock& block,
                                         const DenseVector& w,
                                         DenseVector* gradient,
                                         double* loss_sum) const {
+  MLLIBSTAR_CHECK(gradient != &w) << "LossGradient: gradient aliases w";
   ComputeStats stats;
-  const size_t rows = block.rows();
-  for (size_t i = 0; i < rows; ++i) {
+  ForEachMargin(block, w, [&](size_t i, double margin) {
     const size_t n = block.row_nnz(i);
-    const double margin =
-        w.Dot(block.row_indices(i), block.row_values(i), n);
     const double y = block.label(i);
-    const double d = loss_->Derivative(margin, y);
-    *loss_sum += loss_->Value(margin, y);
+    const double d = loss_.Derivative(margin, y);
+    *loss_sum += loss_.Value(margin, y);
     stats.nnz_processed += n;
     if (d != 0.0) {
       gradient->AddScaled(block.row_indices(i), block.row_values(i), n, d);
       stats.nnz_processed += n;
     }
-  }
+  });
   return stats;
 }
 
@@ -98,7 +97,7 @@ ComputeStats GlmObjective::ShuffledSgd(const CsrBlock& block,
       const size_t n = block.row_nnz(idx);
       const double margin =
           scaled.Dot(block.row_indices(idx), block.row_values(idx), n);
-      const double d = loss_->Derivative(margin, block.label(idx));
+      const double d = loss_.Derivative(margin, block.label(idx));
       stats.nnz_processed += n;
       scaled.Shrink(shrink);
       if (d != 0.0) {
@@ -116,7 +115,7 @@ ComputeStats GlmObjective::ShuffledSgd(const CsrBlock& block,
     const size_t n = block.row_nnz(idx);
     const double margin =
         w->Dot(block.row_indices(idx), block.row_values(idx), n);
-    const double d = loss_->Derivative(margin, block.label(idx));
+    const double d = loss_.Derivative(margin, block.label(idx));
     stats.nnz_processed += n;
     if (reg_.kind() != RegularizerKind::kNone) {
       reg_.ApplyGradientStep(w, lr);

@@ -1,7 +1,6 @@
 #ifndef MLLIBSTAR_WORKLOADS_OBJECTIVE_H_
 #define MLLIBSTAR_WORKLOADS_OBJECTIVE_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -25,18 +24,19 @@ class GlmObjective {
   GlmObjective(LossKind loss, Regularizer regularizer,
                bool lazy_regularization);
 
-  const Loss& loss() const { return *loss_; }
+  const Loss& loss() const { return loss_; }
   const Regularizer& regularizer() const { return reg_; }
 
   /// grad += Σ_{i ∈ batch} ∇l(w, xᵢ, yᵢ) — the SendGradient worker
-  /// task (Algorithm 2).
+  /// task (Algorithm 2). `gradient` must not be `w` (CHECKed): the
+  /// margins of a chunk of rows are taken before its axpys.
   ComputeStats BatchGradient(const CsrBlock& block,
                              const std::vector<size_t>& batch,
                              const DenseVector& w,
                              DenseVector* gradient) const;
 
   /// Fused full-partition loss + gradient — the L-BFGS oracle's
-  /// worker task.
+  /// worker task. `gradient` must not be `w` (CHECKed).
   ComputeStats LossGradient(const CsrBlock& block, const DenseVector& w,
                             DenseVector* gradient, double* loss_sum) const;
 
@@ -65,7 +65,7 @@ class GlmObjective {
   ComputeStats ShuffledSgd(const CsrBlock& block, std::vector<size_t> rows,
                            double lr, Rng* rng, DenseVector* w) const;
 
-  std::unique_ptr<Loss> loss_;
+  Loss loss_;
   Regularizer reg_;
   bool lazy_;
 };

@@ -463,7 +463,12 @@ TEST(RunReportTest, RoundTripsTrainResult) {
   const JsonValue* profiler = report.Find("profiler");
   ASSERT_NE(profiler, nullptr);
   EXPECT_GT(profiler->Find("total_events")->number_value(), 0.0);
-  EXPECT_EQ(profiler->Find("subsystems")->size(), 5u);
+  const JsonValue* subsystems = profiler->Find("subsystems");
+  ASSERT_EQ(subsystems->size(), 6u);
+  // Every objective evaluation of the run is one `eval` event.
+  const JsonValue& eval = subsystems->at(5);
+  EXPECT_EQ(eval.Find("name")->string_value(), "eval");
+  EXPECT_GT(eval.Find("events")->number_value(), 0.0);
   EXPECT_GT(profiler->Find("host_us_per_sim_sec")->number_value(), 0.0);
 
   const JsonValue* buffers = report.Find("telemetry");

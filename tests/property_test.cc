@@ -69,7 +69,7 @@ TEST(PropertyTest, ObjectiveIsConvexAlongRandomSegments) {
   const Regularizer reg(RegularizerKind::kL2, 0.05);
   for (LossKind kind :
        {LossKind::kLogistic, LossKind::kHinge, LossKind::kSquared}) {
-    auto loss = MakeLoss(kind);
+    const Loss loss(kind);
     for (int trial = 0; trial < 20; ++trial) {
       const size_t dim = 10 + rng.NextUint64(20);
       const CsrBlock rows = CsrBlock::FromPoints(RandomPoints(40, dim, &rng));
@@ -78,11 +78,11 @@ TEST(PropertyTest, ObjectiveIsConvexAlongRandomSegments) {
       DenseVector mid = a;
       mid.AddScaled(b, 1.0);
       mid.Scale(0.5);
-      const double fa = Objective(rows, *loss, reg, a);
-      const double fb = Objective(rows, *loss, reg, b);
-      const double fm = Objective(rows, *loss, reg, mid);
+      const double fa = Objective(rows, loss, reg, a);
+      const double fb = Objective(rows, loss, reg, b);
+      const double fm = Objective(rows, loss, reg, mid);
       EXPECT_LE(fm, 0.5 * (fa + fb) + 1e-9)
-          << loss->name() << " trial " << trial;
+          << loss.name() << " trial " << trial;
     }
   }
 }

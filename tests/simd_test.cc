@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -245,6 +246,206 @@ TEST(FusedKernelTest, F64FusedPassBitExactAcrossTiers) {
           << simd::SimdLevelName(level) << " i=" << i;
     }
   }
+}
+
+// ---- Block margins ---------------------------------------------------
+
+// `rows` rows holding 0-9 nonzeros in turn (empty rows and every tail
+// length of the 4-lane loops), valued or, with every value 1.0,
+// value-free.
+CsrBlock TailBlock(size_t rows, size_t dim, bool valued, Rng* rng) {
+  CsrBlock block;
+  for (size_t i = 0; i < rows; ++i) {
+    TestRow row = MakeSortedRow(dim, i % 10, rng);
+    if (!valued) std::fill(row.values.begin(), row.values.end(), 1.0);
+    block.AppendRow(row.indices.data(), row.values.data(),
+                    row.indices.size(), i % 3 == 0 ? 1.0 : -1.0);
+  }
+  return block;
+}
+
+// Every row in descending order, then repeats, then draws with
+// replacement: longer than two chunks and the prefetch distance.
+std::vector<size_t> TailList(size_t rows, Rng* rng) {
+  std::vector<size_t> list;
+  for (size_t r = rows; r-- > 0;) list.push_back(r);
+  for (size_t r : {5, 5, 5, 17, 3, 17, 0, 0}) list.push_back(r % rows);
+  for (size_t i = 0; i < rows; ++i) list.push_back(rng->NextUint64(rows));
+  return list;
+}
+
+DenseVector RandomModel(size_t dim, Rng* rng) {
+  DenseVector w(dim);
+  for (size_t i = 0; i < dim; ++i) w[i] = rng->NextDouble(-2.0, 2.0);
+  return w;
+}
+
+TEST(RowMarginsTest, MatchPerRowDotsOnEveryTier) {
+  Rng rng(104);
+  const size_t rows = 3 * kMarginChunk + 5;
+  const simd::KernelDispatch& scalar =
+      simd::KernelsFor(simd::SimdLevel::kScalar);
+  for (const bool valued : {false, true}) {
+    const CsrBlock block = TailBlock(rows, 64, valued, &rng);
+    ASSERT_EQ(block.value_free, !valued);
+    const DenseVector w = RandomModel(64, &rng);
+    const std::vector<size_t> list = TailList(rows, &rng);
+    // The per-row dot of row r on `k`, checked against the scalar one.
+    auto per_row = [&](const simd::KernelDispatch& k, size_t r) {
+      const double dot =
+          k.sparse_dot_f64(w.data(), block.row_indices(r),
+                           block.row_values(r), block.row_nnz(r));
+      EXPECT_EQ(dot, scalar.sparse_dot_f64(w.data(), block.row_indices(r),
+                                           block.row_values(r),
+                                           block.row_nnz(r)));
+      return dot;
+    };
+    // Whole walks, slices across the first chunk edge, the last row
+    // alone and an empty slice.
+    const struct {
+      size_t begin;
+      size_t count;
+    } kRanges[] = {{0, rows}, {kMarginChunk - 3, 7}, {rows - 1, 1}, {5, 0}};
+    for (simd::SimdLevel level : AvailableLevels()) {
+      SCOPED_TRACE(std::string(simd::SimdLevelName(level)) +
+                   (valued ? " valued" : " value-free"));
+      const simd::KernelDispatch& k = simd::KernelsFor(level);
+      for (const auto& range : kRanges) {
+        std::vector<double> out(range.count + 1, -1.0);
+        k.row_margins(w.data(), block.spans(), nullptr, 0, range.begin,
+                      range.count, out.data());
+        for (size_t j = 0; j < range.count; ++j) {
+          EXPECT_EQ(out[j], per_row(k, range.begin + j))
+              << "row " << range.begin + j;
+        }
+        EXPECT_EQ(out[range.count], -1.0) << "wrote past count";
+      }
+      const struct {
+        size_t begin;
+        size_t count;
+      } kSlices[] = {{0, list.size()}, {kMarginChunk - 3, 7}, {rows, 40}};
+      for (const auto& slice : kSlices) {
+        std::vector<double> out(slice.count + 1, -1.0);
+        k.row_margins(w.data(), block.spans(), list.data(), list.size(),
+                      slice.begin, slice.count, out.data());
+        for (size_t j = 0; j < slice.count; ++j) {
+          EXPECT_EQ(out[j], per_row(k, list[slice.begin + j]))
+              << "list entry " << slice.begin + j;
+        }
+        EXPECT_EQ(out[slice.count], -1.0) << "wrote past count";
+      }
+    }
+  }
+}
+
+TEST(RowMarginsTest, ForEachMarginVisitsRowsInOrder) {
+  Rng rng(105);
+  const size_t rows = 2 * kMarginChunk + 9;
+  const CsrBlock block = TailBlock(rows, 48, true, &rng);
+  const DenseVector w = RandomModel(48, &rng);
+  const std::vector<size_t> list = TailList(rows, &rng);
+  auto dot = [&](size_t r) {
+    return w.Dot(block.row_indices(r), block.row_values(r),
+                 block.row_nnz(r));
+  };
+
+  std::vector<size_t> visited;
+  ForEachMargin(block, w, [&](size_t r, double margin) {
+    visited.push_back(r);
+    EXPECT_EQ(margin, dot(r)) << "row " << r;
+  });
+  ASSERT_EQ(visited.size(), rows);
+  for (size_t r = 0; r < rows; ++r) EXPECT_EQ(visited[r], r);
+
+  visited.clear();
+  ForEachMargin(block, list, w, [&](size_t r, double margin) {
+    visited.push_back(r);
+    EXPECT_EQ(margin, dot(r)) << "row " << r;
+  });
+  EXPECT_EQ(visited, list);
+
+  size_t calls = 0;
+  ForEachMargin(CsrBlock(), w, [&](size_t, double) { ++calls; });
+  ForEachMargin(block, std::vector<size_t>(), w,
+                [&](size_t, double) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(RowMarginsTest, GradientsMatchThePerRowLoopOnEveryTier) {
+  // BatchGradient and LossGradient take their margins from the block
+  // kernel; a per-row loop (dot, derivative, axpy, row by row) must
+  // give the same gradient, loss sum and work count, bit for bit.
+  SimdLevelGuard guard;
+  Rng rng(106);
+  const size_t rows = 3 * kMarginChunk + 5;
+  for (const bool valued : {false, true}) {
+    const CsrBlock block = TailBlock(rows, 64, valued, &rng);
+    DenseVector w(64);
+    for (size_t i = 0; i < w.dim(); ++i) w[i] = rng.NextDouble(-0.3, 0.3);
+    const std::vector<size_t> list = TailList(rows, &rng);
+    for (LossKind kind : {LossKind::kHinge, LossKind::kLogistic}) {
+      const GlmObjective objective(
+          kind, Regularizer(RegularizerKind::kNone, 0.0), false);
+      const Loss& loss = objective.loss();
+      for (simd::SimdLevel level : AvailableLevels()) {
+        SCOPED_TRACE(std::string(simd::SimdLevelName(level)) + " " +
+                     loss.name() + (valued ? " valued" : " value-free"));
+        simd::SetSimdLevel(level);
+        DenseVector ref(w.dim());
+        double ref_loss = 0.0;
+        uint64_t ref_work = 0;
+        auto per_row = [&](size_t r, bool sum_loss) {
+          const size_t n = block.row_nnz(r);
+          const double margin =
+              w.Dot(block.row_indices(r), block.row_values(r), n);
+          const double d = loss.Derivative(margin, block.label(r));
+          if (sum_loss) ref_loss += loss.Value(margin, block.label(r));
+          ref_work += n;
+          if (d != 0.0) {
+            ref.AddScaled(block.row_indices(r), block.row_values(r), n, d);
+            ref_work += n;
+          }
+        };
+        for (size_t r : list) per_row(r, false);
+        DenseVector grad(w.dim());
+        const ComputeStats batch =
+            objective.BatchGradient(block, list, w, &grad);
+        EXPECT_EQ(batch.nnz_processed, ref_work);
+        for (size_t i = 0; i < w.dim(); ++i) {
+          ASSERT_EQ(grad[i], ref[i]) << "batch coordinate " << i;
+        }
+
+        ref.SetZero();
+        ref_work = 0;
+        for (size_t r = 0; r < rows; ++r) per_row(r, true);
+        grad.SetZero();
+        double loss_sum = 0.0;
+        const ComputeStats full =
+            objective.LossGradient(block, w, &grad, &loss_sum);
+        EXPECT_EQ(full.nnz_processed, ref_work);
+        EXPECT_EQ(loss_sum, ref_loss);
+        for (size_t i = 0; i < w.dim(); ++i) {
+          ASSERT_EQ(grad[i], ref[i]) << "full-pass coordinate " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(RowMarginsDeathTest, GradientThatAliasesTheModelIsRejected) {
+  // The margins of a chunk are all taken before its first axpy, which
+  // is the per-row loop's arithmetic only while the gradient is not w.
+  Rng rng(107);
+  const CsrBlock block = TailBlock(20, 16, true, &rng);
+  const GlmObjective objective(
+      LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), false);
+  DenseVector w(16);
+  const std::vector<size_t> batch = {0, 3, 7};
+  EXPECT_DEATH(objective.BatchGradient(block, batch, w, &w),
+               "gradient aliases w");
+  double loss_sum = 0.0;
+  EXPECT_DEATH(objective.LossGradient(block, w, &w, &loss_sum),
+               "gradient aliases w");
 }
 
 }  // namespace
