@@ -22,7 +22,10 @@
 // loss sum or gradient taken from block margins, is not bit-identical
 // to the per-row loop's, or (h) the block path's batch gradients at
 // the kdd12 shape fail to beat the per-row loop by the row-margins
-// floor. CI runs it as a smoke check so kernel regressions fail the
+// floor. A report-only case (partition_walk) times one worker's walks
+// over its partition block against the same rows listed into the
+// dataset's row store; they must agree bit for bit, with no perf gate.
+// CI runs it as a smoke check so kernel regressions fail the
 // build, and the committed JSON pairs with
 // results/BENCH_kernels_scalar.json (a forced-scalar run) to record
 // the before/after speedup trajectory.
@@ -106,6 +109,21 @@ constexpr BatchShape kBatchShapes[] = {
     {"kdd12", 8, 1870}, {"kdd12", 8, 187}, {"kddb", 8, 120},
     {"kddb", 8, 24},    {"wx", 128, 72},
 };
+
+// The figure workloads' partitions (fig4 kdd12 on 8 workers, fig5 kddb
+// on 8, fig6 WX on 128), the rows a batch draws there and the L2 weight
+// the workload trains with.
+struct WalkShape {
+  const char* dataset;
+  size_t partitions;
+  size_t batch_size;
+  double lambda;
+};
+constexpr WalkShape kWalkShapes[] = {
+    {"kdd12", 8, 1870, 0.1}, {"kddb", 8, 120, 0.1}, {"wx", 128, 72, 0.0}};
+
+// Sampled batches per partition_walk batch pass.
+constexpr size_t kWalkBatches = 30;
 
 struct Regime {
   const char* name;
@@ -252,6 +270,38 @@ void PerRowBatchGradient(const CsrBlock& block,
                           d);
     }
   }
+}
+
+// GlmObjective::LossGradient over the rows `list` names, in list order:
+// the full walk of a partition held as a row list into the dataset's
+// row store, which the partition_walk case times against the walk over
+// the partition's own block. Kept only here.
+ComputeStats ListLossGradient(const CsrBlock& rows,
+                              const std::vector<size_t>& list,
+                              const Loss& loss, const DenseVector& w,
+                              DenseVector* gradient, double* loss_sum) {
+  ComputeStats stats;
+  ForEachMargin(rows, list, w, [&](size_t i, double margin) {
+    const size_t n = rows.row_nnz(i);
+    const double y = rows.label(i);
+    const double d = loss.Derivative(margin, y);
+    *loss_sum += loss.Value(margin, y);
+    stats.nnz_processed += n;
+    if (d != 0.0) {
+      gradient->AddScaled(rows.row_indices(i), rows.row_values(i), n, d);
+      stats.nnz_processed += n;
+    }
+  });
+  return stats;
+}
+
+// Bytes a pass may touch in a block: offsets, indices, labels and, for
+// a valued block, values.
+size_t BlockBytes(const CsrBlock& block) {
+  return block.offsets.size() * sizeof(uint64_t) +
+         block.indices.size() * sizeof(FeatureIndex) +
+         block.labels.size() * sizeof(double) +
+         block.values.size() * sizeof(double);
 }
 
 // SampleBatch as it was before its bitmap, with Floyd's picks in a
@@ -571,7 +621,13 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   // the DataPoint walk.
   const Loss hinge(LossKind::kHinge);
   const Dataset kdd12 = GenerateSynthetic(Kdd12Spec());
+  const Dataset kddb = GenerateSynthetic(KddbSpec());
   const Dataset wx = GenerateSynthetic(WxSpec());
+  auto dataset_named = [&](const char* name) -> const Dataset& {
+    return std::strcmp(name, "kdd12") == 0  ? kdd12
+           : std::strcmp(name, "kddb") == 0 ? kddb
+                                            : wx;
+  };
   bool eval_gate_failed = false;
   JsonValue eval_runs = JsonValue::Array();
   std::printf("\n%-8s %12s %12s %12s %10s\n", "dataset", "points ns",
@@ -658,7 +714,6 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   {
     const GlmObjective objective(
         LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), false);
-    const Dataset kddb = GenerateSynthetic(KddbSpec());
     // A model like a trained one: small weights, so most rows sit
     // inside the hinge and take an axpy.
     auto model = [&](const Dataset& data) {
@@ -712,10 +767,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
     }
 
     for (const BatchShape& shape : kBatchShapes) {
-      const Dataset& data = std::strcmp(shape.dataset, "kdd12") == 0 ? kdd12
-                            : std::strcmp(shape.dataset, "kddb") == 0
-                                ? kddb
-                                : wx;
+      const Dataset& data = dataset_named(shape.dataset);
       const std::vector<CsrBlock> parts =
           PartitionCsr(data, shape.partitions);
       // Enough draws that a pass reads about 16,000 rows.
@@ -790,6 +842,141 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
                 kBatchShapes[0].dataset, kBatchShapes[0].batch_size,
                 margins_speedup_gated, margins_floor);
     perf_gate_failed = true;
+  }
+
+  // ---- Partition walks: block against row list ----------------------
+  // Worker 0's three walks at each figure workload's shape, over its
+  // PartitionCsr block and over the same rows listed into the dataset's
+  // row store (r, r + k, ...): one shuffled SgdEpoch from a fixed model
+  // and Rng (lazy L2 at the workload's weight, and without L2), 30
+  // sampled BatchGradient batches, and one full LossGradient walk. The
+  // listed walk reads the same rows in the same order, so every model,
+  // gradient and loss must be bit-equal (drift gate). Report only: no
+  // perf gate reads these.
+  JsonValue walk_runs = JsonValue::Array();
+  std::printf("\n%-14s %-6s %5s %6s %5s %11s %11s %10s %10s\n", "case",
+              "data", "parts", "rows", "l2", "block KB", "store KB",
+              "block ns", "list/blk");
+  for (const WalkShape& shape : kWalkShapes) {
+    const Dataset& data = dataset_named(shape.dataset);
+    const size_t k = shape.partitions;
+    const CsrBlock block = std::move(PartitionCsr(data, k)[0]);
+    const CsrBlock& store = data.rows();
+    std::vector<size_t> list;
+    for (size_t r = 0; r < store.rows(); r += k) list.push_back(r);
+    DenseVector start(data.num_features());
+    for (size_t i = 0; i < start.dim(); ++i) {
+      start[i] = rng.NextDouble(-0.01, 0.01);
+    }
+    Rng batch_rng(13);
+    std::vector<std::vector<size_t>> batches;  // local rows
+    std::vector<std::vector<size_t>> listed;   // the same rows in the store
+    for (size_t b = 0; b < kWalkBatches; ++b) {
+      batches.push_back(SampleBatch(block.rows(), shape.batch_size,
+                                    &batch_rng));
+      listed.emplace_back();
+      for (size_t idx : batches.back()) listed.back().push_back(list[idx]);
+    }
+
+    auto record = [&](const char* kind, double lambda, const PairedNs& t,
+                      bool bit_equal) {
+      const double ratio = t.fn / t.ref;
+      std::printf("%-14s %-6s %5zu %6zu %5.2f %11.1f %11.1f %10.0f %9.2fx\n",
+                  kind, data.name().c_str(), k, block.rows(), lambda,
+                  BlockBytes(block) / 1024.0, BlockBytes(store) / 1024.0,
+                  t.ref, ratio);
+      if (!bit_equal) {
+        std::printf("FAIL drift: %s over the row list on %s differs from "
+                    "the partition block\n",
+                    kind, data.name().c_str());
+        drift_gate_failed = true;
+      }
+      JsonValue e = JsonValue::Object();
+      e.Set("case", JsonValue::Str(kind));
+      e.Set("dataset", JsonValue::Str(data.name()));
+      e.Set("partitions", JsonValue::Number(static_cast<int64_t>(k)));
+      e.Set("rows", JsonValue::Number(static_cast<int64_t>(block.rows())));
+      e.Set("l2", JsonValue::Number(lambda));
+      e.Set("block_bytes",
+            JsonValue::Number(static_cast<int64_t>(BlockBytes(block))));
+      e.Set("row_store_bytes",
+            JsonValue::Number(static_cast<int64_t>(BlockBytes(store))));
+      e.Set("block_ns_per_pass", JsonValue::Number(t.ref));
+      e.Set("list_ns_per_pass", JsonValue::Number(t.fn));
+      e.Set("list_over_block", JsonValue::Number(ratio));
+      e.Set("bit_equal", JsonValue::Bool(bit_equal));
+      walk_runs.Append(e);
+    };
+
+    // The shuffled epoch, once at the workload's L2 weight (lazy, as the
+    // SendModel trainers run it) and once without L2.
+    std::vector<double> lambdas = {shape.lambda};
+    if (shape.lambda != 0.0) lambdas.push_back(0.0);
+    for (double lambda : lambdas) {
+      const GlmObjective sgd(
+          LossKind::kHinge,
+          Regularizer(lambda == 0.0 ? RegularizerKind::kNone
+                                    : RegularizerKind::kL2,
+                      lambda),
+          true);
+      DenseVector block_w;
+      DenseVector list_w;
+      auto block_pass = [&] {
+        Rng epoch_rng(17);
+        block_w = start;
+        sgd.SgdEpoch(block, 0.05, &epoch_rng, &block_w);
+      };
+      auto list_pass = [&] {
+        Rng epoch_rng(17);
+        list_w = start;
+        sgd.SgdEpoch(store, list, 0.05, &epoch_rng, &list_w);
+      };
+      const PairedNs t = PairedMinNs(block_pass, list_pass, margin_reps);
+      record(lambda == 0.0 ? "sgd_epoch" : "sgd_epoch_l2", lambda, t,
+             block_w.values() == list_w.values());
+    }
+
+    const GlmObjective objective(
+        LossKind::kHinge, Regularizer(RegularizerKind::kNone, 0.0), false);
+    {
+      DenseVector block_grad(start.dim());
+      DenseVector list_grad(start.dim());
+      auto block_pass = [&] {
+        block_grad.SetZero();
+        for (const std::vector<size_t>& batch : batches) {
+          objective.BatchGradient(block, batch, start, &block_grad);
+        }
+      };
+      auto list_pass = [&] {
+        list_grad.SetZero();
+        for (const std::vector<size_t>& batch : listed) {
+          objective.BatchGradient(store, batch, start, &list_grad);
+        }
+      };
+      const PairedNs t = PairedMinNs(block_pass, list_pass, margin_reps);
+      record("batch_gradient", 0.0, t,
+             block_grad.values() == list_grad.values());
+    }
+    {
+      DenseVector block_grad(start.dim());
+      DenseVector list_grad(start.dim());
+      double block_loss = 0.0;
+      double list_loss = 0.0;
+      auto block_pass = [&] {
+        block_grad.SetZero();
+        block_loss = 0.0;
+        objective.LossGradient(block, start, &block_grad, &block_loss);
+      };
+      auto list_pass = [&] {
+        list_grad.SetZero();
+        list_loss = 0.0;
+        ListLossGradient(store, list, hinge, start, &list_grad, &list_loss);
+      };
+      const PairedNs t = PairedMinNs(block_pass, list_pass, margin_reps);
+      record("full_walk", 0.0, t,
+             block_loss == list_loss &&
+                 block_grad.values() == list_grad.values());
+    }
   }
 
   // ---- Mini-batch sampling -------------------------------------------
@@ -906,6 +1093,7 @@ int Run(double min_speedup, int reps, const std::string& out_name) {
   doc.Set("row_margins_speedup_gated",
           JsonValue::Number(margins_speedup_gated));
   doc.Set("row_margins", margin_runs);
+  doc.Set("partition_walk", walk_runs);
   bench::WriteBenchJson(out_name, doc);
 
   if (perf_gate_failed || drift_gate_failed || eval_gate_failed) {

@@ -38,6 +38,11 @@ void Checkpoint::PutVector(const DenseVector& v) {
   PutDoubles(v.values());
 }
 
+void Checkpoint::PutWords(const std::vector<uint64_t>& words) {
+  PutU64(words.size());
+  words_.insert(words_.end(), words.begin(), words.end());
+}
+
 void Checkpoint::PutRngState(
     const std::array<uint64_t, Rng::kStateWords>& state) {
   for (uint64_t w : state) PutU64(w);
@@ -55,15 +60,29 @@ double Checkpoint::TakeDouble() {
   return v;
 }
 
-std::vector<double> Checkpoint::TakeDoubles() {
+size_t Checkpoint::TakeLength() {
   const uint64_t n = TakeU64();
-  MLLIBSTAR_CHECK_LE(cursor_ + n, words_.size());
-  std::vector<double> values(n);
-  for (uint64_t i = 0; i < n; ++i) values[i] = TakeDouble();
+  // A difference, not cursor_ + n <= size: that sum wraps for a length
+  // word near 2^64 and would let it size a vector.
+  MLLIBSTAR_CHECK_LE(n, words_.size() - cursor_)
+      << "a length word runs past the checkpoint's words";
+  return static_cast<size_t>(n);
+}
+
+std::vector<double> Checkpoint::TakeDoubles() {
+  std::vector<double> values(TakeLength());
+  for (double& v : values) v = TakeDouble();
   return values;
 }
 
 DenseVector Checkpoint::TakeVector() { return DenseVector(TakeDoubles()); }
+
+std::vector<uint64_t> Checkpoint::TakeWords() {
+  const size_t n = TakeLength();
+  const auto begin = words_.begin() + static_cast<std::ptrdiff_t>(cursor_);
+  cursor_ += n;
+  return std::vector<uint64_t>(begin, begin + static_cast<std::ptrdiff_t>(n));
+}
 
 std::array<uint64_t, Rng::kStateWords> Checkpoint::TakeRngState() {
   std::array<uint64_t, Rng::kStateWords> state = {};
@@ -158,15 +177,11 @@ void TakeWorkerRngs(Checkpoint* ck, std::vector<Rng>* rngs) {
 }
 
 void PutElasticWords(Checkpoint* ck, const SparkCluster& spark) {
-  const std::vector<uint64_t> words = spark.SaveElasticWords();
-  ck->PutU64(words.size());
-  for (uint64_t w : words) ck->PutU64(w);
+  ck->PutWords(spark.SaveElasticWords());
 }
 
 void TakeElasticWords(Checkpoint* ck, SparkCluster* spark) {
-  std::vector<uint64_t> words(ck->TakeU64());
-  for (uint64_t& w : words) w = ck->TakeU64();
-  spark->RestoreElasticWords(words);
+  spark->RestoreElasticWords(ck->TakeWords());
 }
 
 }  // namespace mllibstar

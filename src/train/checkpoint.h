@@ -43,6 +43,9 @@ class Checkpoint {
   void PutDouble(double v);
   void PutDoubles(const std::vector<double>& values);
   void PutVector(const DenseVector& v);
+  /// A length-prefixed block of words (an engine's or a tracker's own
+  /// state, which this store does not interpret).
+  void PutWords(const std::vector<uint64_t>& words);
   void PutRngState(const std::array<uint64_t, Rng::kStateWords>& state);
 
   // -- Reading (in write order) ---------------------------------------
@@ -50,6 +53,7 @@ class Checkpoint {
   double TakeDouble();
   std::vector<double> TakeDoubles();
   DenseVector TakeVector();
+  std::vector<uint64_t> TakeWords();
   std::array<uint64_t, Rng::kStateWords> TakeRngState();
 
   /// True once every word has been consumed (a resume that does not
@@ -71,6 +75,10 @@ class Checkpoint {
   static bool Exists(const std::string& path);
 
  private:
+  /// Takes the length word of a PutDoubles or PutWords block. It is
+  /// CHECKed against the words that remain before it sizes anything.
+  size_t TakeLength();
+
   std::vector<uint64_t> words_;
   size_t cursor_ = 0;
 };

@@ -132,9 +132,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       // every worker's participation window intact — a resumed churn
       // run replays the remaining transitions bit-identically.
       {
-        std::vector<uint64_t> mwords(ck.TakeU64());
-        for (uint64_t& w : mwords) w = ck.TakeU64();
-        membership.RestoreWords(mwords);
+        membership.RestoreWords(ck.TakeWords());
         for (size_t v = 0; v < k; ++v) {
           join_round[v] = static_cast<int>(ck.TakeU64());
         }
@@ -422,9 +420,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       for (size_t v = 0; v < k; ++v) ck.PutDoubles(finish_times[v]);
       ck.PutU64(0);  // reserved residual-count word
       {
-        const std::vector<uint64_t> mwords = membership.SaveWords();
-        ck.PutU64(mwords.size());
-        for (uint64_t w : mwords) ck.PutU64(w);
+        ck.PutWords(membership.SaveWords());
         for (size_t v = 0; v < k; ++v) {
           ck.PutU64(static_cast<uint64_t>(join_round[v]));
         }

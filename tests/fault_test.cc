@@ -197,6 +197,63 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
   EXPECT_FALSE(TryResume(config, &ck));  // first run, not an error
 }
 
+TEST(CheckpointTest, WordBlocksAreALengthWordAndTheWords) {
+  // PutWords writes what a length word and a loop of PutU64 wrote, so
+  // snapshots keep their bytes.
+  const std::string blocks = testing::TempDir() + "/ck_blocks.bin";
+  const std::string loose = testing::TempDir() + "/ck_loose.bin";
+  Checkpoint out;
+  out.PutWords({});
+  out.PutWords({5, 6, 7});
+  Checkpoint by_hand;
+  for (uint64_t w : {0, 3, 5, 6, 7}) by_hand.PutU64(w);
+  ASSERT_TRUE(out.WriteFile(blocks).ok());
+  ASSERT_TRUE(by_hand.WriteFile(loose).ok());
+  std::ifstream a(blocks, std::ios::binary);
+  std::ifstream b(loose, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(a), {}),
+            std::string(std::istreambuf_iterator<char>(b), {}));
+
+  Checkpoint in;
+  ASSERT_TRUE(in.ReadFile(blocks).ok());
+  EXPECT_TRUE(in.TakeWords().empty());
+  EXPECT_EQ(in.TakeWords(), (std::vector<uint64_t>{5, 6, 7}));
+  EXPECT_TRUE(in.exhausted());
+}
+
+// A length word must not outrun the words behind it, and must stop at
+// the CHECK before it sizes anything: 2^64 - 1 wrapped the old
+// cursor + n bound, 2^63 asks for more than any vector holds, and one
+// past the remaining words is the smallest bad value.
+constexpr uint64_t kBadLengths[] = {~uint64_t{0}, uint64_t{1} << 63, 3};
+
+// A store whose length word sits at cursor 1, with two words behind it.
+Checkpoint WithLengthWord(uint64_t length) {
+  Checkpoint ck;
+  for (uint64_t w : {uint64_t{7}, length, uint64_t{1}, uint64_t{2}}) {
+    ck.PutU64(w);
+  }
+  (void)ck.TakeU64();
+  return ck;
+}
+
+TEST(CheckpointDeathTest, LengthWordsPastTheWordsHitTheCheck) {
+  for (uint64_t length : kBadLengths) {
+    Checkpoint doubles = WithLengthWord(length);
+    EXPECT_DEATH(doubles.TakeDoubles(), "length word runs past") << length;
+    Checkpoint words = WithLengthWord(length);
+    EXPECT_DEATH(words.TakeWords(), "length word runs past") << length;
+    Checkpoint elastic = WithLengthWord(length);
+    SparkCluster spark(BaseCluster());
+    EXPECT_DEATH(TakeElasticWords(&elastic, &spark), "length word runs past")
+        << length;
+  }
+  // The largest good value takes every remaining word.
+  Checkpoint exact = WithLengthWord(2);
+  EXPECT_EQ(exact.TakeDoubles().size(), 2u);
+  EXPECT_TRUE(exact.exhausted());
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint/resume bit-identity for all seven systems: train 8 steps
 // straight vs. train 4 steps (snapshotting at step 4), then resume to

@@ -438,12 +438,10 @@ TrainerConfig WriteEditedElasticCheckpoint(const Dataset& data,
   out.PutU64(rngs);
   for (uint64_t r = 0; r < rngs; ++r) out.PutRngState(in.TakeRngState());
   out.PutU64(in.TakeU64());  // reserved residual-count word
-  std::vector<uint64_t> elastic(in.TakeU64());
-  for (uint64_t& w : elastic) w = in.TakeU64();
+  std::vector<uint64_t> elastic = in.TakeWords();
   EXPECT_TRUE(in.exhausted());
   edit(&elastic);
-  out.PutU64(elastic.size());
-  for (uint64_t w : elastic) out.PutU64(w);
+  out.PutWords(elastic);
   EXPECT_TRUE(out.WriteFile(path).ok());
 
   config.max_comm_steps = 6;
@@ -476,6 +474,55 @@ TEST(ElasticResumeDeathTest, RejectsAMembershipBlockPastTheWords) {
       [](std::vector<uint64_t>* words) { (*words)[0] = uint64_t{1} << 62; });
   EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
                "membership block runs past the elastic words");
+}
+
+// ---- The PS resume's membership block ----------------------------------
+// A real Petuum run's step-4 snapshot, re-written with the length word
+// of its membership block set to 2^64 - 1, 2^63 and one past the words
+// behind it. The resume must stop at the word store's CHECK before it
+// sizes anything.
+TEST(PsResumeDeathTest, RejectsAMembershipLengthPastTheWords) {
+  const Dataset data = ChurnData();
+  const ClusterConfig cluster = BaseCluster(4);
+  const std::string path = testing::TempDir() + "/ps_membership.ckpt";
+  std::remove(path.c_str());
+  TrainerConfig config = BaseConfig();
+  config.max_comm_steps = 4;
+  config.checkpoint.path = path;
+  config.checkpoint.every_steps = 4;
+  (void)MakeTrainer(SystemKind::kPetuum, config)->Train(data, cluster);
+
+  Checkpoint in;
+  ASSERT_TRUE(in.ReadFile(path).ok());
+  Checkpoint head;
+  for (int i = 0; i < 3; ++i) head.PutU64(in.TakeU64());  // tag, reserved, round
+  head.PutVector(in.TakeVector());                        // model
+  const uint64_t rngs = in.TakeU64();
+  head.PutU64(rngs);
+  // The worker streams, then the jitter, failure and fault streams.
+  for (uint64_t r = 0; r < rngs + 3; ++r) head.PutRngState(in.TakeRngState());
+  head.PutDoubles(in.TakeDoubles());  // clocks
+  const uint64_t k = in.TakeU64();
+  head.PutU64(k);
+  for (uint64_t v = 0; v < k; ++v) head.PutDoubles(in.TakeDoubles());
+  head.PutU64(in.TakeU64());  // reserved residual-count word
+  const std::vector<uint64_t> membership = in.TakeWords();
+  std::vector<uint64_t> rest;
+  while (!in.exhausted()) rest.push_back(in.TakeU64());
+
+  config.checkpoint.every_steps = 0;
+  config.checkpoint.resume = true;
+  for (uint64_t length : {~uint64_t{0}, uint64_t{1} << 63,
+                          membership.size() + rest.size() + 1}) {
+    Checkpoint out = head;
+    out.PutU64(length);
+    for (uint64_t w : membership) out.PutU64(w);
+    for (uint64_t w : rest) out.PutU64(w);
+    ASSERT_TRUE(out.WriteFile(path).ok());
+    EXPECT_DEATH(MakeTrainer(SystemKind::kPetuum, config)->Train(data, cluster),
+                 "length word runs past")
+        << length;
+  }
 }
 
 }  // namespace
