@@ -85,12 +85,6 @@ class AlignedAllocator {
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
-/// True if `p` sits on an `alignment`-byte boundary (empty buffers —
-/// null data() — count as aligned).
-inline bool IsAligned(const void* p, size_t alignment = kKernelAlignment) {
-  return (reinterpret_cast<uintptr_t>(p) & (alignment - 1)) == 0;
-}
-
 }  // namespace mllibstar
 
 #endif  // MLLIBSTAR_COMMON_ALIGNED_H_

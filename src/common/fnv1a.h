@@ -1,8 +1,8 @@
 #ifndef MLLIBSTAR_COMMON_FNV1A_H_
 #define MLLIBSTAR_COMMON_FNV1A_H_
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 
 namespace mllibstar {
 
@@ -23,9 +23,7 @@ inline void Fnv1aMix(uint64_t word, uint64_t* h) {
 /// Folds a double's exact bit pattern, so any single-ulp change moves
 /// the digest.
 inline void Fnv1aMix(double value, uint64_t* h) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  Fnv1aMix(bits, h);
+  Fnv1aMix(std::bit_cast<uint64_t>(value), h);
 }
 
 }  // namespace mllibstar

@@ -36,7 +36,6 @@ class JsonValue {
   static JsonValue Object();
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
 
   /// Typed accessors; the value must hold the matching kind (checked).
   bool bool_value() const;

@@ -1,13 +1,13 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <mutex>
 
 namespace mllibstar {
 namespace internal_logging {
 namespace {
 
-std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
+/// Messages below this level are dropped.
+constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -28,12 +28,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetMinLogLevel() { return g_min_level.load(std::memory_order_relaxed); }
-
-void SetMinLogLevel(LogLevel level) {
-  g_min_level.store(level, std::memory_order_relaxed);
-}
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
   // Strip directories from __FILE__ for terser output.
@@ -45,8 +39,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  const bool enabled = level_ >= GetMinLogLevel() || level_ == LogLevel::kFatal;
-  if (enabled) {
+  if (level_ >= kMinLogLevel) {
     std::lock_guard<std::mutex> lock(g_log_mutex);
     std::cerr << stream_.str() << std::endl;
   }

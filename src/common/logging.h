@@ -13,12 +13,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 
 
 namespace internal_logging {
 
-/// Process-wide minimum level; messages below it are dropped.
-LogLevel GetMinLogLevel();
-void SetMinLogLevel(LogLevel level);
-
-/// Accumulates one log line and emits it (to stderr) on destruction.
-/// A kFatal message aborts the process after emitting.
+/// Accumulates one log line and emits it (to stderr) on destruction
+/// when its level is kInfo or above. A kFatal message aborts the
+/// process after emitting.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);
@@ -32,15 +29,6 @@ class LogMessage {
  private:
   LogLevel level_;
   std::ostringstream stream_;
-};
-
-/// Swallows the streamed expression when the level is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 }  // namespace internal_logging

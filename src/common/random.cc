@@ -1,6 +1,6 @@
 #include "common/random.h"
 
-#include <cstring>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -46,10 +46,6 @@ uint64_t Rng::NextUint64(uint64_t bound) {
   }
 }
 
-uint32_t Rng::NextUint32(uint32_t bound) {
-  return static_cast<uint32_t>(NextUint64(bound));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
@@ -83,14 +79,14 @@ std::array<uint64_t, Rng::kStateWords> Rng::SaveState() const {
   std::array<uint64_t, kStateWords> words = {};
   for (size_t i = 0; i < 4; ++i) words[i] = state_[i];
   words[4] = has_cached_gaussian_ ? 1 : 0;
-  std::memcpy(&words[5], &cached_gaussian_, sizeof(words[5]));
+  words[5] = std::bit_cast<uint64_t>(cached_gaussian_);
   return words;
 }
 
 void Rng::RestoreState(const std::array<uint64_t, kStateWords>& words) {
   for (size_t i = 0; i < 4; ++i) state_[i] = words[i];
   has_cached_gaussian_ = words[4] != 0;
-  std::memcpy(&cached_gaussian_, &words[5], sizeof(cached_gaussian_));
+  cached_gaussian_ = std::bit_cast<double>(words[5]);
 }
 
 ZipfSampler::ZipfSampler(uint64_t n, double alpha) : n_(n) {

@@ -25,9 +25,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be > 0.
   uint64_t NextUint64(uint64_t bound);
 
-  /// Uniform in [0, bound). bound must be > 0.
-  uint32_t NextUint32(uint32_t bound);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

@@ -1,7 +1,7 @@
 #include "engine/spark_cluster.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <thread>
 
 #include "common/logging.h"
@@ -17,10 +17,10 @@ size_t ResolveHostThreads(size_t host_threads) {
 }
 
 SparkCluster::SparkCluster(const ClusterConfig& config, size_t host_threads)
-    : sim_(config), host_threads_(ResolveHostThreads(host_threads)) {
-  if (host_threads_ > 1 && sim_.num_workers() > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        std::min(host_threads_, sim_.num_workers()));
+    : sim_(config) {
+  const size_t threads = ResolveHostThreads(host_threads);
+  if (threads > 1 && sim_.num_workers() > 1) {
+    pool_ = std::make_unique<ThreadPool>(std::min(threads, sim_.num_workers()));
   }
   const size_t k = sim_.num_workers();
   assign_.resize(k);
@@ -64,9 +64,6 @@ void SparkCluster::ApplyChurn(SimTime at) {
   if (!membership.enabled()) return;
   const size_t k = sim_.num_workers();
   for (const MembershipEvent& ev : membership.AdvanceTo(at)) {
-    // Spark runs have no PS shards; the PS trainer consumes server
-    // leaves from its own event loop.
-    if (ev.kind == MembershipEvent::Kind::kServerLeave) continue;
     SimNode& node = sim_.worker(ev.node);
     RecordMembershipTransition(&trace(), ev, node.name);
     if (ev.kind == MembershipEvent::Kind::kLeave) {
@@ -126,23 +123,6 @@ void SparkCluster::ApplyChurn(SimTime at) {
   }
 }
 
-namespace {
-
-uint64_t ElasticDoubleWord(double value) {
-  uint64_t word = 0;
-  static_assert(sizeof(word) == sizeof(value), "word width");
-  std::memcpy(&word, &value, sizeof(word));
-  return word;
-}
-
-double ElasticWordDouble(uint64_t word) {
-  double value = 0.0;
-  std::memcpy(&value, &word, sizeof(value));
-  return value;
-}
-
-}  // namespace
-
 std::vector<uint64_t> SparkCluster::SaveElasticWords() const {
   std::vector<uint64_t> words;
   const std::vector<uint64_t> mwords = sim_.membership().SaveWords();
@@ -150,7 +130,7 @@ std::vector<uint64_t> SparkCluster::SaveElasticWords() const {
   words.insert(words.end(), mwords.begin(), mwords.end());
   for (size_t h : assign_) words.push_back(h);
   for (bool b : needs_rebuild_) words.push_back(b ? 1 : 0);
-  for (SimTime t : admit_time_) words.push_back(ElasticDoubleWord(t));
+  for (SimTime t : admit_time_) words.push_back(std::bit_cast<uint64_t>(t));
   for (bool b : pending_catchup_) words.push_back(b ? 1 : 0);
   return words;
 }
@@ -177,7 +157,7 @@ void SparkCluster::RestoreElasticWords(const std::vector<uint64_t>& words) {
   for (size_t r = 0; r < needs_rebuild_.size(); ++r) {
     needs_rebuild_[r] = take() != 0;
   }
-  for (SimTime& t : admit_time_) t = ElasticWordDouble(take());
+  for (SimTime& t : admit_time_) t = std::bit_cast<double>(take());
   for (size_t r = 0; r < pending_catchup_.size(); ++r) {
     pending_catchup_[r] = take() != 0;
   }
@@ -430,8 +410,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
 
   // Group workers round-robin onto aggregators (the first g active
   // workers act as the intermediate aggregators themselves, like MLlib
-  // reusing executors). Transfers starting inside a degraded-link
-  // fault window are stretched by the window's factor.
+  // reusing executors).
   for (size_t g = 0; g < num_aggregators; ++g) {
     SimNode& agg = sim_.worker(active[g]);
     // Senders in this group, excluding the aggregator itself.
@@ -440,9 +419,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
     for (size_t pos = g; pos < a; pos += num_aggregators) {
       if (pos == g) continue;
       SimNode& sender = sim_.worker(active[pos]);
-      const SimTime send_end =
-          sender.clock +
-          net.TransferTime(bytes) * sim_.LinkFactor(sender.clock);
+      const SimTime send_end = sender.clock + net.TransferTime(bytes);
       trace().Record(sender.name, sender.clock, send_end,
                      ActivityKind::kCommunicate, detail + "/send");
       sender.clock = send_end;
@@ -457,8 +434,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
                                                              bytes));
       const SimTime recv_end =
           std::max(last_sender_ready,
-                   recv_start + net.SerializedTransferTime(bytes, senders) *
-                                    sim_.LinkFactor(recv_start));
+                   recv_start + net.SerializedTransferTime(bytes, senders));
       trace().Record(agg.name, agg.clock, recv_end,
                      ActivityKind::kCommunicate, detail + "/recv");
       agg.clock = recv_end;
@@ -473,8 +449,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
   SimTime last_ready = driver.clock;
   for (size_t g = 0; g < num_aggregators; ++g) {
     SimNode& agg = sim_.worker(active[g]);
-    const SimTime send_end =
-        agg.clock + net.TransferTime(bytes) * sim_.LinkFactor(agg.clock);
+    const SimTime send_end = agg.clock + net.TransferTime(bytes);
     trace().Record(agg.name, agg.clock, send_end, ActivityKind::kCommunicate,
                    detail + "/to-driver");
     agg.clock = send_end;
@@ -484,8 +459,7 @@ void SparkCluster::TreeAggregate(uint64_t bytes, size_t num_aggregators,
       std::max(driver.clock, last_ready - net.TransferTime(bytes));
   const SimTime recv_end = std::max(
       last_ready,
-      recv_start + net.SerializedTransferTime(bytes, num_aggregators) *
-                       sim_.LinkFactor(recv_start));
+      recv_start + net.SerializedTransferTime(bytes, num_aggregators));
   trace().Record(driver.name, driver.clock, recv_end,
                  ActivityKind::kCommunicate, detail + "/gather");
   driver.clock = recv_end;
@@ -504,10 +478,6 @@ void SparkCluster::Broadcast(uint64_t bytes, const std::string& detail) {
   wire_.broadcast += bytes * a;
   EngineProfiler::Get().AddEvents(Subsystem::kEngine, 1);
 
-  // Degraded-link windows stretch every transfer of this broadcast
-  // (they all start at the driver's send time).
-  const double link = sim_.LinkFactor(start);
-
   // The driver's outbound link pushes a copies back-to-back; the i-th
   // participating worker's copy lands after i+1 payloads.
   for (size_t pos = 0; pos < a; ++pos) {
@@ -515,14 +485,14 @@ void SparkCluster::Broadcast(uint64_t bytes, const std::string& detail) {
     const SimTime arrive =
         start + net.latency() +
         static_cast<double>(bytes) * static_cast<double>(pos + 1) /
-            net.bandwidth() * link;
+            net.bandwidth();
     const SimTime recv_start = std::max(w.clock, start);
     const SimTime recv_end = std::max(arrive, recv_start);
     trace().Record(w.name, recv_start, recv_end, ActivityKind::kCommunicate,
                    detail + "/recv");
     w.clock = recv_end;
   }
-  const SimTime send_end = start + net.SerializedTransferTime(bytes, a) * link;
+  const SimTime send_end = start + net.SerializedTransferTime(bytes, a);
   trace().Record(driver.name, start, send_end, ActivityKind::kCommunicate,
                  detail + "/send");
   driver.clock = send_end;
@@ -543,8 +513,7 @@ void SparkCluster::ShuffleAllToAll(uint64_t bytes_per_peer,
   // on full-duplex links.
   const SimTime start = sim_.MaxWorkerClock();
   const SimTime end =
-      start + net.SerializedTransferTime(bytes_per_peer, a - 1) *
-                  sim_.LinkFactor(start);
+      start + net.SerializedTransferTime(bytes_per_peer, a - 1);
   for (size_t pos = 0; pos < a; ++pos) {
     SimNode& w = sim_.worker(active[pos]);
     if (w.clock < start) {

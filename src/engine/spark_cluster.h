@@ -56,7 +56,6 @@ class SparkCluster {
   SimCluster& sim() { return sim_; }
   TraceLog& trace() { return sim_.trace(); }
   const NetworkModel& network() const { return sim_.network(); }
-  size_t host_threads() const { return host_threads_; }
 
   /// Marks the start of a new Spark stage (the red vertical lines in
   /// Figure 3) at the current barrier time. Stage boundaries are where
@@ -118,10 +117,6 @@ class SparkCluster {
   /// per communication step" accounting).
   uint64_t total_bytes() const { return wire_.total(); }
 
-  /// Which executor currently hosts partition r. Identity when the
-  /// fleet is full and no churn has happened.
-  size_t PartitionHost(size_t r) const { return assign_[r]; }
-
   /// The failure detector / churn state (lives in the SimCluster).
   const MembershipTracker& membership() const { return sim_.membership(); }
 
@@ -146,8 +141,7 @@ class SparkCluster {
   SimCluster sim_;
   /// Cumulative bytes by path and task retries.
   WireTally wire_;
-  size_t host_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  ///< created when host_threads_ > 1
+  std::unique_ptr<ThreadPool> pool_;  ///< created when host_threads > 1
 
   /// Partition -> hosting executor. The partition count is fixed at
   /// num_workers for the whole run (so the host-side math never

@@ -143,10 +143,7 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
     const FaultStats& f = *info.faults;
     JsonValue faults = JsonValue::Object();
     faults.Set("worker_crashes", JsonValue::Number(f.worker_crashes));
-    faults.Set("server_crashes", JsonValue::Number(f.server_crashes));
     faults.Set("lineage_recomputes", JsonValue::Number(f.lineage_recomputes));
-    faults.Set("messages_dropped", JsonValue::Number(f.messages_dropped));
-    faults.Set("ps_retries", JsonValue::Number(f.ps_retries));
     report.Set("faults", std::move(faults));
   }
 
@@ -157,10 +154,8 @@ JsonValue BuildRunReport(const RunInfo& info, const Telemetry* telemetry) {
     membership.Set("leaves", JsonValue::Number(m.leaves));
     membership.Set("rejoins", JsonValue::Number(m.rejoins));
     membership.Set("suspicions", JsonValue::Number(m.suspicions));
-    membership.Set("server_leaves", JsonValue::Number(m.server_leaves));
     membership.Set("partitions_migrated",
                    JsonValue::Number(m.partitions_migrated));
-    membership.Set("shard_migrations", JsonValue::Number(m.shard_migrations));
     membership.Set("degraded_rounds", JsonValue::Number(m.degraded_rounds));
     membership.Set("catchup_latency_sum",
                    JsonValue::Number(m.catchup_latency_sum));

@@ -22,17 +22,6 @@ struct PsConfig {
   int staleness = 0;
 };
 
-/// Request retries: a pull/push that is dropped (fault plan) or that
-/// targets a down shard times out and retries with jittered
-/// exponential backoff — delay = min(kPsBackoffMaxSec,
-/// kPsBackoffBaseSec * 2^attempt) * (0.5 + 0.5 * U[0,1)) — up to
-/// kPsMaxRequestRetries times before proceeding regardless (the shard
-/// queue then absorbs the wait).
-inline constexpr double kPsRequestTimeoutSec = 0.25;
-inline constexpr double kPsBackoffBaseSec = 0.05;
-inline constexpr double kPsBackoffMaxSec = 2.0;
-inline constexpr size_t kPsMaxRequestRetries = 6;
-
 /// The global model sharded across server nodes, plus the timing model
 /// for pull/push traffic (paper Figure 2c).
 ///
@@ -55,10 +44,9 @@ class PsContext {
   /// version share one snapshot. Every mutator below bumps the version.
   std::shared_ptr<const DenseVector> PullSnapshot();
 
-  /// Charges the time for `worker` to pull the full dense model (one
-  /// request per shard, shard links serve in parallel, the worker's
-  /// inbound link is the floor). Returns the completion time and
-  /// advances the worker and shard clocks.
+  /// Charges the time for `worker` to pull the full dense model.
+  /// Returns the completion time and advances the worker and shard
+  /// clocks (the transfer rule is TimeTransfer's).
   SimTime TimePull(SimNode* worker);
 
   /// Charges the time for `worker` to push an update of `bytes`
@@ -70,50 +58,26 @@ class PsContext {
   /// Replaces the model (trainer resume).
   void ResetModel(DenseVector model);
 
-  /// Summation (Petuum, Angel): adds `scale` times `delta` to the
-  /// global model immediately, in push order.
+  /// Adds `scale` times `delta` to the global model immediately:
+  /// Petuum and Angel per push, Petuum* once per round with the
+  /// round's mean delta at scale 1.
   void ApplyDelta(const DenseVector& delta, double scale);
-
-  /// Averaging (Petuum*): adds a completed round's mean delta to the
-  /// model.
-  void ApplyRoundAverage(const DenseVector& mean_delta);
 
   /// Total bytes moved through the server tier so far.
   uint64_t total_bytes() const { return wire_.total(); }
 
-  /// The run's wire totals so far: pull and push bytes, and retried
-  /// requests (FaultStats::ps_retries).
-  WireTally wire() const;
-
-  /// Permanent departure of shard `ev.node` (a membership
-  /// kServerLeave event): its model range migrates to the next alive
-  /// shard, which then serves redirected pulls/pushes for both ranges
-  /// (its link serializes the doubled slices — graceful degradation,
-  /// not a stall). Ignored if it would leave zero alive shards.
-  /// Numerics never change: the model is host-side and global.
-  void OnServerLeft(const MembershipEvent& ev);
-
-  /// The shard actually serving shard `s`'s range (s itself, or the
-  /// departed shard's migration successor).
-  size_t ServingShard(size_t s) const;
-
-  /// Quiet resume hook: marks shard `s` as departed without charging
-  /// the migration again (the checkpointed membership view says it
-  /// happened before the snapshot was taken).
-  void MarkServerLeft(size_t s) { shard_left_[s] = true; }
+  /// The run's wire totals so far: pull and push bytes.
+  const WireTally& wire() const { return wire_; }
 
  private:
+  /// One request of `total_bytes` from `worker`, sent at its clock t.
+  /// With latency L, bandwidth B and s shards, each shard serves a
+  /// ceil(total_bytes / s) slice from max(t + L, its clock) for
+  /// slice / B, and a push then charges the slice's apply work to the
+  /// shard. The request is done at max(latest shard end + L,
+  /// t + L + total_bytes / B): the worker's own link is the floor.
   SimTime TimeTransfer(SimNode* worker, uint64_t total_bytes, bool is_pull,
                        const std::string& detail);
-
-  /// Wire size of shard `s`'s model range (a ceil split of dim).
-  uint64_t ShardRangeBytes(size_t s) const;
-
-  /// Crashes shard `s` at virtual time `at`: it is down for
-  /// kServerRestartSeconds, then re-reads its model range from the
-  /// server checkpoint, which every applied update writes, so no
-  /// update is lost.
-  void HandleShardCrash(size_t s, SimTime at);
 
   SimCluster* sim_;
   PsConfig config_;
@@ -126,12 +90,6 @@ class PsContext {
   uint64_t pull_snapshot_version_ = 0;
   /// Cumulative pull/push bytes.
   WireTally wire_;
-  /// Per-shard time until which the shard is unavailable (crash +
-  /// restore in progress).
-  std::vector<SimTime> shard_down_until_;
-  /// Shards evicted by the failure detector; their ranges are served
-  /// by the next alive shard.
-  std::vector<bool> shard_left_;
 };
 
 /// Returns the virtual time at which a worker may start round `round`

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/strings.h"
 
@@ -52,12 +53,27 @@ Status Invalid(const std::string& field, const char* rule, double value) {
                                  FormatDouble(value));
 }
 
-/// A fault window must not end before it starts.
-Status CheckWindow(const std::string& field, double from, double until) {
-  if (from <= until) return Status::Ok();
-  return Status::InvalidArgument(field + " must have from <= until, got " +
-                                 FormatDouble(from) + " > " +
-                                 FormatDouble(until));
+/// Every event in `events` (the list called `name`, e.g. "churn.joins")
+/// must name a worker slot of the cluster and fire at a finite time
+/// >= 0: an event for a slot past the fleet never applies, and a NaN
+/// or infinite instant fires at a time no run reaches or at once.
+template <typename Event>
+Status CheckScripted(const std::vector<Event>& events, const char* name,
+                     size_t num_workers) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    const std::string field =
+        std::string(name) + "[" + std::to_string(i) + "]";
+    if (events[i].worker >= num_workers) {
+      return Status::InvalidArgument(
+          field + ".worker must be < num_workers (" +
+          std::to_string(num_workers) + "), got " +
+          std::to_string(events[i].worker));
+    }
+    if (!FiniteNonNegative(events[i].at)) {
+      return Invalid(field + ".at", "finite and >= 0", events[i].at);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -97,25 +113,9 @@ Status ValidateClusterConfig(const ClusterConfig& config) {
     return Invalid("faults.executor_restart_seconds", "finite and >= 0",
                    faults.executor_restart_seconds);
   }
-  for (size_t i = 0; i < faults.degraded_links.size(); ++i) {
-    const DegradeLinkWindow& w = faults.degraded_links[i];
-    const std::string field =
-        "faults.degraded_links[" + std::to_string(i) + "]";
-    if (!FinitePositive(w.factor)) {
-      return Invalid(field + ".factor", "finite and > 0", w.factor);
-    }
-    const Status window = CheckWindow(field, w.from, w.until);
-    if (!window.ok()) return window;
-  }
-  for (size_t i = 0; i < faults.message_drops.size(); ++i) {
-    const DropMessageWindow& w = faults.message_drops[i];
-    const std::string field = "faults.message_drops[" + std::to_string(i) + "]";
-    if (!(w.prob >= 0.0 && w.prob <= 1.0)) {
-      return Invalid(field + ".prob", "in [0, 1]", w.prob);
-    }
-    const Status window = CheckWindow(field, w.from, w.until);
-    if (!window.ok()) return window;
-  }
+  const Status crashes = CheckScripted(
+      faults.worker_crashes, "faults.worker_crashes", config.num_workers);
+  if (!crashes.ok()) return crashes;
 
   const ChurnPlan& churn = config.churn;
   if (!FiniteNonNegative(churn.leave_rate_per_sec)) {
@@ -134,7 +134,19 @@ Status ValidateClusterConfig(const ClusterConfig& config) {
     return Invalid("churn.suspicion_timeout_sec", ">= 0",
                    churn.suspicion_timeout_sec);
   }
-  return Status::Ok();
+  if (churn.initial_active > config.num_workers) {
+    return Status::InvalidArgument(
+        "churn.initial_active must be <= num_workers (" +
+        std::to_string(config.num_workers) + "), got " +
+        std::to_string(churn.initial_active));
+  }
+  const Status joins =
+      CheckScripted(churn.joins, "churn.joins", config.num_workers);
+  if (!joins.ok()) return joins;
+  const Status leaves =
+      CheckScripted(churn.leaves, "churn.leaves", config.num_workers);
+  if (!leaves.ok()) return leaves;
+  return CheckScripted(churn.rejoins, "churn.rejoins", config.num_workers);
 }
 
 }  // namespace mllibstar

@@ -31,9 +31,8 @@ struct ClusterConfig {
   double task_restart_seconds = 1.0;
   uint64_t seed = 7;
 
-  /// Scripted and probabilistic faults (executor/shard crashes, link
-  /// degradation, message drops). Empty by default — fault-free runs
-  /// consume nothing from the fault RNG stream.
+  /// Scripted and probabilistic executor crashes. Empty by default —
+  /// fault-free runs consume nothing from the fault RNG stream.
   FaultPlan faults;
 
   /// Elastic membership: scripted/Poisson join, leave, and rejoin
@@ -62,11 +61,12 @@ struct ClusterConfig {
 ///     NaN, infinite or negative;
 ///   - a task failure probability outside [0, 1) (at 1 every retry
 ///     fails again, and the retry loop never ends);
-///   - a crash or drop probability outside [0, 1];
-///   - a link-degradation factor that is not finite and positive, or a
-///     fault window with from > until;
+///   - a crash probability outside [0, 1];
 ///   - churn rates that are not finite and non-negative, a heartbeat
-///     interval that is not positive, or a negative suspicion timeout.
+///     interval that is not positive, or a negative suspicion timeout;
+///   - more initially active workers than workers;
+///   - a scripted worker crash, join, leave or rejoin for a worker
+///     index >= num_workers, or at a time that is not finite and >= 0.
 /// SimCluster CHECKs it on construction, before it builds anything
 /// from the fault and churn plans.
 Status ValidateClusterConfig(const ClusterConfig& config);

@@ -7,9 +7,7 @@ namespace mllibstar {
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan),
       rng_(kFaultSeed),
-      worker_fired_(plan.worker_crashes.size(), false),
-      server_fired_(plan.server_crashes.size(), false) {
-}
+      worker_fired_(plan.worker_crashes.size(), false) {}
 
 bool FaultInjector::WorkerCrashes(size_t worker, SimTime start, SimTime end,
                                   SimTime* crash_at) {
@@ -34,38 +32,5 @@ bool FaultInjector::WorkerCrashes(size_t worker, SimTime start, SimTime end,
   }
   return false;
 }
-
-bool FaultInjector::ServerCrashDue(size_t server, SimTime now,
-                                   SimTime* crash_at) {
-  for (size_t i = 0; i < plan_.server_crashes.size(); ++i) {
-    const CrashServerEvent& ev = plan_.server_crashes[i];
-    if (server_fired_[i] || ev.server != server || ev.at > now) continue;
-    server_fired_[i] = true;
-    ++stats_.server_crashes;
-    *crash_at = ev.at;
-    return true;
-  }
-  return false;
-}
-
-double FaultInjector::LinkFactor(SimTime at) const {
-  double factor = 1.0;
-  for (const DegradeLinkWindow& w : plan_.degraded_links) {
-    if (at >= w.from && at < w.until) factor *= w.factor;
-  }
-  return factor;
-}
-
-bool FaultInjector::NextMessageDrop(SimTime at) {
-  for (const DropMessageWindow& w : plan_.message_drops) {
-    if (at >= w.from && at < w.until && rng_.NextBool(w.prob)) {
-      ++stats_.messages_dropped;
-      return true;
-    }
-  }
-  return false;
-}
-
-double FaultInjector::NextBackoffJitter() { return rng_.NextDouble(); }
 
 }  // namespace mllibstar

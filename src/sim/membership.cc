@@ -1,32 +1,20 @@
 #include "sim/membership.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
 
 namespace mllibstar {
-namespace {
-
-uint64_t DoubleToWord(double value) {
-  uint64_t word = 0;
-  static_assert(sizeof(word) == sizeof(value), "word width");
-  std::memcpy(&word, &value, sizeof(word));
-  return word;
-}
-
-double WordToDouble(uint64_t word) {
-  double value = 0.0;
-  std::memcpy(&value, &word, sizeof(value));
-  return value;
-}
-
-}  // namespace
 
 MembershipTracker::MembershipTracker(const ChurnPlan& plan, size_t num_workers,
                                      size_t num_servers)
-    : plan_(plan), enabled_(!plan.empty()), rng_(kMembershipSeed) {
+    : plan_(plan),
+      enabled_(!plan.empty()),
+      rng_(kMembershipSeed),
+      num_servers_(num_servers) {
   MLLIBSTAR_CHECK(num_workers > 0);
   MLLIBSTAR_CHECK(plan_.heartbeat_interval_sec > 0.0);
   MLLIBSTAR_CHECK(plan_.suspicion_timeout_sec >= 0.0);
@@ -40,11 +28,9 @@ MembershipTracker::MembershipTracker(const ChurnPlan& plan, size_t num_workers,
     ever_active_[w] = true;
   }
   num_active_ = active;
-  server_left_.assign(num_servers, false);
   join_fired_.assign(plan_.joins.size(), false);
   leave_fired_.assign(plan_.leaves.size(), false);
   rejoin_fired_.assign(plan_.rejoins.size(), false);
-  server_leave_fired_.assign(plan_.server_leaves.size(), false);
   stats_.min_active = active;
   stats_.max_active = active;
   if (enabled_) {
@@ -104,10 +90,6 @@ void MembershipTracker::ApplyEvent(const MembershipEvent& ev) {
         ++stats_.joins;
       }
       stats_.max_active = std::max<uint64_t>(stats_.max_active, num_active_);
-      break;
-    case MembershipEvent::Kind::kServerLeave:
-      server_left_[ev.node] = true;
-      ++stats_.server_leaves;
       break;
   }
 }
@@ -203,8 +185,8 @@ std::vector<MembershipEvent> MembershipTracker::AdvanceTo(SimTime now) {
     bool have = false;
     size_t best_script = 0;  // index into the matching fired vector
     size_t best_poisson = 0;
-    enum class Src { kScriptJoin, kScriptLeave, kScriptRejoin, kScriptServer,
-                     kPoisson } best_src = Src::kPoisson;
+    enum class Src { kScriptJoin, kScriptLeave, kScriptRejoin, kPoisson };
+    Src best_src = Src::kPoisson;
     auto consider = [&](const Pending& cand, Src src, size_t index) {
       if (cand.ev.detected_at > now) return;
       if (!have || cand.Before(best)) {
@@ -248,17 +230,6 @@ std::vector<MembershipEvent> MembershipTracker::AdvanceTo(SimTime now) {
       cand.ev.detected_at = NextTick(e.at);
       consider(cand, Src::kScriptRejoin, i);
     }
-    for (size_t i = 0; i < plan_.server_leaves.size(); ++i) {
-      if (server_leave_fired_[i]) continue;
-      const LeaveServerEvent& e = plan_.server_leaves[i];
-      Pending cand;
-      cand.ev.kind = MembershipEvent::Kind::kServerLeave;
-      cand.ev.node = e.server;
-      cand.ev.at = e.at;
-      cand.ev.suspect_at = NextTick(e.at);
-      cand.ev.detected_at = DetectionTick(e.at);
-      consider(cand, Src::kScriptServer, i);
-    }
     for (size_t i = 0; i < poisson_pending_.size(); ++i) {
       Pending cand;
       cand.ev = poisson_pending_[i];
@@ -279,7 +250,6 @@ std::vector<MembershipEvent> MembershipTracker::AdvanceTo(SimTime now) {
       case Src::kScriptJoin: join_fired_[best_script] = true; break;
       case Src::kScriptLeave: leave_fired_[best_script] = true; break;
       case Src::kScriptRejoin: rejoin_fired_[best_script] = true; break;
-      case Src::kScriptServer: server_leave_fired_[best_script] = true; break;
       case Src::kPoisson:
         poisson_pending_.erase(poisson_pending_.begin() + best_poisson);
         break;
@@ -299,9 +269,6 @@ std::vector<MembershipEvent> MembershipTracker::AdvanceTo(SimTime now) {
       case MembershipEvent::Kind::kRejoin:
         applies =
             ev.node < status_.size() && status_[ev.node] != Status::kActive;
-        break;
-      case MembershipEvent::Kind::kServerLeave:
-        applies = ev.node < server_left_.size() && !server_left_[ev.node];
         break;
     }
     if (!applies) continue;
@@ -324,10 +291,6 @@ SimTime MembershipTracker::NextEventTime() const {
   for (size_t i = 0; i < plan_.rejoins.size(); ++i) {
     if (!rejoin_fired_[i]) next = std::min(next, NextTick(plan_.rejoins[i].at));
   }
-  for (size_t i = 0; i < plan_.server_leaves.size(); ++i) {
-    if (!server_leave_fired_[i])
-      next = std::min(next, DetectionTick(plan_.server_leaves[i].at));
-  }
   for (const MembershipEvent& p : poisson_pending_) {
     next = std::min(next, p.detected_at);
   }
@@ -348,31 +311,30 @@ std::vector<uint64_t> MembershipTracker::SaveWords() const {
   for (uint64_t w : rng_.SaveState()) words.push_back(w);
   for (Status s : status_) words.push_back(static_cast<uint64_t>(s));
   for (bool b : ever_active_) words.push_back(b ? 1 : 0);
-  for (bool b : server_left_) words.push_back(b ? 1 : 0);
+  words.insert(words.end(), num_servers_, 0);  // reserved, one per shard
   for (bool b : join_fired_) words.push_back(b ? 1 : 0);
   for (bool b : leave_fired_) words.push_back(b ? 1 : 0);
   for (bool b : rejoin_fired_) words.push_back(b ? 1 : 0);
-  for (bool b : server_leave_fired_) words.push_back(b ? 1 : 0);
   words.push_back(num_active_);
-  words.push_back(DoubleToWord(next_poisson_leave_));
-  words.push_back(DoubleToWord(next_poisson_join_));
+  words.push_back(std::bit_cast<uint64_t>(next_poisson_leave_));
+  words.push_back(std::bit_cast<uint64_t>(next_poisson_join_));
   words.push_back(poisson_pending_.size());
   for (const MembershipEvent& p : poisson_pending_) {
     words.push_back(static_cast<uint64_t>(p.kind));
     words.push_back(p.node);
-    words.push_back(DoubleToWord(p.at));
-    words.push_back(DoubleToWord(p.suspect_at));
-    words.push_back(DoubleToWord(p.detected_at));
+    words.push_back(std::bit_cast<uint64_t>(p.at));
+    words.push_back(std::bit_cast<uint64_t>(p.suspect_at));
+    words.push_back(std::bit_cast<uint64_t>(p.detected_at));
   }
   words.push_back(stats_.joins);
   words.push_back(stats_.leaves);
   words.push_back(stats_.rejoins);
   words.push_back(stats_.suspicions);
-  words.push_back(stats_.server_leaves);
+  words.push_back(0);  // reserved
   words.push_back(stats_.partitions_migrated);
-  words.push_back(stats_.shard_migrations);
+  words.push_back(0);  // reserved
   words.push_back(stats_.degraded_rounds);
-  words.push_back(DoubleToWord(stats_.catchup_latency_sum));
+  words.push_back(std::bit_cast<uint64_t>(stats_.catchup_latency_sum));
   words.push_back(stats_.catchup_count);
   words.push_back(stats_.min_active);
   words.push_back(stats_.max_active);
@@ -394,33 +356,40 @@ void MembershipTracker::RestoreWords(const std::vector<uint64_t>& words) {
     if (s == Status::kActive) ++num_active_;
   }
   for (size_t w = 0; w < ever_active_.size(); ++w) ever_active_[w] = take() != 0;
-  for (size_t s = 0; s < server_left_.size(); ++s) server_left_[s] = take() != 0;
+  for (size_t s = 0; s < num_servers_; ++s) MLLIBSTAR_CHECK_EQ(take(), 0u);
   for (size_t k = 0; k < join_fired_.size(); ++k) join_fired_[k] = take() != 0;
   for (size_t k = 0; k < leave_fired_.size(); ++k) leave_fired_[k] = take() != 0;
   for (size_t k = 0; k < rejoin_fired_.size(); ++k)
     rejoin_fired_[k] = take() != 0;
-  for (size_t k = 0; k < server_leave_fired_.size(); ++k)
-    server_leave_fired_[k] = take() != 0;
   MLLIBSTAR_CHECK(take() == num_active_);
-  next_poisson_leave_ = WordToDouble(take());
-  next_poisson_join_ = WordToDouble(take());
-  poisson_pending_.assign(take(), MembershipEvent{});
+  next_poisson_leave_ = std::bit_cast<double>(take());
+  next_poisson_join_ = std::bit_cast<double>(take());
+  // Five words per pending arrival: the count is checked against the
+  // words left before it sizes anything.
+  const uint64_t pending = take();
+  MLLIBSTAR_CHECK_LE(pending, (words.size() - i) / 5)
+      << "the pending arrivals run past the membership words";
+  poisson_pending_.assign(pending, MembershipEvent{});
   for (MembershipEvent& p : poisson_pending_) {
-    p.kind = static_cast<MembershipEvent::Kind>(take());
+    const uint64_t kind = take();
+    MLLIBSTAR_CHECK_LE(kind,
+                       static_cast<uint64_t>(MembershipEvent::Kind::kRejoin))
+        << "a pending arrival is not a worker event";
+    p.kind = static_cast<MembershipEvent::Kind>(kind);
     p.node = take();
-    p.at = WordToDouble(take());
-    p.suspect_at = WordToDouble(take());
-    p.detected_at = WordToDouble(take());
+    p.at = std::bit_cast<double>(take());
+    p.suspect_at = std::bit_cast<double>(take());
+    p.detected_at = std::bit_cast<double>(take());
   }
   stats_.joins = take();
   stats_.leaves = take();
   stats_.rejoins = take();
   stats_.suspicions = take();
-  stats_.server_leaves = take();
+  MLLIBSTAR_CHECK_EQ(take(), 0u);  // reserved
   stats_.partitions_migrated = take();
-  stats_.shard_migrations = take();
+  MLLIBSTAR_CHECK_EQ(take(), 0u);  // reserved
   stats_.degraded_rounds = take();
-  stats_.catchup_latency_sum = WordToDouble(take());
+  stats_.catchup_latency_sum = std::bit_cast<double>(take());
   stats_.catchup_count = take();
   stats_.min_active = take();
   stats_.max_active = take();
@@ -431,7 +400,6 @@ void RecordMembershipTransition(TraceLog* trace, const MembershipEvent& ev,
                                 const std::string& node) {
   switch (ev.kind) {
     case MembershipEvent::Kind::kLeave:
-    case MembershipEvent::Kind::kServerLeave:
       trace->Record(node, ev.at, ev.suspect_at,
                     ActivityKind::kMembershipLeave, "membership/leave");
       trace->Record(node, ev.suspect_at, ev.detected_at,

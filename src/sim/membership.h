@@ -35,14 +35,6 @@ struct RejoinWorkerEvent {
   SimTime at = 0.0;
 };
 
-/// Scripted permanent departure of a parameter-server shard. Its model
-/// range migrates to the next live shard, which then serves redirected
-/// pulls/pushes for both ranges. Server churn is scripted-only.
-struct LeaveServerEvent {
-  size_t server = 0;
-  SimTime at = 0.0;
-};
-
 /// Seed of the dedicated membership RNG stream.
 inline constexpr uint64_t kMembershipSeed = 0x6a01c1b5e7ULL;
 
@@ -57,7 +49,6 @@ struct ChurnPlan {
   std::vector<JoinWorkerEvent> joins;
   std::vector<LeaveWorkerEvent> leaves;
   std::vector<RejoinWorkerEvent> rejoins;
-  std::vector<LeaveServerEvent> server_leaves;
 
   /// Poisson departure rate over the active fleet (events/sec of
   /// virtual time); victims are drawn from the membership stream.
@@ -81,8 +72,8 @@ struct ChurnPlan {
 
   bool empty() const {
     return joins.empty() && leaves.empty() && rejoins.empty() &&
-           server_leaves.empty() && leave_rate_per_sec <= 0.0 &&
-           join_rate_per_sec <= 0.0 && initial_active == 0;
+           leave_rate_per_sec <= 0.0 && join_rate_per_sec <= 0.0 &&
+           initial_active == 0;
   }
 };
 
@@ -94,12 +85,9 @@ struct MembershipStats {
   uint64_t rejoins = 0;
   /// Suspicion windows opened (every detected leave passes through one).
   uint64_t suspicions = 0;
-  uint64_t server_leaves = 0;
   /// Spark partitions reassigned to a different host (lineage rebuilds
   /// they triggered are charged by the engine).
   uint64_t partitions_migrated = 0;
-  /// PS shard ranges migrated to a successor shard.
-  uint64_t shard_migrations = 0;
   /// PS rounds completed with fewer than the full fleet contributing.
   uint64_t degraded_rounds = 0;
   /// Sum/count of (first completed task end − admission time) over
@@ -114,9 +102,9 @@ struct MembershipStats {
 /// One detected membership transition, emitted by
 /// MembershipTracker::AdvanceTo in detection order.
 struct MembershipEvent {
-  enum class Kind { kJoin, kLeave, kRejoin, kServerLeave };
+  enum class Kind { kJoin, kLeave, kRejoin };
   Kind kind = Kind::kJoin;
-  size_t node = 0;       ///< worker index, or server index for kServerLeave
+  size_t node = 0;       ///< worker index
   SimTime at = 0.0;      ///< when the node actually (dis)appeared
   SimTime suspect_at = 0.0;  ///< leave only: first missed heartbeat tick
   /// When the failure detector acted on it: eviction tick for leaves,
@@ -145,10 +133,6 @@ class MembershipTracker {
   /// True when worker `w` is currently part of the fleet (pending and
   /// departed workers are invisible to barriers and collectives).
   bool IsActive(size_t w) const { return status_[w] == Status::kActive; }
-  /// True when worker `w` was active at some point already (drives the
-  /// join-vs-rejoin distinction for Poisson arrivals).
-  bool WasEverActive(size_t w) const { return ever_active_[w]; }
-  bool IsServerLeft(size_t s) const { return server_left_[s]; }
   size_t num_active() const { return num_active_; }
 
   /// Fires every transition whose detection time is <= `now`, applies
@@ -173,7 +157,11 @@ class MembershipTracker {
   /// Full cursor state (statuses, fired flags, Poisson arrivals, RNG)
   /// as words, for the trainer checkpoints: a resumed run's failure
   /// detector continues exactly where it left off — already-fired
-  /// events stay fired and the Poisson stream does not rewind.
+  /// events stay fired and the Poisson stream does not rewind. The
+  /// layout keeps one 0 word per PS shard and two 0 counter words
+  /// where retired shard-departure state sat, so checkpoint files keep
+  /// their bytes; RestoreWords CHECKs them, and bounds the count of
+  /// pending arrivals by the words that follow it.
   std::vector<uint64_t> SaveWords() const;
   void RestoreWords(const std::vector<uint64_t>& words);
 
@@ -193,12 +181,13 @@ class MembershipTracker {
   Rng rng_;
   std::vector<Status> status_;
   std::vector<bool> ever_active_;
-  std::vector<bool> server_left_;
+  /// PS shards of the cluster: the width of the reserved block in the
+  /// checkpoint words.
+  size_t num_servers_ = 0;
   size_t num_active_ = 0;
   std::vector<bool> join_fired_;
   std::vector<bool> leave_fired_;
   std::vector<bool> rejoin_fired_;
-  std::vector<bool> server_leave_fired_;
   /// Pre-drawn absolute times of the next Poisson departure/arrival
   /// (+inf when the rate is zero); victims are picked at fire time.
   SimTime next_poisson_leave_ = std::numeric_limits<double>::infinity();
@@ -209,10 +198,10 @@ class MembershipTracker {
   MembershipStats stats_;
 };
 
-/// Records one membership transition of `node` (a worker or a PS
-/// shard) as its trace bars: leave then suspected for a departure,
-/// join or rejoin for an admission. The engines count the transition
-/// itself in MembershipStats.
+/// Records one membership transition of worker `node` as its trace
+/// bars: leave then suspected for a departure, join or rejoin for an
+/// admission. The engines count the transition itself in
+/// MembershipStats.
 void RecordMembershipTransition(TraceLog* trace, const MembershipEvent& ev,
                                 const std::string& node);
 

@@ -110,10 +110,6 @@ class SimCluster {
   MembershipTracker& membership() { return membership_; }
   const MembershipTracker& membership() const { return membership_; }
 
-  /// Slowdown factor for a transfer starting at `at` (degraded-link
-  /// fault windows; 1.0 in fault-free runs).
-  double LinkFactor(SimTime at) const { return faults_.LinkFactor(at); }
-
   /// Snapshot / restore of every virtual clock (driver, workers,
   /// servers, in that order) for checkpoint/resume.
   std::vector<double> SaveClocks() const;

@@ -19,9 +19,9 @@ enum class ActivityKind {
   kAggregate,    ///< reducing gradients or averaging models
   kUpdate,       ///< applying an update to the global model
   kWait,         ///< blocked on a barrier or on the driver
-  kRetry,        ///< rescheduling delay / backoff of a failed attempt
-  kFault,        ///< crash downtime of an executor or PS shard
-  kRecompute,    ///< lineage rebuild of a lost partition / ckpt restore
+  kRetry,        ///< rescheduling delay of a failed task
+  kFault,        ///< crash downtime of an executor
+  kRecompute,    ///< rebuild or re-run of work a crash or churn lost
   kMembershipJoin,     ///< new worker announcing itself, until admitted
   kMembershipLeave,    ///< departed node, until its first missed heartbeat
   kMembershipSuspect,  ///< suspicion window, until the detector evicts

@@ -15,14 +15,15 @@ struct NodeSummary {
   double aggregate = 0.0;
   double update = 0.0;
   double wait = 0.0;
-  double retry = 0.0;        ///< backoff / rescheduling delay
+  double retry = 0.0;        ///< rescheduling delay of a failed task
   double fault = 0.0;        ///< crash downtime
-  double recompute = 0.0;    ///< lineage rebuild / checkpoint restore
+  double recompute = 0.0;    ///< rebuild or re-run of lost work
   double membership = 0.0;   ///< join/leave/suspicion detector windows
 
   /// Recovery work is real work (the cluster is burning cycles on it),
-  /// so lineage recomputation counts as busy; downtime, backoff, and
-  /// membership-transition windows count against utilization like wait.
+  /// so lineage recomputation counts as busy; downtime, retry delays
+  /// and membership-transition windows count against utilization like
+  /// wait.
   double busy() const {
     return compute + communicate + aggregate + update + recompute;
   }

@@ -1,7 +1,7 @@
 #include "train/checkpoint.h"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "common/fnv1a.h"
@@ -24,9 +24,7 @@ uint64_t Fnv1a(const std::vector<uint64_t>& words) {
 }  // namespace
 
 void Checkpoint::PutDouble(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  words_.push_back(bits);
+  words_.push_back(std::bit_cast<uint64_t>(v));
 }
 
 void Checkpoint::PutDoubles(const std::vector<double>& values) {
@@ -53,12 +51,7 @@ uint64_t Checkpoint::TakeU64() {
   return words_[cursor_++];
 }
 
-double Checkpoint::TakeDouble() {
-  const uint64_t bits = TakeU64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double Checkpoint::TakeDouble() { return std::bit_cast<double>(TakeU64()); }
 
 size_t Checkpoint::TakeLength() {
   const uint64_t n = TakeU64();

@@ -59,7 +59,6 @@ class Checkpoint {
   /// True once every word has been consumed (a resume that does not
   /// drain the file exactly indicates a format mismatch).
   bool exhausted() const { return cursor_ == words_.size(); }
-  size_t size_words() const { return words_.size(); }
 
   // -- Persistence ----------------------------------------------------
   /// Writes atomically: the snapshot lands in `path + ".tmp"` first and

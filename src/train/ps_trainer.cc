@@ -143,11 +143,6 @@ TrainResult PsTrainer::Train(const Dataset& data,
         MLLIBSTAR_CHECK_EQ(admits.size(), k);
         for (size_t v = 0; v < k; ++v) admit_time[v] = admits[v];
         for (size_t v = 0; v < k; ++v) pending_catchup[v] = ck.TakeU64() != 0;
-        // Shard departures already applied before the snapshot keep
-        // their redirection without re-charging the migration.
-        for (size_t s = 0; s < ps.num_shards; ++s) {
-          if (membership.IsServerLeft(s)) server.MarkServerLeft(s);
-        }
       }
       MLLIBSTAR_CHECK(ck.exhausted());
       // Completed rounds stay completed; their staging slots were
@@ -363,7 +358,7 @@ TrainResult PsTrainer::Train(const Dataset& data,
       // New global model = old model + average of the round's deltas
       // (with a full fleet exactly the old 1/k).
       round_stage[t].Scale(1.0 / static_cast<double>(round_pushes[t]));
-      server.ApplyRoundAverage(round_stage[t]);
+      server.ApplyDelta(round_stage[t], 1.0);
       round_stage[t] = DenseVector();  // release
     }
     const int completed = t + 1;
@@ -450,18 +445,14 @@ TrainResult PsTrainer::Train(const Dataset& data,
   // Fires every membership transition detected by `now`. A departed
   // worker's incarnation bumps (its queued events become stale) and
   // any round that was only waiting on its push completes; a joiner is
-  // admitted at the fleet's current frontier round and scheduled; a
-  // departed shard hands its range to its successor. Parked workers
-  // retry afterwards — the consistency gate may have lost a member.
+  // admitted at the fleet's current frontier round and scheduled.
+  // Parked workers retry afterwards — the consistency gate may have
+  // lost a member.
   auto process_churn = [&](SimTime now) {
     if (!membership.enabled()) return;
     const std::vector<MembershipEvent> events = membership.AdvanceTo(now);
     if (events.empty()) return;
     for (const MembershipEvent& ev : events) {
-      if (ev.kind == MembershipEvent::Kind::kServerLeave) {
-        server.OnServerLeft(ev);
-        continue;
-      }
       SimNode& node = sim.worker(ev.node);
       RecordMembershipTransition(&sim.trace(), ev, node.name);
       if (ev.kind == MembershipEvent::Kind::kLeave) {

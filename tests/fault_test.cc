@@ -1,8 +1,8 @@
 // Fault injection and crash recovery. Three invariants anchor every
 // test here:
 //   1. Faults cost virtual time but never perturb the host-side
-//      numerics — so a run with crashes or degraded links finishes
-//      with the exact same weights as a fault-free run.
+//      numerics — so a run with executor crashes finishes with the
+//      exact same weights as a fault-free run.
 //   2. A fixed seed plus a fixed FaultPlan reproduces byte-identical
 //      traces, across repeated runs and across host_threads values.
 //   3. Checkpoint/resume is bit-identical: a run interrupted at a
@@ -16,7 +16,6 @@
 #include <iterator>
 
 #include "data/synthetic.h"
-#include "ps/parameter_server.h"
 #include "sim/sim_cluster.h"
 #include "train/trainer.h"
 
@@ -310,73 +309,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// A DegradeLink window that overlaps the checkpoint boundary: the
-// snapshot is taken inside the degraded window, so the resumed run
-// must replay the remaining degradation (and its virtual-time tax)
-// bit-identically — for all seven systems.
-
-class DegradedResumeTest : public ::testing::TestWithParam<SystemKind> {};
-
-TEST_P(DegradedResumeTest, ResumeInsideDegradedWindowIsBitIdentical) {
-  const Dataset data = FaultData();
-  ClusterConfig cluster = BaseCluster();
-  // Every system's step-4 checkpoint lands inside [0.02, 0.4]: the PS
-  // 8-step runs finish near 0.22 virtual seconds, the Spark ones near
-  // 0.55, so the boundary sits mid-window in both regimes.
-  cluster.faults.degraded_links = {{3.0, 0.02, 0.4}};
-
-  std::string name = SystemName(GetParam());
-  for (char& c : name) {
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  }
-  const std::string path =
-      testing::TempDir() + "/degraded_resume_" + name + ".bin";
-  std::remove(path.c_str());
-
-  TrainerConfig full = BaseConfig();
-  const TrainResult uninterrupted =
-      MakeTrainer(GetParam(), full)->Train(data, cluster);
-
-  TrainerConfig first = full;
-  first.max_comm_steps = 4;
-  first.checkpoint.path = path;
-  first.checkpoint.every_steps = 4;
-  first.checkpoint.resume = true;
-  (void)MakeTrainer(GetParam(), first)->Train(data, cluster);
-  ASSERT_TRUE(Checkpoint::Exists(path));
-
-  TrainerConfig second = full;
-  second.checkpoint = first.checkpoint;
-  const TrainResult resumed =
-      MakeTrainer(GetParam(), second)->Train(data, cluster);
-
-  ExpectSameWeights(uninterrupted.final_weights, resumed.final_weights);
-  // The window really taxed the run.
-  ClusterConfig clean = BaseCluster();
-  const TrainResult unfaulted =
-      MakeTrainer(GetParam(), full)->Train(data, clean);
-  EXPECT_GT(uninterrupted.sim_seconds, unfaulted.sim_seconds);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSystems, DegradedResumeTest,
-    ::testing::Values(SystemKind::kMllib, SystemKind::kMllibMa,
-                      SystemKind::kMllibStar, SystemKind::kPetuum,
-                      SystemKind::kPetuumStar, SystemKind::kAngel,
-                      SystemKind::kMllibLbfgs),
-    [](const ::testing::TestParamInfo<SystemKind>& info) {
-      std::string name = SystemName(info.param);
-      for (char& c : name) {
-        if (c == '*') {
-          c = 'S';
-        } else if (!std::isalnum(static_cast<unsigned char>(c))) {
-          c = '_';
-        }
-      }
-      return name;
-    });
-
-// ---------------------------------------------------------------------
 // Executor crashes: lineage recovery, determinism, numeric neutrality.
 
 TEST(ExecutorCrashTest, ScriptedCrashIsRecoveredAndDeterministic) {
@@ -466,83 +398,6 @@ TEST(ExecutorCrashTest, PsWorkerCrashRecoversOnTheSameNode) {
   EXPECT_GE(a.faults.lineage_recomputes, 1u);
   ExpectSameWeights(a.final_weights, b.final_weights);
   ExpectSameTrace(a.trace, b.trace);
-}
-
-// ---------------------------------------------------------------------
-// Degraded links: a pure virtual-time tax.
-
-TEST(DegradedLinkTest, SlowsTheRunButNotTheNumerics) {
-  const Dataset data = FaultData();
-  const ClusterConfig clean = BaseCluster();
-  ClusterConfig degraded = clean;
-  degraded.faults.degraded_links = {{4.0, 0.0, 1e9}};
-
-  const TrainerConfig config = BaseConfig();
-  const TrainResult a =
-      MakeTrainer(SystemKind::kMllibStar, config)->Train(data, clean);
-  const TrainResult b =
-      MakeTrainer(SystemKind::kMllibStar, config)->Train(data, degraded);
-
-  EXPECT_GT(b.sim_seconds, a.sim_seconds);
-  ExpectSameWeights(a.final_weights, b.final_weights);
-}
-
-// ---------------------------------------------------------------------
-// PS robustness: retry/backoff, shard crash + restore.
-
-TEST(PsFaultTest, DroppedRequestsRetryWithBoundedBackoff) {
-  const Dataset data = FaultData();
-  ClusterConfig cluster = BaseCluster(2);
-  cluster.faults.message_drops = {{1.0, 0.0, 0.05}};
-
-  TrainerConfig config = BaseConfig();
-  config.max_comm_steps = 3;
-
-  const TrainResult result =
-      MakeTrainer(SystemKind::kPetuum, config)->Train(data, cluster);
-
-  EXPECT_GT(result.faults.messages_dropped, 0u);
-  EXPECT_GT(result.faults.ps_retries, 0u);
-  size_t retry_bars = 0;
-  for (const TraceEvent& e : result.trace.events()) {
-    if (e.kind != ActivityKind::kRetry) continue;
-    ++retry_bars;
-    const double wait = e.end - e.start;
-    // Each retry waits timeout + jittered backoff, where the backoff
-    // is min(max, base * 2^attempt) * [0.5, 1.0).
-    EXPECT_GE(wait, kPsRequestTimeoutSec + 0.5 * kPsBackoffBaseSec - 1e-12);
-    EXPECT_LE(wait, kPsRequestTimeoutSec + kPsBackoffMaxSec + 1e-12);
-  }
-  EXPECT_EQ(retry_bars, result.faults.ps_retries);
-}
-
-TEST(PsFaultTest, ShardCrashWithContinuousCheckpointIsLossless) {
-  ClusterConfig cc = ClusterConfig::Cluster1(2);
-  cc.num_servers = 2;
-  cc.faults.server_crashes = {{0, 0.001}};
-  SimCluster sim(cc);
-  PsConfig ps;
-  ps.num_shards = 2;  // every applied update is checkpointed: lossless
-  PsContext ctx(&sim, 8, ps);
-
-  DenseVector delta(8);
-  for (size_t i = 0; i < 8; ++i) delta[i] = static_cast<double>(i + 1);
-  ctx.ApplyDelta(delta, 1.0);
-  const DenseVector before = ctx.model();
-
-  sim.worker(0).clock = 0.01;  // past the scripted crash instant
-  ctx.TimePull(&sim.worker(0));
-
-  EXPECT_EQ(sim.faults().stats().server_crashes, 1u);
-  ExpectSameWeights(before, ctx.model());
-  bool saw_down = false;
-  bool saw_restore = false;
-  for (const TraceEvent& e : sim.trace().events()) {
-    saw_down = saw_down || e.detail == "ps-shard-down";
-    saw_restore = saw_restore || e.detail == "ps-restore";
-  }
-  EXPECT_TRUE(saw_down);
-  EXPECT_TRUE(saw_restore);
 }
 
 }  // namespace

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <tuple>
 
@@ -323,31 +325,6 @@ INSTANTIATE_TEST_SUITE_P(SparkSystems, SparkChurnTest,
                          ParamName);
 
 // ---------------------------------------------------------------------
-// PS shard departure: the next alive shard serves the departed range
-// (slower — its link carries both slices), numerics untouched.
-
-TEST(PsServerLeaveTest, ShardMigrationDegradesGracefully) {
-  const Dataset data = ChurnData();
-  const ClusterConfig clean = BaseCluster();
-  ClusterConfig churny = clean;
-  churny.churn.heartbeat_interval_sec = 0.01;
-  churny.churn.suspicion_timeout_sec = 0.02;
-  churny.churn.server_leaves = {{1, 0.05}};
-
-  TrainerConfig config = BaseConfig();
-  config.ps.num_shards = 2;
-  const TrainResult a =
-      MakeTrainer(SystemKind::kPetuum, config)->Train(data, clean);
-  const TrainResult b =
-      MakeTrainer(SystemKind::kPetuum, config)->Train(data, churny);
-
-  ExpectSameWeights(a.final_weights, b.final_weights);
-  EXPECT_EQ(b.membership.server_leaves, 1u);
-  EXPECT_GE(b.membership.shard_migrations, 1u);
-  EXPECT_GT(b.sim_seconds, a.sim_seconds);
-}
-
-// ---------------------------------------------------------------------
 // Mid-churn checkpoint/resume: snapshot between transitions (one leave
 // fires before the step-4 checkpoint, the joins/rejoin after), resume,
 // and finish bit-identical to the uninterrupted churn run — for all
@@ -474,6 +451,67 @@ TEST(ElasticResumeDeathTest, RejectsAMembershipBlockPastTheWords) {
       [](std::vector<uint64_t>* words) { (*words)[0] = uint64_t{1} << 62; });
   EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
                "membership block runs past the elastic words");
+}
+
+// ---- The membership block's pending arrivals ---------------------------
+// Elastic words are [membership count, membership words, ...]. Inside
+// the membership words, the count of pending Poisson arrivals follows
+// the RNG state, two words per executor, one reserved word per PS shard
+// (none here), one fired flag per scripted event, the active count and
+// the two next-arrival times; five words per arrival and twelve
+// counters follow it.
+size_t PendingCountIndex(const ClusterConfig& cluster) {
+  const ChurnPlan& plan = cluster.churn;
+  return 1 + Rng::kStateWords + 2 * cluster.num_workers + plan.joins.size() +
+         plan.leaves.size() + plan.rejoins.size() + 3;
+}
+
+// A real MLlib churn run's step-3 snapshot with the pending count set
+// to 2^64 - 1, 2^63 and one arrival more than the words behind it
+// hold. The restore must stop at its CHECK before it sizes anything
+// from the count.
+TEST(ElasticResumeDeathTest, RejectsAPendingCountPastTheWords) {
+  const Dataset data = ChurnData();
+  ClusterConfig cluster = BaseCluster();
+  cluster.churn = MidRunChurn();
+  const size_t at = PendingCountIndex(cluster);
+  for (int which = 0; which < 3; ++which) {
+    const TrainerConfig config = WriteEditedElasticCheckpoint(
+        data, cluster, "elastic_pending.ckpt",
+        [&](std::vector<uint64_t>* words) {
+          const size_t end = 1 + (*words)[0];
+          ASSERT_LT(at, end);
+          const uint64_t behind = end - at - 1;
+          ASSERT_EQ(behind, 5 * (*words)[at] + 12);
+          const uint64_t bad[] = {~uint64_t{0}, uint64_t{1} << 63,
+                                  behind / 5 + 1};
+          (*words)[at] = bad[which];
+        });
+    EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
+                 "pending arrivals run past the membership words")
+        << which;
+  }
+}
+
+// The same snapshot with one more pending arrival whose kind word is 3,
+// past the three worker transitions: the restore CHECKs it.
+TEST(ElasticResumeDeathTest, RejectsAPendingArrivalThatIsNoWorkerEvent) {
+  const Dataset data = ChurnData();
+  ClusterConfig cluster = BaseCluster();
+  cluster.churn = MidRunChurn();
+  const size_t at = PendingCountIndex(cluster);
+  const TrainerConfig config = WriteEditedElasticCheckpoint(
+      data, cluster, "elastic_kind.ckpt", [&](std::vector<uint64_t>* words) {
+        ASSERT_LT(at, 1 + (*words)[0]);
+        const uint64_t one = std::bit_cast<uint64_t>(1.0);
+        const uint64_t arrival[] = {3, 0, one, one, one};
+        words->insert(words->begin() + static_cast<std::ptrdiff_t>(at + 1),
+                      std::begin(arrival), std::end(arrival));
+        (*words)[at] += 1;
+        (*words)[0] += 5;
+      });
+  EXPECT_DEATH(MakeTrainer(SystemKind::kMllib, config)->Train(data, cluster),
+               "not a worker event");
 }
 
 // ---- The PS resume's membership block ----------------------------------

@@ -104,12 +104,115 @@ TEST(PsContextTest, PullSnapshotsFollowModelVersion) {
   };
   ps.ApplyDelta(DenseVector(std::vector<double>{1.0, 2.0}), 1.0);
   expect_fresh({1.0, 2.0});
-  ps.ApplyRoundAverage(DenseVector(std::vector<double>{0.5, -2.0}));
+  ps.ApplyDelta(DenseVector(std::vector<double>{0.5, -2.0}), 1.0);
   expect_fresh({1.5, 0.0});
   ps.ResetModel(DenseVector(std::vector<double>{3.0, 4.0}));
   expect_fresh({3.0, 4.0});
   // The first snapshot outlives the model it was taken from.
   EXPECT_EQ(first->values(), (std::vector<double>{0.0, 0.0}));
+}
+
+// ------------------------------------------------------ transfer rule
+// PsContext::TimeTransfer in closed form. A request of T bytes sent at
+// t over s shards: each shard serves a ceil(T / s) slice from
+// max(t + L, its clock) for slice / B, and a push then charges the
+// slice's apply work, (slice / 8 / 16) / speed (16 server cores). The
+// request is done at max(latest shard end + L, t + L + T / B).
+
+constexpr double kLatency = 2e-3;
+constexpr double kBandwidth = 1e5;
+constexpr double kSpeed = 1e4;
+
+ClusterConfig TransferCluster(size_t workers, size_t shards) {
+  ClusterConfig config = PsClusterConfig(workers, shards);
+  config.latency_sec = kLatency;
+  config.bandwidth_bytes_per_sec = kBandwidth;
+  config.compute_speed = kSpeed;
+  return config;
+}
+
+void ExpectClose(double actual, double expected) {
+  EXPECT_NEAR(actual, expected, 1e-12 * expected);
+}
+
+// One idle request: every shard is free, so the slices land at
+// t + L + slice / B, and the worker's link, which carries all T bytes,
+// finishes last.
+TEST(PsTransferTest, IdlePullIsPacedByTheWorkerLink) {
+  SimCluster sim(TransferCluster(1, 4));
+  PsContext ps(&sim, 1000, DefaultPs(4));
+  const double t = 0.25;
+  sim.worker(0).clock = t;
+  const double bytes = 8000.0;
+  const double slice = 2000.0;
+
+  const SimTime done = ps.TimePull(&sim.worker(0));
+
+  for (size_t s = 0; s < 4; ++s) {
+    ExpectClose(sim.server(s).clock, t + kLatency + slice / kBandwidth);
+  }
+  ExpectClose(done, t + kLatency + bytes / kBandwidth);
+  EXPECT_EQ(sim.worker(0).clock, done);
+}
+
+// Three workers pull at t = 0 over two shards. The first is paced by
+// its own link; each later one waits for the slices queued ahead of it
+// on the shard links, which then finish last.
+TEST(PsTransferTest, QueuedPullsArePacedByTheShardLinks) {
+  SimCluster sim(TransferCluster(3, 2));
+  PsContext ps(&sim, 1000, DefaultPs(2));
+  const double bytes = 8000.0;
+  const double slice = 4000.0;
+
+  const SimTime first = ps.TimePull(&sim.worker(0));
+  const SimTime second = ps.TimePull(&sim.worker(1));
+  const SimTime third = ps.TimePull(&sim.worker(2));
+
+  ExpectClose(first, kLatency + bytes / kBandwidth);
+  ExpectClose(second, kLatency + 2.0 * slice / kBandwidth + kLatency);
+  ExpectClose(third, kLatency + 3.0 * slice / kBandwidth + kLatency);
+  for (size_t s = 0; s < 2; ++s) {
+    ExpectClose(sim.server(s).clock, kLatency + 3.0 * slice / kBandwidth);
+  }
+}
+
+// A push also applies its slice on the shard; with one shard that
+// apply work and the return latency put the shard past the worker's
+// link.
+TEST(PsTransferTest, PushAddsTheShardsApplyWork) {
+  SimCluster sim(TransferCluster(1, 1));
+  PsContext ps(&sim, 1000, DefaultPs(1));
+  const uint64_t bytes = 8000;
+  const double apply = static_cast<double>(bytes / 8 / 16) / kSpeed;
+
+  const SimTime done = ps.TimePush(&sim.worker(0), bytes);
+
+  const double shard_end =
+      kLatency + static_cast<double>(bytes) / kBandwidth + apply;
+  ExpectClose(sim.server(0).clock, shard_end);
+  ExpectClose(done, shard_end + kLatency);
+}
+
+// Pulls tally the dense model, pushes the bytes they were given; an
+// uneven split serves ceil(T / s) bytes per shard. Requests are never
+// retried.
+TEST(PsTransferTest, TalliesBytesByPathAndCeilsTheSlices) {
+  SimCluster sim(TransferCluster(1, 2));
+  PsContext ps(&sim, 1001, DefaultPs(2));
+  ps.TimePull(&sim.worker(0));
+  const SimTime pulled = sim.worker(0).clock;
+  const SimTime shard_free = sim.server(0).clock;
+  const SimTime done = ps.TimePush(&sim.worker(0), 123);
+
+  EXPECT_EQ(ps.wire().pull, 8008u);
+  EXPECT_EQ(ps.wire().push, 123u);
+  EXPECT_EQ(ps.wire().retries, 0u);
+  EXPECT_EQ(ps.total_bytes(), 8131u);
+  ExpectClose(shard_free, kLatency + 4004.0 / kBandwidth);
+  // 62 bytes per shard; 62 / 8 / 16 rounds the apply work down to 0.
+  // So small a push is paced by the latency both ways.
+  ExpectClose(sim.server(1).clock, pulled + kLatency + 62.0 / kBandwidth);
+  ExpectClose(done, pulled + kLatency + 62.0 / kBandwidth + kLatency);
 }
 
 // ----------------------------------------------------- consistency model

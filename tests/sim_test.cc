@@ -316,33 +316,57 @@ TEST(ClusterConfigTest, RejectsCrashAndDropProbabilitiesOutsideUnitInterval) {
     ClusterConfig crash = ClusterConfig::Cluster1(8);
     crash.faults.worker_crash_prob = prob;
     ExpectRejected(crash, "worker_crash_prob");
-    ClusterConfig drop = ClusterConfig::Cluster1(8);
-    drop.faults.message_drops = {{prob, 0.0, 1.0}};
-    ExpectRejected(drop, "message_drops");
   }
   ClusterConfig certain = ClusterConfig::Cluster1(8);
   certain.faults.worker_crash_prob = 1.0;
-  certain.faults.message_drops = {{1.0, 0.0, 0.05}};
   EXPECT_TRUE(ValidateClusterConfig(certain).ok());
 }
 
-TEST(ClusterConfigTest, RejectsBadFaultWindows) {
-  for (double factor : {0.0, -4.0, kInf, kNaN}) {
-    ClusterConfig config = ClusterConfig::Cluster1(8);
-    config.faults.degraded_links = {{factor, 0.0, 1.0}};
-    ExpectRejected(config, "degraded_links");
+// A scripted crash, join, leave or rejoin must name one of the
+// cluster's worker slots and fire at a finite time >= 0. Without the
+// check, a crash or leave at NaN and a join at -inf fired, and an
+// event for a slot past the fleet was silently never applied.
+TEST(ClusterConfigTest, RejectsScriptedEventsOffTheFleetOrTheClock) {
+  for (double at : {-1.0, -kInf, kInf, kNaN}) {
+    ClusterConfig crash = ClusterConfig::Cluster1(4);
+    crash.faults.worker_crashes = {{1, 0.5}, {2, at}};
+    ExpectRejected(crash, "faults.worker_crashes[1].at");
+    ClusterConfig join = ClusterConfig::Cluster1(4);
+    join.churn.initial_active = 3;
+    join.churn.joins = {{3, at}};
+    ExpectRejected(join, "churn.joins[0].at");
+    ClusterConfig leave = ClusterConfig::Cluster1(4);
+    leave.churn.leaves = {{0, at}};
+    ExpectRejected(leave, "churn.leaves[0].at");
+    ClusterConfig rejoin = ClusterConfig::Cluster1(4);
+    rejoin.churn.rejoins = {{0, at}};
+    ExpectRejected(rejoin, "churn.rejoins[0].at");
   }
-  ClusterConfig link = ClusterConfig::Cluster1(8);
-  link.faults.degraded_links = {{4.0, 0.0, 1.0}, {2.0, 3.0, 2.0}};
-  ExpectRejected(link, "degraded_links[1]");
-  ClusterConfig drop = ClusterConfig::Cluster1(8);
-  drop.faults.message_drops = {{0.5, 1.0, kNaN}};
-  ExpectRejected(drop, "message_drops[0]");
-  // An empty window is allowed; it never fires.
-  ClusterConfig empty = ClusterConfig::Cluster1(8);
-  empty.faults.degraded_links = {{4.0, 1.0, 1.0}};
-  empty.faults.message_drops = {{0.5, 2.0, 2.0}};
-  EXPECT_TRUE(ValidateClusterConfig(empty).ok());
+
+  ClusterConfig crash = ClusterConfig::Cluster1(4);
+  crash.faults.worker_crashes = {{4, 0.5}};
+  ExpectRejected(crash, "faults.worker_crashes[0].worker");
+  ClusterConfig join = ClusterConfig::Cluster1(4);
+  join.churn.joins = {{9, 0.5}};
+  ExpectRejected(join, "churn.joins[0].worker");
+  ClusterConfig leave = ClusterConfig::Cluster1(4);
+  leave.churn.leaves = {{0, 0.5}, {4, 1.0}};
+  ExpectRejected(leave, "churn.leaves[1].worker");
+  ClusterConfig rejoin = ClusterConfig::Cluster1(4);
+  rejoin.churn.rejoins = {{~size_t{0}, 0.5}};
+  ExpectRejected(rejoin, "churn.rejoins[0].worker");
+  ClusterConfig initial = ClusterConfig::Cluster1(4);
+  initial.churn.initial_active = 5;
+  ExpectRejected(initial, "churn.initial_active");
+
+  // The last slot, time 0 and a full initial fleet are all fine.
+  ClusterConfig edge = ClusterConfig::Cluster1(4);
+  edge.faults.worker_crashes = {{3, 0.0}};
+  edge.churn.initial_active = 4;
+  edge.churn.leaves = {{3, 0.0}};
+  edge.churn.rejoins = {{3, 1e15}};
+  edge.churn.joins = {{0, 2.0}};
+  EXPECT_TRUE(ValidateClusterConfig(edge).ok());
 }
 
 TEST(ClusterConfigTest, RejectsBadChurnRatesAndDetectorTimes) {
