@@ -56,7 +56,7 @@ Status Invalid(const std::string& field, const char* rule, double value) {
 /// Every event in `events` (the list called `name`, e.g. "churn.joins")
 /// must name a worker slot of the cluster and fire at a finite time
 /// >= 0: an event for a slot past the fleet never applies, and a NaN
-/// or infinite instant fires at a time no run reaches or at once.
+/// or infinite time is no instant of the virtual clock.
 template <typename Event>
 Status CheckScripted(const std::vector<Event>& events, const char* name,
                      size_t num_workers) {

@@ -323,9 +323,9 @@ TEST(ClusterConfigTest, RejectsCrashAndDropProbabilitiesOutsideUnitInterval) {
 }
 
 // A scripted crash, join, leave or rejoin must name one of the
-// cluster's worker slots and fire at a finite time >= 0. Without the
-// check, a crash or leave at NaN and a join at -inf fired, and an
-// event for a slot past the fleet was silently never applied.
+// cluster's worker slots and fire at a finite time >= 0: a NaN or
+// infinite time is no instant of the virtual clock, and an event for a
+// slot past the fleet would never apply.
 TEST(ClusterConfigTest, RejectsScriptedEventsOffTheFleetOrTheClock) {
   for (double at : {-1.0, -kInf, kInf, kNaN}) {
     ClusterConfig crash = ClusterConfig::Cluster1(4);
